@@ -1,83 +1,16 @@
 """anchorsim: deterministic simulator for dual-arm fixation of structural
 parts to concrete (drill, insert, hammer, tighten), with calibrated tool
-physics and a seeded mission executive."""
+physics and a seeded mission executive.
 
-from .engine import RandomStreams, SimClock, Trace, TraceRecorder, World, run
-from .errors import (
-    AnchorDropped,
-    DegenerateGeometry,
-    DetectionMissing,
-    FlangeOccupied,
-    GripperInflated,
-    HaltedByGuard,
-    IoFailure,
-    NonMonotonicTime,
-    NoReturn,
-    NoTool,
-    OffWall,
-    OutOfReach,
-    PartDropped,
-    ScenarioInvalid,
-    SearchTimeout,
-    SimulationError,
-    SocketFitTimeout,
-    SocketNotEngaged,
-    StepFailed,
-    TooDeep,
-    WrongPose,
-)
-from .geometry import Frame, Point3, estimate_wall_frame, from_frame, to_frame
-from .procedure import (
-    FixationReport,
-    FixationStep,
-    Plan,
-    PlanPhase,
-    STEP_ORDER,
-    StepRecord,
-    Thresholds,
-    max_search_radius,
-    outer_search_radius,
-    run_fixation,
-    schedule_dual_arm,
-    spiral_offsets,
-    spiral_search,
-)
-from .robot import ArmState, PlatformState, ToolId, attach_tool, detach_tool, move_linear, platform_slip_step
-from .scenario import Scenario, load_scenario, parse_scenario, render_scenario, scenario_hash
-from .sensors import (
-    CameraParams,
-    Detection,
-    DetectionKind,
-    FTNoise,
-    FTReading,
-    SafetyLimits,
-    Wrench,
-    camera_detect,
-    overload_guard,
-    read_ft,
-    read_laser,
-)
-from .tools import (
-    DrillToolConfig,
-    DrillVariant,
-    GripperTool,
-    HammerTool,
-    NutRunnerTool,
-    drill_reaction_moment,
-    drill_thrust,
-    hammer_blow,
-    nutrunner_pulse,
-)
-from .worksite import (
-    AnchorBolt,
-    AnchorState,
-    DrilledHole,
-    Engagement,
-    PartState,
-    StructuralPart,
-    Wall,
-    Worksite,
-    anchor_engagement,
-)
+The package root exports what the README and the demos use; everything else
+is imported from its module (``anchorsim.procedure``, ``anchorsim.engine``,
+...).
+"""
+
+from .engine import run
+from .procedure import schedule_dual_arm
+from .scenario import Scenario
+
+__all__ = ["Scenario", "run", "schedule_dual_arm"]
 
 __version__ = "0.1.0"

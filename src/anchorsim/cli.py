@@ -99,7 +99,10 @@ def render_machine_report(report: FixationReport) -> str:
 
 
 def print_config(stream=None) -> None:
-    """Print every scenario key with its default value and unit comment."""
+    """Print every scenario key with its default value, section by section.
+
+    Units and meanings are the comments beside each field in ``scenario.py``.
+    """
     stream = stream or sys.stdout
     scenario = Scenario()
     for section, cls in _SECTION_TYPES.items():

@@ -16,19 +16,8 @@ from .errors import NonMonotonicTime
 from .geometry import Point3
 from .robot import ArmState, PlatformState, ToolId
 from .scenario import Scenario, scenario_hash
-from .sensors import (
-    CameraParams,
-    FTNoise,
-    FTReading,
-    GuardFilter,
-    SafetyLimits,
-    Wrench,
-    ZERO_WRENCH,
-    overload_guard,
-    read_ft,
-    read_laser,
-)
-from .tools import DrillToolConfig, GripperTool, HammerTool, NutRunnerTool
+from .sensors import FTReading, GuardFilter, Wrench, ZERO_WRENCH, overload_guard, read_ft, read_laser
+from .tools import GripperTool, HammerTool, NutRunnerTool
 from .worksite import StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
 TRACE_CHANNELS = (
@@ -42,7 +31,7 @@ MAX_SIM_TIME = 7200.0
 
 @dataclass
 class SimClock:
-    dt: float = 0.01
+    dt: float
     t: float = 0.0
     ticks: int = 0
 
@@ -149,94 +138,28 @@ class World:
         self.clock = SimClock(dt=scenario.procedure.timestep)
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
-        self.limits = SafetyLimits(scenario.sensors.force_limit, scenario.sensors.moment_limit)
-        self.noise = FTNoise(scenario.sensors.ft_sigma_force, scenario.sensors.ft_sigma_moment)
-        self.camera_params = CameraParams(
-            p_detect=scenario.sensors.p_detect,
-            sigma_wall=scenario.sensors.camera_sigma_wall,
-            sigma_part=scenario.sensors.camera_sigma_part,
-            fov_lateral=scenario.sensors.camera_fov,
-        )
 
-        wall_center = Point3(scenario.wall.distance, scenario.wall.center_y, scenario.wall.center_z)
-        wall = Wall(
-            frame=wall_frame_from_angles(wall_center, scenario.wall.yaw_deg, scenario.wall.pitch_deg),
-            width=scenario.wall.width,
-            height=scenario.wall.height,
-            thickness=scenario.wall.thickness,
-            compressive_strength=scenario.wall.compressive_strength,
-        )
-        part = StructuralPart(
-            hole_positions=default_hole_pattern(scenario.part.holes, scenario.part.hole_spacing),
-            hole_diameter=scenario.part.hole_diameter,
-            thickness=scenario.part.thickness,
-            mass=scenario.part.mass,
-        )
-        self.site = Worksite(wall=wall, part=part)
+        w = scenario.wall
+        frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
+        holes = default_hole_pattern(scenario.part.holes, scenario.part.hole_spacing)
+        self.site = Worksite(wall=Wall(frame, w), part=StructuralPart(holes))
 
+        # One arm, platform and tool set per module; robot 2's stand also
+        # carries the part gripper. The drill has no state of its own: its
+        # models read ``scenario.tools`` directly.
         window = max(1, round(scenario.sensors.guard_filter_window / self.clock.dt))
         self.arms: dict[str, ArmRuntime] = {}
-        for name, home in (("robot1", "home1"), ("robot2", "home2")):
-            arm = ArmState(
-                name=name,
-                base=scenario.station("base1" if name == "robot1" else "base2"),
-                position=scenario.station(home),
-                reach=scenario.robot.reach,
-                payload_capacity=scenario.robot.payload,
-                tool_masses={
-                    ToolId.DRILL: scenario.robot.mass_drill,
-                    ToolId.HAMMER: scenario.robot.mass_hammer,
-                    ToolId.NUTRUNNER: scenario.robot.mass_nutrunner,
-                    ToolId.GRIPPER: scenario.robot.mass_gripper,
-                },
-            )
-            self.arms[name] = ArmRuntime(state=arm, guard_filter=GuardFilter(window))
-
-        self.platforms = {
-            "robot1": PlatformState(slip_coefficient=scenario.robot.slip_coefficient),
-            "robot2": PlatformState(slip_coefficient=scenario.robot.slip_coefficient),
-        }
-
-        # One tool set per module; robot 2's stand also carries the gripper.
-        t = scenario.tools
-        drill_cfg = DrillToolConfig(
-            variant=t.variant,
-            drill_offset=t.drill_offset,
-            support_arm_offset=t.support_arm_offset,
-            spring_rate=t.spring_rate,
-            spring_preload=t.spring_preload,
-            constant_load_force=t.constant_load_force,
-            bit_diameter=t.bit_diameter,
-            bit_length=t.bit_length,
-            feed_speed=t.feed_speed,
-            thrust_at_contact=t.thrust_at_contact,
-            thrust_per_meter=t.thrust_per_meter,
-            aligned_tip_lever=t.aligned_tip_lever,
-            aligned_error_lever=t.aligned_error_lever,
-        )
+        self.platforms: dict[str, PlatformState] = {}
         self.tools = {}
-        for name in ("robot1", "robot2"):
-            self.tools[(name, ToolId.DRILL)] = drill_cfg
-            self.tools[(name, ToolId.HAMMER)] = HammerTool(
-                inflation_pressure=t.inflation_pressure,
-                blow_rate=t.blow_rate,
-                blow_advance=t.blow_advance,
-                free_moment=t.hammer_free_moment,
-                contact_ramp=t.hammer_contact_ramp,
-                contact_cap=t.hammer_contact_cap,
-            )
-            self.tools[(name, ToolId.NUTRUNNER)] = NutRunnerTool(
-                target_torque=t.target_torque,
-                pulse_attenuation=t.pulse_attenuation,
-                socket_spring_travel=t.socket_spring_travel,
-                runner_offset=t.runner_offset,
-                torque_step=t.pulse_torque_step,
-            )
-        self.tools[("robot2", ToolId.GRIPPER)] = GripperTool()
-
-        for name in self.arms:
-            for channel in ("fx", "fy", "fz", "mx", "my", "mz", "laser_depth", "commanded_depth", "slip"):
+        for name, n in (("robot1", "1"), ("robot2", "2")):
+            arm = ArmState(name, scenario.station(f"base{n}"), scenario.station(f"home{n}"), scenario.robot)
+            self.arms[name] = ArmRuntime(state=arm, guard_filter=GuardFilter(window))
+            self.platforms[name] = PlatformState(scenario.robot)
+            self.tools[(name, ToolId.HAMMER)] = HammerTool(scenario.tools)
+            self.tools[(name, ToolId.NUTRUNNER)] = NutRunnerTool(scenario.tools)
+            for channel in TRACE_CHANNELS:
                 self.recorder.register(f"{name}/{channel}", channel)
+        self.tools[("robot2", ToolId.GRIPPER)] = GripperTool()
 
     # -- kinematic helpers ----------------------------------------------------
 
@@ -301,6 +224,7 @@ class World:
         """
         t = self.clock.tick()
         dt = self.clock.dt
+        sensors = self.scenario.sensors
         for name, runtime in self.arms.items():
             self.platforms[name].step(runtime.press_force, dt)
             runtime.state.advance(dt)
@@ -317,10 +241,10 @@ class World:
             if not runtime.active:
                 runtime.reading = None
                 continue
-            reading = read_ft(wrench, self.noise, self.streams.get(f"ft.{name}"), timestamp=t)
+            reading = read_ft(wrench, sensors, self.streams.get(f"ft.{name}"), timestamp=t)
             runtime.reading = reading
             runtime.filtered = runtime.guard_filter.push(reading)
-            axis = overload_guard(runtime.filtered, self.limits)
+            axis = overload_guard(runtime.filtered, sensors)
             if axis is not None and not arm.halted:
                 arm.halt(axis)
                 runtime.guard_fired_t = t

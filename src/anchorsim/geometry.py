@@ -148,16 +148,6 @@ def estimate_wall_frame(p1: Point3, p2: Point3, p3: Point3) -> Frame:
     return Frame(p1, x_axis, y_axis, z_axis)
 
 
-def to_frame(frame: Frame, p: Point3) -> Point3:
-    """Express base-frame point ``p`` in ``frame`` coordinates."""
-    return frame.to_local(p)
-
-
-def from_frame(frame: Frame, p: Point3) -> Point3:
-    """Map frame-local coordinates ``p`` back to the base frame."""
-    return frame.to_world(p)
-
-
 def angle_between(a: Point3, b: Point3) -> float:
     """Angle in radians between two vectors; robust near 0 and pi."""
     cross = a.cross(b).norm()

@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import Frame, Point3, angle_between, estimate_wall_frame
 from .robot import ToolId, attach_tool, detach_tool
 from .sensors import DetectionKind, Wrench, camera_detect
-from .tools import DrillToolConfig, HammerTool, NutRunnerTool, drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
+from .tools import HammerTool, NutRunnerTool, drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
 from .worksite import (
     MAX_HOLE_DEPTH,
     AnchorBolt,
@@ -53,41 +53,6 @@ class FixationStep(Enum):
 
 #: The canonical order of the ten steps for the first fixation point.
 STEP_ORDER = tuple(FixationStep)
-
-#: Steps repeated for every fixation point after the first.
-POINT_STEPS = STEP_ORDER[2:9]
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    insertion_end_moment: float = 25.0
-    hammering_end_moment: float = 27.0
-    hammer_success_depth: float = 0.070
-    approach_force_z: float = 50.0
-    contact_force_z: float = 20.0
-    drill_depth_target: float = 0.080
-    search_timeout: float = 60.0
-    guard_moment_limit: float = 30.0
-
-    def __post_init__(self):
-        if self.hammering_end_moment >= self.guard_moment_limit:
-            raise ValueError("hammering end moment must stay below the moment guard")
-        if self.hammer_success_depth >= self.drill_depth_target:
-            raise ValueError("hammer success depth must be below the drill target")
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "Thresholds":
-        p = scenario.procedure
-        return cls(
-            insertion_end_moment=p.insertion_end_moment,
-            hammering_end_moment=p.hammering_end_moment,
-            hammer_success_depth=p.hammer_success_depth,
-            approach_force_z=p.approach_force,
-            contact_force_z=p.contact_force,
-            drill_depth_target=p.drill_depth_target,
-            search_timeout=p.search_timeout,
-            guard_moment_limit=scenario.sensors.moment_limit,
-        )
 
 
 @dataclass
@@ -208,27 +173,6 @@ def max_search_radius(pitch: float, spacing: float, period: float, timeout: floa
     return max(0.0, outer_search_radius(pitch, spacing, period, timeout) - pitch)
 
 
-def spiral_search(center: Point3, pitch: float, step_period: float, probe, timeout: float,
-                  spacing: float, frame: Frame) -> tuple[Point3, float, int]:
-    """Stand-alone spiral search over a probe callback.
-
-    ``probe(point) -> bool`` reports engagement at a tip position; returns the
-    first engaging point, the time spent, and the probe count. Raises
-    SearchTimeout when the time budget runs out. The engine-driven insertion
-    uses the same offsets via ``spiral_offsets``.
-    """
-    max_probes = int(timeout / step_period)
-    elapsed = 0.0
-    count = 0
-    for dx, dy in spiral_offsets(pitch, spacing, max_probes):
-        point = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
-        elapsed += step_period
-        count += 1
-        if probe(point):
-            return point, elapsed, count
-    raise SearchTimeout(f"no engagement within {timeout} s ({count} probes)")
-
-
 # --- dual-arm plan ----------------------------------------------------------------
 
 
@@ -245,9 +189,6 @@ class Plan:
 
     def points_for(self, arm: str) -> list[int]:
         return [p for phase in self.phases for (p, a) in phase.assignments if a == arm]
-
-    def covered_points(self) -> set[int]:
-        return {p for phase in self.phases for (p, _) in phase.assignments}
 
 
 def schedule_dual_arm(part_or_count) -> Plan:
@@ -284,7 +225,6 @@ class MissionContext:
     def __init__(self, world: World):
         self.world = world
         self.scenario = world.scenario
-        self.thresholds = Thresholds.from_scenario(world.scenario)
         self.est_frame: Frame | None = None
         self.steps: list[StepRecord] = []
         self._open: dict[str, StepRecord] = {}
@@ -407,7 +347,6 @@ class MissionContext:
             detach_tool(state, stand)
         yield from self.wait(self.scenario.robot.tool_change_time)
         attach_tool(state, tool, stand)
-        state.check_payload()
 
     def return_tool(self, arm: str):
         state = self.arm(arm)
@@ -427,7 +366,7 @@ class MissionContext:
             kind,
             self.world.site,
             self.world.streams.get(f"camera.{arm}"),
-            self.world.camera_params,
+            self.scenario.sensors,
             view_center=expected,
             index=index,
         )
@@ -496,7 +435,7 @@ class MissionContext:
         yield from self.wait(self.scenario.tools.magnet_switch_time)
         gripper.switch_on(part)
         part.set_state(PartState.GRASPED)
-        self.arm(arm).held_mass += part.mass
+        self.arm(arm).held_mass += self.scenario.part.mass
         self.arm(arm).check_payload()
 
         frame = self.work_frame
@@ -556,8 +495,8 @@ class MissionContext:
         """Steps 3-4 core: approach through the part hole, drill to depth."""
         world = self.world
         robot = self.scenario.robot
-        th = self.thresholds
-        cfg: DrillToolConfig = world.tool(arm, ToolId.DRILL)
+        p = self.scenario.procedure
+        cfg = self.scenario.tools
         state = self.arm(arm)
 
         yield from self.ensure_tool(arm, ToolId.DRILL)
@@ -571,7 +510,7 @@ class MissionContext:
                 arm,
                 -self.out_normal,
                 robot.approach_speed,
-                stop=lambda: self.reading(arm) is not None and self.reading(arm).fz >= th.contact_force_z,
+                stop=lambda: self.reading(arm) is not None and self.reading(arm).fz >= p.contact_force,
                 max_travel=0.2,
             )
             contact_cmd = state.position
@@ -588,7 +527,7 @@ class MissionContext:
 
             state.contact_model = drilling_model
             world.runtime(arm).reset_guard()
-            use_laser = self.scenario.procedure.depth_source == "laser"
+            use_laser = p.depth_source == "laser"
             measured = 0.0
             max_mx = 0.0
             min_mx = 0.0
@@ -604,7 +543,7 @@ class MissionContext:
                 mx = self.true_wrench(arm).mx
                 max_mx = max(max_mx, mx)
                 min_mx = min(min_mx, mx)
-                return measured >= th.drill_depth_target
+                return measured >= p.drill_depth_target
 
             try:
                 yield from self.feed_until(
@@ -619,7 +558,7 @@ class MissionContext:
                     halt_depth=depth_at_halt,
                     max_mx=max(max_mx, mx_halt),
                     min_mx=min(min_mx, mx_halt),
-                    variant=cfg.variant.value,
+                    variant=cfg.variant,
                 )
                 raise HaltedByGuard(exc.axis, depth_at_halt) from None
 
@@ -642,7 +581,7 @@ class MissionContext:
             slip_during=world.slip(arm) - slip_zero,
             max_mx=max_mx,
             min_mx=min_mx,
-            variant=cfg.variant.value,
+            variant=cfg.variant,
         )
         return hole
 
@@ -675,7 +614,6 @@ class MissionContext:
         world = self.world
         robot = self.scenario.robot
         p = self.scenario.procedure
-        th = self.thresholds
         state = self.arm(arm)
         wall = world.site.wall
         # Wide tolerance: a badly mislocated detection still aims the attempt
@@ -729,7 +667,7 @@ class MissionContext:
                 state.contact_model = lambda w, s, dt: Wrench(fz=20.0)
                 yield from self.move(arm, surface_cmd, robot.retract_speed)
                 center = state.position
-                max_probes = int(th.search_timeout / p.spiral_probe_period)
+                max_probes = int(p.search_timeout / p.spiral_probe_period)
                 t0 = world.t
                 found = None
                 frame = self.work_frame
@@ -746,7 +684,7 @@ class MissionContext:
                 search_time = world.t - t0
                 if found is None:
                     raise SearchTimeout(
-                        f"spiral search exhausted {th.search_timeout} s "
+                        f"spiral search exhausted {p.search_timeout} s "
                         f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"
                     )
                 state.contact_model = wedge_model
@@ -758,7 +696,7 @@ class MissionContext:
                 # The laser reads the signed distance to the surface plane,
                 # so tip penetration is simply its negation.
                 world.record_depthset(arm, -world.laser_distance(arm), commanded)
-                return r is not None and abs(r.mx) >= th.insertion_end_moment
+                return r is not None and abs(r.mx) >= p.insertion_end_moment
 
             yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
                                        stop=wedged, max_travel=0.03)
@@ -783,7 +721,7 @@ class MissionContext:
         """Step 8: release the gripper, hammer until depth and moment say the
         anchor hit the bottom."""
         world = self.world
-        th = self.thresholds
+        p = self.scenario.procedure
         tools_cfg = self.scenario.tools
         state = self.arm(arm)
         hammer: HammerTool = world.tool(arm, ToolId.HAMMER)
@@ -827,12 +765,12 @@ class MissionContext:
                 displacement = (start_cmd - state.position).dot(out)
                 world.record_depthset(arm, measured_depth, displacement)
                 r = self.reading(arm)
-                if r is not None and abs(r.mx) >= th.hammering_end_moment:
-                    if measured_depth > th.hammer_success_depth:
+                if r is not None and abs(r.mx) >= p.hammering_end_moment:
+                    if measured_depth > p.hammer_success_depth:
                         break
                     raise SimulationError(
                         f"bottom contact at {measured_depth * 1e3:.1f} mm, "
-                        f"below the {th.hammer_success_depth * 1e3:.0f} mm success depth"
+                        f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
                     )
         finally:
             state.contact_model = None
@@ -852,7 +790,7 @@ class MissionContext:
         world = self.world
         robot = self.scenario.robot
         tools_cfg = self.scenario.tools
-        th = self.thresholds
+        p = self.scenario.procedure
         state = self.arm(arm)
         runner: NutRunnerTool = world.tool(arm, ToolId.NUTRUNNER)
         runner.socket_engaged = False
@@ -889,7 +827,7 @@ class MissionContext:
             def pressed():
                 track_moment()
                 r = self.reading(arm)
-                return r is not None and r.fz >= th.approach_force_z
+                return r is not None and r.fz >= p.approach_force
 
             yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
                                        stop=pressed, max_travel=protrusion + 0.03)
@@ -928,10 +866,8 @@ class MissionContext:
                 r = self.reading(arm)
                 if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
                     break
-                if waited > self.scenario.procedure.socket_fit_timeout:
-                    raise SocketFitTimeout(
-                        f"socket never slotted on within {self.scenario.procedure.socket_fit_timeout} s"
-                    )
+                if waited > p.socket_fit_timeout:
+                    raise SocketFitTimeout(f"socket never slotted on within {p.socket_fit_timeout} s")
             substeps.append(("socket_fit", t0, world.t))
 
             # (3) advance again to the force threshold.
@@ -942,7 +878,7 @@ class MissionContext:
             run_distance = protrusion - self.scenario.part.thickness - tools_cfg.nut_height
             if run_distance < 0:
                 raise SimulationError("anchor does not protrude enough to run the nut")
-            if run_distance > runner.socket_spring_travel:
+            if run_distance > tools_cfg.socket_spring_travel:
                 raise SimulationError(
                     f"nut run {run_distance * 1e3:.0f} mm exceeds the socket spring travel"
                 )
@@ -955,7 +891,7 @@ class MissionContext:
                 runner.socket_extension = 0.003 + run_distance * frac
                 return Wrench(
                     fz=50.0 - 30.0 * frac,
-                    mx=runner.pulse_attenuation * tools_cfg.free_run_torque,
+                    mx=tools_cfg.pulse_attenuation * tools_cfg.free_run_torque,
                 )
 
             state.contact_model = run_model
@@ -976,7 +912,7 @@ class MissionContext:
 
             def pulse_model(w: World, s, dt: float) -> Wrench:
                 pulse_state["elapsed"] += dt
-                flange = runner.pulse_attenuation * pulse_state["torque"]
+                flange = tools_cfg.pulse_attenuation * pulse_state["torque"]
                 if pulse_state["elapsed"] + 1e-12 >= pulse_state["next"]:
                     pulse_state["next"] += pulse_interval
                     torque, flange = nutrunner_pulse(runner, pulse_state["torque"])
@@ -984,7 +920,7 @@ class MissionContext:
                 return Wrench(fz=50.0, mx=flange)
 
             state.contact_model = pulse_model
-            while pulse_state["torque"] < runner.target_torque:
+            while pulse_state["torque"] < tools_cfg.target_torque:
                 yield
                 track_moment()
                 if state.halted:
@@ -993,13 +929,13 @@ class MissionContext:
         finally:
             state.contact_model = None
 
-        anchor.set_state(AnchorState.TIGHTENED, torque=runner.target_torque)
+        anchor.set_state(AnchorState.TIGHTENED, torque=tools_cfg.target_torque)
         world.site.part.mark_point_fixed()
         yield from self.move(arm, standoff, robot.retract_speed)
         self._open[arm].diagnostics.update(
             substeps=[(n, round(a, 6), round(b, 6)) for n, a, b in substeps],
             approach_triggers=approach_triggers,
-            final_torque=runner.target_torque,
+            final_torque=tools_cfg.target_torque,
             max_flange_moment=max_moment,
         )
 
@@ -1106,7 +1042,7 @@ def mission_drill(ctx: MissionContext):
 def _preset_hole(ctx: MissionContext) -> DrilledHole:
     site = ctx.world.site
     return site.register_drilled_hole(
-        site.wall.frame.origin, -site.wall.normal, ctx.thresholds.drill_depth_target
+        site.wall.frame.origin, -site.wall.normal, ctx.scenario.procedure.drill_depth_target
     )
 
 
@@ -1222,11 +1158,3 @@ def drive_mission(world: World, mission: str = "full"):
     )
     return report, world.recorder.traces
 
-
-def run_fixation(scenario, seed: int) -> FixationReport:
-    """Run the complete fixation procedure; identical inputs give identical
-    reports."""
-    from .engine import run
-
-    report, _ = run(scenario, seed, mission="full")
-    return report

@@ -7,11 +7,15 @@ lever arms appear only inside the tool moment models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
+from .errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
 from .geometry import Point3
+
+if TYPE_CHECKING:
+    from .scenario import RobotSection
 
 
 class ToolId(str, Enum):
@@ -20,14 +24,6 @@ class ToolId(str, Enum):
     NUTRUNNER = "nutrunner"
     GRIPPER = "gripper"
 
-
-#: Tool masses (kg); generous but comfortably under the 13 kg payload.
-TOOL_MASSES = {
-    ToolId.DRILL: 6.0,
-    ToolId.HAMMER: 4.0,
-    ToolId.NUTRUNNER: 5.0,
-    ToolId.GRIPPER: 1.0,
-}
 
 #: How close the flange must be to the stand for a tool change, metres.
 STAND_POSE_TOL = 0.005
@@ -55,11 +51,13 @@ class Motion:
 
 @dataclass
 class ArmState:
+    """Commanded tool point and flange state; reach, payload and tool masses
+    come from ``cfg``."""
+
     name: str
     base: Point3
     position: Point3
-    reach: float = 1.298
-    payload_capacity: float = 13.0
+    cfg: RobotSection
     attached_tool: ToolId | None = None
     held_mass: float = 0.0
     motion: Motion | None = None
@@ -67,18 +65,17 @@ class ArmState:
     halted: bool = False
     halt_axis: str | None = None
     halt_travelled: float = 0.0
-    tool_masses: dict = field(default_factory=lambda: dict(TOOL_MASSES))
 
     def check_reach(self, target: Point3):
         d = self.base.distance_to(target)
-        if d > self.reach:
-            raise OutOfReach(f"{self.name}: target {d:.3f} m away exceeds reach {self.reach} m")
+        if d > self.cfg.reach:
+            raise OutOfReach(f"{self.name}: target {d:.3f} m away exceeds reach {self.cfg.reach} m")
 
-    def check_payload(self, extra: float = 0.0):
-        tool_mass = self.tool_masses.get(self.attached_tool, 0.0) if self.attached_tool else 0.0
-        total = tool_mass + self.held_mass + extra
-        if total > self.payload_capacity:
-            raise ValueError(f"{self.name}: payload {total:.1f} kg exceeds {self.payload_capacity} kg")
+    def check_payload(self):
+        tool_mass = getattr(self.cfg, f"mass_{self.attached_tool.value}") if self.attached_tool else 0.0
+        total = tool_mass + self.held_mass
+        if total > self.cfg.payload:
+            raise PayloadExceeded(f"{self.name}: payload {total:.1f} kg exceeds {self.cfg.payload} kg")
 
     def start_move(self, target: Point3, speed: float):
         if speed <= 0:
@@ -115,7 +112,7 @@ class ArmState:
         if self.motion is None or self.halted:
             return False
         new_pos, arrived = self.motion.advance(self.position, dt)
-        out_of_reach = self.base.distance_to(new_pos) > self.reach
+        out_of_reach = self.base.distance_to(new_pos) > self.cfg.reach
         if out_of_reach:
             # Open-ended feeds stop at the reach sphere; targeted moves were
             # validated up front, so this only trims feeds.
@@ -125,28 +122,6 @@ class ArmState:
         if arrived:
             self.motion = None
         return arrived
-
-
-def move_linear(arm: ArmState, target: Point3, speed: float, dt: float = 0.01) -> list[tuple[float, Point3]]:
-    """Timed poses of a straight-line move; duration is distance/speed.
-
-    Pure planner used by tests and demos; the engine integrates the same
-    Motion tick by tick so both agree.
-    """
-    if speed <= 0:
-        raise ValueError("speed must be positive")
-    arm.check_reach(target)
-    poses: list[tuple[float, Point3]] = []
-    position = arm.position
-    direction = (target - position).normalized() if target.distance_to(position) > 0 else Point3(1, 0, 0)
-    motion = Motion(target=target, direction=direction, speed=speed)
-    t = 0.0
-    while True:
-        position, arrived = motion.advance(position, dt)
-        t += dt
-        poses.append((t, position))
-        if arrived:
-            return poses
 
 
 def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3) -> ArmState:
@@ -178,19 +153,15 @@ class PlatformState:
 
     Sustained compressive contact with the wall pushes the platform backward
     along the wall normal; the offset accumulates within a run and never
-    recovers on its own.
+    recovers on its own. The slip coefficient comes from ``cfg``.
     """
 
-    slip_coefficient: float = 2e-7  # m/(N*s)
+    cfg: RobotSection
     slip_offset: float = 0.0  # m along the outward wall normal
 
-    def step(self, applied_force: float, dt: float) -> "PlatformState":
+    def step(self, applied_force: float, dt: float):
+        """Accumulate slip for one tick; tension never pulls the platform in."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.slip_offset += self.slip_coefficient * max(applied_force, 0.0) * dt
-        return self
+        self.slip_offset += self.cfg.slip_coefficient * max(applied_force, 0.0) * dt
 
-
-def platform_slip_step(platform: PlatformState, applied_force: float, dt: float) -> PlatformState:
-    """Accumulate slip for one tick; tension never pulls the platform in."""
-    return platform.step(applied_force, dt)

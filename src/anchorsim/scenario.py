@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ScenarioInvalid
 from .geometry import Point3
 from .tools import DrillVariant
+from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH
 
 
 @dataclass
@@ -154,6 +155,15 @@ _SECTION_TYPES = {
 _VARIANTS = {v.value for v in DrillVariant}
 _DEPTH_SOURCES = {"laser", "commanded"}
 
+#: Keys that must be strictly positive: a zero or negative value divides by
+#: zero or breaks a tool model partway through a mission.
+_POSITIVE = (
+    "wall.compressive_strength", "part.hole_diameter",
+    "tools.drill_offset", "tools.support_arm_offset", "tools.blow_rate",
+    "tools.target_torque", "tools.socket_spring_travel", "tools.pulse_rate",
+    "sensors.force_limit", "sensors.moment_limit", "procedure.timestep",
+)
+
 
 @dataclass
 class Scenario:
@@ -174,12 +184,23 @@ class Scenario:
             raise ScenarioInvalid("procedure.depth_source", f"must be one of {sorted(_DEPTH_SOURCES)}")
         if self.part.holes < 1:
             raise ScenarioInvalid("part.holes", "need at least one fixation hole")
-        if self.procedure.timestep <= 0:
-            raise ScenarioInvalid("procedure.timestep", "must be positive")
+        for name in _POSITIVE:
+            section, key = name.split(".")
+            if getattr(getattr(self, section), key) <= 0:
+                raise ScenarioInvalid(name, "must be positive")
         if not 0 <= self.sensors.p_detect <= 1:
             raise ScenarioInvalid("sensors.p_detect", "must be a probability")
-        if self.sensors.force_limit <= 0 or self.sensors.moment_limit <= 0:
-            raise ScenarioInvalid("sensors.moment_limit", "guard limits must be positive")
+        if not 0 < self.tools.pulse_attenuation <= 1:
+            raise ScenarioInvalid("tools.pulse_attenuation", "must be in (0, 1]")
+        if self.tools.variant == DrillVariant.REGULAR_SPRING and self.tools.spring_rate <= 0:
+            raise ScenarioInvalid("tools.spring_rate", "the regular spring needs a positive rate")
+        if self.tools.variant == DrillVariant.CONSTANT_LOAD_SPRING and self.tools.constant_load_force <= 0:
+            raise ScenarioInvalid("tools.constant_load_force", "the constant load spring needs a positive force")
+        if self.wall.thickness < MAX_HOLE_DEPTH + BACK_COVER_MARGIN:
+            raise ScenarioInvalid(
+                "wall.thickness",
+                f"cannot take a {MAX_HOLE_DEPTH} m hole plus {BACK_COVER_MARGIN} m cover",
+            )
         if self.procedure.hammering_end_moment >= self.sensors.moment_limit:
             raise ScenarioInvalid(
                 "procedure.hammering_end_moment",

@@ -6,10 +6,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import NoReturn
 from .geometry import Point3
+from .scenario import SensorsSection
 from .worksite import Worksite
 
 _AXES = ("fx", "fy", "fz", "mx", "my", "mz")
@@ -49,28 +48,25 @@ class FTReading:
 
 @dataclass(frozen=True)
 class SafetyLimits:
-    force_limit: float = 1000.0  # N
-    moment_limit: float = 30.0  # Nm
+    """Stand-alone guard limits; the engine passes its ``SensorsSection``,
+    which carries the same two fields."""
+
+    force_limit: float = SensorsSection.force_limit
+    moment_limit: float = SensorsSection.moment_limit
 
     def __post_init__(self):
         if self.force_limit <= 0 or self.moment_limit <= 0:
             raise ValueError("safety limits must be positive")
 
 
-@dataclass(frozen=True)
-class FTNoise:
-    sigma_force: float = 2.0  # N
-    sigma_moment: float = 0.2  # Nm
-
-
-def read_ft(true_wrench: Wrench, noise: FTNoise, rng, timestamp: float = 0.0) -> FTReading:
+def read_ft(true_wrench: Wrench, sensors: SensorsSection, rng, timestamp: float = 0.0) -> FTReading:
     """Sample the flange FT sensor: true wrench plus zero-mean Gaussian noise.
 
     ``rng`` is a numpy Generator; identical seeds give identical readings.
     """
-    if noise.sigma_force == 0.0 and noise.sigma_moment == 0.0:
+    sf, sm = sensors.ft_sigma_force, sensors.ft_sigma_moment
+    if sf == 0.0 and sm == 0.0:
         return FTReading(*true_wrench.as_tuple(), timestamp=timestamp)
-    sf, sm = noise.sigma_force, noise.sigma_moment
     n = rng.standard_normal(6)
     return FTReading(
         true_wrench.fx + sf * float(n[0]),
@@ -83,7 +79,7 @@ def read_ft(true_wrench: Wrench, noise: FTNoise, rng, timestamp: float = 0.0) ->
     )
 
 
-def overload_guard(reading: FTReading, limits: SafetyLimits = SafetyLimits()) -> str | None:
+def overload_guard(reading: FTReading, limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
     """Return the first overloaded axis name, or None when within limits.
 
     The comparison is strict: readings exactly at the limit pass, so a
@@ -132,7 +128,7 @@ class GuardFilter:
         self._sums = [0.0] * 6
 
 
-def read_laser(origin: Point3, direction: Point3, worksite: Worksite, rng, sigma: float = 0.0001) -> float:
+def read_laser(origin: Point3, direction: Point3, worksite: Worksite, rng, sigma: float) -> float:
     """Distance (m) from ``origin`` along ``direction`` to the wall surface.
 
     Measures the true surface, so platform slippage shows up as an increased
@@ -168,19 +164,11 @@ class Detection:
     confidence: float
 
 
-@dataclass(frozen=True)
-class CameraParams:
-    p_detect: float = 0.98
-    sigma_wall: float = 0.0015  # m, wall-hole and anchor detections
-    sigma_part: float = 0.0010  # m, part-hole detections
-    fov_lateral: float = 0.2  # m, half-extent of the usable field of view
-
-
 def camera_detect(
     kind: DetectionKind,
     worksite: Worksite,
     rng,
-    params: CameraParams = CameraParams(),
+    sensors: SensorsSection,
     view_center: Point3 | None = None,
     index: int = 0,
 ) -> Detection | None:
@@ -188,25 +176,26 @@ def camera_detect(
 
     Returns the true target position with per-axis Gaussian error in the wall
     plane, or None (not found) with probability ``1 - p_detect`` or when the
-    target sits outside the lateral field of view around ``view_center``.
+    target sits outside the lateral field of view (``camera_fov``, a
+    half-extent) around ``view_center``.
     """
     kind = DetectionKind(kind)
     if kind is DetectionKind.PART_HOLE:
         true_pos = worksite.part.hole_world(index)
-        sigma = params.sigma_part
+        sigma = sensors.camera_sigma_part
     else:
         if index >= len(worksite.drilled_holes):
             return None
         hole = worksite.drilled_holes[index]
         true_pos = hole.position
-        sigma = params.sigma_wall
+        sigma = sensors.camera_sigma_wall
     if view_center is not None:
         lateral = true_pos - view_center
         normal = worksite.wall.normal
         lateral = lateral - normal.scaled(lateral.dot(normal))
-        if lateral.norm() > params.fov_lateral:
+        if lateral.norm() > sensors.camera_fov:
             return None
-    if params.p_detect < 1.0 and rng.random() >= params.p_detect:
+    if sensors.p_detect < 1.0 and rng.random() >= sensors.p_detect:
         return None
     if sigma > 0.0:
         frame = worksite.wall.frame
@@ -220,7 +209,3 @@ def camera_detect(
         confidence = 1.0
     return Detection(kind=kind, position=position, confidence=confidence)
 
-
-def gaussian_stream(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    """One independent, reproducible random stream for one sensor."""
-    return np.random.default_rng(seed_seq)

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import AnchorDropped, GripperInflated, PartDropped, SocketNotEngaged
 from .worksite import AnchorBolt, AnchorState, DrilledHole, MAX_HOLE_DEPTH, PartState
+
+if TYPE_CHECKING:
+    from .scenario import ToolsSection
 
 
 class DrillVariant(str, Enum):
@@ -24,57 +28,21 @@ class DrillVariant(str, Enum):
     CONSTANT_LOAD_SPRING = "constant_load_spring"
 
 
-# Calibration of the thrust line F(d) = F0 + k_f * d. Together with the
-# 0.10 m drill offset this puts the uncompensated flange moment at -30 Nm
-# when the bit is 10 mm deep, lets the regular spring overcompensate past
-# +30 Nm before 80 mm, and keeps the constant-load variant inside +/-30 Nm
-# for the whole feed.
-THRUST_AT_CONTACT = 280.0  # N, F0
-THRUST_PER_METER = 2000.0  # N/m, k_f
-
-
-@dataclass
-class DrillToolConfig:
-    variant: DrillVariant = DrillVariant.CONSTANT_LOAD_SPRING
-    drill_offset: float = 0.10  # m, lateral offset of drill axis from flange axis
-    support_arm_offset: float = 0.20  # m, lever arm of the support rod
-    spring_rate: float = 2150.0  # N/m, regular spring
-    spring_preload: float = 0.10  # m, compression at wall contact
-    constant_load_force: float = 147.0  # N, constant load spring
-    bit_diameter: float = 0.012
-    bit_length: float = 0.160
-    feed_speed: float = 0.00225  # m/s
-    thrust_at_contact: float = THRUST_AT_CONTACT
-    thrust_per_meter: float = THRUST_PER_METER
-    # Effective lever of the long in-line tool; only exercised by the
-    # aligned-axis comparison variant.
-    aligned_tip_lever: float = 0.10
-    aligned_error_lever: float = 0.005
-
-    def __post_init__(self):
-        self.variant = DrillVariant(self.variant)
-        if self.drill_offset <= 0 or self.support_arm_offset <= 0:
-            raise ValueError("tool offsets must be positive")
-        if self.variant is DrillVariant.REGULAR_SPRING and self.spring_rate <= 0:
-            raise ValueError("regular spring needs a positive spring rate")
-        if self.variant is DrillVariant.CONSTANT_LOAD_SPRING and self.constant_load_force <= 0:
-            raise ValueError("constant load spring needs a positive force")
-
-
-def drill_thrust(depth: float, cfg: DrillToolConfig | None = None) -> float:
+def drill_thrust(depth: float, cfg: ToolsSection) -> float:
     """Axial thrust (N) the concrete exerts on the spinning bit at ``depth``.
 
-    Linear in depth and monotone nondecreasing; the constants are calibration
-    targets, not measured values.
+    The line F(d) = thrust_at_contact + thrust_per_meter * d is a calibration
+    target, not a measured value. With the default 0.10 m drill offset it
+    puts the uncompensated flange moment at -30 Nm when the bit is 10 mm
+    deep, lets the regular spring overcompensate past +30 Nm before 80 mm,
+    and keeps the constant-load variant inside +/-30 Nm for the whole feed.
     """
     if depth < 0 or depth > MAX_HOLE_DEPTH + 1e-9:
         raise ValueError(f"depth {depth} m outside [0, {MAX_HOLE_DEPTH}]")
-    if cfg is None:
-        return THRUST_AT_CONTACT + THRUST_PER_METER * depth
     return cfg.thrust_at_contact + cfg.thrust_per_meter * depth
 
 
-def drill_reaction_moment(cfg: DrillToolConfig, depth: float) -> float:
+def drill_reaction_moment(cfg: ToolsSection, depth: float) -> float:
     """Flange moment about the x axis (Nm) while drilling at ``depth``.
 
     offset_uncompensated: the offset drill alone, strictly more negative
@@ -88,12 +56,12 @@ def drill_reaction_moment(cfg: DrillToolConfig, depth: float) -> float:
         comparison runs.
     """
     thrust = drill_thrust(depth, cfg)
-    if cfg.variant is DrillVariant.OFFSET_UNCOMPENSATED:
+    if cfg.variant == DrillVariant.OFFSET_UNCOMPENSATED:
         return -thrust * cfg.drill_offset
-    if cfg.variant is DrillVariant.REGULAR_SPRING:
+    if cfg.variant == DrillVariant.REGULAR_SPRING:
         spring_force = cfg.spring_rate * (cfg.spring_preload + depth)
         return spring_force * cfg.support_arm_offset - thrust * cfg.drill_offset
-    if cfg.variant is DrillVariant.CONSTANT_LOAD_SPRING:
+    if cfg.variant == DrillVariant.CONSTANT_LOAD_SPRING:
         return cfg.constant_load_force * cfg.support_arm_offset - thrust * cfg.drill_offset
     # ALIGNED_AXIS
     return -thrust * (cfg.aligned_tip_lever + cfg.aligned_error_lever)
@@ -113,16 +81,12 @@ class HammerTool:
     """Cup hammer with an inflatable rubber gripper around it.
 
     The gripper grasps an anchor by the nut while inflated; hammering is only
-    possible deflated, with the anchor head inside the cup.
+    possible deflated, with the anchor head inside the cup. Blow parameters
+    come from ``cfg``.
     """
 
+    cfg: ToolsSection
     gripper_state: GripperState = GripperState.DEFLATED
-    inflation_pressure: float = 0.15  # MPa
-    blow_rate: float = 3.0  # Hz
-    blow_advance: float = 0.001  # m per blow against an empty hole
-    free_moment: float = 8.0  # Nm peak while the anchor still advances
-    contact_ramp: float = 7.0  # Nm added per blow once the bottom is hit
-    contact_cap: float = 29.0  # Nm peak at solid bottom contact
     held_anchor: AnchorBolt | None = None
     bottom_blows: int = field(default=0, repr=False)
 
@@ -161,15 +125,17 @@ def hammer_blow(tool: HammerTool, current_depth: float, hole: DrilledHole) -> tu
     if current_depth > hole.depth + 1e-12:
         raise ValueError("anchor cannot start deeper than the hole")
     remaining = hole.depth - current_depth
+    cfg = tool.cfg
     if remaining <= 0:
-        return hole.depth, tool.contact_cap
-    advance = tool.blow_advance * (1.0 - current_depth / hole.depth)
+        return hole.depth, cfg.hammer_contact_cap
+    advance = cfg.blow_advance * (1.0 - current_depth / hole.depth)
     new_depth = min(current_depth + advance, hole.depth)
     if remaining <= BOTTOM_CONTACT_BAND:
         tool.bottom_blows += 1
-        peak = min(tool.free_moment + tool.contact_ramp * tool.bottom_blows, tool.contact_cap)
+        peak = min(cfg.hammer_free_moment + cfg.hammer_contact_ramp * tool.bottom_blows,
+                   cfg.hammer_contact_cap)
     else:
-        peak = tool.free_moment
+        peak = cfg.hammer_free_moment
     return new_depth, peak
 
 
@@ -179,31 +145,21 @@ class NutRunnerTool:
 
     The pulse mechanism transmits only a fraction of the tightening torque to
     the flange, which is what keeps a 50 Nm target under the 30 Nm guard.
+    Torque parameters come from ``cfg``.
     """
 
-    target_torque: float = 50.0  # Nm
-    pulse_attenuation: float = 0.4  # flange moment / fastener torque
-    socket_spring_travel: float = 0.035  # m
-    runner_offset: float = 0.05  # m
-    torque_step: float = 1.0  # Nm added per pulse
+    cfg: ToolsSection
     socket_engaged: bool = False
     socket_extension: float = 0.0  # m, spring extension signal
-
-    def __post_init__(self):
-        if self.target_torque <= 0:
-            raise ValueError("target torque must be positive")
-        if not 0 < self.pulse_attenuation <= 1:
-            raise ValueError("pulse attenuation must be in (0, 1]")
-        if self.socket_spring_travel <= 0:
-            raise ValueError("socket spring travel must be positive")
 
 
 def nutrunner_pulse(tool: NutRunnerTool, current_torque: float) -> tuple[float, float]:
     """One tightening pulse: returns (new fastener torque, flange moment)."""
     if not tool.socket_engaged:
         raise SocketNotEngaged("socket is not on the nut")
-    new_torque = min(current_torque + tool.torque_step, tool.target_torque)
-    return new_torque, tool.pulse_attenuation * new_torque
+    cfg = tool.cfg
+    new_torque = min(current_torque + cfg.pulse_torque_step, cfg.target_torque)
+    return new_torque, cfg.pulse_attenuation * new_torque
 
 
 class MagnetState(str, Enum):
@@ -232,24 +188,3 @@ class GripperTool:
             raise PartDropped("magnet switched off while carrying the part")
         return part
 
-
-def gripper_set(tool, state):
-    """Uniform switch for both gripping tools.
-
-    HammerTool takes GripperState (or "inflated"/"deflated"), GripperTool
-    takes MagnetState (or "on"/"off"); grasp and release side effects apply
-    to whatever the tool holds. Returns the tool.
-    """
-    if isinstance(tool, HammerTool):
-        if GripperState(state) is GripperState.INFLATED:
-            tool.inflate()
-        else:
-            tool.deflate()
-        return tool
-    if isinstance(tool, GripperTool):
-        if MagnetState(state) is MagnetState.ON:
-            tool.switch_on()
-        else:
-            tool.switch_off()
-        return tool
-    raise TypeError(f"not a gripping tool: {type(tool).__name__}")

@@ -5,9 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import OffWall, TooDeep
 from .geometry import Frame, Point3
+
+if TYPE_CHECKING:
+    from .scenario import WallSection
 
 #: Deepest hole the drill can produce (bit engagement limit), metres.
 MAX_HOLE_DEPTH = 0.08
@@ -65,22 +69,11 @@ class Engagement(Enum):
 @dataclass
 class Wall:
     """Concrete wall. ``frame`` is the true surface frame, hidden from the
-    executive; its z axis is the outward normal (toward the robots)."""
+    executive; its z axis is the outward normal (toward the robots). The
+    extent and thickness come from ``cfg``."""
 
     frame: Frame
-    width: float = 0.20
-    height: float = 0.30
-    thickness: float = 0.15
-    compressive_strength: float = 24.0  # N/mm^2
-
-    def __post_init__(self):
-        if self.compressive_strength <= 0:
-            raise ValueError("compressive strength must be positive")
-        if self.thickness < MAX_HOLE_DEPTH + BACK_COVER_MARGIN:
-            raise ValueError(
-                f"wall thickness {self.thickness} m cannot take a "
-                f"{MAX_HOLE_DEPTH} m hole plus {BACK_COVER_MARGIN} m cover"
-            )
+    cfg: WallSection
 
     @property
     def normal(self) -> Point3:
@@ -92,10 +85,7 @@ class Wall:
 
     def contains_lateral(self, p: Point3) -> bool:
         local = self.frame.to_local(p)
-        return abs(local.x) <= self.width / 2 and abs(local.y) <= self.height / 2
-
-    def on_surface(self, p: Point3, tol: float = ON_SURFACE_TOL) -> bool:
-        return abs(self.signed_distance(p)) <= tol and self.contains_lateral(p)
+        return abs(local.x) <= self.cfg.width / 2 and abs(local.y) <= self.cfg.height / 2
 
 
 @dataclass
@@ -103,9 +93,6 @@ class StructuralPart:
     """Bracket to be fixed; holes are given in the part-local frame."""
 
     hole_positions: list[Point3]
-    hole_diameter: float = 0.014
-    thickness: float = 0.006
-    mass: float = 1.5
     pose: Frame | None = None
     state: PartState = PartState.IN_STAND
     fixed_count: int = 0
@@ -113,8 +100,6 @@ class StructuralPart:
     def __post_init__(self):
         if not self.hole_positions:
             raise ValueError("a structural part needs at least one hole")
-        if self.hole_diameter <= 0:
-            raise ValueError("hole diameter must be positive")
 
     def set_state(self, new: PartState):
         """Advance the part state; only forward transitions are legal."""
@@ -142,7 +127,6 @@ class DrilledHole:
     position: Point3  # on the wall surface
     axis: Point3  # unit vector, into the wall
     depth: float
-    diameter: float = 0.012
     anchor: "AnchorBolt | None" = None
 
     def __post_init__(self):
@@ -199,9 +183,10 @@ class Worksite:
         """Record a freshly drilled hole; the registry is append-only."""
         if abs(self.wall.signed_distance(position)) > ON_SURFACE_TOL or not self.wall.contains_lateral(position):
             raise OffWall(f"{position} is not on the wall surface")
-        if depth > self.wall.thickness - BACK_COVER_MARGIN:
+        thickness = self.wall.cfg.thickness
+        if depth > thickness - BACK_COVER_MARGIN:
             raise TooDeep(
-                f"depth {depth} m exceeds wall thickness {self.wall.thickness} m "
+                f"depth {depth} m exceeds wall thickness {thickness} m "
                 f"minus {BACK_COVER_MARGIN} m cover"
             )
         hole = DrilledHole(position=position, axis=axis, depth=depth)
@@ -232,7 +217,7 @@ class Worksite:
         anchor.set_state(AnchorState.STUCK, depth=depth)
 
 
-def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float = 0.0002) -> Engagement:
+def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float) -> Engagement:
     """Classify an insertion attempt by where the anchor tip landed.
 
     ``clearance`` is the effective insertion clearance radius: the wedge makes
@@ -250,7 +235,7 @@ def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float = 0.0002)
     return Engagement.SURFACE_CONTACT
 
 
-def default_hole_pattern(count: int, spacing: float = 0.15) -> list[Point3]:
+def default_hole_pattern(count: int, spacing: float) -> list[Point3]:
     """Hole positions in the part-local frame, centred and evenly spaced
     along the part's x axis."""
     if count < 1:
@@ -259,7 +244,7 @@ def default_hole_pattern(count: int, spacing: float = 0.15) -> list[Point3]:
     return [Point3(start + i * spacing, 0.0, 0.0) for i in range(count)]
 
 
-def wall_frame_from_angles(center: Point3, yaw_deg: float = 0.0, pitch_deg: float = 0.0) -> Frame:
+def wall_frame_from_angles(center: Point3, yaw_deg: float, pitch_deg: float) -> Frame:
     """True wall frame for a vertical wall facing the robots along -x base.
 
     With zero angles: wall x axis = base +y, wall y axis = base -z (down),

@@ -3,9 +3,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import anchorsim
 from anchorsim.cli import export_traces, main, print_config
 from anchorsim.engine import Trace, run
 from anchorsim.errors import IoFailure
@@ -49,6 +52,51 @@ def test_bad_scenario_file_is_exit_2(capsys, tmp_path):
     bad.write_text("[tools]\nvariant = banana\n")
     code, out, err = run_cli(capsys, "drill-test", "--scenario", str(bad))
     assert code == 2
+
+
+INVALID_VALUES = [
+    ("[tools]\npulse_attenuation = 1.5\n", "tools.pulse_attenuation"),
+    ("[tools]\ndrill_offset = 0\n", "tools.drill_offset"),
+    ("[tools]\nsupport_arm_offset = -0.1\n", "tools.support_arm_offset"),
+    ("[tools]\nvariant = regular_spring\nspring_rate = 0\n", "tools.spring_rate"),
+    ("[tools]\nconstant_load_force = 0\n", "tools.constant_load_force"),
+    ("[tools]\ntarget_torque = 0\n", "tools.target_torque"),
+    ("[tools]\nsocket_spring_travel = 0\n", "tools.socket_spring_travel"),
+    ("[tools]\nblow_rate = 0\n", "tools.blow_rate"),
+    ("[tools]\npulse_rate = 0\n", "tools.pulse_rate"),
+    ("[wall]\nthickness = 0.05\n", "wall.thickness"),
+    ("[wall]\ncompressive_strength = 0\n", "wall.compressive_strength"),
+    ("[part]\nhole_diameter = 0\n", "part.hole_diameter"),
+    ("[sensors]\nforce_limit = 0\n", "sensors.force_limit"),
+]
+
+
+@pytest.mark.parametrize("text, field", INVALID_VALUES, ids=[f for _, f in INVALID_VALUES])
+def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
+    # A separate process, so an escaping exception shows as a traceback on
+    # stderr rather than as an error inside this test.
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchorsim.cli", "run", "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"invalid scenario: {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_payload_overrun_fails_the_step(capsys, tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text("[part]\nmass = 20\n")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--report", "machine-readable")
+    assert code == 1
+    steps = json.loads(out)["steps"]
+    assert [(s["step"], s["status"]) for s in steps] == [
+        ("estimate_orientation", "ok"), ("pick_place_part", "failed"),
+    ]
+    assert steps[1]["error"] == "PayloadExceeded: robot2: payload 21.0 kg exceeds 13.0 kg"
 
 
 def test_scenario_file_round_trip(tmp_path, capsys):

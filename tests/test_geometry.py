@@ -12,8 +12,6 @@ from anchorsim.geometry import (
     Point3,
     angle_between,
     estimate_wall_frame,
-    from_frame,
-    to_frame,
 )
 
 
@@ -115,14 +113,14 @@ def test_swapping_p2_p3_changes_x_axis():
         assert g.x_axis.distance_to(f.x_axis) > 1e-9
 
 
-def test_to_frame_identity():
+def test_to_local_identity():
     p = Point3(1, 2, 3)
-    assert to_frame(IDENTITY_FRAME, p) == p
+    assert IDENTITY_FRAME.to_local(p) == p
 
 
 def test_origin_maps_to_zero():
     f = estimate_wall_frame(Point3(0, 0, 1), Point3(1, 0, 1), Point3(0, -1, 1))
-    local = to_frame(f, f.origin)
+    local = f.to_local(f.origin)
     assert local.norm() < 1e-12
 
 
@@ -131,7 +129,7 @@ def test_round_trip():
     for p1, p2, p3 in random_triples(rng, 200):
         f = estimate_wall_frame(*as_points((p1, p2, p3)))
         p = Point3(*rng.uniform(-2, 2, 3))
-        back = from_frame(f, to_frame(f, p))
+        back = f.to_world(f.to_local(p))
         assert back.distance_to(p) < 1e-12
 
 

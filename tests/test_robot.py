@@ -2,44 +2,41 @@ from __future__ import annotations
 
 import pytest
 
-from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
+from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
 from anchorsim.geometry import Point3
-from anchorsim.robot import (
-    ArmState,
-    PlatformState,
-    ToolId,
-    attach_tool,
-    detach_tool,
-    move_linear,
-    platform_slip_step,
-)
+from anchorsim.robot import ArmState, PlatformState, ToolId, attach_tool, detach_tool
+from anchorsim.scenario import RobotSection
 
 
-def make_arm():
-    return ArmState(name="robot1", base=Point3(0, -0.3, 0.75), position=Point3(0.3, -0.3, 1.0))
+def make_arm(**robot):
+    return ArmState(name="robot1", base=Point3(0, -0.3, 0.75), position=Point3(0.3, -0.3, 1.0),
+                    cfg=RobotSection(**robot))
 
 
 def test_move_duration_is_distance_over_speed():
     arm = make_arm()
     arm.position = Point3(0.0, 0.0, 1.0)
     arm.base = Point3(0.0, 0.0, 0.8)
-    poses = move_linear(arm, Point3(0.08, 0.0, 1.0), speed=0.00225, dt=0.01)
-    duration = poses[-1][0]
+    arm.start_move(Point3(0.08, 0.0, 1.0), speed=0.00225)
+    duration = 0.0
+    while arm.motion is not None:
+        arm.advance(0.01)
+        duration += 0.01
     assert duration == pytest.approx(0.08 / 0.00225, abs=0.011)
     assert duration == pytest.approx(35.6, abs=0.1)
-    assert poses[-1][1].distance_to(Point3(0.08, 0.0, 1.0)) < 1e-12
+    assert arm.position.distance_to(Point3(0.08, 0.0, 1.0)) < 1e-12
 
 
 def test_move_rejects_out_of_reach():
     arm = make_arm()
     with pytest.raises(OutOfReach):
-        move_linear(arm, arm.base + Point3(1.5, 0, 0), speed=0.05)
+        arm.start_move(arm.base + Point3(1.5, 0, 0), speed=0.05)
 
 
 def test_move_needs_positive_speed():
     arm = make_arm()
     with pytest.raises(ValueError):
-        move_linear(arm, Point3(0.4, -0.3, 1.0), speed=0.0)
+        arm.start_move(Point3(0.4, -0.3, 1.0), speed=0.0)
 
 
 def test_attach_detach_roundtrip():
@@ -77,42 +74,41 @@ def test_detach_requires_tool():
 
 
 def test_payload_guard():
-    arm = make_arm()
+    arm = make_arm(mass_drill=14.0)
     stand = Point3(0.15, -0.7, 0.8)
     arm.position = stand
-    arm.tool_masses[ToolId.DRILL] = 14.0
-    with pytest.raises(ValueError):
+    with pytest.raises(PayloadExceeded):
         attach_tool(arm, ToolId.DRILL, stand)
 
 
 def test_slip_examples():
-    p = PlatformState(slip_coefficient=2e-7)
-    platform_slip_step(p, 300.0, 35.0)
+    p = PlatformState(RobotSection(slip_coefficient=2e-7))
+    p.step(300.0, 35.0)
     assert p.slip_offset == pytest.approx(0.0021, abs=1e-12)
 
-    q = PlatformState(slip_coefficient=2e-7)
-    platform_slip_step(q, 0.0, 35.0)
+    q = PlatformState(RobotSection(slip_coefficient=2e-7))
+    q.step(0.0, 35.0)
     assert q.slip_offset == 0.0
 
 
 def test_tension_does_not_slip():
-    p = PlatformState(slip_coefficient=2e-7)
-    platform_slip_step(p, -500.0, 100.0)
+    p = PlatformState(RobotSection(slip_coefficient=2e-7))
+    p.step(-500.0, 100.0)
     assert p.slip_offset == 0.0
 
 
 def test_slip_accumulates_monotonically():
-    p = PlatformState(slip_coefficient=2e-7)
+    p = PlatformState(RobotSection(slip_coefficient=2e-7))
     last = 0.0
     for force in (100.0, 0.0, 50.0, -20.0, 400.0):
-        platform_slip_step(p, force, 1.0)
+        p.step(force, 1.0)
         assert p.slip_offset >= last
         last = p.slip_offset
 
 
 def test_slip_needs_positive_dt():
     with pytest.raises(ValueError):
-        platform_slip_step(PlatformState(), 100.0, 0.0)
+        PlatformState(RobotSection()).step(100.0, 0.0)
 
 
 def test_open_feed_trims_at_reach():
@@ -122,7 +118,7 @@ def test_open_feed_trims_at_reach():
         arm.advance(0.01)
         if arm.motion is None:
             break
-    assert arm.base.distance_to(arm.position) <= arm.reach + 1e-9
+    assert arm.base.distance_to(arm.position) <= arm.cfg.reach + 1e-9
 
 
 def test_halt_freezes_motion_and_records_travel():

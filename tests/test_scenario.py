@@ -88,6 +88,8 @@ def test_threshold_sanity_enforced():
         parse_scenario("[procedure]\nhammering_end_moment = 31\n")
     with pytest.raises(ScenarioInvalid):
         parse_scenario("[procedure]\nhammer_success_depth = 0.09\n")
+    # A relaxed guard admits a higher hammering threshold.
+    parse_scenario("[procedure]\nhammering_end_moment = 45\n\n[sensors]\nmoment_limit = 100\n")
 
 
 def test_load_scenario_missing_file():

@@ -5,10 +5,9 @@ import pytest
 
 from anchorsim.errors import NoReturn
 from anchorsim.geometry import Point3
+from anchorsim.scenario import PartSection, SensorsSection, WallSection
 from anchorsim.sensors import (
-    CameraParams,
     DetectionKind,
-    FTNoise,
     FTReading,
     GuardFilter,
     SafetyLimits,
@@ -25,8 +24,8 @@ WALL_CENTER = Point3(0.9, 0.0, 1.0)
 
 
 def make_site():
-    wall = Wall(frame=wall_frame_from_angles(WALL_CENTER))
-    part = StructuralPart(hole_positions=default_hole_pattern(1))
+    wall = Wall(frame=wall_frame_from_angles(WALL_CENTER, 0.0, 0.0), cfg=WallSection())
+    part = StructuralPart(hole_positions=default_hole_pattern(1, PartSection().hole_spacing))
     part.pose = wall.frame
     return Worksite(wall=wall, part=part)
 
@@ -35,22 +34,22 @@ def make_site():
 
 
 def test_zero_wrench_zero_noise():
-    r = read_ft(ZERO_WRENCH, FTNoise(0.0, 0.0), rng=None)
+    r = read_ft(ZERO_WRENCH, SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0), rng=None)
     assert r.as_tuple() == (0.0,) * 6
 
 
 def test_ft_deterministic_per_seed():
-    a = [read_ft(ZERO_WRENCH, FTNoise(), np.random.default_rng(5)).as_tuple() for _ in range(1)]
+    a = [read_ft(ZERO_WRENCH, SensorsSection(), np.random.default_rng(5)).as_tuple() for _ in range(1)]
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq1 = [read_ft(ZERO_WRENCH, FTNoise(), rng1).as_tuple() for _ in range(50)]
-    seq2 = [read_ft(ZERO_WRENCH, FTNoise(), rng2).as_tuple() for _ in range(50)]
+    seq1 = [read_ft(ZERO_WRENCH, SensorsSection(), rng1).as_tuple() for _ in range(50)]
+    seq2 = [read_ft(ZERO_WRENCH, SensorsSection(), rng2).as_tuple() for _ in range(50)]
     assert seq1 == seq2
     assert a[0] == seq1[0]
 
 
 def test_ft_noise_sigma():
     rng = np.random.default_rng(123)
-    noise = FTNoise(sigma_force=2.0, sigma_moment=0.2)
+    noise = SensorsSection(ft_sigma_force=2.0, ft_sigma_moment=0.2)
     n = 100_000
     fz = np.empty(n)
     mx = np.empty(n)
@@ -154,8 +153,8 @@ def test_laser_noise_deterministic():
 
 def test_camera_noiseless_exact():
     site = make_site()
-    params = CameraParams(p_detect=1.0, sigma_part=0.0)
-    det = camera_detect(DetectionKind.PART_HOLE, site, rng=None, params=params)
+    sensors = SensorsSection(p_detect=1.0, camera_sigma_part=0.0)
+    det = camera_detect(DetectionKind.PART_HOLE, site, rng=None, sensors=sensors)
     assert det is not None
     assert det.position.distance_to(site.part.hole_world(0)) < 1e-12
     assert det.confidence == 1.0
@@ -164,12 +163,12 @@ def test_camera_noiseless_exact():
 def test_camera_error_sigma():
     site = make_site()
     site.register_drilled_hole(WALL_CENTER, -site.wall.normal, 0.08)
-    params = CameraParams(p_detect=1.0, sigma_wall=0.0015)
+    sensors = SensorsSection(p_detect=1.0, camera_sigma_wall=0.0015)
     rng = np.random.default_rng(321)
     n = 10_000
     errs_x = np.empty(n)
     for i in range(n):
-        det = camera_detect(DetectionKind.WALL_HOLE, site, rng, params)
+        det = camera_detect(DetectionKind.WALL_HOLE, site, rng, sensors)
         local = site.wall.frame.to_local(det.position - Point3(0, 0, 0))
         true_local = site.wall.frame.to_local(WALL_CENTER - Point3(0, 0, 0))
         errs_x[i] = local.x - true_local.x
@@ -185,7 +184,7 @@ def test_camera_out_of_fov():
         DetectionKind.WALL_HOLE,
         site,
         np.random.default_rng(1),
-        CameraParams(p_detect=1.0),
+        SensorsSection(p_detect=1.0),
         view_center=far_view,
     )
     assert det is None
@@ -197,14 +196,14 @@ def test_camera_miss_probability():
         DetectionKind.PART_HOLE,
         site,
         np.random.default_rng(1),
-        CameraParams(p_detect=0.0),
+        SensorsSection(p_detect=0.0),
     )
     assert det is None
 
 
 def test_camera_no_hole_to_detect():
     site = make_site()
-    det = camera_detect(DetectionKind.WALL_HOLE, site, np.random.default_rng(1), CameraParams(p_detect=1.0))
+    det = camera_detect(DetectionKind.WALL_HOLE, site, np.random.default_rng(1), SensorsSection(p_detect=1.0))
     assert det is None
 
 

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from anchorsim.errors import AnchorDropped, GripperInflated, SocketNotEngaged
+from anchorsim.errors import AnchorDropped, GripperInflated, ScenarioInvalid, SocketNotEngaged
 from anchorsim.geometry import Point3
+from anchorsim.scenario import Scenario, ToolsSection
 from anchorsim.tools import (
-    DrillToolConfig,
     DrillVariant,
     GripperState,
     GripperTool,
@@ -24,7 +24,15 @@ DEPTHS = np.linspace(0.0, 0.08, 801)
 
 
 def cfg(variant):
-    return DrillToolConfig(variant=variant)
+    return ToolsSection(variant=variant.value)
+
+
+def invalid_field(**tools):
+    """Field named by the validation error of a scenario with these tools."""
+    sc = Scenario(tools=ToolsSection(**tools))
+    with pytest.raises(ScenarioInvalid) as err:
+        sc.validate()
+    return err.value.field
 
 
 # --- thrust -----------------------------------------------------------------
@@ -33,19 +41,19 @@ def cfg(variant):
 def test_thrust_line():
     # F(d) = 280 + 2000 d: chosen so the uncompensated moment hits the
     # -30 Nm guard at exactly 10 mm (see test below).
-    assert drill_thrust(0.0) == pytest.approx(280.0)
-    assert drill_thrust(0.01) == pytest.approx(300.0)
+    assert drill_thrust(0.0, ToolsSection()) == pytest.approx(280.0)
+    assert drill_thrust(0.01, ToolsSection()) == pytest.approx(300.0)
 
 
 def test_thrust_rejects_negative_depth():
     with pytest.raises(ValueError):
-        drill_thrust(-0.001)
+        drill_thrust(-0.001, ToolsSection())
     with pytest.raises(ValueError):
-        drill_thrust(0.2)
+        drill_thrust(0.2, ToolsSection())
 
 
 def test_thrust_monotone():
-    vals = [drill_thrust(float(d)) for d in DEPTHS]
+    vals = [drill_thrust(float(d), ToolsSection()) for d in DEPTHS]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -117,14 +125,12 @@ def test_aligned_axis_overloads_early():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DrillToolConfig(variant=DrillVariant.REGULAR_SPRING, spring_rate=0.0)
-    with pytest.raises(ValueError):
-        DrillToolConfig(variant=DrillVariant.CONSTANT_LOAD_SPRING, constant_load_force=-1.0)
-    with pytest.raises(ValueError):
-        DrillToolConfig(drill_offset=0.0)
-    with pytest.raises(ValueError):
-        DrillToolConfig(variant="banana")
+    assert invalid_field(variant="regular_spring", spring_rate=0.0) == "tools.spring_rate"
+    assert invalid_field(constant_load_force=-1.0) == "tools.constant_load_force"
+    assert invalid_field(drill_offset=0.0) == "tools.drill_offset"
+    assert invalid_field(variant="banana") == "tools.variant"
+    # Each spring is checked only under the variant that uses it.
+    Scenario(tools=ToolsSection(variant="offset_uncompensated", spring_rate=0.0)).validate()
 
 
 # --- hammer -------------------------------------------------------------------
@@ -135,7 +141,7 @@ def make_hole(depth=0.08):
 
 
 def test_blow_at_bottom_signals_contact():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     hole = make_hole()
     depth, peak = hammer_blow(tool, hole.depth, hole)
     assert depth == hole.depth
@@ -143,7 +149,7 @@ def test_blow_at_bottom_signals_contact():
 
 
 def test_blow_advance_midway():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     hole = make_hole()
     depth, peak = hammer_blow(tool, 0.007, hole)
     assert depth == pytest.approx(0.0079125, abs=1e-7)
@@ -151,13 +157,13 @@ def test_blow_advance_midway():
 
 
 def test_blow_requires_deflated_gripper():
-    tool = HammerTool(gripper_state=GripperState.INFLATED)
+    tool = HammerTool(ToolsSection(), gripper_state=GripperState.INFLATED)
     with pytest.raises(GripperInflated):
         hammer_blow(tool, 0.007, make_hole())
 
 
 def test_blow_sequence_monotone_never_overshoots():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     hole = make_hole()
     tool.start_hammering()
     d = 0.007
@@ -175,7 +181,7 @@ def test_blow_sequence_monotone_never_overshoots():
 
 
 def test_bottom_ramp_within_three_blows():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     hole = make_hole()
     tool.start_hammering()
     d = hole.depth - 0.0009  # just inside the contact band
@@ -191,41 +197,38 @@ def test_bottom_ramp_within_three_blows():
 
 
 def test_pulse_final_step():
-    tool = NutRunnerTool(socket_engaged=True)
+    tool = NutRunnerTool(ToolsSection(), socket_engaged=True)
     torque, flange = nutrunner_pulse(tool, 49.0)
     assert torque == pytest.approx(50.0)
     assert flange == pytest.approx(20.0)
 
 
 def test_pulse_ramp_bounded():
-    tool = NutRunnerTool(socket_engaged=True)
+    tool = NutRunnerTool(ToolsSection(), socket_engaged=True)
     torque = 0.0
     for _ in range(200):
         torque, flange = nutrunner_pulse(tool, torque)
-        assert flange <= tool.pulse_attenuation * tool.target_torque + 1e-12
+        assert flange <= tool.cfg.pulse_attenuation * tool.cfg.target_torque + 1e-12
     assert torque == pytest.approx(50.0)
 
 
 def test_pulse_requires_engagement():
-    tool = NutRunnerTool()
+    tool = NutRunnerTool(ToolsSection())
     with pytest.raises(SocketNotEngaged):
         nutrunner_pulse(tool, 0.0)
 
 
 def test_nutrunner_validation():
-    with pytest.raises(ValueError):
-        NutRunnerTool(target_torque=0.0)
-    with pytest.raises(ValueError):
-        NutRunnerTool(pulse_attenuation=1.5)
-    with pytest.raises(ValueError):
-        NutRunnerTool(socket_spring_travel=0.0)
+    assert invalid_field(target_torque=0.0) == "tools.target_torque"
+    assert invalid_field(pulse_attenuation=1.5) == "tools.pulse_attenuation"
+    assert invalid_field(socket_spring_travel=0.0) == "tools.socket_spring_travel"
 
 
 # --- grippers -------------------------------------------------------------------
 
 
 def test_inflate_grasps_anchor():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     anchor = AnchorBolt()
     tool.inflate(anchor)
     assert tool.gripper_state is GripperState.INFLATED
@@ -234,7 +237,7 @@ def test_inflate_grasps_anchor():
 
 
 def test_deflate_over_stuck_anchor_keeps_it():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     anchor = AnchorBolt()
     hole = make_hole()
     tool.inflate(anchor)
@@ -246,7 +249,7 @@ def test_deflate_over_stuck_anchor_keeps_it():
 
 
 def test_deflate_in_free_space_drops_anchor():
-    tool = HammerTool()
+    tool = HammerTool(ToolsSection())
     anchor = AnchorBolt()
     tool.inflate(anchor)
     with pytest.raises(AnchorDropped):
@@ -261,21 +264,3 @@ def test_magnet_gripper():
     assert g.switch_off() == "bracket"
     assert g.held_part is None
 
-
-def test_gripper_set_dispatch():
-    from anchorsim.tools import gripper_set
-
-    hammer = HammerTool()
-    gripper_set(hammer, "inflated")
-    assert hammer.gripper_state is GripperState.INFLATED
-    gripper_set(hammer, GripperState.DEFLATED)
-    assert hammer.gripper_state is GripperState.DEFLATED
-
-    magnet = GripperTool()
-    gripper_set(magnet, "on")
-    assert magnet.magnet_state is MagnetState.ON
-    gripper_set(magnet, "off")
-    assert magnet.magnet_state is MagnetState.OFF
-
-    with pytest.raises(TypeError):
-        gripper_set(NutRunnerTool(), "on")

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from anchorsim.errors import OffWall, TooDeep
+from anchorsim.errors import OffWall, ScenarioInvalid, TooDeep
 from anchorsim.geometry import Point3
+from anchorsim.scenario import PartSection, ProcedureSection, Scenario, WallSection
 from anchorsim.worksite import (
     AnchorBolt,
     AnchorState,
@@ -19,11 +20,13 @@ from anchorsim.worksite import (
 )
 
 WALL_CENTER = Point3(0.9, 0.0, 1.0)
+CLEARANCE = ProcedureSection().engagement_clearance
+SPACING = PartSection().hole_spacing
 
 
 def make_site(holes=1):
-    wall = Wall(frame=wall_frame_from_angles(WALL_CENTER))
-    part = StructuralPart(hole_positions=default_hole_pattern(holes))
+    wall = Wall(frame=wall_frame_from_angles(WALL_CENTER, 0.0, 0.0), cfg=WallSection())
+    part = StructuralPart(hole_positions=default_hole_pattern(holes, SPACING))
     return Worksite(wall=wall, part=part)
 
 
@@ -74,35 +77,35 @@ def hole_at_center(site):
 def test_engagement_on_axis():
     site = make_site()
     hole = hole_at_center(site)
-    assert anchor_engagement(hole, WALL_CENTER) is Engagement.ENGAGED
+    assert anchor_engagement(hole, WALL_CENTER, CLEARANCE) is Engagement.ENGAGED
 
 
 def test_engagement_rim_contact():
     site = make_site()
     hole = hole_at_center(site)
     tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.0002 + 0.0005)
-    assert anchor_engagement(hole, tip) is Engagement.RIM_CONTACT
+    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.RIM_CONTACT
 
 
 def test_engagement_surface_contact():
     site = make_site()
     hole = hole_at_center(site)
     tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.010)
-    assert anchor_engagement(hole, tip) is Engagement.SURFACE_CONTACT
+    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.SURFACE_CONTACT
 
 
 def test_engagement_boundary_is_strict():
     site = make_site()
     hole = hole_at_center(site)
     tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.0002)
-    assert anchor_engagement(hole, tip) is Engagement.RIM_CONTACT
+    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.RIM_CONTACT
 
 
 def test_engagement_far_tip_rejected():
     site = make_site()
     hole = hole_at_center(site)
     with pytest.raises(ValueError):
-        anchor_engagement(hole, WALL_CENTER + site.wall.normal.scaled(0.2))
+        anchor_engagement(hole, WALL_CENTER + site.wall.normal.scaled(0.2), CLEARANCE)
 
 
 def test_one_anchor_per_hole():
@@ -162,7 +165,7 @@ def test_tighten_requires_nut():
 
 
 def test_part_fixed_only_after_all_points():
-    part = StructuralPart(hole_positions=default_hole_pattern(2))
+    part = StructuralPart(hole_positions=default_hole_pattern(2, SPACING))
     part.set_state(PartState.GRASPED)
     part.set_state(PartState.HELD_ON_WALL)
     part.mark_point_fixed()
@@ -174,7 +177,7 @@ def test_part_fixed_only_after_all_points():
 
 
 def test_part_state_cannot_regress():
-    part = StructuralPart(hole_positions=default_hole_pattern(1))
+    part = StructuralPart(hole_positions=default_hole_pattern(1, SPACING))
     part.set_state(PartState.HELD_ON_WALL)
     with pytest.raises(ValueError):
         part.set_state(PartState.IN_STAND)
@@ -192,12 +195,15 @@ def test_hole_pattern_spacing():
 
 
 def test_wall_needs_thickness_for_max_hole():
-    with pytest.raises(ValueError):
-        Wall(frame=wall_frame_from_angles(WALL_CENTER), thickness=0.05)
+    sc = Scenario()
+    sc.wall.thickness = 0.05
+    with pytest.raises(ScenarioInvalid) as err:
+        sc.validate()
+    assert err.value.field == "wall.thickness"
 
 
 def test_wall_frame_tilt():
-    f = wall_frame_from_angles(WALL_CENTER, yaw_deg=5.0)
+    f = wall_frame_from_angles(WALL_CENTER, yaw_deg=5.0, pitch_deg=0.0)
     # Normal swings away from -x, stays horizontal.
     assert f.z_axis.z == pytest.approx(0.0)
     assert f.z_axis.x < -0.99
