@@ -4,17 +4,22 @@ Each case runs one subcommand at seed 7 with ``--trace-out`` and a machine
 report, then hashes the report followed by every exported file (name, a NUL
 byte, then the file bytes, in sorted name order). The digests were recorded
 when this file was added; a change that moves any output byte fails here.
-The ``run`` command is pinned by ``perfbench/test_perfbench.py``.
+The ``run`` command is pinned by ``perfbench/test_perfbench.py``. The
+``nut-missing`` mission, which has no subcommand, is pinned through
+``anchorsim.run``: its machine report, then each trace's id, a NUL byte and
+its times and values as doubles.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from array import array
 
 import pytest
 
-from anchorsim.cli import main
+import anchorsim
+from anchorsim.cli import main, render_machine_report
 
 GOLDEN = [
     (("drill-test", "--variant", "aligned_axis"), 1,
@@ -47,3 +52,14 @@ def test_seed_7_outputs_unchanged(capsys, tmp_path, argv, exit_code, digest):
         h.update(name.encode() + b"\0" + (out / name).read_bytes())
     assert code == exit_code
     assert h.hexdigest() == digest
+
+
+def test_seed_7_socket_fit_timeout_unchanged():
+    report, traces = anchorsim.run(anchorsim.Scenario(), 7, "nut-missing")
+    h = hashlib.sha256(render_machine_report(report).encode())
+    for trace_id in sorted(traces):
+        trace = traces[trace_id]
+        h.update(trace_id.encode() + b"\0")
+        h.update(array("d", trace.times).tobytes() + array("d", trace.values).tobytes())
+    assert report.failure == "tighten_nut: SocketFitTimeout: socket never slotted on within 10.0 s"
+    assert h.hexdigest() == "ab6f26ef3dc721d1e8ff8a23e099c34412145c62a86e175777e5124203260669"
