@@ -25,7 +25,8 @@ TRACE_CHANNELS = (
     "laser_depth", "commanded_depth", "slip",
 )
 
-#: Hard ceiling on simulated time; trips only on executive bugs.
+#: Ceiling on simulated time; the executive's tick loop fails the open step
+#: with ``SimTimeExceeded`` once it is passed.
 MAX_SIM_TIME = 7200.0
 
 
@@ -57,10 +58,6 @@ class Trace:
             raise NonMonotonicTime(f"{self.id}: {t} after {self.times[-1]}")
         self.times.append(t)
         self.values.append(value)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.times, self.values))
 
     def __len__(self):
         return len(self.times)
@@ -250,8 +247,6 @@ class World:
                 runtime.guard_fired_t = t
             for channel, value in zip(("fx", "fy", "fz", "mx", "my", "mz"), wrench.as_tuple()):
                 self.recorder.record(f"{name}/{channel}", t, value)
-        if self.clock.t > MAX_SIM_TIME:
-            raise RuntimeError("simulation exceeded the maximum simulated time")
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         t = self.clock.t

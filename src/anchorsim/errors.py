@@ -71,6 +71,10 @@ class SocketFitTimeout(SimulationError):
     """Socket never slotted onto the nut within the fit window."""
 
 
+class SimTimeExceeded(SimulationError):
+    """Simulated time ran past the engine's ceiling, ``MAX_SIM_TIME``."""
+
+
 class NonMonotonicTime(SimulationError):
     """Trace sample appended with a non-increasing timestamp."""
 

@@ -1,9 +1,10 @@
 """Mission executive: the ten-step fixation procedure and its sub-protocols.
 
-Steps are written as generators that yield once per engine tick, so a mission
-is a deterministic coroutine the engine advances; dual-arm phases interleave
-the per-arm pipelines at tick granularity in fixed arm order. Failure policy
-is abort-and-report: a failed step ends the run with a partial report.
+Steps are generators the engine advances one tick per yield. Every step loop
+ticks through ``MissionContext.until``, which fails the step on the tick the
+guard halts the arm or simulated time runs out; the only other yield is the
+dual-arm scheduler in ``mission_full``, interleaving the per-arm pipelines tick
+by tick in fixed arm order. A failed step ends the run with a partial report.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
-from .engine import World
+from .engine import MAX_SIM_TIME, World
 from .errors import (
     DetectionMissing,
     HaltedByGuard,
     SearchTimeout,
+    SimTimeExceeded,
     SimulationError,
     SocketFitTimeout,
     StepFailed,
@@ -277,8 +280,9 @@ class MissionContext:
             self.failure = str(failed)
         return failed
 
-    def guarded(self, step: FixationStep, point: int, arm: str, gen):
-        """Run one step generator with record bookkeeping."""
+    def guarded(self, step: FixationStep, point: int, arm: str, gen, **diag):
+        """Run one step generator with record bookkeeping; ``diag`` joins the
+        record's diagnostics when the step succeeds."""
         self.begin(step, point, arm)
         try:
             result = yield from gen
@@ -286,7 +290,7 @@ class MissionContext:
             raise
         except SimulationError as exc:
             raise self.fail(arm, exc) from exc
-        self.end(arm)
+        self.end(arm, **diag)
         return result
 
     # -- primitives -------------------------------------------------------------
@@ -300,33 +304,45 @@ class MissionContext:
                "home": f"home{suffix}", "part": "part_stand"}[kind]
         return self.scenario.station(key)
 
-    def wait(self, seconds: float):
-        ticks = max(1, round(seconds / self.world.dt))
-        for _ in range(ticks):
+    def until(self, arm: str, done=None, ticks: int = 0):
+        """Yield ticks until ``done()``, run after each tick, is true or
+        ``ticks`` ticks passed; raise on the tick the guard halts ``arm`` or
+        simulated time passes ``MAX_SIM_TIME``."""
+        state = self.arm(arm)
+        clock = self.world.clock
+        while True:
             yield
+            if state.halted:
+                raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+            if clock.t > MAX_SIM_TIME:
+                raise SimTimeExceeded(f"simulated time passed the {MAX_SIM_TIME:.0f} s ceiling")
+            ticks -= 1
+            if (done is not None and done()) or ticks == 0:
+                return
+
+    def wait(self, arm: str, seconds: float):
+        yield from self.until(arm, ticks=max(1, round(seconds / self.world.dt)))
 
     def move(self, arm: str, target: Point3, speed: float):
         state = self.arm(arm)
         state.start_move(target, speed)
-        while state.motion is not None:
-            yield
-            if state.halted:
-                raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+        if state.motion is not None:
+            yield from self.until(arm, lambda: state.motion is None)
 
     def feed_until(self, arm: str, direction: Point3, speed: float, stop, max_travel: float):
         """Open-ended guarded feed; ``stop()`` is evaluated after each tick."""
         state = self.arm(arm)
         state.start_feed(direction, speed)
-        while True:
-            yield
-            if state.halted:
-                raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+
+        def done():
             if stop():
-                state.stop()
-                return
+                return True
             if state.motion is None or state.motion.travelled > max_travel:
                 state.stop()
                 raise WrongPose(f"{arm}: feed exceeded {max_travel} m without its stop condition")
+
+        yield from self.until(arm, done)
+        state.stop()
 
     def reading(self, arm: str):
         return self.world.runtime(arm).reading
@@ -343,9 +359,9 @@ class MissionContext:
         speed = self.scenario.robot.gross_speed
         yield from self.move(arm, stand, speed)
         if state.attached_tool is not None:
-            yield from self.wait(self.scenario.robot.tool_change_time)
+            yield from self.wait(arm, self.scenario.robot.tool_change_time)
             detach_tool(state, stand)
-        yield from self.wait(self.scenario.robot.tool_change_time)
+        yield from self.wait(arm, self.scenario.robot.tool_change_time)
         attach_tool(state, tool, stand)
 
     def return_tool(self, arm: str):
@@ -354,14 +370,14 @@ class MissionContext:
             return
         stand = self.station(arm, "tool")
         yield from self.move(arm, stand, self.scenario.robot.gross_speed)
-        yield from self.wait(self.scenario.robot.tool_change_time)
+        yield from self.wait(arm, self.scenario.robot.tool_change_time)
         detach_tool(state, stand)
 
     def detect(self, arm: str, kind: DetectionKind, expected: Point3, index: int):
         """Move the camera over ``expected`` and run one detection."""
         view = expected + self.out_normal.scaled(0.25)
         yield from self.move(arm, view, self.scenario.robot.gross_speed)
-        yield from self.wait(self.scenario.sensors.detect_time)
+        yield from self.wait(arm, self.scenario.sensors.detect_time)
         det = camera_detect(
             kind,
             self.world.site,
@@ -408,7 +424,7 @@ class MissionContext:
         ray = -prior.z_axis
         for offset in offsets:
             yield from self.move(arm, first + offset, robot.gross_speed)
-            yield from self.wait(0.5)
+            yield from self.wait(arm, 0.5)
             distance = self.world.laser_distance(arm, ray)
             points.append(self.arm(arm).position + ray.scaled(distance))
         est = estimate_wall_frame(points[0], points[1], points[2])
@@ -432,7 +448,7 @@ class MissionContext:
         gripper = world.tool(arm, ToolId.GRIPPER)
         yield from self.ensure_tool(arm, ToolId.GRIPPER)
         yield from self.move(arm, self.station(arm, "part"), robot.gross_speed)
-        yield from self.wait(self.scenario.tools.magnet_switch_time)
+        yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
         gripper.switch_on(part)
         part.set_state(PartState.GRASPED)
         self.arm(arm).held_mass += self.scenario.part.mass
@@ -448,7 +464,7 @@ class MissionContext:
         approach = place_point + self.out_normal.scaled(0.05)
         yield from self.move(arm, approach, robot.gross_speed)
         yield from self.move(arm, place_point, robot.retract_speed)
-        yield from self.wait(1.0)
+        yield from self.wait(arm, 1.0)
 
         rng = world.streams.get("placement")
         sigma = self.scenario.part.placement_sigma
@@ -466,7 +482,7 @@ class MissionContext:
         world = self.world
         part = world.site.part
         gripper = world.tool(arm, ToolId.GRIPPER)
-        yield from self.wait(self.scenario.tools.magnet_switch_time)
+        yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
         gripper.switch_off()
         self.arm(arm).held_mass = 0.0
         back = self.arm(arm).position + self.out_normal.scaled(0.10)
@@ -516,7 +532,7 @@ class MissionContext:
             contact_cmd = state.position
             laser_zero = world.laser_distance(arm)
             slip_zero = world.slip(arm)
-            yield from self.wait(self.scenario.tools.drill_spinup_time)
+            yield from self.wait(arm, self.scenario.tools.drill_spinup_time)
 
             def drilling_model(w: World, s, dt: float) -> Wrench:
                 depth = max(0.0, min(-w.surface_distance(s.name), MAX_HOLE_DEPTH))
@@ -573,7 +589,7 @@ class MissionContext:
 
         yield from self.move(arm, standoff, robot.retract_speed)
         yield from self.move(arm, self.station(arm, "tool"), robot.gross_speed)
-        yield from self.wait(robot.tool_change_time)
+        yield from self.wait(arm, robot.tool_change_time)
         detach_tool(state, self.station(arm, "tool"))
         self._open[arm].diagnostics.update(
             hole_depth=hole.depth,
@@ -600,7 +616,7 @@ class MissionContext:
         hammer: HammerTool = world.tool(arm, ToolId.HAMMER)
         yield from self.ensure_tool(arm, ToolId.HAMMER)
         yield from self.move(arm, self.station(arm, "anchor"), robot.gross_speed)
-        yield from self.wait(self.scenario.tools.grip_time)
+        yield from self.wait(arm, self.scenario.tools.grip_time)
         anchor = world.site.take_anchor()
         hammer.inflate(anchor)
         self.arm(arm).held_mass += anchor.mass
@@ -675,9 +691,7 @@ class MissionContext:
                     probe_point = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
                     state.position = probe_point
                     probes += 1
-                    yield from self.wait(p.spiral_probe_period)
-                    if state.halted:
-                        raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+                    yield from self.wait(arm, p.spiral_probe_period)
                     if engagement_now() is Engagement.ENGAGED:
                         found = probe_point
                         break
@@ -727,7 +741,7 @@ class MissionContext:
         hammer: HammerTool = world.tool(arm, ToolId.HAMMER)
         hole = anchor.hole
 
-        yield from self.wait(tools_cfg.grip_time)
+        yield from self.wait(arm, tools_cfg.grip_time)
         hammer.deflate()
         self.arm(arm).held_mass = max(0.0, self.arm(arm).held_mass - anchor.mass)
         hammer.start_hammering()
@@ -755,23 +769,21 @@ class MissionContext:
                 s.position = start_cmd - out.scaled(advance)
             return Wrench(fz=tools_cfg.hammer_press_force, mx=moment)
 
-        state.contact_model = hammer_model
-        try:
-            while True:
-                yield
-                if state.halted:
-                    raise HaltedByGuard(state.halt_axis, state.halt_travelled)
-                measured_depth = stuck_measured + (laser_zero - world.laser_distance(arm))
-                displacement = (start_cmd - state.position).dot(out)
-                world.record_depthset(arm, measured_depth, displacement)
-                r = self.reading(arm)
-                if r is not None and abs(r.mx) >= p.hammering_end_moment:
-                    if measured_depth > p.hammer_success_depth:
-                        break
+        def bottomed():
+            measured_depth = stuck_measured + (laser_zero - world.laser_distance(arm))
+            world.record_depthset(arm, measured_depth, (start_cmd - state.position).dot(out))
+            r = self.reading(arm)
+            if r is not None and abs(r.mx) >= p.hammering_end_moment:
+                if measured_depth <= p.hammer_success_depth:
                     raise SimulationError(
                         f"bottom contact at {measured_depth * 1e3:.1f} mm, "
                         f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
                     )
+                return True
+
+        state.contact_model = hammer_model
+        try:
+            yield from self.until(arm, bottomed)
         finally:
             state.contact_model = None
 
@@ -857,17 +869,20 @@ class MissionContext:
                 wiggle = 1.2 if int(fit_state["elapsed"] / 0.2) % 2 == 0 else -1.2
                 return Wrench(fz=fit_state["hold_fz"], mx=wiggle)
 
-            state.contact_model = fit_model
             waited = 0.0
-            while True:
-                yield
+
+            def fitted():
+                nonlocal waited
                 track_moment()
                 waited += world.dt
                 r = self.reading(arm)
                 if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
-                    break
+                    return True
                 if waited > p.socket_fit_timeout:
                     raise SocketFitTimeout(f"socket never slotted on within {p.socket_fit_timeout} s")
+
+            state.contact_model = fit_model
+            yield from self.until(arm, fitted)
             substeps.append(("socket_fit", t0, world.t))
 
             # (3) advance again to the force threshold.
@@ -895,10 +910,7 @@ class MissionContext:
                 )
 
             state.contact_model = run_model
-            ticks = max(1, round(run_duration / world.dt))
-            for _ in range(ticks):
-                yield
-                track_moment()
+            yield from self.until(arm, track_moment, ticks=max(1, round(run_duration / world.dt)))
             substeps.append(("run_nut", t0, world.t))
 
             # (5) advance once more.
@@ -919,12 +931,12 @@ class MissionContext:
                     pulse_state["torque"] = torque
                 return Wrench(fz=50.0, mx=flange)
 
-            state.contact_model = pulse_model
-            while pulse_state["torque"] < tools_cfg.target_torque:
-                yield
+            def tightened():
                 track_moment()
-                if state.halted:
-                    raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+                return pulse_state["torque"] >= tools_cfg.target_torque
+
+            state.contact_model = pulse_model
+            yield from self.until(arm, tightened)
             substeps.append(("pulse_tighten", t0, world.t))
         finally:
             state.contact_model = None
@@ -985,15 +997,11 @@ def mission_full(ctx: MissionContext):
     yield from ctx.fix_point("robot1", 0)
 
     # Step 10: robot 2 releases the part; repeats follow for other points.
-    rec = ctx.begin(FixationStep.RELEASE_REPEAT, 0, "robot2")
-    try:
-        yield from ctx.release_part("robot2")
-        if plan.n_points == 1:
-            yield from ctx.return_tool("robot1")
-    except SimulationError as exc:
-        raise ctx.fail("robot2", exc) from exc
-    rec.diagnostics["remaining_points"] = plan.n_points - 1
-    ctx.end("robot2")
+    last = [ctx.return_tool("robot1")] if plan.n_points == 1 else []
+    yield from ctx.guarded(
+        FixationStep.RELEASE_REPEAT, 0, "robot2", chain(ctx.release_part("robot2"), *last),
+        remaining_points=plan.n_points - 1,
+    )
 
     for phase in plan.phases[1:]:
         if not phase.parallel:
@@ -1003,31 +1011,25 @@ def mission_full(ctx: MissionContext):
             chains: dict[str, list[int]] = {}
             for point, arm in phase.assignments:
                 chains.setdefault(arm, []).append(point)
-
-            def chain(arm: str, points: list[int]):
-                for pt in points:
-                    yield from ctx.fix_point(arm, pt)
-
-            gens = {arm: chain(arm, pts) for arm, pts in sorted(chains.items())}
+            gens = {
+                arm: chain(*[ctx.fix_point(arm, pt) for pt in pts])
+                for arm, pts in sorted(chains.items())
+            }
             for gen in gens.values():
-                gen.send(None)
+                next(gen)
             while gens:
                 yield
                 for name in sorted(gens):
                     try:
-                        gens[name].send(None)
+                        next(gens[name])
                     except StopIteration:
                         del gens[name]
 
     if plan.n_points > 1:
-        rec = ctx.begin(FixationStep.RELEASE_REPEAT, plan.n_points - 1, "robot1")
-        try:
-            yield from ctx.return_tool("robot1")
-            yield from ctx.return_tool("robot2")
-        except SimulationError as exc:
-            raise ctx.fail("robot1", exc) from exc
-        rec.diagnostics["cleanup"] = True
-        ctx.end("robot1")
+        yield from ctx.guarded(
+            FixationStep.RELEASE_REPEAT, plan.n_points - 1, "robot1",
+            chain(ctx.return_tool("robot1"), ctx.return_tool("robot2")), cleanup=True,
+        )
 
 
 def mission_drill(ctx: MissionContext):
@@ -1133,16 +1135,12 @@ def drive_mission(world: World, mission: str = "full"):
     except KeyError:
         raise ValueError(f"unknown mission {mission!r}; one of {sorted(MISSIONS)}") from None
     ctx = MissionContext(world)
-    gen = factory(ctx)
     try:
-        gen.send(None)
-        while True:
+        for _ in factory(ctx):
             world.step()
-            gen.send(None)
-    except StopIteration:
-        success = ctx.failure is None
-    except StepFailed:
-        success = False
+    except SimulationError as exc:  # a failed step, or an error between steps
+        ctx.failure = ctx.failure or f"{type(exc).__name__}: {exc}"
+    success = ctx.failure is None
     for rec in ctx.steps:
         if rec.status == "running":
             rec.status = "aborted"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ScenarioInvalid
@@ -156,12 +157,16 @@ _VARIANTS = {v.value for v in DrillVariant}
 _DEPTH_SOURCES = {"laser", "commanded"}
 
 #: Keys that must be strictly positive: a zero or negative value divides by
-#: zero or breaks a tool model partway through a mission.
+#: zero or breaks a tool model, a motion or the spiral partway through a mission.
 _POSITIVE = (
     "wall.compressive_strength", "part.hole_diameter",
     "tools.drill_offset", "tools.support_arm_offset", "tools.blow_rate",
     "tools.target_torque", "tools.socket_spring_travel", "tools.pulse_rate",
-    "sensors.force_limit", "sensors.moment_limit", "procedure.timestep",
+    "tools.feed_speed", "tools.nut_run_speed",
+    "sensors.force_limit", "sensors.moment_limit",
+    "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
+    "procedure.spiral_pitch", "procedure.spiral_probe_spacing", "procedure.spiral_probe_period",
+    "procedure.timestep",
 )
 
 
@@ -178,6 +183,12 @@ class Scenario:
         return _parse_point(f"robot.{key}", getattr(self.robot, key))
 
     def validate(self):
+        for section in _SECTION_TYPES:
+            target = getattr(self, section)
+            for f in fields(target):
+                value = getattr(target, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ScenarioInvalid(f"{section}.{f.name}", "must be finite")
         if self.tools.variant not in _VARIANTS:
             raise ScenarioInvalid("tools.variant", f"must be one of {sorted(_VARIANTS)}")
         if self.procedure.depth_source not in _DEPTH_SOURCES:

@@ -68,6 +68,16 @@ INVALID_VALUES = [
     ("[wall]\ncompressive_strength = 0\n", "wall.compressive_strength"),
     ("[part]\nhole_diameter = 0\n", "part.hole_diameter"),
     ("[sensors]\nforce_limit = 0\n", "sensors.force_limit"),
+    ("[tools]\nnut_run_speed = 0\n", "tools.nut_run_speed"),
+    ("[tools]\nfeed_speed = 0\n", "tools.feed_speed"),
+    ("[tools]\nfeed_speed = nan\n", "tools.feed_speed"),
+    ("[robot]\ngross_speed = 0\n", "robot.gross_speed"),
+    ("[robot]\napproach_speed = -1\n", "robot.approach_speed"),
+    ("[robot]\nretract_speed = 0\n", "robot.retract_speed"),
+    ("[procedure]\nspiral_probe_period = 0\n", "procedure.spiral_probe_period"),
+    ("[procedure]\nspiral_pitch = 0\n", "procedure.spiral_pitch"),
+    ("[procedure]\nspiral_probe_spacing = 0\n", "procedure.spiral_probe_spacing"),
+    ("[wall]\nyaw_deg = inf\n", "wall.yaw_deg"),
 ]
 
 
@@ -97,6 +107,27 @@ def test_payload_overrun_fails_the_step(capsys, tmp_path):
         ("estimate_orientation", "ok"), ("pick_place_part", "failed"),
     ]
     assert steps[1]["error"] == "PayloadExceeded: robot2: payload 21.0 kg exceeds 13.0 kg"
+
+
+def test_sim_time_ceiling_fails_the_step(capsys, tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text("[robot]\ntool_change_time = 8000\n[procedure]\ntimestep = 0.1\n")
+    code, out, err = run_cli(capsys, "drill-test", "--scenario", str(path), "--report", "machine-readable")
+    assert code == 1
+    steps = json.loads(out)["steps"]
+    assert [(s["step"], s["status"]) for s in steps] == [("drill_hole", "failed")]
+    assert steps[0]["error"] == "SimTimeExceeded: simulated time passed the 7200 s ceiling"
+
+
+def test_error_between_steps_fails_the_run(capsys, tmp_path):
+    # The closing tool return runs after the last step; the ceiling passes there.
+    path = tmp_path / "s.ini"
+    path.write_text("[robot]\ntool_change_time = 3570\n[procedure]\ntimestep = 0.05\n")
+    code, out, err = run_cli(capsys, "nut-test", "--scenario", str(path), "--report", "machine-readable")
+    assert code == 1
+    report = json.loads(out)
+    assert [(s["step"], s["status"]) for s in report["steps"]] == [("tighten_nut", "ok")]
+    assert report["failure"] == "SimTimeExceeded: simulated time passed the 7200 s ceiling"
 
 
 def test_scenario_file_round_trip(tmp_path, capsys):

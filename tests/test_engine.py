@@ -21,7 +21,8 @@ def test_trace_monotonic_append():
     trace = Trace("x/mx", "mx")
     trace.record(1.0, -5.0)
     trace.record(2.0, -6.0)
-    assert trace.samples == [(1.0, -5.0), (2.0, -6.0)]
+    assert trace.times == [1.0, 2.0]
+    assert trace.values == [-5.0, -6.0]
     with pytest.raises(NonMonotonicTime):
         trace.record(1.0, -7.0)
 

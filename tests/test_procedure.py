@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anchorsim.engine import World, run
-from anchorsim.errors import PartDropped
+from anchorsim.errors import PartDropped, StepFailed, WrongPose
 from anchorsim.procedure import (
     STEP_ORDER,
     FixationStep,
@@ -223,22 +223,30 @@ def test_hammer_short_hole_fails_with_diagnostic():
             ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"], 0),
         )
 
-    gen = mission(ctx)
-    try:
-        gen.send(None)
-        while True:
+    with pytest.raises(StepFailed):
+        for _ in mission(ctx):
             world.step()
-            gen.send(None)
-    except StopIteration:
-        pass
-    except Exception:
-        pass
     rec = next(r for r in ctx.steps if r.step is FixationStep.HAMMER_ANCHOR)
     assert rec.status == "failed"
     assert "below the 70 mm success depth" in rec.error
 
 
 # --- tightening ---------------------------------------------------------------------
+
+
+def test_guard_stop_during_nut_run_down_fails_the_step_at_once():
+    # Running the nut down at 40 Nm of flange moment overloads the 30 Nm
+    # guard; the step must fail within one guard-filter window of the first
+    # overload sample, not several seconds later in a later sub-step.
+    sc = Scenario()
+    sc.tools.free_run_torque = 100.0
+    report, traces = run(sc, seed=NOMINAL_SEED, mission="nut")
+    mx = traces["robot1/mx"]
+    first_overload = next(t for t, v in zip(mx.times, mx.values) if abs(v) > sc.sensors.moment_limit)
+    rec = report.find(FixationStep.TIGHTEN_NUT)
+    assert rec.status == "failed"
+    assert rec.error.startswith("HaltedByGuard: guard stop on mx")
+    assert first_overload <= rec.t_end <= first_overload + sc.sensors.guard_filter_window
 
 
 def test_tighten_nominal_substep_order():
@@ -350,12 +358,9 @@ def test_pick_place_rejects_placed_part():
     ctx = MissionContext(world)
     world.site.part.set_state(PartState.GRASPED)
     world.site.part.set_state(PartState.HELD_ON_WALL)
-    gen = ctx.pick_place_part("robot2")
-    with pytest.raises(Exception) as err:
-        gen.send(None)
-        while True:
+    with pytest.raises(WrongPose) as err:
+        for _ in ctx.pick_place_part("robot2"):
             world.step()
-            gen.send(None)
     assert "already placed" in str(err.value)
 
 
