@@ -5,8 +5,9 @@ report, then hashes the report followed by every exported file (name, a NUL
 byte, then the file bytes, in sorted name order). The digests were recorded
 when this file was added; a change that moves any output byte fails here.
 The ``run`` command is pinned by ``perfbench/test_perfbench.py``. The
-``nut-missing`` mission, which has no subcommand, is pinned through
-``anchorsim.run``: its machine report, then each trace's id, a NUL byte and
+``nut-missing`` mission, which has no subcommand, and the 2-point ``full``
+mission, whose second point runs as a sequential phase, are pinned through
+``anchorsim.run``: the machine report, then each trace's id, a NUL byte and
 its times and values as doubles.
 """
 
@@ -54,12 +55,31 @@ def test_seed_7_outputs_unchanged(capsys, tmp_path, argv, exit_code, digest):
     assert h.hexdigest() == digest
 
 
-def test_seed_7_socket_fit_timeout_unchanged():
-    report, traces = anchorsim.run(anchorsim.Scenario(), 7, "nut-missing")
+def run_digest(scenario, mission):
+    report, traces = anchorsim.run(scenario, 7, mission)
     h = hashlib.sha256(render_machine_report(report).encode())
     for trace_id in sorted(traces):
         trace = traces[trace_id]
         h.update(trace_id.encode() + b"\0")
         h.update(array("d", trace.times).tobytes() + array("d", trace.values).tobytes())
+    return report, h.hexdigest()
+
+
+def test_seed_7_socket_fit_timeout_unchanged():
+    report, digest = run_digest(anchorsim.Scenario(), "nut-missing")
     assert report.failure == "tighten_nut: SocketFitTimeout: socket never slotted on within 10.0 s"
-    assert h.hexdigest() == "ab6f26ef3dc721d1e8ff8a23e099c34412145c62a86e175777e5124203260669"
+    assert digest == "ab6f26ef3dc721d1e8ff8a23e099c34412145c62a86e175777e5124203260669"
+
+
+def test_seed_7_two_point_sequential_unchanged():
+    scenario = anchorsim.Scenario()
+    scenario.part.holes = 2
+    report, digest = run_digest(scenario, "full")
+    assert report.success
+    assert [(r.step.value, r.point_index, r.arm) for r in report.steps[-8:]] == [
+        (step, 1, "robot1") for step in (
+            "detect_part_hole", "drill_hole", "detect_wall_hole", "pick_anchor",
+            "insert_anchor", "hammer_anchor", "tighten_nut", "release_repeat",
+        )
+    ]
+    assert digest == "b4bbef25bad303aa62d61e41dadd3862c7b3aca24d8f1db5df55c75308adbb17"
