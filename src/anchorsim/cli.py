@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .engine import Trace, run
 from .errors import IoFailure, ScenarioInvalid
 from .procedure import FixationReport
-from .scenario import Scenario, load_scenario, _SECTION_TYPES
+from .scenario import Scenario, load_scenario, render_scenario
 
 SUBCOMMAND_MISSIONS = {
     "run": "full",
@@ -54,21 +53,17 @@ def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
 
 
 def write_manifest(report: FixationReport, out_dir, trace_files: list[str]):
+    """The machine report without trace ids and with per-step status and
+    duration only, plus the exported file names."""
     import os
 
-    payload = {
-        "scenario_hash": report.scenario_hash,
-        "seed": report.seed,
-        "success": report.success,
-        "failure": report.failure,
-        "total_duration": round(report.total_duration, 6),
-        "steps": [
-            {"step": r.step.value, "point": r.point_index, "arm": r.arm,
-             "status": r.status, "duration": round(r.duration, 6)}
-            for r in report.steps
-        ],
-        "trace_files": trace_files,
-    }
+    payload = report.to_dict()
+    del payload["traces"]
+    payload["steps"] = [
+        {key: step[key] for key in ("step", "point", "arm", "status", "duration")}
+        for step in payload["steps"]
+    ]
+    payload["trace_files"] = trace_files
     try:
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -103,14 +98,7 @@ def print_config(stream=None) -> None:
 
     Units and meanings are the comments beside each field in ``scenario.py``.
     """
-    stream = stream or sys.stdout
-    scenario = Scenario()
-    for section, cls in _SECTION_TYPES.items():
-        stream.write(f"[{section}]\n")
-        target = getattr(scenario, section)
-        for f in fields(cls):
-            stream.write(f"{f.name} = {getattr(target, f.name)}\n")
-        stream.write("\n")
+    (stream or sys.stdout).write(render_scenario(Scenario()))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,14 +16,11 @@ from .errors import NonMonotonicTime
 from .geometry import Point3
 from .robot import ArmState, PlatformState, ToolId
 from .scenario import Scenario, scenario_hash
-from .sensors import FTReading, GuardFilter, Wrench, ZERO_WRENCH, overload_guard, read_ft, read_laser
+from .sensors import GuardFilter, Wrench, ZERO_WRENCH, overload_guard, read_ft, read_laser
 from .tools import GripperTool, HammerTool, NutRunnerTool
 from .worksite import StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
-TRACE_CHANNELS = (
-    "fx", "fy", "fz", "mx", "my", "mz",
-    "laser_depth", "commanded_depth", "slip",
-)
+TRACE_CHANNELS = Wrench._fields + ("laser_depth", "commanded_depth", "slip")
 
 #: Ceiling on simulated time; the executive's tick loop fails the open step
 #: with ``SimTimeExceeded`` once it is passed.
@@ -114,14 +111,10 @@ class ArmRuntime:
     state: ArmState
     guard_filter: GuardFilter
     true_wrench: Wrench = ZERO_WRENCH
-    reading: FTReading | None = None
-    filtered: FTReading | None = None
+    reading: Wrench | None = None
     guard_fired_t: float | None = None
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
-
-    def reset_guard(self):
-        self.guard_filter.reset()
 
 
 class World:
@@ -238,14 +231,13 @@ class World:
             if not runtime.active:
                 runtime.reading = None
                 continue
-            reading = read_ft(wrench, sensors, self.streams.get(f"ft.{name}"), timestamp=t)
+            reading = read_ft(wrench, sensors, self.streams.get(f"ft.{name}"))
             runtime.reading = reading
-            runtime.filtered = runtime.guard_filter.push(reading)
-            axis = overload_guard(runtime.filtered, sensors)
+            axis = overload_guard(runtime.guard_filter.push(reading), sensors)
             if axis is not None and not arm.halted:
                 arm.halt(axis)
                 runtime.guard_fired_t = t
-            for channel, value in zip(("fx", "fy", "fz", "mx", "my", "mz"), wrench.as_tuple()):
+            for channel, value in zip(Wrench._fields, wrench):
                 self.recorder.record(f"{name}/{channel}", t, value)
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):

@@ -473,8 +473,7 @@ class MissionContext:
         wall = world.site.wall
         placed = place_point + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
         # The part sits flush on the true wall surface.
-        placed = placed - wall.normal.scaled(wall.signed_distance(placed))
-        part.pose = wall.frame.with_origin(placed)
+        part.pose = wall.frame.with_origin(wall.project(placed))
         part.set_state(PartState.HELD_ON_WALL)
         self._open[arm].diagnostics.update(placement_error=math.hypot(dx, dy))
 
@@ -507,7 +506,7 @@ class MissionContext:
         )
         return det
 
-    def drill_hole(self, arm: str, target: Point3, point: int):
+    def drill_hole(self, arm: str, target: Point3):
         """Steps 3-4 core: approach through the part hole, drill to depth."""
         world = self.world
         robot = self.scenario.robot
@@ -542,7 +541,7 @@ class MissionContext:
                 )
 
             state.contact_model = drilling_model
-            world.runtime(arm).reset_guard()
+            world.runtime(arm).guard_filter.reset()
             use_laser = p.depth_source == "laser"
             measured = 0.0
             max_mx = 0.0
@@ -580,17 +579,13 @@ class MissionContext:
 
             true_depth = max(0.0, -world.surface_distance(arm))
             hole_depth = min(true_depth, MAX_HOLE_DEPTH)
-            tip = world.true_position(arm)
-            wall = world.site.wall
-            entry = tip - wall.normal.scaled(wall.signed_distance(tip))
+            entry = world.site.wall.project(world.true_position(arm))
             hole = world.site.register_drilled_hole(entry, -self.out_normal, hole_depth)
         finally:
             state.contact_model = None
 
         yield from self.move(arm, standoff, robot.retract_speed)
-        yield from self.move(arm, self.station(arm, "tool"), robot.gross_speed)
-        yield from self.wait(arm, robot.tool_change_time)
-        detach_tool(state, self.station(arm, "tool"))
+        yield from self.return_tool(arm)
         self._open[arm].diagnostics.update(
             hole_depth=hole.depth,
             measured_depth=measured,
@@ -601,7 +596,7 @@ class MissionContext:
         )
         return hole
 
-    def detect_wall_hole(self, arm: str, hole: DrilledHole, point: int):
+    def detect_wall_hole(self, arm: str, hole: DrilledHole):
         index = self.world.site.drilled_holes.index(hole)
         det = yield from self.detect(arm, DetectionKind.WALL_HOLE, hole.position, index)
         self._open[arm].diagnostics.update(
@@ -624,7 +619,7 @@ class MissionContext:
         self._open[arm].diagnostics.update(anchor_mass=anchor.mass)
         return anchor
 
-    def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt, point: int):
+    def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt):
         """Steps 5-7 core: approach the detected hole, search if needed, push
         until the wedge reaches the insertion end moment."""
         world = self.world
@@ -643,9 +638,7 @@ class MissionContext:
         yield from self.move(arm, standoff, robot.gross_speed)
 
         def engagement_now() -> Engagement:
-            tip = world.true_position(arm)
-            tip_on_wall = tip - wall.normal.scaled(wall.signed_distance(tip))
-            return anchor_engagement(hole, tip_on_wall, clearance)
+            return anchor_engagement(hole, wall.project(world.true_position(arm)), clearance)
 
         def wedge_model(w: World, s, dt: float) -> Wrench:
             pen = max(0.0, -w.surface_distance(s.name))
@@ -671,8 +664,7 @@ class MissionContext:
                                        stop=touch_or_enter, max_travel=0.05)
 
             first = engagement_now()
-            first_offset = hole.radial_offset(world.true_position(arm) - wall.normal.scaled(
-                wall.signed_distance(world.true_position(arm))))
+            first_offset = hole.radial_offset(wall.project(world.true_position(arm)))
             search_time = 0.0
             probes = 0
             if not entered:
@@ -731,7 +723,7 @@ class MissionContext:
         )
         return {"hole": hole, "stuck_measured": stuck_measured}
 
-    def hammer_anchor(self, arm: str, anchor: AnchorBolt, stuck_measured: float, point: int):
+    def hammer_anchor(self, arm: str, anchor: AnchorBolt, stuck_measured: float):
         """Step 8: release the gripper, hammer until depth and moment say the
         anchor hit the bottom."""
         world = self.world
@@ -797,7 +789,7 @@ class MissionContext:
             stop_moment=blow_state["peak"],
         )
 
-    def tighten_nut(self, arm: str, anchor: AnchorBolt, point: int):
+    def tighten_nut(self, arm: str, anchor: AnchorBolt):
         """Step 9: the six-sub-step tightening protocol."""
         world = self.world
         robot = self.scenario.robot
@@ -959,24 +951,24 @@ class MissionContext:
             FixationStep.DETECT_PART_HOLE, point, arm, self.detect_part_hole(arm, point)
         )
         hole = yield from self.guarded(
-            FixationStep.DRILL_HOLE, point, arm, self.drill_hole(arm, det_part.position, point)
+            FixationStep.DRILL_HOLE, point, arm, self.drill_hole(arm, det_part.position)
         )
         det_hole = yield from self.guarded(
-            FixationStep.DETECT_WALL_HOLE, point, arm, self.detect_wall_hole(arm, hole, point)
+            FixationStep.DETECT_WALL_HOLE, point, arm, self.detect_wall_hole(arm, hole)
         )
         anchor = yield from self.guarded(
             FixationStep.PICK_ANCHOR, point, arm, self.pick_anchor(arm)
         )
         inserted = yield from self.guarded(
             FixationStep.INSERT_ANCHOR, point, arm,
-            self.insert_anchor(arm, det_hole.position, anchor, point),
+            self.insert_anchor(arm, det_hole.position, anchor),
         )
         yield from self.guarded(
             FixationStep.HAMMER_ANCHOR, point, arm,
-            self.hammer_anchor(arm, anchor, inserted["stuck_measured"], point),
+            self.hammer_anchor(arm, anchor, inserted["stuck_measured"]),
         )
         yield from self.guarded(
-            FixationStep.TIGHTEN_NUT, point, arm, self.tighten_nut(arm, anchor, point)
+            FixationStep.TIGHTEN_NUT, point, arm, self.tighten_nut(arm, anchor)
         )
 
 
@@ -1003,27 +995,16 @@ def mission_full(ctx: MissionContext):
         remaining_points=plan.n_points - 1,
     )
 
+    # Each phase runs one pipeline per arm, advanced tick by tick in arm
+    # order; a sequential phase is the one-arm case. A pipeline yields None
+    # per tick, so ``next`` returns the False default only once it is done.
     for phase in plan.phases[1:]:
-        if not phase.parallel:
-            for point, arm in phase.assignments:
-                yield from ctx.fix_point(arm, point)
-        else:
-            chains: dict[str, list[int]] = {}
-            for point, arm in phase.assignments:
-                chains.setdefault(arm, []).append(point)
-            gens = {
-                arm: chain(*[ctx.fix_point(arm, pt) for pt in pts])
-                for arm, pts in sorted(chains.items())
-            }
-            for gen in gens.values():
-                next(gen)
-            while gens:
-                yield
-                for name in sorted(gens):
-                    try:
-                        next(gens[name])
-                    except StopIteration:
-                        del gens[name]
+        chains: dict[str, list[int]] = {}
+        for point, arm in phase.assignments:
+            chains.setdefault(arm, []).append(point)
+        gens = [chain(*[ctx.fix_point(arm, pt) for pt in pts]) for arm, pts in sorted(chains.items())]
+        while gens := [gen for gen in gens if next(gen, False) is None]:
+            yield
 
     if plan.n_points > 1:
         yield from ctx.guarded(
@@ -1036,7 +1017,7 @@ def mission_drill(ctx: MissionContext):
     """Drill-tool protocol: touch the bare wall, drill to depth or overload."""
     target = ctx.nominal_frame.origin
     yield from ctx.guarded(
-        FixationStep.DRILL_HOLE, 0, "robot1", ctx.drill_hole("robot1", target, 0)
+        FixationStep.DRILL_HOLE, 0, "robot1", ctx.drill_hole("robot1", target)
     )
     yield from ctx.return_tool("robot1")
 
@@ -1050,14 +1031,14 @@ def _preset_hole(ctx: MissionContext) -> DrilledHole:
 
 def _mission_insert_core(ctx: MissionContext, hole: DrilledHole):
     det = yield from ctx.guarded(
-        FixationStep.DETECT_WALL_HOLE, 0, "robot1", ctx.detect_wall_hole("robot1", hole, 0)
+        FixationStep.DETECT_WALL_HOLE, 0, "robot1", ctx.detect_wall_hole("robot1", hole)
     )
     anchor = yield from ctx.guarded(
         FixationStep.PICK_ANCHOR, 0, "robot1", ctx.pick_anchor("robot1")
     )
     inserted = yield from ctx.guarded(
         FixationStep.INSERT_ANCHOR, 0, "robot1",
-        ctx.insert_anchor("robot1", det.position, anchor, 0),
+        ctx.insert_anchor("robot1", det.position, anchor),
     )
     return anchor, inserted
 
@@ -1076,7 +1057,7 @@ def mission_hammer(ctx: MissionContext):
     anchor, inserted = yield from _mission_insert_core(ctx, hole)
     yield from ctx.guarded(
         FixationStep.HAMMER_ANCHOR, 0, "robot1",
-        ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"], 0),
+        ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"]),
     )
     yield from ctx.return_tool("robot1")
 
@@ -1094,7 +1075,7 @@ def mission_nut(ctx: MissionContext):
     hole = _preset_hole(ctx)
     anchor = _seated_anchor(ctx, hole)
     yield from ctx.guarded(
-        FixationStep.TIGHTEN_NUT, 0, "robot1", ctx.tighten_nut("robot1", anchor, 0)
+        FixationStep.TIGHTEN_NUT, 0, "robot1", ctx.tighten_nut("robot1", anchor)
     )
     yield from ctx.return_tool("robot1")
 
@@ -1106,7 +1087,7 @@ def mission_nut_missing(ctx: MissionContext):
     anchor.depth = hole.depth - 0.001
     anchor.hole = hole
     yield from ctx.guarded(
-        FixationStep.TIGHTEN_NUT, 0, "robot1", ctx.tighten_nut("robot1", anchor, 0)
+        FixationStep.TIGHTEN_NUT, 0, "robot1", ctx.tighten_nut("robot1", anchor)
     )
 
 

@@ -159,7 +159,7 @@ _DEPTH_SOURCES = {"laser", "commanded"}
 #: Keys that must be strictly positive: a zero or negative value divides by
 #: zero or breaks a tool model, a motion or the spiral partway through a mission.
 _POSITIVE = (
-    "wall.compressive_strength", "part.hole_diameter",
+    "wall.width", "wall.height", "wall.compressive_strength", "part.hole_diameter",
     "tools.drill_offset", "tools.support_arm_offset", "tools.blow_rate",
     "tools.target_torque", "tools.socket_spring_travel", "tools.pulse_rate",
     "tools.feed_speed", "tools.nut_run_speed",
@@ -167,6 +167,16 @@ _POSITIVE = (
     "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
     "procedure.spiral_pitch", "procedure.spiral_probe_spacing", "procedure.spiral_probe_period",
     "procedure.timestep",
+)
+
+#: Keys that must not be negative: a negative noise level flips the sign of
+#: the noise or turns it off, a negative dwell runs as a one-tick dwell.
+_NON_NEGATIVE = (
+    "part.placement_sigma",
+    "sensors.ft_sigma_force", "sensors.ft_sigma_moment", "sensors.laser_sigma",
+    "sensors.camera_sigma_wall", "sensors.camera_sigma_part", "sensors.detect_time",
+    "robot.slip_coefficient", "robot.tool_change_time",
+    "tools.grip_time", "tools.magnet_switch_time", "tools.drill_spinup_time",
 )
 
 
@@ -196,9 +206,11 @@ class Scenario:
         if self.part.holes < 1:
             raise ScenarioInvalid("part.holes", "need at least one fixation hole")
         for name in _POSITIVE:
-            section, key = name.split(".")
-            if getattr(getattr(self, section), key) <= 0:
+            if self._value(name) <= 0:
                 raise ScenarioInvalid(name, "must be positive")
+        for name in _NON_NEGATIVE:
+            if self._value(name) < 0:
+                raise ScenarioInvalid(name, "must not be negative")
         if not 0 <= self.sensors.p_detect <= 1:
             raise ScenarioInvalid("sensors.p_detect", "must be a probability")
         if not 0 < self.tools.pulse_attenuation <= 1:
@@ -221,12 +233,30 @@ class Scenario:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
-        for key in (
-            "base1", "base2", "home1", "home2", "tool_stand1", "anchor_stand1",
-            "tool_stand2", "anchor_stand2", "part_stand",
-        ):
-            _parse_point(f"robot.{key}", getattr(self.robot, key))
+        part = self.part
+        half_width, half_height = self.wall.width / 2, self.wall.height / 2
+        if abs(part.target_x) > half_width:
+            raise ScenarioInvalid("part.target_x", f"lies beyond the wall's {half_width} m half-width")
+        if abs(part.target_y) > half_height:
+            raise ScenarioInvalid("part.target_y", f"lies beyond the wall's {half_height} m half-height")
+        if abs(part.target_x) + abs(part.hole_spacing) * (part.holes - 1) / 2 > half_width:
+            raise ScenarioInvalid(
+                "part.hole_spacing", f"{part.holes} holes run off the wall's {half_width} m half-width"
+            )
+        # Every string field of the robot section is a station; part_stand
+        # belongs to robot 2.
+        reach = self.robot.reach
+        keys = [f.name for f in fields(self.robot) if isinstance(getattr(self.robot, f.name), str)]
+        stations = {key: self.station(key) for key in keys}
+        for key, point in stations.items():
+            d = stations["base1" if key.endswith("1") else "base2"].distance_to(point)
+            if d > reach:
+                raise ScenarioInvalid(f"robot.{key}", f"{d:.3f} m from its base exceeds the {reach} m reach")
         return self
+
+    def _value(self, name: str):
+        section, key = name.split(".")
+        return getattr(getattr(self, section), key)
 
 
 def _parse_point(field_name: str, text: str) -> Point3:

@@ -5,18 +5,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NoReturn
 from .geometry import Point3
 from .scenario import SensorsSection
 from .worksite import Worksite
 
-_AXES = ("fx", "fy", "fz", "mx", "my", "mz")
 
-
-@dataclass(frozen=True)
-class Wrench:
-    """True force/moment state at a flange, before sensor noise."""
+class Wrench(NamedTuple):
+    """Force/moment at a flange: the true state a contact model returns, or
+    the noisy sample the FT sensor reads and the guard filters."""
 
     fx: float = 0.0
     fy: float = 0.0
@@ -25,25 +24,9 @@ class Wrench:
     my: float = 0.0
     mz: float = 0.0
 
-    def as_tuple(self):
-        return (self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
 
-
+FTReading = Wrench
 ZERO_WRENCH = Wrench()
-
-
-@dataclass(frozen=True)
-class FTReading:
-    fx: float
-    fy: float
-    fz: float
-    mx: float
-    my: float
-    mz: float
-    timestamp: float = 0.0
-
-    def as_tuple(self):
-        return (self.fx, self.fy, self.fz, self.mx, self.my, self.mz)
 
 
 @dataclass(frozen=True)
@@ -59,39 +42,35 @@ class SafetyLimits:
             raise ValueError("safety limits must be positive")
 
 
-def read_ft(true_wrench: Wrench, sensors: SensorsSection, rng, timestamp: float = 0.0) -> FTReading:
+def read_ft(true_wrench: Wrench, sensors: SensorsSection, rng) -> Wrench:
     """Sample the flange FT sensor: true wrench plus zero-mean Gaussian noise.
 
     ``rng`` is a numpy Generator; identical seeds give identical readings.
     """
     sf, sm = sensors.ft_sigma_force, sensors.ft_sigma_moment
     if sf == 0.0 and sm == 0.0:
-        return FTReading(*true_wrench.as_tuple(), timestamp=timestamp)
+        return true_wrench
     n = rng.standard_normal(6)
-    return FTReading(
-        true_wrench.fx + sf * float(n[0]),
-        true_wrench.fy + sf * float(n[1]),
-        true_wrench.fz + sf * float(n[2]),
-        true_wrench.mx + sm * float(n[3]),
-        true_wrench.my + sm * float(n[4]),
-        true_wrench.mz + sm * float(n[5]),
-        timestamp=timestamp,
+    fx, fy, fz, mx, my, mz = true_wrench
+    return Wrench(
+        fx + sf * float(n[0]),
+        fy + sf * float(n[1]),
+        fz + sf * float(n[2]),
+        mx + sm * float(n[3]),
+        my + sm * float(n[4]),
+        mz + sm * float(n[5]),
     )
 
 
-def overload_guard(reading: FTReading, limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
+def overload_guard(reading: Wrench, limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
     """Return the first overloaded axis name, or None when within limits.
 
     The comparison is strict: readings exactly at the limit pass, so a
     calibration point sitting on -30 Nm does not trip the stop.
     """
-    values = reading.as_tuple()
-    for axis, value in zip(_AXES[:3], values[:3]):
-        if abs(value) > limits.force_limit:
-            return axis
-    for axis, value in zip(_AXES[3:], values[3:]):
-        if abs(value) > limits.moment_limit:
-            return axis
+    for i, value in enumerate(reading):
+        if abs(value) > (limits.force_limit if i < 3 else limits.moment_limit):
+            return Wrench._fields[i]
     return None
 
 
@@ -108,11 +87,10 @@ class GuardFilter:
         if window < 1:
             raise ValueError("filter window must be at least one sample")
         self.window = window
-        self._buf: deque[tuple[float, ...]] = deque(maxlen=window)
+        self._buf: deque[Wrench] = deque(maxlen=window)
         self._sums = [0.0] * 6
 
-    def push(self, reading: FTReading) -> FTReading:
-        sample = reading.as_tuple()
+    def push(self, sample: Wrench) -> Wrench:
         if len(self._buf) == self.window:
             oldest = self._buf[0]
             for i in range(6):
@@ -121,7 +99,7 @@ class GuardFilter:
         for i in range(6):
             self._sums[i] += sample[i]
         n = len(self._buf)
-        return FTReading(*(s / n for s in self._sums), timestamp=reading.timestamp)
+        return Wrench(*(s / n for s in self._sums))
 
     def reset(self):
         self._buf.clear()

@@ -34,30 +34,12 @@ class PartState(Enum):
     FIXED = "fixed"
 
 
-_PART_ORDER = [
-    PartState.IN_STAND,
-    PartState.GRASPED,
-    PartState.HELD_ON_WALL,
-    PartState.PARTIALLY_FIXED,
-    PartState.FIXED,
-]
-
-
 class AnchorState(Enum):
     IN_STAND = "in_stand"
     GRASPED = "grasped"
     STUCK = "stuck"
     SEATED = "seated"
     TIGHTENED = "tightened"
-
-
-_ANCHOR_ORDER = [
-    AnchorState.IN_STAND,
-    AnchorState.GRASPED,
-    AnchorState.STUCK,
-    AnchorState.SEATED,
-    AnchorState.TIGHTENED,
-]
 
 
 class Engagement(Enum):
@@ -83,6 +65,10 @@ class Wall:
         """Distance of ``p`` from the surface plane along the outward normal."""
         return (p - self.frame.origin).dot(self.normal)
 
+    def project(self, p: Point3) -> Point3:
+        """Foot of ``p`` on the surface plane."""
+        return p - self.normal.scaled(self.signed_distance(p))
+
     def contains_lateral(self, p: Point3) -> bool:
         local = self.frame.to_local(p)
         return abs(local.x) <= self.cfg.width / 2 and abs(local.y) <= self.cfg.height / 2
@@ -103,7 +89,8 @@ class StructuralPart:
 
     def set_state(self, new: PartState):
         """Advance the part state; only forward transitions are legal."""
-        if _PART_ORDER.index(new) < _PART_ORDER.index(self.state):
+        order = list(PartState)
+        if order.index(new) < order.index(self.state):
             raise ValueError(f"part state cannot regress {self.state} -> {new}")
         self.state = new
 
@@ -155,7 +142,8 @@ class AnchorBolt:
     hole: DrilledHole | None = None
 
     def set_state(self, new: AnchorState, *, depth: float | None = None, torque: float | None = None):
-        if _ANCHOR_ORDER.index(new) < _ANCHOR_ORDER.index(self.state):
+        order = list(AnchorState)
+        if order.index(new) < order.index(self.state):
             raise ValueError(f"anchor state cannot regress {self.state} -> {new}")
         if new is AnchorState.TIGHTENED and not self.nut_attached:
             raise ValueError("cannot tighten an anchor without a nut")

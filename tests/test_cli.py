@@ -78,6 +78,15 @@ INVALID_VALUES = [
     ("[procedure]\nspiral_pitch = 0\n", "procedure.spiral_pitch"),
     ("[procedure]\nspiral_probe_spacing = 0\n", "procedure.spiral_probe_spacing"),
     ("[wall]\nyaw_deg = inf\n", "wall.yaw_deg"),
+    ("[sensors]\nlaser_sigma = -1\n", "sensors.laser_sigma"),
+    ("[sensors]\nft_sigma_force = -2\n", "sensors.ft_sigma_force"),
+    ("[part]\nplacement_sigma = -0.002\n", "part.placement_sigma"),
+    ("[robot]\ntool_change_time = -5\n", "robot.tool_change_time"),
+    ("[part]\nholes = 3\n", "part.hole_spacing"),
+    ("[part]\ntarget_x = 0.5\n", "part.target_x"),
+    ("[robot]\ntool_stand1 = 2,-0.7,0.8\n", "robot.tool_stand1"),
+    ("[robot]\nhome1 = 5,5,5\n", "robot.home1"),
+    ("[wall]\nwidth = 0\n", "wall.width"),
 ]
 
 

@@ -220,7 +220,7 @@ def test_hammer_short_hole_fails_with_diagnostic():
         anchor, inserted = yield from _mission_insert_core(ctx, hole)
         yield from ctx.guarded(
             FixationStep.HAMMER_ANCHOR, 0, "robot1",
-            ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"], 0),
+            ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"]),
         )
 
     with pytest.raises(StepFailed):

@@ -68,6 +68,7 @@ def test_render_parse_round_trip():
     sc = Scenario()
     sc.tools.variant = "offset_uncompensated"
     sc.part.holes = 4
+    sc.part.hole_spacing = 0.05
     sc.wall.yaw_deg = 5.0
     sc.procedure.timestep = 0.005
     text = render_scenario(sc)

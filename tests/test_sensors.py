@@ -35,14 +35,14 @@ def make_site():
 
 def test_zero_wrench_zero_noise():
     r = read_ft(ZERO_WRENCH, SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0), rng=None)
-    assert r.as_tuple() == (0.0,) * 6
+    assert tuple(r) == (0.0,) * 6
 
 
 def test_ft_deterministic_per_seed():
-    a = [read_ft(ZERO_WRENCH, SensorsSection(), np.random.default_rng(5)).as_tuple() for _ in range(1)]
+    a = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), np.random.default_rng(5))) for _ in range(1)]
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq1 = [read_ft(ZERO_WRENCH, SensorsSection(), rng1).as_tuple() for _ in range(50)]
-    seq2 = [read_ft(ZERO_WRENCH, SensorsSection(), rng2).as_tuple() for _ in range(50)]
+    seq1 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), rng1)) for _ in range(50)]
+    seq2 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), rng2)) for _ in range(50)]
     assert seq1 == seq2
     assert a[0] == seq1[0]
 
@@ -216,4 +216,5 @@ def test_limits_validation():
 
 def test_wrench_tuple():
     w = Wrench(fz=300.0, mx=-28.0)
-    assert w.as_tuple() == (0.0, 0.0, 300.0, -28.0, 0.0, 0.0)
+    assert tuple(w) == (0.0, 0.0, 300.0, -28.0, 0.0, 0.0)
+    assert FTReading is Wrench
