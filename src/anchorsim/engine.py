@@ -8,6 +8,7 @@ check the guard) is fixed, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,6 @@ class Trace:
         self.times: list[float] = []
         self.values: list[float] = []
 
-    def record(self, t: float, value: float):
-        if self.times and t <= self.times[-1]:
-            raise NonMonotonicTime(f"{self.id}: {t} after {self.times[-1]}")
-        self.times.append(t)
-        self.values.append(value)
-
     def __len__(self):
         return len(self.times)
 
@@ -71,8 +66,18 @@ class TraceRecorder:
         self.traces[trace_id] = trace
         return trace
 
-    def record(self, trace_id: str, t: float, value: float):
-        self.traces[trace_id].record(t, value)
+    def record(self, row: tuple[Trace, ...], t: float, values):
+        """Append one sample at time ``t`` to each trace of ``row``.
+
+        The traces of a row are only ever recorded together, so they share
+        their timestamps and one monotonic check covers them all.
+        """
+        times = row[0].times
+        if times and t <= times[-1]:
+            raise NonMonotonicTime(f"{row[0].id}: {t} after {times[-1]}")
+        for trace, value in zip(row, values):
+            trace.times.append(t)
+            trace.values.append(value)
 
 
 class RandomStreams:
@@ -106,10 +111,17 @@ class RandomStreams:
 
 @dataclass
 class ArmRuntime:
-    """Per-arm simulation state beyond the kinematic ArmState."""
+    """Per-arm simulation state beyond the kinematic ArmState, plus the
+    handles the tick uses: the platform, the arm's FT and laser streams, and
+    its trace rows (the six wrench channels, then the three depth channels)."""
 
     state: ArmState
     guard_filter: GuardFilter
+    platform: PlatformState
+    ft_rng: np.random.Generator
+    laser_rng: np.random.Generator
+    wrench_row: tuple[Trace, ...]
+    depth_row: tuple[Trace, ...]
     true_wrench: Wrench = ZERO_WRENCH
     reading: Wrench | None = None
     guard_fired_t: float | None = None
@@ -118,7 +130,13 @@ class ArmRuntime:
 
 
 class World:
-    """All mutable simulation state for one run."""
+    """All mutable simulation state for one run.
+
+    ``event`` is true after a tick on which a motion ended, the guard halted
+    an arm, or simulated time passed ``MAX_SIM_TIME``. ``run`` stops after
+    such a tick, because a step that waits on a move, or sits out a number
+    of ticks, has to act on it and on no other tick.
+    """
 
     def __init__(self, scenario: Scenario, seed: int):
         scenario.validate()
@@ -128,11 +146,15 @@ class World:
         self.clock = SimClock(dt=scenario.procedure.timestep)
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
+        self.event = False
 
         w = scenario.wall
         frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
         holes = default_hole_pattern(scenario.part.holes, scenario.part.hole_spacing)
         self.site = Worksite(wall=Wall(frame, w), part=StructuralPart(holes))
+        self._normal = frame.z_axis.as_tuple()
+        self._origin = frame.origin.as_tuple()
+        self._laser_ray = (-frame.z_axis).normalized()
 
         # One arm, platform and tool set per module; robot 2's stand also
         # carries the part gripper. The drill has no state of its own: its
@@ -143,12 +165,19 @@ class World:
         self.tools = {}
         for name, n in (("robot1", "1"), ("robot2", "2")):
             arm = ArmState(name, scenario.station(f"base{n}"), scenario.station(f"home{n}"), scenario.robot)
-            self.arms[name] = ArmRuntime(state=arm, guard_filter=GuardFilter(window))
+            row = [self.recorder.register(f"{name}/{channel}", channel) for channel in TRACE_CHANNELS]
             self.platforms[name] = PlatformState(scenario.robot)
+            self.arms[name] = ArmRuntime(
+                state=arm,
+                guard_filter=GuardFilter(window),
+                platform=self.platforms[name],
+                ft_rng=self.streams.get(f"ft.{name}"),
+                laser_rng=self.streams.get(f"laser.{name}"),
+                wrench_row=tuple(row[:6]),
+                depth_row=tuple(row[6:]),
+            )
             self.tools[(name, ToolId.HAMMER)] = HammerTool(scenario.tools)
             self.tools[(name, ToolId.NUTRUNNER)] = NutRunnerTool(scenario.tools)
-            for channel in TRACE_CHANNELS:
-                self.recorder.register(f"{name}/{channel}", channel)
         self.tools[("robot2", ToolId.GRIPPER)] = GripperTool()
 
     # -- kinematic helpers ----------------------------------------------------
@@ -179,28 +208,41 @@ class World:
         return arm.position + self.site.wall.normal.scaled(self.slip(arm_name))
 
     def surface_distance(self, arm_name: str) -> float:
-        """True signed distance of the tool point from the wall surface."""
-        return self.site.wall.signed_distance(self.true_position(arm_name))
+        """True signed distance of the tool point from the wall surface.
+
+        Contact models call this every tick, so it works on the floats of
+        ``Wall.signed_distance(true_position(...))`` in the same order.
+        """
+        runtime = self.arms[arm_name]
+        p = runtime.state.position
+        slip = runtime.platform.slip_offset
+        nx, ny, nz = self._normal
+        ox, oy, oz = self._origin
+        d = (p.x + nx * slip - ox) * nx + (p.y + ny * slip - oy) * ny + (p.z + nz * slip - oz) * nz
+        if not math.isfinite(d):
+            raise ValueError(f"{arm_name}: non-finite surface distance {d!r}")
+        return d
 
     def laser_distance(self, arm_name: str, ray: Point3 | None = None) -> float:
-        """Noisy laser range from the true tool point to the wall along ``ray``.
+        """Noisy laser range from the true tool point to the wall along ``ray``
+        (default: into the wall along its normal).
 
         The ray origin is backed off half a metre along the ray so the
         measurement stays defined while the tool point is inside the hole;
         the constant offset cancels out of every depth computed by
         difference, which mirrors a laser mounted beside the bit.
         """
-        if ray is None:
-            ray = -self.site.wall.normal
-        ray = ray.normalized()
-        origin = self.true_position(arm_name) - ray.scaled(0.5)
-        distance = read_laser(
-            origin,
-            ray,
-            self.site,
-            self.streams.get(f"laser.{arm_name}"),
-            sigma=self.scenario.sensors.laser_sigma,
+        ray = self._laser_ray if ray is None else ray.normalized()
+        runtime = self.arms[arm_name]
+        p = runtime.state.position
+        slip = runtime.platform.slip_offset
+        nx, ny, nz = self._normal
+        origin = Point3(
+            p.x + nx * slip - ray.x * 0.5,
+            p.y + ny * slip - ray.y * 0.5,
+            p.z + nz * slip - ray.z * 0.5,
         )
+        distance = read_laser(origin, ray, self.site, runtime.laser_rng, sigma=self.scenario.sensors.laser_sigma)
         return distance - 0.5
 
     # -- tick -------------------------------------------------------------------
@@ -210,15 +252,20 @@ class World:
 
         Slip integrates at the start of the tick from the previous tick's
         press force, so the slip an executive reads after the step is exactly
-        the slip the contact models saw.
+        the slip the contact models saw. Sets ``event`` for this tick.
         """
         t = self.clock.tick()
         dt = self.clock.dt
         sensors = self.scenario.sensors
-        for name, runtime in self.arms.items():
-            self.platforms[name].step(runtime.press_force, dt)
-            runtime.state.advance(dt)
-        for name, runtime in self.arms.items():
+        record = self.recorder.record
+        event = t > MAX_SIM_TIME
+        for runtime in self.arms.values():
+            runtime.platform.step(runtime.press_force, dt)
+            arm = runtime.state
+            if arm.motion is not None:
+                arm.advance(dt)
+                event = event or arm.motion is None
+        for runtime in self.arms.values():
             arm = runtime.state
             model = arm.contact_model
             if model is not None:
@@ -231,20 +278,32 @@ class World:
             if not runtime.active:
                 runtime.reading = None
                 continue
-            reading = read_ft(wrench, sensors, self.streams.get(f"ft.{name}"))
+            reading = read_ft(wrench, sensors, runtime.ft_rng)
             runtime.reading = reading
             axis = overload_guard(runtime.guard_filter.push(reading), sensors)
             if axis is not None and not arm.halted:
                 arm.halt(axis)
                 runtime.guard_fired_t = t
-            for channel, value in zip(Wrench._fields, wrench):
-                self.recorder.record(f"{name}/{channel}", t, value)
+                event = True
+            record(runtime.wrench_row, t, wrench)
+        self.event = event
+
+    def run(self, horizon: float) -> int:
+        """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
+        after the first event tick; return the number of ticks stepped."""
+        ticks = 0
+        while ticks < horizon:
+            self.step()
+            ticks += 1
+            if self.event:
+                break
+        return ticks
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
-        t = self.clock.t
-        self.recorder.record(f"{arm_name}/laser_depth", t, laser_depth)
-        self.recorder.record(f"{arm_name}/commanded_depth", t, commanded_depth)
-        self.recorder.record(f"{arm_name}/slip", t, self.slip(arm_name))
+        runtime = self.arms[arm_name]
+        self.recorder.record(
+            runtime.depth_row, self.clock.t, (laser_depth, commanded_depth, runtime.platform.slip_offset)
+        )
 
 
 def run(scenario: Scenario, seed: int, mission: str = "full"):

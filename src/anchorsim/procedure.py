@@ -1,10 +1,14 @@
 """Mission executive: the ten-step fixation procedure and its sub-protocols.
 
-Steps are generators the engine advances one tick per yield. Every step loop
-ticks through ``MissionContext.until``, which fails the step on the tick the
-guard halts the arm or simulated time runs out; the only other yield is the
-dual-arm scheduler in ``mission_full``, interleaving the per-arm pipelines tick
-by tick in fixed arm order. A failed step ends the run with a partial report.
+Steps are generators. Every step loop ticks through ``MissionContext.until``,
+which yields a horizon, the number of ticks that may pass before the step must
+be resumed, and is sent back the number of ticks that passed (``None`` counts
+as one). ``World.run`` cuts a run short after an event tick (a motion
+ended, the guard halted an arm, or simulated time ran out), so ``until`` still
+fails the step on the tick the guard halts the arm or time runs out. The only
+other yield is the dual-arm scheduler in ``mission_full``, which interleaves the
+per-arm pipelines in fixed arm order. A failed step ends the run with a partial
+report.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 from .engine import MAX_SIM_TIME, World
 from .errors import (
@@ -304,19 +307,24 @@ class MissionContext:
                "home": f"home{suffix}", "part": "part_stand"}[kind]
         return self.scenario.station(key)
 
-    def until(self, arm: str, done=None, ticks: int = 0):
-        """Yield ticks until ``done()``, run after each tick, is true or
-        ``ticks`` ticks passed; raise on the tick the guard halts ``arm`` or
-        simulated time passes ``MAX_SIM_TIME``."""
+    def until(self, arm: str, done=None, ticks: int = 0, horizon: float = 1):
+        """Tick until ``done()`` is true or ``ticks`` ticks passed; raise on the
+        tick the guard halts ``arm`` or simulated time passes ``MAX_SIM_TIME``.
+
+        Each yield is the number of ticks that may pass before ``done()`` must
+        run again: the ticks left of a plain wait, else ``horizon``. That is 1
+        for a ``done`` that must see every tick, and ``math.inf`` for one that
+        only an event tick can make true.
+        """
         state = self.arm(arm)
         clock = self.world.clock
         while True:
-            yield
+            passed = (yield ticks if done is None else horizon) or 1
             if state.halted:
                 raise HaltedByGuard(state.halt_axis, state.halt_travelled)
             if clock.t > MAX_SIM_TIME:
                 raise SimTimeExceeded(f"simulated time passed the {MAX_SIM_TIME:.0f} s ceiling")
-            ticks -= 1
+            ticks -= passed
             if (done is not None and done()) or ticks == 0:
                 return
 
@@ -327,7 +335,7 @@ class MissionContext:
         state = self.arm(arm)
         state.start_move(target, speed)
         if state.motion is not None:
-            yield from self.until(arm, lambda: state.motion is None)
+            yield from self.until(arm, lambda: state.motion is None, horizon=math.inf)
 
     def feed_until(self, arm: str, direction: Point3, speed: float, stop, max_travel: float):
         """Open-ended guarded feed; ``stop()`` is evaluated after each tick."""
@@ -991,26 +999,46 @@ def mission_full(ctx: MissionContext):
     # Step 10: robot 2 releases the part; repeats follow for other points.
     last = [ctx.return_tool("robot1")] if plan.n_points == 1 else []
     yield from ctx.guarded(
-        FixationStep.RELEASE_REPEAT, 0, "robot2", chain(ctx.release_part("robot2"), *last),
+        FixationStep.RELEASE_REPEAT, 0, "robot2", _chain(ctx.release_part("robot2"), *last),
         remaining_points=plan.n_points - 1,
     )
 
-    # Each phase runs one pipeline per arm, advanced tick by tick in arm
-    # order; a sequential phase is the one-arm case. A pipeline yields None
-    # per tick, so ``next`` returns the False default only once it is done.
+    # Each phase runs one pipeline per arm in arm order; a sequential phase
+    # is the one-arm case. A pipeline is resumed once its horizon has passed
+    # or on an event tick, and is sent the ticks since it last yielded, so
+    # every pipeline whose ``done`` must see a tick is resumed on that tick,
+    # in arm order, exactly as when each pipeline is resumed every tick.
     for phase in plan.phases[1:]:
         chains: dict[str, list[int]] = {}
         for point, arm in phase.assignments:
             chains.setdefault(arm, []).append(point)
-        gens = [chain(*[ctx.fix_point(arm, pt) for pt in pts]) for arm, pts in sorted(chains.items())]
-        while gens := [gen for gen in gens if next(gen, False) is None]:
-            yield
+        # pipeline -> [horizon, ticks since it yielded]; None: not started
+        waiting = {_chain(*[ctx.fix_point(arm, pt) for pt in pts]): [0, None]
+                   for arm, pts in sorted(chains.items())}
+        while waiting:
+            for pipeline, (horizon, since) in list(waiting.items()):
+                if since is not None and since < horizon and not ctx.world.event:
+                    continue
+                try:
+                    waiting[pipeline] = [pipeline.send(since), 0]
+                except StopIteration:
+                    del waiting[pipeline]
+            if waiting:
+                passed = (yield min(h - s for h, s in waiting.values())) or 1
+                for wait in waiting.values():
+                    wait[1] += passed
 
     if plan.n_points > 1:
         yield from ctx.guarded(
             FixationStep.RELEASE_REPEAT, plan.n_points - 1, "robot1",
-            chain(ctx.return_tool("robot1"), ctx.return_tool("robot2")), cleanup=True,
+            _chain(ctx.return_tool("robot1"), ctx.return_tool("robot2")), cleanup=True,
         )
+
+
+def _chain(*gens):
+    """``itertools.chain`` for generators that are sent tick counts."""
+    for gen in gens:
+        yield from gen
 
 
 def mission_drill(ctx: MissionContext):
@@ -1110,15 +1138,20 @@ MISSIONS = {
 
 
 def drive_mission(world: World, mission: str = "full"):
-    """Advance the mission generator one tick at a time until it finishes."""
+    """Run the mission generator to completion, stepping the world over each
+    horizon it yields and sending back the ticks that passed."""
     try:
         factory = MISSIONS[mission]
     except KeyError:
         raise ValueError(f"unknown mission {mission!r}; one of {sorted(MISSIONS)}") from None
     ctx = MissionContext(world)
+    steps = factory(ctx)
     try:
-        for _ in factory(ctx):
-            world.step()
+        horizon = next(steps)
+        while True:
+            horizon = steps.send(world.run(horizon))
+    except StopIteration:
+        pass
     except SimulationError as exc:  # a failed step, or an error between steps
         ctx.failure = ctx.failure or f"{type(exc).__name__}: {exc}"
     success = ctx.failure is None

@@ -7,6 +7,7 @@ lever arms appear only inside the tool moment models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -40,13 +41,16 @@ class Motion:
 
     def advance(self, position: Point3, dt: float) -> tuple[Point3, bool]:
         step = self.speed * dt
-        if self.target is not None:
-            remaining = position.distance_to(self.target)
+        target = self.target
+        if target is not None:
+            dx, dy, dz = position.x - target.x, position.y - target.y, position.z - target.z
+            remaining = math.sqrt(dx * dx + dy * dy + dz * dz)
             if remaining <= step:
                 self.travelled += remaining
-                return self.target, True
+                return target, True
         self.travelled += step
-        return position + self.direction.scaled(step), False
+        d = self.direction
+        return Point3(position.x + d.x * step, position.y + d.y * step, position.z + d.z * step), False
 
 
 @dataclass
@@ -112,8 +116,9 @@ class ArmState:
         if self.motion is None or self.halted:
             return False
         new_pos, arrived = self.motion.advance(self.position, dt)
-        out_of_reach = self.base.distance_to(new_pos) > self.cfg.reach
-        if out_of_reach:
+        base = self.base
+        dx, dy, dz = base.x - new_pos.x, base.y - new_pos.y, base.z - new_pos.z
+        if math.sqrt(dx * dx + dy * dy + dz * dz) > self.cfg.reach:
             # Open-ended feeds stop at the reach sphere; targeted moves were
             # validated up front, so this only trims feeds.
             self.motion = None

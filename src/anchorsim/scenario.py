@@ -233,13 +233,18 @@ class Scenario:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
+        # Whole holes, not just their centres, must lie on the wall, and
+        # adjacent holes must not overlap.
         part = self.part
+        radius = part.hole_diameter / 2
         half_width, half_height = self.wall.width / 2, self.wall.height / 2
-        if abs(part.target_x) > half_width:
-            raise ScenarioInvalid("part.target_x", f"lies beyond the wall's {half_width} m half-width")
-        if abs(part.target_y) > half_height:
-            raise ScenarioInvalid("part.target_y", f"lies beyond the wall's {half_height} m half-height")
-        if abs(part.target_x) + abs(part.hole_spacing) * (part.holes - 1) / 2 > half_width:
+        if abs(part.target_x) + radius > half_width:
+            raise ScenarioInvalid("part.target_x", f"puts a hole beyond the wall's {half_width} m half-width")
+        if abs(part.target_y) + radius > half_height:
+            raise ScenarioInvalid("part.target_y", f"puts a hole beyond the wall's {half_height} m half-height")
+        if part.holes >= 2 and part.hole_spacing < part.hole_diameter:
+            raise ScenarioInvalid("part.hole_spacing", f"overlaps holes {part.hole_diameter} m wide")
+        if abs(part.target_x) + part.hole_spacing * (part.holes - 1) / 2 + radius > half_width:
             raise ScenarioInvalid(
                 "part.hole_spacing", f"{part.holes} holes run off the wall's {half_width} m half-width"
             )

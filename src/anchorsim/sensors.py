@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NoReturn
+from .errors import DegenerateGeometry, NoReturn
 from .geometry import Point3
 from .scenario import SensorsSection
 from .worksite import Worksite
@@ -50,16 +51,9 @@ def read_ft(true_wrench: Wrench, sensors: SensorsSection, rng) -> Wrench:
     sf, sm = sensors.ft_sigma_force, sensors.ft_sigma_moment
     if sf == 0.0 and sm == 0.0:
         return true_wrench
-    n = rng.standard_normal(6)
+    n0, n1, n2, n3, n4, n5 = rng.standard_normal(6).tolist()
     fx, fy, fz, mx, my, mz = true_wrench
-    return Wrench(
-        fx + sf * float(n[0]),
-        fy + sf * float(n[1]),
-        fz + sf * float(n[2]),
-        mx + sm * float(n[3]),
-        my + sm * float(n[4]),
-        mz + sm * float(n[5]),
-    )
+    return Wrench(fx + sf * n0, fy + sf * n1, fz + sf * n2, mx + sm * n3, my + sm * n4, mz + sm * n5)
 
 
 def overload_guard(reading: Wrench, limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
@@ -68,8 +62,12 @@ def overload_guard(reading: Wrench, limits: SafetyLimits | SensorsSection = Safe
     The comparison is strict: readings exactly at the limit pass, so a
     calibration point sitting on -30 Nm does not trip the stop.
     """
+    fl, ml = limits.force_limit, limits.moment_limit
+    fx, fy, fz, mx, my, mz = reading
+    if abs(fx) <= fl and abs(fy) <= fl and abs(fz) <= fl and abs(mx) <= ml and abs(my) <= ml and abs(mz) <= ml:
+        return None
     for i, value in enumerate(reading):
-        if abs(value) > (limits.force_limit if i < 3 else limits.moment_limit):
+        if abs(value) > (fl if i < 3 else ml):
             return Wrench._fields[i]
     return None
 
@@ -91,15 +89,14 @@ class GuardFilter:
         self._sums = [0.0] * 6
 
     def push(self, sample: Wrench) -> Wrench:
-        if len(self._buf) == self.window:
-            oldest = self._buf[0]
-            for i in range(6):
-                self._sums[i] -= oldest[i]
-        self._buf.append(sample)
-        for i in range(6):
-            self._sums[i] += sample[i]
-        n = len(self._buf)
-        return Wrench(*(s / n for s in self._sums))
+        buf = self._buf
+        if len(buf) == self.window:
+            self._sums = [(s - old) + new for s, old, new in zip(self._sums, buf[0], sample)]
+        else:
+            self._sums = [s + new for s, new in zip(self._sums, sample)]
+        buf.append(sample)
+        n = len(buf)
+        return Wrench._make([s / n for s in self._sums])
 
     def reset(self):
         self._buf.clear()
@@ -113,16 +110,24 @@ def read_laser(origin: Point3, direction: Point3, worksite: Worksite, rng, sigma
     distance even when the commanded pose is stationary. Raises NoReturn when
     the ray is parallel to the wall or misses its extent.
     """
-    d = direction.normalized()
-    normal = worksite.wall.normal
-    denom = d.dot(normal)
+    # ``direction.normalized()`` and the dot products, on floats.
+    dx, dy, dz = direction.x, direction.y, direction.z
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if length < 1e-12:
+        raise DegenerateGeometry("cannot normalize a near-zero vector")
+    scale = 1.0 / length
+    dx, dy, dz = dx * scale, dy * scale, dz * scale
+    wall = worksite.wall
+    n = wall.normal
+    denom = dx * n.x + dy * n.y + dz * n.z
     if abs(denom) < 1e-9:
         raise NoReturn("laser ray is parallel to the wall")
-    t = (worksite.wall.frame.origin - origin).dot(normal) / denom
+    o = wall.frame.origin
+    t = ((o.x - origin.x) * n.x + (o.y - origin.y) * n.y + (o.z - origin.z) * n.z) / denom
     if t <= 0:
         raise NoReturn("wall is behind the sensor")
-    hit = origin + d.scaled(t)
-    if not worksite.wall.contains_lateral(hit):
+    hit = Point3(origin.x + dx * t, origin.y + dy * t, origin.z + dz * t)
+    if not wall.contains_lateral(hit):
         raise NoReturn("laser ray misses the wall extent")
     if sigma > 0.0:
         t += rng.normal(0.0, sigma)

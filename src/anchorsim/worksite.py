@@ -70,8 +70,14 @@ class Wall:
         return p - self.normal.scaled(self.signed_distance(p))
 
     def contains_lateral(self, p: Point3) -> bool:
-        local = self.frame.to_local(p)
-        return abs(local.x) <= self.cfg.width / 2 and abs(local.y) <= self.cfg.height / 2
+        """Whether ``p`` lies within the wall's extent in the surface plane
+        (the x and y of ``frame.to_local(p)``, on floats)."""
+        o, ax, ay = self.frame.origin, self.frame.x_axis, self.frame.y_axis
+        dx, dy, dz = p.x - o.x, p.y - o.y, p.z - o.z
+        return (
+            abs(dx * ax.x + dy * ax.y + dz * ax.z) <= self.cfg.width / 2
+            and abs(dx * ay.x + dy * ay.y + dz * ay.z) <= self.cfg.height / 2
+        )
 
 
 @dataclass

@@ -89,8 +89,20 @@ INVALID_VALUES = [
     ("[wall]\nwidth = 0\n", "wall.width"),
 ]
 
+#: Holes whose centres are on the wall but whose rims are not, and holes that
+#: overlap. Their fields repeat cases above, so their ids are their text.
+INVALID_HOLES = [
+    ("[part]\ntarget_x = 0.1\n", "part.target_x"),
+    ("[part]\ntarget_y = 0.15\n", "part.target_y"),
+    ("[part]\nholes = 2\nhole_spacing = 0.2\n", "part.hole_spacing"),
+    ("[part]\nholes = 2\nhole_spacing = 0\n", "part.hole_spacing"),
+]
 
-@pytest.mark.parametrize("text, field", INVALID_VALUES, ids=[f for _, f in INVALID_VALUES])
+
+@pytest.mark.parametrize(
+    "text, field", INVALID_VALUES + INVALID_HOLES,
+    ids=[f for _, f in INVALID_VALUES] + [t.split("\n", 1)[1].strip().replace("\n", ", ") for t, _ in INVALID_HOLES],
+)
 def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
     # A separate process, so an escaping exception shows as a traceback on
     # stderr rather than as an error inside this test.
@@ -195,8 +207,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 def test_trace_file_format(tmp_path):
     trace = Trace("robot1/mx", "mx")
-    trace.record(1.0, -5.0)
-    trace.record(2.0, -6.25)
+    trace.times, trace.values = [1.0, 2.0], [-5.0, -6.25]
     files = export_traces({"robot1/mx": trace}, tmp_path)
     assert files == ["robot1_mx.csv"]
     raw = (tmp_path / "robot1_mx.csv").read_bytes()

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from anchorsim.engine import RandomStreams, SimClock, Trace, TraceRecorder, World, run
+from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, Trace, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime
 from anchorsim.geometry import Point3
 from anchorsim.scenario import Scenario
+from anchorsim.sensors import Wrench
 
 
 def test_clock_ticks_exactly():
@@ -18,13 +21,18 @@ def test_clock_ticks_exactly():
 
 
 def test_trace_monotonic_append():
-    trace = Trace("x/mx", "mx")
-    trace.record(1.0, -5.0)
-    trace.record(2.0, -6.0)
-    assert trace.times == [1.0, 2.0]
-    assert trace.values == [-5.0, -6.0]
+    recorder = TraceRecorder()
+    row = (recorder.register("x/mx", "mx"), recorder.register("x/fz", "fz"))
+    recorder.record(row, 1.0, (-5.0, 3.0))
+    recorder.record(row, 2.0, (-6.0, 4.0))
+    assert row[0].times == row[1].times == [1.0, 2.0]
+    assert row[0].values == [-5.0, -6.0]
+    assert row[1].values == [3.0, 4.0]
     with pytest.raises(NonMonotonicTime):
-        trace.record(1.0, -7.0)
+        recorder.record(row, 1.0, (-7.0, 5.0))
+    with pytest.raises(NonMonotonicTime):
+        recorder.record(row, 2.0, (-7.0, 5.0))
+    assert len(row[0]) == len(row[1]) == 2
 
 
 def test_trace_rejects_unknown_channel():
@@ -127,3 +135,40 @@ def test_commanded_depth_equals_true_plus_slip():
     # laser reads true depth with 0.1 mm noise; commanded - slip is exact.
     for i in range(0, len(cmd), 500):
         assert cmd[i] - slip[i] == pytest.approx(laser[i], abs=0.001)
+
+
+def test_run_stops_after_the_tick_a_motion_ends():
+    world = World(Scenario(), seed=0)
+    arm = world.arm("robot1")
+    # 11.5 mm at 1 mm per tick: the move ends on its twelfth tick.
+    arm.start_move(arm.position + Point3(0.0115, 0.0, 0.0), 0.1)
+    assert world.run(5) == 5 and not world.event
+    assert world.run(math.inf) == 7 and world.event
+    assert arm.motion is None and world.clock.ticks == 12
+    assert world.run(3) == 3 and not world.event
+
+
+def test_run_stops_after_the_tick_the_guard_halts():
+    world = World(Scenario(), seed=0)
+    arm = world.arm("robot1")
+    arm.contact_model = lambda w, s, dt: Wrench(mx=100.0 if w.t > 0.2 else 0.0)
+    ticks = world.run(math.inf)
+    assert world.event and arm.halted and arm.halt_axis == "mx"
+    assert world.runtime("robot1").guard_fired_t == world.t
+    assert world.clock.ticks == ticks > 21
+
+
+def test_run_stops_after_the_tick_time_passes_the_ceiling():
+    world = World(Scenario(), seed=0)
+    world.clock.ticks = round(MAX_SIM_TIME / world.dt) - 2
+    assert world.run(math.inf) == 3
+    assert world.event and world.t > MAX_SIM_TIME
+
+
+def test_nan_slip_raises_in_distance_reads():
+    world = World(Scenario(), seed=0)
+    world.platforms["robot1"].slip_offset = float("nan")
+    with pytest.raises(ValueError):
+        world.surface_distance("robot1")
+    with pytest.raises(ValueError):
+        world.laser_distance("robot1")

@@ -5,8 +5,9 @@ report, then hashes the report followed by every exported file (name, a NUL
 byte, then the file bytes, in sorted name order). The digests were recorded
 when this file was added; a change that moves any output byte fails here.
 The ``run`` command is pinned by ``perfbench/test_perfbench.py``. The
-``nut-missing`` mission, which has no subcommand, and the 2-point ``full``
-mission, whose second point runs as a sequential phase, are pinned through
+``nut-missing`` mission, which has no subcommand, the 2-point ``full``
+mission, whose second point runs as a sequential phase, and the seed-2009
+``full`` mission, which the guard halts mid-insertion, are pinned through
 ``anchorsim.run``: the machine report, then each trace's id, a NUL byte and
 its times and values as doubles.
 """
@@ -55,8 +56,8 @@ def test_seed_7_outputs_unchanged(capsys, tmp_path, argv, exit_code, digest):
     assert h.hexdigest() == digest
 
 
-def run_digest(scenario, mission):
-    report, traces = anchorsim.run(scenario, 7, mission)
+def run_digest(scenario, mission, seed=7):
+    report, traces = anchorsim.run(scenario, seed, mission)
     h = hashlib.sha256(render_machine_report(report).encode())
     for trace_id in sorted(traces):
         trace = traces[trace_id]
@@ -83,3 +84,9 @@ def test_seed_7_two_point_sequential_unchanged():
         )
     ]
     assert digest == "b4bbef25bad303aa62d61e41dadd3862c7b3aca24d8f1db5df55c75308adbb17"
+
+
+def test_seed_2009_guard_halt_unchanged():
+    report, digest = run_digest(anchorsim.Scenario(), "full", seed=2009)
+    assert report.failure == "insert_anchor: HaltedByGuard: guard stop on fz after 5.76 mm"
+    assert digest == "479cbb9a9dc15edd1deea141d6340389a944b67570de969de801ffbb813e5cb5"

@@ -8,6 +8,7 @@ import pytest
 from anchorsim.engine import World, run
 from anchorsim.errors import PartDropped, StepFailed, WrongPose
 from anchorsim.procedure import (
+    MISSIONS,
     STEP_ORDER,
     FixationStep,
     MissionContext,
@@ -447,3 +448,25 @@ def test_book_insertion_threshold_with_relaxed_guard():
     assert report.success, report.failure
     diag = report.find(FixationStep.INSERT_ANCHOR).diagnostics
     assert diag["stuck_depth"] == pytest.approx(90.0 / 3571.4, abs=0.001)
+
+
+# --- horizon driving ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mission, holes", [(m, 1) for m in MISSIONS] + [("full", 4)])
+def test_horizon_driving_matches_tick_by_tick(monkeypatch, mission, holes):
+    # drive_mission runs the world over each yielded horizon; stepping once
+    # per yield and sending None back, as ``for _ in gen: world.step()``
+    # does, must give the same report and traces.
+    sc = Scenario()
+    if holes > 1:
+        sc.part.holes, sc.part.hole_spacing = holes, 0.05
+        sc.robot.tool_change_time = 5.0
+
+    def outputs():
+        report, traces = drive_mission(World(sc, NOMINAL_SEED), mission)
+        return report.to_dict(), {k: (tr.times, tr.values) for k, tr in traces.items()}
+
+    by_horizon = outputs()
+    monkeypatch.setattr(World, "run", lambda world, horizon: world.step())
+    assert outputs() == by_horizon

@@ -218,3 +218,29 @@ def test_wrench_tuple():
     w = Wrench(fz=300.0, mx=-28.0)
     assert tuple(w) == (0.0, 0.0, 300.0, -28.0, 0.0, 0.0)
     assert FTReading is Wrench
+
+
+def test_guard_nan_and_first_axis_over():
+    assert overload_guard(FTReading(float("nan"), 0, 0, float("nan"), 0, 0)) is None
+    # Several axes over: the first in field order is named.
+    assert overload_guard(FTReading(0, 1000.5, -2000.0, 0, 0, 31.0)) == "fy"
+    assert overload_guard(FTReading(float("nan"), 0, 0, 0, -30.5, 99.0)) == "my"
+
+
+def test_guard_filter_matches_sequential_sums_bit_for_bit():
+    # The running sums must take the oldest sample out before adding the new
+    # one, per axis, exactly as a sequential loop does; 23 samples in a window
+    # of 5 wrap the window four times.
+    rng = np.random.default_rng(5)
+    f = GuardFilter(window=5)
+    window, sums = [], [0.0] * 6
+    for _ in range(23):
+        sample = FTReading(*(rng.standard_normal(6) * [900, 900, 900, 25, 25, 25]).tolist())
+        if len(window) == 5:
+            oldest = window.pop(0)
+            for i in range(6):
+                sums[i] -= oldest[i]
+        window.append(sample)
+        for i in range(6):
+            sums[i] += sample[i]
+        assert f.push(sample) == tuple(s / len(window) for s in sums)

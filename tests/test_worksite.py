@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from anchorsim.errors import OffWall, ScenarioInvalid, TooDeep
@@ -208,3 +209,19 @@ def test_wall_frame_tilt():
     assert f.z_axis.z == pytest.approx(0.0)
     assert f.z_axis.x < -0.99
     # Frame invariants hold by construction (no exception raised).
+
+
+def test_contains_lateral_matches_frame_coordinates():
+    # The float test must agree with the wall-frame coordinates from
+    # Frame.to_local, on a tilted wall and on both sides of every edge.
+    wall = Wall(frame=wall_frame_from_angles(WALL_CENTER, 7.0, -4.0), cfg=WallSection())
+    half_w, half_h = WallSection().width / 2, WallSection().height / 2
+    rng = np.random.default_rng(3)
+    inside = 0
+    for _ in range(2000):
+        p = Point3(*(rng.uniform(-0.25, 0.25, 3) + [0.9, 0.0, 1.0]).tolist())
+        local = wall.frame.to_local(p)
+        expected = abs(local.x) <= half_w and abs(local.y) <= half_h
+        assert wall.contains_lateral(p) == expected
+        inside += expected
+    assert 0 < inside < 2000
