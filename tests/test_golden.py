@@ -4,7 +4,9 @@ Each case runs one subcommand at seed 7 with ``--trace-out`` and a machine
 report, then hashes the report followed by every exported file (name, a NUL
 byte, then the file bytes, in sorted name order). The digests were recorded
 when this file was added; a change that moves any output byte fails here.
-The ``run`` command is pinned by ``perfbench/test_perfbench.py``. The
+The ``run`` command is pinned by ``perfbench/test_perfbench.py``; its
+noise-free variant (every FT and laser sigma at zero, so no sensor stream is
+drawn) is pinned here from a scenario file. The
 ``nut-missing`` mission, which has no subcommand, the 2-point ``full``
 mission, whose second point runs as a sequential phase, and the seed-2009
 ``full`` mission, which the guard halts mid-insertion, are pinned through
@@ -47,13 +49,24 @@ GOLDEN = [
     "argv, exit_code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
 def test_seed_7_outputs_unchanged(capsys, tmp_path, argv, exit_code, digest):
+    assert cli_digest(capsys, tmp_path, argv) == (exit_code, digest)
+
+
+def cli_digest(capsys, tmp_path, argv):
     out = tmp_path / "traces"
     code = main([*argv, "--seed", "7", "--trace-out", str(out), "--report", "machine-readable"])
     h = hashlib.sha256(capsys.readouterr().out.encode())
     for name in sorted(os.listdir(out)):
         h.update(name.encode() + b"\0" + (out / name).read_bytes())
-    assert code == exit_code
-    assert h.hexdigest() == digest
+    return code, h.hexdigest()
+
+
+def test_seed_7_noise_free_run_unchanged(capsys, tmp_path):
+    path = tmp_path / "noise_free.ini"
+    path.write_text("[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n")
+    assert cli_digest(capsys, tmp_path, ("run", "--scenario", str(path))) == (
+        0, "11fcee5a85f1e8f1d4693a7b893d25a27508e5acb98509b511413531677dcab3"
+    )
 
 
 def run_digest(scenario, mission, seed=7):
