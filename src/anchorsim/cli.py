@@ -26,30 +26,48 @@ SUBCOMMAND_MISSIONS = {
     "frame-test": "frame",
 }
 
+#: Rows exported per chunk, which bounds the text held at once.
+EXPORT_CHUNK = 4096
+
 
 def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
     """One delimited text file per channel plus a machine-readable manifest.
 
     Files use LF line endings, ASCII, and a fixed float format so identical
-    runs export byte-identical data.
+    runs export byte-identical data. The traces of one row share their
+    times, so their files are written side by side, a chunk of rows at a
+    time, and each chunk's timestamps are formatted once for all of them.
     """
     import os
+    from contextlib import ExitStack
 
-    written = []
+    order = sorted(traces)
+    rows: dict[int, list[Trace]] = {}
+    for trace_id in order:
+        rows.setdefault(id(traces[trace_id].times), []).append(traces[trace_id])
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for trace_id in sorted(traces):
-            trace = traces[trace_id]
-            name = trace_id.replace("/", "_") + ".csv"
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(f"t,{trace.channel}\n")
-                for t, v in zip(trace.times, trace.values):
-                    fh.write(f"{t:.4f},{v!r}\n")
-            written.append(name)
+        for row in rows.values():
+            with ExitStack() as stack:
+                files = []
+                for trace in row:
+                    path = os.path.join(out_dir, trace.id.replace("/", "_") + ".csv")
+                    fh = stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
+                    # Each line is "\n<t>,<v>": the header ends without a
+                    # newline and the file with one.
+                    fh.write(f"t,{trace.channel}")
+                    files.append((fh, trace.values))
+                times = row[0].times
+                for i in range(0, len(times), EXPORT_CHUNK):
+                    j = i + EXPORT_CHUNK
+                    stamps = [f"\n{t:.4f}," for t in times[i:j]]
+                    for fh, values in files:
+                        fh.write("".join(map(str.__add__, stamps, map(repr, values[i:j]))))
+                for fh, _ in files:
+                    fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot export traces to {out_dir}: {exc}") from None
-    return written
+    return [trace_id.replace("/", "_") + ".csv" for trace_id in order]
 
 
 def write_manifest(report: FixationReport, out_dir, trace_files: list[str]):

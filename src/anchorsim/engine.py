@@ -1,15 +1,18 @@
 """Fixed-timestep simulation core: clock, random streams, traces, world.
 
 Everything that happens in a run is a function of (scenario, seed, dt): the
-clock never reads wall time, every sensor draws from its own seeded stream,
-and the per-tick order (advance motions, evaluate contacts, sample sensors,
-check the guard) is fixed, so identical inputs give identical outputs.
+clock never reads wall time, every sensor draws from its own seeded stream
+in blocks, and the per-tick order (advance motions, evaluate contacts,
+sample sensors, check the guard) is fixed, so identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -17,11 +20,21 @@ from .errors import NonMonotonicTime
 from .geometry import Point3
 from .robot import ArmState, PlatformState, ToolId
 from .scenario import Scenario, scenario_hash
-from .sensors import GuardFilter, Wrench, ZERO_WRENCH, overload_guard, read_ft, read_laser
+from .sensors import (
+    NOISE_BLOCK,
+    ZERO_WRENCH,
+    GuardFilter,
+    Wrench,
+    normal_blocks,
+    overload_guard,
+    read_ft,
+    read_laser,
+)
 from .tools import GripperTool, HammerTool, NutRunnerTool
 from .worksite import StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
-TRACE_CHANNELS = Wrench._fields + ("laser_depth", "commanded_depth", "slip")
+DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
+TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
 
 #: Ceiling on simulated time; the executive's tick loop fails the open step
 #: with ``SimTimeExceeded`` once it is passed.
@@ -40,16 +53,41 @@ class SimClock:
         return self.t
 
 
-class Trace:
-    """One recorded channel: strictly increasing timestamps, one value each."""
+class TraceRow(NamedTuple):
+    """Channels that are only ever recorded together, as traces
+    ``prefix/<channel>``: one times column and their values interleaved in
+    channel order, one row per sample."""
 
-    def __init__(self, trace_id: str, channel: str):
+    prefix: str
+    channels: tuple[str, ...]
+    times: array
+    data: array
+
+
+class Trace:
+    """One recorded channel: its row's times column (strictly increasing) and
+    a read-only strided view of its own values in the row's data.
+
+    The row cannot grow while a ``values`` view is alive, so take views once
+    recording has ended (a finished run), or copy them with ``tolist()``.
+    Without a row, the trace is a one-channel row of its own, still empty.
+    """
+
+    def __init__(self, trace_id: str, channel: str, row: TraceRow | None = None):
         if channel not in TRACE_CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
         self.id = trace_id
         self.channel = channel
-        self.times: list[float] = []
-        self.values: list[float] = []
+        if row is None:
+            row = TraceRow(trace_id, (channel,), array("d"), array("d"))
+        self.row = row
+        self.times = row.times
+        self._index = row.channels.index(channel)
+
+    @property
+    def values(self) -> memoryview:
+        row = self.row
+        return memoryview(row.data).toreadonly()[self._index :: len(row.channels)]
 
     def __len__(self):
         return len(self.times)
@@ -59,25 +97,24 @@ class TraceRecorder:
     def __init__(self):
         self.traces: dict[str, Trace] = {}
 
-    def register(self, trace_id: str, channel: str) -> Trace:
-        if trace_id in self.traces:
-            return self.traces[trace_id]
-        trace = Trace(trace_id, channel)
-        self.traces[trace_id] = trace
-        return trace
+    def register_row(self, prefix: str, channels: tuple[str, ...]) -> TraceRow:
+        """The row of traces ``prefix/<channel>``, created on first use."""
+        first = self.traces.get(f"{prefix}/{channels[0]}")
+        if first is not None:
+            return first.row
+        row = TraceRow(prefix, tuple(channels), array("d"), array("d"))
+        for channel in row.channels:
+            self.traces[f"{prefix}/{channel}"] = Trace(f"{prefix}/{channel}", channel, row)
+        return row
 
-    def record(self, row: tuple[Trace, ...], t: float, values):
-        """Append one sample at time ``t`` to each trace of ``row``.
-
-        The traces of a row are only ever recorded together, so they share
-        their timestamps and one monotonic check covers them all.
-        """
-        times = row[0].times
+    def record(self, row: TraceRow, t: float, values):
+        """Append one sample at time ``t`` to every channel of ``row``, with
+        one monotonic check for them all."""
+        _, _, times, data = row
         if times and t <= times[-1]:
-            raise NonMonotonicTime(f"{row[0].id}: {t} after {times[-1]}")
-        for trace, value in zip(row, values):
-            trace.times.append(t)
-            trace.values.append(value)
+            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {t} after {times[-1]}")
+        times.append(t)
+        data.extend(values)
 
 
 class RandomStreams:
@@ -112,16 +149,17 @@ class RandomStreams:
 @dataclass
 class ArmRuntime:
     """Per-arm simulation state beyond the kinematic ArmState, plus the
-    handles the tick uses: the platform, the arm's FT and laser streams, and
-    its trace rows (the six wrench channels, then the three depth channels)."""
+    handles the tick uses: the platform, the arm's FT and laser noise (each
+    drawn in blocks from the arm's own stream), and its trace rows (the six
+    wrench channels and the three depth channels)."""
 
     state: ArmState
     guard_filter: GuardFilter
     platform: PlatformState
-    ft_rng: np.random.Generator
-    laser_rng: np.random.Generator
-    wrench_row: tuple[Trace, ...]
-    depth_row: tuple[Trace, ...]
+    ft_noise: Iterator[list[float]]
+    laser_noise: Iterator[float]
+    wrench_row: TraceRow
+    depth_row: TraceRow
     true_wrench: Wrench = ZERO_WRENCH
     reading: Wrench | None = None
     guard_fired_t: float | None = None
@@ -165,16 +203,15 @@ class World:
         self.tools = {}
         for name, n in (("robot1", "1"), ("robot2", "2")):
             arm = ArmState(name, scenario.station(f"base{n}"), scenario.station(f"home{n}"), scenario.robot)
-            row = [self.recorder.register(f"{name}/{channel}", channel) for channel in TRACE_CHANNELS]
             self.platforms[name] = PlatformState(scenario.robot)
             self.arms[name] = ArmRuntime(
                 state=arm,
                 guard_filter=GuardFilter(window),
                 platform=self.platforms[name],
-                ft_rng=self.streams.get(f"ft.{name}"),
-                laser_rng=self.streams.get(f"laser.{name}"),
-                wrench_row=tuple(row[:6]),
-                depth_row=tuple(row[6:]),
+                ft_noise=normal_blocks(self.streams.get(f"ft.{name}"), (NOISE_BLOCK, 6)),
+                laser_noise=normal_blocks(self.streams.get(f"laser.{name}"), NOISE_BLOCK),
+                wrench_row=self.recorder.register_row(name, Wrench._fields),
+                depth_row=self.recorder.register_row(name, DEPTH_CHANNELS),
             )
             self.tools[(name, ToolId.HAMMER)] = HammerTool(scenario.tools)
             self.tools[(name, ToolId.NUTRUNNER)] = NutRunnerTool(scenario.tools)
@@ -242,7 +279,7 @@ class World:
             p.y + ny * slip - ray.y * 0.5,
             p.z + nz * slip - ray.z * 0.5,
         )
-        distance = read_laser(origin, ray, self.site, runtime.laser_rng, sigma=self.scenario.sensors.laser_sigma)
+        distance = read_laser(origin, ray, self.site, runtime.laser_noise, sigma=self.scenario.sensors.laser_sigma)
         return distance - 0.5
 
     # -- tick -------------------------------------------------------------------
@@ -252,7 +289,8 @@ class World:
 
         Slip integrates at the start of the tick from the previous tick's
         press force, so the slip an executive reads after the step is exactly
-        the slip the contact models saw. Sets ``event`` for this tick.
+        the slip the contact models saw; a zero press force adds no slip, so
+        the platform is not stepped. Sets ``event`` for this tick.
         """
         t = self.clock.tick()
         dt = self.clock.dt
@@ -260,7 +298,8 @@ class World:
         record = self.recorder.record
         event = t > MAX_SIM_TIME
         for runtime in self.arms.values():
-            runtime.platform.step(runtime.press_force, dt)
+            if runtime.press_force != 0.0:
+                runtime.platform.step(runtime.press_force, dt)
             arm = runtime.state
             if arm.motion is not None:
                 arm.advance(dt)
@@ -278,7 +317,7 @@ class World:
             if not runtime.active:
                 runtime.reading = None
                 continue
-            reading = read_ft(wrench, sensors, runtime.ft_rng)
+            reading = read_ft(wrench, sensors, runtime.ft_noise)
             runtime.reading = reading
             axis = overload_guard(runtime.guard_filter.push(reading), sensors)
             if axis is not None and not arm.halted:

@@ -6,7 +6,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateGeometry, NoReturn
 from .geometry import Point3
@@ -43,15 +44,33 @@ class SafetyLimits:
             raise ValueError("safety limits must be positive")
 
 
-def read_ft(true_wrench: Wrench, sensors: SensorsSection, rng) -> Wrench:
+#: Samples a sensor's noise buffer takes from its stream per refill.
+NOISE_BLOCK = 1024
+
+
+def normal_blocks(rng, shape) -> Iterator:
+    """Standard normals from the numpy Generator ``rng``, drawn ``shape`` at a
+    time and handed out one row per ``next`` (one float for a 1-D shape).
+
+    A block takes the same bits from the stream as the same number of single
+    draws, so a stream with no other reader yields exactly the values that
+    ``standard_normal(row)`` calls would. Nothing is drawn before the first
+    ``next``.
+    """
+    return chain.from_iterable(iter(lambda: rng.standard_normal(shape).tolist(), None))
+
+
+def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wrench:
     """Sample the flange FT sensor: true wrench plus zero-mean Gaussian noise.
 
-    ``rng`` is a numpy Generator; identical seeds give identical readings.
+    ``noise`` yields rows of six standard normals, such as
+    ``normal_blocks(rng, (NOISE_BLOCK, 6))``; it is not read when both sigmas
+    are zero.
     """
     sf, sm = sensors.ft_sigma_force, sensors.ft_sigma_moment
     if sf == 0.0 and sm == 0.0:
         return true_wrench
-    n0, n1, n2, n3, n4, n5 = rng.standard_normal(6).tolist()
+    n0, n1, n2, n3, n4, n5 = next(noise)
     fx, fy, fz, mx, my, mz = true_wrench
     return Wrench(fx + sf * n0, fy + sf * n1, fz + sf * n2, mx + sm * n3, my + sm * n4, mz + sm * n5)
 
@@ -86,29 +105,36 @@ class GuardFilter:
             raise ValueError("filter window must be at least one sample")
         self.window = window
         self._buf: deque[Wrench] = deque(maxlen=window)
-        self._sums = [0.0] * 6
+        self._sums = (0.0,) * 6
 
     def push(self, sample: Wrench) -> Wrench:
         buf = self._buf
+        s0, s1, s2, s3, s4, s5 = self._sums
+        n0, n1, n2, n3, n4, n5 = sample
         if len(buf) == self.window:
-            self._sums = [(s - old) + new for s, old, new in zip(self._sums, buf[0], sample)]
+            o0, o1, o2, o3, o4, o5 = buf[0]
+            s0, s1, s2 = (s0 - o0) + n0, (s1 - o1) + n1, (s2 - o2) + n2
+            s3, s4, s5 = (s3 - o3) + n3, (s4 - o4) + n4, (s5 - o5) + n5
         else:
-            self._sums = [s + new for s, new in zip(self._sums, sample)]
+            s0, s1, s2, s3, s4, s5 = s0 + n0, s1 + n1, s2 + n2, s3 + n3, s4 + n4, s5 + n5
         buf.append(sample)
+        self._sums = (s0, s1, s2, s3, s4, s5)
         n = len(buf)
-        return Wrench._make([s / n for s in self._sums])
+        return Wrench(s0 / n, s1 / n, s2 / n, s3 / n, s4 / n, s5 / n)
 
     def reset(self):
         self._buf.clear()
-        self._sums = [0.0] * 6
+        self._sums = (0.0,) * 6
 
 
-def read_laser(origin: Point3, direction: Point3, worksite: Worksite, rng, sigma: float) -> float:
+def read_laser(origin: Point3, direction: Point3, worksite: Worksite, noise: Iterator, sigma: float) -> float:
     """Distance (m) from ``origin`` along ``direction`` to the wall surface.
 
     Measures the true surface, so platform slippage shows up as an increased
     distance even when the commanded pose is stationary. Raises NoReturn when
-    the ray is parallel to the wall or misses its extent.
+    the ray is parallel to the wall or misses its extent. ``noise`` yields
+    standard normals, such as ``normal_blocks(rng, NOISE_BLOCK)``; it is not
+    read when ``sigma`` is zero.
     """
     # ``direction.normalized()`` and the dot products, on floats.
     dx, dy, dz = direction.x, direction.y, direction.z
@@ -130,7 +156,8 @@ def read_laser(origin: Point3, direction: Point3, worksite: Worksite, rng, sigma
     if not wall.contains_lateral(hit):
         raise NoReturn("laser ray misses the wall extent")
     if sigma > 0.0:
-        t += rng.normal(0.0, sigma)
+        # The value ``Generator.normal(0.0, sigma)`` computes from the same draw.
+        t += 0.0 + sigma * next(noise)
     return t
 
 

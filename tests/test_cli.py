@@ -10,7 +10,7 @@ import pytest
 
 import anchorsim
 from anchorsim.cli import export_traces, main, print_config
-from anchorsim.engine import Trace, run
+from anchorsim.engine import Trace, TraceRecorder, run
 from anchorsim.errors import IoFailure
 from anchorsim.scenario import Scenario, render_scenario
 
@@ -206,9 +206,11 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_trace_file_format(tmp_path):
-    trace = Trace("robot1/mx", "mx")
-    trace.times, trace.values = [1.0, 2.0], [-5.0, -6.25]
-    files = export_traces({"robot1/mx": trace}, tmp_path)
+    recorder = TraceRecorder()
+    row = recorder.register_row("robot1", ("mx",))
+    recorder.record(row, 1.0, (-5.0,))
+    recorder.record(row, 2.0, (-6.25,))
+    files = export_traces(recorder.traces, tmp_path)
     assert files == ["robot1_mx.csv"]
     raw = (tmp_path / "robot1_mx.csv").read_bytes()
     assert b"\r" not in raw

@@ -9,7 +9,7 @@ from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, Trace, Trace
 from anchorsim.errors import NonMonotonicTime
 from anchorsim.geometry import Point3
 from anchorsim.scenario import Scenario
-from anchorsim.sensors import Wrench
+from anchorsim.sensors import ZERO_WRENCH, Wrench
 
 
 def test_clock_ticks_exactly():
@@ -22,17 +22,54 @@ def test_clock_ticks_exactly():
 
 def test_trace_monotonic_append():
     recorder = TraceRecorder()
-    row = (recorder.register("x/mx", "mx"), recorder.register("x/fz", "fz"))
+    row = recorder.register_row("x", ("mx", "fz"))
+    mx, fz = recorder.traces["x/mx"], recorder.traces["x/fz"]
     recorder.record(row, 1.0, (-5.0, 3.0))
     recorder.record(row, 2.0, (-6.0, 4.0))
-    assert row[0].times == row[1].times == [1.0, 2.0]
-    assert row[0].values == [-5.0, -6.0]
-    assert row[1].values == [3.0, 4.0]
+    assert mx.times.tolist() == fz.times.tolist() == [1.0, 2.0]
+    assert mx.values.tolist() == [-5.0, -6.0]
+    assert fz.values.tolist() == [3.0, 4.0]
     with pytest.raises(NonMonotonicTime):
         recorder.record(row, 1.0, (-7.0, 5.0))
     with pytest.raises(NonMonotonicTime):
         recorder.record(row, 2.0, (-7.0, 5.0))
-    assert len(row[0]) == len(row[1]) == 2
+    assert len(mx) == len(fz) == 2
+
+
+def test_wrench_row_shares_one_times_column():
+    world = World(Scenario(), 0)
+    recorder = world.recorder
+    row = world.runtime("robot1").wrench_row
+    recorder.record(row, 0.01, Wrench(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    recorder.record(row, 0.02, Wrench(-1.0, -2.0, -3.0, -4.0, -5.0, -6.0))
+    traces = [recorder.traces[f"robot1/{channel}"] for channel in Wrench._fields]
+    assert all(trace.times is row.times for trace in traces)
+    assert row.times.tolist() == [0.01, 0.02]
+    for k, trace in enumerate(traces):
+        assert trace.values.tolist() == [k + 1.0, -(k + 1.0)]
+    assert len(recorder.traces["robot1/laser_depth"]) == 0
+    with pytest.raises(NonMonotonicTime):
+        recorder.record(row, 0.02, ZERO_WRENCH)
+    assert [len(trace) for trace in traces] == [2] * 6
+
+
+def test_sensor_streams_drawn_lazily_and_not_at_zero_sigma():
+    from anchorsim.procedure import drive_mission
+
+    def states(world):
+        names = ("ft.robot1", "ft.robot2", "laser.robot1", "laser.robot2")
+        return [world.streams.get(name).bit_generator.state for name in names]
+
+    fresh = states(World(Scenario(), 3))
+    quiet = Scenario()
+    quiet.sensors.ft_sigma_force = quiet.sensors.ft_sigma_moment = quiet.sensors.laser_sigma = 0.0
+    world = World(quiet, 3)
+    drive_mission(world, "frame")
+    assert world.clock.ticks > 0
+    assert states(world) == fresh
+    world = World(Scenario(), 3)
+    drive_mission(world, "frame")
+    assert states(world)[0] != fresh[0] and states(world)[2] != fresh[2]
 
 
 def test_trace_rejects_unknown_channel():
@@ -42,8 +79,8 @@ def test_trace_rejects_unknown_channel():
 
 def test_recorder_register_idempotent():
     rec = TraceRecorder()
-    a = rec.register("r1/mx", "mx")
-    b = rec.register("r1/mx", "mx")
+    a = rec.register_row("r1", ("mx",))
+    b = rec.register_row("r1", ("mx",))
     assert a is b
 
 

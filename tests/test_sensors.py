@@ -7,6 +7,7 @@ from anchorsim.errors import NoReturn
 from anchorsim.geometry import Point3
 from anchorsim.scenario import PartSection, SensorsSection, WallSection
 from anchorsim.sensors import (
+    NOISE_BLOCK,
     DetectionKind,
     FTReading,
     GuardFilter,
@@ -14,6 +15,7 @@ from anchorsim.sensors import (
     Wrench,
     ZERO_WRENCH,
     camera_detect,
+    normal_blocks,
     overload_guard,
     read_ft,
     read_laser,
@@ -33,33 +35,67 @@ def make_site():
 # --- FT sensor -----------------------------------------------------------------
 
 
+def ft_noise(seed):
+    return normal_blocks(np.random.default_rng(seed), (NOISE_BLOCK, 6))
+
+
 def test_zero_wrench_zero_noise():
-    r = read_ft(ZERO_WRENCH, SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0), rng=None)
+    r = read_ft(ZERO_WRENCH, SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0), noise=None)
     assert tuple(r) == (0.0,) * 6
 
 
 def test_ft_deterministic_per_seed():
-    a = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), np.random.default_rng(5))) for _ in range(1)]
-    rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq1 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), rng1)) for _ in range(50)]
-    seq2 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), rng2)) for _ in range(50)]
+    a = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), ft_noise(5))) for _ in range(1)]
+    noise1, noise2 = ft_noise(5), ft_noise(5)
+    seq1 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), noise1)) for _ in range(50)]
+    seq2 = [tuple(read_ft(ZERO_WRENCH, SensorsSection(), noise2)) for _ in range(50)]
     assert seq1 == seq2
     assert a[0] == seq1[0]
 
 
 def test_ft_noise_sigma():
-    rng = np.random.default_rng(123)
+    normals = ft_noise(123)
     noise = SensorsSection(ft_sigma_force=2.0, ft_sigma_moment=0.2)
     n = 100_000
     fz = np.empty(n)
     mx = np.empty(n)
     for i in range(n):
-        r = read_ft(ZERO_WRENCH, noise, rng)
+        r = read_ft(ZERO_WRENCH, noise, normals)
         fz[i] = r.fz
         mx[i] = r.mx
     assert abs(fz.std() - 2.0) / 2.0 < 0.05
     assert abs(mx.std() - 0.2) / 0.2 < 0.05
     assert abs(fz.mean()) < 0.05
+
+
+def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
+    # Two refills and a bit: each reading equals the true wrench plus one
+    # ``standard_normal(6)`` call's noise, as if drawn one row at a time.
+    sensors = SensorsSection(ft_sigma_force=2.0, ft_sigma_moment=0.2)
+    true = Wrench(10.0, -3.5, 250.0, 1.25, -0.5, 0.0)
+    noise, reference = ft_noise(11), np.random.default_rng(11)
+    for _ in range(2 * NOISE_BLOCK + 3):
+        n = reference.standard_normal(6).tolist()
+        expected = [v + (2.0 if i < 3 else 0.2) * z for i, (v, z) in enumerate(zip(true, n))]
+        assert tuple(read_ft(true, sensors, noise)) == tuple(expected)
+    rows = normal_blocks(np.random.default_rng(12), (4, 6))
+    reference = np.random.default_rng(12)
+    assert [next(rows) for _ in range(9)] == [reference.standard_normal(6).tolist() for _ in range(9)]
+
+
+def test_zero_sigmas_draw_nothing():
+    rng = np.random.default_rng(13)
+    before = rng.bit_generator.state
+    noise = normal_blocks(rng, (NOISE_BLOCK, 6))
+    quiet = SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0)
+    for _ in range(10):
+        read_ft(Wrench(fz=5.0), quiet, noise)
+    site = make_site()
+    origin = WALL_CENTER + site.wall.normal.scaled(0.3)
+    laser_noise = normal_blocks(rng, NOISE_BLOCK)
+    for _ in range(10):
+        read_laser(origin, -site.wall.normal, site, laser_noise, sigma=0.0)
+    assert rng.bit_generator.state == before
 
 
 # --- guard ----------------------------------------------------------------------
@@ -110,19 +146,23 @@ def test_guard_filter_needs_window():
 # --- laser ----------------------------------------------------------------------
 
 
+def laser_noise(seed):
+    return normal_blocks(np.random.default_rng(seed), NOISE_BLOCK)
+
+
 def test_laser_exact_distance():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    d = read_laser(origin, -site.wall.normal, site, rng=None, sigma=0.0)
+    d = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
     assert d == pytest.approx(0.3, abs=1e-12)
 
 
 def test_laser_sees_platform_slip():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    before = read_laser(origin, -site.wall.normal, site, rng=None, sigma=0.0)
+    before = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
     slipped = origin + site.wall.normal.scaled(0.005)  # platform drifts back
-    after = read_laser(slipped, -site.wall.normal, site, rng=None, sigma=0.0)
+    after = read_laser(slipped, -site.wall.normal, site, noise=None, sigma=0.0)
     assert after - before == pytest.approx(0.005, abs=1e-12)
 
 
@@ -130,22 +170,34 @@ def test_laser_parallel_ray():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
     with pytest.raises(NoReturn):
-        read_laser(origin, site.wall.frame.x_axis, site, rng=None, sigma=0.0)
+        read_laser(origin, site.wall.frame.x_axis, site, noise=None, sigma=0.0)
 
 
 def test_laser_misses_extent():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3) + site.wall.frame.x_axis.scaled(0.5)
     with pytest.raises(NoReturn):
-        read_laser(origin, -site.wall.normal, site, rng=None, sigma=0.0)
+        read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
 
 
 def test_laser_noise_deterministic():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    a = read_laser(origin, -site.wall.normal, site, np.random.default_rng(9), sigma=1e-4)
-    b = read_laser(origin, -site.wall.normal, site, np.random.default_rng(9), sigma=1e-4)
+    a = read_laser(origin, -site.wall.normal, site, laser_noise(9), sigma=1e-4)
+    b = read_laser(origin, -site.wall.normal, site, laser_noise(9), sigma=1e-4)
     assert a == b
+
+
+def test_block_drawn_laser_noise_matches_generator_normal_bit_for_bit():
+    # Two refills and a bit, against ``Generator.normal(0.0, sigma)`` per read.
+    site = make_site()
+    origin = WALL_CENTER + site.wall.normal.scaled(0.3)
+    exact = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
+    noise = laser_noise(14)
+    reference = np.random.default_rng(14)
+    for _ in range(2 * NOISE_BLOCK + 3):
+        expected = exact + reference.normal(0.0, 1e-4)
+        assert read_laser(origin, -site.wall.normal, site, noise, sigma=1e-4) == expected
 
 
 # --- camera ---------------------------------------------------------------------
