@@ -86,15 +86,15 @@ def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
 def test_zero_sigmas_draw_nothing():
     rng = np.random.default_rng(13)
     before = rng.bit_generator.state
-    noise = normal_blocks(rng, (NOISE_BLOCK, 6))
+    ft = normal_blocks(rng, (NOISE_BLOCK, 6))
     quiet = SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0)
     for _ in range(10):
-        read_ft(Wrench(fz=5.0), quiet, noise)
+        read_ft(Wrench(fz=5.0), quiet, ft)
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    laser_noise = normal_blocks(rng, NOISE_BLOCK)
+    laser = normal_blocks(rng, NOISE_BLOCK)
     for _ in range(10):
-        read_laser(origin, -site.wall.normal, site, laser_noise, sigma=0.0)
+        read_laser(origin, -site.wall.normal, site, laser, sigma=0.0)
     assert rng.bit_generator.state == before
 
 
