@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .engine import Trace, run
 from .errors import IoFailure, ScenarioInvalid
 from .procedure import FixationReport
-from .scenario import Scenario, load_scenario, render_scenario
+from .scenario import STAMP_DECIMALS, Scenario, load_scenario, render_scenario
 
 SUBCOMMAND_MISSIONS = {
     "run": "full",
@@ -29,6 +30,9 @@ SUBCOMMAND_MISSIONS = {
 #: Rows exported per chunk, which bounds the text held at once.
 EXPORT_CHUNK = 4096
 
+#: Format spec of the exported time stamps.
+STAMP_SPEC = f".{STAMP_DECIMALS}f"
+
 
 def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
     """One delimited text file per channel plus a machine-readable manifest.
@@ -36,7 +40,7 @@ def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
     Files use LF line endings, ASCII, and a fixed float format so identical
     runs export byte-identical data. The traces of one row share their
     times, so their files are written side by side, a chunk of rows at a
-    time, and each chunk's timestamps are formatted once for all of them.
+    time.
     """
     import os
     from contextlib import ExitStack
@@ -59,15 +63,34 @@ def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
                     files.append((fh, trace.values))
                 times = row[0].times
                 for i in range(0, len(times), EXPORT_CHUNK):
-                    j = i + EXPORT_CHUNK
-                    stamps = [f"\n{t:.4f}," for t in times[i:j]]
-                    for fh, values in files:
-                        fh.write("".join(map(str.__add__, stamps, map(repr, values[i:j]))))
+                    _write_chunk(files, times, i, i + EXPORT_CHUNK)
                 for fh, _ in files:
                     fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot export traces to {out_dir}: {exc}") from None
     return [trace_id.replace("/", "_") + ".csv" for trace_id in order]
+
+
+def _write_chunk(files, times, i: int, j: int):
+    """Write rows ``i:j`` of one row's ``(file, values)`` pairs.
+
+    Each time stamp is formatted once for all the files. Values that are all
+    ``+0.0``, judged by their bits so that ``-0.0`` keeps its sign, have the
+    same text in every file; it is built once, after the other files are
+    written, and freed on return.
+    """
+    stamps = [f"\n{t:{STAMP_SPEC}}," for t in times[i:j]]
+    zero_files = []
+    for fh, values in files:
+        chunk = values[i:j]
+        if chunk.tobytes().count(0) == chunk.nbytes:
+            zero_files.append(fh)
+        else:
+            fh.write("".join(chain.from_iterable(zip(stamps, map(repr, chunk)))))
+    if zero_files:
+        text = "0.0".join(stamps) + "0.0"
+        for fh in zero_files:
+            fh.write(text)
 
 
 def write_manifest(report: FixationReport, out_dir, trace_files: list[str]):

@@ -274,7 +274,7 @@ class World:
         p = runtime.state.position
         slip = runtime.platform.slip_offset
         nx, ny, nz = self._normal
-        origin = Point3(
+        origin = (
             p.x + nx * slip - ray.x * 0.5,
             p.y + ny * slip - ray.y * 0.5,
             p.z + nz * slip - ray.z * 0.5,

@@ -753,6 +753,10 @@ class MissionContext:
         blow_interval = 1.0 / tools_cfg.blow_rate
         blow_state = {"next": blow_interval, "elapsed": 0.0, "peak": 0.0, "blows": 0}
         out = self.out_normal
+        # The tick works on the floats of ``start_cmd - out.scaled(advance)``
+        # and ``(start_cmd - state.position).dot(out)``, in the same order.
+        sx, sy, sz = start_cmd.as_tuple()
+        ox, oy, oz = out.as_tuple()
 
         def hammer_model(w: World, s, dt: float) -> Wrench:
             blow_state["elapsed"] += dt
@@ -766,12 +770,13 @@ class MissionContext:
                 moment = peak
             if not s.halted:
                 advance = (anchor.depth - depth0) + (w.slip(s.name) - slip0)
-                s.position = start_cmd - out.scaled(advance)
+                s.position = Point3(sx - ox * advance, sy - oy * advance, sz - oz * advance)
             return Wrench(fz=tools_cfg.hammer_press_force, mx=moment)
 
         def bottomed():
             measured_depth = stuck_measured + (laser_zero - world.laser_distance(arm))
-            world.record_depthset(arm, measured_depth, (start_cmd - state.position).dot(out))
+            pos = state.position
+            world.record_depthset(arm, measured_depth, (sx - pos.x) * ox + (sy - pos.y) * oy + (sz - pos.z) * oz)
             r = self.reading(arm)
             if r is not None and abs(r.mx) >= p.hammering_end_moment:
                 if measured_depth <= p.hammer_success_depth:

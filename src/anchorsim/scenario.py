@@ -18,6 +18,11 @@ from .geometry import Point3
 from .tools import DrillVariant
 from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH
 
+#: Decimal places of the time stamps in exported traces. ``procedure.timestep``
+#: may not be finer than one unit in the last place, or stamps would repeat.
+STAMP_DECIMALS = 4
+MIN_TIMESTEP = 10.0**-STAMP_DECIMALS
+
 
 @dataclass
 class WallSection:
@@ -211,6 +216,10 @@ class Scenario:
         for name in _NON_NEGATIVE:
             if self._value(name) < 0:
                 raise ScenarioInvalid(name, "must not be negative")
+        if self.procedure.timestep < MIN_TIMESTEP:
+            raise ScenarioInvalid(
+                "procedure.timestep", f"must be at least {MIN_TIMESTEP} s, the resolution of exported time stamps"
+            )
         if not 0 <= self.sensors.p_detect <= 1:
             raise ScenarioInvalid("sensors.p_detect", "must be a probability")
         if not 0 < self.tools.pulse_attenuation <= 1:
@@ -337,4 +346,6 @@ def load_scenario(path: str | None) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ScenarioInvalid(str(path), f"cannot read scenario: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioInvalid(str(path), f"not UTF-8 text: {exc}") from None
     return parse_scenario(text)

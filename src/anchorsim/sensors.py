@@ -75,8 +75,10 @@ def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wr
     return Wrench(fx + sf * n0, fy + sf * n1, fz + sf * n2, mx + sm * n3, my + sm * n4, mz + sm * n5)
 
 
-def overload_guard(reading: Wrench, limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
+def overload_guard(reading: tuple[float, ...], limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
     """Return the first overloaded axis name, or None when within limits.
+
+    ``reading`` holds the six wrench values in ``Wrench`` field order.
 
     The comparison is strict: readings exactly at the limit pass, so a
     calibration point sitting on -30 Nm does not trip the stop.
@@ -107,7 +109,8 @@ class GuardFilter:
         self._buf: deque[Wrench] = deque(maxlen=window)
         self._sums = (0.0,) * 6
 
-    def push(self, sample: Wrench) -> Wrench:
+    def push(self, sample: Wrench) -> tuple[float, ...]:
+        """Add ``sample``; return the filtered values in ``Wrench`` field order."""
         buf = self._buf
         s0, s1, s2, s3, s4, s5 = self._sums
         n0, n1, n2, n3, n4, n5 = sample
@@ -120,22 +123,29 @@ class GuardFilter:
         buf.append(sample)
         self._sums = (s0, s1, s2, s3, s4, s5)
         n = len(buf)
-        return Wrench(s0 / n, s1 / n, s2 / n, s3 / n, s4 / n, s5 / n)
+        return (s0 / n, s1 / n, s2 / n, s3 / n, s4 / n, s5 / n)
 
     def reset(self):
         self._buf.clear()
         self._sums = (0.0,) * 6
 
 
-def read_laser(origin: Point3, direction: Point3, worksite: Worksite, noise: Iterator, sigma: float) -> float:
-    """Distance (m) from ``origin`` along ``direction`` to the wall surface.
+def read_laser(
+    origin: tuple[float, float, float], direction: Point3, worksite: Worksite, noise: Iterator, sigma: float
+) -> float:
+    """Distance (m) from ``origin``, an ``(x, y, z)`` point, along ``direction``
+    to the wall surface.
 
     Measures the true surface, so platform slippage shows up as an increased
-    distance even when the commanded pose is stationary. Raises NoReturn when
-    the ray is parallel to the wall or misses its extent. ``noise`` yields
-    standard normals, such as ``normal_blocks(rng, NOISE_BLOCK)``; it is not
-    read when ``sigma`` is zero.
+    distance even when the commanded pose is stationary. Raises ValueError
+    on a non-finite origin, and NoReturn when the ray is parallel to the
+    wall or misses its extent. ``noise`` yields standard normals, such as
+    ``normal_blocks(rng, NOISE_BLOCK)``; it is not read when ``sigma`` is
+    zero.
     """
+    ox, oy, oz = origin
+    if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(oz)):
+        raise ValueError(f"non-finite laser origin {origin!r}")
     # ``direction.normalized()`` and the dot products, on floats.
     dx, dy, dz = direction.x, direction.y, direction.z
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -149,11 +159,10 @@ def read_laser(origin: Point3, direction: Point3, worksite: Worksite, noise: Ite
     if abs(denom) < 1e-9:
         raise NoReturn("laser ray is parallel to the wall")
     o = wall.frame.origin
-    t = ((o.x - origin.x) * n.x + (o.y - origin.y) * n.y + (o.z - origin.z) * n.z) / denom
+    t = ((o.x - ox) * n.x + (o.y - oy) * n.y + (o.z - oz) * n.z) / denom
     if t <= 0:
         raise NoReturn("wall is behind the sensor")
-    hit = Point3(origin.x + dx * t, origin.y + dy * t, origin.z + dz * t)
-    if not wall.contains_lateral(hit):
+    if not wall.contains_lateral(ox + dx * t, oy + dy * t, oz + dz * t):
         raise NoReturn("laser ray misses the wall extent")
     if sigma > 0.0:
         # The value ``Generator.normal(0.0, sigma)`` computes from the same draw.

@@ -69,11 +69,11 @@ class Wall:
         """Foot of ``p`` on the surface plane."""
         return p - self.normal.scaled(self.signed_distance(p))
 
-    def contains_lateral(self, p: Point3) -> bool:
-        """Whether ``p`` lies within the wall's extent in the surface plane
-        (the x and y of ``frame.to_local(p)``, on floats)."""
+    def contains_lateral(self, x: float, y: float, z: float) -> bool:
+        """Whether the point ``(x, y, z)`` lies within the wall's extent in the
+        surface plane (the x and y of ``frame.to_local``, on floats)."""
         o, ax, ay = self.frame.origin, self.frame.x_axis, self.frame.y_axis
-        dx, dy, dz = p.x - o.x, p.y - o.y, p.z - o.z
+        dx, dy, dz = x - o.x, y - o.y, z - o.z
         return (
             abs(dx * ax.x + dy * ax.y + dz * ax.z) <= self.cfg.width / 2
             and abs(dx * ay.x + dy * ay.y + dz * ay.z) <= self.cfg.height / 2
@@ -175,9 +175,10 @@ class Worksite:
 
     def register_drilled_hole(self, position: Point3, axis: Point3, depth: float) -> DrilledHole:
         """Record a freshly drilled hole; the registry is append-only."""
-        if abs(self.wall.signed_distance(position)) > ON_SURFACE_TOL or not self.wall.contains_lateral(position):
+        wall = self.wall
+        if abs(wall.signed_distance(position)) > ON_SURFACE_TOL or not wall.contains_lateral(*position.as_tuple()):
             raise OffWall(f"{position} is not on the wall surface")
-        thickness = self.wall.cfg.thickness
+        thickness = wall.cfg.thickness
         if depth > thickness - BACK_COVER_MARGIN:
             raise TooDeep(
                 f"depth {depth} m exceeds wall thickness {thickness} m "

@@ -9,16 +9,26 @@ import sys
 import pytest
 
 import anchorsim
-from anchorsim.cli import export_traces, main, print_config
+from anchorsim.cli import EXPORT_CHUNK, export_traces, main, print_config
 from anchorsim.engine import Trace, TraceRecorder, run
 from anchorsim.errors import IoFailure
 from anchorsim.scenario import Scenario, render_scenario
+from anchorsim.sensors import Wrench
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a separate process, so an escaping exception shows as a
+    traceback on stderr rather than as an error inside the test."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "anchorsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def test_drill_test_constant_load_succeeds(capsys, tmp_path):
@@ -87,6 +97,7 @@ INVALID_VALUES = [
     ("[robot]\ntool_stand1 = 2,-0.7,0.8\n", "robot.tool_stand1"),
     ("[robot]\nhome1 = 5,5,5\n", "robot.home1"),
     ("[wall]\nwidth = 0\n", "wall.width"),
+    ("[procedure]\ntimestep = 0.00005\n", "procedure.timestep"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, and holes that
@@ -104,17 +115,20 @@ INVALID_HOLES = [
     ids=[f for _, f in INVALID_VALUES] + [t.split("\n", 1)[1].strip().replace("\n", ", ") for t, _ in INVALID_HOLES],
 )
 def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
-    # A separate process, so an escaping exception shows as a traceback on
-    # stderr rather than as an error inside this test.
     path = tmp_path / "s.ini"
     path.write_text(text)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "anchorsim.cli", "run", "--scenario", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process("run", "--scenario", str(path))
     assert proc.returncode == 2
     assert f"invalid scenario: {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_scenario_exits_2(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_bytes(b"[part]\nholes = 1\xff\n")
+    proc = run_cli_process("frame-test", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert f"invalid scenario: {path}: not UTF-8 text" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -219,6 +233,31 @@ def test_trace_file_format(tmp_path):
     assert lines[0] == "t,mx"
     assert lines[1] == "1.0000,-5.0"
     assert lines[2] == "2.0000,-6.25"
+
+
+@pytest.mark.parametrize("rows", [EXPORT_CHUNK, EXPORT_CHUNK + 1])
+def test_export_matches_per_value_reference(tmp_path, rows):
+    # One wrench row with an all-+0.0 chunk (fx), a lone -0.0 in an otherwise
+    # zero chunk (fy), a mixed chunk (fz), zeros then one non-zero value
+    # (mx), all -0.0 (my), and a subnormal among zeros (mz). Each file must
+    # equal the plain per-value format, byte for byte.
+    recorder = TraceRecorder()
+    row = recorder.register_row("robot1", Wrench._fields)
+    for k in range(rows):
+        recorder.record(row, (k + 1) * 0.01, (
+            0.0,
+            -0.0 if k == 1234 else 0.0,
+            k * 0.37 - 700.0,
+            1e-300 if k == rows - 1 else 0.0,
+            -0.0,
+            5e-324 if k == 17 else 0.0,
+        ))
+    export_traces(recorder.traces, tmp_path)
+    for channel in Wrench._fields:
+        trace = recorder.traces[f"robot1/{channel}"]
+        expected = f"t,{channel}" + "".join(f"\n{t:.4f},{v!r}" for t, v in zip(trace.times, trace.values)) + "\n"
+        assert (tmp_path / f"robot1_{channel}.csv").read_text() == expected
+    assert "\n12.3500,-0.0\n" in (tmp_path / "robot1_fy.csv").read_text()
 
 
 def test_empty_trace_exports_header_only(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from anchorsim.errors import ScenarioInvalid
 from anchorsim.scenario import (
+    MIN_TIMESTEP,
     Scenario,
     load_scenario,
     parse_scenario,
@@ -91,6 +92,16 @@ def test_threshold_sanity_enforced():
         parse_scenario("[procedure]\nhammer_success_depth = 0.09\n")
     # A relaxed guard admits a higher hammering threshold.
     parse_scenario("[procedure]\nhammering_end_moment = 45\n\n[sensors]\nmoment_limit = 100\n")
+
+
+def test_timestep_floor_is_the_stamp_resolution():
+    # A finer tick would repeat exported stamps, and 1e-300 would overflow
+    # the guard filter's window size in World.__init__.
+    for timestep in (1e-300, MIN_TIMESTEP * 0.999):
+        with pytest.raises(ScenarioInvalid) as err:
+            parse_scenario(f"[procedure]\ntimestep = {timestep!r}\n")
+        assert err.value.field == "procedure.timestep"
+    assert parse_scenario(f"[procedure]\ntimestep = {MIN_TIMESTEP!r}\n").procedure.timestep == 0.0001
 
 
 def test_load_scenario_missing_file():

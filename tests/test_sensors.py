@@ -94,7 +94,7 @@ def test_zero_sigmas_draw_nothing():
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
     laser = normal_blocks(rng, NOISE_BLOCK)
     for _ in range(10):
-        read_laser(origin, -site.wall.normal, site, laser, sigma=0.0)
+        read_laser(origin.as_tuple(), -site.wall.normal, site, laser, sigma=0.0)
     assert rng.bit_generator.state == before
 
 
@@ -135,7 +135,7 @@ def test_guard_filter_average():
     out = None
     for v in (0.0, 0.0, 0.0, 40.0):
         out = f.push(FTReading(0, 0, 0, v, 0, 0))
-    assert out.mx == pytest.approx(10.0)
+    assert out[3] == pytest.approx(10.0)
 
 
 def test_guard_filter_needs_window():
@@ -153,16 +153,16 @@ def laser_noise(seed):
 def test_laser_exact_distance():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    d = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
+    d = read_laser(origin.as_tuple(), -site.wall.normal, site, noise=None, sigma=0.0)
     assert d == pytest.approx(0.3, abs=1e-12)
 
 
 def test_laser_sees_platform_slip():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    before = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
+    before = read_laser(origin.as_tuple(), -site.wall.normal, site, noise=None, sigma=0.0)
     slipped = origin + site.wall.normal.scaled(0.005)  # platform drifts back
-    after = read_laser(slipped, -site.wall.normal, site, noise=None, sigma=0.0)
+    after = read_laser(slipped.as_tuple(), -site.wall.normal, site, noise=None, sigma=0.0)
     assert after - before == pytest.approx(0.005, abs=1e-12)
 
 
@@ -170,21 +170,21 @@ def test_laser_parallel_ray():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
     with pytest.raises(NoReturn):
-        read_laser(origin, site.wall.frame.x_axis, site, noise=None, sigma=0.0)
+        read_laser(origin.as_tuple(), site.wall.frame.x_axis, site, noise=None, sigma=0.0)
 
 
 def test_laser_misses_extent():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3) + site.wall.frame.x_axis.scaled(0.5)
     with pytest.raises(NoReturn):
-        read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
+        read_laser(origin.as_tuple(), -site.wall.normal, site, noise=None, sigma=0.0)
 
 
 def test_laser_noise_deterministic():
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    a = read_laser(origin, -site.wall.normal, site, laser_noise(9), sigma=1e-4)
-    b = read_laser(origin, -site.wall.normal, site, laser_noise(9), sigma=1e-4)
+    a = read_laser(origin.as_tuple(), -site.wall.normal, site, laser_noise(9), sigma=1e-4)
+    b = read_laser(origin.as_tuple(), -site.wall.normal, site, laser_noise(9), sigma=1e-4)
     assert a == b
 
 
@@ -192,12 +192,12 @@ def test_block_drawn_laser_noise_matches_generator_normal_bit_for_bit():
     # Two refills and a bit, against ``Generator.normal(0.0, sigma)`` per read.
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    exact = read_laser(origin, -site.wall.normal, site, noise=None, sigma=0.0)
+    exact = read_laser(origin.as_tuple(), -site.wall.normal, site, noise=None, sigma=0.0)
     noise = laser_noise(14)
     reference = np.random.default_rng(14)
     for _ in range(2 * NOISE_BLOCK + 3):
         expected = exact + reference.normal(0.0, 1e-4)
-        assert read_laser(origin, -site.wall.normal, site, noise, sigma=1e-4) == expected
+        assert read_laser(origin.as_tuple(), -site.wall.normal, site, noise, sigma=1e-4) == expected
 
 
 # --- camera ---------------------------------------------------------------------

@@ -222,6 +222,6 @@ def test_contains_lateral_matches_frame_coordinates():
         p = Point3(*(rng.uniform(-0.25, 0.25, 3) + [0.9, 0.0, 1.0]).tolist())
         local = wall.frame.to_local(p)
         expected = abs(local.x) <= half_w and abs(local.y) <= half_h
-        assert wall.contains_lateral(p) == expected
+        assert wall.contains_lateral(p.x, p.y, p.z) == expected
         inside += expected
     assert 0 < inside < 2000
