@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class RandomStreams:
         "camera.robot1",
         "camera.robot2",
         "placement",
-        "misc",
     )
 
     def __init__(self, seed: int):
@@ -151,7 +150,11 @@ class ArmRuntime:
     """Per-arm simulation state beyond the kinematic ArmState, plus the
     handles the tick uses: the platform, the arm's FT and laser noise (each
     drawn in blocks from the arm's own stream), and its trace rows (the six
-    wrench channels and the three depth channels)."""
+    wrench channels and the three depth channels).
+
+    ``contact_model`` is called once per tick, with no arguments, for the
+    true wrench at the tool; ``MissionContext.contact`` installs it.
+    """
 
     state: ArmState
     guard_filter: GuardFilter
@@ -163,6 +166,7 @@ class ArmRuntime:
     true_wrench: Wrench = ZERO_WRENCH
     reading: Wrench | None = None
     guard_fired_t: float | None = None
+    contact_model: Callable[[], Wrench] | None = None
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
 
@@ -199,15 +203,13 @@ class World:
         # models read ``scenario.tools`` directly.
         window = max(1, round(scenario.sensors.guard_filter_window / self.clock.dt))
         self.arms: dict[str, ArmRuntime] = {}
-        self.platforms: dict[str, PlatformState] = {}
         self.tools = {}
         for name, n in (("robot1", "1"), ("robot2", "2")):
             arm = ArmState(name, scenario.station(f"base{n}"), scenario.station(f"home{n}"), scenario.robot)
-            self.platforms[name] = PlatformState(scenario.robot)
             self.arms[name] = ArmRuntime(
                 state=arm,
                 guard_filter=GuardFilter(window),
-                platform=self.platforms[name],
+                platform=PlatformState(scenario.robot),
                 ft_noise=normal_blocks(self.streams.get(f"ft.{name}"), (NOISE_BLOCK, 6)),
                 laser_noise=normal_blocks(self.streams.get(f"laser.{name}"), NOISE_BLOCK),
                 wrench_row=self.recorder.register_row(name, Wrench._fields),
@@ -237,7 +239,7 @@ class World:
         return self.tools[(arm_name, ToolId(tool))]
 
     def slip(self, arm_name: str) -> float:
-        return self.platforms[arm_name].slip_offset
+        return self.arms[arm_name].platform.slip_offset
 
     def true_position(self, arm_name: str) -> Point3:
         """Commanded tool point pushed back by the accumulated platform slip."""
@@ -306,11 +308,8 @@ class World:
                 event = event or arm.motion is None
         for runtime in self.arms.values():
             arm = runtime.state
-            model = arm.contact_model
-            if model is not None:
-                wrench = model(self, arm, dt)
-            else:
-                wrench = ZERO_WRENCH
+            model = runtime.contact_model
+            wrench = ZERO_WRENCH if model is None else model()
             runtime.true_wrench = wrench
             runtime.press_force = max(wrench.fz, 0.0)
             runtime.active = model is not None or arm.motion is not None

@@ -14,6 +14,7 @@ report.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -197,7 +198,7 @@ class Plan:
         return [p for phase in self.phases for (p, a) in phase.assignments if a == arm]
 
 
-def schedule_dual_arm(part_or_count) -> Plan:
+def schedule_dual_arm(n: int) -> Plan:
     """Execution plan over fixation points.
 
     Point one is always fixed by robot 1 while robot 2 holds the part. With
@@ -205,7 +206,6 @@ def schedule_dual_arm(part_or_count) -> Plan:
     parallel after the first point holds the part; with two or three points
     robot 1 finishes them sequentially after robot 2 releases.
     """
-    n = part_or_count if isinstance(part_or_count, int) else len(part_or_count.hole_positions)
     if n < 1:
         raise ValueError("need at least one fixation point")
     phases = [PlanPhase(parallel=False, assignments=((0, "robot1"),))]
@@ -270,15 +270,11 @@ class MissionContext:
         rec.diagnostics.update(diag)
 
     def fail(self, arm: str, exc: Exception) -> StepFailed:
-        rec = self._open.pop(arm, None)
-        if rec is not None:
-            rec.t_end = self.world.t
-            rec.status = "failed"
-            rec.error = f"{type(exc).__name__}: {exc}"
-            step = rec.step
-        else:
-            step = "unknown"
-        failed = exc if isinstance(exc, StepFailed) else StepFailed(step, exc)
+        rec = self._open.pop(arm)
+        rec.t_end = self.world.t
+        rec.status = "failed"
+        rec.error = f"{type(exc).__name__}: {exc}"
+        failed = StepFailed(rec.step, exc)
         if self.failure is None:
             self.failure = str(failed)
         return failed
@@ -358,6 +354,17 @@ class MissionContext:
     def true_wrench(self, arm: str) -> Wrench:
         return self.world.runtime(arm).true_wrench
 
+    @contextmanager
+    def contact(self, arm: str, model):
+        """Make ``model`` the arm's contact model for the block; it has none
+        once the block ends, normally or by an exception."""
+        runtime = self.world.runtime(arm)
+        runtime.contact_model = model
+        try:
+            yield
+        finally:
+            runtime.contact_model = None
+
     def ensure_tool(self, arm: str, tool: ToolId):
         """Bring the arm to its tool stand and swap to ``tool`` if needed."""
         state = self.arm(arm)
@@ -397,17 +404,6 @@ class MissionContext:
         if det is None:
             raise DetectionMissing(f"{kind.value} not found near {expected}")
         return det
-
-    # -- contact models ----------------------------------------------------------
-
-    def surface_press_model(self, stiffness: float):
-        """Rigid surface contact: force grows with commanded penetration."""
-
-        def model(world: World, state, dt: float) -> Wrench:
-            pen = -world.surface_distance(state.name)
-            return Wrench(fz=stiffness * pen) if pen > 0 else Wrench()
-
-        return model
 
     # -- step 1: orientation -------------------------------------------------------
 
@@ -486,9 +482,7 @@ class MissionContext:
         self._open[arm].diagnostics.update(placement_error=math.hypot(dx, dy))
 
     def release_part(self, arm: str):
-        world = self.world
-        part = world.site.part
-        gripper = world.tool(arm, ToolId.GRIPPER)
+        gripper = self.world.tool(arm, ToolId.GRIPPER)
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
         gripper.switch_off()
         self.arm(arm).held_mass = 0.0
@@ -526,9 +520,21 @@ class MissionContext:
         standoff = target + self.out_normal.scaled(robot.approach_standoff + 0.02)
         yield from self.move(arm, standoff, robot.gross_speed)
 
-        # Guarded approach until the bit touches the wall.
-        state.contact_model = self.surface_press_model(robot.contact_stiffness)
-        try:
+        def press_model() -> Wrench:
+            # Rigid surface contact: force grows with commanded penetration.
+            pen = -world.surface_distance(arm)
+            return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
+
+        def drilling_model() -> Wrench:
+            depth = max(0.0, min(-world.surface_distance(arm), MAX_HOLE_DEPTH))
+            return Wrench(
+                fz=drill_thrust(depth, cfg),
+                mx=drill_reaction_moment(cfg, depth),
+            )
+
+        # Guarded approach until the bit touches the wall; the bit spins up
+        # while it presses.
+        with self.contact(arm, press_model):
             yield from self.feed_until(
                 arm,
                 -self.out_normal,
@@ -541,14 +547,7 @@ class MissionContext:
             slip_zero = world.slip(arm)
             yield from self.wait(arm, self.scenario.tools.drill_spinup_time)
 
-            def drilling_model(w: World, s, dt: float) -> Wrench:
-                depth = max(0.0, min(-w.surface_distance(s.name), MAX_HOLE_DEPTH))
-                return Wrench(
-                    fz=drill_thrust(depth, cfg),
-                    mx=drill_reaction_moment(cfg, depth),
-                )
-
-            state.contact_model = drilling_model
+        with self.contact(arm, drilling_model):
             world.runtime(arm).guard_filter.reset()
             use_laser = p.depth_source == "laser"
             measured = 0.0
@@ -589,8 +588,6 @@ class MissionContext:
             hole_depth = min(true_depth, MAX_HOLE_DEPTH)
             entry = world.site.wall.project(world.true_position(arm))
             hole = world.site.register_drilled_hole(entry, -self.out_normal, hole_depth)
-        finally:
-            state.contact_model = None
 
         yield from self.move(arm, standoff, robot.retract_speed)
         yield from self.return_tool(arm)
@@ -648,39 +645,40 @@ class MissionContext:
         def engagement_now() -> Engagement:
             return anchor_engagement(hole, wall.project(world.true_position(arm)), clearance)
 
-        def wedge_model(w: World, s, dt: float) -> Wrench:
-            pen = max(0.0, -w.surface_distance(s.name))
+        def wedge_model() -> Wrench:
+            pen = max(0.0, -world.surface_distance(arm))
             if engagement_now() is Engagement.ENGAGED:
                 moment = p.wedge_moment_rate * pen
                 return Wrench(fz=6.0 * moment, mx=moment)
             return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
 
-        state.contact_model = wedge_model
-        try:
-            entered = False
+        def slide_model() -> Wrench:
+            return Wrench(fz=20.0)
 
-            def touch_or_enter():
-                nonlocal entered
-                pen = -world.surface_distance(arm)
-                if pen >= 0.0005 and engagement_now() is Engagement.ENGAGED:
-                    entered = True
-                    return True
-                r = self.reading(arm)
-                return r is not None and r.fz >= 15.0
+        entered = False
 
+        def touch_or_enter():
+            nonlocal entered
+            pen = -world.surface_distance(arm)
+            if pen >= 0.0005 and engagement_now() is Engagement.ENGAGED:
+                entered = True
+                return True
+            r = self.reading(arm)
+            return r is not None and r.fz >= 15.0
+
+        with self.contact(arm, wedge_model):
             yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
                                        stop=touch_or_enter, max_travel=0.05)
-
-            first = engagement_now()
-            first_offset = hole.radial_offset(wall.project(world.true_position(arm)))
-            search_time = 0.0
-            probes = 0
-            if not entered:
-                # Back off to a light slide on the surface and spiral outward.
-                surface_cmd = state.position + self.out_normal.scaled(
-                    -world.surface_distance(arm) + 0.0003
-                )
-                state.contact_model = lambda w, s, dt: Wrench(fz=20.0)
+        first = engagement_now()
+        first_offset = hole.radial_offset(wall.project(world.true_position(arm)))
+        search_time = 0.0
+        probes = 0
+        if not entered:
+            # Back off to a light slide on the surface and spiral outward.
+            surface_cmd = state.position + self.out_normal.scaled(
+                -world.surface_distance(arm) + 0.0003
+            )
+            with self.contact(arm, slide_model):
                 yield from self.move(arm, surface_cmd, robot.retract_speed)
                 center = state.position
                 max_probes = int(p.search_timeout / p.spiral_probe_period)
@@ -701,24 +699,22 @@ class MissionContext:
                         f"spiral search exhausted {p.search_timeout} s "
                         f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"
                     )
-                state.contact_model = wedge_model
 
-            def wedged():
-                r = self.reading(arm)
-                pen = max(0.0, -world.surface_distance(arm))
-                commanded = pen + world.slip(arm)
-                # The laser reads the signed distance to the surface plane,
-                # so tip penetration is simply its negation.
-                world.record_depthset(arm, -world.laser_distance(arm), commanded)
-                return r is not None and abs(r.mx) >= p.insertion_end_moment
+        def wedged():
+            r = self.reading(arm)
+            pen = max(0.0, -world.surface_distance(arm))
+            commanded = pen + world.slip(arm)
+            # The laser reads the signed distance to the surface plane,
+            # so tip penetration is simply its negation.
+            world.record_depthset(arm, -world.laser_distance(arm), commanded)
+            return r is not None and abs(r.mx) >= p.insertion_end_moment
 
+        with self.contact(arm, wedge_model):
             yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
                                        stop=wedged, max_travel=0.03)
-            stuck_depth = max(0.0, -world.surface_distance(arm))
-            stuck_measured = -world.laser_distance(arm)
-            world.site.place_anchor_in_hole(anchor, hole, stuck_depth)
-        finally:
-            state.contact_model = None
+        stuck_depth = max(0.0, -world.surface_distance(arm))
+        stuck_measured = -world.laser_distance(arm)
+        world.site.place_anchor_in_hole(anchor, hole, stuck_depth)
 
         self._open[arm].diagnostics.update(
             first_attempt=first.value,
@@ -750,27 +746,30 @@ class MissionContext:
         depth0 = anchor.depth
         slip0 = world.slip(arm)
         laser_zero = world.laser_distance(arm)
+        dt = world.dt
         blow_interval = 1.0 / tools_cfg.blow_rate
-        blow_state = {"next": blow_interval, "elapsed": 0.0, "peak": 0.0, "blows": 0}
+        blow_elapsed = 0.0
+        next_blow = blow_interval
+        peak = 0.0
+        blows = 0
         out = self.out_normal
         # The tick works on the floats of ``start_cmd - out.scaled(advance)``
         # and ``(start_cmd - state.position).dot(out)``, in the same order.
         sx, sy, sz = start_cmd.as_tuple()
         ox, oy, oz = out.as_tuple()
 
-        def hammer_model(w: World, s, dt: float) -> Wrench:
-            blow_state["elapsed"] += dt
+        def hammer_model() -> Wrench:
+            nonlocal blow_elapsed, next_blow, peak, blows
+            blow_elapsed += dt
             moment = 1.5
-            if blow_state["elapsed"] + 1e-12 >= blow_state["next"]:
-                blow_state["next"] += blow_interval
-                new_depth, peak = hammer_blow(hammer, anchor.depth, hole)
-                anchor.depth = new_depth
-                blow_state["peak"] = peak
-                blow_state["blows"] += 1
+            if blow_elapsed + 1e-12 >= next_blow:
+                next_blow += blow_interval
+                anchor.depth, peak = hammer_blow(hammer, anchor.depth, hole)
+                blows += 1
                 moment = peak
-            if not s.halted:
-                advance = (anchor.depth - depth0) + (w.slip(s.name) - slip0)
-                s.position = Point3(sx - ox * advance, sy - oy * advance, sz - oz * advance)
+            if not state.halted:
+                advance = (anchor.depth - depth0) + (world.slip(arm) - slip0)
+                state.position = Point3(sx - ox * advance, sy - oy * advance, sz - oz * advance)
             return Wrench(fz=tools_cfg.hammer_press_force, mx=moment)
 
         def bottomed():
@@ -786,20 +785,17 @@ class MissionContext:
                     )
                 return True
 
-        state.contact_model = hammer_model
-        try:
+        with self.contact(arm, hammer_model):
             yield from self.until(arm, bottomed)
-        finally:
-            state.contact_model = None
 
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
         displacement = (start_cmd - state.position).dot(out)
         self._open[arm].diagnostics.update(
-            blows=blow_state["blows"],
+            blows=blows,
             displacement=displacement,
             final_depth=anchor.depth,
             measured_depth=stuck_measured + (laser_zero - world.laser_distance(arm)),
-            stop_moment=blow_state["peak"],
+            stop_moment=peak,
         )
 
     def tighten_nut(self, arm: str, anchor: AnchorBolt):
@@ -808,7 +804,6 @@ class MissionContext:
         robot = self.scenario.robot
         tools_cfg = self.scenario.tools
         p = self.scenario.procedure
-        state = self.arm(arm)
         runner: NutRunnerTool = world.tool(arm, ToolId.NUTRUNNER)
         runner.socket_engaged = False
         runner.socket_extension = 0.0
@@ -825,20 +820,19 @@ class MissionContext:
         approach_triggers: list[dict] = []
         max_moment = 0.0
         spring = tools_cfg.socket_spring_rate
+        dt = world.dt
 
         def track_moment():
             nonlocal max_moment
             max_moment = max(max_moment, abs(self.true_wrench(arm).mx))
 
         def spring_model(reference_pen: float):
-            def model(w: World, s, dt: float) -> Wrench:
-                pen = protrusion - w.surface_distance(s.name)
-                compression = pen - reference_pen
+            def socket_spring_model() -> Wrench:
+                compression = protrusion - world.surface_distance(arm) - reference_pen
                 return Wrench(fz=spring * compression) if compression > 0 else Wrench()
-            return model
+            return socket_spring_model
 
         def approach(name: str, reference_pen: float):
-            state.contact_model = spring_model(reference_pen)
             t0 = world.t
 
             def pressed():
@@ -846,8 +840,9 @@ class MissionContext:
                 r = self.reading(arm)
                 return r is not None and r.fz >= p.approach_force
 
-            yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
-                                       stop=pressed, max_travel=protrusion + 0.03)
+            with self.contact(arm, spring_model(reference_pen)):
+                yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
+                                           stop=pressed, max_travel=protrusion + 0.03)
             approach_triggers.append(
                 {"reading_fz": self.reading(arm).fz, "true_fz": self.true_wrench(arm).fz}
             )
@@ -856,95 +851,93 @@ class MissionContext:
         def current_pen():
             return protrusion - world.surface_distance(arm)
 
-        try:
-            # (1) approach until the force threshold.
-            yield from approach("approach_contact", 0.0)
+        # (1) approach until the force threshold.
+        yield from approach("approach_contact", 0.0)
 
-            # (2) alternate rotation until the socket slots onto the nut.
-            t0 = world.t
-            fit_state = {"elapsed": 0.0, "hold_fz": self.true_wrench(arm).fz}
-            anchor_present = anchor.state in (AnchorState.STUCK, AnchorState.SEATED)
+        # (2) alternate rotation until the socket slots onto the nut.
+        t0 = world.t
+        fit_elapsed = 0.0
+        hold_fz = self.true_wrench(arm).fz
+        anchor_present = anchor.state in (AnchorState.STUCK, AnchorState.SEATED)
 
-            def fit_model(w: World, s, dt: float) -> Wrench:
-                fit_state["elapsed"] += dt
-                fitted = anchor_present and fit_state["elapsed"] >= tools_cfg.socket_fit_time
-                if fitted:
-                    runner.socket_extension = 0.003
-                    return Wrench(fz=5.0, mx=0.0)
-                wiggle = 1.2 if int(fit_state["elapsed"] / 0.2) % 2 == 0 else -1.2
-                return Wrench(fz=fit_state["hold_fz"], mx=wiggle)
+        def fit_model() -> Wrench:
+            nonlocal fit_elapsed
+            fit_elapsed += dt
+            if anchor_present and fit_elapsed >= tools_cfg.socket_fit_time:
+                runner.socket_extension = 0.003
+                return Wrench(fz=5.0, mx=0.0)
+            wiggle = 1.2 if int(fit_elapsed / 0.2) % 2 == 0 else -1.2
+            return Wrench(fz=hold_fz, mx=wiggle)
 
-            waited = 0.0
+        def fitted():
+            track_moment()
+            r = self.reading(arm)
+            if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
+                return True
+            # The fit model's clock has counted every tick of this wait.
+            if fit_elapsed > p.socket_fit_timeout:
+                raise SocketFitTimeout(f"socket never slotted on within {p.socket_fit_timeout} s")
 
-            def fitted():
-                nonlocal waited
-                track_moment()
-                waited += world.dt
-                r = self.reading(arm)
-                if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
-                    return True
-                if waited > p.socket_fit_timeout:
-                    raise SocketFitTimeout(f"socket never slotted on within {p.socket_fit_timeout} s")
-
-            state.contact_model = fit_model
+        with self.contact(arm, fit_model):
             yield from self.until(arm, fitted)
-            substeps.append(("socket_fit", t0, world.t))
+        substeps.append(("socket_fit", t0, world.t))
 
-            # (3) advance again to the force threshold.
-            yield from approach("re_approach", current_pen())
+        # (3) advance again to the force threshold.
+        yield from approach("re_approach", current_pen())
 
-            # (4) run the nut down to the part surface.
-            t0 = world.t
-            run_distance = protrusion - self.scenario.part.thickness - tools_cfg.nut_height
-            if run_distance < 0:
-                raise SimulationError("anchor does not protrude enough to run the nut")
-            if run_distance > tools_cfg.socket_spring_travel:
-                raise SimulationError(
-                    f"nut run {run_distance * 1e3:.0f} mm exceeds the socket spring travel"
-                )
-            run_duration = run_distance / tools_cfg.nut_run_speed
-            run_state = {"elapsed": 0.0}
+        # (4) run the nut down to the part surface.
+        t0 = world.t
+        run_distance = protrusion - self.scenario.part.thickness - tools_cfg.nut_height
+        if run_distance < 0:
+            raise SimulationError("anchor does not protrude enough to run the nut")
+        if run_distance > tools_cfg.socket_spring_travel:
+            raise SimulationError(
+                f"nut run {run_distance * 1e3:.0f} mm exceeds the socket spring travel"
+            )
+        run_duration = run_distance / tools_cfg.nut_run_speed
+        run_elapsed = 0.0
 
-            def run_model(w: World, s, dt: float) -> Wrench:
-                run_state["elapsed"] += dt
-                frac = min(1.0, run_state["elapsed"] / run_duration)
-                runner.socket_extension = 0.003 + run_distance * frac
-                return Wrench(
-                    fz=50.0 - 30.0 * frac,
-                    mx=tools_cfg.pulse_attenuation * tools_cfg.free_run_torque,
-                )
+        def run_model() -> Wrench:
+            nonlocal run_elapsed
+            run_elapsed += dt
+            frac = min(1.0, run_elapsed / run_duration)
+            runner.socket_extension = 0.003 + run_distance * frac
+            return Wrench(
+                fz=50.0 - 30.0 * frac,
+                mx=tools_cfg.pulse_attenuation * tools_cfg.free_run_torque,
+            )
 
-            state.contact_model = run_model
-            yield from self.until(arm, track_moment, ticks=max(1, round(run_duration / world.dt)))
-            substeps.append(("run_nut", t0, world.t))
+        with self.contact(arm, run_model):
+            yield from self.until(arm, track_moment, ticks=max(1, round(run_duration / dt)))
+        substeps.append(("run_nut", t0, world.t))
 
-            # (5) advance once more.
-            yield from approach("re_approach_2", current_pen())
+        # (5) advance once more.
+        yield from approach("re_approach_2", current_pen())
 
-            # (6) pulse-tighten to the target torque.
-            t0 = world.t
-            runner.socket_engaged = True
-            pulse_interval = 1.0 / tools_cfg.pulse_rate
-            pulse_state = {"elapsed": 0.0, "next": pulse_interval, "torque": 0.0}
+        # (6) pulse-tighten to the target torque.
+        t0 = world.t
+        runner.socket_engaged = True
+        pulse_interval = 1.0 / tools_cfg.pulse_rate
+        pulse_elapsed = 0.0
+        next_pulse = pulse_interval
+        torque = 0.0
 
-            def pulse_model(w: World, s, dt: float) -> Wrench:
-                pulse_state["elapsed"] += dt
-                flange = tools_cfg.pulse_attenuation * pulse_state["torque"]
-                if pulse_state["elapsed"] + 1e-12 >= pulse_state["next"]:
-                    pulse_state["next"] += pulse_interval
-                    torque, flange = nutrunner_pulse(runner, pulse_state["torque"])
-                    pulse_state["torque"] = torque
-                return Wrench(fz=50.0, mx=flange)
+        def pulse_model() -> Wrench:
+            nonlocal pulse_elapsed, next_pulse, torque
+            pulse_elapsed += dt
+            flange = tools_cfg.pulse_attenuation * torque
+            if pulse_elapsed + 1e-12 >= next_pulse:
+                next_pulse += pulse_interval
+                torque, flange = nutrunner_pulse(runner, torque)
+            return Wrench(fz=50.0, mx=flange)
 
-            def tightened():
-                track_moment()
-                return pulse_state["torque"] >= tools_cfg.target_torque
+        def tightened():
+            track_moment()
+            return torque >= tools_cfg.target_torque
 
-            state.contact_model = pulse_model
+        with self.contact(arm, pulse_model):
             yield from self.until(arm, tightened)
-            substeps.append(("pulse_tighten", t0, world.t))
-        finally:
-            state.contact_model = None
+        substeps.append(("pulse_tighten", t0, world.t))
 
         anchor.set_state(AnchorState.TIGHTENED, torque=tools_cfg.target_torque)
         world.site.part.mark_point_fixed()
@@ -990,7 +983,7 @@ class MissionContext:
 
 def mission_full(ctx: MissionContext):
     """The complete procedure, scheduled over one or both arms."""
-    plan = schedule_dual_arm(ctx.world.site.part)
+    plan = schedule_dual_arm(ctx.scenario.part.holes)
     ctx.world.site.anchors_in_stand = [AnchorBolt() for _ in range(plan.n_points)]
 
     yield from ctx.guarded(

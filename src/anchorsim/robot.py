@@ -65,7 +65,6 @@ class ArmState:
     attached_tool: ToolId | None = None
     held_mass: float = 0.0
     motion: Motion | None = None
-    contact_model: object | None = None
     halted: bool = False
     halt_axis: str | None = None
     halt_travelled: float = 0.0

@@ -169,17 +169,19 @@ _POSITIVE = (
     "tools.target_torque", "tools.socket_spring_travel", "tools.pulse_rate",
     "tools.feed_speed", "tools.nut_run_speed",
     "sensors.force_limit", "sensors.moment_limit",
-    "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
+    "robot.payload", "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
     "procedure.spiral_pitch", "procedure.spiral_probe_spacing", "procedure.spiral_probe_period",
     "procedure.timestep",
 )
 
 #: Keys that must not be negative: a negative noise level flips the sign of
-#: the noise or turns it off, a negative dwell runs as a one-tick dwell.
+#: the noise or turns it off, a negative dwell runs as a one-tick dwell, and a
+#: negative mass hides other mass from the payload check.
 _NON_NEGATIVE = (
-    "part.placement_sigma",
+    "part.mass", "part.placement_sigma",
     "sensors.ft_sigma_force", "sensors.ft_sigma_moment", "sensors.laser_sigma",
     "sensors.camera_sigma_wall", "sensors.camera_sigma_part", "sensors.detect_time",
+    "robot.mass_drill", "robot.mass_hammer", "robot.mass_nutrunner", "robot.mass_gripper",
     "robot.slip_coefficient", "robot.tool_change_time",
     "tools.grip_time", "tools.magnet_switch_time", "tools.drill_spinup_time",
 )
@@ -285,8 +287,6 @@ def _parse_point(field_name: str, text: str) -> Point3:
 
 def _coerce(field_name: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):

@@ -173,7 +173,6 @@ def read_laser(
 class DetectionKind(str, Enum):
     PART_HOLE = "part_hole"
     WALL_HOLE = "wall_hole"
-    ANCHOR_BOLT = "anchor_bolt"
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,12 @@ INVALID_VALUES = [
     ("[robot]\nhome1 = 5,5,5\n", "robot.home1"),
     ("[wall]\nwidth = 0\n", "wall.width"),
     ("[procedure]\ntimestep = 0.00005\n", "procedure.timestep"),
+    ("[robot]\nmass_gripper = -10\n[part]\nmass = 20\n", "robot.mass_gripper"),
+    ("[robot]\nmass_drill = -6\npayload = 1\n", "robot.mass_drill"),
+    ("[robot]\nmass_hammer = -1\n", "robot.mass_hammer"),
+    ("[robot]\nmass_nutrunner = -1\n", "robot.mass_nutrunner"),
+    ("[part]\nmass = -1\n", "part.mass"),
+    ("[robot]\npayload = 0\n", "robot.payload"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, and holes that

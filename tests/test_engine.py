@@ -102,7 +102,7 @@ def test_world_true_position_includes_slip():
     world = World(Scenario(), seed=0)
     arm = world.arm("robot1")
     start = world.true_position("robot1")
-    world.platforms["robot1"].slip_offset = 0.005
+    world.runtime("robot1").platform.slip_offset = 0.005
     moved = world.true_position("robot1")
     assert (moved - start).dot(world.site.wall.normal) == pytest.approx(0.005)
     assert arm.position == world.arm("robot1").position  # commanded unchanged
@@ -188,7 +188,7 @@ def test_run_stops_after_the_tick_a_motion_ends():
 def test_run_stops_after_the_tick_the_guard_halts():
     world = World(Scenario(), seed=0)
     arm = world.arm("robot1")
-    arm.contact_model = lambda w, s, dt: Wrench(mx=100.0 if w.t > 0.2 else 0.0)
+    world.runtime("robot1").contact_model = lambda: Wrench(mx=100.0 if world.t > 0.2 else 0.0)
     ticks = world.run(math.inf)
     assert world.event and arm.halted and arm.halt_axis == "mx"
     assert world.runtime("robot1").guard_fired_t == world.t
@@ -204,7 +204,7 @@ def test_run_stops_after_the_tick_time_passes_the_ceiling():
 
 def test_nan_slip_raises_in_distance_reads():
     world = World(Scenario(), seed=0)
-    world.platforms["robot1"].slip_offset = float("nan")
+    world.runtime("robot1").platform.slip_offset = float("nan")
     with pytest.raises(ValueError):
         world.surface_distance("robot1")
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from anchorsim.procedure import (
     schedule_dual_arm,
     spiral_offsets,
 )
-from anchorsim.scenario import Scenario
+from anchorsim.scenario import ProcedureSection, Scenario, ToolsSection
 from anchorsim.tools import GripperTool
 from anchorsim.worksite import PartState, StructuralPart, default_hole_pattern
 
@@ -396,12 +396,6 @@ def test_schedule_parallel_only_after_first_point(n):
     assert plan.points_for("robot2") != []
 
 
-def test_schedule_from_part():
-    part = StructuralPart(hole_positions=default_hole_pattern(4, spacing=0.05))
-    plan = schedule_dual_arm(part)
-    assert plan.n_points == 4
-
-
 def test_parallel_execution_four_points():
     sc = fast_scenario(
         part__holes=4,
@@ -470,3 +464,57 @@ def test_horizon_driving_matches_tick_by_tick(monkeypatch, mission, holes):
     by_horizon = outputs()
     monkeypatch.setattr(World, "run", lambda world, horizon: world.step())
     assert outputs() == by_horizon
+
+
+# --- contact model lifetime -------------------------------------------------------
+
+
+#: name -> (scenario, mission, seed, failure type or None for success)
+LIFETIME_CASES = {
+    "full": (Scenario(), "full", NOMINAL_SEED, None),
+    "full-4pt": (fast_scenario(part__holes=4, part__hole_spacing=0.05, tools__blow_advance=0.004),
+                 "full", NOMINAL_SEED, None),
+    "drill-halt": (Scenario(tools=ToolsSection(variant="offset_uncompensated")), "drill", NOMINAL_SEED,
+                   "HaltedByGuard"),
+    "insert-timeout": (Scenario(procedure=ProcedureSection(search_timeout=0.5)), "insert", NOMINAL_SEED,
+                       "SearchTimeout"),
+    "nut-missing": (Scenario(), "nut-missing", NOMINAL_SEED, "SocketFitTimeout"),
+    "full-insert-halt": (Scenario(), "full", 2009, "HaltedByGuard"),
+    "hammer": (Scenario(), "hammer", NOMINAL_SEED, None),
+}
+
+
+@pytest.mark.parametrize("case", LIFETIME_CASES)
+def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
+    sc, mission, seed, failure = LIFETIME_CASES[case]
+    contact, end, fail = MissionContext.contact, MissionContext.end, MissionContext.fail
+    installed = []
+    ended = []  # the ending arm's contact model at each step end
+
+    def recording_contact(ctx, arm, model):
+        installed.append(model)
+        return contact(ctx, arm, model)
+
+    def checked_end(ctx, arm, **diag):
+        ended.append(ctx.world.runtime(arm).contact_model)
+        return end(ctx, arm, **diag)
+
+    def checked_fail(ctx, arm, exc):
+        ended.append(ctx.world.runtime(arm).contact_model)
+        return fail(ctx, arm, exc)
+
+    monkeypatch.setattr(MissionContext, "contact", recording_contact)
+    monkeypatch.setattr(MissionContext, "end", checked_end)
+    monkeypatch.setattr(MissionContext, "fail", checked_fail)
+    report, _ = run(sc, seed=seed, mission=mission)
+
+    if failure is None:
+        assert report.success, report.failure
+    else:
+        assert f": {failure}: " in report.failure
+    assert installed and ended
+    assert ended == [None] * len(ended)
+    # Each model is a named function, and no two models share a name.
+    names = {model.__name__ for model in installed}
+    assert "<lambda>" not in names
+    assert len(names) == len({model.__code__ for model in installed})
