@@ -134,14 +134,6 @@ def render_machine_report(report: FixationReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def print_config(stream=None) -> None:
-    """Print every scenario key with its default value, section by section.
-
-    Units and meanings are the comments beside each field in ``scenario.py``.
-    """
-    (stream or sys.stdout).write(render_scenario(Scenario()))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorsim",
@@ -168,7 +160,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.print_config:
-        print_config()
+        # Every scenario key with its default; units and meanings are the
+        # comments beside each field in ``scenario.py``.
+        sys.stdout.write(render_scenario(Scenario()))
         return 0
     if args.command is None:
         parser.print_help()

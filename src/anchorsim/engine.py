@@ -70,16 +70,13 @@ class Trace:
 
     The row cannot grow while a ``values`` view is alive, so take views once
     recording has ended (a finished run), or copy them with ``tolist()``.
-    Without a row, the trace is a one-channel row of its own, still empty.
     """
 
-    def __init__(self, trace_id: str, channel: str, row: TraceRow | None = None):
+    def __init__(self, trace_id: str, channel: str, row: TraceRow):
         if channel not in TRACE_CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
         self.id = trace_id
         self.channel = channel
-        if row is None:
-            row = TraceRow(trace_id, (channel,), array("d"), array("d"))
         self.row = row
         self.times = row.times
         self._index = row.channels.index(channel)
@@ -98,10 +95,7 @@ class TraceRecorder:
         self.traces: dict[str, Trace] = {}
 
     def register_row(self, prefix: str, channels: tuple[str, ...]) -> TraceRow:
-        """The row of traces ``prefix/<channel>``, created on first use."""
-        first = self.traces.get(f"{prefix}/{channels[0]}")
-        if first is not None:
-            return first.row
+        """A new row of traces ``prefix/<channel>``."""
         row = TraceRow(prefix, tuple(channels), array("d"), array("d"))
         for channel in row.channels:
             self.traces[f"{prefix}/{channel}"] = Trace(f"{prefix}/{channel}", channel, row)
@@ -236,7 +230,7 @@ class World:
         return self.arms[name]
 
     def tool(self, arm_name: str, tool: ToolId):
-        return self.tools[(arm_name, ToolId(tool))]
+        return self.tools[(arm_name, tool)]
 
     def slip(self, arm_name: str) -> float:
         return self.arms[arm_name].platform.slip_offset
@@ -344,7 +338,7 @@ class World:
         )
 
 
-def run(scenario: Scenario, seed: int, mission: str = "full"):
+def run(scenario: Scenario, seed: int, mission: str):
     """Build a world, drive the requested mission to completion, and return
     ``(FixationReport, traces)``."""
     from .procedure import drive_mission

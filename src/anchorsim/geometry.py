@@ -70,12 +70,6 @@ class Point3:
         return (self.x, self.y, self.z)
 
 
-ZERO = Point3(0.0, 0.0, 0.0)
-UNIT_X = Point3(1.0, 0.0, 0.0)
-UNIT_Y = Point3(0.0, 1.0, 0.0)
-UNIT_Z = Point3(0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class Frame:
     """Right-handed orthonormal frame: origin plus three axis vectors.
@@ -119,9 +113,6 @@ class Frame:
 
     def with_origin(self, origin: Point3) -> "Frame":
         return Frame(origin, self.x_axis, self.y_axis, self.z_axis)
-
-
-IDENTITY_FRAME = Frame(ZERO, UNIT_X, UNIT_Y, UNIT_Z)
 
 
 def estimate_wall_frame(p1: Point3, p2: Point3, p3: Point3) -> Frame:

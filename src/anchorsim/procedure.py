@@ -58,10 +58,6 @@ class FixationStep(Enum):
     RELEASE_REPEAT = "release_repeat"
 
 
-#: The canonical order of the ten steps for the first fixation point.
-STEP_ORDER = tuple(FixationStep)
-
-
 @dataclass
 class StepRecord:
     step: FixationStep
@@ -114,9 +110,6 @@ class FixationReport:
     scenario_hash: str
     success: bool
     failure: str | None = None
-
-    def step_sequence(self) -> list[FixationStep]:
-        return [r.step for r in self.steps]
 
     def find(self, step: FixationStep, point_index: int = 0) -> StepRecord:
         for r in self.steps:
@@ -193,9 +186,6 @@ class PlanPhase:
 class Plan:
     n_points: int
     phases: tuple[PlanPhase, ...]
-
-    def points_for(self, arm: str) -> list[int]:
-        return [p for phase in self.phases for (p, a) in phase.assignments if a == arm]
 
 
 def schedule_dual_arm(n: int) -> Plan:
@@ -333,10 +323,11 @@ class MissionContext:
         if state.motion is not None:
             yield from self.until(arm, lambda: state.motion is None, horizon=math.inf)
 
-    def feed_until(self, arm: str, direction: Point3, speed: float, stop, max_travel: float):
-        """Open-ended guarded feed; ``stop()`` is evaluated after each tick."""
+    def feed_until(self, arm: str, speed: float, stop, max_travel: float):
+        """Open-ended guarded feed into the wall along the working normal;
+        ``stop()`` is evaluated after each tick."""
         state = self.arm(arm)
-        state.start_feed(direction, speed)
+        state.start_feed(-self.out_normal, speed)
 
         def done():
             if stop():
@@ -394,12 +385,7 @@ class MissionContext:
         yield from self.move(arm, view, self.scenario.robot.gross_speed)
         yield from self.wait(arm, self.scenario.sensors.detect_time)
         det = camera_detect(
-            kind,
-            self.world.site,
-            self.world.streams.get(f"camera.{arm}"),
-            self.scenario.sensors,
-            view_center=expected,
-            index=index,
+            kind, self.world.site, self.world.streams.get(f"camera.{arm}"), self.scenario.sensors, expected, index
         )
         if det is None:
             raise DetectionMissing(f"{kind.value} not found near {expected}")
@@ -537,7 +523,6 @@ class MissionContext:
         with self.contact(arm, press_model):
             yield from self.feed_until(
                 arm,
-                -self.out_normal,
                 robot.approach_speed,
                 stop=lambda: self.reading(arm) is not None and self.reading(arm).fz >= p.contact_force,
                 max_travel=0.2,
@@ -568,9 +553,7 @@ class MissionContext:
                 return measured >= p.drill_depth_target
 
             try:
-                yield from self.feed_until(
-                    arm, -self.out_normal, cfg.feed_speed, stop=depth_reached, max_travel=0.12
-                )
+                yield from self.feed_until(arm, cfg.feed_speed, stop=depth_reached, max_travel=0.12)
             except HaltedByGuard as exc:
                 depth_at_halt = max(0.0, -world.surface_distance(arm))
                 # The stop callback never saw the halt tick; fold it in.
@@ -626,7 +609,8 @@ class MissionContext:
 
     def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt):
         """Steps 5-7 core: approach the detected hole, search if needed, push
-        until the wedge reaches the insertion end moment."""
+        until the wedge reaches the insertion end moment. Returns the stuck
+        depth the laser measured, which hammering starts from."""
         world = self.world
         robot = self.scenario.robot
         p = self.scenario.procedure
@@ -667,7 +651,7 @@ class MissionContext:
             return r is not None and r.fz >= 15.0
 
         with self.contact(arm, wedge_model):
-            yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
+            yield from self.feed_until(arm, robot.approach_speed,
                                        stop=touch_or_enter, max_travel=0.05)
         first = engagement_now()
         first_offset = hole.radial_offset(wall.project(world.true_position(arm)))
@@ -710,7 +694,7 @@ class MissionContext:
             return r is not None and abs(r.mx) >= p.insertion_end_moment
 
         with self.contact(arm, wedge_model):
-            yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
+            yield from self.feed_until(arm, robot.approach_speed,
                                        stop=wedged, max_travel=0.03)
         stuck_depth = max(0.0, -world.surface_distance(arm))
         stuck_measured = -world.laser_distance(arm)
@@ -725,7 +709,7 @@ class MissionContext:
             stuck_depth=stuck_depth,
             stuck_measured=stuck_measured,
         )
-        return {"hole": hole, "stuck_measured": stuck_measured}
+        return stuck_measured
 
     def hammer_anchor(self, arm: str, anchor: AnchorBolt, stuck_measured: float):
         """Step 8: release the gripper, hammer until depth and moment say the
@@ -841,7 +825,7 @@ class MissionContext:
                 return r is not None and r.fz >= p.approach_force
 
             with self.contact(arm, spring_model(reference_pen)):
-                yield from self.feed_until(arm, -self.out_normal, robot.approach_speed,
+                yield from self.feed_until(arm, robot.approach_speed,
                                            stop=pressed, max_travel=protrusion + 0.03)
             approach_triggers.append(
                 {"reading_fz": self.reading(arm).fz, "true_fz": self.true_wrench(arm).fz}
@@ -939,7 +923,7 @@ class MissionContext:
             yield from self.until(arm, tightened)
         substeps.append(("pulse_tighten", t0, world.t))
 
-        anchor.set_state(AnchorState.TIGHTENED, torque=tools_cfg.target_torque)
+        anchor.set_state(AnchorState.TIGHTENED)
         world.site.part.mark_point_fixed()
         yield from self.move(arm, standoff, robot.retract_speed)
         self._open[arm].diagnostics.update(
@@ -965,13 +949,13 @@ class MissionContext:
         anchor = yield from self.guarded(
             FixationStep.PICK_ANCHOR, point, arm, self.pick_anchor(arm)
         )
-        inserted = yield from self.guarded(
+        stuck_measured = yield from self.guarded(
             FixationStep.INSERT_ANCHOR, point, arm,
             self.insert_anchor(arm, det_hole.position, anchor),
         )
         yield from self.guarded(
             FixationStep.HAMMER_ANCHOR, point, arm,
-            self.hammer_anchor(arm, anchor, inserted["stuck_measured"]),
+            self.hammer_anchor(arm, anchor, stuck_measured),
         )
         yield from self.guarded(
             FixationStep.TIGHTEN_NUT, point, arm, self.tighten_nut(arm, anchor)
@@ -1045,7 +1029,6 @@ def mission_drill(ctx: MissionContext):
     yield from ctx.guarded(
         FixationStep.DRILL_HOLE, 0, "robot1", ctx.drill_hole("robot1", target)
     )
-    yield from ctx.return_tool("robot1")
 
 
 def _preset_hole(ctx: MissionContext) -> DrilledHole:
@@ -1062,11 +1045,11 @@ def _mission_insert_core(ctx: MissionContext, hole: DrilledHole):
     anchor = yield from ctx.guarded(
         FixationStep.PICK_ANCHOR, 0, "robot1", ctx.pick_anchor("robot1")
     )
-    inserted = yield from ctx.guarded(
+    stuck_measured = yield from ctx.guarded(
         FixationStep.INSERT_ANCHOR, 0, "robot1",
         ctx.insert_anchor("robot1", det.position, anchor),
     )
-    return anchor, inserted
+    return anchor, stuck_measured
 
 
 def mission_insert(ctx: MissionContext):
@@ -1080,10 +1063,10 @@ def mission_hammer(ctx: MissionContext):
     """Anchor protocol: insert into a pre-drilled hole, then hammer it home."""
     ctx.world.site.anchors_in_stand = [AnchorBolt()]
     hole = _preset_hole(ctx)
-    anchor, inserted = yield from _mission_insert_core(ctx, hole)
+    anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
     yield from ctx.guarded(
         FixationStep.HAMMER_ANCHOR, 0, "robot1",
-        ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"]),
+        ctx.hammer_anchor("robot1", anchor, stuck_measured),
     )
     yield from ctx.return_tool("robot1")
 
@@ -1135,7 +1118,7 @@ MISSIONS = {
 }
 
 
-def drive_mission(world: World, mission: str = "full"):
+def drive_mission(world: World, mission: str):
     """Run the mission generator to completion, stepping the world over each
     horizon it yields and sending back the ticks that passed."""
     try:

@@ -109,11 +109,11 @@ class ArmState:
         self.halt_travelled = self.motion.travelled if self.motion else 0.0
         self.motion = None
 
-    def advance(self, dt: float) -> bool:
-        """Advance the commanded position one tick; True when a move target
-        was reached."""
+    def advance(self, dt: float):
+        """Advance the commanded position one tick; a reached move target
+        ends the motion."""
         if self.motion is None or self.halted:
-            return False
+            return
         new_pos, arrived = self.motion.advance(self.position, dt)
         base = self.base
         dx, dy, dz = base.x - new_pos.x, base.y - new_pos.y, base.z - new_pos.z
@@ -121,34 +121,29 @@ class ArmState:
             # Open-ended feeds stop at the reach sphere; targeted moves were
             # validated up front, so this only trims feeds.
             self.motion = None
-            return False
+            return
         self.position = new_pos
         if arrived:
             self.motion = None
-        return arrived
 
 
-def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3) -> ArmState:
+def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):
     """Mount ``tool`` from the stand; requires an empty flange at the stand."""
-    tool = ToolId(tool)
     if arm.attached_tool is not None:
         raise FlangeOccupied(f"{arm.name} already carries {arm.attached_tool.value}")
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
     arm.attached_tool = tool
     arm.check_payload()
-    return arm
 
 
-def detach_tool(arm: ArmState, stand_position: Point3) -> ToolId:
+def detach_tool(arm: ArmState, stand_position: Point3):
     """Return the mounted tool to the stand."""
     if arm.attached_tool is None:
         raise NoTool(f"{arm.name} has no tool to detach")
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
-    tool = arm.attached_tool
     arm.attached_tool = None
-    return tool
 
 
 @dataclass

@@ -170,8 +170,8 @@ _POSITIVE = (
     "tools.feed_speed", "tools.nut_run_speed",
     "sensors.force_limit", "sensors.moment_limit",
     "robot.payload", "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
-    "procedure.spiral_pitch", "procedure.spiral_probe_spacing", "procedure.spiral_probe_period",
-    "procedure.timestep",
+    "procedure.drill_depth_target", "procedure.spiral_pitch", "procedure.spiral_probe_spacing",
+    "procedure.spiral_probe_period", "procedure.timestep",
 )
 
 #: Keys that must not be negative: a negative noise level flips the sign of
@@ -221,6 +221,10 @@ class Scenario:
         if self.procedure.timestep < MIN_TIMESTEP:
             raise ScenarioInvalid(
                 "procedure.timestep", f"must be at least {MIN_TIMESTEP} s, the resolution of exported time stamps"
+            )
+        if self.procedure.drill_depth_target > MAX_HOLE_DEPTH:
+            raise ScenarioInvalid(
+                "procedure.drill_depth_target", f"must not exceed the {MAX_HOLE_DEPTH} m the drill bit can drill"
             )
         if not 0 <= self.sensors.p_detect <= 1:
             raise ScenarioInvalid("sensors.p_detect", "must be a probability")

@@ -27,21 +27,7 @@ class Wrench(NamedTuple):
     mz: float = 0.0
 
 
-FTReading = Wrench
 ZERO_WRENCH = Wrench()
-
-
-@dataclass(frozen=True)
-class SafetyLimits:
-    """Stand-alone guard limits; the engine passes its ``SensorsSection``,
-    which carries the same two fields."""
-
-    force_limit: float = SensorsSection.force_limit
-    moment_limit: float = SensorsSection.moment_limit
-
-    def __post_init__(self):
-        if self.force_limit <= 0 or self.moment_limit <= 0:
-            raise ValueError("safety limits must be positive")
 
 
 #: Samples a sensor's noise buffer takes from its stream per refill.
@@ -75,8 +61,9 @@ def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wr
     return Wrench(fx + sf * n0, fy + sf * n1, fz + sf * n2, mx + sm * n3, my + sm * n4, mz + sm * n5)
 
 
-def overload_guard(reading: tuple[float, ...], limits: SafetyLimits | SensorsSection = SafetyLimits()) -> str | None:
-    """Return the first overloaded axis name, or None when within limits.
+def overload_guard(reading: tuple[float, ...], limits: SensorsSection) -> str | None:
+    """Return the first overloaded axis name, or None when within the
+    ``force_limit`` and ``moment_limit`` of ``limits``.
 
     ``reading`` holds the six wrench values in ``Wrench`` field order.
 
@@ -187,8 +174,8 @@ def camera_detect(
     worksite: Worksite,
     rng,
     sensors: SensorsSection,
-    view_center: Point3 | None = None,
-    index: int = 0,
+    view_center: Point3,
+    index: int,
 ) -> Detection | None:
     """Stochastic stand-in for the image-processing detections.
 
@@ -197,7 +184,6 @@ def camera_detect(
     target sits outside the lateral field of view (``camera_fov``, a
     half-extent) around ``view_center``.
     """
-    kind = DetectionKind(kind)
     if kind is DetectionKind.PART_HOLE:
         true_pos = worksite.part.hole_world(index)
         sigma = sensors.camera_sigma_part
@@ -207,12 +193,11 @@ def camera_detect(
         hole = worksite.drilled_holes[index]
         true_pos = hole.position
         sigma = sensors.camera_sigma_wall
-    if view_center is not None:
-        lateral = true_pos - view_center
-        normal = worksite.wall.normal
-        lateral = lateral - normal.scaled(lateral.dot(normal))
-        if lateral.norm() > sensors.camera_fov:
-            return None
+    lateral = true_pos - view_center
+    normal = worksite.wall.normal
+    lateral = lateral - normal.scaled(lateral.dot(normal))
+    if lateral.norm() > sensors.camera_fov:
+        return None
     if sensors.p_detect < 1.0 and rng.random() >= sensors.p_detect:
         return None
     if sigma > 0.0:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import AnchorDropped, GripperInflated, PartDropped, SocketNotEngaged
-from .worksite import AnchorBolt, AnchorState, DrilledHole, MAX_HOLE_DEPTH, PartState
+from .worksite import AnchorBolt, AnchorState, DrilledHole, MAX_HOLE_DEPTH, PartState, StructuralPart
 
 if TYPE_CHECKING:
     from .scenario import ToolsSection
@@ -90,11 +90,10 @@ class HammerTool:
     held_anchor: AnchorBolt | None = None
     bottom_blows: int = field(default=0, repr=False)
 
-    def inflate(self, anchor: AnchorBolt | None = None):
+    def inflate(self, anchor: AnchorBolt):
         self.gripper_state = GripperState.INFLATED
-        if anchor is not None:
-            anchor.set_state(AnchorState.GRASPED)
-            self.held_anchor = anchor
+        anchor.set_state(AnchorState.GRASPED)
+        self.held_anchor = anchor
 
     def deflate(self):
         """Release the gripper.
@@ -162,29 +161,19 @@ def nutrunner_pulse(tool: NutRunnerTool, current_torque: float) -> tuple[float, 
     return new_torque, cfg.pulse_attenuation * new_torque
 
 
-class MagnetState(str, Enum):
-    OFF = "off"
-    ON = "on"
-
-
 @dataclass
 class GripperTool:
     """Magnet gripper that picks the steel structural part."""
 
-    magnet_state: MagnetState = MagnetState.OFF
-    held_part: object | None = None
+    held_part: StructuralPart | None = None
 
-    def switch_on(self, part=None):
-        self.magnet_state = MagnetState.ON
-        if part is not None:
-            self.held_part = part
+    def switch_on(self, part: StructuralPart):
+        self.held_part = part
 
     def switch_off(self):
         """Release the part; mid-carry releases drop it and fail the run."""
-        self.magnet_state = MagnetState.OFF
         part = self.held_part
         self.held_part = None
-        if part is not None and getattr(part, "state", None) is PartState.GRASPED:
+        if part is not None and part.state is PartState.GRASPED:
             raise PartDropped("magnet switched off while carrying the part")
-        return part
 

@@ -138,29 +138,22 @@ class DrilledHole:
 class AnchorBolt:
     """Wedge anchor, grasped from the nut with the nut already threaded on."""
 
-    diameter: float = 0.012
     length: float = 0.126
     mass: float = 0.113
-    nut_attached: bool = True
     state: AnchorState = AnchorState.IN_STAND
     depth: float = 0.0  # penetration when stuck / seated
-    torque: float = 0.0  # tightening torque when tightened
     hole: DrilledHole | None = None
 
-    def set_state(self, new: AnchorState, *, depth: float | None = None, torque: float | None = None):
+    def set_state(self, new: AnchorState, *, depth: float | None = None):
         order = list(AnchorState)
         if order.index(new) < order.index(self.state):
             raise ValueError(f"anchor state cannot regress {self.state} -> {new}")
-        if new is AnchorState.TIGHTENED and not self.nut_attached:
-            raise ValueError("cannot tighten an anchor without a nut")
         if depth is not None:
             if self.hole is not None and depth > self.hole.depth + 1e-9:
                 raise ValueError("anchor deeper than its hole")
             if new is AnchorState.SEATED and depth + 1e-9 < self.depth:
                 raise ValueError("seated depth below stuck depth")
             self.depth = depth
-        if torque is not None:
-            self.torque = torque
         self.state = new
 
 
@@ -188,7 +181,7 @@ class Worksite:
         self.drilled_holes.append(hole)
         return hole
 
-    def hole_near(self, position: Point3, tol: float = 0.01) -> DrilledHole | None:
+    def hole_near(self, position: Point3, tol: float) -> DrilledHole | None:
         best = None
         best_d = tol
         for hole in self.drilled_holes:
@@ -219,9 +212,6 @@ def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float) -> Engag
     the anchor nearly the hole diameter, so only a fraction of a millimetre of
     lateral error still lets the tip drop in.
     """
-    mouth_distance = tip.distance_to(hole.position)
-    if mouth_distance > 0.05:
-        raise ValueError(f"tip is {mouth_distance:.3f} m from the hole mouth; not an attempt")
     offset = hole.radial_offset(tip)
     if offset < clearance:
         return Engagement.ENGAGED

@@ -17,15 +17,14 @@ from anchorsim.cli import main
 from anchorsim.engine import World, run
 from anchorsim.geometry import Point3, estimate_wall_frame
 from anchorsim.procedure import (
-    STEP_ORDER,
     FixationStep,
     drive_mission,
     max_search_radius,
     outer_search_radius,
     schedule_dual_arm,
 )
-from anchorsim.scenario import Scenario
-from anchorsim.sensors import FTReading, SafetyLimits, overload_guard
+from anchorsim.scenario import Scenario, SensorsSection
+from anchorsim.sensors import Wrench, overload_guard
 
 NOMINAL_SEED = 7
 REFERENCE_TOTAL_S = 9 * 60 + 28  # 568 s, the single-point time budget the defaults target
@@ -212,7 +211,7 @@ def test_criterion_5_nut_tightening():
 def test_criterion_6_full_procedure(nominal_run):
     report, _ = nominal_run
     assert report.success, report.failure
-    assert report.step_sequence() == list(STEP_ORDER)
+    assert [r.step for r in report.steps] == list(FixationStep)
     total = report.total_duration
     assert abs(total - REFERENCE_TOTAL_S) <= 0.20 * REFERENCE_TOTAL_S
 
@@ -302,16 +301,16 @@ def test_criterion_7_spiral_search_outcomes():
 
 def test_criterion_8_guard_monotone_and_halt_latency():
     rng = np.random.default_rng(8)
-    limits = SafetyLimits()
+    limits = SensorsSection()
     stops = 0
     for _ in range(10_000):
         base = np.concatenate([rng.uniform(-1500, 1500, 3), rng.uniform(-45, 45, 3)])
-        verdict = overload_guard(FTReading(*base), limits)
+        verdict = overload_guard(Wrench(*base), limits)
         if verdict is None:
             continue
         stops += 1
         grow = rng.uniform(1.0, 3.0, 6)
-        bigger = FTReading(*(v * g for v, g in zip(base, grow)))
+        bigger = Wrench(*(v * g for v, g in zip(base, grow)))
         assert overload_guard(bigger, limits) is not None
     assert stops > 1000
 
@@ -386,14 +385,15 @@ def test_criterion_10_dual_arm_plans():
         assert sorted(points) == list(range(n))  # disjoint cover
         assert plan.phases[0].assignments == ((0, "robot1"),)
         assert not plan.phases[0].parallel
+        robot2 = [p for phase in plan.phases for (p, a) in phase.assignments if a == "robot2"]
         if n <= 3:
             assert all(not phase.parallel for phase in plan.phases)
-            assert plan.points_for("robot2") == []
+            assert robot2 == []
         else:
             assert any(phase.parallel for phase in plan.phases)
             # Parallelism only after the first point is fixed.
             assert all(phase.parallel for phase in plan.phases[1:])
-            assert plan.points_for("robot2") != []
-            assert 0 not in plan.points_for("robot2")
+            assert robot2 != []
+            assert 0 not in robot2
     ok(10, "plans for n=1,2,3,4,6: disjoint covering assignments, parallel "
            "phases only for n>3 and only after point 1")

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorsim
-from anchorsim.cli import EXPORT_CHUNK, export_traces, main, print_config
-from anchorsim.engine import Trace, TraceRecorder, run
+from anchorsim.cli import EXPORT_CHUNK, export_traces, main
+from anchorsim.engine import TraceRecorder, run
 from anchorsim.errors import IoFailure
-from anchorsim.scenario import Scenario, render_scenario
+from anchorsim.scenario import _SECTION_TYPES, Scenario, render_scenario
 from anchorsim.sensors import Wrench
 
 
@@ -104,6 +107,8 @@ INVALID_VALUES = [
     ("[robot]\nmass_nutrunner = -1\n", "robot.mass_nutrunner"),
     ("[part]\nmass = -1\n", "part.mass"),
     ("[robot]\npayload = 0\n", "robot.payload"),
+    ("[procedure]\ndrill_depth_target = 0.09\n", "procedure.drill_depth_target"),
+    ("[sensors]\nmoment_limit = -1\n", "sensors.moment_limit"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, and holes that
@@ -127,6 +132,63 @@ def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
     assert proc.returncode == 2
     assert f"invalid scenario: {field}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+#: Every numeric scenario key, as ``(section, key, default)``.
+NUMERIC_KEYS = [
+    (section, f.name, f.default)
+    for section, cls in _SECTION_TYPES.items()
+    for f in fields(cls)
+    if isinstance(f.default, (int, float))
+]
+
+
+def _slows_the_tick(change) -> bool:
+    # A finer tick only multiplies the run time, up to 100-fold at a scale of
+    # 0.01; test_criterion_9_timestep_refinement runs a finer tick.
+    (_, key, _), scale = change
+    return key == "timestep" and 0 < scale < 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    changes=st.lists(
+        st.tuples(st.sampled_from(NUMERIC_KEYS), st.sampled_from([0, -1, 0.01, 0.1, 0.5, 2, 10, 100]))
+        .filter(lambda change: not _slows_the_tick(change)),
+        min_size=1, max_size=3, unique_by=lambda change: change[0][:2],
+    ),
+    command=st.sampled_from(["frame-test", "drill-test", "insert-test", "nut-test"]),
+)
+def test_scaled_scenario_exits_0_1_or_2(changes, command):
+    # Any scenario text ends in success, a failed step or invalid input; an
+    # escaping exception fails the test with its traceback.
+    sections: dict[str, list[str]] = {}
+    for (section, key, default), scale in changes:
+        value = default * scale
+        sections.setdefault(section, []).append(f"{key} = {round(value) if isinstance(default, int) else value!r}")
+    text = "".join(f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert main([command, "--scenario", path]) in (0, 1, 2), text
+
+
+@pytest.mark.parametrize("text, argv", [
+    # The spiral outgrows the 50 mm around the hole within the search budget.
+    ("[procedure]\nspiral_probe_spacing = 0.0008\nspiral_pitch = 0.035\n",
+     [("insert-test", "--seed", str(seed)) for seed in range(4)]),
+    # The first insertion attempt lands 59 mm from the hole.
+    ("[sensors]\ncamera_sigma_wall = 0.04\n", [("run", "--seed", "5")]),
+], ids=["spiral-outgrows-hole", "camera-59mm-off"])
+def test_far_insertion_is_a_search_timeout(tmp_path, text, argv):
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    for args in argv:
+        proc = run_cli_process(*args, "--scenario", str(path))
+        assert proc.returncode == 1
+        assert "insert_anchor: SearchTimeout" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 def test_non_utf8_scenario_exits_2(tmp_path):
@@ -267,17 +329,19 @@ def test_export_matches_per_value_reference(tmp_path, rows):
 
 
 def test_empty_trace_exports_header_only(tmp_path):
-    trace = Trace("robot1/fz", "fz")
-    export_traces({"robot1/fz": trace}, tmp_path)
+    recorder = TraceRecorder()
+    recorder.register_row("robot1", ("fz",))
+    export_traces(recorder.traces, tmp_path)
     assert (tmp_path / "robot1_fz.csv").read_text() == "t,fz\n"
 
 
 def test_unwritable_dir_is_io_failure(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
-    trace = Trace("robot1/fz", "fz")
+    recorder = TraceRecorder()
+    recorder.register_row("robot1", ("fz",))
     with pytest.raises(IoFailure):
-        export_traces({"robot1/fz": trace}, blocker)
+        export_traces(recorder.traces, blocker)
 
 
 def test_print_config_matches_defaults(capsys):

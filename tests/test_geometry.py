@@ -7,7 +7,6 @@ import pytest
 
 from anchorsim.errors import DegenerateGeometry
 from anchorsim.geometry import (
-    IDENTITY_FRAME,
     Frame,
     Point3,
     angle_between,
@@ -115,7 +114,8 @@ def test_swapping_p2_p3_changes_x_axis():
 
 def test_to_local_identity():
     p = Point3(1, 2, 3)
-    assert IDENTITY_FRAME.to_local(p) == p
+    identity = Frame(Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1))
+    assert identity.to_local(p) == p
 
 
 def test_origin_maps_to_zero():

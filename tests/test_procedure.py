@@ -9,7 +9,6 @@ from anchorsim.engine import World, run
 from anchorsim.errors import PartDropped, StepFailed, WrongPose
 from anchorsim.procedure import (
     MISSIONS,
-    STEP_ORDER,
     FixationStep,
     MissionContext,
     drive_mission,
@@ -20,7 +19,7 @@ from anchorsim.procedure import (
 )
 from anchorsim.scenario import ProcedureSection, Scenario, ToolsSection
 from anchorsim.tools import GripperTool
-from anchorsim.worksite import PartState, StructuralPart, default_hole_pattern
+from anchorsim.worksite import AnchorState, PartState, StructuralPart, default_hole_pattern
 
 NOMINAL_SEED = 7
 
@@ -218,10 +217,10 @@ def test_hammer_short_hole_fails_with_diagnostic():
     site.anchors_in_stand = [AnchorBolt()]
 
     def mission(ctx):
-        anchor, inserted = yield from _mission_insert_core(ctx, hole)
+        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
         yield from ctx.guarded(
             FixationStep.HAMMER_ANCHOR, 0, "robot1",
-            ctx.hammer_anchor("robot1", anchor, inserted["stuck_measured"]),
+            ctx.hammer_anchor("robot1", anchor, stuck_measured),
         )
 
     with pytest.raises(StepFailed):
@@ -278,7 +277,7 @@ def test_tighten_missing_anchor_times_out():
 def test_full_run_step_order_single_point():
     report, _ = run(Scenario(), seed=NOMINAL_SEED, mission="full")
     assert report.success
-    assert report.step_sequence() == list(STEP_ORDER)
+    assert [r.step for r in report.steps] == list(FixationStep)
 
 
 def test_full_run_part_fixed_and_tools_returned():
@@ -289,17 +288,18 @@ def test_full_run_part_fixed_and_tools_returned():
     # Robot 1 stows its last tool; robot 2 keeps the gripper for the next part.
     assert world.arm("robot1").attached_tool is None
     anchors = [h.anchor for h in world.site.drilled_holes]
-    assert all(a is not None and a.torque == 50.0 for a in anchors)
+    assert all(a is not None and a.state is AnchorState.TIGHTENED for a in anchors)
+    assert report.find(FixationStep.TIGHTEN_NUT).diagnostics["final_torque"] == 50.0
 
 
 def test_full_run_two_points_repeats_steps():
     sc = fast_scenario(part__holes=2)
     report, _ = run(sc, seed=NOMINAL_SEED, mission="full")
     assert report.success
-    seq = report.step_sequence()
+    seq = [r.step for r in report.steps]
     # First point: all ten steps; second point: steps 3-9 again, then cleanup.
-    assert seq[:10] == list(STEP_ORDER)
-    assert seq[10:17] == list(STEP_ORDER[2:9])
+    assert seq[:10] == list(FixationStep)
+    assert seq[10:17] == list(FixationStep)[2:9]
     assert seq[17] is FixationStep.RELEASE_REPEAT
     points = [r.point_index for r in report.steps[10:17]]
     assert set(points) == {1}
@@ -368,6 +368,10 @@ def test_pick_place_rejects_placed_part():
 # --- dual-arm scheduling ----------------------------------------------------------------
 
 
+def points_for(plan, arm):
+    return [p for phase in plan.phases for (p, a) in phase.assignments if a == arm]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_schedule_disjoint_cover(n):
     plan = schedule_dual_arm(n)
@@ -382,7 +386,7 @@ def test_schedule_disjoint_cover(n):
 def test_schedule_sequential_for_small_parts(n):
     plan = schedule_dual_arm(n)
     assert all(not phase.parallel for phase in plan.phases)
-    assert plan.points_for("robot2") == []
+    assert points_for(plan, "robot2") == []
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -391,9 +395,9 @@ def test_schedule_parallel_only_after_first_point(n):
     assert not plan.phases[0].parallel
     assert plan.phases[0].assignments == ((0, "robot1"),)
     assert plan.phases[1].parallel
-    assert len(plan.points_for("robot1")) + len(plan.points_for("robot2")) == n
-    assert set(plan.points_for("robot1")) & set(plan.points_for("robot2")) == set()
-    assert plan.points_for("robot2") != []
+    assert len(points_for(plan, "robot1")) + len(points_for(plan, "robot2")) == n
+    assert set(points_for(plan, "robot1")) & set(points_for(plan, "robot2")) == set()
+    assert points_for(plan, "robot2") != []
 
 
 def test_parallel_execution_four_points():

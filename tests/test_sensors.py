@@ -9,9 +9,7 @@ from anchorsim.scenario import PartSection, SensorsSection, WallSection
 from anchorsim.sensors import (
     NOISE_BLOCK,
     DetectionKind,
-    FTReading,
     GuardFilter,
-    SafetyLimits,
     Wrench,
     ZERO_WRENCH,
     camera_detect,
@@ -101,32 +99,35 @@ def test_zero_sigmas_draw_nothing():
 # --- guard ----------------------------------------------------------------------
 
 
+LIMITS = SensorsSection()
+
+
 def test_guard_moment_overload():
-    r = FTReading(0, 0, 0, -30.1, 0, 0)
-    assert overload_guard(r) == "mx"
+    r = Wrench(0, 0, 0, -30.1, 0, 0)
+    assert overload_guard(r, LIMITS) == "mx"
 
 
 def test_guard_boundary_passes():
-    r = FTReading(1000.0, -1000.0, 1000.0, 30.0, -30.0, 30.0)
-    assert overload_guard(r) is None
+    r = Wrench(1000.0, -1000.0, 1000.0, 30.0, -30.0, 30.0)
+    assert overload_guard(r, LIMITS) is None
 
 
 def test_guard_force_overload():
-    r = FTReading(0, 0, 1500.0, 0, 0, 0)
-    assert overload_guard(r) == "fz"
+    r = Wrench(0, 0, 1500.0, 0, 0, 0)
+    assert overload_guard(r, LIMITS) == "fz"
 
 
 def test_guard_monotone():
     rng = np.random.default_rng(77)
-    lim = SafetyLimits()
+    lim = LIMITS
     for _ in range(5000):
         base = rng.uniform(-1200, 1200, 3).tolist() + rng.uniform(-40, 40, 3).tolist()
-        r = FTReading(*base)
+        r = Wrench(*base)
         verdict = overload_guard(r, lim)
         if verdict is None:
             continue
         grow = rng.uniform(1.0, 2.0, 6)
-        bigger = FTReading(*(v * g for v, g in zip(base, grow)))
+        bigger = Wrench(*(v * g for v, g in zip(base, grow)))
         assert overload_guard(bigger, lim) is not None
 
 
@@ -134,7 +135,7 @@ def test_guard_filter_average():
     f = GuardFilter(window=4)
     out = None
     for v in (0.0, 0.0, 0.0, 40.0):
-        out = f.push(FTReading(0, 0, 0, v, 0, 0))
+        out = f.push(Wrench(0, 0, 0, v, 0, 0))
     assert out[3] == pytest.approx(10.0)
 
 
@@ -206,7 +207,7 @@ def test_block_drawn_laser_noise_matches_generator_normal_bit_for_bit():
 def test_camera_noiseless_exact():
     site = make_site()
     sensors = SensorsSection(p_detect=1.0, camera_sigma_part=0.0)
-    det = camera_detect(DetectionKind.PART_HOLE, site, rng=None, sensors=sensors)
+    det = camera_detect(DetectionKind.PART_HOLE, site, None, sensors, site.part.hole_world(0), 0)
     assert det is not None
     assert det.position.distance_to(site.part.hole_world(0)) < 1e-12
     assert det.confidence == 1.0
@@ -220,7 +221,7 @@ def test_camera_error_sigma():
     n = 10_000
     errs_x = np.empty(n)
     for i in range(n):
-        det = camera_detect(DetectionKind.WALL_HOLE, site, rng, sensors)
+        det = camera_detect(DetectionKind.WALL_HOLE, site, rng, sensors, WALL_CENTER, 0)
         local = site.wall.frame.to_local(det.position - Point3(0, 0, 0))
         true_local = site.wall.frame.to_local(WALL_CENTER - Point3(0, 0, 0))
         errs_x[i] = local.x - true_local.x
@@ -237,7 +238,8 @@ def test_camera_out_of_fov():
         site,
         np.random.default_rng(1),
         SensorsSection(p_detect=1.0),
-        view_center=far_view,
+        far_view,
+        0,
     )
     assert det is None
 
@@ -249,34 +251,30 @@ def test_camera_miss_probability():
         site,
         np.random.default_rng(1),
         SensorsSection(p_detect=0.0),
+        site.part.hole_world(0),
+        0,
     )
     assert det is None
 
 
 def test_camera_no_hole_to_detect():
     site = make_site()
-    det = camera_detect(DetectionKind.WALL_HOLE, site, np.random.default_rng(1), SensorsSection(p_detect=1.0))
+    det = camera_detect(
+        DetectionKind.WALL_HOLE, site, np.random.default_rng(1), SensorsSection(p_detect=1.0), WALL_CENTER, 0
+    )
     assert det is None
-
-
-def test_limits_validation():
-    with pytest.raises(ValueError):
-        SafetyLimits(force_limit=0.0)
-    with pytest.raises(ValueError):
-        SafetyLimits(moment_limit=-1.0)
 
 
 def test_wrench_tuple():
     w = Wrench(fz=300.0, mx=-28.0)
     assert tuple(w) == (0.0, 0.0, 300.0, -28.0, 0.0, 0.0)
-    assert FTReading is Wrench
 
 
 def test_guard_nan_and_first_axis_over():
-    assert overload_guard(FTReading(float("nan"), 0, 0, float("nan"), 0, 0)) is None
+    assert overload_guard(Wrench(float("nan"), 0, 0, float("nan"), 0, 0), LIMITS) is None
     # Several axes over: the first in field order is named.
-    assert overload_guard(FTReading(0, 1000.5, -2000.0, 0, 0, 31.0)) == "fy"
-    assert overload_guard(FTReading(float("nan"), 0, 0, 0, -30.5, 99.0)) == "my"
+    assert overload_guard(Wrench(0, 1000.5, -2000.0, 0, 0, 31.0), LIMITS) == "fy"
+    assert overload_guard(Wrench(float("nan"), 0, 0, 0, -30.5, 99.0), LIMITS) == "my"
 
 
 def test_guard_filter_matches_sequential_sums_bit_for_bit():
@@ -287,7 +285,7 @@ def test_guard_filter_matches_sequential_sums_bit_for_bit():
     f = GuardFilter(window=5)
     window, sums = [], [0.0] * 6
     for _ in range(23):
-        sample = FTReading(*(rng.standard_normal(6) * [900, 900, 900, 25, 25, 25]).tolist())
+        sample = Wrench(*(rng.standard_normal(6) * [900, 900, 900, 25, 25, 25]).tolist())
         if len(window) == 5:
             oldest = window.pop(0)
             for i in range(6):

@@ -11,14 +11,13 @@ from anchorsim.tools import (
     GripperState,
     GripperTool,
     HammerTool,
-    MagnetState,
     NutRunnerTool,
     drill_reaction_moment,
     drill_thrust,
     hammer_blow,
     nutrunner_pulse,
 )
-from anchorsim.worksite import AnchorBolt, AnchorState, DrilledHole
+from anchorsim.worksite import AnchorBolt, AnchorState, DrilledHole, StructuralPart, default_hole_pattern
 
 DEPTHS = np.linspace(0.0, 0.08, 801)
 
@@ -258,9 +257,9 @@ def test_deflate_in_free_space_drops_anchor():
 
 def test_magnet_gripper():
     g = GripperTool()
-    g.switch_on(part="bracket")
-    assert g.magnet_state is MagnetState.ON
-    assert g.held_part == "bracket"
-    assert g.switch_off() == "bracket"
+    part = StructuralPart(hole_positions=default_hole_pattern(1, 0.15))
+    g.switch_on(part)
+    assert g.held_part is part
+    g.switch_off()
     assert g.held_part is None
 

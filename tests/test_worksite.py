@@ -35,7 +35,7 @@ def test_register_full_depth_hole():
     site = make_site()
     hole = site.register_drilled_hole(WALL_CENTER, -site.wall.normal, 0.08)
     assert hole.depth == 0.08
-    assert site.hole_near(WALL_CENTER) is hole
+    assert site.hole_near(WALL_CENTER, 0.01) is hole
 
 
 def test_register_zero_depth_rejected():
@@ -102,11 +102,13 @@ def test_engagement_boundary_is_strict():
     assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.RIM_CONTACT
 
 
-def test_engagement_far_tip_rejected():
+def test_engagement_far_tip_is_surface_contact():
+    # A tip far from the mouth is on the bare surface: a far-off insertion
+    # attempt is a miss, which the spiral search then reports.
     site = make_site()
     hole = hole_at_center(site)
-    with pytest.raises(ValueError):
-        anchor_engagement(hole, WALL_CENTER + site.wall.normal.scaled(0.2), CLEARANCE)
+    tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.06)
+    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.SURFACE_CONTACT
 
 
 def test_one_anchor_per_hole():
@@ -154,15 +156,6 @@ def test_anchor_cannot_outrun_hole_depth():
     a.hole = hole
     with pytest.raises(ValueError):
         a.set_state(AnchorState.STUCK, depth=0.05)
-
-
-def test_tighten_requires_nut():
-    a = AnchorBolt(nut_attached=False)
-    a.set_state(AnchorState.GRASPED)
-    a.set_state(AnchorState.STUCK, depth=0.007)
-    a.set_state(AnchorState.SEATED, depth=0.079)
-    with pytest.raises(ValueError):
-        a.set_state(AnchorState.TIGHTENED, torque=50.0)
 
 
 def test_part_fixed_only_after_all_points():
