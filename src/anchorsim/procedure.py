@@ -140,8 +140,6 @@ def spiral_offsets(pitch: float, spacing: float, max_probes: int):
     angular step capped near the centre so the first winding is sampled
     densely enough for the insertion clearance.
     """
-    if pitch <= 0 or spacing <= 0:
-        raise ValueError("pitch and spacing must be positive")
     yield 0.0, 0.0
     theta = 0.0
     two_pi = 2.0 * math.pi
@@ -568,6 +566,10 @@ class MissionContext:
                 raise HaltedByGuard(exc.axis, depth_at_halt) from None
 
             true_depth = max(0.0, -world.surface_distance(arm))
+            if true_depth == 0.0:
+                # With commanded depth feedback, slip can carry the platform
+                # back as fast as the bit feeds.
+                raise SimulationError("the bit reached its depth target without entering the wall")
             hole_depth = min(true_depth, MAX_HOLE_DEPTH)
             entry = world.site.wall.project(world.true_position(arm))
             hole = world.site.register_drilled_hole(entry, -self.out_normal, hole_depth)
@@ -697,6 +699,10 @@ class MissionContext:
             yield from self.feed_until(arm, robot.approach_speed,
                                        stop=wedged, max_travel=0.03)
         stuck_depth = max(0.0, -world.surface_distance(arm))
+        if stuck_depth > hole.depth:
+            raise SimulationError(
+                f"anchor pushed to {stuck_depth * 1e3:.2f} mm, past the {hole.depth * 1e3:.2f} mm hole bottom"
+            )
         stuck_measured = -world.laser_distance(arm)
         world.site.place_anchor_in_hole(anchor, hole, stuck_depth)
 
@@ -1074,8 +1080,9 @@ def mission_hammer(ctx: MissionContext):
 def _seated_anchor(ctx: MissionContext, hole: DrilledHole) -> AnchorBolt:
     anchor = AnchorBolt()
     anchor.set_state(AnchorState.GRASPED)
-    ctx.world.site.place_anchor_in_hole(anchor, hole, depth=0.007)
-    anchor.set_state(AnchorState.SEATED, depth=hole.depth - 0.001)
+    seated = hole.depth - 0.001
+    ctx.world.site.place_anchor_in_hole(anchor, hole, depth=min(0.007, seated))
+    anchor.set_state(AnchorState.SEATED, depth=seated)
     return anchor
 
 

@@ -81,8 +81,6 @@ class ArmState:
             raise PayloadExceeded(f"{self.name}: payload {total:.1f} kg exceeds {self.cfg.payload} kg")
 
     def start_move(self, target: Point3, speed: float):
-        if speed <= 0:
-            raise ValueError("speed must be positive")
         self.check_reach(target)
         if target.distance_to(self.position) < 1e-12:
             self.motion = None
@@ -94,8 +92,6 @@ class ArmState:
 
     def start_feed(self, direction: Point3, speed: float):
         """Open-ended guarded feed; the caller stops it on a condition."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
         self.motion = Motion(target=None, direction=direction.normalized(), speed=speed)
         self.halted = False
         self.halt_axis = None
@@ -160,7 +156,5 @@ class PlatformState:
 
     def step(self, applied_force: float, dt: float):
         """Accumulate slip for one tick; tension never pulls the platform in."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         self.slip_offset += self.cfg.slip_coefficient * max(applied_force, 0.0) * dt
 

@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .errors import ScenarioInvalid
 from .geometry import Point3
@@ -24,97 +25,136 @@ STAMP_DECIMALS = 4
 MIN_TIMESTEP = 10.0**-STAMP_DECIMALS
 
 
+class Check(NamedTuple):
+    """A rule one scenario value must pass, and the reason an error gives."""
+
+    passes: Callable[[object], bool]
+    reason: str
+
+
+def checked(default, check: Check):
+    """A scenario field: its default, and the check every value must pass."""
+    return field(default=default, metadata={"check": check})
+
+
+#: A zero or negative value divides by zero or breaks a tool model, a motion
+#: or the spiral partway through a mission.
+POSITIVE = Check(lambda v: v > 0, "must be positive")
+#: A negative noise level flips the sign of the noise or turns it off, a
+#: negative dwell runs as a one-tick dwell, and a negative mass hides other
+#: mass from the payload check.
+NON_NEGATIVE = Check(lambda v: v >= 0, "must not be negative")
+
+
+def one_of(*values: str) -> Check:
+    return Check(lambda v: v in values, f"must be one of {sorted(values)}")
+
+
+PROBABILITY = Check(lambda p: 0 <= p <= 1, "must be a probability")
+FRACTION = Check(lambda a: 0 < a <= 1, "must be in (0, 1]")
+HOLDS_A_FULL_HOLE = Check(
+    lambda t: t >= MAX_HOLE_DEPTH + BACK_COVER_MARGIN,
+    f"cannot take a {MAX_HOLE_DEPTH} m hole plus {BACK_COVER_MARGIN} m cover",
+)
+DRILLABLE = Check(
+    lambda d: 0 < d <= MAX_HOLE_DEPTH, f"must be positive and not exceed the {MAX_HOLE_DEPTH} m the drill bit can drill"
+)
+STAMP_RESOLUTION = Check(
+    lambda t: t >= MIN_TIMESTEP, f"must be at least {MIN_TIMESTEP} s, the resolution of exported time stamps"
+)
+
+
 @dataclass
 class WallSection:
     distance: float = 0.90  # m, wall plane from the base-frame origin along +x
     center_y: float = 0.0  # m, wall centre in base frame
     center_z: float = 1.00  # m
-    width: float = 0.20  # m
-    height: float = 0.30  # m
-    thickness: float = 0.15  # m
-    compressive_strength: float = 24.0  # N/mm^2
+    width: float = checked(0.20, POSITIVE)  # m
+    height: float = checked(0.30, POSITIVE)  # m
+    thickness: float = checked(0.15, HOLDS_A_FULL_HOLE)  # m
+    compressive_strength: float = checked(24.0, POSITIVE)  # N/mm^2
     yaw_deg: float = 0.0  # wall rotation about vertical; 0 faces the robots
     pitch_deg: float = 0.0  # wall tip-back angle
 
 
 @dataclass
 class PartSection:
-    holes: int = 1  # fixation points on the part
+    holes: int = checked(1, Check(lambda n: n >= 1, "need at least one fixation hole"))  # fixation points on the part
     hole_spacing: float = 0.15  # m between adjacent holes
-    hole_diameter: float = 0.014  # m; wider than the 12 mm bit by design
+    hole_diameter: float = checked(0.014, POSITIVE)  # m; wider than the 12 mm bit by design
     thickness: float = 0.006  # m
-    mass: float = 1.5  # kg
+    mass: float = checked(1.5, NON_NEGATIVE)  # kg
     target_x: float = 0.0  # m, placement target in wall coordinates
     target_y: float = 0.0  # m
-    placement_sigma: float = 0.002  # m per axis placement error
+    placement_sigma: float = checked(0.002, NON_NEGATIVE)  # m per axis placement error
 
 
 @dataclass
 class ToolsSection:
-    variant: str = "constant_load_spring"  # drill compensation variant
-    drill_offset: float = 0.10  # m, drill axis offset from flange axis
-    support_arm_offset: float = 0.20  # m, support rod lever arm
+    variant: str = checked("constant_load_spring", one_of(*(v.value for v in DrillVariant)))  # drill compensation
+    drill_offset: float = checked(0.10, POSITIVE)  # m, drill axis offset from flange axis
+    support_arm_offset: float = checked(0.20, POSITIVE)  # m, support rod lever arm
     spring_rate: float = 2150.0  # N/m, regular spring
     spring_preload: float = 0.10  # m compression at wall contact
     constant_load_force: float = 147.0  # N, constant load spring
     bit_diameter: float = 0.012  # m
     bit_length: float = 0.160  # m
-    feed_speed: float = 0.00225  # m/s drilling feed
+    feed_speed: float = checked(0.00225, POSITIVE)  # m/s drilling feed
     thrust_at_contact: float = 280.0  # N, thrust line intercept
     thrust_per_meter: float = 2000.0  # N/m, thrust line slope
     aligned_tip_lever: float = 0.10  # m, in-line tool comparison lever
     aligned_error_lever: float = 0.005  # m, perpendicularity error lever
-    drill_spinup_time: float = 1.0  # s before the feed starts
+    drill_spinup_time: float = checked(1.0, NON_NEGATIVE)  # s before the feed starts
     inflation_pressure: float = 0.15  # MPa, rubber gripper
-    blow_rate: float = 3.0  # Hz, hammer blows
+    blow_rate: float = checked(3.0, POSITIVE)  # Hz, hammer blows
     blow_advance: float = 0.001  # m per blow into an empty hole
     hammer_free_moment: float = 8.0  # Nm peak while advancing
     hammer_contact_ramp: float = 7.0  # Nm per blow at the bottom
     hammer_contact_cap: float = 29.0  # Nm peak at solid contact
     hammer_press_force: float = 150.0  # N feed force while hammering
-    grip_time: float = 2.0  # s to inflate or deflate the gripper
-    target_torque: float = 50.0  # Nm nut tightening target
-    pulse_attenuation: float = 0.4  # flange moment / fastener torque
-    socket_spring_travel: float = 0.035  # m
+    grip_time: float = checked(2.0, NON_NEGATIVE)  # s to inflate or deflate the gripper
+    target_torque: float = checked(50.0, POSITIVE)  # Nm nut tightening target
+    pulse_attenuation: float = checked(0.4, FRACTION)  # flange moment / fastener torque
+    socket_spring_travel: float = checked(0.035, POSITIVE)  # m
     socket_spring_rate: float = 10000.0  # N/m, approach contact stiffness
     runner_offset: float = 0.05  # m, nut runner offset from flange
     pulse_torque_step: float = 1.0  # Nm added per pulse
-    pulse_rate: float = 10.0  # Hz tightening pulses
-    nut_run_speed: float = 0.0035  # m/s nut advance while running free
+    pulse_rate: float = checked(10.0, POSITIVE)  # Hz tightening pulses
+    nut_run_speed: float = checked(0.0035, POSITIVE)  # m/s nut advance while running free
     nut_height: float = 0.010  # m
     free_run_torque: float = 3.0  # Nm while running the nut down
     socket_fit_time: float = 3.0  # s of alternation before the socket slots on
-    magnet_switch_time: float = 1.0  # s to switch the part magnet
+    magnet_switch_time: float = checked(1.0, NON_NEGATIVE)  # s to switch the part magnet
 
 
 @dataclass
 class SensorsSection:
-    force_limit: float = 1000.0  # N, overload guard
-    moment_limit: float = 30.0  # Nm, overload guard
-    ft_sigma_force: float = 2.0  # N, FT noise
-    ft_sigma_moment: float = 0.2  # Nm, FT noise
+    force_limit: float = checked(1000.0, POSITIVE)  # N, overload guard
+    moment_limit: float = checked(30.0, POSITIVE)  # Nm, overload guard
+    ft_sigma_force: float = checked(2.0, NON_NEGATIVE)  # N, FT noise
+    ft_sigma_moment: float = checked(0.2, NON_NEGATIVE)  # Nm, FT noise
     guard_filter_window: float = 0.25  # s of moving average behind the guard
-    laser_sigma: float = 0.0001  # m, laser distance noise
-    p_detect: float = 0.98  # camera detection probability
-    camera_sigma_wall: float = 0.0015  # m, wall hole / anchor detections (assumed)
-    camera_sigma_part: float = 0.0010  # m, part hole detections (assumed)
+    laser_sigma: float = checked(0.0001, NON_NEGATIVE)  # m, laser distance noise
+    p_detect: float = checked(0.98, PROBABILITY)  # camera detection probability
+    camera_sigma_wall: float = checked(0.0015, NON_NEGATIVE)  # m, wall hole / anchor detections (assumed)
+    camera_sigma_part: float = checked(0.0010, NON_NEGATIVE)  # m, part hole detections (assumed)
     camera_fov: float = 0.2  # m lateral field of view
-    detect_time: float = 2.0  # s per camera detection
+    detect_time: float = checked(2.0, NON_NEGATIVE)  # s per camera detection
 
 
 @dataclass
 class RobotSection:
     reach: float = 1.298  # m
-    payload: float = 13.0  # kg
-    mass_drill: float = 6.0  # kg
-    mass_hammer: float = 4.0  # kg
-    mass_nutrunner: float = 5.0  # kg
-    mass_gripper: float = 1.0  # kg
-    tool_change_time: float = 25.0  # s per attach or detach
-    slip_coefficient: float = 2e-7  # m/(N*s) platform slip under wall force
-    gross_speed: float = 0.06  # m/s free motion between stations
-    approach_speed: float = 0.002  # m/s guarded approach
-    retract_speed: float = 0.05  # m/s
+    payload: float = checked(13.0, POSITIVE)  # kg
+    mass_drill: float = checked(6.0, NON_NEGATIVE)  # kg
+    mass_hammer: float = checked(4.0, NON_NEGATIVE)  # kg
+    mass_nutrunner: float = checked(5.0, NON_NEGATIVE)  # kg
+    mass_gripper: float = checked(1.0, NON_NEGATIVE)  # kg
+    tool_change_time: float = checked(25.0, NON_NEGATIVE)  # s per attach or detach
+    slip_coefficient: float = checked(2e-7, NON_NEGATIVE)  # m/(N*s) platform slip under wall force
+    gross_speed: float = checked(0.06, POSITIVE)  # m/s free motion between stations
+    approach_speed: float = checked(0.002, POSITIVE)  # m/s guarded approach
+    retract_speed: float = checked(0.05, POSITIVE)  # m/s
     approach_standoff: float = 0.010  # m standoff before guarded approaches
     contact_stiffness: float = 200000.0  # N/m wall contact for touch detection
     base1: str = "0.0,-0.30,0.75"  # robot 1 base, base-frame metres
@@ -135,18 +175,18 @@ class ProcedureSection:
     hammer_success_depth: float = 0.070  # m
     approach_force: float = 50.0  # N, nut approach trigger
     contact_force: float = 20.0  # N, drill touch trigger
-    drill_depth_target: float = 0.080  # m
-    search_timeout: float = 60.0  # s
-    spiral_pitch: float = 0.00035  # m radial growth per turn
-    spiral_probe_spacing: float = 0.00016  # m between probes along the arc
-    spiral_probe_period: float = 0.05  # s per probe
-    socket_fit_timeout: float = 10.0  # s
+    drill_depth_target: float = checked(0.080, DRILLABLE)  # m
+    search_timeout: float = checked(60.0, POSITIVE)  # s
+    spiral_pitch: float = checked(0.00035, POSITIVE)  # m radial growth per turn
+    spiral_probe_spacing: float = checked(0.00016, POSITIVE)  # m between probes along the arc
+    spiral_probe_period: float = checked(0.05, POSITIVE)  # s per probe
+    socket_fit_timeout: float = checked(10.0, POSITIVE)  # s
     orientation_offset: float = 0.10  # m between the three laser points
     laser_standoff: float = 0.15  # m wall standoff while measuring
-    depth_source: str = "laser"  # "laser" or "commanded" drill depth feedback
+    depth_source: str = checked("laser", one_of("laser", "commanded"))  # drill depth feedback
     engagement_clearance: float = 0.0002  # m insertion clearance radius
-    wedge_moment_rate: float = 3571.4  # Nm/m wedge resistance (25 Nm at ~7 mm)
-    timestep: float = 0.01  # s engine tick
+    wedge_moment_rate: float = checked(3571.4, POSITIVE)  # Nm/m wedge resistance (25 Nm at ~7 mm)
+    timestep: float = checked(0.01, STAMP_RESOLUTION)  # s engine tick
 
 
 _SECTION_TYPES = {
@@ -157,34 +197,6 @@ _SECTION_TYPES = {
     "robot": RobotSection,
     "procedure": ProcedureSection,
 }
-
-_VARIANTS = {v.value for v in DrillVariant}
-_DEPTH_SOURCES = {"laser", "commanded"}
-
-#: Keys that must be strictly positive: a zero or negative value divides by
-#: zero or breaks a tool model, a motion or the spiral partway through a mission.
-_POSITIVE = (
-    "wall.width", "wall.height", "wall.compressive_strength", "part.hole_diameter",
-    "tools.drill_offset", "tools.support_arm_offset", "tools.blow_rate",
-    "tools.target_torque", "tools.socket_spring_travel", "tools.pulse_rate",
-    "tools.feed_speed", "tools.nut_run_speed",
-    "sensors.force_limit", "sensors.moment_limit",
-    "robot.payload", "robot.gross_speed", "robot.approach_speed", "robot.retract_speed",
-    "procedure.drill_depth_target", "procedure.spiral_pitch", "procedure.spiral_probe_spacing",
-    "procedure.spiral_probe_period", "procedure.timestep",
-)
-
-#: Keys that must not be negative: a negative noise level flips the sign of
-#: the noise or turns it off, a negative dwell runs as a one-tick dwell, and a
-#: negative mass hides other mass from the payload check.
-_NON_NEGATIVE = (
-    "part.mass", "part.placement_sigma",
-    "sensors.ft_sigma_force", "sensors.ft_sigma_moment", "sensors.laser_sigma",
-    "sensors.camera_sigma_wall", "sensors.camera_sigma_part", "sensors.detect_time",
-    "robot.mass_drill", "robot.mass_hammer", "robot.mass_nutrunner", "robot.mass_gripper",
-    "robot.slip_coefficient", "robot.tool_change_time",
-    "tools.grip_time", "tools.magnet_switch_time", "tools.drill_spinup_time",
-)
 
 
 @dataclass
@@ -206,45 +218,28 @@ class Scenario:
                 value = getattr(target, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ScenarioInvalid(f"{section}.{f.name}", "must be finite")
-        if self.tools.variant not in _VARIANTS:
-            raise ScenarioInvalid("tools.variant", f"must be one of {sorted(_VARIANTS)}")
-        if self.procedure.depth_source not in _DEPTH_SOURCES:
-            raise ScenarioInvalid("procedure.depth_source", f"must be one of {sorted(_DEPTH_SOURCES)}")
-        if self.part.holes < 1:
-            raise ScenarioInvalid("part.holes", "need at least one fixation hole")
-        for name in _POSITIVE:
-            if self._value(name) <= 0:
-                raise ScenarioInvalid(name, "must be positive")
-        for name in _NON_NEGATIVE:
-            if self._value(name) < 0:
-                raise ScenarioInvalid(name, "must not be negative")
-        if self.procedure.timestep < MIN_TIMESTEP:
-            raise ScenarioInvalid(
-                "procedure.timestep", f"must be at least {MIN_TIMESTEP} s, the resolution of exported time stamps"
-            )
-        if self.procedure.drill_depth_target > MAX_HOLE_DEPTH:
-            raise ScenarioInvalid(
-                "procedure.drill_depth_target", f"must not exceed the {MAX_HOLE_DEPTH} m the drill bit can drill"
-            )
-        if not 0 <= self.sensors.p_detect <= 1:
-            raise ScenarioInvalid("sensors.p_detect", "must be a probability")
-        if not 0 < self.tools.pulse_attenuation <= 1:
-            raise ScenarioInvalid("tools.pulse_attenuation", "must be in (0, 1]")
-        if self.tools.variant == DrillVariant.REGULAR_SPRING and self.tools.spring_rate <= 0:
+                check = f.metadata.get("check")
+                if check is not None and not check.passes(value):
+                    raise ScenarioInvalid(f"{section}.{f.name}", check.reason)
+        # The rules below compare two keys.
+        tools, p = self.tools, self.procedure
+        if tools.variant == DrillVariant.REGULAR_SPRING and tools.spring_rate <= 0:
             raise ScenarioInvalid("tools.spring_rate", "the regular spring needs a positive rate")
-        if self.tools.variant == DrillVariant.CONSTANT_LOAD_SPRING and self.tools.constant_load_force <= 0:
+        if tools.variant == DrillVariant.CONSTANT_LOAD_SPRING and tools.constant_load_force <= 0:
             raise ScenarioInvalid("tools.constant_load_force", "the constant load spring needs a positive force")
-        if self.wall.thickness < MAX_HOLE_DEPTH + BACK_COVER_MARGIN:
-            raise ScenarioInvalid(
-                "wall.thickness",
-                f"cannot take a {MAX_HOLE_DEPTH} m hole plus {BACK_COVER_MARGIN} m cover",
-            )
-        if self.procedure.hammering_end_moment >= self.sensors.moment_limit:
+        if p.hammering_end_moment >= self.sensors.moment_limit:
             raise ScenarioInvalid(
                 "procedure.hammering_end_moment",
                 f"must stay below the {self.sensors.moment_limit} Nm guard",
             )
-        if self.procedure.hammer_success_depth >= self.procedure.drill_depth_target:
+        # The insertion push only stops when the wedge moment reaches its end
+        # moment, so a hole no deeper than that push cannot take the anchor.
+        push = p.insertion_end_moment / p.wedge_moment_rate
+        if p.drill_depth_target <= push:
+            raise ScenarioInvalid(
+                "procedure.drill_depth_target", f"must be deeper than the {push!r} m the insertion push reaches"
+            )
+        if p.hammer_success_depth >= p.drill_depth_target:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
@@ -273,10 +268,6 @@ class Scenario:
             if d > reach:
                 raise ScenarioInvalid(f"robot.{key}", f"{d:.3f} m from its base exceeds the {reach} m reach")
         return self
-
-    def _value(self, name: str):
-        section, key = name.split(".")
-        return getattr(getattr(self, section), key)
 
 
 def _parse_point(field_name: str, text: str) -> Point3:
@@ -316,8 +307,7 @@ def parse_scenario(text: str) -> Scenario:
         for key, raw in cp.items(section):
             if key not in known:
                 raise ScenarioInvalid(f"{section}.{key}", "unknown key")
-            default = getattr(_SECTION_TYPES[section](), key)
-            setattr(target, key, _coerce(f"{section}.{key}", raw, default))
+            setattr(target, key, _coerce(f"{section}.{key}", raw, known[key].default))
     return scenario.validate()
 
 

@@ -89,10 +89,6 @@ class StructuralPart:
     state: PartState = PartState.IN_STAND
     fixed_count: int = 0
 
-    def __post_init__(self):
-        if not self.hole_positions:
-            raise ValueError("a structural part needs at least one hole")
-
     def set_state(self, new: PartState):
         """Advance the part state; only forward transitions are legal."""
         order = list(PartState)
@@ -223,8 +219,6 @@ def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float) -> Engag
 def default_hole_pattern(count: int, spacing: float) -> list[Point3]:
     """Hole positions in the part-local frame, centred and evenly spaced
     along the part's x axis."""
-    if count < 1:
-        raise ValueError("need at least one hole")
     start = -spacing * (count - 1) / 2
     return [Point3(start + i * spacing, 0.0, 0.0) for i in range(count)]
 

@@ -109,21 +109,26 @@ INVALID_VALUES = [
     ("[robot]\npayload = 0\n", "robot.payload"),
     ("[procedure]\ndrill_depth_target = 0.09\n", "procedure.drill_depth_target"),
     ("[sensors]\nmoment_limit = -1\n", "sensors.moment_limit"),
+    ("[procedure]\nsearch_timeout = -60\n", "procedure.search_timeout"),
+    ("[procedure]\nsocket_fit_timeout = -1\n", "procedure.socket_fit_timeout"),
+    ("[procedure]\nwedge_moment_rate = 0\n", "procedure.wedge_moment_rate"),
 ]
 
-#: Holes whose centres are on the wall but whose rims are not, and holes that
-#: overlap. Their fields repeat cases above, so their ids are their text.
-INVALID_HOLES = [
+#: Holes whose centres are on the wall but whose rims are not, holes that
+#: overlap, and a hole no deeper than the insertion push. Their fields repeat
+#: cases above, so their ids are their text.
+INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
     ("[part]\nholes = 2\nhole_spacing = 0.2\n", "part.hole_spacing"),
     ("[part]\nholes = 2\nhole_spacing = 0\n", "part.hole_spacing"),
+    ("[procedure]\ndrill_depth_target = 0.001\n", "procedure.drill_depth_target"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, field", INVALID_VALUES + INVALID_HOLES,
-    ids=[f for _, f in INVALID_VALUES] + [t.split("\n", 1)[1].strip().replace("\n", ", ") for t, _ in INVALID_HOLES],
+    "text, field", INVALID_VALUES + INVALID_REPEATS,
+    ids=[f for _, f in INVALID_VALUES] + [t.split("\n", 1)[1].strip().replace("\n", ", ") for t, _ in INVALID_REPEATS],
 )
 def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
     path = tmp_path / "s.ini"
@@ -189,6 +194,26 @@ def test_far_insertion_is_a_search_timeout(tmp_path, text, argv):
         assert proc.returncode == 1
         assert "insert_anchor: SearchTimeout" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+#: A hole just deeper than the insertion push, which noise can carry past it.
+SHALLOW_HOLE = "[procedure]\ndrill_depth_target = 0.00701\nhammer_success_depth = 0.0005\n"
+
+
+@pytest.mark.parametrize("text, argv, step", [
+    (SHALLOW_HOLE, ("insert-test", "--seed", "5"), "insert_anchor"),
+    (SHALLOW_HOLE, ("run", "--seed", "7"), "insert_anchor"),
+    (SHALLOW_HOLE, ("nut-test",), "tighten_nut"),
+    # The platform slips back as fast as the bit feeds, so no hole is drilled.
+    ("[procedure]\ndepth_source = commanded\n[robot]\nslip_coefficient = 1e-5\n", ("drill-test",), "drill_hole"),
+], ids=["insert-past-bottom", "run-past-bottom", "nut-shallow-seat", "drill-slips-back"])
+def test_model_limit_fails_the_step(tmp_path, text, argv, step):
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    proc = run_cli_process(*argv, "--scenario", str(path))
+    assert proc.returncode == 1
+    assert f"result: FAILED ({step}: " in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_non_utf8_scenario_exits_2(tmp_path):

@@ -149,11 +149,6 @@ def test_search_radii_ordering():
     assert o - g == pytest.approx(pitch)
 
 
-def test_spiral_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        list(spiral_offsets(0.0, 0.0001, 10))
-
-
 # --- insertion ---------------------------------------------------------------------
 
 

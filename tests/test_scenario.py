@@ -97,7 +97,7 @@ def test_threshold_sanity_enforced():
 def test_timestep_floor_is_the_stamp_resolution():
     # A finer tick would repeat exported stamps, and 1e-300 would overflow
     # the guard filter's window size in World.__init__.
-    for timestep in (1e-300, MIN_TIMESTEP * 0.999):
+    for timestep in (0.0, -0.01, 1e-300, MIN_TIMESTEP * 0.999):
         with pytest.raises(ScenarioInvalid) as err:
             parse_scenario(f"[procedure]\ntimestep = {timestep!r}\n")
         assert err.value.field == "procedure.timestep"

@@ -177,11 +177,6 @@ def test_part_state_cannot_regress():
         part.set_state(PartState.IN_STAND)
 
 
-def test_part_needs_a_hole():
-    with pytest.raises(ValueError):
-        StructuralPart(hole_positions=[])
-
-
 def test_hole_pattern_spacing():
     pts = default_hole_pattern(2, spacing=0.15)
     assert pts[0].distance_to(pts[1]) == pytest.approx(0.15)
