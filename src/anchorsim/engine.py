@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NonMonotonicTime
+from .errors import NonMonotonicTime, SimulationError
 from .geometry import Point3
 from .robot import ArmState, PlatformState, ToolId
 from .scenario import Scenario, scenario_hash
@@ -147,7 +147,9 @@ class ArmRuntime:
     wrench channels and the three depth channels).
 
     ``contact_model`` is called once per tick, with no arguments, for the
-    true wrench at the tool; ``MissionContext.contact`` installs it.
+    true wrench at the tool; ``MissionContext.contact`` installs it. So does
+    ``MissionContext.until`` with ``watcher``, called at the end of the tick;
+    ``watched`` is true once it returned true, or the error it raised.
     """
 
     state: ArmState
@@ -161,6 +163,8 @@ class ArmRuntime:
     reading: Wrench | None = None
     guard_fired_t: float | None = None
     contact_model: Callable[[], Wrench] | None = None
+    watcher: Callable[[], bool | None] | None = None
+    watched: bool | SimulationError = False
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
 
@@ -169,9 +173,9 @@ class World:
     """All mutable simulation state for one run.
 
     ``event`` is true after a tick on which a motion ended, the guard halted
-    an arm, or simulated time passed ``MAX_SIM_TIME``. ``run`` stops after
-    such a tick, because a step that waits on a move, or sits out a number
-    of ticks, has to act on it and on no other tick.
+    an arm, a watcher returned true or raised, or simulated time passed
+    ``MAX_SIM_TIME``. ``run`` stops after such a tick, because the executive
+    has to act on it, and on no other tick but the end of a wait.
     """
 
     def __init__(self, scenario: Scenario, seed: int):
@@ -281,12 +285,15 @@ class World:
     # -- tick -------------------------------------------------------------------
 
     def step(self):
-        """One tick: slip, motions, contact physics, sensors, guard, traces.
+        """One tick: slip, motions, contacts, sensors, guard, traces, watchers.
 
         Slip integrates at the start of the tick from the previous tick's
         press force, so the slip an executive reads after the step is exactly
         the slip the contact models saw; a zero press force adds no slip, so
-        the platform is not stepped. Sets ``event`` for this tick.
+        the platform is not stepped. Watchers run in arm order, the order the
+        executive resumes the arms in: none past ``MAX_SIM_TIME``, and none
+        from the first arm that is halted, or whose watcher raised, on. Sets
+        ``event`` for this tick.
         """
         t = self.clock.tick()
         dt = self.clock.dt
@@ -318,18 +325,30 @@ class World:
                 runtime.guard_fired_t = t
                 event = True
             record(runtime.wrench_row, t, wrench)
+        if t <= MAX_SIM_TIME:
+            for runtime in self.arms.values():
+                if runtime.state.halted:
+                    break
+                watcher = runtime.watcher
+                if watcher is None:
+                    continue
+                try:
+                    if watcher():
+                        runtime.watched = event = True
+                except SimulationError as exc:
+                    runtime.watched = exc
+                    event = True
+                    break
         self.event = event
 
-    def run(self, horizon: float) -> int:
+    def run(self, horizon: float):
         """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
-        after the first event tick; return the number of ticks stepped."""
-        ticks = 0
-        while ticks < horizon:
+        after the first event tick."""
+        end = self.clock.ticks + horizon
+        while self.clock.ticks < end:
             self.step()
-            ticks += 1
             if self.event:
                 break
-        return ticks
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         runtime = self.arms[arm_name]

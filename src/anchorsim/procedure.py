@@ -1,14 +1,12 @@
 """Mission executive: the ten-step fixation procedure and its sub-protocols.
 
-Steps are generators. Every step loop ticks through ``MissionContext.until``,
-which yields a horizon, the number of ticks that may pass before the step must
-be resumed, and is sent back the number of ticks that passed (``None`` counts
-as one). ``World.run`` cuts a run short after an event tick (a motion
-ended, the guard halted an arm, or simulated time ran out), so ``until`` still
-fails the step on the tick the guard halts the arm or time runs out. The only
-other yield is the dual-arm scheduler in ``mission_full``, which interleaves the
-per-arm pipelines in fixed arm order. A failed step ends the run with a partial
-report.
+Steps are generators that tick through ``MissionContext.until``, which yields
+the ticks left of a wait, or ``math.inf``. A step's per-tick check is a watcher
+that ``World.step`` runs, and ``World.run`` stops after an event tick (a motion
+ended, the guard halted an arm, a watcher returned true or raised, or simulated
+time ran out), so a step resumes only on an event or at the end of a wait. The
+dual-arm scheduler in ``mission_full`` resumes the per-arm pipelines in fixed
+arm order. A failed step ends the run with a partial report.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from .engine import MAX_SIM_TIME, World
 from .errors import (
@@ -291,26 +290,31 @@ class MissionContext:
                "home": f"home{suffix}", "part": "part_stand"}[kind]
         return self.scenario.station(key)
 
-    def until(self, arm: str, done=None, ticks: int = 0, horizon: float = 1):
+    def until(self, arm: str, done=None, ticks: float = math.inf):
         """Tick until ``done()`` is true or ``ticks`` ticks passed; raise on the
-        tick the guard halts ``arm`` or simulated time passes ``MAX_SIM_TIME``.
+        tick the guard halts ``arm`` or simulated time passes ``MAX_SIM_TIME``,
+        and re-raise a ``SimulationError`` that ``done()`` raised.
 
-        Each yield is the number of ticks that may pass before ``done()`` must
-        run again: the ticks left of a plain wait, else ``horizon``. That is 1
-        for a ``done`` that must see every tick, and ``math.inf`` for one that
-        only an event tick can make true.
+        ``done`` is the arm's watcher for the wait: ``World.step`` calls it at
+        the end of every tick, so it may record or keep per-tick values. Each
+        yield is the ticks left of the wait, which may be ``math.inf``.
         """
-        state = self.arm(arm)
+        runtime = self.world.runtime(arm)
+        state = runtime.state
         clock = self.world.clock
-        while True:
-            passed = (yield ticks if done is None else horizon) or 1
-            if state.halted:
-                raise HaltedByGuard(state.halt_axis, state.halt_travelled)
-            if clock.t > MAX_SIM_TIME:
-                raise SimTimeExceeded(f"simulated time passed the {MAX_SIM_TIME:.0f} s ceiling")
-            ticks -= passed
-            if (done is not None and done()) or ticks == 0:
-                return
+        end = clock.ticks + ticks
+        runtime.watcher, runtime.watched = done, False
+        try:
+            while not runtime.watched and clock.ticks < end:
+                yield end - clock.ticks
+                if state.halted:
+                    raise HaltedByGuard(state.halt_axis, state.halt_travelled)
+                if clock.t > MAX_SIM_TIME:
+                    raise SimTimeExceeded(f"simulated time passed the {MAX_SIM_TIME:.0f} s ceiling")
+                if isinstance(runtime.watched, SimulationError):
+                    raise runtime.watched
+        finally:
+            runtime.watcher = None
 
     def wait(self, arm: str, seconds: float):
         yield from self.until(arm, ticks=max(1, round(seconds / self.world.dt)))
@@ -319,7 +323,7 @@ class MissionContext:
         state = self.arm(arm)
         state.start_move(target, speed)
         if state.motion is not None:
-            yield from self.until(arm, lambda: state.motion is None, horizon=math.inf)
+            yield from self.until(arm, lambda: state.motion is None)
 
     def feed_until(self, arm: str, speed: float, stop, max_travel: float):
         """Open-ended guarded feed into the wall along the working normal;
@@ -509,12 +513,16 @@ class MissionContext:
             pen = -world.surface_distance(arm)
             return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
 
+        max_mx = 0.0
+        min_mx = 0.0
+
         def drilling_model() -> Wrench:
+            nonlocal max_mx, min_mx
             depth = max(0.0, min(-world.surface_distance(arm), MAX_HOLE_DEPTH))
-            return Wrench(
-                fz=drill_thrust(depth, cfg),
-                mx=drill_reaction_moment(cfg, depth),
-            )
+            mx = drill_reaction_moment(cfg, depth)
+            max_mx = max(max_mx, mx)
+            min_mx = min(min_mx, mx)
+            return Wrench(fz=drill_thrust(depth, cfg), mx=mx)
 
         # Guarded approach until the bit touches the wall; the bit spins up
         # while it presses.
@@ -534,33 +542,26 @@ class MissionContext:
             world.runtime(arm).guard_filter.reset()
             use_laser = p.depth_source == "laser"
             measured = 0.0
-            max_mx = 0.0
-            min_mx = 0.0
 
             def depth_reached():
-                nonlocal measured, max_mx, min_mx
+                nonlocal measured
                 commanded = (contact_cmd - state.position).dot(self.out_normal)
                 if use_laser:
                     measured = laser_zero - world.laser_distance(arm)
                 else:
                     measured = commanded
                 world.record_depthset(arm, measured, commanded)
-                mx = self.true_wrench(arm).mx
-                max_mx = max(max_mx, mx)
-                min_mx = min(min_mx, mx)
                 return measured >= p.drill_depth_target
 
             try:
                 yield from self.feed_until(arm, cfg.feed_speed, stop=depth_reached, max_travel=0.12)
             except HaltedByGuard as exc:
                 depth_at_halt = max(0.0, -world.surface_distance(arm))
-                # The stop callback never saw the halt tick; fold it in.
-                mx_halt = self.true_wrench(arm).mx
                 self._open[arm].diagnostics.update(
                     halt_axis=exc.axis,
                     halt_depth=depth_at_halt,
-                    max_mx=max(max_mx, mx_halt),
-                    min_mx=min(min_mx, mx_halt),
+                    max_mx=max_mx,
+                    min_mx=min_mx,
                     variant=cfg.variant,
                 )
                 raise HaltedByGuard(exc.axis, depth_at_halt) from None
@@ -669,22 +670,19 @@ class MissionContext:
                 center = state.position
                 max_probes = int(p.search_timeout / p.spiral_probe_period)
                 t0 = world.t
-                found = None
                 frame = self.work_frame
                 for dx, dy in spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes):
-                    probe_point = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
-                    state.position = probe_point
+                    state.position = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
                     probes += 1
                     yield from self.wait(arm, p.spiral_probe_period)
                     if engagement_now() is Engagement.ENGAGED:
-                        found = probe_point
                         break
-                search_time = world.t - t0
-                if found is None:
+                else:
                     raise SearchTimeout(
                         f"spiral search exhausted {p.search_timeout} s "
                         f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"
                     )
+                search_time = world.t - t0
 
         def wedged():
             r = self.reading(arm)
@@ -808,13 +806,11 @@ class MissionContext:
 
         substeps: list[tuple[str, float, float]] = []
         approach_triggers: list[dict] = []
-        max_moment = 0.0
         spring = tools_cfg.socket_spring_rate
         dt = world.dt
-
-        def track_moment():
-            nonlocal max_moment
-            max_moment = max(max_moment, abs(self.true_wrench(arm).mx))
+        # The peak flange moment is read from this trace of every tick's mx.
+        moments = world.recorder.traces[f"{arm}/mx"]
+        first_moment = len(moments)
 
         def spring_model(reference_pen: float):
             def socket_spring_model() -> Wrench:
@@ -826,7 +822,6 @@ class MissionContext:
             t0 = world.t
 
             def pressed():
-                track_moment()
                 r = self.reading(arm)
                 return r is not None and r.fz >= p.approach_force
 
@@ -860,7 +855,6 @@ class MissionContext:
             return Wrench(fz=hold_fz, mx=wiggle)
 
         def fitted():
-            track_moment()
             r = self.reading(arm)
             if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
                 return True
@@ -898,7 +892,7 @@ class MissionContext:
             )
 
         with self.contact(arm, run_model):
-            yield from self.until(arm, track_moment, ticks=max(1, round(run_duration / dt)))
+            yield from self.wait(arm, run_duration)
         substeps.append(("run_nut", t0, world.t))
 
         # (5) advance once more.
@@ -922,12 +916,12 @@ class MissionContext:
             return Wrench(fz=50.0, mx=flange)
 
         def tightened():
-            track_moment()
             return torque >= tools_cfg.target_torque
 
         with self.contact(arm, pulse_model):
             yield from self.until(arm, tightened)
         substeps.append(("pulse_tighten", t0, world.t))
+        max_moment = max(map(abs, moments.values[first_moment:].tolist()))
 
         anchor.set_state(AnchorState.TIGHTENED)
         world.site.part.mark_point_fixed()
@@ -987,46 +981,31 @@ def mission_full(ctx: MissionContext):
     # Step 10: robot 2 releases the part; repeats follow for other points.
     last = [ctx.return_tool("robot1")] if plan.n_points == 1 else []
     yield from ctx.guarded(
-        FixationStep.RELEASE_REPEAT, 0, "robot2", _chain(ctx.release_part("robot2"), *last),
+        FixationStep.RELEASE_REPEAT, 0, "robot2", chain(ctx.release_part("robot2"), *last),
         remaining_points=plan.n_points - 1,
     )
 
-    # Each phase runs one pipeline per arm in arm order; a sequential phase
-    # is the one-arm case. A pipeline is resumed once its horizon has passed
-    # or on an event tick, and is sent the ticks since it last yielded, so
-    # every pipeline whose ``done`` must see a tick is resumed on that tick,
-    # in arm order, exactly as when each pipeline is resumed every tick.
+    # Each phase runs one pipeline per arm; a sequential phase is the
+    # one-arm case. Every pipeline is resumed, in arm order, whenever the
+    # world stops: on an event tick, or when the shortest wait ends. A wait
+    # that has not ended yields its ticks left again and changes nothing;
+    # ``next`` gives None for a finished pipeline.
     for phase in plan.phases[1:]:
         chains: dict[str, list[int]] = {}
         for point, arm in phase.assignments:
             chains.setdefault(arm, []).append(point)
-        # pipeline -> [horizon, ticks since it yielded]; None: not started
-        waiting = {_chain(*[ctx.fix_point(arm, pt) for pt in pts]): [0, None]
-                   for arm, pts in sorted(chains.items())}
-        while waiting:
-            for pipeline, (horizon, since) in list(waiting.items()):
-                if since is not None and since < horizon and not ctx.world.event:
-                    continue
-                try:
-                    waiting[pipeline] = [pipeline.send(since), 0]
-                except StopIteration:
-                    del waiting[pipeline]
-            if waiting:
-                passed = (yield min(h - s for h, s in waiting.values())) or 1
-                for wait in waiting.values():
-                    wait[1] += passed
+        pipelines = [chain(*[ctx.fix_point(arm, pt) for pt in pts]) for arm, pts in sorted(chains.items())]
+        while True:
+            horizons = [h for h in (next(pipeline, None) for pipeline in pipelines) if h is not None]
+            if not horizons:
+                break
+            yield min(horizons)
 
     if plan.n_points > 1:
         yield from ctx.guarded(
             FixationStep.RELEASE_REPEAT, plan.n_points - 1, "robot1",
-            _chain(ctx.return_tool("robot1"), ctx.return_tool("robot2")), cleanup=True,
+            chain(ctx.return_tool("robot1"), ctx.return_tool("robot2")), cleanup=True,
         )
-
-
-def _chain(*gens):
-    """``itertools.chain`` for generators that are sent tick counts."""
-    for gen in gens:
-        yield from gen
 
 
 def mission_drill(ctx: MissionContext):
@@ -1127,19 +1106,15 @@ MISSIONS = {
 
 def drive_mission(world: World, mission: str):
     """Run the mission generator to completion, stepping the world over each
-    horizon it yields and sending back the ticks that passed."""
+    horizon it yields."""
     try:
         factory = MISSIONS[mission]
     except KeyError:
         raise ValueError(f"unknown mission {mission!r}; one of {sorted(MISSIONS)}") from None
     ctx = MissionContext(world)
-    steps = factory(ctx)
     try:
-        horizon = next(steps)
-        while True:
-            horizon = steps.send(world.run(horizon))
-    except StopIteration:
-        pass
+        for horizon in factory(ctx):
+            world.run(horizon)
     except SimulationError as exc:  # a failed step, or an error between steps
         ctx.failure = ctx.failure or f"{type(exc).__name__}: {exc}"
     success = ctx.failure is None

@@ -243,6 +243,11 @@ class Scenario:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
+        # Each probe dwells a whole number of ticks, but the search counts
+        # its budget in probe periods, so any other period overruns it.
+        probe_ticks = p.spiral_probe_period / p.timestep
+        if not math.isclose(probe_ticks, round(probe_ticks), rel_tol=1e-9):
+            raise ScenarioInvalid("procedure.spiral_probe_period", f"must be a whole number of {p.timestep!r} s ticks")
         # Whole holes, not just their centres, must lie on the wall, and
         # adjacent holes must not overlap.
         part = self.part
@@ -336,7 +341,7 @@ def load_scenario(path: str | None) -> Scenario:
     if path is None:
         return Scenario().validate()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioInvalid(str(path), f"cannot read scenario: {exc}") from None

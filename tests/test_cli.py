@@ -25,15 +25,6 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a separate process, so an escaping exception shows as a
-    traceback on stderr rather than as an error inside the test."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "anchorsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
-
-
 def test_drill_test_constant_load_succeeds(capsys, tmp_path):
     out_dir = tmp_path / "traces"
     code, out, err = run_cli(
@@ -115,14 +106,19 @@ INVALID_VALUES = [
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
-#: overlap, and a hole no deeper than the insertion push. Their fields repeat
-#: cases above, so their ids are their text.
+#: overlap, a hole no deeper than the insertion push, and spiral probe periods
+#: that are not whole ticks (probes dwell whole ticks, so the search overran
+#: its timeout). Their fields repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
     ("[part]\nholes = 2\nhole_spacing = 0.2\n", "part.hole_spacing"),
     ("[part]\nholes = 2\nhole_spacing = 0\n", "part.hole_spacing"),
     ("[procedure]\ndrill_depth_target = 0.001\n", "procedure.drill_depth_target"),
+    ("[procedure]\nspiral_probe_period = 0.0001\n[sensors]\ncamera_sigma_wall = 0.012\n",
+     "procedure.spiral_probe_period"),
+    ("[procedure]\nspiral_probe_period = 0.015\n[sensors]\ncamera_sigma_wall = 0.012\n",
+     "procedure.spiral_probe_period"),
 ]
 
 
@@ -130,13 +126,12 @@ INVALID_REPEATS = [
     "text, field", INVALID_VALUES + INVALID_REPEATS,
     ids=[f for _, f in INVALID_VALUES] + [t.split("\n", 1)[1].strip().replace("\n", ", ") for t, _ in INVALID_REPEATS],
 )
-def test_invalid_value_exits_2_naming_the_field(tmp_path, text, field):
+def test_invalid_value_exits_2_naming_the_field(capsys, tmp_path, text, field):
     path = tmp_path / "s.ini"
     path.write_text(text)
-    proc = run_cli_process("run", "--scenario", str(path))
-    assert proc.returncode == 2
-    assert f"invalid scenario: {field}:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert code == 2
+    assert f"invalid scenario: {field}:" in err
 
 
 #: Every numeric scenario key, as ``(section, key, default)``.
@@ -186,14 +181,13 @@ def test_scaled_scenario_exits_0_1_or_2(changes, command):
     # The first insertion attempt lands 59 mm from the hole.
     ("[sensors]\ncamera_sigma_wall = 0.04\n", [("run", "--seed", "5")]),
 ], ids=["spiral-outgrows-hole", "camera-59mm-off"])
-def test_far_insertion_is_a_search_timeout(tmp_path, text, argv):
+def test_far_insertion_is_a_search_timeout(capsys, tmp_path, text, argv):
     path = tmp_path / "s.ini"
     path.write_text(text)
     for args in argv:
-        proc = run_cli_process(*args, "--scenario", str(path))
-        assert proc.returncode == 1
-        assert "insert_anchor: SearchTimeout" in proc.stdout
-        assert "Traceback" not in proc.stderr
+        code, out, err = run_cli(capsys, *args, "--scenario", str(path))
+        assert code == 1
+        assert "insert_anchor: SearchTimeout" in out
 
 
 #: A hole just deeper than the insertion push, which noise can carry past it.
@@ -207,19 +201,24 @@ SHALLOW_HOLE = "[procedure]\ndrill_depth_target = 0.00701\nhammer_success_depth 
     # The platform slips back as fast as the bit feeds, so no hole is drilled.
     ("[procedure]\ndepth_source = commanded\n[robot]\nslip_coefficient = 1e-5\n", ("drill-test",), "drill_hole"),
 ], ids=["insert-past-bottom", "run-past-bottom", "nut-shallow-seat", "drill-slips-back"])
-def test_model_limit_fails_the_step(tmp_path, text, argv, step):
+def test_model_limit_fails_the_step(capsys, tmp_path, text, argv, step):
     path = tmp_path / "s.ini"
     path.write_text(text)
-    proc = run_cli_process(*argv, "--scenario", str(path))
-    assert proc.returncode == 1
-    assert f"result: FAILED ({step}: " in proc.stdout
-    assert "Traceback" not in proc.stderr
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+    assert code == 1
+    assert f"result: FAILED ({step}: " in out
 
 
 def test_non_utf8_scenario_exits_2(tmp_path):
+    # The one test of the ``python -m anchorsim.cli`` entry point: its exit
+    # code, and no traceback on stderr.
     path = tmp_path / "s.ini"
     path.write_bytes(b"[part]\nholes = 1\xff\n")
-    proc = run_cli_process("frame-test", "--scenario", str(path))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchorsim.cli", "frame-test", "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
     assert proc.returncode == 2
     assert f"invalid scenario: {path}: not UTF-8 text" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -239,7 +238,7 @@ def test_payload_overrun_fails_the_step(capsys, tmp_path):
 
 def test_sim_time_ceiling_fails_the_step(capsys, tmp_path):
     path = tmp_path / "s.ini"
-    path.write_text("[robot]\ntool_change_time = 8000\n[procedure]\ntimestep = 0.1\n")
+    path.write_text("[robot]\ntool_change_time = 8000\n[procedure]\ntimestep = 0.1\nspiral_probe_period = 0.1\n")
     code, out, err = run_cli(capsys, "drill-test", "--scenario", str(path), "--report", "machine-readable")
     assert code == 1
     steps = json.loads(out)["steps"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, TraceRecorder, World, run
-from anchorsim.errors import NonMonotonicTime
+from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import ZERO_WRENCH, Wrench
@@ -172,27 +172,62 @@ def test_run_stops_after_the_tick_a_motion_ends():
     arm = world.arm("robot1")
     # 11.5 mm at 1 mm per tick: the move ends on its twelfth tick.
     arm.start_move(arm.position + Point3(0.0115, 0.0, 0.0), 0.1)
-    assert world.run(5) == 5 and not world.event
-    assert world.run(math.inf) == 7 and world.event
-    assert arm.motion is None and world.clock.ticks == 12
-    assert world.run(3) == 3 and not world.event
+    world.run(5)
+    assert world.clock.ticks == 5 and not world.event
+    world.run(math.inf)
+    assert world.clock.ticks == 12 and world.event and arm.motion is None
+    world.run(3)
+    assert world.clock.ticks == 15 and not world.event
 
 
 def test_run_stops_after_the_tick_the_guard_halts():
     world = World(Scenario(), seed=0)
     arm = world.arm("robot1")
     world.runtime("robot1").contact_model = lambda: Wrench(mx=100.0 if world.t > 0.2 else 0.0)
-    ticks = world.run(math.inf)
+    # Robot 2's watcher runs on every tick but the one robot 1 halts on.
+    watched = []
+    world.runtime("robot2").watcher = lambda: watched.append(world.clock.ticks)
+    world.run(math.inf)
     assert world.event and arm.halted and arm.halt_axis == "mx"
     assert world.runtime("robot1").guard_fired_t == world.t
-    assert world.clock.ticks == ticks > 21
+    assert world.clock.ticks > 21
+    assert watched == list(range(1, world.clock.ticks))
+
+
+def test_run_stops_after_the_tick_a_watcher_fires():
+    world = World(Scenario(), seed=0)
+    runtime = world.runtime("robot2")
+    runtime.watcher = lambda: world.clock.ticks == 4
+    world.run(math.inf)
+    assert world.clock.ticks == 4 and world.event and runtime.watched is True
+
+
+def test_a_watcher_error_is_kept_and_no_later_watcher_runs():
+    world = World(Scenario(), seed=0)
+    error = WrongPose("stop")
+
+    def raising():
+        if world.clock.ticks == 3:
+            raise error
+
+    world.runtime("robot1").watcher = raising
+    watched = []
+    world.runtime("robot2").watcher = lambda: watched.append(world.clock.ticks)
+    world.run(math.inf)
+    assert world.clock.ticks == 3 and world.event and world.runtime("robot1").watched is error
+    assert watched == [1, 2]
 
 
 def test_run_stops_after_the_tick_time_passes_the_ceiling():
     world = World(Scenario(), seed=0)
     world.clock.ticks = round(MAX_SIM_TIME / world.dt) - 2
-    assert world.run(math.inf) == 3
+    watched = []
+    world.runtime("robot1").watcher = lambda: watched.append(world.t)
+    world.run(math.inf)
+    assert world.clock.ticks == round(MAX_SIM_TIME / world.dt) + 1
     assert world.event and world.t > MAX_SIM_TIME
+    # No watcher runs on the tick past the ceiling.
+    assert len(watched) == 2 and max(watched) <= MAX_SIM_TIME
 
 
 def test_nan_slip_raises_in_distance_reads():

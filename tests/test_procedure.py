@@ -488,18 +488,18 @@ def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
     sc, mission, seed, failure = LIFETIME_CASES[case]
     contact, end, fail = MissionContext.contact, MissionContext.end, MissionContext.fail
     installed = []
-    ended = []  # the ending arm's contact model at each step end
+    ended = []  # the ending arm's contact model and watcher at each step end
 
     def recording_contact(ctx, arm, model):
         installed.append(model)
         return contact(ctx, arm, model)
 
     def checked_end(ctx, arm, **diag):
-        ended.append(ctx.world.runtime(arm).contact_model)
+        ended.append((ctx.world.runtime(arm).contact_model, ctx.world.runtime(arm).watcher))
         return end(ctx, arm, **diag)
 
     def checked_fail(ctx, arm, exc):
-        ended.append(ctx.world.runtime(arm).contact_model)
+        ended.append((ctx.world.runtime(arm).contact_model, ctx.world.runtime(arm).watcher))
         return fail(ctx, arm, exc)
 
     monkeypatch.setattr(MissionContext, "contact", recording_contact)
@@ -512,7 +512,7 @@ def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
     else:
         assert f": {failure}: " in report.failure
     assert installed and ended
-    assert ended == [None] * len(ended)
+    assert ended == [(None, None)] * len(ended)
     # Each model is a named function, and no two models share a name.
     names = {model.__name__ for model in installed}
     assert "<lambda>" not in names

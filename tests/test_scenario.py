@@ -113,6 +113,15 @@ def test_load_scenario_none_is_default():
     assert load_scenario(None) == Scenario()
 
 
+def test_byte_order_mark_is_read_past(tmp_path):
+    text = "[part]\nholes = 2\nhole_spacing = 0.05\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_scenario(str(marked)) == load_scenario(str(plain)) != Scenario()
+
+
 def test_station_parsing():
     sc = Scenario()
     p = sc.station("base1")
