@@ -2,9 +2,9 @@
 
 Everything that happens in a run is a function of (scenario, seed, dt): the
 clock never reads wall time, every sensor draws from its own seeded stream
-in blocks, and the per-tick order (advance motions, evaluate contacts,
-sample sensors, check the guard) is fixed, so identical inputs give
-identical outputs.
+in blocks, and the per-tick order is fixed (one pass over the arms, then the
+watchers; see ``World.step``), so identical inputs give identical outputs.
+The tick works on floats; a ``Point3`` is built where the executive reads one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .sensors import (
     read_laser,
 )
 from .tools import GripperTool, HammerTool, NutRunnerTool
-from .worksite import StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
+from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
 DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
 TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
@@ -251,7 +251,7 @@ class World:
         ``Wall.signed_distance(true_position(...))`` in the same order.
         """
         runtime = self.arms[arm_name]
-        p = runtime.state.position
+        p = runtime.state
         slip = runtime.platform.slip_offset
         nx, ny, nz = self._normal
         ox, oy, oz = self._origin
@@ -271,7 +271,7 @@ class World:
         """
         ray = self._laser_ray if ray is None else ray.normalized()
         runtime = self.arms[arm_name]
-        p = runtime.state.position
+        p = runtime.state
         slip = runtime.platform.slip_offset
         nx, ny, nz = self._normal
         origin = (
@@ -282,18 +282,39 @@ class World:
         distance = read_laser(origin, ray, self.site, runtime.laser_noise, sigma=self.scenario.sensors.laser_sigma)
         return distance - 0.5
 
+    def radial_offset(self, arm_name: str, hole: DrilledHole) -> float:
+        """Distance of the true tool point, projected onto the wall, from the
+        axis of ``hole``: ``(wall.project(true_position(...)) - hole.position)
+        .cross(hole.axis).norm()`` on floats, in the same order."""
+        runtime = self.arms[arm_name]
+        p = runtime.state
+        slip = runtime.platform.slip_offset
+        nx, ny, nz = self._normal
+        ox, oy, oz = self._origin
+        tx, ty, tz = p.x + nx * slip, p.y + ny * slip, p.z + nz * slip
+        d = (tx - ox) * nx + (ty - oy) * ny + (tz - oz) * nz
+        h, a = hole.position, hole.axis
+        ex, ey, ez = tx - nx * d - h.x, ty - ny * d - h.y, tz - nz * d - h.z
+        cx, cy, cz = ey * a.z - ez * a.y, ez * a.x - ex * a.z, ex * a.y - ey * a.x
+        return math.sqrt(cx * cx + cy * cy + cz * cz)
+
     # -- tick -------------------------------------------------------------------
 
     def step(self):
-        """One tick: slip, motions, contacts, sensors, guard, traces, watchers.
+        """One tick: one pass over the arms, then the watchers.
 
-        Slip integrates at the start of the tick from the previous tick's
-        press force, so the slip an executive reads after the step is exactly
-        the slip the contact models saw; a zero press force adds no slip, so
-        the platform is not stepped. Watchers run in arm order, the order the
-        executive resumes the arms in: none past ``MAX_SIM_TIME``, and none
-        from the first arm that is halted, or whose watcher raised, on. Sets
-        ``event`` for this tick.
+        For each arm in turn the pass does slip, motion advance, contact
+        model (none: ``ZERO_WRENCH`` and no press force), FT sample, guard and
+        wrench record; no arm's work reads the other arm, because each contact
+        model is a closure over its own arm.
+
+        Slip integrates at the start of the arm's turn from the previous
+        tick's press force, so the slip an executive reads after the step is
+        exactly the slip the contact model saw; a zero press force adds no
+        slip, so the platform is not stepped. Watchers run in arm order, the
+        order the executive resumes the arms in: none past ``MAX_SIM_TIME``,
+        and none from the first arm that is halted, or whose watcher raised,
+        on. Sets ``event`` for this tick.
         """
         t = self.clock.tick()
         dt = self.clock.dt
@@ -307,12 +328,13 @@ class World:
             if arm.motion is not None:
                 arm.advance(dt)
                 event = event or arm.motion is None
-        for runtime in self.arms.values():
-            arm = runtime.state
             model = runtime.contact_model
-            wrench = ZERO_WRENCH if model is None else model()
+            if model is None:
+                wrench, runtime.press_force = ZERO_WRENCH, 0.0
+            else:
+                wrench = model()
+                runtime.press_force = max(wrench.fz, 0.0)
             runtime.true_wrench = wrench
-            runtime.press_force = max(wrench.fz, 0.0)
             runtime.active = model is not None or arm.motion is not None
             if not runtime.active:
                 runtime.reading = None

@@ -272,8 +272,6 @@ class MissionContext:
         self.begin(step, point, arm)
         try:
             result = yield from gen
-        except StepFailed:
-            raise
         except SimulationError as exc:
             raise self.fail(arm, exc) from exc
         self.end(arm, **diag)
@@ -533,7 +531,7 @@ class MissionContext:
                 stop=lambda: self.reading(arm) is not None and self.reading(arm).fz >= p.contact_force,
                 max_travel=0.2,
             )
-            contact_cmd = state.position
+            cx, cy, cz = state.x, state.y, state.z  # the commanded contact point
             laser_zero = world.laser_distance(arm)
             slip_zero = world.slip(arm)
             yield from self.wait(arm, self.scenario.tools.drill_spinup_time)
@@ -542,10 +540,13 @@ class MissionContext:
             world.runtime(arm).guard_filter.reset()
             use_laser = p.depth_source == "laser"
             measured = 0.0
+            # The commanded depth is ``(contact - state.position).dot(out_normal)``,
+            # on floats.
+            ox, oy, oz = self.out_normal.as_tuple()
 
             def depth_reached():
                 nonlocal measured
-                commanded = (contact_cmd - state.position).dot(self.out_normal)
+                commanded = (cx - state.x) * ox + (cy - state.y) * oy + (cz - state.z) * oz
                 if use_laser:
                     measured = laser_zero - world.laser_distance(arm)
                 else:
@@ -618,7 +619,6 @@ class MissionContext:
         robot = self.scenario.robot
         p = self.scenario.procedure
         state = self.arm(arm)
-        wall = world.site.wall
         # Wide tolerance: a badly mislocated detection still aims the attempt
         # somewhere, and the search then honestly fails to reach the hole.
         hole = world.site.hole_near(target, tol=0.1)
@@ -630,7 +630,7 @@ class MissionContext:
         yield from self.move(arm, standoff, robot.gross_speed)
 
         def engagement_now() -> Engagement:
-            return anchor_engagement(hole, wall.project(world.true_position(arm)), clearance)
+            return anchor_engagement(world.radial_offset(arm, hole), clearance)
 
         def wedge_model() -> Wrench:
             pen = max(0.0, -world.surface_distance(arm))
@@ -656,8 +656,8 @@ class MissionContext:
         with self.contact(arm, wedge_model):
             yield from self.feed_until(arm, robot.approach_speed,
                                        stop=touch_or_enter, max_travel=0.05)
-        first = engagement_now()
-        first_offset = hole.radial_offset(wall.project(world.true_position(arm)))
+        first_offset = world.radial_offset(arm, hole)
+        first = anchor_engagement(first_offset, clearance)
         search_time = 0.0
         probes = 0
         if not entered:
@@ -730,7 +730,7 @@ class MissionContext:
         self.arm(arm).held_mass = max(0.0, self.arm(arm).held_mass - anchor.mass)
         hammer.start_hammering()
 
-        start_cmd = state.position
+        sx, sy, sz = state.x, state.y, state.z  # the commanded start point
         depth0 = anchor.depth
         slip0 = world.slip(arm)
         laser_zero = world.laser_distance(arm)
@@ -740,11 +740,9 @@ class MissionContext:
         next_blow = blow_interval
         peak = 0.0
         blows = 0
-        out = self.out_normal
-        # The tick works on the floats of ``start_cmd - out.scaled(advance)``
-        # and ``(start_cmd - state.position).dot(out)``, in the same order.
-        sx, sy, sz = start_cmd.as_tuple()
-        ox, oy, oz = out.as_tuple()
+        # The tick works on the floats of ``start - out_normal.scaled(advance)``
+        # and ``(start - state.position).dot(out_normal)``, in the same order.
+        ox, oy, oz = self.out_normal.as_tuple()
 
         def hammer_model() -> Wrench:
             nonlocal blow_elapsed, next_blow, peak, blows
@@ -757,13 +755,13 @@ class MissionContext:
                 moment = peak
             if not state.halted:
                 advance = (anchor.depth - depth0) + (world.slip(arm) - slip0)
-                state.position = Point3(sx - ox * advance, sy - oy * advance, sz - oz * advance)
+                state.x, state.y, state.z = sx - ox * advance, sy - oy * advance, sz - oz * advance
             return Wrench(fz=tools_cfg.hammer_press_force, mx=moment)
 
         def bottomed():
             measured_depth = stuck_measured + (laser_zero - world.laser_distance(arm))
-            pos = state.position
-            world.record_depthset(arm, measured_depth, (sx - pos.x) * ox + (sy - pos.y) * oy + (sz - pos.z) * oz)
+            commanded = (sx - state.x) * ox + (sy - state.y) * oy + (sz - state.z) * oz
+            world.record_depthset(arm, measured_depth, commanded)
             r = self.reading(arm)
             if r is not None and abs(r.mx) >= p.hammering_end_moment:
                 if measured_depth <= p.hammer_success_depth:
@@ -777,7 +775,7 @@ class MissionContext:
             yield from self.until(arm, bottomed)
 
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
-        displacement = (start_cmd - state.position).dot(out)
+        displacement = (sx - state.x) * ox + (sy - state.y) * oy + (sz - state.z) * oz
         self._open[arm].diagnostics.update(
             blows=blows,
             displacement=displacement,

@@ -32,42 +32,38 @@ STAND_POSE_TOL = 0.005
 
 @dataclass
 class Motion:
-    """Constant-speed straight-line segment, advanced tick by tick."""
+    """Constant-speed straight-line segment between ``(x, y, z)`` points."""
 
-    target: Point3 | None  # None = open-ended along ``direction``
-    direction: Point3
+    target: tuple[float, float, float] | None  # None = open-ended along ``direction``
+    direction: tuple[float, float, float]
     speed: float
     travelled: float = 0.0
 
-    def advance(self, position: Point3, dt: float) -> tuple[Point3, bool]:
-        step = self.speed * dt
-        target = self.target
-        if target is not None:
-            dx, dy, dz = position.x - target.x, position.y - target.y, position.z - target.z
-            remaining = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if remaining <= step:
-                self.travelled += remaining
-                return target, True
-        self.travelled += step
-        d = self.direction
-        return Point3(position.x + d.x * step, position.y + d.y * step, position.z + d.z * step), False
 
-
-@dataclass
 class ArmState:
     """Commanded tool point and flange state; reach, payload and tool masses
-    come from ``cfg``."""
+    come from ``cfg``. The tick works on the point's floats ``x, y, z``;
+    ``position`` reads or assigns them as a ``Point3``."""
 
-    name: str
-    base: Point3
-    position: Point3
-    cfg: RobotSection
-    attached_tool: ToolId | None = None
-    held_mass: float = 0.0
-    motion: Motion | None = None
-    halted: bool = False
-    halt_axis: str | None = None
-    halt_travelled: float = 0.0
+    def __init__(self, name: str, base: Point3, position: Point3, cfg: RobotSection):
+        self.name = name
+        self.base = base
+        self.position = position
+        self.cfg = cfg
+        self.attached_tool: ToolId | None = None
+        self.held_mass = 0.0
+        self.motion: Motion | None = None
+        self.halted = False
+        self.halt_axis: str | None = None
+        self.halt_travelled = 0.0
+
+    @property
+    def position(self) -> Point3:
+        return Point3(self.x, self.y, self.z)
+
+    @position.setter
+    def position(self, p: Point3):
+        self.x, self.y, self.z = p.x, p.y, p.z
 
     def check_reach(self, target: Point3):
         d = self.base.distance_to(target)
@@ -86,13 +82,13 @@ class ArmState:
             self.motion = None
             return
         direction = (target - self.position).normalized()
-        self.motion = Motion(target=target, direction=direction, speed=speed)
+        self.motion = Motion(target.as_tuple(), direction.as_tuple(), speed)
         self.halted = False
         self.halt_axis = None
 
     def start_feed(self, direction: Point3, speed: float):
         """Open-ended guarded feed; the caller stops it on a condition."""
-        self.motion = Motion(target=None, direction=direction.normalized(), speed=speed)
+        self.motion = Motion(None, direction.normalized().as_tuple(), speed)
         self.halted = False
         self.halt_axis = None
 
@@ -106,19 +102,36 @@ class ArmState:
         self.motion = None
 
     def advance(self, dt: float):
-        """Advance the commanded position one tick; a reached move target
-        ends the motion."""
-        if self.motion is None or self.halted:
+        """Advance the commanded point one tick; a reached move target ends
+        the motion. Raises ValueError, as ``Point3`` does, on a non-finite
+        point."""
+        motion = self.motion
+        if motion is None or self.halted:
             return
-        new_pos, arrived = self.motion.advance(self.position, dt)
+        step = motion.speed * dt
+        x, y, z = self.x, self.y, self.z
+        target = motion.target
+        arrived = False
+        if target is not None:
+            dx, dy, dz = x - target[0], y - target[1], z - target[2]
+            remaining = math.sqrt(dx * dx + dy * dy + dz * dz)
+            arrived = remaining <= step
+        if arrived:
+            motion.travelled += remaining
+            x, y, z = target
+        else:
+            motion.travelled += step
+            ux, uy, uz = motion.direction
+            x, y, z = x + ux * step, y + uy * step, z + uz * step
         base = self.base
-        dx, dy, dz = base.x - new_pos.x, base.y - new_pos.y, base.z - new_pos.z
-        if math.sqrt(dx * dx + dy * dy + dz * dz) > self.cfg.reach:
+        dx, dy, dz = base.x - x, base.y - y, base.z - z
+        if not math.sqrt(dx * dx + dy * dy + dz * dz) <= self.cfg.reach:
+            Point3(x, y, z)  # raises on a non-finite point
             # Open-ended feeds stop at the reach sphere; targeted moves were
             # validated up front, so this only trims feeds.
             self.motion = None
             return
-        self.position = new_pos
+        self.x, self.y, self.z = x, y, z
         if arrived:
             self.motion = None
 

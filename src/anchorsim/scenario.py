@@ -247,7 +247,8 @@ class Scenario:
         # its budget in probe periods, so any other period overruns it.
         probe_ticks = p.spiral_probe_period / p.timestep
         if not math.isclose(probe_ticks, round(probe_ticks), rel_tol=1e-9):
-            raise ScenarioInvalid("procedure.spiral_probe_period", f"must be a whole number of {p.timestep!r} s ticks")
+            reason = f"must be a whole number of procedure.timestep = {p.timestep!r} s ticks"
+            raise ScenarioInvalid("procedure.spiral_probe_period", reason)
         # Whole holes, not just their centres, must lie on the wall, and
         # adjacent holes must not overlap.
         part = self.part

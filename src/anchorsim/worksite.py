@@ -124,11 +124,6 @@ class DrilledHole:
         if abs(self.axis.norm() - 1.0) > 1e-9:
             raise ValueError("hole axis must be a unit vector")
 
-    def radial_offset(self, tip: Point3) -> float:
-        """Distance of ``tip`` from the hole axis, perpendicular to it."""
-        d = tip - self.position
-        return d.cross(self.axis).norm()
-
 
 @dataclass
 class AnchorBolt:
@@ -201,14 +196,14 @@ class Worksite:
         anchor.set_state(AnchorState.STUCK, depth=depth)
 
 
-def anchor_engagement(hole: DrilledHole, tip: Point3, clearance: float) -> Engagement:
-    """Classify an insertion attempt by where the anchor tip landed.
+def anchor_engagement(offset: float, clearance: float) -> Engagement:
+    """Classify an insertion attempt by ``offset``, the distance of the anchor
+    tip from the hole axis (``World.radial_offset``).
 
     ``clearance`` is the effective insertion clearance radius: the wedge makes
     the anchor nearly the hole diameter, so only a fraction of a millimetre of
     lateral error still lets the tip drop in.
     """
-    offset = hole.radial_offset(tip)
     if offset < clearance:
         return Engagement.ENGAGED
     if offset < clearance + RIM_BAND:

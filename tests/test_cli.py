@@ -15,7 +15,7 @@ import anchorsim
 from anchorsim.cli import EXPORT_CHUNK, export_traces, main
 from anchorsim.engine import TraceRecorder, run
 from anchorsim.errors import IoFailure
-from anchorsim.scenario import _SECTION_TYPES, Scenario, render_scenario
+from anchorsim.scenario import _SECTION_TYPES, ProcedureSection, Scenario, render_scenario
 from anchorsim.sensors import Wrench
 
 
@@ -134,6 +134,19 @@ def test_invalid_value_exits_2_naming_the_field(capsys, tmp_path, text, field):
     assert f"invalid scenario: {field}:" in err
 
 
+def test_timestep_off_the_probe_period_names_the_timestep(capsys, tmp_path):
+    # The file sets only the timestep; the period it no longer divides is
+    # named, and the reason says which timestep broke it.
+    path = tmp_path / "s.ini"
+    path.write_text("[procedure]\ntimestep = 0.02\n")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert code == 2
+    assert (
+        "invalid scenario: procedure.spiral_probe_period: "
+        "must be a whole number of procedure.timestep = 0.02 s ticks"
+    ) in err
+
+
 #: Every numeric scenario key, as ``(section, key, default)``.
 NUMERIC_KEYS = [
     (section, f.name, f.default)
@@ -167,6 +180,27 @@ def test_scaled_scenario_exits_0_1_or_2(changes, command):
         value = default * scale
         sections.setdefault(section, []).append(f"{key} = {round(value) if isinstance(default, int) else value!r}")
     text = "".join(f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert main([command, "--scenario", path]) in (0, 1, 2), text
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(
+    factor=st.integers(2, 30),
+    command=st.sampled_from(["frame-test", "drill-test", "insert-test", "nut-test", "run"]),
+)
+def test_coarse_tick_exits_0_1_or_2(factor, command):
+    # Scaling the timestep and the probe period together keeps each probe a
+    # whole number of ticks, so the example reaches the mission at a coarse
+    # tick instead of failing validation.
+    p = ProcedureSection()
+    text = (
+        f"[procedure]\ntimestep = {p.timestep * factor!r}\n"
+        f"spiral_probe_period = {p.spiral_probe_period * factor!r}\n"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s.ini")
         with open(path, "w") as fh:

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import ZERO_WRENCH, Wrench
+from anchorsim.worksite import DrilledHole, wall_frame_from_angles
 
 
 def test_clock_ticks_exactly():
@@ -99,6 +102,30 @@ def test_world_true_position_includes_slip():
     moved = world.true_position("robot1")
     assert (moved - start).dot(world.site.wall.normal) == pytest.approx(0.005)
     assert arm.position == world.arm("robot1").position  # commanded unchanged
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    wall=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    axis_tilt=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    hole=st.tuples(st.floats(-0.09, 0.09), st.floats(-0.14, 0.14)),
+    tip=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    slip=st.floats(0.0, 0.02),
+)
+def test_radial_offset_matches_the_point3_expression(wall, axis_tilt, hole, tip, slip):
+    # The engine's float copy gives the Point3 expression's value bit for bit,
+    # also for a hole drilled along an estimated normal off the true one.
+    scenario = Scenario()
+    scenario.wall.yaw_deg, scenario.wall.pitch_deg = wall
+    world = World(scenario, seed=0)
+    frame = world.site.wall.frame
+    axis = -wall_frame_from_angles(frame.origin, wall[0] + axis_tilt[0], wall[1] + axis_tilt[1]).z_axis
+    drilled = DrilledHole(frame.to_world(Point3(hole[0], hole[1], 0.0)), axis, 0.05)
+    world.arm("robot1").position = frame.origin + Point3(*tip)
+    world.runtime("robot1").platform.slip_offset = slip
+    tip_on_wall = world.site.wall.project(world.true_position("robot1"))
+    expected = (tip_on_wall - drilled.position).cross(drilled.axis).norm()
+    assert world.radial_offset("robot1", drilled) == expected
 
 
 def test_identical_runs_identical_traces():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
 from anchorsim.geometry import Point3
-from anchorsim.robot import ArmState, PlatformState, ToolId, attach_tool, detach_tool
+from anchorsim.robot import ArmState, Motion, PlatformState, ToolId, attach_tool, detach_tool
 from anchorsim.scenario import RobotSection
 
 
@@ -120,3 +122,24 @@ def test_halt_freezes_motion_and_records_travel():
     p = arm.position
     arm.advance(0.01)
     assert arm.position == p
+
+
+def test_position_round_trips_through_the_floats():
+    arm = make_arm()
+    assert arm.position == Point3(0.3, -0.3, 1.0)
+    p = Point3(0.1 + 0.2, -1e-300, 5e-324)
+    arm.position = p
+    assert (arm.x, arm.y, arm.z) == p.as_tuple()
+    assert arm.position == p
+    arm.x = 0.7
+    assert arm.position == Point3(0.7, -1e-300, 5e-324)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_advance_with_a_non_finite_direction_raises(bad):
+    arm = make_arm()
+    start = arm.position
+    arm.motion = Motion(None, (0.0, bad, 0.0), 0.1)
+    with pytest.raises(ValueError, match="non-finite components"):
+        arm.advance(0.01)
+    assert arm.position == start

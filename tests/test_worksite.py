@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from anchorsim.engine import World
 from anchorsim.errors import OffWall, ScenarioInvalid, TooDeep
 from anchorsim.geometry import Point3
 from anchorsim.scenario import PartSection, ProcedureSection, Scenario, WallSection
@@ -75,40 +76,38 @@ def hole_at_center(site):
     return site.register_drilled_hole(WALL_CENTER, -site.wall.normal, 0.08)
 
 
-def test_engagement_on_axis():
-    site = make_site()
+def engagement_at(lateral: float) -> Engagement:
+    """Classify a tip ``lateral`` metres along the wall's x axis from a hole
+    at the wall centre, by the radial offset the engine computes."""
+    world = World(Scenario(), seed=0)
+    site = world.site
+    assert site.wall.frame.origin == WALL_CENTER
     hole = hole_at_center(site)
-    assert anchor_engagement(hole, WALL_CENTER, CLEARANCE) is Engagement.ENGAGED
+    world.arm("robot1").position = WALL_CENTER + site.wall.frame.x_axis.scaled(lateral)
+    return anchor_engagement(world.radial_offset("robot1", hole), CLEARANCE)
+
+
+def test_engagement_on_axis():
+    assert engagement_at(0.0) is Engagement.ENGAGED
 
 
 def test_engagement_rim_contact():
-    site = make_site()
-    hole = hole_at_center(site)
-    tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.0002 + 0.0005)
-    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.RIM_CONTACT
+    assert engagement_at(0.0002 + 0.0005) is Engagement.RIM_CONTACT
 
 
 def test_engagement_surface_contact():
-    site = make_site()
-    hole = hole_at_center(site)
-    tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.010)
-    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.SURFACE_CONTACT
+    assert engagement_at(0.010) is Engagement.SURFACE_CONTACT
 
 
 def test_engagement_boundary_is_strict():
-    site = make_site()
-    hole = hole_at_center(site)
-    tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.0002)
-    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.RIM_CONTACT
+    assert engagement_at(0.0002) is Engagement.RIM_CONTACT
+    assert anchor_engagement(CLEARANCE, CLEARANCE) is Engagement.RIM_CONTACT
 
 
 def test_engagement_far_tip_is_surface_contact():
     # A tip far from the mouth is on the bare surface: a far-off insertion
     # attempt is a miss, which the spiral search then reports.
-    site = make_site()
-    hole = hole_at_center(site)
-    tip = WALL_CENTER + site.wall.frame.x_axis.scaled(0.06)
-    assert anchor_engagement(hole, tip, CLEARANCE) is Engagement.SURFACE_CONTACT
+    assert engagement_at(0.06) is Engagement.SURFACE_CONTACT
 
 
 def test_one_anchor_per_hole():
