@@ -134,6 +134,14 @@ def render_machine_report(report: FixationReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def non_negative_int(text: str) -> int:
+    """Parse ``--seed``: numpy's seed sequence takes only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorsim",
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {mission} mission")
         p.add_argument("--scenario", metavar="PATH", default=None,
                        help="scenario file (defaults to the nominal setup)")
-        p.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
+        p.add_argument("--seed", type=non_negative_int, default=7, help="random seed (default 7)")
         p.add_argument("--trace-out", metavar="DIR", default=None,
                        help="export per-channel trace files and a manifest")
         p.add_argument("--variant", default=None,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonMonotonicTime, SimulationError
 from .geometry import Point3
-from .robot import ArmState, PlatformState, ToolId
+from .robot import ArmState, PlatformState
 from .scenario import Scenario, scenario_hash
 from .sensors import (
     NOISE_BLOCK,
@@ -30,7 +30,6 @@ from .sensors import (
     read_ft,
     read_laser,
 )
-from .tools import GripperTool, HammerTool, NutRunnerTool
 from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
 DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
@@ -196,12 +195,10 @@ class World:
         self._origin = frame.origin.as_tuple()
         self._laser_ray = (-frame.z_axis).normalized()
 
-        # One arm, platform and tool set per module; robot 2's stand also
-        # carries the part gripper. The drill has no state of its own: its
-        # models read ``scenario.tools`` directly.
+        # One arm and platform per module. The tools have no state of their
+        # own: their models read ``scenario.tools`` directly.
         window = max(1, round(scenario.sensors.guard_filter_window / self.clock.dt))
         self.arms: dict[str, ArmRuntime] = {}
-        self.tools = {}
         for name, n in (("robot1", "1"), ("robot2", "2")):
             arm = ArmState(name, scenario.station(f"base{n}"), scenario.station(f"home{n}"), scenario.robot)
             self.arms[name] = ArmRuntime(
@@ -213,9 +210,6 @@ class World:
                 wrench_row=self.recorder.register_row(name, Wrench._fields),
                 depth_row=self.recorder.register_row(name, DEPTH_CHANNELS),
             )
-            self.tools[(name, ToolId.HAMMER)] = HammerTool(scenario.tools)
-            self.tools[(name, ToolId.NUTRUNNER)] = NutRunnerTool(scenario.tools)
-        self.tools[("robot2", ToolId.GRIPPER)] = GripperTool()
 
     # -- kinematic helpers ----------------------------------------------------
 
@@ -232,9 +226,6 @@ class World:
 
     def runtime(self, name: str) -> ArmRuntime:
         return self.arms[name]
-
-    def tool(self, arm_name: str, tool: ToolId):
-        return self.tools[(arm_name, tool)]
 
     def slip(self, arm_name: str) -> float:
         return self.arms[arm_name].platform.slip_offset

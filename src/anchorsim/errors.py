@@ -19,22 +19,6 @@ class TooDeep(SimulationError):
     """Requested hole depth exceeds what the wall allows."""
 
 
-class GripperInflated(SimulationError):
-    """Hammering attempted while the rubber gripper is still inflated."""
-
-
-class AnchorDropped(SimulationError):
-    """Gripper released an anchor that nothing was supporting."""
-
-
-class PartDropped(SimulationError):
-    """Magnet switched off while the part hung unsupported."""
-
-
-class SocketNotEngaged(SimulationError):
-    """Nut-runner pulse requested with the socket off the nut."""
-
-
 class WrongPose(SimulationError):
     """Arm is not at the pose the operation requires."""
 

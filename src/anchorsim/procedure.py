@@ -31,7 +31,7 @@ from .errors import (
 from .geometry import Frame, Point3, angle_between, estimate_wall_frame
 from .robot import ToolId, attach_tool, detach_tool
 from .sensors import DetectionKind, Wrench, camera_detect
-from .tools import HammerTool, NutRunnerTool, drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
+from .tools import drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
 from .worksite import (
     MAX_HOLE_DEPTH,
     AnchorBolt,
@@ -435,11 +435,9 @@ class MissionContext:
         if part.state is not PartState.IN_STAND:
             raise WrongPose("part is already placed")
         robot = self.scenario.robot
-        gripper = world.tool(arm, ToolId.GRIPPER)
         yield from self.ensure_tool(arm, ToolId.GRIPPER)
         yield from self.move(arm, self.station(arm, "part"), robot.gross_speed)
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
-        gripper.switch_on(part)
         part.set_state(PartState.GRASPED)
         self.arm(arm).held_mass += self.scenario.part.mass
         self.arm(arm).check_payload()
@@ -468,9 +466,7 @@ class MissionContext:
         self._open[arm].diagnostics.update(placement_error=math.hypot(dx, dy))
 
     def release_part(self, arm: str):
-        gripper = self.world.tool(arm, ToolId.GRIPPER)
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
-        gripper.switch_off()
         self.arm(arm).held_mass = 0.0
         back = self.arm(arm).position + self.out_normal.scaled(0.10)
         yield from self.move(arm, back, self.scenario.robot.retract_speed)
@@ -598,14 +594,12 @@ class MissionContext:
         return det
 
     def pick_anchor(self, arm: str):
-        world = self.world
         robot = self.scenario.robot
-        hammer: HammerTool = world.tool(arm, ToolId.HAMMER)
         yield from self.ensure_tool(arm, ToolId.HAMMER)
         yield from self.move(arm, self.station(arm, "anchor"), robot.gross_speed)
         yield from self.wait(arm, self.scenario.tools.grip_time)
-        anchor = world.site.take_anchor()
-        hammer.inflate(anchor)
+        anchor = self.world.site.take_anchor()
+        anchor.set_state(AnchorState.GRASPED)
         self.arm(arm).held_mass += anchor.mass
         self.arm(arm).check_payload()
         self._open[arm].diagnostics.update(anchor_mass=anchor.mass)
@@ -722,13 +716,10 @@ class MissionContext:
         p = self.scenario.procedure
         tools_cfg = self.scenario.tools
         state = self.arm(arm)
-        hammer: HammerTool = world.tool(arm, ToolId.HAMMER)
         hole = anchor.hole
 
         yield from self.wait(arm, tools_cfg.grip_time)
-        hammer.deflate()
         self.arm(arm).held_mass = max(0.0, self.arm(arm).held_mass - anchor.mass)
-        hammer.start_hammering()
 
         sx, sy, sz = state.x, state.y, state.z  # the commanded start point
         depth0 = anchor.depth
@@ -740,17 +731,18 @@ class MissionContext:
         next_blow = blow_interval
         peak = 0.0
         blows = 0
+        bottom_blows = 0
         # The tick works on the floats of ``start - out_normal.scaled(advance)``
         # and ``(start - state.position).dot(out_normal)``, in the same order.
         ox, oy, oz = self.out_normal.as_tuple()
 
         def hammer_model() -> Wrench:
-            nonlocal blow_elapsed, next_blow, peak, blows
+            nonlocal blow_elapsed, next_blow, peak, blows, bottom_blows
             blow_elapsed += dt
             moment = 1.5
             if blow_elapsed + 1e-12 >= next_blow:
                 next_blow += blow_interval
-                anchor.depth, peak = hammer_blow(hammer, anchor.depth, hole)
+                anchor.depth, peak, bottom_blows = hammer_blow(tools_cfg, anchor.depth, hole, bottom_blows)
                 blows += 1
                 moment = peak
             if not state.halted:
@@ -790,9 +782,6 @@ class MissionContext:
         robot = self.scenario.robot
         tools_cfg = self.scenario.tools
         p = self.scenario.procedure
-        runner: NutRunnerTool = world.tool(arm, ToolId.NUTRUNNER)
-        runner.socket_engaged = False
-        runner.socket_extension = 0.0
         hole = anchor.hole
         wall = world.site.wall
 
@@ -841,20 +830,21 @@ class MissionContext:
         t0 = world.t
         fit_elapsed = 0.0
         hold_fz = self.true_wrench(arm).fz
+        socket_extension = 0.0  # m, the socket spring's extension signal
         anchor_present = anchor.state in (AnchorState.STUCK, AnchorState.SEATED)
 
         def fit_model() -> Wrench:
-            nonlocal fit_elapsed
+            nonlocal fit_elapsed, socket_extension
             fit_elapsed += dt
             if anchor_present and fit_elapsed >= tools_cfg.socket_fit_time:
-                runner.socket_extension = 0.003
+                socket_extension = 0.003
                 return Wrench(fz=5.0, mx=0.0)
             wiggle = 1.2 if int(fit_elapsed / 0.2) % 2 == 0 else -1.2
             return Wrench(fz=hold_fz, mx=wiggle)
 
         def fitted():
             r = self.reading(arm)
-            if r is not None and r.fz < 10.0 and runner.socket_extension > 0.001:
+            if r is not None and r.fz < 10.0 and socket_extension > 0.001:
                 return True
             # The fit model's clock has counted every tick of this wait.
             if fit_elapsed > p.socket_fit_timeout:
@@ -883,7 +873,6 @@ class MissionContext:
             nonlocal run_elapsed
             run_elapsed += dt
             frac = min(1.0, run_elapsed / run_duration)
-            runner.socket_extension = 0.003 + run_distance * frac
             return Wrench(
                 fz=50.0 - 30.0 * frac,
                 mx=tools_cfg.pulse_attenuation * tools_cfg.free_run_torque,
@@ -898,7 +887,6 @@ class MissionContext:
 
         # (6) pulse-tighten to the target torque.
         t0 = world.t
-        runner.socket_engaged = True
         pulse_interval = 1.0 / tools_cfg.pulse_rate
         pulse_elapsed = 0.0
         next_pulse = pulse_interval
@@ -910,7 +898,7 @@ class MissionContext:
             flange = tools_cfg.pulse_attenuation * torque
             if pulse_elapsed + 1e-12 >= next_pulse:
                 next_pulse += pulse_interval
-                torque, flange = nutrunner_pulse(runner, torque)
+                torque, flange = nutrunner_pulse(tools_cfg, torque)
             return Wrench(fz=50.0, mx=flange)
 
         def tightened():

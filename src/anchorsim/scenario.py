@@ -243,6 +243,9 @@ class Scenario:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
+        if tools.socket_fit_time > p.socket_fit_timeout:
+            reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"
+            raise ScenarioInvalid("tools.socket_fit_time", reason)
         # Each probe dwells a whole number of ticks, but the search counts
         # its budget in probe periods, so any other period overruns it.
         probe_ticks = p.spiral_probe_period / p.timestep

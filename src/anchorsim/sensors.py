@@ -164,7 +164,6 @@ class DetectionKind(str, Enum):
 
 @dataclass(frozen=True)
 class Detection:
-    kind: DetectionKind
     position: Point3
     confidence: float
 
@@ -210,5 +209,5 @@ def camera_detect(
     else:
         position = true_pos
         confidence = 1.0
-    return Detection(kind=kind, position=position, confidence=confidence)
+    return Detection(position=position, confidence=confidence)
 

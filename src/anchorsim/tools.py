@@ -1,19 +1,22 @@
-"""Physical models of the custom end-of-arm tools.
+"""Force models of the custom end-of-arm tools.
+
+Each model is a pure function of ``scenario.tools`` and the state its caller
+passes in; the tools keep no state of their own. Anchor and part states live
+in the worksite, and a step's counters live in that step.
 
 The drill reaction-moment model is the load-bearing piece: three compensation
 variants produce three qualitatively different flange-moment histories over an
 80 mm feed, and the thrust constants are calibrated so the uncompensated
-variant crosses the -30 Nm guard at exactly 10 mm of depth.
+variant crosses the -30 Nm guard at exactly 10 mm of depth. The cup hammer
+and the pulse nut runner keep their flange moments under the same guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import AnchorDropped, GripperInflated, PartDropped, SocketNotEngaged
-from .worksite import AnchorBolt, AnchorState, DrilledHole, MAX_HOLE_DEPTH, PartState, StructuralPart
+from .worksite import DrilledHole, MAX_HOLE_DEPTH
 
 if TYPE_CHECKING:
     from .scenario import ToolsSection
@@ -67,113 +70,42 @@ def drill_reaction_moment(cfg: ToolsSection, depth: float) -> float:
     return -thrust * (cfg.aligned_tip_lever + cfg.aligned_error_lever)
 
 
-class GripperState(str, Enum):
-    DEFLATED = "deflated"
-    INFLATED = "inflated"
-
-
 #: Depth band (m) from the hole bottom within which blows ring as contact.
 BOTTOM_CONTACT_BAND = 0.001
 
 
-@dataclass
-class HammerTool:
-    """Cup hammer with an inflatable rubber gripper around it.
+def hammer_blow(cfg: ToolsSection, current_depth: float, hole: DrilledHole,
+                bottom_blows: int) -> tuple[float, float, int]:
+    """One cup-hammer blow on a stuck anchor.
 
-    The gripper grasps an anchor by the nut while inflated; hammering is only
-    possible deflated, with the anchor head inside the cup. Blow parameters
-    come from ``cfg``.
+    Returns the new anchor depth, the peak flange moment magnitude of the
+    blow and the count of blows struck inside the contact band so far.
+    Advance shrinks as the anchor approaches the hole bottom; once within
+    BOTTOM_CONTACT_BAND of the bottom the peak moment ramps up over a few
+    blows to signal solid contact. Never overshoots the hole depth.
     """
-
-    cfg: ToolsSection
-    gripper_state: GripperState = GripperState.DEFLATED
-    held_anchor: AnchorBolt | None = None
-    bottom_blows: int = field(default=0, repr=False)
-
-    def inflate(self, anchor: AnchorBolt):
-        self.gripper_state = GripperState.INFLATED
-        anchor.set_state(AnchorState.GRASPED)
-        self.held_anchor = anchor
-
-    def deflate(self):
-        """Release the gripper.
-
-        Releasing over a hole leaves a stuck anchor where it is; releasing in
-        free space drops it and the run is unrecoverable.
-        """
-        self.gripper_state = GripperState.DEFLATED
-        anchor = self.held_anchor
-        self.held_anchor = None
-        if anchor is not None and anchor.state is AnchorState.GRASPED:
-            raise AnchorDropped("gripper deflated with the anchor unsupported")
-
-    def start_hammering(self):
-        self.bottom_blows = 0
-
-
-def hammer_blow(tool: HammerTool, current_depth: float, hole: DrilledHole) -> tuple[float, float]:
-    """One hammer blow on a stuck anchor.
-
-    Returns the new anchor depth and the peak flange moment magnitude of the
-    blow. Advance shrinks as the anchor approaches the hole bottom; once
-    within BOTTOM_CONTACT_BAND of the bottom the peak moment ramps up over a
-    few blows to signal solid contact. Never overshoots the hole depth.
-    """
-    if tool.gripper_state is GripperState.INFLATED:
-        raise GripperInflated("deflate the gripper before hammering")
     if current_depth > hole.depth + 1e-12:
         raise ValueError("anchor cannot start deeper than the hole")
     remaining = hole.depth - current_depth
-    cfg = tool.cfg
     if remaining <= 0:
-        return hole.depth, cfg.hammer_contact_cap
+        return hole.depth, cfg.hammer_contact_cap, bottom_blows
     advance = cfg.blow_advance * (1.0 - current_depth / hole.depth)
     new_depth = min(current_depth + advance, hole.depth)
     if remaining <= BOTTOM_CONTACT_BAND:
-        tool.bottom_blows += 1
-        peak = min(cfg.hammer_free_moment + cfg.hammer_contact_ramp * tool.bottom_blows,
+        bottom_blows += 1
+        peak = min(cfg.hammer_free_moment + cfg.hammer_contact_ramp * bottom_blows,
                    cfg.hammer_contact_cap)
     else:
         peak = cfg.hammer_free_moment
-    return new_depth, peak
+    return new_depth, peak, bottom_blows
 
 
-@dataclass
-class NutRunnerTool:
-    """Pulse-type nut runner mounted offset from the flange.
+def nutrunner_pulse(cfg: ToolsSection, current_torque: float) -> tuple[float, float]:
+    """One tightening pulse of the offset pulse nut runner.
 
-    The pulse mechanism transmits only a fraction of the tightening torque to
-    the flange, which is what keeps a 50 Nm target under the 30 Nm guard.
-    Torque parameters come from ``cfg``.
+    Returns (new fastener torque, flange moment). The pulse mechanism passes
+    only ``cfg.pulse_attenuation`` of the tightening torque to the flange,
+    which is what keeps a 50 Nm target under the 30 Nm guard.
     """
-
-    cfg: ToolsSection
-    socket_engaged: bool = False
-    socket_extension: float = 0.0  # m, spring extension signal
-
-
-def nutrunner_pulse(tool: NutRunnerTool, current_torque: float) -> tuple[float, float]:
-    """One tightening pulse: returns (new fastener torque, flange moment)."""
-    if not tool.socket_engaged:
-        raise SocketNotEngaged("socket is not on the nut")
-    cfg = tool.cfg
     new_torque = min(current_torque + cfg.pulse_torque_step, cfg.target_torque)
     return new_torque, cfg.pulse_attenuation * new_torque
-
-
-@dataclass
-class GripperTool:
-    """Magnet gripper that picks the steel structural part."""
-
-    held_part: StructuralPart | None = None
-
-    def switch_on(self, part: StructuralPart):
-        self.held_part = part
-
-    def switch_off(self):
-        """Release the part; mid-carry releases drop it and fail the run."""
-        part = self.held_part
-        self.held_part = None
-        if part is not None and part.state is PartState.GRASPED:
-            raise PartDropped("magnet switched off while carrying the part")
-

@@ -106,9 +106,10 @@ INVALID_VALUES = [
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
-#: overlap, a hole no deeper than the insertion push, and spiral probe periods
+#: overlap, a hole no deeper than the insertion push, spiral probe periods
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
-#: its timeout). Their fields repeat cases above, so their ids are their text.
+#: its timeout) and a socket that slots on only after its fit timeout. Their
+#: fields may repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -119,6 +120,7 @@ INVALID_REPEATS = [
      "procedure.spiral_probe_period"),
     ("[procedure]\nspiral_probe_period = 0.015\n[sensors]\ncamera_sigma_wall = 0.012\n",
      "procedure.spiral_probe_period"),
+    ("[tools]\nsocket_fit_time = 11\n", "tools.socket_fit_time"),
 ]
 
 
@@ -412,6 +414,16 @@ def test_print_config_matches_defaults(capsys):
     assert f"thrust_at_contact = {sc.tools.thrust_at_contact}" in out
     assert f"spiral_pitch = {sc.procedure.spiral_pitch}" in out
     assert f"slip_coefficient = {sc.robot.slip_coefficient}" in out
+
+
+def test_negative_seed_exits_2(capsys):
+    # numpy's seed sequence rejects a negative seed; the parser does first.
+    with pytest.raises(SystemExit) as exc:
+        main(["frame-test", "--seed=-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_shows_help(capsys):

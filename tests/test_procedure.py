@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anchorsim.engine import World, run
-from anchorsim.errors import PartDropped, StepFailed, WrongPose
+from anchorsim.errors import StepFailed, WrongPose
 from anchorsim.procedure import (
     MISSIONS,
     FixationStep,
@@ -18,8 +18,7 @@ from anchorsim.procedure import (
     spiral_offsets,
 )
 from anchorsim.scenario import ProcedureSection, Scenario, ToolsSection
-from anchorsim.tools import GripperTool
-from anchorsim.worksite import AnchorState, PartState, StructuralPart, default_hole_pattern
+from anchorsim.worksite import AnchorState, PartState
 
 NOMINAL_SEED = 7
 
@@ -338,15 +337,6 @@ def test_depth_from_commanded_stops_short_by_slip():
 
 
 # --- part handling guards -------------------------------------------------------------
-
-
-def test_magnet_off_mid_carry_drops_part():
-    part = StructuralPart(hole_positions=default_hole_pattern(1, 0.15))
-    part.set_state(PartState.GRASPED)
-    gripper = GripperTool()
-    gripper.switch_on(part)
-    with pytest.raises(PartDropped):
-        gripper.switch_off()
 
 
 def test_pick_place_rejects_placed_part():
