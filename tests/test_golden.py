@@ -6,7 +6,8 @@ byte, then the file bytes, in sorted name order). The digests were recorded
 when this file was added; a change that moves any output byte fails here.
 The ``run`` command is pinned by ``perfbench/test_perfbench.py``; its
 noise-free variant (every FT and laser sigma at zero, so no sensor stream is
-drawn) is pinned here from a scenario file. The
+drawn) is pinned here from a scenario file, and so is a run whose FT force
+noise alone trips the guard during a free move. The
 ``nut-missing`` mission, which has no subcommand, the 2-point ``full``
 mission, whose second point runs as a sequential phase, and the seed-2009
 ``full`` mission, which the guard halts mid-insertion, are pinned through
@@ -17,6 +18,7 @@ its times and values as doubles.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from array import array
 
@@ -67,6 +69,18 @@ def test_seed_7_noise_free_run_unchanged(capsys, tmp_path):
     assert cli_digest(capsys, tmp_path, ("run", "--scenario", str(path))) == (
         0, "11fcee5a85f1e8f1d4693a7b893d25a27508e5acb98509b511413531677dcab3"
     )
+
+
+def test_seed_7_guard_halt_in_a_free_move_unchanged(capsys, tmp_path):
+    # Robot 2's first move carries no contact model: noise alone trips the
+    # guard while its filter fills.
+    path = tmp_path / "noisy_ft.ini"
+    path.write_text("[sensors]\nft_sigma_force = 500\n")
+    assert cli_digest(capsys, tmp_path, ("run", "--scenario", str(path))) == (
+        1, "4c76ee65caa678666bd36af376cb53aca69c55dd6dff85a813207bd94141257c"
+    )
+    manifest = json.loads((tmp_path / "traces" / "manifest.json").read_text())
+    assert manifest["failure"] == "pick_place_part: HaltedByGuard: guard stop on fz after 0.60 mm"
 
 
 def run_digest(scenario, mission, seed=7):
