@@ -5,6 +5,14 @@ clock never reads wall time, every sensor draws from its own seeded stream
 in blocks, and the per-tick order is fixed (one pass over the arms, then the
 watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
+
+A free stretch is computed in bulk. While no arm has a contact model, a
+watcher or a press force, and each arm is idle or on a targeted move, the
+ticks depend only on the arms' motion and FT noise, and only an event can
+end that state: an arrival, a guard trip or the tick past
+``MAX_SIM_TIME``. ``World.run`` then computes the ticks up to the event or
+the horizon with numpy, with the same operations in the same order, so the
+outputs are the bytes the per-tick pass would give (see ``World.run``).
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +32,9 @@ from .sensors import (
     NOISE_BLOCK,
     ZERO_WRENCH,
     GuardFilter,
+    NormalBlocks,
     Wrench,
-    normal_blocks,
+    first_overload,
     overload_guard,
     read_ft,
     read_laser,
@@ -38,6 +47,10 @@ TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
 #: Ceiling on simulated time; the executive's tick loop fails the open step
 #: with ``SimTimeExceeded`` once it is passed.
 MAX_SIM_TIME = 7200.0
+
+#: Shortest free stretch ``World.run`` computes in bulk; a shorter one runs
+#: tick by tick, which costs less than setting up the arrays.
+MIN_FREE_STRETCH = 16
 
 
 @dataclass
@@ -109,6 +122,14 @@ class TraceRecorder:
         times.append(t)
         data.extend(values)
 
+    def record_zeros(self, row: TraceRow, times: np.ndarray):
+        """Append an all-``+0.0`` sample to ``row`` at each of the increasing
+        ``times``, as many ``record`` calls would."""
+        if row.times and times[0] <= row.times[-1]:
+            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {times[0]} after {row.times[-1]}")
+        row.times.frombytes(times.tobytes())
+        row.data.frombytes(bytes(8 * len(row.channels) * len(times)))
+
 
 class RandomStreams:
     """One independent generator per sensor, all derived from one seed.
@@ -154,8 +175,8 @@ class ArmRuntime:
     state: ArmState
     guard_filter: GuardFilter
     platform: PlatformState
-    ft_noise: Iterator[list[float]]
-    laser_noise: Iterator[float]
+    ft_noise: NormalBlocks
+    laser_noise: NormalBlocks
     wrench_row: TraceRow
     depth_row: TraceRow
     true_wrench: Wrench = ZERO_WRENCH
@@ -186,6 +207,10 @@ class World:
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
         self.event = False
+        # The planned free stretch: ``step`` only ticks the clock until its
+        # last tick, whose ``_land`` applies the stretch (see ``run``).
+        self._stretch_end = 0
+        self._land: Callable[[], None] | None = None
 
         w = scenario.wall
         frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
@@ -205,8 +230,8 @@ class World:
                 state=arm,
                 guard_filter=GuardFilter(window),
                 platform=PlatformState(scenario.robot),
-                ft_noise=normal_blocks(self.streams.get(f"ft.{name}"), (NOISE_BLOCK, 6)),
-                laser_noise=normal_blocks(self.streams.get(f"laser.{name}"), NOISE_BLOCK),
+                ft_noise=NormalBlocks(self.streams.get(f"ft.{name}"), (NOISE_BLOCK, 6)),
+                laser_noise=NormalBlocks(self.streams.get(f"laser.{name}"), NOISE_BLOCK),
                 wrench_row=self.recorder.register_row(name, Wrench._fields),
                 depth_row=self.recorder.register_row(name, DEPTH_CHANNELS),
             )
@@ -306,9 +331,20 @@ class World:
         order the executive resumes the arms in: none past ``MAX_SIM_TIME``,
         and none from the first arm that is halted, or whose watcher raised,
         on. Sets ``event`` for this tick.
+
+        Inside a free stretch that ``run`` planned, the tick only advances the
+        clock and the ``active`` flags hold for it; its last tick applies the
+        whole stretch, so the arms read as the ticks above would leave them.
         """
-        t = self.clock.tick()
-        dt = self.clock.dt
+        clock = self.clock
+        if clock.ticks < self._stretch_end:
+            clock.tick()
+            if clock.ticks == self._stretch_end:
+                land, self._land = self._land, None
+                land()
+            return
+        t = clock.tick()
+        dt = clock.dt
         sensors = self.scenario.sensors
         record = self.recorder.record
         event = t > MAX_SIM_TIME
@@ -356,12 +392,125 @@ class World:
 
     def run(self, horizon: float):
         """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
-        after the first event tick."""
-        end = self.clock.ticks + horizon
-        while self.clock.ticks < end:
+        after the first event tick.
+
+        A free stretch is computed in bulk: while no arm has a contact model,
+        a watcher or a press force, and each arm is idle or on a targeted
+        move, a tick has no input but the arms' own motion and FT noise, and
+        the executive, suspended until ``run`` returns, cannot change that.
+        The stretch ends at the horizon, an arrival, a guard trip or the tick
+        past ``MAX_SIM_TIME``, and is planned ``NOISE_BLOCK`` ticks at a time;
+        ``step`` is still called once per tick. Every other tick runs the
+        per-tick pass.
+        """
+        clock = self.clock
+        end = clock.ticks + horizon
+        replan = clock.ticks
+        while clock.ticks < end:
+            if clock.ticks >= replan:
+                replan = self._plan(end)
             self.step()
             if self.event:
                 break
+
+    def _plan(self, end: float) -> float:
+        """Plan the free stretch that starts with the next tick, if one does,
+        up to tick count ``end``; return the tick count at which to plan again.
+
+        The arithmetic is the per-tick pass's, in the same order: the arm
+        advance in ``ArmState.free_path``, FT readings ``0.0 + sigma * noise``
+        from the arm's own noise rows (``ZERO_WRENCH`` and no draw when both
+        sigmas are zero), the guard in ``GuardFilter.averages`` and
+        ``first_overload``, and an all-zero wrench record per active tick.
+        An arm's arrival tick is inactive: it reads and records nothing.
+        """
+        clock = self.clock
+        now = clock.ticks
+        runtimes = tuple(self.arms.values())
+        for runtime in runtimes:
+            motion = runtime.state.motion
+            if runtime.contact_model is not None or runtime.watcher is not None:
+                return math.inf
+            if motion is not None and (motion.target is None or runtime.state.halted):
+                return math.inf
+        if any(runtime.press_force != 0.0 for runtime in runtimes):
+            return now + 1  # the next tick still integrates slip
+        sensors = self.scenario.sensors
+        noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
+        dt = clock.dt
+        left = end - now
+        n = NOISE_BLOCK if left >= NOISE_BLOCK else math.ceil(left)
+        moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
+        for runtime in moving:
+            arm = runtime.state
+            ticks = math.dist((arm.x, arm.y, arm.z), arm.motion.target) / (arm.motion.speed * dt)
+            if ticks < n:
+                n = int(ticks) + 2  # the move arrives on or before this tick
+            if noisy:
+                n = min(n, len(runtime.ft_noise.ahead()))
+        times = np.arange(now + 1, now + n + 1) * dt
+        late = np.flatnonzero(times > MAX_SIM_TIME)
+        if late.size:
+            n = int(late[0]) + 1
+        if n < MIN_FREE_STRETCH:
+            return now + n
+
+        paths = []
+        for runtime in moving:
+            path, arrival = runtime.state.free_path(n, dt)
+            n = min(n, len(path) - 1, arrival or n)
+            paths.append((runtime, path, arrival))
+        sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
+        guards = []
+        for runtime, path, arrival in paths:
+            active = n - 1 if arrival == n else n
+            if active == 0:
+                guards.append((None, None, None))
+                continue
+            samples = 0.0 + runtime.ft_noise.ahead()[:active] * sigmas if noisy else np.zeros((active, 6))
+            _, sums = averages = runtime.guard_filter.averages(samples)
+            trip = first_overload(averages[0], sensors)
+            if trip is not None:
+                n = min(n, trip[0] + 1)
+            guards.append((samples, sums, trip))
+        if n == 0:
+            return now + 1  # an arm leaves its reach sphere on the next tick
+        times = times[:n]
+
+        def land():
+            t = clock.t
+            event = t > MAX_SIM_TIME
+            for runtime in runtimes:
+                runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
+            for (runtime, path, arrival), (samples, sums, trip) in zip(paths, guards):
+                arm = runtime.state
+                arm.x, arm.y, arm.z, arm.motion.travelled = path[n].tolist()
+                sampled = n - 1 if arrival == n else n
+                if sampled:
+                    self.recorder.record_zeros(runtime.wrench_row, times[:sampled])
+                    runtime.guard_filter.extend(samples[:sampled], sums[:sampled])
+                    if noisy:
+                        runtime.ft_noise.skip(sampled)
+                        runtime.reading = Wrench._make(samples[sampled - 1].tolist())
+                    else:
+                        runtime.reading = ZERO_WRENCH
+                if sampled < n:
+                    arm.motion = None
+                    runtime.reading = None
+                    event = True
+                    continue
+                runtime.active = True
+                if trip is not None and trip[0] + 1 == n:
+                    arm.halt(trip[1])
+                    runtime.guard_fired_t = t
+                    event = True
+            self.event = event
+
+        self.event = False
+        for runtime in runtimes:
+            runtime.active = runtime.state.motion is not None
+        self._stretch_end, self._land = now + n, land
+        return now + n
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         runtime = self.arms[arm_name]

@@ -289,18 +289,22 @@ class MissionContext:
         return self.scenario.station(key)
 
     def until(self, arm: str, done=None, ticks: float = math.inf):
-        """Tick until ``done()`` is true or ``ticks`` ticks passed; raise on the
-        tick the guard halts ``arm`` or simulated time passes ``MAX_SIM_TIME``,
-        and re-raise a ``SimulationError`` that ``done()`` raised.
+        """Tick until ``done()`` is true or ``ticks`` ticks passed, or, given
+        neither, until the arm's motion ends; raise on the tick the guard
+        halts ``arm`` or simulated time passes ``MAX_SIM_TIME``, and re-raise a
+        ``SimulationError`` that ``done()`` raised.
 
         ``done`` is the arm's watcher for the wait: ``World.step`` calls it at
-        the end of every tick, so it may record or keep per-tick values. Each
-        yield is the ticks left of the wait, which may be ``math.inf``.
+        the end of every tick, so it may record or keep per-tick values. A
+        motion's end is an event tick of its own, so waiting for it needs no
+        watcher. Each yield is the ticks left of the wait, which may be
+        ``math.inf``.
         """
         runtime = self.world.runtime(arm)
         state = runtime.state
         clock = self.world.clock
         end = clock.ticks + ticks
+        motion_wait = done is None and ticks == math.inf
         runtime.watcher, runtime.watched = done, False
         try:
             while not runtime.watched and clock.ticks < end:
@@ -311,6 +315,8 @@ class MissionContext:
                     raise SimTimeExceeded(f"simulated time passed the {MAX_SIM_TIME:.0f} s ceiling")
                 if isinstance(runtime.watched, SimulationError):
                     raise runtime.watched
+                if motion_wait and state.motion is None:
+                    break
         finally:
             runtime.watcher = None
 
@@ -321,7 +327,7 @@ class MissionContext:
         state = self.arm(arm)
         state.start_move(target, speed)
         if state.motion is not None:
-            yield from self.until(arm, lambda: state.motion is None)
+            yield from self.until(arm)
 
     def feed_until(self, arm: str, speed: float, stop, max_travel: float):
         """Open-ended guarded feed into the wall along the working normal;
@@ -394,26 +400,11 @@ class MissionContext:
     # -- step 1: orientation -------------------------------------------------------
 
     def estimate_orientation(self, arm: str):
-        p = self.scenario.procedure
         robot = self.scenario.robot
-        prior = self.nominal_frame
-        # Centre the L-shaped probe pattern so all three rays stay on the
-        # wall even at full offset on the small test block.
-        first = (
-            prior.origin
-            + prior.z_axis.scaled(p.laser_standoff)
-            + prior.x_axis.scaled(-p.orientation_offset / 2)
-            + prior.y_axis.scaled(-p.orientation_offset / 2)
-        )
-        offsets = [
-            Point3(0.0, 0.0, 0.0),
-            prior.x_axis.scaled(p.orientation_offset),
-            prior.y_axis.scaled(p.orientation_offset),
-        ]
         points: list[Point3] = []
-        ray = -prior.z_axis
-        for offset in offsets:
-            yield from self.move(arm, first + offset, robot.gross_speed)
+        ray = -self.nominal_frame.z_axis
+        for point in self.scenario.laser_points():
+            yield from self.move(arm, point, robot.gross_speed)
             yield from self.wait(arm, 0.5)
             distance = self.world.laser_distance(arm, ray)
             points.append(self.arm(arm).position + ray.scaled(distance))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
 from .geometry import Point3
 
@@ -134,6 +136,39 @@ class ArmState:
         self.x, self.y, self.z = x, y, z
         if arrived:
             self.motion = None
+
+    def free_path(self, ticks: int, dt: float) -> tuple[np.ndarray, int | None]:
+        """The next ``ticks`` ticks of the targeted move, taken in bulk with
+        the arithmetic of ``advance``: ``(path, arrival)``.
+
+        Row ``j`` of ``path`` is ``(x, y, z, travelled)`` after ``j`` ticks
+        (row 0 is now); ``arrival`` is the tick that reaches the target, whose
+        row holds the target, or None. The rows stop before the first tick
+        whose point would leave the reach sphere or not be finite, which
+        ``advance`` must take itself, so the path may be shorter than asked.
+        """
+        motion = self.motion
+        step = motion.speed * dt
+        ux, uy, uz = motion.direction
+        increments = np.empty((ticks + 1, 4))
+        increments[0] = self.x, self.y, self.z, motion.travelled
+        increments[1:] = ux * step, uy * step, uz * step, step
+        path = np.add.accumulate(increments, axis=0)  # sequential, as the ticks add
+        # Tick j tests the point it starts from, row j - 1.
+        d = path[:-1, :3] - motion.target
+        remaining = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        hits = np.flatnonzero(remaining <= step)
+        arrival = int(hits[0]) + 1 if hits.size else None
+        if arrival is not None:
+            path = path[: arrival + 1]
+            path[arrival] = (*motion.target, float(path[arrival - 1, 3]) + float(remaining[arrival - 1]))
+        b = self.base.as_tuple() - path[1:, :3]
+        inside = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]) <= self.cfg.reach
+        if not inside.all():
+            path = path[: int(np.argmin(inside)) + 1]
+            if arrival is not None and arrival >= len(path):
+                arrival = None
+        return path, arrival
 
 
 def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .errors import ScenarioInvalid
 from .geometry import Point3
 from .tools import DrillVariant
-from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH
+from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, wall_frame_from_angles
 
 #: Decimal places of the time stamps in exported traces. ``procedure.timestep``
 #: may not be finer than one unit in the last place, or stamps would repeat.
@@ -211,6 +211,28 @@ class Scenario:
     def station(self, key: str) -> Point3:
         return _parse_point(f"robot.{key}", getattr(self.robot, key))
 
+    def laser_points(self) -> list[Point3]:
+        """The three tool points robot 1 reads the laser from to estimate the
+        wall's orientation: an L of ``orientation_offset`` legs,
+        ``laser_standoff`` off the nominal wall (``wall.distance`` with no
+        tilt), centred so all three rays stay on the wall even at full offset
+        on the small test block."""
+        p = self.procedure
+        w = self.wall
+        prior = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), 0.0, 0.0)
+        first = (
+            prior.origin
+            + prior.z_axis.scaled(p.laser_standoff)
+            + prior.x_axis.scaled(-p.orientation_offset / 2)
+            + prior.y_axis.scaled(-p.orientation_offset / 2)
+        )
+        offsets = [
+            Point3(0.0, 0.0, 0.0),
+            prior.x_axis.scaled(p.orientation_offset),
+            prior.y_axis.scaled(p.orientation_offset),
+        ]
+        return [first + offset for offset in offsets]
+
     def validate(self):
         for section in _SECTION_TYPES:
             target = getattr(self, section)
@@ -276,6 +298,11 @@ class Scenario:
             d = stations["base1" if key.endswith("1") else "base2"].distance_to(point)
             if d > reach:
                 raise ScenarioInvalid(f"robot.{key}", f"{d:.3f} m from its base exceeds the {reach} m reach")
+        for point in self.laser_points():
+            d = stations["base1"].distance_to(point)
+            if d > reach:
+                reason = f"puts an orientation laser point {d:.3f} m from robot.base1, beyond the {reach} m reach"
+                raise ScenarioInvalid("wall.distance", reason)
         return self
 
 

@@ -7,7 +7,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import length_hint
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import DegenerateGeometry, NoReturn
 from .geometry import Point3
@@ -34,23 +37,53 @@ ZERO_WRENCH = Wrench()
 NOISE_BLOCK = 1024
 
 
-def normal_blocks(rng, shape) -> Iterator:
+class NormalBlocks(chain):
     """Standard normals from the numpy Generator ``rng``, drawn ``shape`` at a
     time and handed out one row per ``next`` (one float for a 1-D shape).
 
     A block takes the same bits from the stream as the same number of single
     draws, so a stream with no other reader yields exactly the values that
     ``standard_normal(row)`` calls would. Nothing is drawn before the first
-    ``next``.
+    ``next``. ``next`` stays the C-level ``chain`` iterator over the current
+    block's ``tolist()``; ``ahead`` and ``skip`` read the same block as an
+    array, at the same cursor, for a caller that takes many rows at once.
     """
-    return chain.from_iterable(iter(lambda: rng.standard_normal(shape).tolist(), None))
+
+    def __new__(cls, rng, shape):
+        held = [None, iter(())]  # the current block and the iterator over its rows
+
+        def draw():
+            block = rng.standard_normal(shape)
+            held[:] = block, iter(block.tolist())
+            return held[1]
+
+        blocks = cls.from_iterable(iter(draw, None))
+        blocks._held = held
+        return blocks
+
+    def ahead(self) -> np.ndarray:
+        """The current block's rows that ``next`` has not handed out yet (a
+        view), after drawing the next block if none are left."""
+        block, rows = self._held
+        left = length_hint(rows)
+        if left == 0:
+            next(self)  # draws the next block; its first row is put back below
+            block, rows = self._held
+            rows.__setstate__(0)
+            left = len(block)
+        return block[len(block) - left :]
+
+    def skip(self, count: int):
+        """Hand out the first ``count`` rows of ``ahead()`` without returning them."""
+        block, rows = self._held
+        rows.__setstate__(len(block) - length_hint(rows) + count)
 
 
 def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wrench:
     """Sample the flange FT sensor: true wrench plus zero-mean Gaussian noise.
 
     ``noise`` yields rows of six standard normals, such as
-    ``normal_blocks(rng, (NOISE_BLOCK, 6))``; it is not read when both sigmas
+    ``NormalBlocks(rng, (NOISE_BLOCK, 6))``; it is not read when both sigmas
     are zero.
     """
     sf, sm = sensors.ft_sigma_force, sensors.ft_sigma_moment
@@ -78,6 +111,18 @@ def overload_guard(reading: tuple[float, ...], limits: SensorsSection) -> str | 
         if abs(value) > (fl if i < 3 else ml):
             return Wrench._fields[i]
     return None
+
+
+def first_overload(filtered: np.ndarray, limits: SensorsSection) -> tuple[int, str] | None:
+    """The first row of the ``(m, 6)`` array ``filtered`` that
+    ``overload_guard`` trips on, with the axis it names, or None."""
+    fl, ml = limits.force_limit, limits.moment_limit
+    over = np.abs(filtered) > (fl, fl, fl, ml, ml, ml)
+    rows = np.flatnonzero(over.any(axis=1))
+    if rows.size == 0:
+        return None
+    row = int(rows[0])
+    return row, Wrench._fields[int(over[row].argmax())]
 
 
 class GuardFilter:
@@ -112,6 +157,35 @@ class GuardFilter:
         n = len(buf)
         return (s0 / n, s1 / n, s2 / n, s3 / n, s4 / n, s5 / n)
 
+    def averages(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What ``push`` returns for each row of the ``(m, 6)`` array
+        ``samples`` pushed in turn, and the sums after each push, without
+        pushing them; ``extend`` then pushes a leading part of them.
+
+        The sums take the same additions in the same order as ``push``: each
+        push subtracts the sample it drops (``-0.0`` while the window fills,
+        which leaves every sum as it is) and adds the new one.
+        """
+        window, held = self.window, len(self._buf)
+        m = len(samples)
+        steps = np.empty((2 * m + 1, 6))
+        steps[0] = self._sums
+        steps[1::2] = -0.0
+        steps[2::2] = samples
+        full = max(0, window - held)  # the first push that drops a sample
+        if full < m:
+            kept = np.concatenate((np.array(self._buf).reshape(-1, 6), samples))
+            steps[2 * full + 1 :: 2] = -kept[held + full - window : held + m - window]
+        sums = np.add.accumulate(steps, axis=0)[2::2]
+        counts = np.minimum(np.arange(held + 1, held + m + 1), window)
+        return sums / counts[:, None], sums
+
+    def extend(self, samples: np.ndarray, sums: np.ndarray):
+        """Push the rows of ``samples`` at once, given the ``sums`` that
+        ``averages`` computed for them."""
+        self._buf.extend(map(Wrench._make, samples[-self.window :].tolist()))
+        self._sums = tuple(sums[-1].tolist())
+
     def reset(self):
         self._buf.clear()
         self._sums = (0.0,) * 6
@@ -127,7 +201,7 @@ def read_laser(
     distance even when the commanded pose is stationary. Raises ValueError
     on a non-finite origin, and NoReturn when the ray is parallel to the
     wall or misses its extent. ``noise`` yields standard normals, such as
-    ``normal_blocks(rng, NOISE_BLOCK)``; it is not read when ``sigma`` is
+    ``NormalBlocks(rng, NOISE_BLOCK)``; it is not read when ``sigma`` is
     zero.
     """
     ox, oy, oz = origin

@@ -103,13 +103,15 @@ INVALID_VALUES = [
     ("[procedure]\nsearch_timeout = -60\n", "procedure.search_timeout"),
     ("[procedure]\nsocket_fit_timeout = -1\n", "procedure.socket_fit_timeout"),
     ("[procedure]\nwedge_moment_rate = 0\n", "procedure.wedge_moment_rate"),
+    ("[wall]\ndistance = 1.4\n", "wall.distance"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
 #: overlap, a hole no deeper than the insertion push, spiral probe periods
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
-#: its timeout) and a socket that slots on only after its fit timeout. Their
-#: fields may repeat cases above, so their ids are their text.
+#: its timeout), a socket that slots on only after its fit timeout and a wall
+#: that puts an orientation laser point out of reach. Their fields may repeat
+#: cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -121,6 +123,7 @@ INVALID_REPEATS = [
     ("[procedure]\nspiral_probe_period = 0.015\n[sensors]\ncamera_sigma_wall = 0.012\n",
      "procedure.spiral_probe_period"),
     ("[tools]\nsocket_fit_time = 11\n", "tools.socket_fit_time"),
+    ("[wall]\ndistance = 1.6\n", "wall.distance"),
 ]
 
 
@@ -134,6 +137,14 @@ def test_invalid_value_exits_2_naming_the_field(capsys, tmp_path, text, field):
     code, out, err = run_cli(capsys, "run", "--scenario", str(path))
     assert code == 2
     assert f"invalid scenario: {field}:" in err
+
+
+@pytest.mark.parametrize("distance", [1.30, 1.35])
+def test_far_wall_with_the_laser_points_in_reach_runs(capsys, tmp_path, distance):
+    path = tmp_path / "s.ini"
+    path.write_text(f"[wall]\ndistance = {distance}\n")
+    code, out, err = run_cli(capsys, "frame-test", "--scenario", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_timestep_off_the_probe_period_names_the_timestep(capsys, tmp_path):

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
+from anchorsim.robot import Motion
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import ZERO_WRENCH, Wrench
 from anchorsim.worksite import DrilledHole, wall_frame_from_angles
@@ -264,3 +265,110 @@ def test_nan_slip_raises_in_distance_reads():
         world.surface_distance("robot1")
     with pytest.raises(ValueError):
         world.laser_distance("robot1")
+
+
+# --- free stretches ------------------------------------------------------------------
+
+#: An arm's setup for a free stretch: None (idle), or a move by ``offset``
+#: metres at ``speed`` m/s; ``overreach`` aims it past the reach sphere
+#: instead, as only an open-ended feed could go.
+MOVE = st.none() | st.fixed_dictionaries({
+    "offset": st.tuples(*[st.floats(-0.25, 0.25)] * 3),
+    "speed": st.floats(0.02, 0.3),
+    "overreach": st.booleans(),
+})
+
+
+def free_world(seed, moves, sigmas, force_limit, filled, skipped, start_tick):
+    scenario = Scenario()
+    scenario.sensors.ft_sigma_force, scenario.sensors.ft_sigma_moment = sigmas
+    scenario.sensors.force_limit = force_limit
+    world = World(scenario, seed)
+    world.clock.ticks = start_tick
+    for runtime, move, fill, skip in zip(world.arms.values(), moves, filled, skipped):
+        for _ in range(skip):
+            next(runtime.ft_noise)
+        # Readings of an earlier contact, inside the limits; ``reset``
+        # empties the filter, as the drill does before it feeds.
+        for k in range(fill):
+            runtime.guard_filter.push(Wrench(fz=0.5 * force_limit * (-1) ** k, mx=0.1 * k))
+        if fill == 0:
+            runtime.guard_filter.reset()
+        if move is None:
+            continue
+        arm = runtime.state
+        if move["overreach"]:
+            out = (arm.position - arm.base).normalized()
+            arm.start_move(arm.position, move["speed"])
+            arm.motion = Motion((arm.base + out.scaled(1.5)).as_tuple(), out.as_tuple(), move["speed"])
+        else:
+            arm.start_move(arm.position + Point3(*move["offset"]), move["speed"])
+    return world
+
+
+def world_state(world) -> str:
+    """Everything a tick may change, ``repr``'d so a -0.0 shows."""
+    state = [world.clock.ticks, world.clock.t, world.event]
+    for runtime in world.arms.values():
+        arm, guard = runtime.state, runtime.guard_filter
+        state += [
+            arm.x, arm.y, arm.z, arm.motion and arm.motion.travelled,
+            arm.halted, arm.halt_axis, arm.halt_travelled, runtime.guard_fired_t,
+            runtime.reading, runtime.true_wrench, runtime.press_force, runtime.active,
+            list(guard._buf), guard._sums, next(runtime.ft_noise),
+            runtime.wrench_row.times.tobytes(), runtime.wrench_row.data.tobytes(),
+        ]
+    return repr(state)
+
+
+FREE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.tuples(MOVE, MOVE),
+    same_move=st.booleans(),
+    sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (500.0, 0.2), (0.0, 0.2)]),
+    force_limit=st.sampled_from([1000.0, 150.0, 1.0]),
+    filled=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    skipped=st.tuples(st.integers(0, 2100), st.integers(0, 2100)),
+    before_max=st.none() | st.integers(0, 1500),
+    horizons=st.lists(st.integers(1, 2500), min_size=1, max_size=3),
+)
+
+
+def _example(**changes):
+    case = dict(seed=7, moves=({"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False}, None),
+                same_move=False, sigmas=(2.0, 0.2), force_limit=1000.0, filled=(0, 0), skipped=(0, 0),
+                before_max=None, horizons=[2500])
+    case.update(changes)
+    return example(**case)
+
+
+@_example()  # one arm idle
+@_example(moves=({"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False},) * 2)  # same arrival
+@_example(moves=({"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False},
+                 {"offset": (-0.1, 0.2, 0.0), "speed": 0.05, "overreach": False}))  # different arrivals
+@_example(horizons=[40, 7, 300])  # horizons that cut the move
+@_example(sigmas=(0.0, 0.0), filled=(30, 0))
+@_example(skipped=(1000, 1020))  # crossing a NOISE_BLOCK boundary
+@_example(before_max=100)
+@_example(sigmas=(500.0, 0.2), seed=3)  # a noise trip while the filter fills
+@_example(force_limit=1.0, filled=(40, 40))  # and with the window full
+@_example(moves=({"offset": (0.0, 0.0, 0.0), "speed": 0.3, "overreach": True}, None))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(**FREE_CASES)
+def test_free_stretch_in_bulk_matches_tick_by_tick(
+    seed, moves, same_move, sigmas, force_limit, filled, skipped, before_max, horizons
+):
+    # ``run`` computes a free stretch in bulk; ``step`` alone takes each tick
+    # through the per-tick pass. Both must leave every byte the same.
+    if same_move:
+        moves = (moves[0], moves[0])
+    start = 0 if before_max is None else round(MAX_SIM_TIME / 0.01) - before_max
+    bulk, ticked = (free_world(seed, moves, sigmas, force_limit, filled, skipped, start) for _ in range(2))
+    for horizon in horizons:
+        bulk.run(horizon)
+        for _ in range(horizon):
+            ticked.step()
+            if ticked.event:
+                break
+        assert bulk.clock.ticks == ticked.clock.ticks
+    assert world_state(bulk) == world_state(ticked)

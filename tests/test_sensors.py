@@ -13,7 +13,7 @@ from anchorsim.sensors import (
     Wrench,
     ZERO_WRENCH,
     camera_detect,
-    normal_blocks,
+    NormalBlocks,
     overload_guard,
     read_ft,
     read_laser,
@@ -34,7 +34,7 @@ def make_site():
 
 
 def ft_noise(seed):
-    return normal_blocks(np.random.default_rng(seed), (NOISE_BLOCK, 6))
+    return NormalBlocks(np.random.default_rng(seed), (NOISE_BLOCK, 6))
 
 
 def test_zero_wrench_zero_noise():
@@ -76,7 +76,7 @@ def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
         n = reference.standard_normal(6).tolist()
         expected = [v + (2.0 if i < 3 else 0.2) * z for i, (v, z) in enumerate(zip(true, n))]
         assert tuple(read_ft(true, sensors, noise)) == tuple(expected)
-    rows = normal_blocks(np.random.default_rng(12), (4, 6))
+    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
     reference = np.random.default_rng(12)
     assert [next(rows) for _ in range(9)] == [reference.standard_normal(6).tolist() for _ in range(9)]
 
@@ -84,13 +84,13 @@ def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
 def test_zero_sigmas_draw_nothing():
     rng = np.random.default_rng(13)
     before = rng.bit_generator.state
-    ft = normal_blocks(rng, (NOISE_BLOCK, 6))
+    ft = NormalBlocks(rng, (NOISE_BLOCK, 6))
     quiet = SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0)
     for _ in range(10):
         read_ft(Wrench(fz=5.0), quiet, ft)
     site = make_site()
     origin = WALL_CENTER + site.wall.normal.scaled(0.3)
-    laser = normal_blocks(rng, NOISE_BLOCK)
+    laser = NormalBlocks(rng, NOISE_BLOCK)
     for _ in range(10):
         read_laser(origin.as_tuple(), -site.wall.normal, site, laser, sigma=0.0)
     assert rng.bit_generator.state == before
@@ -148,7 +148,7 @@ def test_guard_filter_needs_window():
 
 
 def laser_noise(seed):
-    return normal_blocks(np.random.default_rng(seed), NOISE_BLOCK)
+    return NormalBlocks(np.random.default_rng(seed), NOISE_BLOCK)
 
 
 def test_laser_exact_distance():
