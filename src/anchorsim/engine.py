@@ -50,7 +50,7 @@ MAX_SIM_TIME = 7200.0
 
 #: Shortest free stretch ``World.run`` computes in bulk; a shorter one runs
 #: tick by tick, which costs less than setting up the arrays.
-MIN_FREE_STRETCH = 16
+MIN_FREE_STRETCH = 32
 
 
 @dataclass
@@ -458,7 +458,7 @@ class World:
         paths = []
         for runtime in moving:
             path, arrival = runtime.state.free_path(n, dt)
-            n = min(n, len(path) - 1, arrival or n)
+            n = min(n, path.shape[1] - 1, arrival or n)
             paths.append((runtime, path, arrival))
         sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
         guards = []
@@ -484,7 +484,7 @@ class World:
                 runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
             for (runtime, path, arrival), (samples, sums, trip) in zip(paths, guards):
                 arm = runtime.state
-                arm.x, arm.y, arm.z, arm.motion.travelled = path[n].tolist()
+                arm.x, arm.y, arm.z, arm.motion.travelled = path[:, n].tolist()
                 sampled = n - 1 if arrival == n else n
                 if sampled:
                     self.recorder.record_zeros(runtime.wrench_row, times[:sampled])

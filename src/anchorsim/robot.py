@@ -141,32 +141,36 @@ class ArmState:
         """The next ``ticks`` ticks of the targeted move, taken in bulk with
         the arithmetic of ``advance``: ``(path, arrival)``.
 
-        Row ``j`` of ``path`` is ``(x, y, z, travelled)`` after ``j`` ticks
-        (row 0 is now); ``arrival`` is the tick that reaches the target, whose
-        row holds the target, or None. The rows stop before the first tick
-        whose point would leave the reach sphere or not be finite, which
-        ``advance`` must take itself, so the path may be shorter than asked.
+        Column ``j`` of the ``(4, k + 1)`` array ``path`` is ``(x, y, z,
+        travelled)`` after ``j`` ticks (column 0 is now); ``arrival`` is the
+        tick that reaches the target, whose column holds the target, or None.
+        The columns stop before the first tick whose point would leave the
+        reach sphere or not be finite, which ``advance`` must take itself, so
+        ``k`` may be less than ``ticks``.
         """
         motion = self.motion
         step = motion.speed * dt
         ux, uy, uz = motion.direction
-        increments = np.empty((ticks + 1, 4))
-        increments[0] = self.x, self.y, self.z, motion.travelled
-        increments[1:] = ux * step, uy * step, uz * step, step
-        path = np.add.accumulate(increments, axis=0)  # sequential, as the ticks add
-        # Tick j tests the point it starts from, row j - 1.
-        d = path[:-1, :3] - motion.target
-        remaining = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        tx, ty, tz = motion.target
+        increments = np.empty((4, ticks + 1))
+        increments[:, 0] = self.x, self.y, self.z, motion.travelled
+        increments[:, 1:] = np.array([[ux * step], [uy * step], [uz * step], [step]])
+        path = np.add.accumulate(increments, axis=1)  # sequential, as the ticks add
+        # Tick j tests the point it starts from, column j - 1.
+        x, y, z, _ = path[:, :-1]
+        dx, dy, dz = x - tx, y - ty, z - tz
+        remaining = np.sqrt(dx * dx + dy * dy + dz * dz)
         hits = np.flatnonzero(remaining <= step)
         arrival = int(hits[0]) + 1 if hits.size else None
         if arrival is not None:
-            path = path[: arrival + 1]
-            path[arrival] = (*motion.target, float(path[arrival - 1, 3]) + float(remaining[arrival - 1]))
-        b = self.base.as_tuple() - path[1:, :3]
-        inside = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]) <= self.cfg.reach
+            path = path[:, : arrival + 1]
+            path[:, arrival] = tx, ty, tz, float(path[3, arrival - 1]) + float(remaining[arrival - 1])
+        x, y, z, _ = path[:, 1:]
+        bx, by, bz = self.base.x - x, self.base.y - y, self.base.z - z
+        inside = np.sqrt(bx * bx + by * by + bz * bz) <= self.cfg.reach
         if not inside.all():
-            path = path[: int(np.argmin(inside)) + 1]
-            if arrival is not None and arrival >= len(path):
+            path = path[:, : int(inside.argmin()) + 1]
+            if arrival is not None and arrival >= path.shape[1]:
                 arrival = None
         return path, arrival
 

@@ -117,12 +117,12 @@ def first_overload(filtered: np.ndarray, limits: SensorsSection) -> tuple[int, s
     """The first row of the ``(m, 6)`` array ``filtered`` that
     ``overload_guard`` trips on, with the axis it names, or None."""
     fl, ml = limits.force_limit, limits.moment_limit
-    over = np.abs(filtered) > (fl, fl, fl, ml, ml, ml)
-    rows = np.flatnonzero(over.any(axis=1))
-    if rows.size == 0:
+    over = (np.abs(filtered) > (fl, fl, fl, ml, ml, ml)).ravel()
+    first = int(over.argmax())  # row-major: the first row over, then its first axis
+    if not over[first]:
         return None
-    row = int(rows[0])
-    return row, Wrench._fields[int(over[row].argmax())]
+    row, axis = divmod(first, 6)
+    return row, Wrench._fields[axis]
 
 
 class GuardFilter:
@@ -174,7 +174,8 @@ class GuardFilter:
         steps[2::2] = samples
         full = max(0, window - held)  # the first push that drops a sample
         if full < m:
-            kept = np.concatenate((np.array(self._buf).reshape(-1, 6), samples))
+            held_rows = np.fromiter(chain.from_iterable(self._buf), float, 6 * held).reshape(held, 6)
+            kept = np.concatenate((held_rows, samples))
             steps[2 * full + 1 :: 2] = -kept[held + full - window : held + m - window]
         sums = np.add.accumulate(steps, axis=0)[2::2]
         counts = np.minimum(np.arange(held + 1, held + m + 1), window)

@@ -10,10 +10,11 @@ from anchorsim.sensors import (
     NOISE_BLOCK,
     DetectionKind,
     GuardFilter,
+    NormalBlocks,
     Wrench,
     ZERO_WRENCH,
     camera_detect,
-    NormalBlocks,
+    first_overload,
     overload_guard,
     read_ft,
     read_laser,
@@ -79,6 +80,20 @@ def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
     rows = NormalBlocks(np.random.default_rng(12), (4, 6))
     reference = np.random.default_rng(12)
     assert [next(rows) for _ in range(9)] == [reference.standard_normal(6).tolist() for _ in range(9)]
+
+
+def test_rows_taken_in_bulk_continue_the_stream():
+    # ``ahead`` and ``skip`` read the block ``next`` reads, at its cursor and
+    # across refills, so mixed reads hand out the single-draw sequence.
+    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
+    reference = np.random.default_rng(12).standard_normal((12, 6)).tolist()
+    taken = [next(rows)]
+    for count in (3, 2, 0, 1):
+        ahead = rows.ahead()
+        taken += ahead[:count].tolist()
+        rows.skip(count)
+        taken.append(next(rows))
+    assert len(ahead) == 3 and taken == reference[:11]
 
 
 def test_zero_sigmas_draw_nothing():
@@ -294,3 +309,25 @@ def test_guard_filter_matches_sequential_sums_bit_for_bit():
         for i in range(6):
             sums[i] += sample[i]
         assert f.push(sample) == tuple(s / len(window) for s in sums)
+
+
+def test_guard_filter_in_bulk_matches_push_bit_for_bit():
+    # ``averages`` returns what ``push`` would, while the window fills and
+    # once it wraps, and ``extend`` leaves the state that the pushes leave.
+    rng = np.random.default_rng(6)
+    pushed, bulk = GuardFilter(window=25), GuardFilter(window=25)
+    for count in (10, 300, 7):
+        samples = rng.standard_normal((count, 6)) * [900, 900, 900, 25, 25, 25]
+        averages, sums = bulk.averages(samples)
+        assert averages.tolist() == [list(pushed.push(Wrench(*row))) for row in samples.tolist()]
+        bulk.extend(samples, sums)
+        assert list(bulk._buf) == list(pushed._buf) and bulk._sums == pushed._sums
+
+
+def test_first_overload_finds_the_first_trip_of_overload_guard():
+    limits = SensorsSection(force_limit=1000.0, moment_limit=30.0)
+    filtered = np.zeros((5, 6))
+    assert first_overload(filtered, limits) is None
+    filtered[3] = (0.0, 0.0, 1000.0, 0.0, -31.0, 0.0)  # fz at its limit passes
+    filtered[4, 0] = -1000.5
+    assert first_overload(filtered, limits) == (3, "my") == (3, overload_guard(tuple(filtered[3]), limits))
