@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -122,13 +123,20 @@ class TraceRecorder:
         times.append(t)
         data.extend(values)
 
-    def record_zeros(self, row: TraceRow, times: np.ndarray):
-        """Append an all-``+0.0`` sample to ``row`` at each of the increasing
-        ``times``, as many ``record`` calls would."""
-        if row.times and times[0] <= row.times[-1]:
-            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {times[0]} after {row.times[-1]}")
-        row.times.frombytes(times.tobytes())
-        row.data.frombytes(bytes(8 * len(row.channels) * len(times)))
+    def record_zeros(self, row: TraceRow, ticks: range, dt: float):
+        """Append an all-``+0.0`` sample to ``row`` at ``k * dt`` for each
+        tick count ``k`` in ``ticks``, as ``record`` on those ticks would.
+
+        The columns grow one value at a time, as under ``record``: appending
+        a stretch in one block moves the large columns more often, which
+        raised peak RSS by several MB over a benchmark run.
+        """
+        _, _, times, data = row
+        first = ticks[0] * dt
+        if times and first <= times[-1]:
+            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {first} after {times[-1]}")
+        times.extend(map(dt.__rmul__, ticks))  # ``k * dt``, as ``SimClock.tick``
+        data.extend(repeat(0.0, len(row.channels) * len(ticks)))
 
 
 class RandomStreams:
@@ -455,53 +463,30 @@ class World:
         if n < MIN_FREE_STRETCH:
             return now + n
 
-        paths = []
-        for runtime in moving:
-            path, arrival = runtime.state.free_path(n, dt)
-            n = min(n, path.shape[1] - 1, arrival or n)
-            paths.append((runtime, path, arrival))
-        sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
-        guards = []
-        for runtime, path, arrival in paths:
-            active = n - 1 if arrival == n else n
-            if active == 0:
-                guards.append((None, None, None))
-                continue
-            samples = 0.0 + runtime.ft_noise.ahead()[:active] * sigmas if noisy else np.zeros((active, 6))
-            _, sums = averages = runtime.guard_filter.averages(samples)
-            trip = first_overload(averages[0], sensors)
-            if trip is not None:
-                n = min(n, trip[0] + 1)
-            guards.append((samples, sums, trip))
+        n, landings = self._stretch(moving, n, noisy)
         if n == 0:
             return now + 1  # an arm leaves its reach sphere on the next tick
-        times = times[:n]
 
         def land():
             t = clock.t
             event = t > MAX_SIM_TIME
             for runtime in runtimes:
                 runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-            for (runtime, path, arrival), (samples, sums, trip) in zip(paths, guards):
+            for runtime, point, sampled, rows, sums, reading, axis in landings:
                 arm = runtime.state
-                arm.x, arm.y, arm.z, arm.motion.travelled = path[:, n].tolist()
-                sampled = n - 1 if arrival == n else n
+                arm.x, arm.y, arm.z, arm.motion.travelled = point
                 if sampled:
-                    self.recorder.record_zeros(runtime.wrench_row, times[:sampled])
-                    runtime.guard_filter.extend(samples[:sampled], sums[:sampled])
+                    self.recorder.record_zeros(runtime.wrench_row, range(now + 1, now + sampled + 1), dt)
+                    runtime.guard_filter.extend(rows, sums)
                     if noisy:
                         runtime.ft_noise.skip(sampled)
-                        runtime.reading = Wrench._make(samples[sampled - 1].tolist())
-                    else:
-                        runtime.reading = ZERO_WRENCH
-                if sampled < n:
+                if sampled < n:  # the arrival tick
                     arm.motion = None
-                    runtime.reading = None
                     event = True
                     continue
-                runtime.active = True
-                if trip is not None and trip[0] + 1 == n:
-                    arm.halt(trip[1])
+                runtime.reading, runtime.active = reading, True
+                if axis is not None:
+                    arm.halt(axis)
                     runtime.guard_fired_t = t
                     event = True
             self.event = event
@@ -511,6 +496,52 @@ class World:
             runtime.active = runtime.state.motion is not None
         self._stretch_end, self._land = now + n, land
         return now + n
+
+    def _stretch(self, moving: list[ArmRuntime], n: int, noisy: bool):
+        """Compute the next ``n`` free ticks of the ``moving`` arms; return
+        the ticks until the first event (arrival, guard trip, or a tick the
+        per-tick pass must take) and, per arm, what the stretch leaves: its
+        point and ``travelled``, the ticks it sampled, the guard's last rows
+        and sums, its last reading and the axis of a trip on the last tick.
+
+        Only these small values outlive the call, so the stretch's last tick
+        holds no arrays while it grows the trace columns.
+        """
+        sensors = self.scenario.sensors
+        dt = self.clock.dt
+        paths = []
+        for runtime in moving:
+            path, arrival = runtime.state.free_path(n, dt)
+            n = min(n, path.shape[1] - 1, arrival or n)
+            paths.append((runtime, path, arrival))
+        sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
+        guards = []
+        for runtime, path, arrival in paths:
+            active = n - 1 if arrival == n else n
+            samples = sums = trip = None
+            if active:
+                if noisy:
+                    samples = runtime.ft_noise.ahead()[:active] * sigmas
+                    samples += 0.0  # the reading is ``0.0 + sigma * noise``
+                else:
+                    samples = np.zeros((active, 6))
+                filtered, sums = runtime.guard_filter.averages(samples)
+                trip = first_overload(filtered, sensors)
+                if trip is not None:
+                    n = min(n, trip[0] + 1)
+            guards.append((samples, sums, trip))
+        landings = []
+        for (runtime, path, arrival), (samples, sums, trip) in zip(paths, guards):
+            sampled = n - 1 if arrival == n else n
+            rows, last_sums, reading = [], None, None
+            if sampled:
+                window = runtime.guard_filter.window
+                rows = list(map(Wrench._make, samples[max(0, sampled - window) : sampled].tolist()))
+                last_sums = tuple(sums[sampled - 1].tolist())
+                reading = rows[-1] if noisy else ZERO_WRENCH
+            axis = trip[1] if trip is not None and trip[0] + 1 == n else None
+            landings.append((runtime, path[:, n].tolist(), sampled, rows, last_sums, reading, axis))
+        return n, landings
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         runtime = self.arms[arm_name]

@@ -152,27 +152,35 @@ class ArmState:
         step = motion.speed * dt
         ux, uy, uz = motion.direction
         tx, ty, tz = motion.target
-        increments = np.empty((4, ticks + 1))
-        increments[:, 0] = self.x, self.y, self.z, motion.travelled
-        increments[:, 1:] = np.array([[ux * step], [uy * step], [uz * step], [step]])
-        path = np.add.accumulate(increments, axis=1)  # sequential, as the ticks add
+        path = np.empty((4, ticks + 1))
+        path[:, 0] = self.x, self.y, self.z, motion.travelled
+        path[:, 1:] = [[ux * step], [uy * step], [uz * step], [step]]
+        np.add.accumulate(path, axis=1, out=path)  # sequential, as the ticks add
         # Tick j tests the point it starts from, column j - 1.
-        x, y, z, _ = path[:, :-1]
-        dx, dy, dz = x - tx, y - ty, z - tz
-        remaining = np.sqrt(dx * dx + dy * dy + dz * dz)
+        d = path[:3, :-1] - [[tx], [ty], [tz]]
+        remaining = _norms(d)
         hits = np.flatnonzero(remaining <= step)
         arrival = int(hits[0]) + 1 if hits.size else None
         if arrival is not None:
             path = path[:, : arrival + 1]
             path[:, arrival] = tx, ty, tz, float(path[3, arrival - 1]) + float(remaining[arrival - 1])
-        x, y, z, _ = path[:, 1:]
-        bx, by, bz = self.base.x - x, self.base.y - y, self.base.z - z
-        inside = np.sqrt(bx * bx + by * by + bz * bz) <= self.cfg.reach
+        base = self.base
+        inside = _norms([[base.x], [base.y], [base.z]] - path[:3, 1:]) <= self.cfg.reach
         if not inside.all():
             path = path[:, : int(inside.argmin()) + 1]
             if arrival is not None and arrival >= path.shape[1]:
                 arrival = None
         return path, arrival
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """``sqrt(dx * dx + dy * dy + dz * dz)`` per column of the ``(3, m)``
+    array ``d``, summed in that order; ``d`` is overwritten."""
+    np.multiply(d, d, out=d)
+    dx, dy, dz = d
+    total = dx + dy
+    total += dz
+    return np.sqrt(total, out=total)
 
 
 def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):

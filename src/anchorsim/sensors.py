@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import length_hint
 from typing import Iterator, NamedTuple
 
@@ -117,7 +117,9 @@ def first_overload(filtered: np.ndarray, limits: SensorsSection) -> tuple[int, s
     """The first row of the ``(m, 6)`` array ``filtered`` that
     ``overload_guard`` trips on, with the axis it names, or None."""
     fl, ml = limits.force_limit, limits.moment_limit
-    over = (np.abs(filtered) > (fl, fl, fl, ml, ml, ml)).ravel()
+    over = filtered > (fl, fl, fl, ml, ml, ml)  # |value| > limit, without an abs copy
+    over |= filtered < (-fl, -fl, -fl, -ml, -ml, -ml)
+    over = over.ravel()
     first = int(over.argmax())  # row-major: the first row over, then its first axis
     if not over[first]:
         return None
@@ -174,18 +176,24 @@ class GuardFilter:
         steps[2::2] = samples
         full = max(0, window - held)  # the first push that drops a sample
         if full < m:
-            held_rows = np.fromiter(chain.from_iterable(self._buf), float, 6 * held).reshape(held, 6)
-            kept = np.concatenate((held_rows, samples))
-            steps[2 * full + 1 :: 2] = -kept[held + full - window : held + m - window]
-        sums = np.add.accumulate(steps, axis=0)[2::2]
+            # The dropped samples: the held ones from the oldest on, then the new ones.
+            drops = steps[2 * full + 1 :: 2]
+            start = held + full - window
+            old = list(islice(self._buf, start, start + len(drops)))
+            if old:
+                drops[: len(old)] = old
+            drops[len(old) :] = samples[: len(drops) - len(old)]
+            np.negative(drops, out=drops)
+        np.add.accumulate(steps, axis=0, out=steps)
+        sums = steps[2::2]
         counts = np.minimum(np.arange(held + 1, held + m + 1), window)
         return sums / counts[:, None], sums
 
-    def extend(self, samples: np.ndarray, sums: np.ndarray):
-        """Push the rows of ``samples`` at once, given the ``sums`` that
-        ``averages`` computed for them."""
-        self._buf.extend(map(Wrench._make, samples[-self.window :].tolist()))
-        self._sums = tuple(sums[-1].tolist())
+    def extend(self, samples: list[Wrench], sums: tuple[float, ...]):
+        """Push ``samples`` at once (the last ``window`` of them will do),
+        given the sums after the last push, as ``averages`` computed them."""
+        self._buf.extend(samples)
+        self._sums = sums
 
     def reset(self):
         self._buf.clear()

@@ -320,7 +320,7 @@ def test_guard_filter_in_bulk_matches_push_bit_for_bit():
         samples = rng.standard_normal((count, 6)) * [900, 900, 900, 25, 25, 25]
         averages, sums = bulk.averages(samples)
         assert averages.tolist() == [list(pushed.push(Wrench(*row))) for row in samples.tolist()]
-        bulk.extend(samples, sums)
+        bulk.extend(list(map(Wrench._make, samples.tolist())), tuple(sums[-1].tolist()))
         assert list(bulk._buf) == list(pushed._buf) and bulk._sums == pushed._sums
 
 
