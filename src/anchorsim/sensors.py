@@ -53,6 +53,7 @@ class NormalBlocks(chain):
         held = [None, iter(())]  # the current block and the iterator over its rows
 
         def draw():
+            held[0] = None  # free the spent block first: its memory then takes the next
             block = rng.standard_normal(shape)
             held[:] = block, iter(block.tolist())
             return held[1]
