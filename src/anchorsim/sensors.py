@@ -179,8 +179,7 @@ class GuardFilter:
         if full < m:
             # The dropped samples: the held ones from the oldest on, then the new ones.
             drops = steps[2 * full + 1 :: 2]
-            start = held + full - window
-            old = list(islice(self._buf, start, start + len(drops)))
+            old = list(islice(self._buf, len(drops)))
             if old:
                 drops[: len(old)] = old
             drops[len(old) :] = samples[: len(drops) - len(old)]
