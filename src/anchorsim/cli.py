@@ -13,7 +13,7 @@ import json
 import sys
 from itertools import chain
 
-from .engine import Trace, run
+from .engine import Trace, TraceRow, run
 from .errors import IoFailure, ScenarioInvalid
 from .procedure import FixationReport
 from .scenario import STAMP_DECIMALS, Scenario, load_scenario, render_scenario
@@ -27,9 +27,6 @@ SUBCOMMAND_MISSIONS = {
     "frame-test": "frame",
 }
 
-#: Rows exported per chunk, which bounds the text held at once.
-EXPORT_CHUNK = 4096
-
 #: Format spec of the exported time stamps.
 STAMP_SPEC = f".{STAMP_DECIMALS}f"
 
@@ -39,31 +36,30 @@ def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
 
     Files use LF line endings, ASCII, and a fixed float format so identical
     runs export byte-identical data. The traces of one row share their
-    times, so their files are written side by side, a chunk of rows at a
-    time.
+    times, so their files are written side by side, one stored chunk of the
+    row at a time (``TraceRow``).
     """
     import os
     from contextlib import ExitStack
 
     order = sorted(traces)
-    rows: dict[int, list[Trace]] = {}
+    rows: dict[TraceRow, list[Trace]] = {}
     for trace_id in order:
-        rows.setdefault(id(traces[trace_id].times), []).append(traces[trace_id])
+        rows.setdefault(traces[trace_id].row, []).append(traces[trace_id])
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for row in rows.values():
+        for row, row_traces in rows.items():
             with ExitStack() as stack:
                 files = []
-                for trace in row:
+                for trace in row_traces:
                     path = os.path.join(out_dir, trace.id.replace("/", "_") + ".csv")
                     fh = stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
                     # Each line is "\n<t>,<v>": the header ends without a
                     # newline and the file with one.
                     fh.write(f"t,{trace.channel}")
-                    files.append((fh, trace.values))
-                times = row[0].times
-                for i in range(0, len(times), EXPORT_CHUNK):
-                    _write_chunk(files, times, i, i + EXPORT_CHUNK)
+                    files.append((fh, trace.index))
+                for times, columns in row.chunks():
+                    _write_chunk([(fh, columns[i]) for fh, i in files], times)
                 for fh, _ in files:
                     fh.write("\n")
     except OSError as exc:
@@ -71,22 +67,21 @@ def export_traces(traces: dict[str, Trace], out_dir) -> list[str]:
     return [trace_id.replace("/", "_") + ".csv" for trace_id in order]
 
 
-def _write_chunk(files, times, i: int, j: int):
-    """Write rows ``i:j`` of one row's ``(file, values)`` pairs.
+def _write_chunk(files, times):
+    """Write one chunk of a row's ``(file, values)`` pairs at ``times``;
+    ``None`` values are all ``+0.0``.
 
-    Each time stamp is formatted once for all the files. Values that are all
-    ``+0.0``, judged by their bits so that ``-0.0`` keeps its sign, have the
-    same text in every file; it is built once, after the other files are
-    written, and freed on return.
+    Each time stamp is formatted once for all the files. The all-``+0.0``
+    values have the same text in every file; it is built once, after the
+    other files are written, and freed on return.
     """
-    stamps = [f"\n{t:{STAMP_SPEC}}," for t in times[i:j]]
+    stamps = [f"\n{t:{STAMP_SPEC}}," for t in times]
     zero_files = []
     for fh, values in files:
-        chunk = values[i:j]
-        if chunk.tobytes().count(0) == chunk.nbytes:
+        if values is None:
             zero_files.append(fh)
         else:
-            fh.write("".join(chain.from_iterable(zip(stamps, map(repr, chunk)))))
+            fh.write("".join(chain.from_iterable(zip(stamps, map(repr, values)))))
     if zero_files:
         text = "0.0".join(stamps) + "0.0"
         for fh in zero_files:

@@ -18,10 +18,11 @@ outputs are the bytes the per-tick pass would give (see ``World.run``).
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, NamedTuple
+from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -66,24 +67,78 @@ class SimClock:
         return self.t
 
 
-class TraceRow(NamedTuple):
-    """Channels that are only ever recorded together, as traces
-    ``prefix/<channel>``: one times column and their values interleaved in
-    channel order, one row per sample."""
+#: Rows per trace chunk. A full chunk is sealed: its values are split into
+#: one column per channel, and a channel whose values are all ``+0.0`` keeps
+#: no column.
+TRACE_CHUNK = 4096
 
-    prefix: str
-    channels: tuple[str, ...]
-    times: array
-    data: array
+
+class TraceRow:
+    """Channels that are only ever recorded together, as traces
+    ``prefix/<channel>``, stored in chunks of ``TRACE_CHUNK`` rows.
+
+    ``sealed`` holds the full chunks as ``(times, columns)``: the chunk's
+    times and one ``array('d')`` per channel, or ``None`` for a channel whose
+    values are all ``+0.0`` by their bits. The open chunk is the first
+    ``count`` rows of ``times`` and of ``data``, which holds the values
+    interleaved in channel order. Both are allocated once at full size, so
+    recording moves no memory. ``last`` is the time of the last row
+    (``-inf`` before the first), so the monotonic check spans chunks.
+    """
+
+    __slots__ = ("prefix", "channels", "sealed", "times", "data", "count", "last", "pack", "stride")
+
+    def __init__(self, prefix: str, channels: tuple[str, ...]):
+        packer = struct.Struct(f"{len(channels)}d")  # one row of ``data``
+        self.prefix = prefix
+        self.channels = channels
+        self.sealed: list[tuple[array, tuple[array | None, ...]]] = []
+        self.times = array("d", bytes(8 * TRACE_CHUNK))
+        self.data = array("d", bytes(packer.size * TRACE_CHUNK))
+        self.count = 0
+        self.last = -math.inf
+        self.pack, self.stride = packer.pack_into, packer.size
+
+    def __len__(self):
+        return TRACE_CHUNK * len(self.sealed) + self.count
+
+    def chunks(self):
+        """Every chunk as ``(times, columns)``, the open one last if it has rows."""
+        yield from self.sealed
+        if self.count:
+            yield self._split()
+
+    def seal(self):
+        """Seal the full open chunk and open an empty one."""
+        self.sealed.append(self._split())
+        self.count = 0
+
+    def _split(self):
+        """The open chunk's rows as a sealed chunk: ``(times, columns)``."""
+        count = self.count
+        values = np.frombuffer(self.data)[: count * len(self.channels)].reshape(count, -1).T
+        columns = tuple(array("d", c.tobytes()) if c.view(np.uint64).any() else None for c in values)
+        return self.times[:count], columns
+
+    def column(self, index: int | None, start: int = 0) -> array:
+        """A copy of rows ``start`` on of channel ``index``'s values, or of
+        the times for ``None``."""
+        out = array("d")
+        first, skip = divmod(start, TRACE_CHUNK)
+        for times, columns in islice(self.chunks(), first, None):
+            column = times if index is None else columns[index]
+            if column is None:
+                out.frombytes(bytes(8 * (len(times) - skip)))
+            else:
+                out.extend(column[skip:])
+            skip = 0
+        return out
 
 
 class Trace:
-    """One recorded channel: its row's times column (strictly increasing) and
-    a read-only strided view of its own values in the row's data.
-
-    The row cannot grow while a ``values`` view is alive, so take views once
-    recording has ended (a finished run), or copy them with ``tolist()``.
-    """
+    """One recorded channel of a ``TraceRow``: its times (strictly
+    increasing) and its values, each returned as an ``array('d')`` copy
+    built from the row's chunks."""
 
     def __init__(self, trace_id: str, channel: str, row: TraceRow):
         if channel not in TRACE_CHANNELS:
@@ -91,16 +146,18 @@ class Trace:
         self.id = trace_id
         self.channel = channel
         self.row = row
-        self.times = row.times
-        self._index = row.channels.index(channel)
+        self.index = row.channels.index(channel)
 
     @property
-    def values(self) -> memoryview:
-        row = self.row
-        return memoryview(row.data).toreadonly()[self._index :: len(row.channels)]
+    def times(self) -> array:
+        return self.row.column(None)
+
+    @property
+    def values(self) -> array:
+        return self.row.column(self.index)
 
     def __len__(self):
-        return len(self.times)
+        return len(self.row)
 
 
 class TraceRecorder:
@@ -109,7 +166,7 @@ class TraceRecorder:
 
     def register_row(self, prefix: str, channels: tuple[str, ...]) -> TraceRow:
         """A new row of traces ``prefix/<channel>``."""
-        row = TraceRow(prefix, tuple(channels), array("d"), array("d"))
+        row = TraceRow(prefix, tuple(channels))
         for channel in row.channels:
             self.traces[f"{prefix}/{channel}"] = Trace(f"{prefix}/{channel}", channel, row)
         return row
@@ -117,26 +174,41 @@ class TraceRecorder:
     def record(self, row: TraceRow, t: float, values):
         """Append one sample at time ``t`` to every channel of ``row``, with
         one monotonic check for them all."""
-        _, _, times, data = row
-        if times and t <= times[-1]:
-            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {t} after {times[-1]}")
-        times.append(t)
-        data.extend(values)
+        if t <= row.last:
+            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {t} after {row.last}")
+        row.last = t
+        n = row.count
+        row.times[n] = t
+        row.pack(row.data, n * row.stride, *values)
+        row.count = n = n + 1
+        if n == TRACE_CHUNK:
+            row.seal()
 
     def record_zeros(self, row: TraceRow, ticks: range, dt: float):
         """Append an all-``+0.0`` sample to ``row`` at ``k * dt`` for each
-        tick count ``k`` in ``ticks``, as ``record`` on those ticks would.
-
-        The columns grow one value at a time, as under ``record``: appending
-        a stretch in one block moves the large columns more often, which
-        raised peak RSS by several MB over a benchmark run.
-        """
-        _, _, times, data = row
+        tick count ``k`` in ``ticks`` (a step-1 range), as ``record`` on those
+        ticks would. The times are ``np.arange(...) * dt``, the same doubles
+        as ``k * dt``: a tick count converts to float exactly. A whole chunk
+        of zeros keeps no columns."""
         first = ticks[0] * dt
-        if times and first <= times[-1]:
-            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {first} after {times[-1]}")
-        times.extend(map(dt.__rmul__, ticks))  # ``k * dt``, as ``SimClock.tick``
-        data.extend(repeat(0.0, len(row.channels) * len(ticks)))
+        if first <= row.last:
+            raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {first} after {row.last}")
+        width = len(row.channels)
+        k, stop = ticks.start, ticks.stop
+        while k < stop:
+            count = row.count
+            n = min(TRACE_CHUNK - count, stop - k)
+            times = array("d", (np.arange(k, k + n) * dt).tobytes())
+            if n == TRACE_CHUNK:
+                row.sealed.append((times, (None,) * width))
+            else:
+                row.times[count : count + n] = times
+                row.data[count * width : (count + n) * width] = array("d", bytes(8 * width * n))
+                row.count = count + n
+                if row.count == TRACE_CHUNK:
+                    row.seal()
+            k += n
+        row.last = (stop - 1) * dt
 
 
 class RandomStreams:
@@ -505,7 +577,7 @@ class World:
         and sums, its last reading and the axis of a trip on the last tick.
 
         Only these small values outlive the call, so the stretch's last tick
-        holds no arrays while it grows the trace columns.
+        holds no arrays while it records the stretch.
         """
         sensors = self.scenario.sensors
         dt = self.clock.dt

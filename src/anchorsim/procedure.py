@@ -898,7 +898,7 @@ class MissionContext:
         with self.contact(arm, pulse_model):
             yield from self.until(arm, tightened)
         substeps.append(("pulse_tighten", t0, world.t))
-        max_moment = max(map(abs, moments.values[first_moment:].tolist()))
+        max_moment = max(map(abs, moments.row.column(moments.index, first_moment)))
 
         anchor.set_state(AnchorState.TIGHTENED)
         world.site.part.mark_point_fixed()

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .errors import ScenarioInvalid
 from .geometry import Point3
 from .tools import DrillVariant
-from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, wall_frame_from_angles
+from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_from_angles
 
 #: Decimal places of the time stamps in exported traces. ``procedure.timestep``
 #: may not be finer than one unit in the last place, or stamps would repeat.
@@ -268,6 +268,18 @@ class Scenario:
         if tools.socket_fit_time > p.socket_fit_timeout:
             reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"
             raise ScenarioInvalid("tools.socket_fit_time", reason)
+        # Each tool, with what it holds, must be within the payload: the
+        # hammer holds the anchor on robot 1, the gripper the part on robot 2.
+        robot = self.robot
+        loads = {
+            "drill": robot.mass_drill,
+            "hammer with the anchor": robot.mass_hammer + AnchorBolt.mass,
+            "nutrunner": robot.mass_nutrunner,
+            "gripper with the part": robot.mass_gripper + self.part.mass,
+        }
+        tool, load = max(loads.items(), key=lambda item: item[1])
+        if load > robot.payload:
+            raise ScenarioInvalid("robot.payload", f"{robot.payload!r} kg cannot carry the {tool}, {load!r} kg")
         # Each probe dwells a whole number of ticks, but the search counts
         # its budget in probe periods, so any other period overruns it.
         probe_ticks = p.spiral_probe_period / p.timestep

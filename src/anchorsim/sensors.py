@@ -44,40 +44,51 @@ class NormalBlocks(chain):
     A block takes the same bits from the stream as the same number of single
     draws, so a stream with no other reader yields exactly the values that
     ``standard_normal(row)`` calls would. Nothing is drawn before the first
-    ``next``. ``next`` stays the C-level ``chain`` iterator over the current
-    block's ``tolist()``; ``ahead`` and ``skip`` read the same block as an
-    array, at the same cursor, for a caller that takes many rows at once.
+    read. ``next`` stays the C-level ``chain`` iterator over a list of the
+    current block's rows; ``ahead`` and ``skip`` read the same block as an
+    array, at the same cursor, for a caller that takes many rows at once. A
+    block is listed only when ``next`` reads it, from its cursor on, so rows
+    taken in bulk are never listed.
     """
 
     def __new__(cls, rng, shape):
-        held = [None, iter(())]  # the current block and the iterator over its rows
+        # The current block, the iterator over its listed rows (None while
+        # none are), and the row the list starts at.
+        held = [np.empty(0), None, 0]
 
         def draw():
             held[0] = None  # free the spent block first: its memory then takes the next
-            block = rng.standard_normal(shape)
-            held[:] = block, iter(block.tolist())
+            return rng.standard_normal(shape)
+
+        def listed():  # ``chain`` asks for it once the listed rows are spent
+            if held[1] is not None or held[2] == len(held[0]):
+                held[:] = draw(), None, 0
+            held[1] = iter(held[0][held[2] :].tolist())
             return held[1]
 
-        blocks = cls.from_iterable(iter(draw, None))
-        blocks._held = held
+        blocks = cls.from_iterable(iter(listed, None))
+        blocks._held, blocks._draw = held, draw
         return blocks
 
     def ahead(self) -> np.ndarray:
-        """The current block's rows that ``next`` has not handed out yet (a
+        """The current block's rows that have not been handed out yet (a
         view), after drawing the next block if none are left."""
-        block, rows = self._held
-        left = length_hint(rows)
-        if left == 0:
-            next(self)  # draws the next block; its first row is put back below
-            block, rows = self._held
-            rows.__setstate__(0)
-            left = len(block)
-        return block[len(block) - left :]
+        held = self._held
+        block, rows, start = held
+        cursor = start if rows is None else len(block) - length_hint(rows)
+        if cursor < len(block):
+            return block[cursor:]
+        del block  # so that ``draw`` frees the spent block
+        held[:] = self._draw(), None, 0
+        return held[0]
 
     def skip(self, count: int):
         """Hand out the first ``count`` rows of ``ahead()`` without returning them."""
-        block, rows = self._held
-        rows.__setstate__(len(block) - length_hint(rows) + count)
+        block, rows, start = held = self._held
+        if rows is None:
+            held[2] = start + count
+        else:
+            rows.__setstate__(len(block) - start - length_hint(rows) + count)
 
 
 def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wrench:

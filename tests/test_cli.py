@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorsim
-from anchorsim.cli import EXPORT_CHUNK, export_traces, main
-from anchorsim.engine import TraceRecorder, run
+from anchorsim.cli import export_traces, main
+from anchorsim.engine import TRACE_CHUNK, TraceRecorder, run
 from anchorsim.errors import IoFailure
 from anchorsim.scenario import _SECTION_TYPES, ProcedureSection, Scenario, render_scenario
 from anchorsim.sensors import Wrench
@@ -109,9 +109,10 @@ INVALID_VALUES = [
 #: Holes whose centres are on the wall but whose rims are not, holes that
 #: overlap, a hole no deeper than the insertion push, spiral probe periods
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
-#: its timeout), a socket that slots on only after its fit timeout and a wall
-#: that puts an orientation laser point out of reach. Their fields may repeat
-#: cases above, so their ids are their text.
+#: its timeout), a socket that slots on only after its fit timeout, a wall
+#: that puts an orientation laser point out of reach, and tools or loads the
+#: payload cannot carry (each failed a step partway through the run). Their
+#: fields may repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -124,6 +125,9 @@ INVALID_REPEATS = [
      "procedure.spiral_probe_period"),
     ("[tools]\nsocket_fit_time = 11\n", "tools.socket_fit_time"),
     ("[wall]\ndistance = 1.6\n", "wall.distance"),
+    ("[robot]\npayload = 5\n", "robot.payload"),
+    ("[part]\nmass = 12.5\n", "robot.payload"),
+    ("[robot]\nmass_drill = 14\n", "robot.payload"),
 ]
 
 
@@ -271,16 +275,13 @@ def test_non_utf8_scenario_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_payload_overrun_fails_the_step(capsys, tmp_path):
+def test_payload_overrun_exits_2_before_the_run(capsys, tmp_path):
+    # The gripper with the 20 kg part would overrun robot 2 in pick_place_part.
     path = tmp_path / "s.ini"
     path.write_text("[part]\nmass = 20\n")
     code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--report", "machine-readable")
-    assert code == 1
-    steps = json.loads(out)["steps"]
-    assert [(s["step"], s["status"]) for s in steps] == [
-        ("estimate_orientation", "ok"), ("pick_place_part", "failed"),
-    ]
-    assert steps[1]["error"] == "PayloadExceeded: robot2: payload 21.0 kg exceeds 13.0 kg"
+    assert (code, out) == (2, "")
+    assert err == "invalid scenario: robot.payload: 13.0 kg cannot carry the gripper with the part, 21.0 kg\n"
 
 
 def test_sim_time_ceiling_fails_the_step(capsys, tmp_path):
@@ -374,7 +375,7 @@ def test_trace_file_format(tmp_path):
     assert lines[2] == "2.0000,-6.25"
 
 
-@pytest.mark.parametrize("rows", [EXPORT_CHUNK, EXPORT_CHUNK + 1])
+@pytest.mark.parametrize("rows", [TRACE_CHUNK, TRACE_CHUNK + 1])
 def test_export_matches_per_value_reference(tmp_path, rows):
     # One wrench row with an all-+0.0 chunk (fx), a lone -0.0 in an otherwise
     # zero chunk (fy), a mixed chunk (fz), zeros then one non-zero value

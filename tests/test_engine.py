@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorsim.engine import MAX_SIM_TIME, RandomStreams, SimClock, TraceRecorder, World, run
+from anchorsim.engine import MAX_SIM_TIME, TRACE_CHUNK, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
 from anchorsim.robot import Motion
@@ -47,14 +48,77 @@ def test_wrench_row_shares_one_times_column():
     recorder.record(row, 0.01, Wrench(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
     recorder.record(row, 0.02, Wrench(-1.0, -2.0, -3.0, -4.0, -5.0, -6.0))
     traces = [recorder.traces[f"robot1/{channel}"] for channel in Wrench._fields]
-    assert all(trace.times is row.times for trace in traces)
-    assert row.times.tolist() == [0.01, 0.02]
+    assert all(trace.row is row for trace in traces)
+    assert row.column(None).tolist() == [0.01, 0.02]
     for k, trace in enumerate(traces):
         assert trace.values.tolist() == [k + 1.0, -(k + 1.0)]
     assert len(recorder.traces["robot1/laser_depth"]) == 0
     with pytest.raises(NonMonotonicTime):
         recorder.record(row, 0.02, ZERO_WRENCH)
     assert [len(trace) for trace in traces] == [2] * 6
+
+
+#: Values that keep a sealed column of otherwise +0.0 values, each by its bits.
+SPECIALS = [1.5, -0.0, 5e-324, math.nan]
+
+#: One run of samples, as ``(kind, count, special, at, channel)``: ``record``
+#: rows of +0.0 but for ``special`` (None: none) at row ``at % count`` in
+#: ``channel``, ``mixed`` rows of non-zero values, or a ``zeros`` stretch
+#: through ``record_zeros``.
+RUN = st.one_of(
+    st.tuples(st.just("record"), st.integers(1, 5000), st.none() | st.sampled_from(SPECIALS),
+              st.integers(0, 10**6), st.integers(0, 5)),
+    st.tuples(st.sampled_from(["mixed", "zeros"]), st.integers(1, 3 * TRACE_CHUNK + 5),
+              st.none(), st.just(0), st.just(0)),
+)
+
+
+@example(runs=[("record", TRACE_CHUNK - 1, None, 0, 0)])  # one before a chunk boundary
+@example(runs=[("record", TRACE_CHUNK, None, 0, 0)])  # on it
+@example(runs=[("record", TRACE_CHUNK + 1, 1.5, TRACE_CHUNK, 3)])  # one after it
+@example(runs=[("zeros", 3 * TRACE_CHUNK, None, 0, 0)])  # whole zero chunks only
+@example(runs=[("mixed", 5, None, 0, 0), ("zeros", 3 * TRACE_CHUNK, None, 0, 0), ("record", 1, None, 0, 0)])
+@example(runs=[("zeros", TRACE_CHUNK - 2, None, 0, 0), ("record", 3, -0.0, 1, 4)])
+@example(runs=[("record", 2 * TRACE_CHUNK, 5e-324, 2 * TRACE_CHUNK - 1, 1)])
+@example(runs=[("zeros", 7, None, 0, 0), ("record", TRACE_CHUNK, math.nan, 100, 5)])
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(runs=st.lists(RUN, min_size=1, max_size=5))
+def test_trace_chunks_match_a_flat_reference(runs):
+    dt = 0.01
+    recorder = TraceRecorder()
+    row = recorder.register_row("robot1", Wrench._fields)
+    times, columns = [], [[] for _ in Wrench._fields]
+    k = 0
+    for kind, count, special, at, channel in runs:
+        if kind == "zeros":
+            recorder.record_zeros(row, range(k + 1, k + count + 1), dt)
+        for j in range(count):
+            k += 1
+            sample = [0.0] * 6
+            if kind == "mixed":
+                sample = [k * 0.37 - c - 0.5 for c in range(6)]
+            elif special is not None and j == at % count:
+                sample[channel] = special
+            if kind != "zeros":
+                recorder.record(row, k * dt, sample)
+            times.append(k * dt)
+            for column, value in zip(columns, sample):
+                column.append(value)
+    assert len(row) == len(times) and all(len(chunk) == TRACE_CHUNK for chunk, _ in row.sealed)
+    starts = {0, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1, len(times) // 2, len(times)}
+    for index, channel in enumerate(Wrench._fields):
+        trace = recorder.traces[f"robot1/{channel}"]
+        assert trace.times.tobytes() == array("d", times).tobytes()
+        assert trace.values.tobytes() == array("d", columns[index]).tobytes()
+        for start in sorted(s for s in starts if s <= len(times)):
+            assert row.column(index, start).tobytes() == array("d", columns[index][start:]).tobytes()
+        for n, (_, sealed) in enumerate(row.sealed):
+            chunk = array("d", columns[index][n * TRACE_CHUNK : (n + 1) * TRACE_CHUNK]).tobytes()
+            assert (sealed[index] is None) == (chunk.count(0) == len(chunk))
+    with pytest.raises(NonMonotonicTime):
+        recorder.record(row, k * dt, ZERO_WRENCH)
+    with pytest.raises(NonMonotonicTime):
+        recorder.record_zeros(row, range(k, k + 2), dt)
 
 
 def test_sensor_streams_drawn_lazily_and_not_at_zero_sigma():
@@ -316,7 +380,7 @@ def world_state(world) -> str:
             arm.halted, arm.halt_axis, arm.halt_travelled, runtime.guard_fired_t,
             runtime.reading, runtime.true_wrench, runtime.press_force, runtime.active,
             list(guard._buf), guard._sums, next(runtime.ft_noise),
-            runtime.wrench_row.times.tobytes(), runtime.wrench_row.data.tobytes(),
+            *(runtime.wrench_row.column(index).tobytes() for index in (None, *range(6))),
         ]
     return repr(state)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from operator import length_hint
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,21 @@ def test_rows_taken_in_bulk_continue_the_stream():
         rows.skip(count)
         taken.append(next(rows))
     assert len(ahead) == 3 and taken == reference[:11]
+
+
+def test_rows_taken_in_bulk_are_not_listed():
+    # A block drawn for a bulk read is listed only when ``next`` reads it,
+    # and only from its cursor on.
+    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
+    reference = np.random.default_rng(12).standard_normal((12, 6)).tolist()
+    taken = []
+    for count in (4, 4, 1):
+        ahead = rows.ahead()
+        taken += ahead[:count].tolist()
+        rows.skip(count)
+    assert rows._held[1] is None
+    taken.append(next(rows))
+    assert length_hint(rows._held[1]) == 2 and taken == reference[:10]
 
 
 def test_zero_sigmas_draw_nothing():
