@@ -12,7 +12,9 @@ noise alone trips the guard during a free move. The
 mission, whose second point runs as a sequential phase, and the seed-2009
 ``full`` mission, which the guard halts mid-insertion, are pinned through
 ``anchorsim.run``: the machine report, then each trace's id, a NUL byte and
-its times and values as doubles.
+its times and values as doubles. Three ends of the hammer phase are pinned
+too: the time ceiling, a guard halt, and bottom contact short of the success
+depth.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ import pytest
 
 import anchorsim
 from anchorsim.cli import main, render_machine_report
+from anchorsim.engine import World
+from anchorsim.errors import StepFailed
+from anchorsim.procedure import FixationReport, FixationStep, MissionContext, _mission_insert_core
+from anchorsim.scenario import parse_scenario
+from anchorsim.worksite import AnchorBolt
 
 GOLDEN = [
     (("drill-test", "--variant", "aligned_axis"), 1,
@@ -83,14 +90,71 @@ def test_seed_7_guard_halt_in_a_free_move_unchanged(capsys, tmp_path):
     assert manifest["failure"] == "pick_place_part: HaltedByGuard: guard stop on fz after 0.60 mm"
 
 
+def test_seed_7_hammer_past_the_time_ceiling_unchanged(capsys, tmp_path):
+    # Blows this small never bring the anchor to the bottom contact band.
+    path = tmp_path / "tiny_blows.ini"
+    path.write_text("[tools]\nblow_advance = 0.00001\n")
+    assert cli_digest(capsys, tmp_path, ("hammer-test", "--scenario", str(path))) == (
+        1, "4f8b83e558d5c345e78aaa225f7038256019c58a44e928cb92b1957a3f9d171e"
+    )
+    manifest = json.loads((tmp_path / "traces" / "manifest.json").read_text())
+    assert manifest["failure"] == "hammer_anchor: SimTimeExceeded: simulated time passed the 7200 s ceiling"
+
+
+def test_seed_7_guard_halt_while_hammering_unchanged(capsys, tmp_path):
+    # A press force near the force limit, with FT force noise, trips the
+    # guard several seconds into hammering.
+    path = tmp_path / "hard_press.ini"
+    path.write_text("[tools]\nhammer_press_force = 950\n[sensors]\nft_sigma_force = 100\n")
+    assert cli_digest(capsys, tmp_path, ("hammer-test", "--scenario", str(path))) == (
+        1, "4f3e6af7a20beace8f7def0203946306cb7871edc0267af598f97514413fc2f6"
+    )
+    manifest = json.loads((tmp_path / "traces" / "manifest.json").read_text())
+    assert manifest["failure"] == "hammer_anchor: HaltedByGuard: guard stop on fz after 0.00 mm"
+
+
+def test_seed_2_short_hole_bottom_contact_unchanged():
+    # ``test_hammer_short_hole_fails_with_diagnostic``'s setup, driven by
+    # ``World.run``: a 40 mm hole bottoms out before the 70 mm success depth.
+    scenario = parse_scenario(
+        "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n"
+        "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
+    )
+    world = World(scenario, seed=2)
+    ctx = MissionContext(world)
+    site = world.site
+    hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
+    site.anchors_in_stand = [AnchorBolt()]
+
+    def mission():
+        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
+        yield from ctx.guarded(
+            FixationStep.HAMMER_ANCHOR, 0, "robot1", ctx.hammer_anchor("robot1", anchor, stuck_measured)
+        )
+
+    with pytest.raises(StepFailed):
+        for horizon in mission():
+            world.run(horizon)
+    report = FixationReport(
+        steps=ctx.steps, total_duration=world.t, traces=sorted(world.recorder.traces), seed=2,
+        scenario_hash=world.scenario_hash, success=False, failure=ctx.failure,
+    )
+    assert report.failure.startswith("hammer_anchor: SimulationError: bottom contact at ")
+    assert traces_digest(report, world.recorder.traces) == "03a43a0cb7cc5d7e87f2c69b787981fe6654980f606f32e901262cbb26c90e2f"
+
+
 def run_digest(scenario, mission, seed=7):
     report, traces = anchorsim.run(scenario, seed, mission)
+    return report, traces_digest(report, traces)
+
+
+def traces_digest(report, traces):
     h = hashlib.sha256(render_machine_report(report).encode())
     for trace_id in sorted(traces):
         trace = traces[trace_id]
         h.update(trace_id.encode() + b"\0")
         h.update(array("d", trace.times).tobytes() + array("d", trace.values).tobytes())
-    return report, h.hexdigest()
+    return h.hexdigest()
 
 
 def test_seed_7_socket_fit_timeout_unchanged():
