@@ -1,0 +1,142 @@
+"""Byte-identity census: one SHA-256 per run, to compare two source trees.
+
+Each case runs one mission through ``anchorsim.run`` and hashes the machine
+report followed by every trace (its id, a NUL byte, then its times and
+values as doubles, in sorted id order), as ``tests/test_golden.py`` does. A
+run that raises before it returns hashes the error's class and text.
+
+    python3 scripts/census.py                    # every case, this checkout's src
+    python3 scripts/census.py --src OTHER/src    # the same cases on another tree
+    python3 scripts/census.py --slice ci         # about 40 cases
+
+Two trees give the same bytes when the two outputs are the same; ``diff``
+or ``--against`` lists the cases that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from array import array
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: ``demos/dual_arm_parallel.py``: four holes, both arms after the first point.
+FULL_4PT = "[part]\nholes = 4\nhole_spacing = 0.05\n[robot]\ntool_change_time = 5.0\n" \
+           "[tools]\nblow_advance = 0.004\nblow_rate = 12.0\n"
+#: Acceptance criterion 7: the insertion search over many seeds.
+INSERT_SWEEP = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\np_detect = 1.0\n" \
+               "[tools]\ngrip_time = 0.5\n"
+#: Hammer edges: a blow too small to reach the bottom before the time
+#: ceiling, FT noise that trips the guard while hammering, a raised moment
+#: noise, noise-free sensors, and a blow rate off the tick.
+HAMMER_CASES = {
+    "hammer-ceiling": "[tools]\nblow_advance = 0.00001\n",
+    "hammer-guard": "[tools]\nhammer_press_force = 950\n[sensors]\nft_sigma_force = 100\n",
+    "hammer-moment-noise": "[sensors]\nft_sigma_moment = 3\n",
+    "hammer-noise-free": "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n",
+    "hammer-fast-blows": "[tools]\nblow_rate = 7.0\nblow_advance = 0.004\n",
+}
+#: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
+SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
+             "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
+
+
+def cases(slice_: str):
+    """``(name, scenario text, mission, seed)`` per case; text None is the default."""
+    import anchorsim.procedure as procedure
+
+    missions = sorted(procedure.MISSIONS)
+    seeds = range(50) if slice_ == "all" else range(4)
+    for seed in seeds:
+        for mission in missions:
+            yield f"{mission}/{seed}", None, mission, seed
+    for seed in range(60) if slice_ == "all" else range(2):
+        yield f"full_4pt/{seed}", FULL_4PT, "full", seed
+    for seed in (2009, 9001, 10007) if slice_ == "all" else (2009,):
+        yield f"full/{seed}", None, "full", seed
+    for seed in range(100) if slice_ == "all" else range(4):
+        yield f"insert_sweep/{seed}", INSERT_SWEEP, "insert", seed
+    for name, text in HAMMER_CASES.items():
+        if slice_ == "all" or name != "hammer-ceiling":
+            yield f"{name}/7", text, "hammer", 7
+    yield "hammer-short-hole/2", SHORT_HOLE, "hammer-short-hole", 2
+
+
+def short_hole(scenario, seed):
+    """A 40 mm hole, which bottoms out before the success depth; the
+    setup of ``test_hammer_short_hole_fails_with_diagnostic``."""
+    from anchorsim.engine import World
+    from anchorsim.errors import SimulationError
+    from anchorsim.procedure import FixationReport, FixationStep, MissionContext, _mission_insert_core
+    from anchorsim.worksite import AnchorBolt
+
+    world = World(scenario, seed)
+    ctx = MissionContext(world)
+    site = world.site
+    hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
+    site.anchors_in_stand = [AnchorBolt()]
+
+    def mission():
+        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
+        yield from ctx.guarded(
+            FixationStep.HAMMER_ANCHOR, 0, "robot1", ctx.hammer_anchor("robot1", anchor, stuck_measured)
+        )
+
+    try:
+        for horizon in mission():
+            world.run(horizon)
+    except SimulationError as exc:
+        ctx.failure = ctx.failure or f"{type(exc).__name__}: {exc}"
+    report = FixationReport(
+        steps=ctx.steps, total_duration=world.t, traces=sorted(world.recorder.traces), seed=seed,
+        scenario_hash=world.scenario_hash, success=ctx.failure is None, failure=ctx.failure,
+    )
+    return report, world.recorder.traces
+
+
+def digest(text: str | None, mission: str, seed: int) -> str:
+    import anchorsim
+    from anchorsim.cli import render_machine_report
+    from anchorsim.scenario import parse_scenario
+
+    h = hashlib.sha256()
+    try:
+        scenario = anchorsim.Scenario() if text is None else parse_scenario(text)
+        if mission == "hammer-short-hole":
+            report, traces = short_hole(scenario, seed)
+        else:
+            report, traces = anchorsim.run(scenario, seed, mission)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome hashed
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return h.hexdigest()
+    h.update(render_machine_report(report).encode())
+    for trace_id in sorted(traces):
+        trace = traces[trace_id]
+        h.update(trace_id.encode() + b"\0")
+        h.update(array("d", trace.times).tobytes() + array("d", trace.values).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="the anchorsim source tree to run")
+    parser.add_argument("--slice", choices=("all", "ci"), default="all")
+    parser.add_argument("--against", help="a census file to compare with; lists the cases that differ")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    lines = []
+    for name, text, mission, seed in cases(args.slice):
+        line = f"{name} {digest(text, mission, seed)}"
+        lines.append(line)
+        print(line, flush=True)
+    if args.against:
+        before = dict(line.split() for line in Path(args.against).read_text().splitlines() if line.strip())
+        differ = [line.split()[0] for line in lines if before.get(line.split()[0]) != line.split()[1]]
+        print(f"# {len(differ)} of {len(lines)} cases differ" + "".join(f"\n# differs: {n}" for n in differ))
+
+
+if __name__ == "__main__":
+    main()
