@@ -6,13 +6,16 @@ in blocks, and the per-tick order is fixed (one pass over the arms, then the
 watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
 
-A free stretch is computed in bulk. While no arm has a contact model, a
-watcher or a press force, and each arm is idle or on a targeted move, the
-ticks depend only on the arms' motion and FT noise, and only an event can
-end that state: an arrival, a guard trip or the tick past
-``MAX_SIM_TIME``. ``World.run`` then computes the ticks up to the event or
-the horizon with numpy, with the same operations in the same order, so the
-outputs are the bytes the per-tick pass would give (see ``World.run``).
+Two kinds of stretch are computed in bulk. In a free stretch no arm has a
+contact model, a watcher or a press force, and each arm is idle or on a
+targeted move: the ticks depend only on the arms' motion and FT noise, and
+only an event can end that state: an arrival, a guard trip or the tick past
+``MAX_SIM_TIME``. In a hammer stretch one arm hammers an anchor home and
+the other is idle: the ticks depend only on the blows, the slip and the FT
+and laser noise. ``World.run`` computes such a stretch with numpy, with the
+same operations in the same order, so the outputs are the bytes the
+per-tick pass would give. Both kinds share one bulk path for the FT
+readings, the guard and the wrench record (see ``World.run``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .sensors import (
     overload_guard,
     read_ft,
     read_laser,
+    read_lasers,
 )
 from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
@@ -50,8 +54,8 @@ TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
 #: with ``SimTimeExceeded`` once it is passed.
 MAX_SIM_TIME = 7200.0
 
-#: Shortest free stretch ``World.run`` computes in bulk; a shorter one runs
-#: tick by tick, which costs less than setting up the arrays.
+#: Shortest stretch ``World.run`` computes in bulk; a shorter one runs tick
+#: by tick, which costs less than setting up the arrays.
 MIN_FREE_STRETCH = 32
 
 
@@ -116,9 +120,7 @@ class TraceRow:
     def _split(self):
         """The open chunk's rows as a sealed chunk: ``(times, columns)``."""
         count = self.count
-        values = np.frombuffer(self.data)[: count * len(self.channels)].reshape(count, -1).T
-        columns = tuple(array("d", c.tobytes()) if c.view(np.uint64).any() else None for c in values)
-        return self.times[:count], columns
+        return self.times[:count], _columns(np.frombuffer(self.data)[: count * len(self.channels)].reshape(count, -1))
 
     def column(self, index: int | None, start: int = 0) -> array:
         """A copy of rows ``start`` on of channel ``index``'s values, or of
@@ -133,6 +135,13 @@ class TraceRow:
                 out.extend(column[skip:])
             skip = 0
         return out
+
+
+def _columns(values: np.ndarray) -> tuple[array | None, ...]:
+    """One ``array('d')`` per column of the ``(rows, channels)`` array
+    ``values``, or None for a column whose values are all ``+0.0`` by their
+    bits, so ``-0.0``, NaN and subnormals keep their column."""
+    return tuple(array("d", c.tobytes()) if c.view(np.uint64).any() else None for c in values.T)
 
 
 class Trace:
@@ -184,12 +193,13 @@ class TraceRecorder:
         if n == TRACE_CHUNK:
             row.seal()
 
-    def record_zeros(self, row: TraceRow, ticks: range, dt: float):
-        """Append an all-``+0.0`` sample to ``row`` at ``k * dt`` for each
-        tick count ``k`` in ``ticks`` (a step-1 range), as ``record`` on those
-        ticks would. The times are ``np.arange(...) * dt``, the same doubles
-        as ``k * dt``: a tick count converts to float exactly. A whole chunk
-        of zeros keeps no columns."""
+    def record_rows(self, row: TraceRow, ticks: range, dt: float, values: np.ndarray | None = None):
+        """Append a sample to ``row`` at ``k * dt`` for each tick count ``k``
+        in ``ticks`` (a step-1 range), as ``record`` on those ticks would:
+        row ``i`` of the ``(len(ticks), channels)`` array ``values``, or
+        ``+0.0`` in every channel for None. The times are ``np.arange(...) *
+        dt``, the same doubles as ``k * dt``: a tick count converts to float
+        exactly. A whole chunk keeps no column for an all-``+0.0`` channel."""
         first = ticks[0] * dt
         if first <= row.last:
             raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {first} after {row.last}")
@@ -199,11 +209,13 @@ class TraceRecorder:
             count = row.count
             n = min(TRACE_CHUNK - count, stop - k)
             times = array("d", (np.arange(k, k + n) * dt).tobytes())
+            block = None if values is None else values[k - ticks.start : k - ticks.start + n]
             if n == TRACE_CHUNK:
-                row.sealed.append((times, (None,) * width))
+                row.sealed.append((times, (None,) * width if block is None else _columns(block)))
             else:
                 row.times[count : count + n] = times
-                row.data[count * width : (count + n) * width] = array("d", bytes(8 * width * n))
+                data = bytes(8 * width * n) if block is None else block.tobytes()
+                row.data[count * width : (count + n) * width] = array("d", data)
                 row.count = count + n
                 if row.count == TRACE_CHUNK:
                     row.seal()
@@ -250,6 +262,13 @@ class ArmRuntime:
     true wrench at the tool; ``MissionContext.contact`` installs it. So does
     ``MissionContext.until`` with ``watcher``, called at the end of the tick;
     ``watched`` is true once it returned true, or the error it raised.
+
+    ``bulk``, which ``MissionContext.contact`` installs with the model,
+    computes the model and the watcher for a stretch of ticks at once (see
+    ``World._hammer_stretch``): ``ahead(m)`` gives the true-wrench rows of
+    the next ``m`` ticks, ``watch(slips, readings)`` the ticks before the
+    first on which the watcher may end the wait or raise, and ``settle()``
+    leaves those ticks as model and watcher would.
     """
 
     state: ArmState
@@ -265,6 +284,7 @@ class ArmRuntime:
     contact_model: Callable[[], Wrench] | None = None
     watcher: Callable[[], bool | None] | None = None
     watched: bool | SimulationError = False
+    bulk: object | None = None
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
 
@@ -412,7 +432,7 @@ class World:
         and none from the first arm that is halted, or whose watcher raised,
         on. Sets ``event`` for this tick.
 
-        Inside a free stretch that ``run`` planned, the tick only advances the
+        Inside a stretch that ``run`` planned, the tick only advances the
         clock and the ``active`` flags hold for it; its last tick applies the
         whole stretch, so the arms read as the ticks above would leave them.
         """
@@ -474,14 +494,23 @@ class World:
         """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
         after the first event tick.
 
-        A free stretch is computed in bulk: while no arm has a contact model,
-        a watcher or a press force, and each arm is idle or on a targeted
-        move, a tick has no input but the arms' own motion and FT noise, and
-        the executive, suspended until ``run`` returns, cannot change that.
-        The stretch ends at the horizon, an arrival, a guard trip or the tick
-        past ``MAX_SIM_TIME``, and is planned ``NOISE_BLOCK`` ticks at a time;
-        ``step`` is still called once per tick. Every other tick runs the
-        per-tick pass.
+        Two kinds of stretch are computed in bulk, because in them a tick has
+        no input but the arms' own state and noise, and the executive,
+        suspended until ``run`` returns, cannot change that:
+
+        - a free stretch: no arm has a contact model, a watcher or a press
+          force, and each arm is idle or on a targeted move. It ends at the
+          horizon, an arrival, a guard trip or the tick past
+          ``MAX_SIM_TIME``, which it takes.
+        - a hammer stretch: one arm's contact model and watcher have a
+          ``bulk`` form, and the other arm is idle with no press force. It
+          ends at the horizon, or before the first tick that may be an event
+          (a guard trip, the watcher ending the wait or raising, a laser
+          read that fails, or the tick past ``MAX_SIM_TIME``), which the
+          per-tick pass then takes.
+
+        A stretch is planned ``NOISE_BLOCK`` ticks at a time, and ``step`` is
+        still called once per tick. Every other tick runs the per-tick pass.
         """
         clock = self.clock
         end = clock.ticks + horizon
@@ -494,126 +523,225 @@ class World:
                 break
 
     def _plan(self, end: float) -> float:
-        """Plan the free stretch that starts with the next tick, if one does,
-        up to tick count ``end``; return the tick count at which to plan again.
+        """Plan the stretch that starts with the next tick, if one does, up to
+        tick count ``end``; return the tick count at which to plan again.
 
         The arithmetic is the per-tick pass's, in the same order: the arm
-        advance in ``ArmState.free_path``, FT readings ``0.0 + sigma * noise``
-        from the arm's own noise rows (``ZERO_WRENCH`` and no draw when both
-        sigmas are zero), the guard in ``GuardFilter.averages`` and
-        ``first_overload``, and an all-zero wrench record per active tick.
-        An arm's arrival tick is inactive: it reads and records nothing.
+        advance in ``ArmState.free_path``, the slip in
+        ``PlatformState.slips``, the hammer's model and watcher in its
+        ``bulk``, and for each active arm the FT readings, the guard and the
+        wrench record in ``_sense``, ``_kept`` and ``_land_sensing``. A free
+        arm's arrival tick is inactive: it reads and records nothing.
         """
         clock = self.clock
         now = clock.ticks
         runtimes = tuple(self.arms.values())
+        hammer = None
         for runtime in runtimes:
             motion = runtime.state.motion
             if runtime.contact_model is not None or runtime.watcher is not None:
+                if runtime.bulk is None or runtime.watcher is None or motion is not None or hammer is not None:
+                    return math.inf
+                hammer = runtime
+            elif motion is not None and (motion.target is None or runtime.state.halted):
                 return math.inf
-            if motion is not None and (motion.target is None or runtime.state.halted):
-                return math.inf
-        if any(runtime.press_force != 0.0 for runtime in runtimes):
+        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime is not hammer):
             return now + 1  # the next tick still integrates slip
+        moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
+        if hammer is not None and (moving or any(runtime.state.halted for runtime in runtimes)):
+            return math.inf
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
         dt = clock.dt
         left = end - now
         n = NOISE_BLOCK if left >= NOISE_BLOCK else math.ceil(left)
-        moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
         for runtime in moving:
             arm = runtime.state
             ticks = math.dist((arm.x, arm.y, arm.z), arm.motion.target) / (arm.motion.speed * dt)
             if ticks < n:
                 n = int(ticks) + 2  # the move arrives on or before this tick
-            if noisy:
-                n = min(n, len(runtime.ft_noise.ahead()))
+        for runtime in (moving if hammer is None else [hammer]) if noisy else ():
+            n = min(n, len(runtime.ft_noise.ahead()))
+        if hammer is not None and sensors.laser_sigma > 0.0:
+            n = min(n, len(hammer.laser_noise.ahead()))
         times = np.arange(now + 1, now + n + 1) * dt
         late = np.flatnonzero(times > MAX_SIM_TIME)
         if late.size:
-            n = int(late[0]) + 1
+            # A free stretch takes the tick past the ceiling, a hammer stretch stops before it.
+            n = int(late[0]) + (hammer is None)
         if n < MIN_FREE_STRETCH:
-            return now + n
+            return now + max(n, 1)
 
-        n, landings = self._stretch(moving, n, noisy)
+        planned = n
+        if hammer is None:
+            n, land = self._stretch(moving, n, noisy)
+        else:
+            n, land = self._hammer_stretch(hammer, n, noisy)
         if n == 0:
-            return now + 1  # an arm leaves its reach sphere on the next tick
+            return now + 1  # the per-tick pass takes the next tick
+        self.event = False
+        for runtime in runtimes:
+            runtime.active = runtime.state.motion is not None or runtime is hammer
+        self._stretch_end, self._land = now + n, land
+        # A hammer stretch cut short stops before a tick that may be an
+        # event; the per-tick pass takes that tick without planning again.
+        return now + n + (hammer is not None and n < planned)
+
+    def _stretch(self, moving: list[ArmRuntime], n: int, noisy: bool):
+        """Compute the next ``n`` free ticks of the ``moving`` arms; return
+        the ticks until the first event (arrival, guard trip, or a tick the
+        per-tick pass must take) and the function that lands them on the
+        stretch's last tick.
+
+        Only small values outlive the call (per arm: its point and
+        ``travelled``, the ticks it sampled, what ``_kept`` keeps and the axis
+        of a trip on the last tick), so that tick holds no arrays while it
+        records the stretch.
+        """
+        clock = self.clock
+        now, dt = clock.ticks, clock.dt
+        paths = []
+        for runtime in moving:
+            path, arrival = runtime.state.free_path(n, dt)
+            n = min(n, path.shape[1] - 1, arrival or n)
+            paths.append((runtime, path, arrival))
+        sensed = []
+        for runtime, path, arrival in paths:
+            active = n - 1 if arrival == n else n
+            readings = sums = trip = None
+            if active:
+                readings, sums, trip = self._sense(runtime, active, noisy)
+                if trip is not None:
+                    n = min(n, trip[0] + 1)
+            sensed.append((readings, sums, trip))
+        landings = []
+        for (runtime, path, arrival), (readings, sums, trip) in zip(paths, sensed):
+            sampled = n - 1 if arrival == n else n
+            kept = self._kept(runtime, readings, sums, sampled) if sampled else None
+            axis = trip[1] if trip is not None and trip[0] + 1 == n else None
+            landings.append((runtime, path[:, n].tolist(), sampled, kept, axis))
 
         def land():
             t = clock.t
             event = t > MAX_SIM_TIME
-            for runtime in runtimes:
+            for runtime in self.arms.values():
                 runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-            for runtime, point, sampled, rows, sums, reading, axis in landings:
+            for runtime, point, sampled, kept, axis in landings:
                 arm = runtime.state
                 arm.x, arm.y, arm.z, arm.motion.travelled = point
                 if sampled:
-                    self.recorder.record_zeros(runtime.wrench_row, range(now + 1, now + sampled + 1), dt)
-                    runtime.guard_filter.extend(rows, sums)
-                    if noisy:
-                        runtime.ft_noise.skip(sampled)
+                    self._land_sensing(runtime, now + 1, sampled, kept, noisy)
                 if sampled < n:  # the arrival tick
                     arm.motion = None
                     event = True
                     continue
-                runtime.reading, runtime.active = reading, True
+                runtime.reading, runtime.active = kept[0][-1], True
                 if axis is not None:
                     arm.halt(axis)
                     runtime.guard_fired_t = t
                     event = True
             self.event = event
 
-        self.event = False
-        for runtime in runtimes:
-            runtime.active = runtime.state.motion is not None
-        self._stretch_end, self._land = now + n, land
-        return now + n
+        return n, land
 
-    def _stretch(self, moving: list[ArmRuntime], n: int, noisy: bool):
-        """Compute the next ``n`` free ticks of the ``moving`` arms; return
-        the ticks until the first event (arrival, guard trip, or a tick the
-        per-tick pass must take) and, per arm, what the stretch leaves: its
-        point and ``travelled``, the ticks it sampled, the guard's last rows
-        and sums, its last reading and the axis of a trip on the last tick.
+    def _hammer_stretch(self, runtime: ArmRuntime, n: int, noisy: bool):
+        """Compute the next ``n`` ticks of the arm whose contact model and
+        watcher ``runtime.bulk`` computes, the other arm idle; return the
+        ticks before the first that may be an event (a guard trip, or one
+        the watcher may end or raise on), which the per-tick pass takes, and
+        the function that lands them on the stretch's last tick."""
+        bulk = runtime.bulk
+        clock = self.clock
+        now = clock.ticks
+        wrench = bulk.ahead(n)
+        presses = np.empty(n)  # the press force that drives each tick's slip
+        presses[0] = runtime.press_force
+        presses[1:] = wrench[:-1, 2]
+        slips = runtime.platform.slips(presses, clock.dt)
+        readings, sums, trip = self._sense(runtime, n, noisy, wrench)
+        if trip is not None:
+            n = trip[0]
+        n = bulk.watch(slips[:n], readings)
+        if n == 0:
+            return 0, None
+        kept = self._kept(runtime, readings, sums, n)
+        wrench = wrench[:n].copy()  # the rows to record; the rest is freed
+        last = Wrench._make(wrench[n - 1].tolist())
+        slip = float(slips[n - 1])
 
-        Only these small values outlive the call, so the stretch's last tick
-        holds no arrays while it records the stretch.
+        def land():
+            for other in self.arms.values():
+                other.true_wrench, other.reading, other.active = ZERO_WRENCH, None, False
+            runtime.platform.slip_offset = slip
+            runtime.true_wrench, runtime.press_force = last, max(last.fz, 0.0)
+            self._land_sensing(runtime, now + 1, n, kept, noisy, wrench)
+            runtime.reading, runtime.active = kept[0][-1], True
+            bulk.settle()
+            self.event = False
+
+        return n, land
+
+    def _sense(self, runtime: ArmRuntime, count: int, noisy: bool, wrench: np.ndarray | None = None):
+        """The FT readings of the arm's next ``count`` ticks, as ``read_ft``
+        gives them from the ``(count, 6)`` true-wrench rows ``wrench``
+        (None: ``ZERO_WRENCH`` on every tick), with the guard's sums after
+        each push and its first trip: ``(readings, sums, trip)``.
+
+        The noise is the first rows of ``ft_noise.ahead()``, and the sums
+        come from ``GuardFilter.averages``; nothing is pushed or handed out
+        until ``_land_sensing``.
         """
         sensors = self.scenario.sensors
-        dt = self.clock.dt
-        paths = []
-        for runtime in moving:
-            path, arrival = runtime.state.free_path(n, dt)
-            n = min(n, path.shape[1] - 1, arrival or n)
-            paths.append((runtime, path, arrival))
-        sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
-        guards = []
-        for runtime, path, arrival in paths:
-            active = n - 1 if arrival == n else n
-            samples = sums = trip = None
-            if active:
-                if noisy:
-                    samples = runtime.ft_noise.ahead()[:active] * sigmas
-                    samples += 0.0  # the reading is ``0.0 + sigma * noise``
-                else:
-                    samples = np.zeros((active, 6))
-                filtered, sums = runtime.guard_filter.averages(samples)
-                trip = first_overload(filtered, sensors)
-                if trip is not None:
-                    n = min(n, trip[0] + 1)
-            guards.append((samples, sums, trip))
-        landings = []
-        for (runtime, path, arrival), (samples, sums, trip) in zip(paths, guards):
-            sampled = n - 1 if arrival == n else n
-            rows, last_sums, reading = [], None, None
-            if sampled:
-                window = runtime.guard_filter.window
-                rows = list(map(Wrench._make, samples[max(0, sampled - window) : sampled].tolist()))
-                last_sums = tuple(sums[sampled - 1].tolist())
-                reading = rows[-1] if noisy else ZERO_WRENCH
-            axis = trip[1] if trip is not None and trip[0] + 1 == n else None
-            landings.append((runtime, path[:, n].tolist(), sampled, rows, last_sums, reading, axis))
-        return n, landings
+        if noisy:
+            sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
+            readings = runtime.ft_noise.ahead()[:count] * sigmas
+            readings += 0.0 if wrench is None else wrench  # the reading is ``true + sigma * noise``
+        else:
+            readings = np.zeros((count, 6)) if wrench is None else wrench
+        filtered, sums = runtime.guard_filter.averages(readings)
+        return readings, sums, first_overload(filtered, sensors)
+
+    @staticmethod
+    def _kept(runtime: ArmRuntime, readings: np.ndarray, sums: np.ndarray, count: int):
+        """What pushing the first ``count`` readings leaves in the guard, as
+        small values: its last rows (the last reading is the arm's) and its
+        sums."""
+        window = runtime.guard_filter.window
+        rows = list(map(Wrench._make, readings[max(0, count - window) : count].tolist()))
+        return rows, tuple(sums[count - 1].tolist())
+
+    def _land_sensing(self, runtime: ArmRuntime, first: int, count: int, kept, noisy: bool, wrench=None):
+        """Apply ``count`` sensed ticks from tick count ``first`` on: push the
+        readings to the guard (``kept``), hand out their noise rows and
+        record the true-wrench rows (None: all ``+0.0``)."""
+        runtime.guard_filter.extend(*kept)
+        if noisy:
+            runtime.ft_noise.skip(count)
+        self.recorder.record_rows(runtime.wrench_row, range(first, first + count), self.clock.dt, wrench)
+
+    def laser_distances(self, arm_name: str, points, slips: np.ndarray) -> np.ndarray:
+        """``laser_distance(arm_name)`` on each tick of a stretch, from the
+        commanded points ``points`` (three arrays of x, y and z) at the
+        platform slips ``slips``, up to the first read that would raise.
+        ``record_depths`` hands out the noise of the reads it keeps."""
+        ray = self._laser_ray
+        runtime = self.arms[arm_name]
+        nx, ny, nz = self._normal
+        x, y, z = points
+        origins = (x + nx * slips - ray.x * 0.5, y + ny * slips - ray.y * 0.5, z + nz * slips - ray.z * 0.5)
+        distances = read_lasers(origins, ray, self.site, runtime.laser_noise, self.scenario.sensors.laser_sigma)
+        distances -= 0.5
+        return distances
+
+    def record_depths(self, arm_name: str, rows: np.ndarray):
+        """``record_depthset`` on each of the last ``len(rows)`` ticks, from the
+        ``(laser depth, commanded depth, slip)`` rows ``rows``, whose laser
+        depths ``laser_distances`` read; their laser noise is handed out."""
+        runtime = self.arms[arm_name]
+        n, ticks = len(rows), self.clock.ticks
+        if self.scenario.sensors.laser_sigma > 0.0:
+            runtime.laser_noise.skip(n)
+        self.recorder.record_rows(runtime.depth_row, range(ticks - n + 1, ticks + 1), self.clock.dt, rows)
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         runtime = self.arms[arm_name]

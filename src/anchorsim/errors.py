@@ -35,10 +35,6 @@ class OutOfReach(SimulationError):
     """Motion target lies outside the arm's reach sphere."""
 
 
-class PayloadExceeded(SimulationError):
-    """Tool plus held mass exceeds the arm's payload capacity."""
-
-
 class NoReturn(SimulationError):
     """Laser ray does not hit the wall."""
 

@@ -16,6 +16,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .engine import MAX_SIM_TIME, World
 from .errors import (
@@ -209,6 +212,156 @@ def schedule_dual_arm(n: int) -> Plan:
     return Plan(n_points=n, phases=tuple(phases))
 
 
+# --- hammering ---------------------------------------------------------------------
+
+
+class Blows(NamedTuple):
+    """The cup hammer's blows so far: when the next is due (in seconds of
+    hammering), the anchor depth they reached, the peak moment of the last,
+    how many were struck, and how many of them in the bottom contact band."""
+
+    next_due: float
+    depth: float
+    peak: float = 0.0
+    count: int = 0
+    bottom: int = 0
+
+
+class Hammering:
+    """The cup hammer driving one anchor home from the commanded point at
+    which hammering starts.
+
+    ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
+    watcher) take one tick. ``ahead``, ``watch`` and ``settle`` take a
+    stretch of ticks at once for ``World._plan``, with the same arithmetic in
+    the same order, so they leave the same bytes. Both strike each blow
+    through ``strike`` and place the arm through ``point``.
+    """
+
+    def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
+        world = self.world = ctx.world
+        self.arm, self.runtime = arm, world.runtime(arm)
+        self.state = state = self.runtime.state
+        self.tools, self.procedure = ctx.scenario.tools, ctx.scenario.procedure
+        self.anchor, self.hole = anchor, anchor.hole
+        # The tick works on the floats of ``start - out_normal.scaled(advance)``
+        # and ``(start - state.position).dot(out_normal)``, in the same order.
+        self.start = (state.x, state.y, state.z)
+        self.normal = ctx.out_normal.as_tuple()
+        self.depth0, self.slip0 = anchor.depth, world.slip(arm)
+        self.stuck_measured = stuck_measured
+        self.laser_zero = world.laser_distance(arm)
+        self.interval = 1.0 / self.tools.blow_rate
+        self.elapsed = 0.0  # seconds of hammering, one tick added at a time
+        self.blows = Blows(next_due=self.interval, depth=anchor.depth)
+        self._stretch = None  # what ``ahead`` and ``watch`` computed for ``settle``
+
+    def strike(self, blows: Blows) -> Blows:
+        """The blows after the one that is due."""
+        depth, peak, bottom = hammer_blow(self.tools, blows.depth, self.hole, blows.bottom)
+        return Blows(blows.next_due + self.interval, depth, peak, blows.count + 1, bottom)
+
+    def point(self, depth, slip):
+        """The commanded point with the anchor at ``depth`` and the platform
+        at ``slip``: the start pushed in by both. Floats or arrays."""
+        advance = (depth - self.depth0) + (slip - self.slip0)
+        (sx, sy, sz), (ox, oy, oz) = self.start, self.normal
+        return sx - ox * advance, sy - oy * advance, sz - oz * advance
+
+    def commanded(self, x, y, z):
+        """How far the commanded point ``(x, y, z)`` is in from the start."""
+        (sx, sy, sz), (ox, oy, oz) = self.start, self.normal
+        return (sx - x) * ox + (sy - y) * oy + (sz - z) * oz
+
+    def measured(self, distance):
+        """The anchor depth the laser reads at ``distance``."""
+        return self.stuck_measured + (self.laser_zero - distance)
+
+    def hammer_model(self) -> Wrench:
+        self.elapsed += self.world.dt
+        moment = 1.5
+        if self.elapsed + 1e-12 >= self.blows.next_due:
+            self.blows = self.strike(self.blows)
+            self.anchor.depth = self.blows.depth
+            moment = self.blows.peak
+        state = self.state
+        if not state.halted:
+            state.x, state.y, state.z = self.point(self.blows.depth, self.world.slip(self.arm))
+        return Wrench(fz=self.tools.hammer_press_force, mx=moment)
+
+    def bottomed(self):
+        measured_depth = self.measured(self.world.laser_distance(self.arm))
+        state, p = self.state, self.procedure
+        self.world.record_depthset(self.arm, measured_depth, self.commanded(state.x, state.y, state.z))
+        r = self.runtime.reading
+        if r is not None and abs(r.mx) >= p.hammering_end_moment:
+            if measured_depth <= p.hammer_success_depth:
+                raise SimulationError(
+                    f"bottom contact at {measured_depth * 1e3:.1f} mm, "
+                    f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
+                )
+            return True
+
+    def ahead(self, m: int) -> np.ndarray:
+        """The true wrench ``hammer_model`` returns on each of the next ``m`` ticks,
+        as an ``(m, 6)`` array; the blows those ticks strike are kept."""
+        elapsed = np.empty(m + 1)
+        elapsed[0] = self.elapsed
+        elapsed[1:] = self.world.dt
+        np.add.accumulate(elapsed, out=elapsed)  # sequential, as the ticks add
+        due = elapsed[1:] + 1e-12
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = self.tools.hammer_press_force
+        wrench[:, 3] = 1.5
+        depths = np.empty(m)
+        blows, struck, start = self.blows, [], 0
+        # The first tick on which ``elapsed + 1e-12 >= next_due``; a tick
+        # strikes one blow at most.
+        k = int(np.searchsorted(due, blows.next_due))
+        while k < m:
+            depths[start:k] = blows.depth
+            blows = self.strike(blows)
+            struck.append((k, blows))
+            wrench[k, 3] = blows.peak
+            start = k
+            k = max(k + 1, int(np.searchsorted(due, blows.next_due)))
+        depths[start:] = blows.depth
+        self._stretch = elapsed, depths, struck
+        return wrench
+
+    def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks of the stretch ``bottomed`` takes before the first
+        on which it may end the wait or raise: the moment reading reaches
+        the hammering end moment, or the laser read fails. ``slips`` and
+        ``readings`` hold the slip and the FT reading after each tick to
+        watch; the depth rows of the ticks before it are kept."""
+        elapsed, depths, struck = self._stretch
+        m = len(slips)
+        x, y, z = self.point(depths[:m], slips)
+        distances = self.world.laser_distances(self.arm, (x, y, z), slips)
+        ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
+        n = min(len(distances), int(ends[0]) if ends.size else m)
+        rows = np.empty((n, 3))
+        rows[:, 0] = self.measured(distances[:n])
+        rows[:, 1] = self.commanded(x[:n], y[:n], z[:n])
+        rows[:, 2] = slips[:n]
+        point = (float(x[n - 1]), float(y[n - 1]), float(z[n - 1])) if n else None
+        self._stretch = float(elapsed[n]), [blows for k, blows in struck if k < n], rows, point
+        return n
+
+    def settle(self):
+        """Leave the ticks ``watch`` counted as ``hammer_model`` and
+        ``bottomed`` would: the blows and the clock that times them, the
+        commanded point, the laser reads and the depth rows."""
+        self.elapsed, struck, rows, point = self._stretch
+        self._stretch = None
+        if struck:
+            self.blows = struck[-1]
+            self.anchor.depth = self.blows.depth
+        self.state.x, self.state.y, self.state.z = point
+        self.world.record_depths(self.arm, rows)
+
+
 # --- the executive ---------------------------------------------------------------
 
 
@@ -352,15 +505,17 @@ class MissionContext:
         return self.world.runtime(arm).true_wrench
 
     @contextmanager
-    def contact(self, arm: str, model):
-        """Make ``model`` the arm's contact model for the block; it has none
-        once the block ends, normally or by an exception."""
+    def contact(self, arm: str, model, bulk=None):
+        """Make ``model`` the arm's contact model for the block, and ``bulk``
+        the object that computes it and the block's watcher in bulk (see
+        ``ArmRuntime``); it has neither once the block ends, normally or by
+        an exception."""
         runtime = self.world.runtime(arm)
-        runtime.contact_model = model
+        runtime.contact_model, runtime.bulk = model, bulk
         try:
             yield
         finally:
-            runtime.contact_model = None
+            runtime.contact_model = runtime.bulk = None
 
     def ensure_tool(self, arm: str, tool: ToolId):
         """Bring the arm to its tool stand and swap to ``tool`` if needed."""
@@ -430,8 +585,6 @@ class MissionContext:
         yield from self.move(arm, self.station(arm, "part"), robot.gross_speed)
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
         part.set_state(PartState.GRASPED)
-        self.arm(arm).held_mass += self.scenario.part.mass
-        self.arm(arm).check_payload()
 
         frame = self.work_frame
         target_local = Point3(self.scenario.part.target_x, self.scenario.part.target_y, 0.0)
@@ -458,7 +611,6 @@ class MissionContext:
 
     def release_part(self, arm: str):
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
-        self.arm(arm).held_mass = 0.0
         back = self.arm(arm).position + self.out_normal.scaled(0.10)
         yield from self.move(arm, back, self.scenario.robot.retract_speed)
         yield from self.move(arm, self.station(arm, "home"), self.scenario.robot.gross_speed)
@@ -591,8 +743,6 @@ class MissionContext:
         yield from self.wait(arm, self.scenario.tools.grip_time)
         anchor = self.world.site.take_anchor()
         anchor.set_state(AnchorState.GRASPED)
-        self.arm(arm).held_mass += anchor.mass
-        self.arm(arm).check_payload()
         self._open[arm].diagnostics.update(anchor_mass=anchor.mass)
         return anchor
 
@@ -703,68 +853,19 @@ class MissionContext:
     def hammer_anchor(self, arm: str, anchor: AnchorBolt, stuck_measured: float):
         """Step 8: release the gripper, hammer until depth and moment say the
         anchor hit the bottom."""
-        world = self.world
-        p = self.scenario.procedure
-        tools_cfg = self.scenario.tools
-        state = self.arm(arm)
-        hole = anchor.hole
-
-        yield from self.wait(arm, tools_cfg.grip_time)
-        self.arm(arm).held_mass = max(0.0, self.arm(arm).held_mass - anchor.mass)
-
-        sx, sy, sz = state.x, state.y, state.z  # the commanded start point
-        depth0 = anchor.depth
-        slip0 = world.slip(arm)
-        laser_zero = world.laser_distance(arm)
-        dt = world.dt
-        blow_interval = 1.0 / tools_cfg.blow_rate
-        blow_elapsed = 0.0
-        next_blow = blow_interval
-        peak = 0.0
-        blows = 0
-        bottom_blows = 0
-        # The tick works on the floats of ``start - out_normal.scaled(advance)``
-        # and ``(start - state.position).dot(out_normal)``, in the same order.
-        ox, oy, oz = self.out_normal.as_tuple()
-
-        def hammer_model() -> Wrench:
-            nonlocal blow_elapsed, next_blow, peak, blows, bottom_blows
-            blow_elapsed += dt
-            moment = 1.5
-            if blow_elapsed + 1e-12 >= next_blow:
-                next_blow += blow_interval
-                anchor.depth, peak, bottom_blows = hammer_blow(tools_cfg, anchor.depth, hole, bottom_blows)
-                blows += 1
-                moment = peak
-            if not state.halted:
-                advance = (anchor.depth - depth0) + (world.slip(arm) - slip0)
-                state.x, state.y, state.z = sx - ox * advance, sy - oy * advance, sz - oz * advance
-            return Wrench(fz=tools_cfg.hammer_press_force, mx=moment)
-
-        def bottomed():
-            measured_depth = stuck_measured + (laser_zero - world.laser_distance(arm))
-            commanded = (sx - state.x) * ox + (sy - state.y) * oy + (sz - state.z) * oz
-            world.record_depthset(arm, measured_depth, commanded)
-            r = self.reading(arm)
-            if r is not None and abs(r.mx) >= p.hammering_end_moment:
-                if measured_depth <= p.hammer_success_depth:
-                    raise SimulationError(
-                        f"bottom contact at {measured_depth * 1e3:.1f} mm, "
-                        f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
-                    )
-                return True
-
-        with self.contact(arm, hammer_model):
-            yield from self.until(arm, bottomed)
+        yield from self.wait(arm, self.scenario.tools.grip_time)
+        hammer = Hammering(self, arm, anchor, stuck_measured)
+        with self.contact(arm, hammer.hammer_model, bulk=hammer):
+            yield from self.until(arm, hammer.bottomed)
 
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
-        displacement = (sx - state.x) * ox + (sy - state.y) * oy + (sz - state.z) * oz
+        state = self.arm(arm)
         self._open[arm].diagnostics.update(
-            blows=blows,
-            displacement=displacement,
+            blows=hammer.blows.count,
+            displacement=hammer.commanded(state.x, state.y, state.z),
             final_depth=anchor.depth,
-            measured_depth=stuck_measured + (laser_zero - world.laser_distance(arm)),
-            stop_moment=peak,
+            measured_depth=hammer.measured(self.world.laser_distance(arm)),
+            stop_moment=hammer.blows.peak,
         )
 
     def tighten_nut(self, arm: str, anchor: AnchorBolt):

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
+from .errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
 from .geometry import Point3
 
 if TYPE_CHECKING:
@@ -43,8 +43,7 @@ class Motion:
 
 
 class ArmState:
-    """Commanded tool point and flange state; reach, payload and tool masses
-    come from ``cfg``. The tick works on the point's floats ``x, y, z``;
+    """Commanded tool point and flange state; the reach comes from ``cfg``. The tick works on the point's floats ``x, y, z``;
     ``position`` reads or assigns them as a ``Point3``."""
 
     def __init__(self, name: str, base: Point3, position: Point3, cfg: RobotSection):
@@ -53,7 +52,6 @@ class ArmState:
         self.position = position
         self.cfg = cfg
         self.attached_tool: ToolId | None = None
-        self.held_mass = 0.0
         self.motion: Motion | None = None
         self.halted = False
         self.halt_axis: str | None = None
@@ -71,12 +69,6 @@ class ArmState:
         d = self.base.distance_to(target)
         if d > self.cfg.reach:
             raise OutOfReach(f"{self.name}: target {d:.3f} m away exceeds reach {self.cfg.reach} m")
-
-    def check_payload(self):
-        tool_mass = getattr(self.cfg, f"mass_{self.attached_tool.value}") if self.attached_tool else 0.0
-        total = tool_mass + self.held_mass
-        if total > self.cfg.payload:
-            raise PayloadExceeded(f"{self.name}: payload {total:.1f} kg exceeds {self.cfg.payload} kg")
 
     def start_move(self, target: Point3, speed: float):
         self.check_reach(target)
@@ -190,7 +182,6 @@ def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
     arm.attached_tool = tool
-    arm.check_payload()
 
 
 def detach_tool(arm: ArmState, stand_position: Point3):
@@ -217,4 +208,18 @@ class PlatformState:
     def step(self, applied_force: float, dt: float):
         """Accumulate slip for one tick; tension never pulls the platform in."""
         self.slip_offset += self.cfg.slip_coefficient * max(applied_force, 0.0) * dt
+
+    def slips(self, presses: np.ndarray, dt: float) -> np.ndarray:
+        """The slip after each tick of a stretch whose tick ``j`` is pressed
+        with ``presses[j]``, taken in bulk with the arithmetic of ``step``
+        (a sequential accumulate, as the ticks add). A tick with no press
+        adds ``+0.0``, which leaves the slip as it is, as not stepping does."""
+        path = np.empty(len(presses) + 1)
+        path[0] = self.slip_offset
+        steps = path[1:]
+        np.maximum(presses, 0.0, out=steps)
+        steps *= self.cfg.slip_coefficient
+        steps *= dt
+        np.add.accumulate(path, out=path)
+        return steps
 

@@ -107,9 +107,9 @@ class ToolsSection:
     drill_spinup_time: float = checked(1.0, NON_NEGATIVE)  # s before the feed starts
     inflation_pressure: float = 0.15  # MPa, rubber gripper
     blow_rate: float = checked(3.0, POSITIVE)  # Hz, hammer blows
-    blow_advance: float = 0.001  # m per blow into an empty hole
+    blow_advance: float = checked(0.001, POSITIVE)  # m per blow into an empty hole
     hammer_free_moment: float = 8.0  # Nm peak while advancing
-    hammer_contact_ramp: float = 7.0  # Nm per blow at the bottom
+    hammer_contact_ramp: float = checked(7.0, POSITIVE)  # Nm per blow at the bottom
     hammer_contact_cap: float = 29.0  # Nm peak at solid contact
     hammer_press_force: float = 150.0  # N feed force while hammering
     grip_time: float = checked(2.0, NON_NEGATIVE)  # s to inflate or deflate the gripper
@@ -254,6 +254,10 @@ class Scenario:
                 "procedure.hammering_end_moment",
                 f"must stay below the {self.sensors.moment_limit} Nm guard",
             )
+        # Hammering stops only on a blow whose peak reaches the end moment.
+        if tools.hammer_contact_cap < p.hammering_end_moment:
+            reason = f"must reach procedure.hammering_end_moment = {p.hammering_end_moment!r} Nm"
+            raise ScenarioInvalid("tools.hammer_contact_cap", reason)
         # The insertion push only stops when the wedge moment reaches its end
         # moment, so a hole no deeper than that push cannot take the anchor.
         push = p.insertion_end_moment / p.wedge_moment_rate

@@ -227,20 +227,10 @@ def read_laser(
     ox, oy, oz = origin
     if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(oz)):
         raise ValueError(f"non-finite laser origin {origin!r}")
-    # ``direction.normalized()`` and the dot products, on floats.
-    dx, dy, dz = direction.x, direction.y, direction.z
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length < 1e-12:
-        raise DegenerateGeometry("cannot normalize a near-zero vector")
-    scale = 1.0 / length
-    dx, dy, dz = dx * scale, dy * scale, dz * scale
     wall = worksite.wall
-    n = wall.normal
-    denom = dx * n.x + dy * n.y + dz * n.z
-    if abs(denom) < 1e-9:
-        raise NoReturn("laser ray is parallel to the wall")
-    o = wall.frame.origin
-    t = ((o.x - ox) * n.x + (o.y - oy) * n.y + (o.z - oz) * n.z) / denom
+    ray = _laser_ray(direction, wall)
+    dx, dy, dz, _ = ray
+    t = _laser_range(origin, ray, wall)
     if t <= 0:
         raise NoReturn("wall is behind the sensor")
     if not wall.contains_lateral(ox + dx * t, oy + dy * t, oz + dz * t):
@@ -249,6 +239,48 @@ def read_laser(
         # The value ``Generator.normal(0.0, sigma)`` computes from the same draw.
         t += 0.0 + sigma * next(noise)
     return t
+
+
+def read_lasers(origins, direction: Point3, worksite: Worksite, noise: NormalBlocks, sigma: float) -> np.ndarray:
+    """``read_laser`` from each point of ``origins``, three ``(m,)`` arrays of
+    x, y and z, up to the first read that would raise, which only
+    ``read_laser`` may take. The noise is the first rows of ``noise.ahead()``;
+    the caller hands them out with ``skip`` once it keeps the reads."""
+    finite = np.isfinite(origins[0]) & np.isfinite(origins[1]) & np.isfinite(origins[2])
+    ox, oy, oz = (a[: len(finite) if finite.all() else int(finite.argmin())] for a in origins)
+    wall = worksite.wall
+    ray = _laser_ray(direction, wall)
+    dx, dy, dz, _ = ray
+    t = _laser_range((ox, oy, oz), ray, wall)
+    hits = (t > 0) & wall.contains_lateral(ox + dx * t, oy + dy * t, oz + dz * t)
+    t = t[: len(hits) if hits.all() else int(hits.argmin())]
+    if sigma > 0.0:
+        t += 0.0 + sigma * noise.ahead()[: len(t)]
+    return t
+
+
+def _laser_ray(direction: Point3, wall) -> tuple[float, float, float, float]:
+    """``direction.normalized()`` on floats, and its dot product with the
+    wall normal; raises when the ray cannot return from the wall."""
+    dx, dy, dz = direction.x, direction.y, direction.z
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if length < 1e-12:
+        raise DegenerateGeometry("cannot normalize a near-zero vector")
+    scale = 1.0 / length
+    dx, dy, dz = dx * scale, dy * scale, dz * scale
+    n = wall.normal
+    denom = dx * n.x + dy * n.y + dz * n.z
+    if abs(denom) < 1e-9:
+        raise NoReturn("laser ray is parallel to the wall")
+    return dx, dy, dz, denom
+
+
+def _laser_range(origin, ray, wall):
+    """The distance along ``ray`` (from ``_laser_ray``) from ``origin`` to the
+    wall plane: floats, or arrays of them."""
+    ox, oy, oz = origin
+    o, n = wall.frame.origin, wall.normal
+    return ((o.x - ox) * n.x + (o.y - oy) * n.y + (o.z - oz) * n.z) / ray[3]
 
 
 class DetectionKind(str, Enum):

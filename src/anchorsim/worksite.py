@@ -71,12 +71,12 @@ class Wall:
 
     def contains_lateral(self, x: float, y: float, z: float) -> bool:
         """Whether the point ``(x, y, z)`` lies within the wall's extent in the
-        surface plane (the x and y of ``frame.to_local``, on floats)."""
+        surface plane (the x and y of ``frame.to_local``, on floats); given
+        arrays of coordinates, an array of those answers."""
         o, ax, ay = self.frame.origin, self.frame.x_axis, self.frame.y_axis
         dx, dy, dz = x - o.x, y - o.y, z - o.z
-        return (
-            abs(dx * ax.x + dy * ax.y + dz * ax.z) <= self.cfg.width / 2
-            and abs(dx * ay.x + dy * ay.y + dz * ay.z) <= self.cfg.height / 2
+        return (abs(dx * ax.x + dy * ax.y + dz * ax.z) <= self.cfg.width / 2) & (
+            abs(dx * ay.x + dy * ay.y + dz * ay.z) <= self.cfg.height / 2
         )
 
 

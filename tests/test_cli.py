@@ -104,15 +104,19 @@ INVALID_VALUES = [
     ("[procedure]\nsocket_fit_timeout = -1\n", "procedure.socket_fit_timeout"),
     ("[procedure]\nwedge_moment_rate = 0\n", "procedure.wedge_moment_rate"),
     ("[wall]\ndistance = 1.4\n", "wall.distance"),
+    ("[tools]\nblow_advance = 0\n", "tools.blow_advance"),
+    ("[tools]\nhammer_contact_ramp = 0\n", "tools.hammer_contact_ramp"),
+    ("[tools]\nhammer_contact_cap = 26\n", "tools.hammer_contact_cap"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
 #: overlap, a hole no deeper than the insertion push, spiral probe periods
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
 #: its timeout), a socket that slots on only after its fit timeout, a wall
-#: that puts an orientation laser point out of reach, and tools or loads the
-#: payload cannot carry (each failed a step partway through the run). Their
-#: fields may repeat cases above, so their ids are their text.
+#: that puts an orientation laser point out of reach, tools or loads the
+#: payload cannot carry, and blows that drive the anchor back out (each
+#: failed a step partway through the run). Their fields may repeat cases
+#: above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -128,6 +132,7 @@ INVALID_REPEATS = [
     ("[robot]\npayload = 5\n", "robot.payload"),
     ("[part]\nmass = 12.5\n", "robot.payload"),
     ("[robot]\nmass_drill = 14\n", "robot.payload"),
+    ("[tools]\nblow_advance = -0.001\n", "tools.blow_advance"),
 ]
 
 

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anchorsim.engine as engine
 from anchorsim.engine import MAX_SIM_TIME, TRACE_CHUNK, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
+from anchorsim.procedure import FixationStep, Hammering, MissionContext
 from anchorsim.robot import Motion
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import ZERO_WRENCH, Wrench
-from anchorsim.worksite import DrilledHole, wall_frame_from_angles
+from anchorsim.worksite import AnchorBolt, AnchorState, DrilledHole, wall_frame_from_angles
 
 
 def test_clock_ticks_exactly():
@@ -64,7 +66,7 @@ SPECIALS = [1.5, -0.0, 5e-324, math.nan]
 #: One run of samples, as ``(kind, count, special, at, channel)``: ``record``
 #: rows of +0.0 but for ``special`` (None: none) at row ``at % count`` in
 #: ``channel``, ``mixed`` rows of non-zero values, or a ``zeros`` stretch
-#: through ``record_zeros``.
+#: through ``record_rows``.
 RUN = st.one_of(
     st.tuples(st.just("record"), st.integers(1, 5000), st.none() | st.sampled_from(SPECIALS),
               st.integers(0, 10**6), st.integers(0, 5)),
@@ -91,7 +93,7 @@ def test_trace_chunks_match_a_flat_reference(runs):
     k = 0
     for kind, count, special, at, channel in runs:
         if kind == "zeros":
-            recorder.record_zeros(row, range(k + 1, k + count + 1), dt)
+            recorder.record_rows(row, range(k + 1, k + count + 1), dt)
         for j in range(count):
             k += 1
             sample = [0.0] * 6
@@ -118,7 +120,7 @@ def test_trace_chunks_match_a_flat_reference(runs):
     with pytest.raises(NonMonotonicTime):
         recorder.record(row, k * dt, ZERO_WRENCH)
     with pytest.raises(NonMonotonicTime):
-        recorder.record_zeros(row, range(k, k + 2), dt)
+        recorder.record_rows(row, range(k, k + 2), dt)
 
 
 def test_sensor_streams_drawn_lazily_and_not_at_zero_sigma():
@@ -436,3 +438,143 @@ def test_free_stretch_in_bulk_matches_tick_by_tick(
                 break
         assert bulk.clock.ticks == ticked.clock.ticks
     assert world_state(bulk) == world_state(ticked)
+
+
+# --- hammer stretches ----------------------------------------------------------------
+
+
+def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
+                 pressed, skipped, start_tick):
+    """A world in which ``arm`` hammers an anchor ``gap`` metres short of the
+    bottom of a ``hole_depth`` hole, the tip at the anchor, and the other arm
+    is idle; ``pressed`` is the press force of the tick before."""
+    scenario = Scenario()
+    sensors = scenario.sensors
+    sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
+    sensors.laser_sigma, sensors.force_limit = laser_sigma, force_limit
+    scenario.tools.blow_rate, scenario.procedure.timestep = rate_dt
+    scenario.tools.hammer_press_force = press
+    scenario.procedure.hammering_end_moment = end_moment
+    world = World(scenario, seed)
+    world.clock.ticks = start_tick
+    site = world.site
+    hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, hole_depth)
+    anchor = AnchorBolt()
+    anchor.set_state(AnchorState.GRASPED)
+    site.place_anchor_in_hole(anchor, hole, hole_depth - gap)
+    runtime = world.runtime(arm)
+    runtime.state.position = hole.position - site.wall.normal.scaled(anchor.depth)
+    runtime.press_force = pressed
+    for noise, skip in zip((runtime.ft_noise, runtime.laser_noise), skipped):
+        for _ in range(skip):
+            next(noise)
+    hammer = Hammering(MissionContext(world), arm, anchor, stuck_measured=anchor.depth)
+    runtime.contact_model, runtime.bulk, runtime.watcher = hammer.hammer_model, hammer, hammer.bottomed
+    return world, hammer
+
+
+def hammer_state(world, hammer) -> str:
+    """``world_state`` plus what hammering changes besides."""
+    state = [world_state(world), hammer.elapsed, hammer.blows, hammer.anchor.depth]
+    for runtime in world.arms.values():
+        state += [
+            runtime.platform.slip_offset, repr(runtime.watched), next(runtime.laser_noise),
+            *(runtime.depth_row.column(index).tobytes() for index in (None, 0, 1, 2)),
+        ]
+    return repr(state)
+
+
+HAMMER_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["robot1", "robot2"]),
+    sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (0.0, 0.2), (100.0, 3.0)]),
+    laser_sigma=st.sampled_from([0.0001, 0.0, 0.002]),
+    rate_dt=st.sampled_from([(3.0, 0.01), (4.0, 0.01), (12.0, 0.005), (7.0, 0.025), (50.0, 0.025), (10.0, 0.002)]),
+    press=st.sampled_from([150.0, 950.0, 0.0]),
+    force_limit=st.sampled_from([1000.0, 160.0, 1.0]),
+    end_moment=st.sampled_from([27.0, 22.0]),
+    hole_depth=st.sampled_from([0.08, 0.04]),
+    gap=st.sampled_from([0.0008, 0.0012, 0.002, 0.005]),
+    pressed=st.sampled_from([0.0, 150.0]),
+    skipped=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
+    before_max=st.none() | st.integers(0, 1500),
+    horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
+)
+
+
+def _hammer_example(**changes):
+    case = dict(seed=7, arm="robot1", sigmas=(2.0, 0.2), laser_sigma=0.0001, rate_dt=(3.0, 0.01), press=150.0,
+                force_limit=1000.0, end_moment=27.0, hole_depth=0.08, gap=0.0012, pressed=0.0, skipped=(0, 0), before_max=None,
+                horizons=[1500])
+    case.update(changes)
+    return example(**case)
+
+
+@_hammer_example()  # bottoms out past the success depth
+@_hammer_example(arm="robot2", pressed=150.0)  # the other arm first; the first tick slips
+@_hammer_example(hole_depth=0.04)  # bottom contact short of the success depth raises
+@_hammer_example(sigmas=(0.0, 0.0), laser_sigma=0.0)  # no noise drawn
+@_hammer_example(rate_dt=(4.0, 0.01), gap=0.005)  # blows due on a whole tick, within 1e-12
+@_hammer_example(rate_dt=(50.0, 0.025))  # a blow on every tick
+@_hammer_example(horizons=[40, 7, 300, 1100])  # horizons that cut the stretch
+@_hammer_example(skipped=(1000, 1010))  # both noise blocks end within the first stretch
+@_hammer_example(before_max=100, gap=0.005)  # the time ceiling
+@_hammer_example(sigmas=(100.0, 3.0), press=950.0, gap=0.005)  # a guard trip while the filter fills
+@_hammer_example(force_limit=1.0)  # a trip on the first tick
+@_hammer_example(press=0.0, pressed=150.0)  # no press force: only the first tick slips
+@_hammer_example(sigmas=(2.0, 0.0), end_moment=22.0)  # a blow's peak exactly at the end moment
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(**HAMMER_CASES)
+def test_hammer_stretch_in_bulk_matches_tick_by_tick(
+    seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap, pressed,
+    skipped, before_max, horizons,
+):
+    # ``run`` computes a hammer stretch in bulk up to the tick before an
+    # event; ``step`` alone takes each tick through ``hammer_model`` and
+    # ``bottomed``. Both must leave every byte the same.
+    start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
+    worlds = [
+        hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
+                     pressed, skipped, start)
+        for _ in range(2)
+    ]
+    (bulk, bulk_hammer), (ticked, ticked_hammer) = worlds
+    for horizon in horizons:
+        bulk.run(horizon)
+        for _ in range(horizon):
+            ticked.step()
+            if ticked.event:
+                break
+        assert bulk.clock.ticks == ticked.clock.ticks
+        assert bulk.event == ticked.event
+    assert hammer_state(bulk, bulk_hammer) == hammer_state(ticked, ticked_hammer)
+
+
+def test_hammer_phase_runs_in_bulk(monkeypatch):
+    # Per tick, ``bottomed`` reads the laser once. In bulk, the seed-7 hammer
+    # phase reads it per tick only for the start and stop depths and the
+    # tick that ends the wait; the parent of the bulk path read it 11,502
+    # times.
+    reads, marks = [0], {}
+    read_laser, begin, end = engine.read_laser, MissionContext.begin, MissionContext.end
+
+    def counted_read(*args, **kwargs):
+        reads[0] += 1
+        return read_laser(*args, **kwargs)
+
+    def marked_begin(ctx, step, point, arm):
+        marks[step] = reads[0]
+        return begin(ctx, step, point, arm)
+
+    def marked_end(ctx, arm, **diag):
+        step = ctx._open[arm].step
+        marks[step] = reads[0] - marks[step]
+        return end(ctx, arm, **diag)
+
+    monkeypatch.setattr(engine, "read_laser", counted_read)
+    monkeypatch.setattr(MissionContext, "begin", marked_begin)
+    monkeypatch.setattr(MissionContext, "end", marked_end)
+    report, _ = run(Scenario(), 7, "hammer")
+    assert report.success
+    assert report.find(FixationStep.HAMMER_ANCHOR).diagnostics["blows"] > 300
+    assert marks[FixationStep.HAMMER_ANCHOR] <= 40

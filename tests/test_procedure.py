@@ -478,18 +478,22 @@ def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
     sc, mission, seed, failure = LIFETIME_CASES[case]
     contact, end, fail = MissionContext.contact, MissionContext.end, MissionContext.fail
     installed = []
-    ended = []  # the ending arm's contact model and watcher at each step end
+    ended = []  # the ending arm's contact model, its bulk form and watcher at each step end
 
-    def recording_contact(ctx, arm, model):
+    def recording_contact(ctx, arm, model, bulk=None):
         installed.append(model)
-        return contact(ctx, arm, model)
+        return contact(ctx, arm, model, bulk)
+
+    def left(ctx, arm):
+        runtime = ctx.world.runtime(arm)
+        return runtime.contact_model, runtime.bulk, runtime.watcher
 
     def checked_end(ctx, arm, **diag):
-        ended.append((ctx.world.runtime(arm).contact_model, ctx.world.runtime(arm).watcher))
+        ended.append(left(ctx, arm))
         return end(ctx, arm, **diag)
 
     def checked_fail(ctx, arm, exc):
-        ended.append((ctx.world.runtime(arm).contact_model, ctx.world.runtime(arm).watcher))
+        ended.append(left(ctx, arm))
         return fail(ctx, arm, exc)
 
     monkeypatch.setattr(MissionContext, "contact", recording_contact)
@@ -502,7 +506,7 @@ def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
     else:
         assert f": {failure}: " in report.failure
     assert installed and ended
-    assert ended == [(None, None)] * len(ended)
+    assert ended == [(None, None, None)] * len(ended)
     # Each model is a named function, and no two models share a name.
     names = {model.__name__ for model in installed}
     assert "<lambda>" not in names

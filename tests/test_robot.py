@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, PayloadExceeded, WrongPose
+from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
 from anchorsim.geometry import Point3
 from anchorsim.robot import ArmState, Motion, PlatformState, ToolId, attach_tool, detach_tool
 from anchorsim.scenario import RobotSection
@@ -66,14 +66,6 @@ def test_detach_requires_tool():
     arm.position = stand
     with pytest.raises(NoTool):
         detach_tool(arm, stand)
-
-
-def test_payload_guard():
-    arm = make_arm(mass_drill=14.0)
-    stand = Point3(0.15, -0.7, 0.8)
-    arm.position = stand
-    with pytest.raises(PayloadExceeded):
-        attach_tool(arm, ToolId.DRILL, stand)
 
 
 def test_slip_examples():

@@ -90,8 +90,12 @@ def test_threshold_sanity_enforced():
         parse_scenario("[procedure]\nhammering_end_moment = 31\n")
     with pytest.raises(ScenarioInvalid):
         parse_scenario("[procedure]\nhammer_success_depth = 0.09\n")
-    # A relaxed guard admits a higher hammering threshold.
-    parse_scenario("[procedure]\nhammering_end_moment = 45\n\n[sensors]\nmoment_limit = 100\n")
+    # A relaxed guard admits a higher hammering threshold, if the bottom
+    # contact can reach it.
+    relaxed = "[procedure]\nhammering_end_moment = 45\n\n[sensors]\nmoment_limit = 100\n"
+    parse_scenario(relaxed + "\n[tools]\nhammer_contact_cap = 50\n")
+    with pytest.raises(ScenarioInvalid, match="tools.hammer_contact_cap"):
+        parse_scenario(relaxed)
 
 
 def test_timestep_floor_is_the_stamp_resolution():
