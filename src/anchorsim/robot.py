@@ -43,8 +43,9 @@ class Motion:
 
 
 class ArmState:
-    """Commanded tool point and flange state; the reach comes from ``cfg``. The tick works on the point's floats ``x, y, z``;
-    ``position`` reads or assigns them as a ``Point3``."""
+    """Commanded tool point and flange state; the reach comes from ``cfg``.
+    The tick works on the point's floats ``x, y, z``; ``position`` reads or
+    assigns them as a ``Point3``."""
 
     def __init__(self, name: str, base: Point3, position: Point3, cfg: RobotSection):
         self.name = name
@@ -222,4 +223,3 @@ class PlatformState:
         steps *= dt
         np.add.accumulate(path, out=path)
         return steps
-
