@@ -266,9 +266,10 @@ class ArmRuntime:
     ``bulk``, which ``MissionContext.contact`` installs with the model,
     computes the model and the watcher for a stretch of ticks at once (see
     ``World._hammer_stretch``): ``ahead(m)`` gives the true-wrench rows of
-    the next ``m`` ticks, ``watch(slips, readings)`` the ticks before the
-    first on which the watcher may end the wait or raise, and ``settle()``
-    leaves those ticks as model and watcher would.
+    the next ``m`` ticks, or of fewer, up to a tick that may be an event;
+    ``watch(slips, readings)`` the ticks before the first on which the
+    watcher may end the wait or raise; and ``settle()`` leaves those ticks
+    as model and watcher would.
     """
 
     state: ArmState
@@ -654,6 +655,9 @@ class World:
         clock = self.clock
         now = clock.ticks
         wrench = bulk.ahead(n)
+        n = len(wrench)
+        if n == 0:
+            return 0, None
         presses = np.empty(n)  # the press force that drives each tick's slip
         presses[0] = runtime.press_force
         presses[1:] = wrench[:-1, 2]

@@ -303,8 +303,10 @@ class Hammering:
             return True
 
     def ahead(self, m: int) -> np.ndarray:
-        """The true wrench ``hammer_model`` returns on each of the next ``m`` ticks,
-        as an ``(m, 6)`` array; the blows those ticks strike are kept."""
+        """The true wrench ``hammer_model`` returns on each of the next ``m``
+        ticks, as an ``(m, 6)`` array, or on fewer: up to the first blow whose
+        peak reaches the hammering end moment, on which ``bottomed`` may end
+        the wait. The blows those ticks strike are kept."""
         elapsed = np.empty(m + 1)
         elapsed[0] = self.elapsed
         elapsed[1:] = self.world.dt
@@ -319,15 +321,19 @@ class Hammering:
         # strikes one blow at most.
         k = int(np.searchsorted(due, blows.next_due))
         while k < m:
+            after = self.strike(blows)
+            if abs(after.peak) >= self.procedure.hammering_end_moment:
+                m = k
+                break
             depths[start:k] = blows.depth
-            blows = self.strike(blows)
+            blows = after
             struck.append((k, blows))
             wrench[k, 3] = blows.peak
             start = k
             k = max(k + 1, int(np.searchsorted(due, blows.next_due)))
-        depths[start:] = blows.depth
+        depths[start:m] = blows.depth
         self._stretch = elapsed, depths, struck
-        return wrench
+        return wrench[:m]
 
     def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks of the stretch ``bottomed`` takes before the first
