@@ -561,8 +561,9 @@ class World:
             ticks = math.dist((arm.x, arm.y, arm.z), arm.motion.target) / (arm.motion.speed * dt)
             if ticks < n:
                 n = int(ticks) + 2  # the move arrives on or before this tick
-        for runtime in (moving if hammer is None else [hammer]) if noisy else ():
-            n = min(n, len(runtime.ft_noise.ahead()))
+        if noisy:
+            for runtime in moving if hammer is None else [hammer]:
+                n = min(n, len(runtime.ft_noise.ahead()))
         if hammer is not None and sensors.laser_sigma > 0.0:
             n = min(n, len(hammer.laser_noise.ahead()))
         times = np.arange(now + 1, now + n + 1) * dt
