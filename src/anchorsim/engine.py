@@ -120,7 +120,8 @@ class TraceRow:
     def _split(self):
         """The open chunk's rows as a sealed chunk: ``(times, columns)``."""
         count = self.count
-        return self.times[:count], _columns(np.frombuffer(self.data)[: count * len(self.channels)].reshape(count, -1))
+        values = np.frombuffer(self.data)[: count * len(self.channels)].reshape(count, -1)
+        return self.times[:count], _columns(values)
 
     def column(self, index: int | None, start: int = 0) -> array:
         """A copy of rows ``start`` on of channel ``index``'s values, or of

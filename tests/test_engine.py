@@ -504,8 +504,8 @@ HAMMER_CASES = dict(
 
 def _hammer_example(**changes):
     case = dict(seed=7, arm="robot1", sigmas=(2.0, 0.2), laser_sigma=0.0001, rate_dt=(3.0, 0.01), press=150.0,
-                force_limit=1000.0, end_moment=27.0, hole_depth=0.08, gap=0.0012, pressed=0.0, skipped=(0, 0), before_max=None,
-                horizons=[1500])
+                force_limit=1000.0, end_moment=27.0, hole_depth=0.08, gap=0.0012, pressed=0.0, skipped=(0, 0),
+                before_max=None, horizons=[1500])
     case.update(changes)
     return example(**case)
 

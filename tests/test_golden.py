@@ -140,7 +140,8 @@ def test_seed_2_short_hole_bottom_contact_unchanged():
         scenario_hash=world.scenario_hash, success=False, failure=ctx.failure,
     )
     assert report.failure.startswith("hammer_anchor: SimulationError: bottom contact at ")
-    assert traces_digest(report, world.recorder.traces) == "03a43a0cb7cc5d7e87f2c69b787981fe6654980f606f32e901262cbb26c90e2f"
+    digest = traces_digest(report, world.recorder.traces)
+    assert digest == "03a43a0cb7cc5d7e87f2c69b787981fe6654980f606f32e901262cbb26c90e2f"
 
 
 def run_digest(scenario, mission, seed=7):
