@@ -553,8 +553,7 @@ def test_hammer_stretch_in_bulk_matches_tick_by_tick(
 def test_hammer_phase_runs_in_bulk(monkeypatch):
     # Per tick, ``bottomed`` reads the laser once. In bulk, the seed-7 hammer
     # phase reads it per tick only for the start and stop depths and the
-    # tick that ends the wait; the parent of the bulk path read it 11,502
-    # times.
+    # tick that ends the wait; tick by tick it read it 11,502 times.
     reads, marks = [0], {}
     read_laser, begin, end = engine.read_laser, MissionContext.begin, MissionContext.end
 
