@@ -490,7 +490,7 @@ HAMMER_CASES = dict(
     sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (0.0, 0.2), (100.0, 3.0)]),
     laser_sigma=st.sampled_from([0.0001, 0.0, 0.002]),
     rate_dt=st.sampled_from([(3.0, 0.01), (4.0, 0.01), (12.0, 0.005), (7.0, 0.025), (50.0, 0.025), (10.0, 0.002)]),
-    press=st.sampled_from([150.0, 950.0, 0.0]),
+    press=st.sampled_from([150.0, 950.0, 0.0, -50.0]),
     force_limit=st.sampled_from([1000.0, 160.0, 1.0]),
     end_moment=st.sampled_from([27.0, 22.0]),
     hole_depth=st.sampled_from([0.08, 0.04]),
