@@ -39,6 +39,12 @@ HAMMER_CASES = {
     "hammer-noise-free": "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n",
     "hammer-fast-blows": "[tools]\nblow_rate = 7.0\nblow_advance = 0.004\n",
 }
+#: The four-point scenario with the ``hammer-guard`` settings and with
+#: noise-free sensors: a hammer stretch beside a free move, at its edges.
+FULL_4PT_CASES = {
+    "full_4pt-hammer-guard": FULL_4PT + "hammer_press_force = 950\n[sensors]\nft_sigma_force = 100\n",
+    "full_4pt-noise-free": FULL_4PT + "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n",
+}
 #: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
@@ -63,6 +69,9 @@ def cases(slice_: str):
         if slice_ == "all" or name != "hammer-ceiling":
             yield f"{name}/7", text, "hammer", 7
     yield "hammer-short-hole/2", SHORT_HOLE, "hammer-short-hole", 2
+    for name, text in FULL_4PT_CASES.items():
+        for seed in range(10) if slice_ == "all" else (7,) if name == "full_4pt-noise-free" else ():
+            yield f"{name}/{seed}", text, "full", seed
 
 
 def short_hole(scenario, seed):

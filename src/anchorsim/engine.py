@@ -6,16 +6,14 @@ in blocks, and the per-tick order is fixed (one pass over the arms, then the
 watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
 
-Two kinds of stretch are computed in bulk. In a free stretch no arm has a
-contact model, a watcher or a press force, and each arm is idle or on a
-targeted move: the ticks depend only on the arms' motion and FT noise, and
-only an event can end that state: an arrival, a guard trip or the tick past
-``MAX_SIM_TIME``. In a hammer stretch one arm hammers an anchor home and
-the other is idle: the ticks depend only on the blows, the slip and the FT
-and laser noise. ``World.run`` computes such a stretch with numpy, with the
-same operations in the same order, so the outputs are the bytes the
-per-tick pass would give. Both kinds share one bulk path for the FT
-readings, the guard and the wrench record (see ``World.run``).
+A stretch of ticks is computed in bulk when each arm is idle, on a
+targeted move, or holds a contact model and watcher with a ``bulk`` form
+(the hammer): its ticks then depend only on the arms' own state and noise.
+``World.run`` computes such a stretch with numpy, with the same operations
+in the same order, so the outputs are the bytes the per-tick pass would
+give. A stretch stops before the first tick that may be an event (an
+arrival, a guard trip, a watcher ending its wait, the tick past
+``MAX_SIM_TIME``), and the per-tick pass takes that tick.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ MAX_SIM_TIME = 7200.0
 
 #: Shortest stretch ``World.run`` computes in bulk; a shorter one runs tick
 #: by tick, which costs less than setting up the arrays.
-MIN_FREE_STRETCH = 32
+MIN_STRETCH = 32
 
 
 @dataclass
@@ -266,11 +264,12 @@ class ArmRuntime:
 
     ``bulk``, which ``MissionContext.contact`` installs with the model,
     computes the model and the watcher for a stretch of ticks at once (see
-    ``World._hammer_stretch``): ``ahead(m)`` gives the true-wrench rows of
-    the next ``m`` ticks, or of fewer, up to a tick that may be an event;
+    ``World._stretch``): ``ahead(m)`` gives the true-wrench rows of the next
+    ``m`` ticks, or of fewer, up to a tick that may be an event;
     ``watch(slips, readings)`` the ticks before the first on which the
     watcher may end the wait or raise; and ``settle()`` leaves those ticks
-    as model and watcher would.
+    as model and watcher would. In a stretch each arm is idle, on a
+    targeted move, or holds such a model.
     """
 
     state: ArmState
@@ -309,8 +308,8 @@ class World:
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
         self.event = False
-        # The planned free stretch: ``step`` only ticks the clock until its
-        # last tick, whose ``_land`` applies the stretch (see ``run``).
+        # The planned stretch: ``step`` only ticks the clock until its last
+        # tick, whose ``_land`` applies the stretch (see ``run``).
         self._stretch_end = 0
         self._land: Callable[[], None] | None = None
 
@@ -437,6 +436,8 @@ class World:
         Inside a stretch that ``run`` planned, the tick only advances the
         clock and the ``active`` flags hold for it; its last tick applies the
         whole stretch, so the arms read as the ticks above would leave them.
+        A stretch holds no event tick: the tick after it that may be one
+        runs the pass above.
         """
         clock = self.clock
         if clock.ticks < self._stretch_end:
@@ -496,20 +497,16 @@ class World:
         """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
         after the first event tick.
 
-        Two kinds of stretch are computed in bulk, because in them a tick has
-        no input but the arms' own state and noise, and the executive,
-        suspended until ``run`` returns, cannot change that:
-
-        - a free stretch: no arm has a contact model, a watcher or a press
-          force, and each arm is idle or on a targeted move. It ends at the
-          horizon, an arrival, a guard trip or the tick past
-          ``MAX_SIM_TIME``, which it takes.
-        - a hammer stretch: one arm's contact model and watcher have a
-          ``bulk`` form, and the other arm is idle with no press force. It
-          ends at the horizon, or before the first tick that may be an event
-          (a guard trip, the watcher ending the wait or raising, a laser
-          read that fails, or the tick past ``MAX_SIM_TIME``), which the
-          per-tick pass then takes.
+        A stretch of ticks is computed in bulk, because in it a tick has no
+        input but the arms' own state and noise, and the executive, suspended
+        until ``run`` returns, cannot change that. In a stretch each arm is
+        idle, on a targeted move, or holds a contact model and watcher with a
+        ``bulk`` form (one arm at most), and no arm but that one has a press
+        force. A stretch ends at the horizon, at the end of a noise block, or
+        before the first tick that may be an event: an arrival, a guard trip,
+        the watcher ending the wait or raising (a laser read that fails
+        included), or the tick past ``MAX_SIM_TIME``. The per-tick pass
+        takes that tick.
 
         A stretch is planned ``NOISE_BLOCK`` ticks at a time, and ``step`` is
         still called once per tick. Every other tick runs the per-tick pass.
@@ -528,164 +525,122 @@ class World:
         """Plan the stretch that starts with the next tick, if one does, up to
         tick count ``end``; return the tick count at which to plan again.
 
-        The arithmetic is the per-tick pass's, in the same order: the arm
-        advance in ``ArmState.free_path``, the slip in
-        ``PlatformState.slips``, the hammer's model and watcher in its
-        ``bulk``, and for each active arm the FT readings, the guard and the
-        wrench record in ``_sense``, ``_kept`` and ``_land_sensing``. A free
-        arm's arrival tick is inactive: it reads and records nothing.
+        A stretch stops before the first tick that may be an event, and the
+        per-tick pass takes that tick without planning again. The arithmetic
+        is the per-tick pass's, in the same order: the arm advance in
+        ``ArmState.free_path``, the slip in ``PlatformState.slips``, the
+        held arm's model and watcher in its ``bulk``, and for each active arm
+        the FT readings, the guard and the wrench record in ``_sense``,
+        ``_kept`` and ``_land_sensing``.
         """
         clock = self.clock
         now = clock.ticks
         runtimes = tuple(self.arms.values())
-        hammer = None
+        held = None  # the arm whose contact model and watcher its ``bulk`` computes
         for runtime in runtimes:
             motion = runtime.state.motion
             if runtime.contact_model is not None or runtime.watcher is not None:
-                if runtime.bulk is None or runtime.watcher is None or motion is not None or hammer is not None:
+                if runtime.bulk is None or runtime.watcher is None or motion is not None or held is not None:
                     return math.inf
-                hammer = runtime
+                held = runtime
             elif motion is not None and (motion.target is None or runtime.state.halted):
                 return math.inf
-        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime is not hammer):
+        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime is not held):
             return now + 1  # the next tick still integrates slip
+        if held is not None and any(runtime.state.halted for runtime in runtimes):
+            return math.inf  # the watchers stop at a halted arm
         moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
-        if hammer is not None and (moving or any(runtime.state.halted for runtime in runtimes)):
-            return math.inf
+        sensed = moving if held is None else moving + [held]
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
         dt = clock.dt
         left = end - now
-        n = NOISE_BLOCK if left >= NOISE_BLOCK else math.ceil(left)
+        planned = n = NOISE_BLOCK if left >= NOISE_BLOCK else math.ceil(left)
         for runtime in moving:
             arm = runtime.state
             ticks = math.dist((arm.x, arm.y, arm.z), arm.motion.target) / (arm.motion.speed * dt)
             if ticks < n:
                 n = int(ticks) + 2  # the move arrives on or before this tick
-        if noisy:
-            for runtime in moving if hammer is None else [hammer]:
-                n = min(n, len(runtime.ft_noise.ahead()))
-        if hammer is not None and sensors.laser_sigma > 0.0:
-            n = min(n, len(hammer.laser_noise.ahead()))
-        times = np.arange(now + 1, now + n + 1) * dt
-        late = np.flatnonzero(times > MAX_SIM_TIME)
+        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * dt > MAX_SIM_TIME)
         if late.size:
-            # A free stretch takes the tick past the ceiling, a hammer stretch stops before it.
-            n = int(late[0]) + (hammer is None)
-        if n < MIN_FREE_STRETCH:
+            n = int(late[0])
+        if n < MIN_STRETCH:
             return now + max(n, 1)
+        # The end of a noise block splits a stretch; it is not an event.
+        blocks = [runtime.ft_noise for runtime in sensed] if noisy else []
+        if held is not None and sensors.laser_sigma > 0.0:
+            blocks.append(held.laser_noise)
+        for block in blocks:
+            rows = len(block.ahead())
+            n, planned = min(n, rows), min(planned, rows)
+        n = self._stretch(moving, held, n, noisy)
+        return now + n + (n < planned)  # a stretch cut short stops before a tick that may be an event
 
-        planned = n
-        if hammer is None:
-            n, land = self._stretch(moving, n, noisy)
-        else:
-            n, land = self._hammer_stretch(hammer, n, noisy)
-        if n == 0:
-            return now + 1  # the per-tick pass takes the next tick
-        self.event = False
-        for runtime in runtimes:
-            runtime.active = runtime.state.motion is not None or runtime is hammer
-        self._stretch_end, self._land = now + n, land
-        # A hammer stretch cut short stops before a tick that may be an
-        # event; the per-tick pass takes that tick without planning again.
-        return now + n + (hammer is not None and n < planned)
+    def _stretch(self, moving: list[ArmRuntime], held: ArmRuntime | None, n: int, noisy: bool) -> int:
+        """Compute the next ``n`` ticks of the ``moving`` arms and of the arm
+        ``held``, or fewer: those before the first tick that may be an event
+        (an arrival, a guard trip, or one on which the watcher may end the
+        wait or raise). If there are any, ``step`` ticks the clock through
+        them and lands them on the last; return how many.
 
-    def _stretch(self, moving: list[ArmRuntime], n: int, noisy: bool):
-        """Compute the next ``n`` free ticks of the ``moving`` arms; return
-        the ticks until the first event (arrival, guard trip, or a tick the
-        per-tick pass must take) and the function that lands them on the
-        stretch's last tick.
-
-        Only small values outlive the call (per arm: its point and
-        ``travelled``, the ticks it sampled, what ``_kept`` keeps and the axis
-        of a trip on the last tick), so that tick holds no arrays while it
-        records the stretch.
+        Only small values outlive the call (per arm: its point, what
+        ``_kept`` keeps, and the held arm's slip and wrench rows), so that
+        tick holds no arrays while it records the stretch.
         """
         clock = self.clock
         now, dt = clock.ticks, clock.dt
         paths = []
         for runtime in moving:
             path, arrival = runtime.state.free_path(n, dt)
-            n = min(n, path.shape[1] - 1, arrival or n)
-            paths.append((runtime, path, arrival))
-        sensed = []
-        for runtime, path, arrival in paths:
-            active = n - 1 if arrival == n else n
-            readings = sums = trip = None
-            if active:
-                readings, sums, trip = self._sense(runtime, active, noisy)
-                if trip is not None:
-                    n = min(n, trip[0] + 1)
-            sensed.append((readings, sums, trip))
-        landings = []
-        for (runtime, path, arrival), (readings, sums, trip) in zip(paths, sensed):
-            sampled = n - 1 if arrival == n else n
-            kept = self._kept(runtime, readings, sums, sampled) if sampled else None
-            axis = trip[1] if trip is not None and trip[0] + 1 == n else None
-            landings.append((runtime, path[:, n].tolist(), sampled, kept, axis))
+            n = min(n, path.shape[1] - 1, n if arrival is None else arrival - 1)
+            paths.append(path)
+        arms, wrenches = moving, [None] * len(moving)  # each active arm's true-wrench rows; None: all zero
+        if held is not None and n:
+            arms, wrenches = moving + [held], wrenches + [held.bulk.ahead(n)]
+            n = len(wrenches[-1])
+        if n == 0:
+            return 0
+        sensed = [self._sense(runtime, n, noisy, wrench) for runtime, wrench in zip(arms, wrenches)]
+        for readings, sums, trip in sensed:
+            if trip is not None:
+                n = min(n, trip[0])
+        if held is not None:
+            wrench = wrenches[-1]
+            presses = np.empty(len(wrench))  # the press force that drives each tick's slip
+            presses[0] = held.press_force
+            presses[1:] = wrench[:-1, 2]
+            slips = held.platform.slips(presses, dt)
+            n = held.bulk.watch(slips[:n], sensed[-1][0])
+            if n:
+                wrenches[-1] = wrench[:n].copy()  # the rows to record; the rest is freed
+                last, slip = Wrench._make(wrench[n - 1].tolist()), float(slips[n - 1])
+        if n == 0:
+            return 0
+        points = [path[:, n].tolist() for path in paths]
+        landings = [
+            (runtime, self._kept(runtime, readings, sums, n), wrench)
+            for runtime, (readings, sums, trip), wrench in zip(arms, sensed, wrenches)
+        ]
 
         def land():
-            t = clock.t
-            event = t > MAX_SIM_TIME
             for runtime in self.arms.values():
                 runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-            for runtime, point, sampled, kept, axis in landings:
+            for runtime, point in zip(moving, points):
                 arm = runtime.state
                 arm.x, arm.y, arm.z, arm.motion.travelled = point
-                if sampled:
-                    self._land_sensing(runtime, now + 1, sampled, kept, noisy)
-                if sampled < n:  # the arrival tick
-                    arm.motion = None
-                    event = True
-                    continue
+            for runtime, kept, wrench in landings:
+                self._land_sensing(runtime, now + 1, n, kept, noisy, wrench)
                 runtime.reading, runtime.active = kept[0][-1], True
-                if axis is not None:
-                    arm.halt(axis)
-                    runtime.guard_fired_t = t
-                    event = True
-            self.event = event
+            if held is not None:
+                held.platform.slip_offset = slip
+                held.true_wrench, held.press_force = last, max(last.fz, 0.0)
+                held.bulk.settle()
 
-        return n, land
-
-    def _hammer_stretch(self, runtime: ArmRuntime, n: int, noisy: bool):
-        """Compute the next ``n`` ticks of the arm whose contact model and
-        watcher ``runtime.bulk`` computes, the other arm idle; return the
-        ticks before the first that may be an event (a guard trip, or one
-        the watcher may end or raise on), which the per-tick pass takes, and
-        the function that lands them on the stretch's last tick."""
-        bulk = runtime.bulk
-        clock = self.clock
-        now = clock.ticks
-        wrench = bulk.ahead(n)
-        n = len(wrench)
-        if n == 0:
-            return 0, None
-        presses = np.empty(n)  # the press force that drives each tick's slip
-        presses[0] = runtime.press_force
-        presses[1:] = wrench[:-1, 2]
-        slips = runtime.platform.slips(presses, clock.dt)
-        readings, sums, trip = self._sense(runtime, n, noisy, wrench)
-        if trip is not None:
-            n = trip[0]
-        n = bulk.watch(slips[:n], readings)
-        if n == 0:
-            return 0, None
-        kept = self._kept(runtime, readings, sums, n)
-        wrench = wrench[:n].copy()  # the rows to record; the rest is freed
-        last = Wrench._make(wrench[n - 1].tolist())
-        slip = float(slips[n - 1])
-
-        def land():
-            for other in self.arms.values():
-                other.true_wrench, other.reading, other.active = ZERO_WRENCH, None, False
-            runtime.platform.slip_offset = slip
-            runtime.true_wrench, runtime.press_force = last, max(last.fz, 0.0)
-            self._land_sensing(runtime, now + 1, n, kept, noisy, wrench)
-            runtime.reading, runtime.active = kept[0][-1], True
-            bulk.settle()
-            self.event = False
-
-        return n, land
+        self.event = False
+        for runtime in self.arms.values():
+            runtime.active = any(runtime is arm for arm in arms)
+        self._stretch_end, self._land = now + n, land
+        return n
 
     def _sense(self, runtime: ArmRuntime, count: int, noisy: bool, wrench: np.ndarray | None = None):
         """The FT readings of the arm's next ``count`` ticks, as ``read_ft``

@@ -360,16 +360,20 @@ def free_world(seed, moves, sigmas, force_limit, filled, skipped, start_tick):
             runtime.guard_filter.push(Wrench(fz=0.5 * force_limit * (-1) ** k, mx=0.1 * k))
         if fill == 0:
             runtime.guard_filter.reset()
-        if move is None:
-            continue
-        arm = runtime.state
-        if move["overreach"]:
-            out = (arm.position - arm.base).normalized()
-            arm.start_move(arm.position, move["speed"])
-            arm.motion = Motion((arm.base + out.scaled(1.5)).as_tuple(), out.as_tuple(), move["speed"])
-        else:
-            arm.start_move(arm.position + Point3(*move["offset"]), move["speed"])
+        start_move(runtime.state, move)
     return world
+
+
+def start_move(arm, move):
+    """Start the ``MOVE`` ``move`` from the arm's point; None leaves it idle."""
+    if move is None:
+        return
+    if move["overreach"]:
+        out = (arm.position - arm.base).normalized()
+        arm.start_move(arm.position, move["speed"])
+        arm.motion = Motion((arm.base + out.scaled(1.5)).as_tuple(), out.as_tuple(), move["speed"])
+    else:
+        arm.start_move(arm.position + Point3(*move["offset"]), move["speed"])
 
 
 def world_state(world) -> str:
@@ -437,6 +441,7 @@ def test_free_stretch_in_bulk_matches_tick_by_tick(
             if ticked.event:
                 break
         assert bulk.clock.ticks == ticked.clock.ticks
+        assert bulk.event == ticked.event
     assert world_state(bulk) == world_state(ticked)
 
 
@@ -444,10 +449,12 @@ def test_free_stretch_in_bulk_matches_tick_by_tick(
 
 
 def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
-                 pressed, skipped, start_tick):
+                 pressed, skipped, other_move, filled, start_tick):
     """A world in which ``arm`` hammers an anchor ``gap`` metres short of the
     bottom of a ``hole_depth`` hole, the tip at the anchor, and the other arm
-    is idle; ``pressed`` is the press force of the tick before."""
+    makes the ``MOVE`` ``other_move``; ``pressed`` is the press force of the
+    tick before. If ``filled``, both guard filters hold a full window of zero
+    readings, as after a quiet move; otherwise they are empty."""
     scenario = Scenario()
     sensors = scenario.sensors
     sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
@@ -470,6 +477,11 @@ def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, en
             next(noise)
     hammer = Hammering(MissionContext(world), arm, anchor, stuck_measured=anchor.depth)
     runtime.contact_model, runtime.bulk, runtime.watcher = hammer.hammer_model, hammer, hammer.bottomed
+    other = next(other for name, other in world.arms.items() if name != arm)
+    start_move(other.state, other_move)
+    for guard in (runtime.guard_filter, other.guard_filter):
+        for _ in range(guard.window if filled else 0):
+            guard.push(ZERO_WRENCH)
     return world, hammer
 
 
@@ -497,15 +509,21 @@ HAMMER_CASES = dict(
     gap=st.sampled_from([0.0008, 0.0012, 0.002, 0.005]),
     pressed=st.sampled_from([0.0, 150.0]),
     skipped=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
+    other_move=MOVE,
+    filled=st.booleans(),
     before_max=st.none() | st.integers(0, 1500),
     horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
 )
 
 
+#: A move of the other arm that arrives after 229 ticks at 0.01 s.
+ARRIVING = {"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False}
+
+
 def _hammer_example(**changes):
     case = dict(seed=7, arm="robot1", sigmas=(2.0, 0.2), laser_sigma=0.0001, rate_dt=(3.0, 0.01), press=150.0,
                 force_limit=1000.0, end_moment=27.0, hole_depth=0.08, gap=0.0012, pressed=0.0, skipped=(0, 0),
-                before_max=None, horizons=[1500])
+                other_move=None, filled=False, before_max=None, horizons=[1500])
     case.update(changes)
     return example(**case)
 
@@ -523,19 +541,23 @@ def _hammer_example(**changes):
 @_hammer_example(force_limit=1.0)  # a trip on the first tick
 @_hammer_example(press=0.0, pressed=150.0)  # no press force: only the first tick slips
 @_hammer_example(sigmas=(2.0, 0.0), end_moment=22.0)  # a blow's peak exactly at the end moment
+@_hammer_example(other_move=ARRIVING)  # the other arm's move arrives inside the stretch
+@_hammer_example(other_move={"offset": (0.0, 0.0, 0.0), "speed": 0.3, "overreach": True})  # reach trims it
+@_hammer_example(other_move=ARRIVING, press=0.0, force_limit=1.0, filled=True)  # noise trips the moving arm
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(**HAMMER_CASES)
 def test_hammer_stretch_in_bulk_matches_tick_by_tick(
     seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap, pressed,
-    skipped, before_max, horizons,
+    skipped, other_move, filled, before_max, horizons,
 ):
-    # ``run`` computes a hammer stretch in bulk up to the tick before an
-    # event; ``step`` alone takes each tick through ``hammer_model`` and
-    # ``bottomed``. Both must leave every byte the same.
+    # ``run`` computes a hammer stretch, beside an idle or a moving arm, in
+    # bulk up to the tick before an event; ``step`` alone takes each tick
+    # through ``hammer_model`` and ``bottomed``. Both must leave every byte
+    # the same.
     start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
     worlds = [
         hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
-                     pressed, skipped, start)
+                     pressed, skipped, other_move, filled, start)
         for _ in range(2)
     ]
     (bulk, bulk_hammer), (ticked, ticked_hammer) = worlds
