@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from .errors import ScenarioInvalid
-from .geometry import Point3
+from .geometry import MIN_TRIANGLE_AREA, Point3
 from .tools import DrillVariant
 from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_from_angles
 
@@ -269,6 +269,11 @@ class Scenario:
             raise ScenarioInvalid(
                 "procedure.hammer_success_depth", "must be below the drill target depth"
             )
+        # The three orientation laser points span an L whose triangle the
+        # frame estimate needs; a smaller one is degenerate however they read.
+        if 0.5 * p.orientation_offset**2 <= MIN_TRIANGLE_AREA:
+            reason = f"must span a laser triangle of more than {MIN_TRIANGLE_AREA!r} m^2"
+            raise ScenarioInvalid("procedure.orientation_offset", reason)
         if tools.socket_fit_time > p.socket_fit_timeout:
             reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"
             raise ScenarioInvalid("tools.socket_fit_time", reason)

@@ -107,6 +107,7 @@ INVALID_VALUES = [
     ("[tools]\nblow_advance = 0\n", "tools.blow_advance"),
     ("[tools]\nhammer_contact_ramp = 0\n", "tools.hammer_contact_ramp"),
     ("[tools]\nhammer_contact_cap = 26\n", "tools.hammer_contact_cap"),
+    ("[procedure]\norientation_offset = 0.0\n", "procedure.orientation_offset"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
@@ -114,7 +115,8 @@ INVALID_VALUES = [
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
 #: its timeout), a socket that slots on only after its fit timeout, a wall
 #: that puts an orientation laser point out of reach, tools or loads the
-#: payload cannot carry, and blows that drive the anchor back out (each
+#: payload cannot carry, blows that drive the anchor back out, and
+#: noise-free orientation laser points too close to span a triangle (each
 #: failed a step partway through the run). Their fields may repeat cases
 #: above, so their ids are their text.
 INVALID_REPEATS = [
@@ -133,6 +135,7 @@ INVALID_REPEATS = [
     ("[part]\nmass = 12.5\n", "robot.payload"),
     ("[robot]\nmass_drill = 14\n", "robot.payload"),
     ("[tools]\nblow_advance = -0.001\n", "tools.blow_advance"),
+    ("[procedure]\norientation_offset = 0.0000447\n[sensors]\nlaser_sigma = 0\n", "procedure.orientation_offset"),
 ]
 
 
@@ -152,6 +155,16 @@ def test_invalid_value_exits_2_naming_the_field(capsys, tmp_path, text, field):
 def test_far_wall_with_the_laser_points_in_reach_runs(capsys, tmp_path, distance):
     path = tmp_path / "s.ini"
     path.write_text(f"[wall]\ndistance = {distance}\n")
+    code, out, err = run_cli(capsys, "frame-test", "--scenario", str(path))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("offset", [0.000045, -0.000045])
+def test_smallest_valid_orientation_offset_runs(capsys, tmp_path, offset):
+    # Noise-free laser points an L this small apart still span the triangle
+    # the frame estimate needs.
+    path = tmp_path / "s.ini"
+    path.write_text(f"[procedure]\norientation_offset = {offset}\n[sensors]\nlaser_sigma = 0\n")
     code, out, err = run_cli(capsys, "frame-test", "--scenario", str(path))
     assert (code, err) == (0, "")
 
