@@ -52,8 +52,8 @@ TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
 #: with ``SimTimeExceeded`` once it is passed.
 MAX_SIM_TIME = 7200.0
 
-#: Shortest stretch ``World.run`` computes in bulk; a shorter one runs tick
-#: by tick, which costs less than setting up the arrays.
+#: Fewest ticks up to an event or the horizon that ``World.run`` computes in
+#: bulk; fewer run tick by tick, which costs less than setting up the arrays.
 MIN_STRETCH = 32
 
 
@@ -550,7 +550,7 @@ class World:
         if held is not None and any(runtime.state.halted for runtime in runtimes):
             return math.inf  # the watchers stop at a halted arm
         moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
-        sensed = moving if held is None else moving + [held]
+        active = moving if held is None else moving + [held]
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
         dt = clock.dt
@@ -567,7 +567,7 @@ class World:
         if n < MIN_STRETCH:
             return now + max(n, 1)
         # The end of a noise block splits a stretch; it is not an event.
-        blocks = [runtime.ft_noise for runtime in sensed] if noisy else []
+        blocks = [runtime.ft_noise for runtime in active] if noisy else []
         if held is not None and sensors.laser_sigma > 0.0:
             blocks.append(held.laser_noise)
         for block in blocks:
