@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import anchorsim.engine as engine
 from anchorsim.engine import MAX_SIM_TIME, TRACE_CHUNK, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
@@ -479,8 +478,8 @@ def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, en
     runtime.contact_model, runtime.bulk, runtime.watcher = hammer.hammer_model, hammer, hammer.bottomed
     other = next(other for name, other in world.arms.items() if name != arm)
     start_move(other.state, other_move)
-    for guard in (runtime.guard_filter, other.guard_filter):
-        for _ in range(guard.window if filled else 0):
+    for guard in (runtime.guard_filter, other.guard_filter) if filled else ():
+        for _ in range(guard.window):
             guard.push(ZERO_WRENCH)
     return world, hammer
 
