@@ -45,6 +45,27 @@ FULL_4PT_CASES = {
     "full_4pt-hammer-guard": FULL_4PT + "hammer_press_force = 950\n[sensors]\nft_sigma_force = 100\n",
     "full_4pt-noise-free": FULL_4PT + "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n",
 }
+#: Guarded-feed edges: each drill variant (three halt on the guard), the
+#: commanded depth feedback, noise-free sensors, slip raised until it moves
+#: the penetration (and, at 3e-6, past the feed's travel limit), and an
+#: orientation L so small that the drill feed ends in ``WrongPose``.
+NOISE_FREE = "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n" \
+             "camera_sigma_wall = 0\ncamera_sigma_part = 0\n"
+FEED_CASES = {
+    **{f"drill-{v}": ("[tools]\nvariant = " + v + "\n", "drill")
+       for v in ("aligned_axis", "offset_uncompensated", "regular_spring", "constant_load_spring")},
+    "drill-commanded": ("[procedure]\ndepth_source = commanded\n", "drill"),
+    "drill-commanded-slip": ("[procedure]\ndepth_source = commanded\n[robot]\nslip_coefficient = 1e-5\n", "drill"),
+    "drill-noise-free": (NOISE_FREE, "drill"),
+    "drill-slip": ("[robot]\nslip_coefficient = 1e-6\n", "drill"),
+    "drill-slip-max-travel": ("[robot]\nslip_coefficient = 3e-6\n", "drill"),
+    "full-commanded": ("[procedure]\ndepth_source = commanded\n", "full"),
+    "full-noise-free": (NOISE_FREE, "full"),
+    "full-slip": ("[robot]\nslip_coefficient = 1e-6\n", "full"),
+    "full-orientation-offset": ("[procedure]\norientation_offset = 0.0001\n", "full"),
+    "nut-default": (None, "nut"),
+    "nut-noise-free": (NOISE_FREE, "nut"),
+}
 #: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
@@ -69,6 +90,10 @@ def cases(slice_: str):
         if slice_ == "all" or name != "hammer-ceiling":
             yield f"{name}/7", text, "hammer", 7
     yield "hammer-short-hole/2", SHORT_HOLE, "hammer-short-hole", 2
+    for name, (text, mission) in FEED_CASES.items():
+        for seed in (7, 0, 1, 2, 3) if slice_ == "all" else (7,):
+            if slice_ == "all" or name == "drill-offset_uncompensated":
+                yield f"{name}/{seed}", text, mission, seed
     for name, text in FULL_4PT_CASES.items():
         for seed in range(10):
             if slice_ == "all" or (name, seed) == ("full_4pt-noise-free", 7):
