@@ -8,12 +8,18 @@ The tick works on floats; a ``Point3`` is built where the executive reads one.
 
 A stretch of ticks is computed in bulk when each arm is idle, on a
 targeted move, or holds a contact model and watcher with a ``bulk`` form
-(the hammer): its ticks then depend only on the arms' own state and noise.
-``World.run`` computes such a stretch with numpy, with the same operations
-in the same order, so the outputs are the bytes the per-tick pass would
-give. A stretch stops before the first tick that may be an event (an
-arrival, a guard trip, a watcher ending its wait, the tick past
-``MAX_SIM_TIME``), and the per-tick pass takes that tick.
+(one arm at most): the hammer, or a guarded feed whose contact law reads
+only the true surface distance (the drill's touch and drilling feed, the
+nut runner's approaches). Its ticks then depend only on the arms' own state
+and noise. ``World.run`` computes such a stretch with numpy, and a feed's
+slip, surface distance, law and press force in one float loop, with the
+same operations in the same order, so the outputs are the bytes the
+per-tick pass would give. A stretch stops before the first tick that may be
+an event (an arrival, a reach trim, a guard trip, a watcher ending its wait
+or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
+per-tick pass takes that tick. Insertion, whose model reads the
+engagement, the waits with no watcher and two held arms at once stay per
+tick.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable
 
@@ -268,8 +274,10 @@ class ArmRuntime:
     ``m`` ticks, or of fewer, up to a tick that may be an event;
     ``watch(slips, readings)`` the ticks before the first on which the
     watcher may end the wait or raise; and ``settle()`` leaves those ticks
-    as model and watcher would. In a stretch each arm is idle, on a
-    targeted move, or holds such a model.
+    as model and watcher would, the arm's point included. The hammer
+    (``procedure.Hammering``) holds the arm still; a guarded feed
+    (``procedure.Feed``) moves it on its open-ended motion. In a stretch
+    each arm is idle, on a targeted move, or holds such a model.
     """
 
     state: ArmState
@@ -362,20 +370,23 @@ class World:
         return arm.position + self.site.wall.normal.scaled(self.slip(arm_name))
 
     def surface_distance(self, arm_name: str) -> float:
-        """True signed distance of the tool point from the wall surface.
-
-        Contact models call this every tick, so it works on the floats of
-        ``Wall.signed_distance(true_position(...))`` in the same order.
-        """
+        """True signed distance of the tool point from the wall surface;
+        raises ValueError when it is not finite."""
         runtime = self.arms[arm_name]
         p = runtime.state
-        slip = runtime.platform.slip_offset
-        nx, ny, nz = self._normal
-        ox, oy, oz = self._origin
-        d = (p.x + nx * slip - ox) * nx + (p.y + ny * slip - oy) * ny + (p.z + nz * slip - oz) * nz
+        d = self.surface_at(p.x, p.y, p.z, runtime.platform.slip_offset)
         if not math.isfinite(d):
             raise ValueError(f"{arm_name}: non-finite surface distance {d!r}")
         return d
+
+    def surface_at(self, x: float, y: float, z: float, slip: float) -> float:
+        """Signed distance from the wall surface of the commanded point
+        ``(x, y, z)`` pushed back by ``slip``. Contact models read it every
+        tick, so it works on the floats of
+        ``Wall.signed_distance(true_position(...))`` in the same order."""
+        nx, ny, nz = self._normal
+        ox, oy, oz = self._origin
+        return (x + nx * slip - ox) * nx + (y + ny * slip - oy) * ny + (z + nz * slip - oz) * nz
 
     def laser_distance(self, arm_name: str, ray: Point3 | None = None) -> float:
         """Noisy laser range from the true tool point to the wall along ``ray``
@@ -501,12 +512,13 @@ class World:
         input but the arms' own state and noise, and the executive, suspended
         until ``run`` returns, cannot change that. In a stretch each arm is
         idle, on a targeted move, or holds a contact model and watcher with a
-        ``bulk`` form (one arm at most), and no arm but that one has a press
-        force. A stretch ends at the horizon, at the end of a noise block, or
-        before the first tick that may be an event: an arrival, a guard trip,
-        the watcher ending the wait or raising (a laser read that fails
-        included), or the tick past ``MAX_SIM_TIME``. The per-tick pass
-        takes that tick.
+        ``bulk`` form (one arm at most: the hammer, or a guarded feed), and
+        no arm but that one has a press force. A stretch ends at the horizon,
+        at the end of a noise block, or before the first tick that may be an
+        event: an arrival, a reach trim, a guard trip, the watcher ending the
+        wait or raising (a laser read that fails and a feed past its travel
+        limit included), a non-finite surface distance, or the tick past
+        ``MAX_SIM_TIME``. The per-tick pass takes that tick.
 
         A stretch is planned ``NOISE_BLOCK`` ticks at a time, and ``step`` is
         still called once per tick. Every other tick runs the per-tick pass.
@@ -529,9 +541,11 @@ class World:
         per-tick pass takes that tick without planning again. The arithmetic
         is the per-tick pass's, in the same order: the arm advance in
         ``ArmState.free_path``, the slip in ``PlatformState.slips``, the
-        held arm's model and watcher in its ``bulk``, and for each active arm
-        the FT readings, the guard and the wrench record in ``_sense``,
-        ``_kept`` and ``_land_sensing``.
+        held arm's model and watcher in its ``bulk`` (a feed's contact law
+        through ``feed_wrenches``), and for each active arm the FT readings,
+        the guard and the wrench record in ``_sense``, ``_kept`` and
+        ``_land_sensing``. The held arm may be on a feed, a motion with no
+        target, which its ``bulk`` advances.
         """
         clock = self.clock
         now = clock.ticks
@@ -540,7 +554,9 @@ class World:
         for runtime in runtimes:
             motion = runtime.state.motion
             if runtime.contact_model is not None or runtime.watcher is not None:
-                if runtime.bulk is None or runtime.watcher is None or motion is not None or held is not None:
+                if runtime.bulk is None or runtime.watcher is None or held is not None:
+                    return math.inf
+                if motion is not None and motion.target is not None:
                     return math.inf
                 held = runtime
             elif motion is not None and (motion.target is None or runtime.state.halted):
@@ -549,7 +565,7 @@ class World:
             return now + 1  # the next tick still integrates slip
         if held is not None and any(runtime.state.halted for runtime in runtimes):
             return math.inf  # the watchers stop at a halted arm
-        moving = [runtime for runtime in runtimes if runtime.state.motion is not None]
+        moving = [runtime for runtime in runtimes if runtime.state.motion is not None and runtime is not held]
         active = moving if held is None else moving + [held]
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
@@ -579,9 +595,10 @@ class World:
     def _stretch(self, moving: list[ArmRuntime], held: ArmRuntime | None, n: int, noisy: bool) -> int:
         """Compute the next ``n`` ticks of the ``moving`` arms and of the arm
         ``held``, or fewer: those before the first tick that may be an event
-        (an arrival, a guard trip, or one on which the watcher may end the
-        wait or raise). If there are any, ``step`` ticks the clock through
-        them and lands them on the last; return how many.
+        (an arrival, a reach trim, a guard trip, a non-finite surface
+        distance, or one on which the watcher may end the wait or raise). If
+        there are any, ``step`` ticks the clock through them and lands them
+        on the last; return how many.
 
         Only small values outlive the call (per arm: its point, what
         ``_kept`` keeps, and the held arm's slip and wrench rows), so that
@@ -680,6 +697,33 @@ class World:
             runtime.ft_noise.skip(count)
         self.recorder.record_rows(runtime.wrench_row, range(first, first + count), self.clock.dt, wrench)
 
+    def feed_wrenches(self, arm_name: str, points, law: Callable[[float], tuple[float, float]]) -> np.ndarray:
+        """The true wrench of each tick of a stretch in which the arm's
+        commanded points are ``points`` (three lists of x, y and z) and its
+        contact model is ``law`` of the surface distance, which gives the
+        wrench's ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what the
+        per-tick pass does in turn, slip from the previous press force,
+        surface distance, law and press force; it stops before the first
+        tick whose distance is not finite, on which ``surface_distance``
+        raises."""
+        runtime = self.arms[arm_name]
+        platform = replace(runtime.platform)  # a copy to step
+        press, dt, surface = runtime.press_force, self.clock.dt, self.surface_at
+        rows = []
+        for x, y, z in zip(*points):
+            if press != 0.0:
+                platform.step(press, dt)
+            d = surface(x, y, z, platform.slip_offset)
+            if not math.isfinite(d):
+                break
+            fz, mx = law(d)
+            rows.append((fz, mx))
+            press = max(fz, 0.0)
+        wrench = np.zeros((len(rows), 6))
+        if rows:
+            wrench[:, 2:4] = rows
+        return wrench
+
     def laser_distances(self, arm_name: str, points, slips: np.ndarray) -> np.ndarray:
         """``laser_distance(arm_name)`` on each tick of a stretch, from the
         commanded points ``points`` (three arrays of x, y and z) at the
@@ -694,13 +738,14 @@ class World:
         distances -= 0.5
         return distances
 
-    def record_depths(self, arm_name: str, rows: np.ndarray):
+    def record_depths(self, arm_name: str, rows: np.ndarray, lasered: bool = True):
         """``record_depthset`` on each of the last ``len(rows)`` ticks, from the
-        ``(laser depth, commanded depth, slip)`` rows ``rows``, whose laser
-        depths ``laser_distances`` read; their laser noise is handed out."""
+        ``(laser depth, commanded depth, slip)`` rows ``rows``. If
+        ``lasered``, ``laser_distances`` read one laser range per row, and
+        their laser noise is handed out."""
         runtime = self.arms[arm_name]
         n, ticks = len(rows), self.clock.ticks
-        if self.scenario.sensors.laser_sigma > 0.0:
+        if lasered and self.scenario.sensors.laser_sigma > 0.0:
             runtime.laser_noise.skip(n)
         self.recorder.record_rows(runtime.depth_row, range(ticks - n + 1, ticks + 1), self.clock.dt, rows)
 

@@ -212,6 +212,14 @@ def schedule_dual_arm(n: int) -> Plan:
     return Plan(n_points=n, phases=tuple(phases))
 
 
+def inward(start, normal, x, y, z):
+    """How far the point ``(x, y, z)`` lies in from ``start`` against the
+    outward normal ``normal``: ``(start - point).dot(normal)`` on floats, or
+    on arrays of them."""
+    (sx, sy, sz), (ox, oy, oz) = start, normal
+    return (sx - x) * ox + (sy - y) * oy + (sz - z) * oz
+
+
 # --- hammering ---------------------------------------------------------------------
 
 
@@ -270,8 +278,7 @@ class Hammering:
 
     def commanded(self, x, y, z):
         """How far the commanded point ``(x, y, z)`` is in from the start."""
-        (sx, sy, sz), (ox, oy, oz) = self.start, self.normal
-        return (sx - x) * ox + (sy - y) * oy + (sz - z) * oz
+        return inward(self.start, self.normal, x, y, z)
 
     def measured(self, distance):
         """The anchor depth the laser reads at ``distance``."""
@@ -366,6 +373,133 @@ class Hammering:
             self.anchor.depth = self.blows.depth
         self.state.x, self.state.y, self.state.z = point
         self.world.record_depths(self.arm, rows)
+
+
+# --- guarded feeds -------------------------------------------------------------------
+
+
+class Feed:
+    """A guarded feed (``MissionContext.feed_until``) under a contact law of
+    the true surface distance alone: ``law(distance)`` gives the ``(fz, mx)``
+    of the true wrench. A subclass gives the stop condition: ``stop`` per
+    tick and ``stops`` in bulk.
+
+    ``model`` (the arm's contact model) and ``stop`` take one tick.
+    ``ahead``, ``watch`` and ``settle`` take a stretch of ticks at once for
+    ``World._plan``, with the same arithmetic in the same order: the path
+    from ``ArmState.free_path``, the one sequential part (slip, surface
+    distance, law, press force) from ``World.feed_wrenches``, and the rest
+    with numpy.
+    """
+
+    def __init__(self, ctx: MissionContext, arm: str, law, max_travel: float):
+        self.world = ctx.world
+        self.arm, self.runtime = arm, self.world.runtime(arm)
+        self.state = self.runtime.state
+        self.law, self.max_travel = law, max_travel
+        self._stretch = None  # the path ``ahead`` computed, then the point ``watch`` keeps
+
+    def model(self) -> Wrench:
+        fz, mx = self.law(self.world.surface_distance(self.arm))
+        return Wrench(fz=fz, mx=mx)
+
+    def ahead(self, m: int) -> np.ndarray:
+        """The true wrench ``model`` returns on each of the next ``m`` ticks
+        of the feed, as an ``(m, 6)`` array, or on fewer: up to a reach trim
+        or a non-finite surface distance."""
+        path, _ = self.state.free_path(m, self.world.dt)
+        self._stretch = path
+        return self.world.feed_wrenches(self.arm, path[:3, 1:].tolist(), self.law)
+
+    def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks of the stretch the feed's watcher takes before the
+        first on which it may end the wait or raise: ``stops`` may be true,
+        or the feed has travelled more than ``max_travel``. ``slips`` and
+        ``readings`` hold the slip and the FT reading after each tick."""
+        path = self._stretch
+        m = len(slips)
+        over = np.flatnonzero(path[3, 1 : m + 1] > self.max_travel)
+        m = int(over[0]) if over.size else m
+        n = self.stops(path[:3, 1 : m + 1], slips[:m], readings[:m])
+        self._stretch = path[:, n].tolist()
+        return n
+
+    def stops(self, points: np.ndarray, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks of the stretch come before the first on which
+        ``stop`` may be true or raise, from the commanded point, slip and FT
+        reading after each tick; what those ticks record is kept."""
+        raise NotImplementedError
+
+    def settle(self):
+        """Leave the ticks ``watch`` counted as ``model`` and the watcher
+        would: the commanded point and the distance travelled."""
+        state = self.state
+        state.x, state.y, state.z, state.motion.travelled = self._stretch
+        self._stretch = None
+
+
+class Pressing(Feed):
+    """A feed that stops on the first raw FT reading whose fz reaches
+    ``threshold``: the drill's touch and the nut runner's approaches."""
+
+    def __init__(self, ctx: MissionContext, arm: str, law, threshold: float, max_travel: float):
+        super().__init__(ctx, arm, law, max_travel)
+        self.threshold = threshold
+
+    def stop(self) -> bool:
+        r = self.runtime.reading
+        return r is not None and r.fz >= self.threshold
+
+    def stops(self, points, slips, readings) -> int:
+        hits = np.flatnonzero(readings[:, 2] >= self.threshold)
+        return int(hits[0]) if hits.size else len(readings)
+
+
+class Drilling(Feed):
+    """The drilling feed from the commanded contact point ``contact`` until
+    the measured depth reaches the drill target: the laser's (``laser_zero``
+    less the range) or, with ``depth_source = commanded``, the commanded
+    depth. Each tick records both depths."""
+
+    def __init__(self, ctx: MissionContext, arm: str, contact: tuple[float, float, float], laser_zero: float):
+        cfg, p = ctx.scenario.tools, ctx.scenario.procedure
+
+        def drilling_law(distance):
+            depth = max(0.0, min(-distance, MAX_HOLE_DEPTH))
+            return drill_thrust(depth, cfg), drill_reaction_moment(cfg, depth)
+
+        super().__init__(ctx, arm, drilling_law, max_travel=0.12)
+        self.contact, self.normal = contact, ctx.out_normal.as_tuple()
+        self.laser_zero, self.target = laser_zero, p.drill_depth_target
+        self.use_laser = p.depth_source == "laser"
+        self.measured = 0.0
+        self._rows = None  # the depth rows ``stops`` kept for ``settle``
+
+    def stop(self) -> bool:
+        state, world = self.state, self.world
+        commanded = inward(self.contact, self.normal, state.x, state.y, state.z)
+        self.measured = self.laser_zero - world.laser_distance(self.arm) if self.use_laser else commanded
+        world.record_depthset(self.arm, self.measured, commanded)
+        return self.measured >= self.target
+
+    def stops(self, points, slips, readings) -> int:
+        x, y, z = points
+        commanded = inward(self.contact, self.normal, x, y, z)
+        measured = commanded
+        if self.use_laser:
+            measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips)
+        ends = np.flatnonzero(measured >= self.target)
+        n = int(ends[0]) if ends.size else len(measured)
+        rows = self._rows = np.empty((n, 3))
+        rows[:, 0], rows[:, 1], rows[:, 2] = measured[:n], commanded[:n], slips[:n]
+        return n
+
+    def settle(self):
+        """Also record the depth rows, and hand out their laser noise."""
+        super().settle()
+        rows, self._rows = self._rows, None
+        self.measured = float(rows[-1, 0])
+        self.world.record_depths(self.arm, rows, lasered=self.use_laser)
 
 
 # --- the executive ---------------------------------------------------------------
@@ -490,7 +624,8 @@ class MissionContext:
 
     def feed_until(self, arm: str, speed: float, stop, max_travel: float):
         """Open-ended guarded feed into the wall along the working normal;
-        ``stop()`` is evaluated after each tick."""
+        ``stop()`` is evaluated after each tick, and the feed fails once it
+        has travelled more than ``max_travel``."""
         state = self.arm(arm)
         state.start_feed(-self.out_normal, speed)
 
@@ -503,6 +638,22 @@ class MissionContext:
 
         yield from self.until(arm, done)
         state.stop()
+
+    def press_until(self, arm: str, law, threshold: float, max_travel: float):
+        """Feed at the approach speed under the contact law ``law`` (see
+        ``Feed``) until a raw FT reading's fz reaches ``threshold``; return
+        the feed, whose ``model`` may press on."""
+        feed = Pressing(self, arm, law, threshold, max_travel)
+        with self.contact(arm, feed.model, bulk=feed):
+            yield from self.feed_until(arm, self.scenario.robot.approach_speed, feed.stop, max_travel)
+        return feed
+
+    def moments(self, arm: str):
+        """A function that gives the true mx of each of the arm's ticks from
+        now on, read from its trace."""
+        trace = self.world.recorder.traces[f"{arm}/mx"]
+        first = len(trace)
+        return lambda: trace.row.column(trace.index, first)
 
     def reading(self, arm: str):
         return self.world.runtime(arm).reading
@@ -643,7 +794,6 @@ class MissionContext:
         """Steps 3-4 core: approach through the part hole, drill to depth."""
         world = self.world
         robot = self.scenario.robot
-        p = self.scenario.procedure
         cfg = self.scenario.tools
         state = self.arm(arm)
 
@@ -651,66 +801,34 @@ class MissionContext:
         standoff = target + self.out_normal.scaled(robot.approach_standoff + 0.02)
         yield from self.move(arm, standoff, robot.gross_speed)
 
-        def press_model() -> Wrench:
+        def press_law(distance):
             # Rigid surface contact: force grows with commanded penetration.
-            pen = -world.surface_distance(arm)
-            return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
-
-        max_mx = 0.0
-        min_mx = 0.0
-
-        def drilling_model() -> Wrench:
-            nonlocal max_mx, min_mx
-            depth = max(0.0, min(-world.surface_distance(arm), MAX_HOLE_DEPTH))
-            mx = drill_reaction_moment(cfg, depth)
-            max_mx = max(max_mx, mx)
-            min_mx = min(min_mx, mx)
-            return Wrench(fz=drill_thrust(depth, cfg), mx=mx)
+            pen = -distance
+            return (robot.contact_stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
 
         # Guarded approach until the bit touches the wall; the bit spins up
         # while it presses.
-        with self.contact(arm, press_model):
-            yield from self.feed_until(
-                arm,
-                robot.approach_speed,
-                stop=lambda: self.reading(arm) is not None and self.reading(arm).fz >= p.contact_force,
-                max_travel=0.2,
-            )
-            cx, cy, cz = state.x, state.y, state.z  # the commanded contact point
-            laser_zero = world.laser_distance(arm)
-            slip_zero = world.slip(arm)
-            yield from self.wait(arm, self.scenario.tools.drill_spinup_time)
+        touch = yield from self.press_until(arm, press_law, self.scenario.procedure.contact_force, max_travel=0.2)
+        drilling = Drilling(self, arm, (state.x, state.y, state.z), world.laser_distance(arm))
+        slip_zero = world.slip(arm)
+        with self.contact(arm, touch.model):
+            yield from self.wait(arm, cfg.drill_spinup_time)
 
-        with self.contact(arm, drilling_model):
+        with self.contact(arm, drilling.model, bulk=drilling):
             world.runtime(arm).guard_filter.reset()
-            use_laser = p.depth_source == "laser"
-            measured = 0.0
-            # The commanded depth is ``(contact - state.position).dot(out_normal)``,
-            # on floats.
-            ox, oy, oz = self.out_normal.as_tuple()
+            moments = self.moments(arm)
 
-            def depth_reached():
-                nonlocal measured
-                commanded = (cx - state.x) * ox + (cy - state.y) * oy + (cz - state.z) * oz
-                if use_laser:
-                    measured = laser_zero - world.laser_distance(arm)
-                else:
-                    measured = commanded
-                world.record_depthset(arm, measured, commanded)
-                return measured >= p.drill_depth_target
+            def moment_range():
+                seen = moments()
+                return {"max_mx": max(0.0, max(seen)), "min_mx": min(0.0, min(seen)), "variant": cfg.variant}
 
             try:
-                yield from self.feed_until(arm, cfg.feed_speed, stop=depth_reached, max_travel=0.12)
+                yield from self.feed_until(arm, cfg.feed_speed, drilling.stop, drilling.max_travel)
             except HaltedByGuard as exc:
                 depth_at_halt = max(0.0, -world.surface_distance(arm))
-                self._open[arm].diagnostics.update(
-                    halt_axis=exc.axis,
-                    halt_depth=depth_at_halt,
-                    max_mx=max_mx,
-                    min_mx=min_mx,
-                    variant=cfg.variant,
-                )
+                self._open[arm].diagnostics.update(halt_axis=exc.axis, halt_depth=depth_at_halt, **moment_range())
                 raise HaltedByGuard(exc.axis, depth_at_halt) from None
+            drilled = moment_range()
 
             true_depth = max(0.0, -world.surface_distance(arm))
             if true_depth == 0.0:
@@ -725,11 +843,9 @@ class MissionContext:
         yield from self.return_tool(arm)
         self._open[arm].diagnostics.update(
             hole_depth=hole.depth,
-            measured_depth=measured,
+            measured_depth=drilling.measured,
             slip_during=world.slip(arm) - slip_zero,
-            max_mx=max_mx,
-            min_mx=min_mx,
-            variant=cfg.variant,
+            **drilled,
         )
         return hole
 
@@ -893,26 +1009,17 @@ class MissionContext:
         approach_triggers: list[dict] = []
         spring = tools_cfg.socket_spring_rate
         dt = world.dt
-        # The peak flange moment is read from this trace of every tick's mx.
-        moments = world.recorder.traces[f"{arm}/mx"]
-        first_moment = len(moments)
-
-        def spring_model(reference_pen: float):
-            def socket_spring_model() -> Wrench:
-                compression = protrusion - world.surface_distance(arm) - reference_pen
-                return Wrench(fz=spring * compression) if compression > 0 else Wrench()
-            return socket_spring_model
+        # The peak flange moment is read from the trace of every tick's mx.
+        moments = self.moments(arm)
 
         def approach(name: str, reference_pen: float):
             t0 = world.t
 
-            def pressed():
-                r = self.reading(arm)
-                return r is not None and r.fz >= p.approach_force
+            def socket_spring_law(distance):
+                compression = protrusion - distance - reference_pen
+                return (spring * compression, 0.0) if compression > 0 else (0.0, 0.0)
 
-            with self.contact(arm, spring_model(reference_pen)):
-                yield from self.feed_until(arm, robot.approach_speed,
-                                           stop=pressed, max_travel=protrusion + 0.03)
+            yield from self.press_until(arm, socket_spring_law, p.approach_force, max_travel=protrusion + 0.03)
             approach_triggers.append(
                 {"reading_fz": self.reading(arm).fz, "true_fz": self.true_wrench(arm).fz}
             )
@@ -1005,7 +1112,7 @@ class MissionContext:
         with self.contact(arm, pulse_model):
             yield from self.until(arm, tightened)
         substeps.append(("pulse_tighten", t0, world.t))
-        max_moment = max(map(abs, moments.row.column(moments.index, first_moment)))
+        max_moment = max(map(abs, moments()))
 
         anchor.set_state(AnchorState.TIGHTENED)
         world.site.part.mark_point_fixed()

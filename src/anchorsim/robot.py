@@ -131,32 +131,35 @@ class ArmState:
             self.motion = None
 
     def free_path(self, ticks: int, dt: float) -> tuple[np.ndarray, int | None]:
-        """The next ``ticks`` ticks of the targeted move, taken in bulk with
-        the arithmetic of ``advance``: ``(path, arrival)``.
+        """The next ``ticks`` ticks of the motion, a targeted move or an
+        open-ended feed, taken in bulk with the arithmetic of ``advance``:
+        ``(path, arrival)``.
 
         Column ``j`` of the ``(4, k + 1)`` array ``path`` is ``(x, y, z,
         travelled)`` after ``j`` ticks (column 0 is now); ``arrival`` is the
-        tick that reaches the target, whose column holds the target, or None.
-        The columns stop before the first tick whose point would leave the
-        reach sphere or not be finite, which ``advance`` must take itself, so
-        ``k`` may be less than ``ticks``.
+        tick that reaches the target, whose column holds the target, or None
+        (always for a feed). The columns stop before the first tick whose
+        point would leave the reach sphere or not be finite, which
+        ``advance`` must take itself, so ``k`` may be less than ``ticks``.
         """
         motion = self.motion
         step = motion.speed * dt
         ux, uy, uz = motion.direction
-        tx, ty, tz = motion.target
         path = np.empty((4, ticks + 1))
         path[:, 0] = self.x, self.y, self.z, motion.travelled
         path[:, 1:] = [[ux * step], [uy * step], [uz * step], [step]]
         np.add.accumulate(path, axis=1, out=path)  # sequential, as the ticks add
-        # Tick j tests the point it starts from, column j - 1.
-        d = path[:3, :-1] - [[tx], [ty], [tz]]
-        remaining = _norms(d)
-        hits = np.flatnonzero(remaining <= step)
-        arrival = int(hits[0]) + 1 if hits.size else None
-        if arrival is not None:
-            path = path[:, : arrival + 1]
-            path[:, arrival] = tx, ty, tz, float(path[3, arrival - 1]) + float(remaining[arrival - 1])
+        arrival = None
+        if motion.target is not None:
+            tx, ty, tz = motion.target
+            # Tick j tests the point it starts from, column j - 1.
+            d = path[:3, :-1] - [[tx], [ty], [tz]]
+            remaining = _norms(d)
+            hits = np.flatnonzero(remaining <= step)
+            if hits.size:
+                arrival = int(hits[0]) + 1
+                path = path[:, : arrival + 1]
+                path[:, arrival] = tx, ty, tz, float(path[3, arrival - 1]) + float(remaining[arrival - 1])
         base = self.base
         inside = _norms([[base.x], [base.y], [base.z]] - path[:3, 1:]) <= self.cfg.reach
         if not inside.all():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from anchorsim.engine import MAX_SIM_TIME, TRACE_CHUNK, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
-from anchorsim.procedure import FixationStep, Hammering, MissionContext
+from anchorsim.procedure import Drilling, FixationStep, Hammering, MissionContext, Pressing
 from anchorsim.robot import Motion
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import ZERO_WRENCH, Wrench
@@ -618,3 +618,202 @@ def test_hammer_phase_runs_in_bulk(monkeypatch, scenario, mission, blows, bound)
     hammered = [record for record in report.steps if record.step is FixationStep.HAMMER_ANCHOR]
     assert sum(record.diagnostics["blows"] for record in hammered) > blows
     assert sum(marks[record.step, record.point_index] for record in hammered) <= bound
+
+
+# --- guarded feeds ---------------------------------------------------------------------
+
+
+def feed_world(seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target,
+               max_travel, trim, pressed, skipped, other_move, filled, start_tick):
+    """A world in which ``arm`` feeds into the wall from ``gap`` metres
+    before its surface (negative: inside it) under the contact ``law``
+    (``"press"`` and ``"spring"`` stop on fz, ``"drill"`` drills to the depth
+    ``target`` from that point), and the other arm makes the ``MOVE``
+    ``other_move``. The feed's watcher is installed as ``feed_until``
+    installs it. ``trim`` shrinks the reach to that many metres past the
+    start; ``pressed`` is the press force of the tick before; ``slip`` is
+    the slip coefficient, or NaN for a NaN slip."""
+    scenario = Scenario()
+    sensors, tools, procedure = scenario.sensors, scenario.tools, scenario.procedure
+    sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
+    sensors.laser_sigma, procedure.timestep = laser_sigma, dt
+    scenario.wall.yaw_deg, scenario.wall.pitch_deg = tilt
+    tools.variant, procedure.depth_source = variant, depth_source
+    if not math.isnan(slip):
+        scenario.robot.slip_coefficient = slip
+    world = World(scenario, seed)
+    world.clock.ticks = start_tick
+    procedure.drill_depth_target = target
+    ctx = MissionContext(world)
+    runtime = world.runtime(arm)
+    state = runtime.state
+    state.position = world.site.wall.frame.origin + ctx.out_normal.scaled(gap)
+    if trim is not None:
+        scenario.robot.reach = state.base.distance_to(state.position) + trim
+    runtime.press_force = pressed
+    runtime.platform.slip_offset = math.nan if math.isnan(slip) else 0.0
+    for noise, skip in zip((runtime.ft_noise, runtime.laser_noise), skipped):
+        for _ in range(skip):
+            next(noise)
+    if law == "drill":
+        feed = Drilling(ctx, arm, (state.x, state.y, state.z), 0.0 if math.isnan(slip) else world.laser_distance(arm))
+        speed = tools.feed_speed
+    else:
+        stiffness, reach = (200000.0, 0.0) if law == "press" else (10000.0, 0.002)
+
+        def contact_law(distance):
+            pen = reach - distance
+            return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
+
+        feed = Pressing(ctx, arm, contact_law, 50.0 if law == "spring" else 20.0, max_travel)
+        speed = scenario.robot.approach_speed
+    feed.max_travel = max_travel
+    # Start the feed and install its watcher; no tick yet. The suspended
+    # generator must outlive the call, or closing it clears the watcher.
+    feed.feeding = ctx.feed_until(arm, speed, feed.stop, max_travel)
+    next(feed.feeding)
+    runtime.contact_model, runtime.bulk = feed.model, feed
+    other = next(other for name, other in world.arms.items() if name != arm)
+    start_move(other.state, other_move)
+    for guard in (runtime.guard_filter, other.guard_filter) if filled else ():
+        for _ in range(guard.window):
+            guard.push(ZERO_WRENCH)
+    return world, feed
+
+
+def feed_state(world, feed) -> list[str]:
+    """``world_state`` plus what a feed changes besides: slips, the watcher's
+    outcome, laser noise cursors and depth rows, and the drill's measured
+    depth. The moments the drill reports come from the wrench rows. Each
+    item is ``repr``'d, so a failure names the first that differs."""
+    state = [world_state(world), getattr(feed, "measured", None)]
+    for runtime in world.arms.values():
+        state += [
+            runtime.platform.slip_offset, runtime.watched, next(runtime.laser_noise),
+            *(runtime.depth_row.column(index).tobytes() for index in (None, 0, 1, 2)),
+        ]
+    return list(map(repr, state))
+
+
+FEED_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["robot1", "robot2"]),
+    law=st.sampled_from(["press", "spring", "drill"]),
+    variant=st.sampled_from(["constant_load_spring", "offset_uncompensated", "regular_spring", "aligned_axis"]),
+    depth_source=st.sampled_from(["laser", "commanded"]),
+    sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (100.0, 3.0)]),
+    laser_sigma=st.sampled_from([0.0001, 0.0, 0.002]),
+    dt=st.sampled_from([0.01, 0.005, 0.025]),
+    slip=st.sampled_from([2e-7, 1e-5, 0.0]),
+    tilt=st.sampled_from([(0.0, 0.0), (3.0, -2.0)]),
+    gap=st.sampled_from([0.002, 0.0005, 0.0, -0.005, -0.05]),
+    target=st.sampled_from([0.08, 0.003]),
+    max_travel=st.sampled_from([0.2, 0.12, 0.003]),
+    trim=st.none() | st.sampled_from([0.0015, 0.004]),
+    pressed=st.sampled_from([0.0, 150.0]),
+    skipped=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
+    other_move=MOVE,
+    filled=st.booleans(),
+    before_max=st.none() | st.integers(0, 1500),
+    horizons=st.lists(st.integers(1, 2500), min_size=1, max_size=3),
+)
+
+
+def _feed_example(**changes):
+    case = dict(seed=7, arm="robot1", law="drill", variant="constant_load_spring", depth_source="laser",
+                sigmas=(2.0, 0.2), laser_sigma=0.0001, dt=0.01, slip=2e-7, tilt=(0.0, 0.0), gap=0.0,
+                target=0.08, max_travel=0.12, trim=None, pressed=0.0, skipped=(0, 0), other_move=None,
+                filled=False, before_max=None, horizons=[2500])
+    case.update(changes)
+    return example(**case)
+
+
+@_feed_example(variant="offset_uncompensated")  # the uncompensated drill trips the guard near 10 mm
+@_feed_example(target=0.003)  # the depth target reached inside a stretch
+@_feed_example(target=0.003, depth_source="commanded", arm="robot2", pressed=150.0)  # commanded depth
+@_feed_example(gap=-0.076, horizons=[40, 7, 300, 1100])  # the hole bottom, horizons that cut the feed
+@_feed_example(law="press", gap=0.002)  # fz contact starting mid-stretch
+@_feed_example(law="spring", gap=0.002, tilt=(3.0, -2.0), pressed=150.0)  # the nut runner's spring law
+@_feed_example(law="press", gap=0.01, max_travel=0.003)  # the feed passes its travel limit
+@_feed_example(law="press", gap=0.01, trim=0.0015)  # the reach trims the feed
+@_feed_example(skipped=(1000, 1010))  # both noise blocks end within the first stretch
+@_feed_example(sigmas=(0.0, 0.0), laser_sigma=0.0)  # no noise drawn
+@_feed_example(slip=math.nan)  # a NaN slip raises ValueError on the first tick
+@_feed_example(slip=1e-5, gap=-0.01)  # slip feeds back into the penetration
+@_feed_example(before_max=100)  # the time ceiling
+@_feed_example(other_move=ARRIVING)  # the other arm's move arrives inside the stretch
+@_feed_example(law="press", gap=0.006, other_move=ARRIVING, filled=True)  # and then the feed touches
+@_feed_example(law="press", gap=0.002, sigmas=(100.0, 3.0))  # force noise alone ends the feed
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(**FEED_CASES)
+def test_feed_stretch_in_bulk_matches_tick_by_tick(
+    seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target, max_travel, trim,
+    pressed, skipped, other_move, filled, before_max, horizons,
+):
+    # ``run`` computes a guarded feed, beside an idle or a moving arm, in bulk
+    # up to the tick before an event; ``step`` alone takes each tick through
+    # the feed's model and watcher. Both must leave every byte the same, and
+    # raise the same error.
+    start = 0 if before_max is None else round(MAX_SIM_TIME / dt) - before_max
+    case = (seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target, max_travel,
+            trim, pressed, skipped, other_move, filled, start)
+    (bulk, bulk_feed), (ticked, ticked_feed) = feed_world(*case), feed_world(*case)
+    errors = []
+    for horizon in horizons:
+        try:
+            bulk.run(horizon)
+        except ValueError as exc:
+            errors.append(repr(exc))
+        try:
+            for _ in range(horizon):
+                ticked.step()
+                if ticked.event:
+                    break
+        except ValueError as exc:
+            errors.append(repr(exc))
+        assert bulk.clock.ticks == ticked.clock.ticks
+        assert bulk.event == ticked.event
+        if errors:
+            break
+    assert errors[::2] == errors[1::2]
+    assert bool(errors) == math.isnan(slip)
+    assert feed_state(bulk, bulk_feed) == feed_state(ticked, ticked_feed)
+
+
+@pytest.mark.parametrize("scenario, mission, bound", [
+    (Scenario(), "drill", 150),
+    (Scenario(), "full", 2000),
+    (four_point(), "full", 25000),
+], ids=["drill", "full", "full_4pt"])
+def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
+    # Count the ``World.step`` calls that run the per-tick pass while a
+    # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
+    # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
+    # ``full``) while the feeds ran tick by tick, and are 107, 1,825 and
+    # 22,451 in bulk. The drill's spin-up wait and the nut runner's fitting,
+    # run-down and pulse phases, whose waits have no watcher, stay per tick,
+    # as does a feed beside the other arm's contact model.
+    per_tick, marks = [0], {}
+    step, begin, end = World.step, MissionContext.begin, MissionContext.end
+
+    def counted_step(world):
+        per_tick[0] += world.clock.ticks >= world._stretch_end
+        return step(world)
+
+    def marked_begin(ctx, step_, point, arm):
+        marks[step_, point] = per_tick[0]
+        return begin(ctx, step_, point, arm)
+
+    def marked_end(ctx, arm, **diag):
+        record = ctx._open[arm]
+        marks[record.step, record.point_index] = per_tick[0] - marks[record.step, record.point_index]
+        return end(ctx, arm, **diag)
+
+    monkeypatch.setattr(World, "step", counted_step)
+    monkeypatch.setattr(MissionContext, "begin", marked_begin)
+    monkeypatch.setattr(MissionContext, "end", marked_end)
+    report, _ = run(scenario, 7, mission)
+    assert report.success
+    fed = [r for r in report.steps if r.step in (FixationStep.DRILL_HOLE, FixationStep.TIGHTEN_NUT)]
+    assert fed
+    assert sum(marks[record.step, record.point_index] for record in fed) <= bound
