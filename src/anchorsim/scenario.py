@@ -274,6 +274,12 @@ class Scenario:
         if 0.5 * p.orientation_offset**2 <= MIN_TRIANGLE_AREA:
             reason = f"must span a laser triangle of more than {MIN_TRIANGLE_AREA!r} m^2"
             raise ScenarioInvalid("procedure.orientation_offset", reason)
+        # No hole is deeper than MAX_HOLE_DEPTH, so the nut runs at least
+        # this far down the anchor, and the socket spring must take the run.
+        shortest_run = AnchorBolt.length - MAX_HOLE_DEPTH - self.part.thickness - tools.nut_height
+        if tools.socket_spring_travel < shortest_run:
+            reason = f"must take the nut run of at least {shortest_run!r} m down an anchor in the deepest hole"
+            raise ScenarioInvalid("tools.socket_spring_travel", reason)
         if tools.socket_fit_time > p.socket_fit_timeout:
             reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"
             raise ScenarioInvalid("tools.socket_fit_time", reason)

@@ -115,9 +115,10 @@ INVALID_VALUES = [
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
 #: its timeout), a socket that slots on only after its fit timeout, a wall
 #: that puts an orientation laser point out of reach, tools or loads the
-#: payload cannot carry, blows that drive the anchor back out, and
-#: noise-free orientation laser points too close to span a triangle (each
-#: failed a step partway through the run). Their fields may repeat cases
+#: payload cannot carry, blows that drive the anchor back out,
+#: noise-free orientation laser points too close to span a triangle, and a
+#: socket spring shorter than any nut run (each failed a step partway
+#: through the run). Their fields may repeat cases
 #: above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
@@ -136,6 +137,8 @@ INVALID_REPEATS = [
     ("[robot]\nmass_drill = 14\n", "robot.payload"),
     ("[tools]\nblow_advance = -0.001\n", "tools.blow_advance"),
     ("[procedure]\norientation_offset = 0.0000447\n[sensors]\nlaser_sigma = 0\n", "procedure.orientation_offset"),
+    ("[tools]\nsocket_spring_travel = 0.001\n", "tools.socket_spring_travel"),
+    ("[tools]\nnut_height = 0.001\n", "tools.socket_spring_travel"),
 ]
 
 
