@@ -455,6 +455,19 @@ def test_horizon_driving_matches_tick_by_tick(monkeypatch, mission, holes):
     assert outputs() == by_horizon
 
 
+@pytest.mark.parametrize("mission", sorted(MISSIONS))
+def test_timestep_refinement_keeps_every_step_outcome(mission):
+    # Acceptance criterion 9 for every mission, not only ``full``: halving the
+    # tick, which moves every stretch boundary, leaves each step's outcome.
+    outcomes = []
+    for dt in (0.01, 0.005):
+        sc = Scenario(procedure=ProcedureSection(timestep=dt))
+        report, _ = run(sc, seed=NOMINAL_SEED, mission=mission)
+        outcomes.append([(r.step, r.point_index, r.status) for r in report.steps])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0]
+
+
 # --- contact model lifetime -------------------------------------------------------
 
 
