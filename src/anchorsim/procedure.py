@@ -818,7 +818,7 @@ class MissionContext:
             world.runtime(arm).guard_filter.reset()
             moments = self.moments(arm)
 
-            def moment_range():
+            def moment_range():  # the drilling ticks' true mx, widened to take in 0
                 seen = moments()
                 return {"max_mx": max(0.0, max(seen)), "min_mx": min(0.0, min(seen)), "variant": cfg.variant}
 
