@@ -13,13 +13,14 @@ only the true surface distance (the drill's touch and drilling feed, the
 nut runner's approaches). Its ticks then depend only on the arms' own state
 and noise. ``World.run`` computes such a stretch with numpy, and a feed's
 slip, surface distance, law and press force in one float loop, with the
-same operations in the same order, so the outputs are the bytes the
-per-tick pass would give. A stretch stops before the first tick that may be
-an event (an arrival, a reach trim, a guard trip, a watcher ending its wait
-or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
-per-tick pass takes that tick. Insertion, whose model reads the
-engagement, the waits with no watcher and two held arms at once stay per
-tick.
+same operations in the same order, and applies it as soon as it is planned,
+so the arms hold the bytes the per-tick pass would leave; ``World.step``
+then only ticks the clock through it. A stretch stops before the first tick
+that may be an event (an arrival, a reach trim, a guard trip, a watcher
+ending its wait or raising, a non-finite distance, the tick past
+``MAX_SIM_TIME``), and the per-tick pass takes that tick. Insertion, whose
+model reads the engagement, the waits with no watcher and two held arms at
+once stay per tick.
 """
 
 from __future__ import annotations
@@ -271,10 +272,10 @@ class ArmRuntime:
     ``bulk``, which ``MissionContext.contact`` installs with the model,
     computes the model and the watcher for a stretch of ticks at once (see
     ``World._stretch``): ``ahead(m)`` gives the true-wrench rows of the next
-    ``m`` ticks, or of fewer, up to a tick that may be an event;
-    ``watch(slips, readings)`` the ticks before the first on which the
-    watcher may end the wait or raise; and ``settle()`` leaves those ticks
-    as model and watcher would, the arm's point included. The hammer
+    ``m`` ticks, or of fewer, up to a tick that may be an event; and
+    ``watch(slips, readings)`` applies the ticks before the first on which
+    the watcher may end the wait or raise, as model and watcher would, the
+    arm's point included, and returns how many. The hammer
     (``procedure.Hammering``) holds the arm still; a guarded feed
     (``procedure.Feed``) moves it on its open-ended motion. In a stretch
     each arm is idle, on a targeted move, or holds such a model.
@@ -316,10 +317,9 @@ class World:
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
         self.event = False
-        # The planned stretch: ``step`` only ticks the clock until its last
-        # tick, whose ``_land`` applies the stretch (see ``run``).
+        # The tick count at which the applied stretch ends: ``step`` only
+        # ticks the clock up to it (see ``run``).
         self._stretch_end = 0
-        self._land: Callable[[], None] | None = None
 
         w = scenario.wall
         frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
@@ -444,18 +444,14 @@ class World:
         and none from the first arm that is halted, or whose watcher raised,
         on. Sets ``event`` for this tick.
 
-        Inside a stretch that ``run`` planned, the tick only advances the
-        clock and the ``active`` flags hold for it; its last tick applies the
-        whole stretch, so the arms read as the ticks above would leave them.
-        A stretch holds no event tick: the tick after it that may be one
-        runs the pass above.
+        Inside a stretch, which ``run`` applied when it planned it, the tick
+        only advances the clock, and the ``active`` flags hold for it. A
+        stretch holds no event tick: the tick after it that may be one runs
+        the pass above.
         """
         clock = self.clock
         if clock.ticks < self._stretch_end:
             clock.tick()
-            if clock.ticks == self._stretch_end:
-                land, self._land = self._land, None
-                land()
             return
         t = clock.tick()
         dt = clock.dt
@@ -508,20 +504,23 @@ class World:
         """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
         after the first event tick.
 
-        A stretch of ticks is computed in bulk, because in it a tick has no
-        input but the arms' own state and noise, and the executive, suspended
-        until ``run`` returns, cannot change that. In a stretch each arm is
-        idle, on a targeted move, or holds a contact model and watcher with a
-        ``bulk`` form (one arm at most: the hammer, or a guarded feed), and
-        no arm but that one has a press force. A stretch ends at the horizon,
-        at the end of a noise block, or before the first tick that may be an
-        event: an arrival, a reach trim, a guard trip, the watcher ending the
-        wait or raising (a laser read that fails and a feed past its travel
-        limit included), a non-finite surface distance, or the tick past
-        ``MAX_SIM_TIME``. The per-tick pass takes that tick.
+        A stretch of ticks is computed in bulk and applied when it is
+        planned, because in it a tick has no input but the arms' own state
+        and noise, and the executive, suspended until ``run`` returns, can
+        neither change that nor read the world before the stretch ends. In a
+        stretch each arm is idle, on a targeted move, or holds a contact
+        model and watcher with a ``bulk`` form (one arm at most: the hammer,
+        or a guarded feed), and no arm but that one has a press force. A
+        stretch ends at the horizon, at the end of a noise block, or before
+        the first tick that may be an event: an arrival, a reach trim, a
+        guard trip, the watcher ending the wait or raising (a laser read that
+        fails and a feed past its travel limit included), a non-finite
+        surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
+        pass takes that tick.
 
         A stretch is planned ``NOISE_BLOCK`` ticks at a time, and ``step`` is
-        still called once per tick. Every other tick runs the per-tick pass.
+        still called once per tick; in a stretch it only ticks the clock.
+        Every other tick runs the per-tick pass.
         """
         clock = self.clock
         end = clock.ticks + horizon
@@ -534,18 +533,19 @@ class World:
                 break
 
     def _plan(self, end: float) -> float:
-        """Plan the stretch that starts with the next tick, if one does, up to
-        tick count ``end``; return the tick count at which to plan again.
+        """Plan and apply the stretch that starts with the next tick, if one
+        does, up to tick count ``end``; return the tick count at which to
+        plan again.
 
         A stretch stops before the first tick that may be an event, and the
         per-tick pass takes that tick without planning again. The arithmetic
         is the per-tick pass's, in the same order: the arm advance in
         ``ArmState.free_path``, the slip in ``PlatformState.slips``, the
         held arm's model and watcher in its ``bulk`` (a feed's contact law
-        through ``feed_wrenches``), and for each active arm the FT readings,
-        the guard and the wrench record in ``_sense``, ``_kept`` and
-        ``_land_sensing``. The held arm may be on a feed, a motion with no
-        target, which its ``bulk`` advances.
+        through ``feed_wrenches``), and for each active arm the FT readings
+        and the guard in ``_sense``, then the guard's pushes and the wrench
+        record in ``_stretch``. The held arm may be on a feed, a motion with
+        no target, which its ``bulk`` advances.
         """
         clock = self.clock
         now = clock.ticks
@@ -596,13 +596,10 @@ class World:
         """Compute the next ``n`` ticks of the ``moving`` arms and of the arm
         ``held``, or fewer: those before the first tick that may be an event
         (an arrival, a reach trim, a guard trip, a non-finite surface
-        distance, or one on which the watcher may end the wait or raise). If
-        there are any, ``step`` ticks the clock through them and lands them
-        on the last; return how many.
-
-        Only small values outlive the call (per arm: its point, what
-        ``_kept`` keeps, and the held arm's slip and wrench rows), so that
-        tick holds no arrays while it records the stretch.
+        distance, or one on which the watcher may end the wait or raise).
+        Apply them to the arms as the per-tick pass would leave them after
+        the last, with the wrench rows recorded at their ticks; ``step`` then
+        only ticks the clock through them. Return how many.
         """
         clock = self.clock
         now, dt = clock.ticks, clock.dt
@@ -622,41 +619,33 @@ class World:
             if trip is not None:
                 n = min(n, trip[0])
         if held is not None:
-            wrench = wrenches[-1]
-            presses = np.empty(len(wrench))  # the press force that drives each tick's slip
+            pressed = wrenches[-1]
+            presses = np.empty(len(pressed))  # the press force that drives each tick's slip
             presses[0] = held.press_force
-            presses[1:] = wrench[:-1, 2]
+            presses[1:] = pressed[:-1, 2]
             slips = held.platform.slips(presses, dt)
             n = held.bulk.watch(slips[:n], sensed[-1][0])
-            if n:
-                wrenches[-1] = wrench[:n].copy()  # the rows to record; the rest is freed
-                last, slip = Wrench._make(wrench[n - 1].tolist()), float(slips[n - 1])
         if n == 0:
             return 0
-        points = [path[:, n].tolist() for path in paths]
-        landings = [
-            (runtime, self._kept(runtime, readings, sums, n), wrench)
-            for runtime, (readings, sums, trip), wrench in zip(arms, sensed, wrenches)
-        ]
-
-        def land():
-            for runtime in self.arms.values():
-                runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-            for runtime, point in zip(moving, points):
-                arm = runtime.state
-                arm.x, arm.y, arm.z, arm.motion.travelled = point
-            for runtime, kept, wrench in landings:
-                self._land_sensing(runtime, now + 1, n, kept, noisy, wrench)
-                runtime.reading, runtime.active = kept[0][-1], True
-            if held is not None:
-                held.platform.slip_offset = slip
-                held.true_wrench, held.press_force = last, max(last.fz, 0.0)
-                held.bulk.settle()
-
-        self.event = False
         for runtime in self.arms.values():
-            runtime.active = any(runtime is arm for arm in arms)
-        self._stretch_end, self._land = now + n, land
+            runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
+        for runtime, path in zip(moving, paths):
+            arm = runtime.state
+            arm.x, arm.y, arm.z, arm.motion.travelled = path[:, n].tolist()
+        for runtime, (readings, sums, _), wrench in zip(arms, sensed, wrenches):
+            guard = runtime.guard_filter
+            pushed = list(map(Wrench._make, readings[max(0, n - guard.window) : n].tolist()))
+            guard.extend(pushed, tuple(sums[n - 1].tolist()))
+            if noisy:
+                runtime.ft_noise.skip(n)
+            self.recorder.record_rows(runtime.wrench_row, range(now + 1, now + n + 1), dt, wrench)
+            runtime.reading, runtime.active = pushed[-1], True
+        if held is not None:
+            held.platform.slip_offset = float(slips[n - 1])
+            held.true_wrench = last = Wrench._make(pressed[n - 1].tolist())
+            held.press_force = max(last.fz, 0.0)
+        self.event = False
+        self._stretch_end = now + n
         return n
 
     def _sense(self, runtime: ArmRuntime, count: int, noisy: bool, wrench: np.ndarray | None = None):
@@ -667,7 +656,7 @@ class World:
 
         The noise is the first rows of ``ft_noise.ahead()``, and the sums
         come from ``GuardFilter.averages``; nothing is pushed or handed out
-        until ``_land_sensing``.
+        until ``_stretch`` applies the ticks it keeps.
         """
         sensors = self.scenario.sensors
         if noisy:
@@ -678,24 +667,6 @@ class World:
             readings = np.zeros((count, 6)) if wrench is None else wrench
         filtered, sums = runtime.guard_filter.averages(readings)
         return readings, sums, first_overload(filtered, sensors)
-
-    @staticmethod
-    def _kept(runtime: ArmRuntime, readings: np.ndarray, sums: np.ndarray, count: int):
-        """What pushing the first ``count`` readings leaves in the guard, as
-        small values: its last rows (the last reading is the arm's) and its
-        sums."""
-        window = runtime.guard_filter.window
-        rows = list(map(Wrench._make, readings[max(0, count - window) : count].tolist()))
-        return rows, tuple(sums[count - 1].tolist())
-
-    def _land_sensing(self, runtime: ArmRuntime, first: int, count: int, kept, noisy: bool, wrench=None):
-        """Apply ``count`` sensed ticks from tick count ``first`` on: push the
-        readings to the guard (``kept``), hand out their noise rows and
-        record the true-wrench rows (None: all ``+0.0``)."""
-        runtime.guard_filter.extend(*kept)
-        if noisy:
-            runtime.ft_noise.skip(count)
-        self.recorder.record_rows(runtime.wrench_row, range(first, first + count), self.clock.dt, wrench)
 
     def feed_wrenches(self, arm_name: str, points, law: Callable[[float], tuple[float, float]]) -> np.ndarray:
         """The true wrench of each tick of a stretch in which the arm's
@@ -738,16 +709,17 @@ class World:
         distances -= 0.5
         return distances
 
-    def record_depths(self, arm_name: str, rows: np.ndarray, lasered: bool = True):
-        """``record_depthset`` on each of the last ``len(rows)`` ticks, from the
-        ``(laser depth, commanded depth, slip)`` rows ``rows``. If
-        ``lasered``, ``laser_distances`` read one laser range per row, and
+    def record_depths(self, arm_name: str, laser_depths, commanded_depths, slips, lasered: bool = True):
+        """``record_depthset`` on each of the next ``len(slips)`` ticks, from
+        arrays of the laser depth, the commanded depth and the slip. If
+        ``lasered``, ``laser_distances`` read one laser range per tick, and
         their laser noise is handed out."""
         runtime = self.arms[arm_name]
-        n, ticks = len(rows), self.clock.ticks
+        n, ticks = len(slips), self.clock.ticks
         if lasered and self.scenario.sensors.laser_sigma > 0.0:
             runtime.laser_noise.skip(n)
-        self.recorder.record_rows(runtime.depth_row, range(ticks - n + 1, ticks + 1), self.clock.dt, rows)
+        rows = np.column_stack((laser_depths, commanded_depths, slips))
+        self.recorder.record_rows(runtime.depth_row, range(ticks + 1, ticks + n + 1), self.clock.dt, rows)
 
     def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
         runtime = self.arms[arm_name]

@@ -240,10 +240,11 @@ class Hammering:
     which hammering starts.
 
     ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
-    watcher) take one tick. ``ahead``, ``watch`` and ``settle`` take a
-    stretch of ticks at once for ``World._plan``, with the same arithmetic in
-    the same order, so they leave the same bytes. Both strike each blow
-    through ``strike`` and place the arm through ``point``.
+    watcher) take one tick. ``ahead`` and ``watch`` take a stretch of ticks
+    at once for ``World._plan``, and ``watch`` applies the ticks it keeps,
+    with the same arithmetic in the same order, so they leave the same bytes.
+    Both strike each blow through ``strike`` and place the arm through
+    ``point``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -262,7 +263,7 @@ class Hammering:
         self.interval = 1.0 / self.tools.blow_rate
         self.elapsed = 0.0  # seconds of hammering, one tick added at a time
         self.blows = Blows(next_due=self.interval, depth=anchor.depth)
-        self._stretch = None  # what ``ahead`` and ``watch`` computed for ``settle``
+        self._stretch = None  # what ``ahead`` computed for ``watch``
 
     def strike(self, blows: Blows) -> Blows:
         """The blows after the one that is due."""
@@ -343,36 +344,28 @@ class Hammering:
         return wrench[:m]
 
     def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks of the stretch ``bottomed`` takes before the first
-        on which it may end the wait or raise: the moment reading reaches
-        the hammering end moment, or the laser read fails. ``slips`` and
-        ``readings`` hold the slip and the FT reading after each tick to
-        watch; the depth rows of the ticks before it are kept."""
-        elapsed, depths, struck = self._stretch
+        """Apply the ticks of the stretch before the first on which
+        ``bottomed`` may end the wait or raise (the moment reading reaches
+        the hammering end moment, or the laser read fails) as
+        ``hammer_model`` and ``bottomed`` would, and return how many.
+        ``slips`` and ``readings`` hold the slip and the FT reading after
+        each tick to watch."""
+        (elapsed, depths, struck), self._stretch = self._stretch, None
         m = len(slips)
         x, y, z = self.point(depths[:m], slips)
         distances = self.world.laser_distances(self.arm, (x, y, z), slips)
         ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
         n = min(len(distances), int(ends[0]) if ends.size else m)
-        rows = np.empty((n, 3))
-        rows[:, 0] = self.measured(distances[:n])
-        rows[:, 1] = self.commanded(x[:n], y[:n], z[:n])
-        rows[:, 2] = slips[:n]
-        point = (float(x[n - 1]), float(y[n - 1]), float(z[n - 1])) if n else None
-        self._stretch = float(elapsed[n]), [blows for k, blows in struck if k < n], rows, point
-        return n
-
-    def settle(self):
-        """Leave the ticks ``watch`` counted as ``hammer_model`` and
-        ``bottomed`` would: the blows and the clock that times them, the
-        commanded point, the laser reads and the depth rows."""
-        self.elapsed, struck, rows, point = self._stretch
-        self._stretch = None
+        if n == 0:
+            return 0
+        self.world.record_depths(self.arm, self.measured(distances[:n]), self.commanded(x[:n], y[:n], z[:n]), slips[:n])
+        self.elapsed = float(elapsed[n])
+        struck = [blows for k, blows in struck if k < n]
         if struck:
             self.blows = struck[-1]
             self.anchor.depth = self.blows.depth
-        self.state.x, self.state.y, self.state.z = point
-        self.world.record_depths(self.arm, rows)
+        self.state.x, self.state.y, self.state.z = float(x[n - 1]), float(y[n - 1]), float(z[n - 1])
+        return n
 
 
 # --- guarded feeds -------------------------------------------------------------------
@@ -385,8 +378,9 @@ class Feed:
     tick and ``stops`` in bulk.
 
     ``model`` (the arm's contact model) and ``stop`` take one tick.
-    ``ahead``, ``watch`` and ``settle`` take a stretch of ticks at once for
-    ``World._plan``, with the same arithmetic in the same order: the path
+    ``ahead`` and ``watch`` take a stretch of ticks at once for
+    ``World._plan``, and ``watch`` applies the ticks it keeps, with the same
+    arithmetic in the same order: the path
     from ``ArmState.free_path``, the one sequential part (slip, surface
     distance, law, press force) from ``World.feed_wrenches``, and the rest
     with numpy.
@@ -397,7 +391,7 @@ class Feed:
         self.arm, self.runtime = arm, self.world.runtime(arm)
         self.state = self.runtime.state
         self.law, self.max_travel = law, max_travel
-        self._stretch = None  # the path ``ahead`` computed, then the point ``watch`` keeps
+        self._stretch = None  # the path ``ahead`` computed for ``watch``
 
     def model(self) -> Wrench:
         fz, mx = self.law(self.world.surface_distance(self.arm))
@@ -406,36 +400,34 @@ class Feed:
     def ahead(self, m: int) -> np.ndarray:
         """The true wrench ``model`` returns on each of the next ``m`` ticks
         of the feed, as an ``(m, 6)`` array, or on fewer: up to a reach trim
-        or a non-finite surface distance."""
+        or a non-finite surface distance; none once the feed has stopped,
+        as its watcher then raises on the next tick."""
+        if self.state.motion is None:
+            return np.empty((0, 6))
         path, _ = self.state.free_path(m, self.world.dt)
         self._stretch = path
         return self.world.feed_wrenches(self.arm, path[:3, 1:].tolist(), self.law)
 
     def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks of the stretch the feed's watcher takes before the
-        first on which it may end the wait or raise: ``stops`` may be true,
-        or the feed has travelled more than ``max_travel``. ``slips`` and
-        ``readings`` hold the slip and the FT reading after each tick."""
-        path = self._stretch
+        """Apply the ticks of the stretch before the first on which the
+        feed's watcher may end the wait or raise (``stops`` may be true, or
+        the feed has travelled more than ``max_travel``) as ``model`` and
+        the watcher would, and return how many. ``slips`` and ``readings``
+        hold the slip and the FT reading after each tick."""
+        path, self._stretch = self._stretch, None
         m = len(slips)
         over = np.flatnonzero(path[3, 1 : m + 1] > self.max_travel)
         m = int(over[0]) if over.size else m
         n = self.stops(path[:3, 1 : m + 1], slips[:m], readings[:m])
-        self._stretch = path[:, n].tolist()
+        state = self.state
+        state.x, state.y, state.z, state.motion.travelled = path[:, n].tolist()
         return n
 
     def stops(self, points: np.ndarray, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks of the stretch come before the first on which
         ``stop`` may be true or raise, from the commanded point, slip and FT
-        reading after each tick; what those ticks record is kept."""
+        reading after each tick, and record what those ticks record."""
         raise NotImplementedError
-
-    def settle(self):
-        """Leave the ticks ``watch`` counted as ``model`` and the watcher
-        would: the commanded point and the distance travelled."""
-        state = self.state
-        state.x, state.y, state.z, state.motion.travelled = self._stretch
-        self._stretch = None
 
 
 class Pressing(Feed):
@@ -473,7 +465,6 @@ class Drilling(Feed):
         self.laser_zero, self.target = laser_zero, p.drill_depth_target
         self.use_laser = p.depth_source == "laser"
         self.measured = 0.0
-        self._rows = None  # the depth rows ``stops`` kept for ``settle``
 
     def stop(self) -> bool:
         state, world = self.state, self.world
@@ -490,16 +481,10 @@ class Drilling(Feed):
             measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips)
         ends = np.flatnonzero(measured >= self.target)
         n = int(ends[0]) if ends.size else len(measured)
-        rows = self._rows = np.empty((n, 3))
-        rows[:, 0], rows[:, 1], rows[:, 2] = measured[:n], commanded[:n], slips[:n]
+        if n:
+            self.measured = float(measured[n - 1])
+            self.world.record_depths(self.arm, measured[:n], commanded[:n], slips[:n], lasered=self.use_laser)
         return n
-
-    def settle(self):
-        """Also record the depth rows, and hand out their laser noise."""
-        super().settle()
-        rows, self._rows = self._rows, None
-        self.measured = float(rows[-1, 0])
-        self.world.record_depths(self.arm, rows, lasered=self.use_laser)
 
 
 # --- the executive ---------------------------------------------------------------
