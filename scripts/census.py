@@ -66,6 +66,15 @@ FEED_CASES = {
     "nut-default": (None, "nut"),
     "nut-noise-free": (NOISE_FREE, "nut"),
 }
+#: Fast moves, many of whose free stretches last only a few ticks before an
+#: arrival, and hammering under a raised laser noise, whose stretches read
+#: the laser noise on across the ends of blocks.
+FAST = "gross_speed = 6.0\nretract_speed = 3.0\n"
+SHORT_STRETCH_CASES = {
+    "full-fast-moves": ("[robot]\n" + FAST, "full", range(5)),
+    "full_4pt-fast-moves": (FULL_4PT.replace("[robot]\n", "[robot]\n" + FAST), "full", range(5)),
+    "hammer-laser-noise": ("[sensors]\nlaser_sigma = 0.002\n", "hammer", range(3)),
+}
 #: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
@@ -98,6 +107,9 @@ def cases(slice_: str):
         for seed in range(10):
             if slice_ == "all" or (name, seed) == ("full_4pt-noise-free", 7):
                 yield f"{name}/{seed}", text, "full", seed
+    for name, (text, mission, seeds) in SHORT_STRETCH_CASES.items():
+        for seed in seeds if slice_ == "all" else seeds[:1]:
+            yield f"{name}/{seed}", text, mission, seed
 
 
 def short_hole(scenario, seed):

@@ -15,12 +15,14 @@ and noise. ``World.run`` computes such a stretch with numpy, and a feed's
 slip, surface distance, law and press force in one float loop, with the
 same operations in the same order, and applies it as soon as it is planned,
 so the arms hold the bytes the per-tick pass would leave; ``World.step``
-then only ticks the clock through it. A stretch stops before the first tick
-that may be an event (an arrival, a reach trim, a guard trip, a watcher
-ending its wait or raising, a non-finite distance, the tick past
-``MAX_SIM_TIME``), and the per-tick pass takes that tick. Insertion, whose
-model reads the engagement, the waits with no watcher and two held arms at
-once stay per tick.
+then only ticks the clock through it. A stretch ends at the horizon, after
+``NOISE_BLOCK`` ticks, or before the first tick that may be an event (an
+arrival, a reach trim, a guard trip, a watcher ending its wait or raising, a
+non-finite distance, the tick past ``MAX_SIM_TIME``), and the per-tick pass
+takes that tick. Contact models with no bulk form (insertion, whose model
+reads the engagement, and the nut runner's fitting and pulse phases), the
+waits with no watcher (the drill's spin-up, the nut run-down) and two held
+arms at once stay per tick.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
 #: Ceiling on simulated time; the executive's tick loop fails the open step
 #: with ``SimTimeExceeded`` once it is passed.
 MAX_SIM_TIME = 7200.0
-
-#: Fewest ticks up to an event or the horizon that ``World.run`` computes in
-#: bulk; fewer run tick by tick, which costs less than setting up the arrays.
-MIN_STRETCH = 32
 
 
 @dataclass
@@ -511,16 +509,15 @@ class World:
         stretch each arm is idle, on a targeted move, or holds a contact
         model and watcher with a ``bulk`` form (one arm at most: the hammer,
         or a guarded feed), and no arm but that one has a press force. A
-        stretch ends at the horizon, at the end of a noise block, or before
-        the first tick that may be an event: an arrival, a reach trim, a
-        guard trip, the watcher ending the wait or raising (a laser read that
-        fails and a feed past its travel limit included), a non-finite
+        stretch ends only at the horizon, after ``NOISE_BLOCK`` ticks, or
+        before the first tick that may be an event: an arrival, a reach trim,
+        a guard trip, the watcher ending the wait or raising (a laser read
+        that fails and a feed past its travel limit included), a non-finite
         surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
         pass takes that tick.
 
-        A stretch is planned ``NOISE_BLOCK`` ticks at a time, and ``step`` is
-        still called once per tick; in a stretch it only ticks the clock.
-        Every other tick runs the per-tick pass.
+        ``step`` is still called once per tick; in a stretch it only ticks
+        the clock. Every other tick runs the per-tick pass.
         """
         clock = self.clock
         end = clock.ticks + horizon
@@ -534,8 +531,8 @@ class World:
 
     def _plan(self, end: float) -> float:
         """Plan and apply the stretch that starts with the next tick, if one
-        does, up to tick count ``end``; return the tick count at which to
-        plan again.
+        does, up to tick count ``end`` and ``NOISE_BLOCK`` ticks at most;
+        return the tick count at which to plan again.
 
         A stretch stops before the first tick that may be an event, and the
         per-tick pass takes that tick without planning again. The arithmetic
@@ -566,29 +563,12 @@ class World:
         if held is not None and any(runtime.state.halted for runtime in runtimes):
             return math.inf  # the watchers stop at a halted arm
         moving = [runtime for runtime in runtimes if runtime.state.motion is not None and runtime is not held]
-        active = moving if held is None else moving + [held]
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
-        dt = clock.dt
-        left = end - now
-        planned = n = NOISE_BLOCK if left >= NOISE_BLOCK else math.ceil(left)
-        for runtime in moving:
-            arm = runtime.state
-            ticks = math.dist((arm.x, arm.y, arm.z), arm.motion.target) / (arm.motion.speed * dt)
-            if ticks < n:
-                n = int(ticks) + 2  # the move arrives on or before this tick
-        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * dt > MAX_SIM_TIME)
+        planned = n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
+        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * clock.dt > MAX_SIM_TIME)
         if late.size:
             n = int(late[0])
-        if n < MIN_STRETCH:
-            return now + max(n, 1)
-        # The end of a noise block splits a stretch; it is not an event.
-        blocks = [runtime.ft_noise for runtime in active] if noisy else []
-        if held is not None and sensors.laser_sigma > 0.0:
-            blocks.append(held.laser_noise)
-        for block in blocks:
-            rows = len(block.ahead())
-            n, planned = min(n, rows), min(planned, rows)
         n = self._stretch(moving, held, n, noisy)
         return now + n + (n < planned)  # a stretch cut short stops before a tick that may be an event
 
@@ -654,14 +634,14 @@ class World:
         (None: ``ZERO_WRENCH`` on every tick), with the guard's sums after
         each push and its first trip: ``(readings, sums, trip)``.
 
-        The noise is the first rows of ``ft_noise.ahead()``, and the sums
-        come from ``GuardFilter.averages``; nothing is pushed or handed out
-        until ``_stretch`` applies the ticks it keeps.
+        The noise is ``ft_noise.ahead(count)``, which draws as many blocks
+        as it needs, and the sums come from ``GuardFilter.averages``; nothing
+        is pushed or handed out until ``_stretch`` applies the ticks it keeps.
         """
         sensors = self.scenario.sensors
         if noisy:
             sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
-            readings = runtime.ft_noise.ahead()[:count] * sigmas
+            readings = runtime.ft_noise.ahead(count) * sigmas
             readings += 0.0 if wrench is None else wrench  # the reading is ``true + sigma * noise``
         else:
             readings = np.zeros((count, 6)) if wrench is None else wrench

@@ -6,8 +6,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
-from operator import length_hint
+from functools import partial
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -37,58 +37,51 @@ ZERO_WRENCH = Wrench()
 NOISE_BLOCK = 1024
 
 
-class NormalBlocks(chain):
+class NormalBlocks:
     """Standard normals from the numpy Generator ``rng``, drawn ``shape`` at a
     time and handed out one row per ``next`` (one float for a 1-D shape).
 
     A block takes the same bits from the stream as the same number of single
     draws, so a stream with no other reader yields exactly the values that
     ``standard_normal(row)`` calls would. Nothing is drawn before the first
-    read. ``next`` stays the C-level ``chain`` iterator over a list of the
-    current block's rows; ``ahead`` and ``skip`` read the same block as an
-    array, at the same cursor, for a caller that takes many rows at once. A
-    block is listed only when ``next`` reads it, from its cursor on, so rows
-    taken in bulk are never listed.
+    read. ``ahead`` and ``skip`` read the same rows as an array, at the same
+    cursor, for a caller that takes many rows at once. ``next`` lists the
+    held rows from its cursor on when it first reads them, so rows taken in
+    bulk are not listed.
     """
 
-    def __new__(cls, rng, shape):
-        # The current block, the iterator over its listed rows (None while
-        # none are), and the row the list starts at.
-        held = [np.empty(0), None, 0]
+    def __init__(self, rng, shape):
+        self._draw = partial(rng.standard_normal, shape)
+        self._rows = np.empty((0, *np.atleast_1d(shape)[1:]))  # the held rows
+        self._cursor = 0  # the next held row to hand out
+        self._listed = []  # the held rows as a list, once ``next`` lists them
 
-        def draw():
-            held[0] = None  # free the spent block first: its memory then takes the next
-            return rng.standard_normal(shape)
+    def __next__(self):
+        cursor = self._cursor
+        try:
+            row = self._listed[cursor]
+        except IndexError:  # the held rows are all handed out, or not listed
+            self.ahead(1)
+            self._rows, self._cursor = self._rows[self._cursor :], 0  # list from the cursor on
+            self._listed = self._rows.tolist()
+            row, cursor = self._listed[0], 0
+        self._cursor = cursor + 1
+        return row
 
-        def listed():  # ``chain`` asks for it once the listed rows are spent
-            if held[1] is not None or held[2] == len(held[0]):
-                held[:] = draw(), None, 0
-            held[1] = iter(held[0][held[2] :].tolist())
-            return held[1]
-
-        blocks = cls.from_iterable(iter(listed, None))
-        blocks._held, blocks._draw = held, draw
-        return blocks
-
-    def ahead(self) -> np.ndarray:
-        """The current block's rows that have not been handed out yet (a
-        view), after drawing the next block if none are left."""
-        held = self._held
-        block, rows, start = held
-        cursor = start if rows is None else len(block) - length_hint(rows)
-        if cursor < len(block):
-            return block[cursor:]
-        del block  # so that ``draw`` frees the spent block
-        held[:] = self._draw(), None, 0
-        return held[0]
+    def ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` rows, drawing blocks while fewer are held;
+        nothing is handed out."""
+        if len(self._rows) - self._cursor < count:
+            rows = [self._rows[self._cursor :].copy()]
+            self._rows = self._listed = None  # free the spent rows before drawing
+            while sum(map(len, rows)) < count:
+                rows.append(self._draw())
+            self._rows, self._cursor, self._listed = np.concatenate(rows), 0, []
+        return self._rows[self._cursor : self._cursor + count]
 
     def skip(self, count: int):
-        """Hand out the first ``count`` rows of ``ahead()`` without returning them."""
-        block, rows, start = held = self._held
-        if rows is None:
-            held[2] = start + count
-        else:
-            rows.__setstate__(len(block) - start - length_hint(rows) + count)
+        """Hand out the first ``count`` rows of those ``ahead`` returned."""
+        self._cursor += count
 
 
 def read_ft(true_wrench: Wrench, sensors: SensorsSection, noise: Iterator) -> Wrench:
@@ -244,8 +237,8 @@ def read_laser(
 def read_lasers(origins, direction: Point3, worksite: Worksite, noise: NormalBlocks, sigma: float) -> np.ndarray:
     """``read_laser`` from each point of ``origins``, three ``(m,)`` arrays of
     x, y and z, up to the first read that would raise, which only
-    ``read_laser`` may take. The noise is the first rows of ``noise.ahead()``;
-    the caller hands them out with ``skip`` once it keeps the reads."""
+    ``read_laser`` may take. The noise is ``noise.ahead(m)`` for ``m``
+    reads; the caller hands it out with ``skip`` once it keeps the reads."""
     finite = np.isfinite(origins[0]) & np.isfinite(origins[1]) & np.isfinite(origins[2])
     ox, oy, oz = (a[: len(finite) if finite.all() else int(finite.argmin())] for a in origins)
     wall = worksite.wall
@@ -255,7 +248,7 @@ def read_lasers(origins, direction: Point3, worksite: Worksite, noise: NormalBlo
     hits = (t > 0) & wall.contains_lateral(ox + dx * t, oy + dy * t, oz + dz * t)
     t = t[: len(hits) if hits.all() else int(hits.argmin())]
     if sigma > 0.0:
-        t += 0.0 + sigma * noise.ahead()[: len(t)]
+        t += 0.0 + sigma * noise.ahead(len(t))
     return t
 
 

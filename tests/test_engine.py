@@ -14,7 +14,7 @@ from anchorsim.geometry import Point3
 from anchorsim.procedure import Drilling, FixationStep, Hammering, MissionContext, Pressing
 from anchorsim.robot import Motion
 from anchorsim.scenario import Scenario
-from anchorsim.sensors import ZERO_WRENCH, Wrench
+from anchorsim.sensors import NOISE_BLOCK, ZERO_WRENCH, Wrench
 from anchorsim.worksite import AnchorBolt, AnchorState, DrilledHole, wall_frame_from_angles
 
 
@@ -444,6 +444,46 @@ def test_free_stretch_in_bulk_matches_tick_by_tick(
         assert world_state(bulk) == world_state(ticked)
 
 
+def counted_stretches(monkeypatch) -> list[int]:
+    """The length of each stretch ``World._stretch`` applies from now on."""
+    lengths, stretch = [], World._stretch
+
+    def counted(world, *args):
+        lengths.append(stretch(world, *args))
+        return lengths[-1]
+
+    monkeypatch.setattr(World, "_stretch", counted)
+    return lengths
+
+
+def test_a_noisy_free_move_runs_in_one_stretch_per_noise_block(monkeypatch):
+    # Both FT cursors start 1,000 rows into a block. The stretches read the
+    # noise on across the ends of blocks, so only their ``NOISE_BLOCK`` ticks
+    # cut the move short of its arrival.
+    moves = ({"offset": (0.2, -0.1, 0.05), "speed": 0.01, "overreach": False},
+             {"offset": (-0.1, 0.2, 0.0), "speed": 0.009, "overreach": False})
+    world = free_world(7, moves, (2.0, 0.2), 1000.0, (0, 0), (1000, 1000), 0)
+    lengths = counted_stretches(monkeypatch)
+    world.run(math.inf)
+    arrival = world.clock.ticks
+    assert world.arm("robot1").motion is None and world.arm("robot2").motion is not None
+    assert arrival > 2 * NOISE_BLOCK
+    assert len(lengths) == math.ceil((arrival - 1) / NOISE_BLOCK) and sum(lengths) == arrival - 1
+
+
+def test_a_stretch_ends_at_the_horizon_or_before_an_event_however_short(monkeypatch):
+    lengths = counted_stretches(monkeypatch)
+    far = {"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False}
+    world = free_world(7, (far, None), (2.0, 0.2), 1000.0, (0, 0), (0, 0), 0)
+    world.run(7)
+    assert lengths == [7] and world.clock.ticks == 7
+    lengths.clear()
+    near = {"offset": (0.0195, 0.0, 0.0), "speed": 0.1, "overreach": False}  # arrives on tick 20
+    world = free_world(7, (near, None), (2.0, 0.2), 1000.0, (0, 0), (0, 0), 0)
+    world.run(math.inf)
+    assert lengths == [19] and world.clock.ticks == 20 and world.arm("robot1").motion is None
+
+
 # --- hammer stretches ----------------------------------------------------------------
 
 
@@ -589,7 +629,7 @@ def test_hammer_phase_runs_in_bulk(monkeypatch, scenario, mission, blows, bound)
     # that may end the wait, also while the other arm moves. At seed 7, the
     # ``hammer`` mission read it 11,502 times tick by tick. The four-point
     # ``full`` mission read it 1,260 times when a hammer beside a free move
-    # ran tick by tick (527 of them at point 1), and reads it 743 times in
+    # ran tick by tick (527 of them at point 1), and reads it 737 times in
     # bulk: 727 of them at point 2, beside the nut runner's contact model,
     # which has no bulk form.
     reads, marks = {"robot1": 0, "robot2": 0}, {}
@@ -786,10 +826,11 @@ def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
     # Count the ``World.step`` calls that run the per-tick pass while a
     # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
     # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
-    # ``full``) while the feeds ran tick by tick, and are 107, 1,825 and
-    # 22,451 in bulk. The drill's spin-up wait and the nut runner's fitting,
-    # run-down and pulse phases, whose waits have no watcher, stay per tick,
-    # as does a feed beside the other arm's contact model.
+    # ``full``) while the feeds ran tick by tick, and are 107, 1,805 and
+    # 22,363 in bulk. The drill's spin-up and the nut runner's run-down,
+    # whose waits have no watcher, stay per tick; so do the nut runner's
+    # fitting and pulse phases, whose contact models have no bulk form, and
+    # a feed beside the other arm's contact model.
     per_tick, marks = [0], {}
     step, begin, end = World.step, MissionContext.begin, MissionContext.end
 

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-from operator import length_hint
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorsim.errors import NoReturn
 from anchorsim.geometry import Point3
@@ -84,33 +84,41 @@ def test_block_drawn_ft_noise_matches_single_draws_bit_for_bit():
     assert [next(rows) for _ in range(9)] == [reference.standard_normal(6).tolist() for _ in range(9)]
 
 
-def test_rows_taken_in_bulk_continue_the_stream():
-    # ``ahead`` and ``skip`` read the block ``next`` reads, at its cursor and
-    # across refills, so mixed reads hand out the single-draw sequence.
-    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
-    reference = np.random.default_rng(12).standard_normal((12, 6)).tolist()
-    taken = [next(rows)]
-    for count in (3, 2, 0, 1):
-        ahead = rows.ahead()
-        taken += ahead[:count].tolist()
-        rows.skip(count)
-        taken.append(next(rows))
-    assert len(ahead) == 3 and taken == reference[:11]
+#: One read of a ``NormalBlocks`` of blocks of 4 rows: ``("next", 0, 0)``,
+#: or ``("ahead", count, k)``, which reads ``ahead(count)`` and hands out
+#: its first ``k % (count + 1)`` rows with ``skip``.
+READ = st.tuples(st.just("next"), st.just(0), st.just(0)) | st.tuples(
+    st.just("ahead"), st.integers(0, 11), st.integers(0, 11)
+)
 
 
-def test_rows_taken_in_bulk_are_not_listed():
-    # A block drawn for a bulk read is listed only when ``next`` reads it,
-    # and only from its cursor on.
-    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
-    reference = np.random.default_rng(12).standard_normal((12, 6)).tolist()
-    taken = []
-    for count in (4, 4, 1):
-        ahead = rows.ahead()
-        taken += ahead[:count].tolist()
-        rows.skip(count)
-    assert rows._held[1] is None
-    taken.append(next(rows))
-    assert length_hint(rows._held[1]) == 2 and taken == reference[:10]
+@example(shape=(4, 6), reads=[("next", 0, 0), ("ahead", 3, 2), ("ahead", 2, 2), ("ahead", 0, 0), ("next", 0, 0)])
+@example(shape=(4, 6), reads=[("ahead", 4, 4), ("ahead", 4, 4), ("ahead", 1, 1), ("next", 0, 0)])
+@example(shape=4, reads=[("ahead", 11, 6), ("next", 0, 0), ("ahead", 9, 9), ("next", 0, 0)])
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(shape=st.sampled_from([(4, 6), 4]), reads=st.lists(READ, max_size=12))
+def test_any_mix_of_reads_hands_out_the_single_draws(shape, reads):
+    # ``next``, ``ahead`` and ``skip`` read one cursor, across blocks, so any
+    # mix of them hands out the rows of one ``standard_normal(row)`` call
+    # each. A row is listed only once ``next`` reads it, and only with the
+    # rows after it: one taken only through ``ahead`` and ``skip`` never is.
+    row = (6,) if shape == (4, 6) else ()
+    single = np.random.default_rng(12)
+    expected = [single.standard_normal(row) for _ in range(150)]
+    rows, handed, by_next = NormalBlocks(np.random.default_rng(12), shape), 0, set()
+    for kind, count, k in reads:
+        if kind == "next":
+            assert next(rows) == expected[handed].tolist()
+            by_next.add(handed)
+            handed += 1
+        else:
+            ahead = rows.ahead(count)
+            assert ahead.shape == (count, *row)
+            assert ahead.tobytes() == np.array(expected[handed : handed + count]).tobytes()
+            rows.skip(k % (count + 1))
+            handed += k % (count + 1)
+        # The first listed row, counted from the start of the stream.
+        assert not rows._listed or handed - rows._cursor in by_next
 
 
 def test_zero_sigmas_draw_nothing():
