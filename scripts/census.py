@@ -75,6 +75,12 @@ SHORT_STRETCH_CASES = {
     "full_4pt-fast-moves": (FULL_4PT.replace("[robot]\n", "[robot]\n" + FAST), "full", range(5)),
     "hammer-laser-noise": ("[sensors]\nlaser_sigma = 0.002\n", "hammer", range(3)),
 }
+#: The four-point scenario with the commanded depth feedback and with a
+#: finer tick: in the parallel phase both arms hold a guarded feed at once.
+TWO_FEED_CASES = {
+    "full_4pt-commanded": (FULL_4PT + "[procedure]\ndepth_source = commanded\n", "full", range(5)),
+    "full_4pt-fine-tick": (FULL_4PT + "[procedure]\ntimestep = 0.005\n", "full", range(5)),
+}
 #: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
@@ -107,7 +113,7 @@ def cases(slice_: str):
         for seed in range(10):
             if slice_ == "all" or (name, seed) == ("full_4pt-noise-free", 7):
                 yield f"{name}/{seed}", text, "full", seed
-    for name, (text, mission, seeds) in SHORT_STRETCH_CASES.items():
+    for name, (text, mission, seeds) in {**SHORT_STRETCH_CASES, **TWO_FEED_CASES}.items():
         for seed in seeds if slice_ == "all" else seeds[:1]:
             yield f"{name}/{seed}", text, mission, seed
 
