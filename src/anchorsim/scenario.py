@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ScenarioInvalid
 from .geometry import MIN_TRIANGLE_AREA, Point3
-from .tools import DrillVariant
+from .tools import BOTTOM_CONTACT_BAND, DrillVariant
 from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_from_angles
 
 #: Decimal places of the time stamps in exported traces. ``procedure.timestep``
@@ -274,11 +274,13 @@ class Scenario:
         if 0.5 * p.orientation_offset**2 <= MIN_TRIANGLE_AREA:
             reason = f"must span a laser triangle of more than {MIN_TRIANGLE_AREA!r} m^2"
             raise ScenarioInvalid("procedure.orientation_offset", reason)
-        # No hole is deeper than MAX_HOLE_DEPTH, so the nut runs at least
-        # this far down the anchor, and the socket spring must take the run.
-        shortest_run = AnchorBolt.length - MAX_HOLE_DEPTH - self.part.thickness - tools.nut_height
-        if tools.socket_spring_travel < shortest_run:
-            reason = f"must take the nut run of at least {shortest_run!r} m down an anchor in the deepest hole"
+        # Hammering stops only inside BOTTOM_CONTACT_BAND of the bottom, and
+        # ``nut-test`` seats the anchor that far short of it, so in the
+        # deepest hole the nut runs this far down it; the spring must take it.
+        seat = MAX_HOLE_DEPTH - BOTTOM_CONTACT_BAND
+        nut_run = AnchorBolt.length - seat - self.part.thickness - tools.nut_height
+        if tools.socket_spring_travel < nut_run:
+            reason = f"must take the nut run of {nut_run!r} m down an anchor seated {seat!r} m deep"
             raise ScenarioInvalid("tools.socket_spring_travel", reason)
         if tools.socket_fit_time > p.socket_fit_timeout:
             reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"

@@ -117,9 +117,9 @@ INVALID_VALUES = [
 #: that puts an orientation laser point out of reach, tools or loads the
 #: payload cannot carry, blows that drive the anchor back out,
 #: noise-free orientation laser points too close to span a triangle, and a
-#: socket spring shorter than any nut run (each failed a step partway
-#: through the run). Their fields may repeat cases
-#: above, so their ids are their text.
+#: socket spring shorter than the nut run in the deepest hole (each failed a
+#: step partway through the run). Their fields may repeat cases above, so
+#: their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -139,6 +139,7 @@ INVALID_REPEATS = [
     ("[procedure]\norientation_offset = 0.0000447\n[sensors]\nlaser_sigma = 0\n", "procedure.orientation_offset"),
     ("[tools]\nsocket_spring_travel = 0.001\n", "tools.socket_spring_travel"),
     ("[tools]\nnut_height = 0.001\n", "tools.socket_spring_travel"),
+    ("[tools]\nnut_height = 0.005\n", "tools.socket_spring_travel"),
 ]
 
 
