@@ -7,22 +7,22 @@ watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
 
 A stretch of ticks is computed in bulk when each arm is idle, on a
-targeted move, or holds a contact model and watcher with a ``bulk`` form
-(one arm at most): the hammer, or a guarded feed whose contact law reads
-only the true surface distance (the drill's touch and drilling feed, the
-nut runner's approaches). Its ticks then depend only on the arms' own state
-and noise. ``World.run`` computes such a stretch with numpy, and a feed's
-slip, surface distance, law and press force in one float loop, with the
-same operations in the same order, and applies it as soon as it is planned,
-so the arms hold the bytes the per-tick pass would leave; ``World.step``
-then only ticks the clock through it. A stretch ends at the horizon, after
-``NOISE_BLOCK`` ticks, or before the first tick that may be an event (an
-arrival, a reach trim, a guard trip, a watcher ending its wait or raising, a
-non-finite distance, the tick past ``MAX_SIM_TIME``), and the per-tick pass
-takes that tick. Contact models with no bulk form (insertion, whose model
-reads the engagement, and the nut runner's fitting and pulse phases), the
-waits with no watcher (the drill's spin-up, the nut run-down) and two held
-arms at once stay per tick.
+targeted move (a ``Move``), or holds a contact model and watcher with a
+``bulk`` form: the hammer, or a guarded feed whose contact law reads only
+the true surface distance (the drill's touch and drilling feed, the nut
+runner's approaches). Both arms may hold one. Its ticks then depend only on
+the arms' own state and noise. ``World.run`` computes such a stretch with
+numpy, and a feed's slip, surface distance, law and press force in one float
+loop, with the same operations in the same order, and applies it as soon as
+it is planned, so the arms hold the bytes the per-tick pass would leave;
+``World.step`` then only ticks the clock through it. A stretch ends at the
+horizon, after ``NOISE_BLOCK`` ticks, or before the first tick that may be
+an event on either arm (an arrival, a reach trim, a guard trip, a watcher
+ending its wait or raising, a non-finite distance, the tick past
+``MAX_SIM_TIME``), and the per-tick pass takes that tick. Contact models
+with no bulk form (insertion, whose model reads the engagement, and the nut
+runner's fitting and pulse phases) and the waits with no watcher (the
+drill's spin-up, the nut run-down) stay per tick.
 """
 
 from __future__ import annotations
@@ -267,16 +267,16 @@ class ArmRuntime:
     ``MissionContext.until`` with ``watcher``, called at the end of the tick;
     ``watched`` is true once it returned true, or the error it raised.
 
-    ``bulk``, which ``MissionContext.contact`` installs with the model,
-    computes the model and the watcher for a stretch of ticks at once (see
-    ``World._stretch``): ``ahead(m)`` gives the true-wrench rows of the next
-    ``m`` ticks, or of fewer, up to a tick that may be an event; and
-    ``watch(slips, readings)`` applies the ticks before the first on which
-    the watcher may end the wait or raise, as model and watcher would, the
-    arm's point included, and returns how many. The hammer
-    (``procedure.Hammering``) holds the arm still; a guarded feed
-    (``procedure.Feed``) moves it on its open-ended motion. In a stretch
-    each arm is idle, on a targeted move, or holds such a model.
+    ``bulk``, which ``MissionContext.contact`` installs with the model, is
+    the arm's form in a stretch (see ``World._stretch``); a ``Move`` is a
+    targeted move's. A form has three methods: ``ahead(m)`` returns
+    ``(ticks, rows)``, how many of the next ``m`` ticks it computed, up to
+    one that may be an event, and their true-wrench rows (None: zero); the
+    pure ``stops(slips, readings)`` returns how many come before the first
+    on which the arm's watcher may end its wait or raise, from the slip and
+    FT reading after each; ``apply(n)`` applies the first ``n`` as the
+    per-tick pass would. ``procedure.Hammering`` holds the arm still;
+    ``procedure.Feed``, a ``Move``, moves it on its open-ended motion.
     """
 
     state: ArmState
@@ -295,6 +295,26 @@ class ArmRuntime:
     bulk: object | None = None
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
+
+
+class Move:
+    """The form of a targeted move in a stretch (see ``ArmRuntime.bulk``):
+    a zero wrench, no watcher, and its arrival or a reach trim as events."""
+
+    def __init__(self, state: ArmState, dt: float):
+        self.state, self.dt = state, dt
+        self.path = None  # what ``ahead`` computed, for ``apply``
+
+    def ahead(self, m: int):
+        self.path = self.state.free_path(m, self.dt)
+        return self.path.shape[1] - 1, None
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        return len(slips)
+
+    def apply(self, n: int):
+        state = self.state
+        state.x, state.y, state.z, state.motion.travelled = self.path[:, n].tolist()
 
 
 class World:
@@ -507,14 +527,14 @@ class World:
         and noise, and the executive, suspended until ``run`` returns, can
         neither change that nor read the world before the stretch ends. In a
         stretch each arm is idle, on a targeted move, or holds a contact
-        model and watcher with a ``bulk`` form (one arm at most: the hammer,
-        or a guarded feed), and no arm but that one has a press force. A
-        stretch ends only at the horizon, after ``NOISE_BLOCK`` ticks, or
-        before the first tick that may be an event: an arrival, a reach trim,
-        a guard trip, the watcher ending the wait or raising (a laser read
-        that fails and a feed past its travel limit included), a non-finite
-        surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
-        pass takes that tick.
+        model and watcher with a ``bulk`` form (the hammer, or a guarded
+        feed), and only an arm that holds one has a press force. A stretch
+        ends only at the horizon, after ``NOISE_BLOCK`` ticks, or before the
+        first tick that may be an event on either arm: an arrival, a reach
+        trim, a guard trip, a watcher ending its wait or raising (a laser
+        read that fails and a feed past its travel limit included), a
+        non-finite surface distance, or the tick past ``MAX_SIM_TIME``. The
+        per-tick pass takes that tick.
 
         ``step`` is still called once per tick; in a stretch it only ticks
         the clock. Every other tick runs the per-tick pass.
@@ -534,85 +554,81 @@ class World:
         does, up to tick count ``end`` and ``NOISE_BLOCK`` ticks at most;
         return the tick count at which to plan again.
 
-        A stretch stops before the first tick that may be an event, and the
-        per-tick pass takes that tick without planning again. The arithmetic
-        is the per-tick pass's, in the same order: the arm advance in
-        ``ArmState.free_path``, the slip in ``PlatformState.slips``, the
-        held arm's model and watcher in its ``bulk`` (a feed's contact law
-        through ``feed_wrenches``), and for each active arm the FT readings
-        and the guard in ``_sense``, then the guard's pushes and the wrench
-        record in ``_stretch``. The held arm may be on a feed, a motion with
-        no target, which its ``bulk`` advances.
+        Each active arm takes part through its form: a ``Move`` for a
+        targeted move, or the ``bulk`` form of its contact model, which may
+        advance a feed, a motion with no target. The moves come first, so
+        that an arrival bounds what the other forms compute. A stretch stops
+        before the first tick that may be an event, and the per-tick pass
+        takes that tick without planning again.
         """
         clock = self.clock
         now = clock.ticks
         runtimes = tuple(self.arms.values())
-        held = None  # the arm whose contact model and watcher its ``bulk`` computes
+        forms = []  # ``(runtime, form)`` for each active arm
         for runtime in runtimes:
             motion = runtime.state.motion
             if runtime.contact_model is not None or runtime.watcher is not None:
-                if runtime.bulk is None or runtime.watcher is None or held is not None:
+                if runtime.bulk is None or runtime.watcher is None:
                     return math.inf
                 if motion is not None and motion.target is not None:
                     return math.inf
-                held = runtime
-            elif motion is not None and (motion.target is None or runtime.state.halted):
-                return math.inf
-        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime is not held):
+                forms.append((runtime, runtime.bulk))
+            elif motion is not None:
+                if motion.target is None or runtime.state.halted:
+                    return math.inf
+                forms.insert(0, (runtime, Move(runtime.state, clock.dt)))
+        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime.contact_model is None):
             return now + 1  # the next tick still integrates slip
-        if held is not None and any(runtime.state.halted for runtime in runtimes):
+        if any(runtime.state.halted for runtime in runtimes) and any(r.watcher is not None for r in runtimes):
             return math.inf  # the watchers stop at a halted arm
-        moving = [runtime for runtime in runtimes if runtime.state.motion is not None and runtime is not held]
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
         planned = n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
         late = np.flatnonzero(np.arange(now + 1, now + n + 1) * clock.dt > MAX_SIM_TIME)
         if late.size:
             n = int(late[0])
-        n = self._stretch(moving, held, n, noisy)
+        n = self._stretch(forms, n, noisy)
         return now + n + (n < planned)  # a stretch cut short stops before a tick that may be an event
 
-    def _stretch(self, moving: list[ArmRuntime], held: ArmRuntime | None, n: int, noisy: bool) -> int:
-        """Compute the next ``n`` ticks of the ``moving`` arms and of the arm
-        ``held``, or fewer: those before the first tick that may be an event
-        (an arrival, a reach trim, a guard trip, a non-finite surface
-        distance, or one on which the watcher may end the wait or raise).
-        Apply them to the arms as the per-tick pass would leave them after
-        the last, with the wrench rows recorded at their ticks; ``step`` then
-        only ticks the clock through them. Return how many.
+    def _stretch(self, forms: list, n: int, noisy: bool) -> int:
+        """Compute the next ``n`` ticks of each ``(runtime, form)`` pair in
+        ``forms``, or fewer: those before the first tick that may be an
+        event on any arm. The arithmetic is the per-tick pass's, in the same
+        order: the motion and model in each form's ``ahead``, the slip in
+        ``PlatformState.slips``, the FT readings and the guard in ``_sense``,
+        the watcher in ``stops``. Every form then applies the shared count,
+        which leaves the arms as the per-tick pass would after the last
+        tick, with the wrench rows recorded; ``step`` then only ticks the
+        clock through them. Return how many.
         """
         clock = self.clock
         now, dt = clock.ticks, clock.dt
-        paths = []
-        for runtime in moving:
-            path, arrival = runtime.state.free_path(n, dt)
-            n = min(n, path.shape[1] - 1, n if arrival is None else arrival - 1)
-            paths.append(path)
-        arms, wrenches = moving, [None] * len(moving)  # each active arm's true-wrench rows; None: all zero
-        if held is not None and n:
-            arms, wrenches = moving + [held], wrenches + [held.bulk.ahead(n)]
-            n = len(wrenches[-1])
+        wrenches = []  # each form's true-wrench rows; None: all zero
+        for runtime, form in forms:
+            n, wrench = form.ahead(n)
+            wrenches.append(wrench)
         if n == 0:
             return 0
-        sensed = [self._sense(runtime, n, noisy, wrench) for runtime, wrench in zip(arms, wrenches)]
-        for readings, sums, trip in sensed:
+        wrenches = [None if wrench is None else wrench[:n] for wrench in wrenches]
+        sensed, slips = [], []
+        for (runtime, form), wrench in zip(forms, wrenches):
+            sensed.append(self._sense(runtime, n, noisy, wrench))
+            presses = np.zeros(n)  # the press force that drives each tick's slip
+            presses[0] = runtime.press_force
+            if wrench is not None:
+                presses[1:] = wrench[:-1, 2]
+            slips.append(runtime.platform.slips(presses, dt))
+        for _, _, trip in sensed:
             if trip is not None:
                 n = min(n, trip[0])
-        if held is not None:
-            pressed = wrenches[-1]
-            presses = np.empty(len(pressed))  # the press force that drives each tick's slip
-            presses[0] = held.press_force
-            presses[1:] = pressed[:-1, 2]
-            slips = held.platform.slips(presses, dt)
-            n = held.bulk.watch(slips[:n], sensed[-1][0])
+        for (runtime, form), (readings, _, _), slip in zip(forms, sensed, slips):
+            n = min(n, form.stops(slip[:n], readings[:n]))
         if n == 0:
             return 0
         for runtime in self.arms.values():
             runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-        for runtime, path in zip(moving, paths):
-            arm = runtime.state
-            arm.x, arm.y, arm.z, arm.motion.travelled = path[:, n].tolist()
-        for runtime, (readings, sums, _), wrench in zip(arms, sensed, wrenches):
+        for (runtime, form), (readings, sums, _), slip, wrench in zip(forms, sensed, slips, wrenches):
+            form.apply(n)
             guard = runtime.guard_filter
             pushed = list(map(Wrench._make, readings[max(0, n - guard.window) : n].tolist()))
             guard.extend(pushed, tuple(sums[n - 1].tolist()))
@@ -620,10 +636,10 @@ class World:
                 runtime.ft_noise.skip(n)
             self.recorder.record_rows(runtime.wrench_row, range(now + 1, now + n + 1), dt, wrench)
             runtime.reading, runtime.active = pushed[-1], True
-        if held is not None:
-            held.platform.slip_offset = float(slips[n - 1])
-            held.true_wrench = last = Wrench._make(pressed[n - 1].tolist())
-            held.press_force = max(last.fz, 0.0)
+            runtime.platform.slip_offset = float(slip[n - 1])
+            if wrench is not None:
+                runtime.true_wrench = last = Wrench._make(wrench[n - 1].tolist())
+                runtime.press_force = max(last.fz, 0.0)
         self.event = False
         self._stretch_end = now + n
         return n

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import MAX_SIM_TIME, World
+from .engine import MAX_SIM_TIME, Move, World
 from .errors import (
     DetectionMissing,
     HaltedByGuard,
@@ -240,11 +240,10 @@ class Hammering:
     which hammering starts.
 
     ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
-    watcher) take one tick. ``ahead`` and ``watch`` take a stretch of ticks
-    at once for ``World._plan``, and ``watch`` applies the ticks it keeps,
-    with the same arithmetic in the same order, so they leave the same bytes.
-    Both strike each blow through ``strike`` and place the arm through
-    ``point``.
+    watcher) take one tick. ``ahead``, ``stops`` and ``apply`` take a
+    stretch of ticks at once, with the protocol of ``engine.Move`` and the
+    same arithmetic in the same order, so they leave the same bytes. Both
+    strike each blow through ``strike`` and place the arm through ``point``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -263,7 +262,7 @@ class Hammering:
         self.interval = 1.0 / self.tools.blow_rate
         self.elapsed = 0.0  # seconds of hammering, one tick added at a time
         self.blows = Blows(next_due=self.interval, depth=anchor.depth)
-        self._stretch = None  # what ``ahead`` computed for ``watch``
+        self._stretch = self._watched = None  # what ``ahead`` and ``stops`` computed for ``apply``
 
     def strike(self, blows: Blows) -> Blows:
         """The blows after the one that is due."""
@@ -310,11 +309,11 @@ class Hammering:
                 )
             return True
 
-    def ahead(self, m: int) -> np.ndarray:
+    def ahead(self, m: int):
         """The true wrench ``hammer_model`` returns on each of the next ``m``
-        ticks, as an ``(m, 6)`` array, or on fewer: up to the first blow whose
-        peak reaches the hammering end moment, on which ``bottomed`` may end
-        the wait. The blows those ticks strike are kept."""
+        ticks, or on fewer: up to the first blow whose peak reaches the
+        hammering end moment, on which ``bottomed`` may end the wait. The
+        blows those ticks strike are kept for ``apply``."""
         elapsed = np.empty(m + 1)
         elapsed[0] = self.elapsed
         elapsed[1:] = self.world.dt
@@ -341,23 +340,21 @@ class Hammering:
             k = max(k + 1, int(np.searchsorted(due, blows.next_due)))
         depths[start:m] = blows.depth
         self._stretch = elapsed, depths, struck
-        return wrench[:m]
+        return m, wrench[:m]
 
-    def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """Apply the ticks of the stretch before the first on which
-        ``bottomed`` may end the wait or raise (the moment reading reaches
-        the hammering end moment, or the laser read fails) as
-        ``hammer_model`` and ``bottomed`` would, and return how many.
-        ``slips`` and ``readings`` hold the slip and the FT reading after
-        each tick to watch."""
-        (elapsed, depths, struck), self._stretch = self._stretch, None
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first on which ``bottomed`` may
+        end the wait or raise: the moment reading reaches the hammering end
+        moment, or the laser read fails."""
         m = len(slips)
-        x, y, z = self.point(depths[:m], slips)
+        x, y, z = self.point(self._stretch[1][:m], slips)
         distances = self.world.laser_distances(self.arm, (x, y, z), slips)
-        ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
-        n = min(len(distances), int(ends[0]) if ends.size else m)
-        if n == 0:
-            return 0
+        self._watched = slips, (x, y, z), distances
+        ends = np.flatnonzero(np.abs(readings[:, 3]) >= self.procedure.hammering_end_moment)
+        return min(len(distances), int(ends[0]) if ends.size else m)
+
+    def apply(self, n: int):
+        (elapsed, _, struck), (slips, (x, y, z), distances) = self._stretch, self._watched
         self.world.record_depths(self.arm, self.measured(distances[:n]), self.commanded(x[:n], y[:n], z[:n]), slips[:n])
         self.elapsed = float(elapsed[n])
         struck = [blows for k, blows in struck if k < n]
@@ -365,69 +362,52 @@ class Hammering:
             self.blows = struck[-1]
             self.anchor.depth = self.blows.depth
         self.state.x, self.state.y, self.state.z = float(x[n - 1]), float(y[n - 1]), float(z[n - 1])
-        return n
 
 
 # --- guarded feeds -------------------------------------------------------------------
 
 
-class Feed:
+class Feed(Move):
     """A guarded feed (``MissionContext.feed_until``) under a contact law of
     the true surface distance alone: ``law(distance)`` gives the ``(fz, mx)``
     of the true wrench. A subclass gives the stop condition: ``stop`` per
     tick and ``stops`` in bulk.
 
     ``model`` (the arm's contact model) and ``stop`` take one tick.
-    ``ahead`` and ``watch`` take a stretch of ticks at once for
-    ``World._plan``, and ``watch`` applies the ticks it keeps, with the same
-    arithmetic in the same order: the path
-    from ``ArmState.free_path``, the one sequential part (slip, surface
-    distance, law, press force) from ``World.feed_wrenches``, and the rest
-    with numpy.
+    ``ahead``, ``stops`` and ``apply`` take a stretch of ticks at once, with
+    the protocol of the ``engine.Move`` they extend and the same arithmetic
+    in the same order: the path from ``ArmState.free_path``, the one
+    sequential part (slip, surface distance, law, press force) from
+    ``World.feed_wrenches``, and the rest with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, law, max_travel: float):
         self.world = ctx.world
         self.arm, self.runtime = arm, self.world.runtime(arm)
-        self.state = self.runtime.state
+        super().__init__(self.runtime.state, self.world.dt)
         self.law, self.max_travel = law, max_travel
-        self._stretch = None  # the path ``ahead`` computed for ``watch``
 
     def model(self) -> Wrench:
         fz, mx = self.law(self.world.surface_distance(self.arm))
         return Wrench(fz=fz, mx=mx)
 
-    def ahead(self, m: int) -> np.ndarray:
+    def ahead(self, m: int):
         """The true wrench ``model`` returns on each of the next ``m`` ticks
-        of the feed, as an ``(m, 6)`` array, or on fewer: up to a reach trim
-        or a non-finite surface distance; none once the feed has stopped,
-        as its watcher then raises on the next tick."""
+        of the feed, or on fewer: up to a reach trim or a non-finite surface
+        distance; none once the feed has stopped, as its watcher then raises
+        on the next tick."""
         if self.state.motion is None:
-            return np.empty((0, 6))
-        path, _ = self.state.free_path(m, self.world.dt)
-        self._stretch = path
-        return self.world.feed_wrenches(self.arm, path[:3, 1:].tolist(), self.law)
+            return 0, None
+        super().ahead(m)
+        wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:].tolist(), self.law)
+        return len(wrench), wrench
 
-    def watch(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """Apply the ticks of the stretch before the first on which the
-        feed's watcher may end the wait or raise (``stops`` may be true, or
-        the feed has travelled more than ``max_travel``) as ``model`` and
-        the watcher would, and return how many. ``slips`` and ``readings``
-        hold the slip and the FT reading after each tick."""
-        path, self._stretch = self._stretch, None
-        m = len(slips)
-        over = np.flatnonzero(path[3, 1 : m + 1] > self.max_travel)
-        m = int(over[0]) if over.size else m
-        n = self.stops(path[:3, 1 : m + 1], slips[:m], readings[:m])
-        state = self.state
-        state.x, state.y, state.z, state.motion.travelled = path[:, n].tolist()
-        return n
-
-    def stops(self, points: np.ndarray, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks of the stretch come before the first on which
-        ``stop`` may be true or raise, from the commanded point, slip and FT
-        reading after each tick, and record what those ticks record."""
-        raise NotImplementedError
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first on which the feed has
+        travelled more than ``max_travel``, on which its watcher raises; a
+        subclass ends them sooner where ``stop`` may be true or raise."""
+        over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
+        return int(over[0]) if over.size else len(slips)
 
 
 class Pressing(Feed):
@@ -442,9 +422,10 @@ class Pressing(Feed):
         r = self.runtime.reading
         return r is not None and r.fz >= self.threshold
 
-    def stops(self, points, slips, readings) -> int:
-        hits = np.flatnonzero(readings[:, 2] >= self.threshold)
-        return int(hits[0]) if hits.size else len(readings)
+    def stops(self, slips, readings) -> int:
+        m = super().stops(slips, readings)
+        hits = np.flatnonzero(readings[:m, 2] >= self.threshold)
+        return int(hits[0]) if hits.size else m
 
 
 class Drilling(Feed):
@@ -473,18 +454,22 @@ class Drilling(Feed):
         world.record_depthset(self.arm, self.measured, commanded)
         return self.measured >= self.target
 
-    def stops(self, points, slips, readings) -> int:
-        x, y, z = points
+    def stops(self, slips, readings) -> int:
+        m = super().stops(slips, readings)
+        x, y, z = self.path[:3, 1 : m + 1]
         commanded = inward(self.contact, self.normal, x, y, z)
         measured = commanded
         if self.use_laser:
-            measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips)
+            measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips[:m])
+        self._depths = measured, commanded, slips  # for ``apply`` to record
         ends = np.flatnonzero(measured >= self.target)
-        n = int(ends[0]) if ends.size else len(measured)
-        if n:
-            self.measured = float(measured[n - 1])
-            self.world.record_depths(self.arm, measured[:n], commanded[:n], slips[:n], lasered=self.use_laser)
-        return n
+        return int(ends[0]) if ends.size else len(measured)
+
+    def apply(self, n: int):
+        super().apply(n)
+        measured, commanded, slips = self._depths
+        self.measured = float(measured[n - 1])
+        self.world.record_depths(self.arm, measured[:n], commanded[:n], slips[:n], lasered=self.use_laser)
 
 
 # --- the executive ---------------------------------------------------------------

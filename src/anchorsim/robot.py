@@ -130,17 +130,15 @@ class ArmState:
         if arrived:
             self.motion = None
 
-    def free_path(self, ticks: int, dt: float) -> tuple[np.ndarray, int | None]:
+    def free_path(self, ticks: int, dt: float) -> np.ndarray:
         """The next ``ticks`` ticks of the motion, a targeted move or an
-        open-ended feed, taken in bulk with the arithmetic of ``advance``:
-        ``(path, arrival)``.
+        open-ended feed, taken in bulk with the arithmetic of ``advance``.
 
-        Column ``j`` of the ``(4, k + 1)`` array ``path`` is ``(x, y, z,
-        travelled)`` after ``j`` ticks (column 0 is now); ``arrival`` is the
-        tick that reaches the target, whose column holds the target, or None
-        (always for a feed). The columns stop before the first tick whose
-        point would leave the reach sphere or not be finite, which
-        ``advance`` must take itself, so ``k`` may be less than ``ticks``.
+        Column ``j`` of the ``(4, k + 1)`` array is ``(x, y, z, travelled)``
+        after ``j`` ticks (column 0 is now). The columns stop before the
+        first tick that reaches the target or whose point would leave the
+        reach sphere or not be finite, which ``advance`` must take itself, so
+        ``k`` may be less than ``ticks``.
         """
         motion = self.motion
         step = motion.speed * dt
@@ -149,24 +147,17 @@ class ArmState:
         path[:, 0] = self.x, self.y, self.z, motion.travelled
         path[:, 1:] = [[ux * step], [uy * step], [uz * step], [step]]
         np.add.accumulate(path, axis=1, out=path)  # sequential, as the ticks add
-        arrival = None
         if motion.target is not None:
             tx, ty, tz = motion.target
             # Tick j tests the point it starts from, column j - 1.
-            d = path[:3, :-1] - [[tx], [ty], [tz]]
-            remaining = _norms(d)
-            hits = np.flatnonzero(remaining <= step)
+            hits = np.flatnonzero(_norms(path[:3, :-1] - [[tx], [ty], [tz]]) <= step)
             if hits.size:
-                arrival = int(hits[0]) + 1
-                path = path[:, : arrival + 1]
-                path[:, arrival] = tx, ty, tz, float(path[3, arrival - 1]) + float(remaining[arrival - 1])
+                path = path[:, : int(hits[0]) + 1]
         base = self.base
         inside = _norms([[base.x], [base.y], [base.z]] - path[:3, 1:]) <= self.cfg.reach
         if not inside.all():
             path = path[:, : int(inside.argmin()) + 1]
-            if arrival is not None and arrival >= path.shape[1]:
-                arrival = None
-        return path, arrival
+        return path
 
 
 def _norms(d: np.ndarray) -> np.ndarray:

@@ -487,13 +487,118 @@ def test_a_stretch_ends_at_the_horizon_or_before_an_event_however_short(monkeypa
 # --- hammer stretches ----------------------------------------------------------------
 
 
+#: Where the other arm holds its form: this far along the wall's x axis
+#: from its origin, where the first arm works.
+OTHER_SPOT = 0.05
+
+#: The other arm's setup beside a held form: a ``MOVE``, or a form of its
+#: own at ``OTHER_SPOT``, ``(kind, gap, max_travel)``: ``"press"`` and
+#: ``"drill"`` feed into the wall from ``gap`` metres before its surface
+#: (``max_travel`` is the feed's limit), ``"hammer"`` hammers an anchor
+#: ``gap`` metres short of the bottom of an 80 mm hole.
+OTHER = MOVE | st.tuples(
+    st.sampled_from(["press", "drill", "hammer"]), st.sampled_from([0.0012, 0.002, 0.005]),
+    st.sampled_from([0.2, 0.003]),
+)
+
+
+def wall_point(ctx, lateral, gap):
+    """The point ``gap`` metres out from the wall, ``lateral`` metres along
+    its x axis from its origin."""
+    frame = ctx.world.site.wall.frame
+    return frame.origin + frame.x_axis.scaled(lateral) + ctx.out_normal.scaled(gap)
+
+
+def start_hammer(ctx, arm, hole_depth, gap, lateral):
+    """Make ``arm`` hammer an anchor ``gap`` metres short of the bottom of a
+    ``hole_depth`` hole at ``wall_point(ctx, lateral, 0)``, the tip at the
+    anchor, and install the hammer's model and watcher."""
+    site, runtime = ctx.world.site, ctx.world.runtime(arm)
+    hole = site.register_drilled_hole(wall_point(ctx, lateral, 0.0), -site.wall.normal, hole_depth)
+    anchor = AnchorBolt()
+    anchor.set_state(AnchorState.GRASPED)
+    site.place_anchor_in_hole(anchor, hole, hole_depth - gap)
+    runtime.state.position = hole.position - site.wall.normal.scaled(anchor.depth)
+    hammer = Hammering(ctx, arm, anchor, stuck_measured=anchor.depth)
+    runtime.contact_model, runtime.bulk, runtime.watcher = hammer.hammer_model, hammer, hammer.bottomed
+    return hammer
+
+
+def start_feed(ctx, arm, law, max_travel):
+    """Start ``arm``'s guarded feed from its point under the contact ``law``
+    (``"press"`` and ``"spring"`` stop on fz, ``"drill"`` drills to the
+    depth target from that point) and install its model and watcher as
+    ``contact`` and ``feed_until`` do."""
+    world = ctx.world
+    runtime = world.runtime(arm)
+    state = runtime.state
+    if law == "drill":
+        laser_zero = 0.0 if math.isnan(runtime.platform.slip_offset) else world.laser_distance(arm)
+        feed = Drilling(ctx, arm, (state.x, state.y, state.z), laser_zero)
+        speed = world.scenario.tools.feed_speed
+    else:
+        stiffness, reach = (200000.0, 0.0) if law == "press" else (10000.0, 0.002)
+
+        def contact_law(distance):
+            pen = reach - distance
+            return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
+
+        feed = Pressing(ctx, arm, contact_law, 50.0 if law == "spring" else 20.0, max_travel)
+        speed = world.scenario.robot.approach_speed
+    feed.max_travel = max_travel
+    # Start the feed and install its watcher; no tick yet. The suspended
+    # generator must outlive the call, or closing it clears the watcher.
+    feed.feeding = ctx.feed_until(arm, speed, feed.stop, max_travel)
+    next(feed.feeding)
+    runtime.contact_model, runtime.bulk = feed.model, feed
+    return feed
+
+
+def start_other(ctx, arm, other, filled):
+    """Start ``arm`` on the ``OTHER`` setup ``other`` and return its form,
+    or None for a ``MOVE``. If ``filled``, both guard filters hold a full
+    window of zero readings, as after a quiet move; otherwise they are
+    empty."""
+    if not isinstance(other, tuple):
+        start_move(ctx.world.arm(arm), other)
+        form = None
+    elif other[0] == "hammer":
+        form = start_hammer(ctx, arm, 0.08, other[1], OTHER_SPOT)
+    else:
+        ctx.world.arm(arm).position = wall_point(ctx, OTHER_SPOT, other[1])
+        form = start_feed(ctx, arm, other[0], other[2])
+    for runtime in ctx.world.arms.values() if filled else ():
+        for _ in range(runtime.guard_filter.window):
+            runtime.guard_filter.push(ZERO_WRENCH)
+    return form
+
+
+def held_state(world, forms) -> list[str]:
+    """``world_state`` plus what held forms change besides: slips, the
+    watchers' outcomes, laser noise cursors and depth rows, a hammer's blows
+    and a drill's measured depth. The moments the drill reports come from
+    the wrench rows. Each item is ``repr``'d, so a failure names the first
+    that differs."""
+    state = []
+    for form in forms:
+        if isinstance(form, Hammering):
+            state += [form.elapsed, form.blows, form.anchor.depth]
+        elif isinstance(form, Drilling):
+            state.append(form.measured)
+    for runtime in world.arms.values():
+        state += [
+            runtime.platform.slip_offset, runtime.watched, next(runtime.laser_noise),
+            *(runtime.depth_row.column(index).tobytes() for index in (None, 0, 1, 2)),
+        ]
+    return world_state(world) + list(map(repr, state))
+
+
 def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
-                 pressed, skipped, other_move, filled, start_tick):
+                 pressed, skipped, other, filled, start_tick):
     """A world in which ``arm`` hammers an anchor ``gap`` metres short of the
     bottom of a ``hole_depth`` hole, the tip at the anchor, and the other arm
-    makes the ``MOVE`` ``other_move``; ``pressed`` is the press force of the
-    tick before. If ``filled``, both guard filters hold a full window of zero
-    readings, as after a quiet move; otherwise they are empty."""
+    takes the ``OTHER`` setup ``other``; ``pressed`` is the press force of
+    the tick before. Returns the world and both arms' forms."""
     scenario = Scenario()
     sensors = scenario.sensors
     sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
@@ -503,36 +608,15 @@ def hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, en
     scenario.procedure.hammering_end_moment = end_moment
     world = World(scenario, seed)
     world.clock.ticks = start_tick
-    site = world.site
-    hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, hole_depth)
-    anchor = AnchorBolt()
-    anchor.set_state(AnchorState.GRASPED)
-    site.place_anchor_in_hole(anchor, hole, hole_depth - gap)
+    ctx = MissionContext(world)
     runtime = world.runtime(arm)
-    runtime.state.position = hole.position - site.wall.normal.scaled(anchor.depth)
     runtime.press_force = pressed
     for noise, skip in zip((runtime.ft_noise, runtime.laser_noise), skipped):
         for _ in range(skip):
             next(noise)
-    hammer = Hammering(MissionContext(world), arm, anchor, stuck_measured=anchor.depth)
-    runtime.contact_model, runtime.bulk, runtime.watcher = hammer.hammer_model, hammer, hammer.bottomed
-    other = next(other for name, other in world.arms.items() if name != arm)
-    start_move(other.state, other_move)
-    for guard in (runtime.guard_filter, other.guard_filter) if filled else ():
-        for _ in range(guard.window):
-            guard.push(ZERO_WRENCH)
-    return world, hammer
-
-
-def hammer_state(world, hammer) -> list[str]:
-    """``world_state`` plus what hammering changes besides."""
-    state = [hammer.elapsed, hammer.blows, hammer.anchor.depth]
-    for runtime in world.arms.values():
-        state += [
-            runtime.platform.slip_offset, repr(runtime.watched), next(runtime.laser_noise),
-            *(runtime.depth_row.column(index).tobytes() for index in (None, 0, 1, 2)),
-        ]
-    return world_state(world) + list(map(repr, state))
+    hammer = start_hammer(ctx, arm, hole_depth, gap, 0.0)
+    other_arm = next(name for name in world.arms if name != arm)
+    return world, [hammer, start_other(ctx, other_arm, other, filled)]
 
 
 HAMMER_CASES = dict(
@@ -548,7 +632,7 @@ HAMMER_CASES = dict(
     gap=st.sampled_from([0.0008, 0.0012, 0.002, 0.005]),
     pressed=st.sampled_from([0.0, 150.0]),
     skipped=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
-    other_move=MOVE,
+    other=OTHER,
     filled=st.booleans(),
     before_max=st.none() | st.integers(0, 1500),
     horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
@@ -562,7 +646,7 @@ ARRIVING = {"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False}
 def _hammer_example(**changes):
     case = dict(seed=7, arm="robot1", sigmas=(2.0, 0.2), laser_sigma=0.0001, rate_dt=(3.0, 0.01), press=150.0,
                 force_limit=1000.0, end_moment=27.0, hole_depth=0.08, gap=0.0012, pressed=0.0, skipped=(0, 0),
-                other_move=None, filled=False, before_max=None, horizons=[1500])
+                other=None, filled=False, before_max=None, horizons=[1500])
     case.update(changes)
     return example(**case)
 
@@ -580,33 +664,39 @@ def _hammer_example(**changes):
 @_hammer_example(force_limit=1.0)  # a trip on the first tick
 @_hammer_example(press=0.0, pressed=150.0)  # no press force: only the first tick slips
 @_hammer_example(sigmas=(2.0, 0.0), end_moment=22.0)  # a blow's peak exactly at the end moment
-@_hammer_example(other_move=ARRIVING)  # the other arm's move arrives inside the stretch
-@_hammer_example(other_move={"offset": (0.0, 0.0, 0.0), "speed": 0.3, "overreach": True})  # reach trims it
-@_hammer_example(other_move=ARRIVING, press=0.0, force_limit=1.0, filled=True)  # noise trips the moving arm
+@_hammer_example(other=ARRIVING)  # the other arm's move arrives inside the stretch
+@_hammer_example(other={"offset": (0.0, 0.0, 0.0), "speed": 0.3, "overreach": True})  # reach trims it
+@_hammer_example(other=ARRIVING, press=0.0, force_limit=1.0, filled=True)  # noise trips the moving arm
+@_hammer_example(other=("press", 0.002, 0.2))  # beside a feed that touches inside the stretch
+@_hammer_example(other=("drill", 0.0012, 0.2), arm="robot2", horizons=[40, 7, 300, 1100])  # cut by horizons
+@_hammer_example(other=("press", 0.005, 0.003))  # the feed passes its travel limit
+@_hammer_example(other=("hammer", 0.005, 0.2), gap=0.0008)  # two hammers, one bottoming first
+@_hammer_example(other=("press", 0.0012, 0.2), sigmas=(0.0, 0.0), press=0.0, force_limit=2.0)  # trips the feed
+@_hammer_example(other=("drill", 0.005, 0.2), sigmas=(100.0, 3.0), press=950.0, gap=0.005)  # trips the hammer
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(**HAMMER_CASES)
 def test_hammer_stretch_in_bulk_matches_tick_by_tick(
     seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap, pressed,
-    skipped, other_move, filled, before_max, horizons,
+    skipped, other, filled, before_max, horizons,
 ):
-    # ``run`` computes a hammer stretch, beside an idle or a moving arm, in
-    # bulk up to the tick before an event; ``step`` alone takes each tick
-    # through ``hammer_model`` and ``bottomed``. Both must leave every byte
-    # the same.
+    # ``run`` computes a hammer stretch, beside an idle or a moving arm or
+    # the other arm's held form, in bulk up to the tick before an event;
+    # ``step`` alone takes each tick through the models and watchers. Both
+    # must leave every byte the same.
     start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
     worlds = [
         hammer_world(seed, arm, sigmas, laser_sigma, rate_dt, press, force_limit, end_moment, hole_depth, gap,
-                     pressed, skipped, other_move, filled, start)
+                     pressed, skipped, other, filled, start)
         for _ in range(2)
     ]
-    (bulk, bulk_hammer), (ticked, ticked_hammer) = worlds
+    (bulk, bulk_forms), (ticked, ticked_forms) = worlds
     for horizon in horizons:
         bulk.run(horizon)
         for _ in range(horizon):
             ticked.step()
             if ticked.event:
                 break
-        assert hammer_state(bulk, bulk_hammer) == hammer_state(ticked, ticked_hammer)
+        assert held_state(bulk, bulk_forms) == held_state(ticked, ticked_forms)
 
 
 def four_point() -> Scenario:
@@ -629,9 +719,10 @@ def test_hammer_phase_runs_in_bulk(monkeypatch, scenario, mission, blows, bound)
     # that may end the wait, also while the other arm moves. At seed 7, the
     # ``hammer`` mission read it 11,502 times tick by tick. The four-point
     # ``full`` mission read it 1,260 times when a hammer beside a free move
-    # ran tick by tick (527 of them at point 1), and reads it 737 times in
-    # bulk: 727 of them at point 2, beside the nut runner's contact model,
-    # which has no bulk form.
+    # ran tick by tick (527 of them at point 1), 737 times when a hammer
+    # beside the other arm's contact model did, and reads it 607 times now:
+    # 597 of them at point 2, beside the nut runner's fitting and pulse
+    # phases, whose contact models have no bulk form.
     reads, marks = {"robot1": 0, "robot2": 0}, {}
     laser_distance, begin, end = World.laser_distance, MissionContext.begin, MissionContext.end
 
@@ -662,15 +753,14 @@ def test_hammer_phase_runs_in_bulk(monkeypatch, scenario, mission, blows, bound)
 
 
 def feed_world(seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target,
-               max_travel, trim, pressed, skipped, other_move, filled, start_tick):
+               max_travel, trim, pressed, skipped, other, filled, start_tick):
     """A world in which ``arm`` feeds into the wall from ``gap`` metres
-    before its surface (negative: inside it) under the contact ``law``
-    (``"press"`` and ``"spring"`` stop on fz, ``"drill"`` drills to the depth
-    ``target`` from that point), and the other arm makes the ``MOVE``
-    ``other_move``. The feed's watcher is installed as ``feed_until``
-    installs it. ``trim`` shrinks the reach to that many metres past the
-    start; ``pressed`` is the press force of the tick before; ``slip`` is
-    the slip coefficient, or NaN for a NaN slip."""
+    before its surface (negative: inside it) under the contact ``law`` (see
+    ``start_feed``; the drill's depth target is ``target``), and the other
+    arm takes the ``OTHER`` setup ``other``. ``trim`` shrinks the reach to
+    that many metres past the start; ``pressed`` is the press force of the
+    tick before; ``slip`` is the slip coefficient, or NaN for a NaN slip.
+    Returns the world and both arms' forms."""
     scenario = Scenario()
     sensors, tools, procedure = scenario.sensors, scenario.tools, scenario.procedure
     sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
@@ -685,7 +775,7 @@ def feed_world(seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, s
     ctx = MissionContext(world)
     runtime = world.runtime(arm)
     state = runtime.state
-    state.position = world.site.wall.frame.origin + ctx.out_normal.scaled(gap)
+    state.position = wall_point(ctx, 0.0, gap)
     if trim is not None:
         scenario.robot.reach = state.base.distance_to(state.position) + trim
     runtime.press_force = pressed
@@ -693,44 +783,9 @@ def feed_world(seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, s
     for noise, skip in zip((runtime.ft_noise, runtime.laser_noise), skipped):
         for _ in range(skip):
             next(noise)
-    if law == "drill":
-        feed = Drilling(ctx, arm, (state.x, state.y, state.z), 0.0 if math.isnan(slip) else world.laser_distance(arm))
-        speed = tools.feed_speed
-    else:
-        stiffness, reach = (200000.0, 0.0) if law == "press" else (10000.0, 0.002)
-
-        def contact_law(distance):
-            pen = reach - distance
-            return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
-
-        feed = Pressing(ctx, arm, contact_law, 50.0 if law == "spring" else 20.0, max_travel)
-        speed = scenario.robot.approach_speed
-    feed.max_travel = max_travel
-    # Start the feed and install its watcher; no tick yet. The suspended
-    # generator must outlive the call, or closing it clears the watcher.
-    feed.feeding = ctx.feed_until(arm, speed, feed.stop, max_travel)
-    next(feed.feeding)
-    runtime.contact_model, runtime.bulk = feed.model, feed
-    other = next(other for name, other in world.arms.items() if name != arm)
-    start_move(other.state, other_move)
-    for guard in (runtime.guard_filter, other.guard_filter) if filled else ():
-        for _ in range(guard.window):
-            guard.push(ZERO_WRENCH)
-    return world, feed
-
-
-def feed_state(world, feed) -> list[str]:
-    """``world_state`` plus what a feed changes besides: slips, the watcher's
-    outcome, laser noise cursors and depth rows, and the drill's measured
-    depth. The moments the drill reports come from the wrench rows. Each
-    item is ``repr``'d, so a failure names the first that differs."""
-    state = [getattr(feed, "measured", None)]
-    for runtime in world.arms.values():
-        state += [
-            runtime.platform.slip_offset, runtime.watched, next(runtime.laser_noise),
-            *(runtime.depth_row.column(index).tobytes() for index in (None, 0, 1, 2)),
-        ]
-    return world_state(world) + list(map(repr, state))
+    feed = start_feed(ctx, arm, law, max_travel)
+    other_arm = next(name for name in world.arms if name != arm)
+    return world, [feed, start_other(ctx, other_arm, other, filled)]
 
 
 FEED_CASES = dict(
@@ -750,7 +805,7 @@ FEED_CASES = dict(
     trim=st.none() | st.sampled_from([0.0015, 0.004]),
     pressed=st.sampled_from([0.0, 150.0]),
     skipped=st.tuples(st.integers(0, 1100), st.integers(0, 1100)),
-    other_move=MOVE,
+    other=OTHER,
     filled=st.booleans(),
     before_max=st.none() | st.integers(0, 1500),
     horizons=st.lists(st.integers(1, 2500), min_size=1, max_size=3),
@@ -760,7 +815,7 @@ FEED_CASES = dict(
 def _feed_example(**changes):
     case = dict(seed=7, arm="robot1", law="drill", variant="constant_load_spring", depth_source="laser",
                 sigmas=(2.0, 0.2), laser_sigma=0.0001, dt=0.01, slip=2e-7, tilt=(0.0, 0.0), gap=0.0,
-                target=0.08, max_travel=0.12, trim=None, pressed=0.0, skipped=(0, 0), other_move=None,
+                target=0.08, max_travel=0.12, trim=None, pressed=0.0, skipped=(0, 0), other=None,
                 filled=False, before_max=None, horizons=[2500])
     case.update(changes)
     return example(**case)
@@ -780,23 +835,30 @@ def _feed_example(**changes):
 @_feed_example(slip=math.nan)  # a NaN slip raises ValueError on the first tick
 @_feed_example(slip=1e-5, gap=-0.01)  # slip feeds back into the penetration
 @_feed_example(before_max=100)  # the time ceiling
-@_feed_example(other_move=ARRIVING)  # the other arm's move arrives inside the stretch
-@_feed_example(law="press", gap=0.006, other_move=ARRIVING, filled=True)  # and then the feed touches
+@_feed_example(other=ARRIVING)  # the other arm's move arrives inside the stretch
+@_feed_example(law="press", gap=0.006, other=ARRIVING, filled=True)  # and then the feed touches
 @_feed_example(law="press", gap=0.002, sigmas=(100.0, 3.0))  # force noise alone ends the feed
+@_feed_example(other=("press", 0.002, 0.2))  # two feeds: the other touches inside the drill's stretch
+@_feed_example(law="press", gap=0.006, other=("drill", 0.0, 0.2), target=0.003)  # the drill reaches its target
+@_feed_example(law="spring", gap=0.01, other=("press", 0.005, 0.003), arm="robot2")  # the other's travel limit
+@_feed_example(other=("hammer", 0.0012, 0.2), horizons=[40, 7, 300, 1100])  # beside a hammer, cut by horizons
+@_feed_example(law="press", gap=0.05, max_travel=0.2, variant="offset_uncompensated",
+               other=("drill", 0.0, 0.12))  # the guard trips the other arm's drill
+@_feed_example(variant="offset_uncompensated", other=("drill", 0.005, 0.12))  # and this arm's drill
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(**FEED_CASES)
 def test_feed_stretch_in_bulk_matches_tick_by_tick(
     seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target, max_travel, trim,
-    pressed, skipped, other_move, filled, before_max, horizons,
+    pressed, skipped, other, filled, before_max, horizons,
 ):
-    # ``run`` computes a guarded feed, beside an idle or a moving arm, in bulk
-    # up to the tick before an event; ``step`` alone takes each tick through
-    # the feed's model and watcher. Both must leave every byte the same, and
-    # raise the same error.
+    # ``run`` computes a guarded feed, beside an idle or a moving arm or the
+    # other arm's held form, in bulk up to the tick before an event; ``step``
+    # alone takes each tick through the models and watchers. Both must leave
+    # every byte the same, and raise the same error.
     start = 0 if before_max is None else round(MAX_SIM_TIME / dt) - before_max
     case = (seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target, max_travel,
-            trim, pressed, skipped, other_move, filled, start)
-    (bulk, bulk_feed), (ticked, ticked_feed) = feed_world(*case), feed_world(*case)
+            trim, pressed, skipped, other, filled, start)
+    (bulk, bulk_forms), (ticked, ticked_forms) = feed_world(*case), feed_world(*case)
     errors = []
     for horizon in horizons:
         try:
@@ -810,7 +872,7 @@ def test_feed_stretch_in_bulk_matches_tick_by_tick(
                     break
         except ValueError as exc:
             errors.append(repr(exc))
-        assert feed_state(bulk, bulk_feed) == feed_state(ticked, ticked_feed)
+        assert held_state(bulk, bulk_forms) == held_state(ticked, ticked_forms)
         if errors:
             break
     assert errors[::2] == errors[1::2]
@@ -820,17 +882,18 @@ def test_feed_stretch_in_bulk_matches_tick_by_tick(
 @pytest.mark.parametrize("scenario, mission, bound", [
     (Scenario(), "drill", 150),
     (Scenario(), "full", 2000),
-    (four_point(), "full", 25000),
+    (four_point(), "full", 15000),
 ], ids=["drill", "full", "full_4pt"])
 def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
     # Count the ``World.step`` calls that run the per-tick pass while a
     # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
     # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
-    # ``full``) while the feeds ran tick by tick, and are 107, 1,805 and
-    # 22,363 in bulk. The drill's spin-up and the nut runner's run-down,
-    # whose waits have no watcher, stay per tick; so do the nut runner's
-    # fitting and pulse phases, whose contact models have no bulk form, and
-    # a feed beside the other arm's contact model.
+    # ``full``) while the feeds ran tick by tick, 107, 1,805 and 22,363 with
+    # one held arm in bulk at most, and are 107, 1,805 and 13,255 now that
+    # both may be. The drill's spin-up and the nut runner's run-down, whose
+    # waits have no watcher, stay per tick; so do the nut runner's fitting
+    # and pulse phases, whose contact models have no bulk form, and a feed
+    # only beside such a contact model.
     per_tick, marks = [0], {}
     step, begin, end = World.step, MissionContext.begin, MissionContext.end
 
