@@ -604,14 +604,14 @@ class World:
         clock = self.clock
         now, dt = clock.ticks, clock.dt
         wrenches = []  # each form's true-wrench rows; None: all zero
-        for runtime, form in forms:
+        for _, form in forms:
             n, wrench = form.ahead(n)
             wrenches.append(wrench)
         if n == 0:
             return 0
         wrenches = [None if wrench is None else wrench[:n] for wrench in wrenches]
         sensed, slips = [], []
-        for (runtime, form), wrench in zip(forms, wrenches):
+        for (runtime, _), wrench in zip(forms, wrenches):
             sensed.append(self._sense(runtime, n, noisy, wrench))
             presses = np.zeros(n)  # the press force that drives each tick's slip
             presses[0] = runtime.press_force
@@ -621,7 +621,7 @@ class World:
         for _, _, trip in sensed:
             if trip is not None:
                 n = min(n, trip[0])
-        for (runtime, form), (readings, _, _), slip in zip(forms, sensed, slips):
+        for (_, form), (readings, _, _), slip in zip(forms, sensed, slips):
             n = min(n, form.stops(slip[:n], readings[:n]))
         if n == 0:
             return 0
