@@ -241,8 +241,8 @@ class Hammering:
 
     ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
     watcher) take one tick. ``ahead``, ``stops`` and ``apply`` take a
-    stretch of ticks at once, with the protocol of ``engine.Move`` and the
-    same arithmetic in the same order, so they leave the same bytes. Both
+    stretch of ticks at once (see ``ArmRuntime.bulk``), with the same
+    arithmetic in the same order, so they leave the same bytes. Both
     strike each blow through ``strike`` and place the arm through ``point``.
     """
 
@@ -374,10 +374,10 @@ class Feed(Move):
     tick and ``stops`` in bulk.
 
     ``model`` (the arm's contact model) and ``stop`` take one tick.
-    ``ahead``, ``stops`` and ``apply`` take a stretch of ticks at once, with
-    the protocol of the ``engine.Move`` they extend and the same arithmetic
-    in the same order: the path from ``ArmState.free_path``, the one
-    sequential part (slip, surface distance, law, press force) from
+    ``ahead``, ``stops`` and ``apply``, extending ``engine.Move``'s, take a
+    stretch of ticks at once (see ``ArmRuntime.bulk``), with the same
+    arithmetic in the same order: the path from ``ArmState.free_path``, the
+    one sequential part (slip, surface distance, law, press force) from
     ``World.feed_wrenches``, and the rest with numpy.
     """
 
