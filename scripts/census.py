@@ -3,7 +3,9 @@
 Each case runs one mission through ``anchorsim.run`` and hashes the machine
 report followed by every trace (its id, a NUL byte, then its times and
 values as doubles, in sorted id order), as ``tests/test_golden.py`` does. A
-run that raises before it returns hashes the error's class and text.
+run that raises before it returns hashes the error's class and text, and a
+``# raised: <case> <type>: <message>`` line names it unless it is a
+``ScenarioInvalid``.
 
     python3 scripts/census.py                    # every case, this checkout's src
     python3 scripts/census.py --src OTHER/src    # the same cases on another tree
@@ -81,6 +83,9 @@ TWO_FEED_CASES = {
     "full_4pt-commanded": (FULL_4PT + "[procedure]\ndepth_source = commanded\n", "full", range(5)),
     "full_4pt-fine-tick": (FULL_4PT + "[procedure]\ntimestep = 0.005\n", "full", range(5)),
 }
+#: Holes 14 mm apart and 5 mm wall-hole detections: at seed 22 a detection
+#: lands nearer another point's hole than its own.
+CROWDED_HOLES = "[part]\nholes = 4\nhole_spacing = 0.014\n[sensors]\ncamera_sigma_wall = 0.005\n"
 #: The fast set-up of ``tests/test_procedure.py``, for the short-hole case.
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
@@ -99,6 +104,7 @@ def cases(slice_: str):
         yield f"full_4pt/{seed}", FULL_4PT, "full", seed
     for seed in (2009, 9001, 10007) if slice_ == "all" else (2009,):
         yield f"full/{seed}", None, "full", seed
+    yield "full-crowded-holes/22", CROWDED_HOLES, "full", 22
     for seed in range(100) if slice_ == "all" else range(4):
         yield f"insert_sweep/{seed}", INSERT_SWEEP, "insert", seed
     for name, text in HAMMER_CASES.items():
@@ -150,7 +156,8 @@ def short_hole(scenario, seed):
     return report, world.recorder.traces
 
 
-def digest(text: str | None, mission: str, seed: int) -> str:
+def digest(text: str | None, mission: str, seed: int) -> tuple[str, Exception | None]:
+    """The run's SHA-256, and the exception it raised, if any."""
     import anchorsim
     from anchorsim.cli import render_machine_report
     from anchorsim.scenario import parse_scenario
@@ -164,13 +171,13 @@ def digest(text: str | None, mission: str, seed: int) -> str:
             report, traces = anchorsim.run(scenario, seed, mission)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome hashed
         h.update(f"{type(exc).__name__}: {exc}".encode())
-        return h.hexdigest()
+        return h.hexdigest(), exc
     h.update(render_machine_report(report).encode())
     for trace_id in sorted(traces):
         trace = traces[trace_id]
         h.update(trace_id.encode() + b"\0")
         h.update(array("d", trace.times).tobytes() + array("d", trace.values).tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), None
 
 
 def main(argv=None):
@@ -180,13 +187,19 @@ def main(argv=None):
     parser.add_argument("--against", help="a census file to compare with; lists the cases that differ")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    from anchorsim.errors import ScenarioInvalid
+
     lines = []
     for name, text, mission, seed in cases(args.slice):
-        line = f"{name} {digest(text, mission, seed)}"
+        sha, exc = digest(text, mission, seed)
+        line = f"{name} {sha}"
         lines.append(line)
         print(line, flush=True)
+        if exc is not None and not isinstance(exc, ScenarioInvalid):
+            print(f"# raised: {name} {type(exc).__name__}: {exc}", flush=True)
     if args.against:
-        before = dict(line.split() for line in Path(args.against).read_text().splitlines() if line.strip())
+        lines_before = Path(args.against).read_text().splitlines()
+        before = dict(line.split() for line in lines_before if line.strip() and not line.startswith("#"))
         differ = [line.split()[0] for line in lines if before.get(line.split()[0]) != line.split()[1]]
         print(f"# {len(differ)} of {len(lines)} cases differ" + "".join(f"\n# differs: {n}" for n in differ))
 

@@ -253,7 +253,10 @@ def test_coarse_tick_exits_0_1_or_2(factor, command):
      [("insert-test", "--seed", str(seed)) for seed in range(4)]),
     # The first insertion attempt lands 59 mm from the hole.
     ("[sensors]\ncamera_sigma_wall = 0.04\n", [("run", "--seed", "5")]),
-], ids=["spiral-outgrows-hole", "camera-59mm-off"])
+    # Holes 14 mm apart: a wall-hole detection lands 12 mm off, nearer another point's hole.
+    ("[part]\nholes = 4\nhole_spacing = 0.014\n[sensors]\ncamera_sigma_wall = 0.005\n",
+     [("run", "--seed", "22")]),
+], ids=["spiral-outgrows-hole", "camera-59mm-off", "crowded-holes"])
 def test_far_insertion_is_a_search_timeout(capsys, tmp_path, text, argv):
     path = tmp_path / "s.ini"
     path.write_text(text)
