@@ -125,35 +125,16 @@ def cases(slice_: str):
 
 
 def short_hole(scenario, seed):
-    """A 40 mm hole, which bottoms out before the success depth; the
-    setup of ``test_hammer_short_hole_fails_with_diagnostic``."""
+    """The ``hammer`` mission on a 40 mm hole, which bottoms out before the
+    success depth: the set-up of ``test_hammer_short_hole_fails_with_diagnostic``.
+    Validation refuses so shallow a drill target, so it is set after the
+    world has validated the scenario."""
     from anchorsim.engine import World
-    from anchorsim.errors import SimulationError
-    from anchorsim.procedure import FixationReport, FixationStep, MissionContext, _mission_insert_core
-    from anchorsim.worksite import AnchorBolt
+    from anchorsim.procedure import drive_mission
 
     world = World(scenario, seed)
-    ctx = MissionContext(world)
-    site = world.site
-    hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
-    site.anchors_in_stand = [AnchorBolt()]
-
-    def mission():
-        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
-        yield from ctx.guarded(
-            FixationStep.HAMMER_ANCHOR, 0, "robot1", ctx.hammer_anchor("robot1", anchor, stuck_measured)
-        )
-
-    try:
-        for horizon in mission():
-            world.run(horizon)
-    except SimulationError as exc:
-        ctx.failure = ctx.failure or f"{type(exc).__name__}: {exc}"
-    report = FixationReport(
-        steps=ctx.steps, total_duration=world.t, traces=sorted(world.recorder.traces), seed=seed,
-        scenario_hash=world.scenario_hash, success=ctx.failure is None, failure=ctx.failure,
-    )
-    return report, world.recorder.traces
+    scenario.procedure.drill_depth_target = 0.040
+    return drive_mission(world, "hammer")
 
 
 def digest(text: str | None, mission: str, seed: int) -> tuple[str, Exception | None]:

@@ -15,20 +15,8 @@ class OffWall(SimulationError):
     """A position that must lie on the wall surface does not."""
 
 
-class TooDeep(SimulationError):
-    """Requested hole depth exceeds what the wall allows."""
-
-
 class WrongPose(SimulationError):
     """Arm is not at the pose the operation requires."""
-
-
-class FlangeOccupied(SimulationError):
-    """Tool attach requested while another tool is mounted."""
-
-
-class NoTool(SimulationError):
-    """Tool detach requested with an empty flange."""
 
 
 class OutOfReach(SimulationError):

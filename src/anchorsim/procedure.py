@@ -34,7 +34,7 @@ from .errors import (
 from .geometry import Frame, Point3, angle_between, estimate_wall_frame
 from .robot import ToolId, attach_tool, detach_tool
 from .sensors import DetectionKind, Wrench, camera_detect
-from .tools import drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
+from .tools import BOTTOM_CONTACT_BAND, drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
 from .worksite import (
     MAX_HOLE_DEPTH,
     AnchorBolt,
@@ -667,13 +667,15 @@ class MissionContext:
         yield from self.wait(arm, self.scenario.robot.tool_change_time)
         detach_tool(state, stand)
 
-    def detect(self, arm: str, kind: DetectionKind, expected: Point3, index: int):
-        """Move the camera over ``expected`` and run one detection."""
+    def detect(self, arm: str, kind: DetectionKind, expected: Point3, true_pos: Point3):
+        """Move the camera over ``expected`` and run one detection of the
+        target at ``true_pos``."""
         view = expected + self.out_normal.scaled(0.25)
         yield from self.move(arm, view, self.scenario.robot.gross_speed)
         yield from self.wait(arm, self.scenario.sensors.detect_time)
         det = camera_detect(
-            kind, self.world.site, self.world.streams.get(f"camera.{arm}"), self.scenario.sensors, expected, index
+            kind, true_pos, self.world.site.wall, self.world.streams.get(f"camera.{arm}"),
+            self.scenario.sensors, expected,
         )
         if det is None:
             raise DetectionMissing(f"{kind.value} not found near {expected}")
@@ -752,8 +754,8 @@ class MissionContext:
             + frame.x_axis.scaled(self.scenario.part.target_x + local.x)
             + frame.y_axis.scaled(self.scenario.part.target_y + local.y)
         )
-        det = yield from self.detect(arm, DetectionKind.PART_HOLE, expected, point)
         true_pos = self.world.site.part.hole_world(point)
+        det = yield from self.detect(arm, DetectionKind.PART_HOLE, expected, true_pos)
         self._open[arm].diagnostics.update(
             detection_error=det.position.distance_to(true_pos),
             confidence=det.confidence,
@@ -820,8 +822,7 @@ class MissionContext:
         return hole
 
     def detect_wall_hole(self, arm: str, hole: DrilledHole):
-        index = self.world.site.drilled_holes.index(hole)
-        det = yield from self.detect(arm, DetectionKind.WALL_HOLE, hole.position, index)
+        det = yield from self.detect(arm, DetectionKind.WALL_HOLE, hole.position, hole.position)
         self._open[arm].diagnostics.update(
             detection_error=det.position.distance_to(hole.position),
             confidence=det.confidence,
@@ -833,24 +834,22 @@ class MissionContext:
         yield from self.ensure_tool(arm, ToolId.HAMMER)
         yield from self.move(arm, self.station(arm, "anchor"), robot.gross_speed)
         yield from self.wait(arm, self.scenario.tools.grip_time)
-        anchor = self.world.site.take_anchor()
+        anchor = AnchorBolt()
         anchor.set_state(AnchorState.GRASPED)
         self._open[arm].diagnostics.update(anchor_mass=anchor.mass)
         return anchor
 
-    def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt):
-        """Steps 5-7 core: approach the detected hole, search if needed, push
-        until the wedge reaches the insertion end moment. Returns the stuck
-        depth the laser measured, which hammering starts from."""
+    def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt, hole: DrilledHole):
+        """Steps 5-7 core: approach ``target``, the detected position of
+        ``hole``, search if the anchor does not drop in, and push until the
+        wedge reaches the insertion end moment. Engagement is judged against
+        ``hole`` however far off the detection is, so a bad detection ends in
+        a failed search. Returns the stuck depth the laser measured, which
+        hammering starts from."""
         world = self.world
         robot = self.scenario.robot
         p = self.scenario.procedure
         state = self.arm(arm)
-        # Wide tolerance: a badly mislocated detection still aims the attempt
-        # somewhere, and the search then honestly fails to reach the hole.
-        hole = world.site.hole_near(target, tol=0.1)
-        if hole is None:
-            raise DetectionMissing("no drilled hole near the detected position")
         clearance = p.engagement_clearance
 
         standoff = target + self.out_normal.scaled(robot.approach_standoff)
@@ -1112,7 +1111,7 @@ class MissionContext:
         )
         stuck_measured = yield from self.guarded(
             FixationStep.INSERT_ANCHOR, point, arm,
-            self.insert_anchor(arm, det_hole.position, anchor),
+            self.insert_anchor(arm, det_hole.position, anchor, hole),
         )
         yield from self.guarded(
             FixationStep.HAMMER_ANCHOR, point, arm,
@@ -1129,7 +1128,6 @@ class MissionContext:
 def mission_full(ctx: MissionContext):
     """The complete procedure, scheduled over one or both arms."""
     plan = schedule_dual_arm(ctx.scenario.part.holes)
-    ctx.world.site.anchors_in_stand = [AnchorBolt() for _ in range(plan.n_points)]
 
     yield from ctx.guarded(
         FixationStep.ESTIMATE_ORIENTATION, 0, "robot1", ctx.estimate_orientation("robot1")
@@ -1193,21 +1191,19 @@ def _mission_insert_core(ctx: MissionContext, hole: DrilledHole):
     )
     stuck_measured = yield from ctx.guarded(
         FixationStep.INSERT_ANCHOR, 0, "robot1",
-        ctx.insert_anchor("robot1", det.position, anchor),
+        ctx.insert_anchor("robot1", det.position, anchor, hole),
     )
     return anchor, stuck_measured
 
 
 def mission_insert(ctx: MissionContext):
     """Insertion only: detect the pre-drilled hole, pick, insert (with search)."""
-    ctx.world.site.anchors_in_stand = [AnchorBolt()]
     hole = _preset_hole(ctx)
     yield from _mission_insert_core(ctx, hole)
 
 
 def mission_hammer(ctx: MissionContext):
     """Anchor protocol: insert into a pre-drilled hole, then hammer it home."""
-    ctx.world.site.anchors_in_stand = [AnchorBolt()]
     hole = _preset_hole(ctx)
     anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
     yield from ctx.guarded(
@@ -1220,9 +1216,8 @@ def mission_hammer(ctx: MissionContext):
 def _seated_anchor(ctx: MissionContext, hole: DrilledHole) -> AnchorBolt:
     anchor = AnchorBolt()
     anchor.set_state(AnchorState.GRASPED)
-    seated = hole.depth - 0.001
-    ctx.world.site.place_anchor_in_hole(anchor, hole, depth=min(0.007, seated))
-    anchor.set_state(AnchorState.SEATED, depth=seated)
+    ctx.world.site.place_anchor_in_hole(anchor, hole, depth=hole.depth - BOTTOM_CONTACT_BAND)
+    anchor.set_state(AnchorState.SEATED)
     return anchor
 
 
@@ -1240,7 +1235,7 @@ def mission_nut_missing(ctx: MissionContext):
     """Nut protocol pointed at an empty hole; the socket never fits."""
     hole = _preset_hole(ctx)
     anchor = AnchorBolt()  # stays in the stand; the runner presses the bare part plane
-    anchor.depth = hole.depth - 0.001
+    anchor.depth = hole.depth - BOTTOM_CONTACT_BAND
     anchor.hole = hole
     yield from ctx.guarded(
         FixationStep.TIGHTEN_NUT, 0, "robot1", ctx.tighten_nut("robot1", anchor)

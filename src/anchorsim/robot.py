@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
+from .errors import OutOfReach, WrongPose
 from .geometry import Point3
 
 if TYPE_CHECKING:
@@ -171,9 +171,7 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
 
 def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):
-    """Mount ``tool`` from the stand; requires an empty flange at the stand."""
-    if arm.attached_tool is not None:
-        raise FlangeOccupied(f"{arm.name} already carries {arm.attached_tool.value}")
+    """Mount ``tool`` from the stand onto the empty flange."""
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
     arm.attached_tool = tool
@@ -181,8 +179,6 @@ def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):
 
 def detach_tool(arm: ArmState, stand_position: Point3):
     """Return the mounted tool to the stand."""
-    if arm.attached_tool is None:
-        raise NoTool(f"{arm.name} has no tool to detach")
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
     arm.attached_tool = None

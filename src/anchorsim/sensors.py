@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateGeometry, NoReturn
 from .geometry import Point3
 from .scenario import SensorsSection
-from .worksite import Worksite
+from .worksite import Wall, Worksite
 
 
 class Wrench(NamedTuple):
@@ -289,37 +289,30 @@ class Detection:
 
 def camera_detect(
     kind: DetectionKind,
-    worksite: Worksite,
+    true_pos: Point3,
+    wall: Wall,
     rng,
     sensors: SensorsSection,
     view_center: Point3,
-    index: int,
 ) -> Detection | None:
     """Stochastic stand-in for the image-processing detections.
 
-    Returns the true target position with per-axis Gaussian error in the wall
-    plane, or None (not found) with probability ``1 - p_detect`` or when the
-    target sits outside the lateral field of view (``camera_fov``, a
-    half-extent) around ``view_center``.
+    Returns ``true_pos``, the target's true position, with per-axis Gaussian
+    error in the wall plane, or None (not found) with probability
+    ``1 - p_detect`` or when the target sits outside the lateral field of view
+    (``camera_fov``, a half-extent) around ``view_center``. ``kind`` picks the
+    sigma: ``camera_sigma_part`` or ``camera_sigma_wall``.
     """
-    if kind is DetectionKind.PART_HOLE:
-        true_pos = worksite.part.hole_world(index)
-        sigma = sensors.camera_sigma_part
-    else:
-        if index >= len(worksite.drilled_holes):
-            return None
-        hole = worksite.drilled_holes[index]
-        true_pos = hole.position
-        sigma = sensors.camera_sigma_wall
+    sigma = sensors.camera_sigma_part if kind is DetectionKind.PART_HOLE else sensors.camera_sigma_wall
     lateral = true_pos - view_center
-    normal = worksite.wall.normal
+    normal = wall.normal
     lateral = lateral - normal.scaled(lateral.dot(normal))
     if lateral.norm() > sensors.camera_fov:
         return None
     if sensors.p_detect < 1.0 and rng.random() >= sensors.p_detect:
         return None
     if sigma > 0.0:
-        frame = worksite.wall.frame
+        frame = wall.frame
         err_x = rng.normal(0.0, sigma)
         err_y = rng.normal(0.0, sigma)
         position = true_pos + frame.x_axis.scaled(err_x) + frame.y_axis.scaled(err_y)

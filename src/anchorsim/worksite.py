@@ -1,4 +1,4 @@
-"""The physical scene: wall, structural part, drilled holes, anchors, stands."""
+"""The physical scene: wall, structural part, drilled holes and anchors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import OffWall, TooDeep
+from .errors import OffWall
 from .geometry import Frame, Point3
 
 if TYPE_CHECKING:
@@ -150,47 +150,27 @@ class AnchorBolt:
 
 @dataclass
 class Worksite:
-    """Single-writer registry of everything at the work face."""
+    """The work face: the wall, the part and the holes drilled so far, in
+    drilling order, each with the anchor set in it. Steps hand the holes and
+    anchors they make to the steps after them; ``drilled_holes`` keeps the
+    work face's state for the report and the tests."""
 
     wall: Wall
     part: StructuralPart
     drilled_holes: list[DrilledHole] = field(default_factory=list)
-    anchors_in_stand: list[AnchorBolt] = field(default_factory=list)
 
     def register_drilled_hole(self, position: Point3, axis: Point3, depth: float) -> DrilledHole:
-        """Record a freshly drilled hole; the registry is append-only."""
+        """Record a freshly drilled hole, whose mouth must lie on the wall.
+        ``Scenario.validate`` leaves the wall thick enough for any drillable
+        depth."""
         wall = self.wall
         if abs(wall.signed_distance(position)) > ON_SURFACE_TOL or not wall.contains_lateral(*position.as_tuple()):
             raise OffWall(f"{position} is not on the wall surface")
-        thickness = wall.cfg.thickness
-        if depth > thickness - BACK_COVER_MARGIN:
-            raise TooDeep(
-                f"depth {depth} m exceeds wall thickness {thickness} m "
-                f"minus {BACK_COVER_MARGIN} m cover"
-            )
         hole = DrilledHole(position=position, axis=axis, depth=depth)
         self.drilled_holes.append(hole)
         return hole
 
-    def hole_near(self, position: Point3, tol: float) -> DrilledHole | None:
-        best = None
-        best_d = tol
-        for hole in self.drilled_holes:
-            d = hole.position.distance_to(position)
-            if d < best_d:
-                best, best_d = hole, d
-        return best
-
-    def take_anchor(self) -> AnchorBolt:
-        if not self.anchors_in_stand:
-            raise ValueError("anchor stand is empty")
-        return self.anchors_in_stand.pop(0)
-
     def place_anchor_in_hole(self, anchor: AnchorBolt, hole: DrilledHole, depth: float):
-        if hole.anchor is not None:
-            raise ValueError("hole already holds an anchor")
-        if anchor.hole is not None:
-            raise ValueError("anchor already sits in a hole")
         hole.anchor = anchor
         anchor.hole = hole
         anchor.set_state(AnchorState.STUCK, depth=depth)

@@ -32,7 +32,6 @@ from anchorsim.engine import World
 from anchorsim.errors import StepFailed
 from anchorsim.procedure import FixationReport, FixationStep, MissionContext, _mission_insert_core
 from anchorsim.scenario import parse_scenario
-from anchorsim.worksite import AnchorBolt
 
 GOLDEN = [
     (("drill-test", "--variant", "aligned_axis"), 1,
@@ -124,7 +123,6 @@ def test_seed_2_short_hole_bottom_contact_unchanged():
     ctx = MissionContext(world)
     site = world.site
     hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
-    site.anchors_in_stand = [AnchorBolt()]
 
     def mission():
         anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)

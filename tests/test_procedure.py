@@ -205,10 +205,8 @@ def test_hammer_short_hole_fails_with_diagnostic():
     ctx = MissionContext(world)
     site = world.site
     from anchorsim.procedure import _mission_insert_core
-    from anchorsim.worksite import AnchorBolt
 
     hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
-    site.anchors_in_stand = [AnchorBolt()]
 
     def mission(ctx):
         anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)

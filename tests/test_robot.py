@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from anchorsim.errors import FlangeOccupied, NoTool, OutOfReach, WrongPose
+from anchorsim.errors import OutOfReach, WrongPose
 from anchorsim.geometry import Point3
 from anchorsim.robot import ArmState, Motion, PlatformState, ToolId, attach_tool, detach_tool
 from anchorsim.scenario import RobotSection
@@ -45,27 +45,10 @@ def test_attach_detach_roundtrip():
     assert arm.attached_tool is None
 
 
-def test_attach_requires_empty_flange():
-    arm = make_arm()
-    stand = Point3(0.15, -0.7, 0.8)
-    arm.position = stand
-    attach_tool(arm, ToolId.HAMMER, stand)
-    with pytest.raises(FlangeOccupied):
-        attach_tool(arm, ToolId.DRILL, stand)
-
-
 def test_attach_requires_stand_pose():
     arm = make_arm()
     with pytest.raises(WrongPose):
         attach_tool(arm, ToolId.DRILL, Point3(0.15, -0.7, 0.8))
-
-
-def test_detach_requires_tool():
-    arm = make_arm()
-    stand = Point3(0.15, -0.7, 0.8)
-    arm.position = stand
-    with pytest.raises(NoTool):
-        detach_tool(arm, stand)
 
 
 def test_slip_examples():

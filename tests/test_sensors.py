@@ -273,7 +273,8 @@ def test_block_drawn_laser_noise_matches_generator_normal_bit_for_bit():
 def test_camera_noiseless_exact():
     site = make_site()
     sensors = SensorsSection(p_detect=1.0, camera_sigma_part=0.0)
-    det = camera_detect(DetectionKind.PART_HOLE, site, None, sensors, site.part.hole_world(0), 0)
+    true_pos = site.part.hole_world(0)
+    det = camera_detect(DetectionKind.PART_HOLE, true_pos, site.wall, None, sensors, true_pos)
     assert det is not None
     assert det.position.distance_to(site.part.hole_world(0)) < 1e-12
     assert det.confidence == 1.0
@@ -281,13 +282,12 @@ def test_camera_noiseless_exact():
 
 def test_camera_error_sigma():
     site = make_site()
-    site.register_drilled_hole(WALL_CENTER, -site.wall.normal, 0.08)
     sensors = SensorsSection(p_detect=1.0, camera_sigma_wall=0.0015)
     rng = np.random.default_rng(321)
     n = 10_000
     errs_x = np.empty(n)
     for i in range(n):
-        det = camera_detect(DetectionKind.WALL_HOLE, site, rng, sensors, WALL_CENTER, 0)
+        det = camera_detect(DetectionKind.WALL_HOLE, WALL_CENTER, site.wall, rng, sensors, WALL_CENTER)
         local = site.wall.frame.to_local(det.position - Point3(0, 0, 0))
         true_local = site.wall.frame.to_local(WALL_CENTER - Point3(0, 0, 0))
         errs_x[i] = local.x - true_local.x
@@ -297,15 +297,14 @@ def test_camera_error_sigma():
 
 def test_camera_out_of_fov():
     site = make_site()
-    site.register_drilled_hole(WALL_CENTER, -site.wall.normal, 0.08)
     far_view = WALL_CENTER + site.wall.frame.x_axis.scaled(0.7)
     det = camera_detect(
         DetectionKind.WALL_HOLE,
-        site,
+        WALL_CENTER,
+        site.wall,
         np.random.default_rng(1),
         SensorsSection(p_detect=1.0),
         far_view,
-        0,
     )
     assert det is None
 
@@ -314,19 +313,11 @@ def test_camera_miss_probability():
     site = make_site()
     det = camera_detect(
         DetectionKind.PART_HOLE,
-        site,
+        site.part.hole_world(0),
+        site.wall,
         np.random.default_rng(1),
         SensorsSection(p_detect=0.0),
         site.part.hole_world(0),
-        0,
-    )
-    assert det is None
-
-
-def test_camera_no_hole_to_detect():
-    site = make_site()
-    det = camera_detect(
-        DetectionKind.WALL_HOLE, site, np.random.default_rng(1), SensorsSection(p_detect=1.0), WALL_CENTER, 0
     )
     assert det is None
 
