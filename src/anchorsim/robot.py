@@ -171,7 +171,7 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
 
 def attach_tool(arm: ArmState, tool: ToolId, stand_position: Point3):
-    """Mount ``tool`` from the stand onto the empty flange."""
+    """Mount ``tool`` from the stand; ``ensure_tool`` empties the flange first."""
     if arm.position.distance_to(stand_position) > STAND_POSE_TOL:
         raise WrongPose(f"{arm.name} is not at the tool stand")
     arm.attached_tool = tool

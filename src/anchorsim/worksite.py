@@ -150,10 +150,9 @@ class AnchorBolt:
 
 @dataclass
 class Worksite:
-    """The work face: the wall, the part and the holes drilled so far, in
-    drilling order, each with the anchor set in it. Steps hand the holes and
-    anchors they make to the steps after them; ``drilled_holes`` keeps the
-    work face's state for the report and the tests."""
+    """The work face: the wall, the part and, in drilling order, the holes
+    drilled so far, each with the anchor set in it. The steps pass the holes
+    and anchors they make on to the later steps; nothing looks them up here."""
 
     wall: Wall
     part: StructuralPart

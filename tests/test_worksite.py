@@ -104,7 +104,7 @@ def test_engagement_far_tip_is_surface_contact():
     assert engagement_at(0.06) is Engagement.SURFACE_CONTACT
 
 
-#: Four holes 14 mm apart, one wall-hole detection width from each other.
+#: Four holes 14 mm apart: a wall-hole detection can land nearer a neighbour's hole.
 CROWDED_HOLES = "[part]\nholes = 4\nhole_spacing = 0.014\n"
 
 
