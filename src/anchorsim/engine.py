@@ -214,15 +214,12 @@ class TraceRecorder:
             n = min(TRACE_CHUNK - count, stop - k)
             times = array("d", (np.arange(k, k + n) * dt).tobytes())
             block = None if values is None else values[k - ticks.start : k - ticks.start + n]
-            if n == TRACE_CHUNK:
-                row.sealed.append((times, (None,) * width if block is None else _columns(block)))
-            else:
-                row.times[count : count + n] = times
-                data = bytes(8 * width * n) if block is None else block.tobytes()
-                row.data[count * width : (count + n) * width] = array("d", data)
-                row.count = count + n
-                if row.count == TRACE_CHUNK:
-                    row.seal()
+            row.times[count : count + n] = times
+            data = bytes(8 * width * n) if block is None else block.tobytes()
+            row.data[count * width : (count + n) * width] = array("d", data)
+            row.count = count + n
+            if row.count == TRACE_CHUNK:
+                row.seal()
             k += n
         row.last = (stop - 1) * dt
 

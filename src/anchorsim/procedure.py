@@ -43,7 +43,6 @@ from .worksite import (
     Engagement,
     PartState,
     anchor_engagement,
-    wall_frame_from_angles,
 )
 
 
@@ -485,14 +484,7 @@ class MissionContext:
         self.steps: list[StepRecord] = []
         self._open: dict[str, StepRecord] = {}
         self.failure: str | None = None
-        # Nominal (design) wall frame: what the executive believes before
-        # measuring; deliberately ignores the scenario's true tilt angles.
-        center = Point3(
-            world.scenario.wall.distance,
-            world.scenario.wall.center_y,
-            world.scenario.wall.center_z,
-        )
-        self.nominal_frame = wall_frame_from_angles(center, 0.0, 0.0)
+        self.nominal_frame = self.scenario.nominal_frame()
 
     # -- frames -----------------------------------------------------------------
 
@@ -542,9 +534,6 @@ class MissionContext:
 
     # -- primitives -------------------------------------------------------------
 
-    def arm(self, name: str):
-        return self.world.arm(name)
-
     def station(self, arm: str, kind: str) -> Point3:
         suffix = "1" if arm == "robot1" else "2"
         key = {"tool": f"tool_stand{suffix}", "anchor": f"anchor_stand{suffix}",
@@ -587,7 +576,7 @@ class MissionContext:
         yield from self.until(arm, ticks=max(1, round(seconds / self.world.dt)))
 
     def move(self, arm: str, target: Point3, speed: float):
-        state = self.arm(arm)
+        state = self.world.arm(arm)
         state.start_move(target, speed)
         if state.motion is not None:
             yield from self.until(arm)
@@ -596,7 +585,7 @@ class MissionContext:
         """Open-ended guarded feed into the wall along the working normal;
         ``stop()`` is evaluated after each tick, and the feed fails once it
         has travelled more than ``max_travel``."""
-        state = self.arm(arm)
+        state = self.world.arm(arm)
         state.start_feed(-self.out_normal, speed)
 
         def done():
@@ -625,12 +614,6 @@ class MissionContext:
         first = len(trace)
         return lambda: trace.row.column(trace.index, first)
 
-    def reading(self, arm: str):
-        return self.world.runtime(arm).reading
-
-    def true_wrench(self, arm: str) -> Wrench:
-        return self.world.runtime(arm).true_wrench
-
     @contextmanager
     def contact(self, arm: str, model, bulk=None):
         """Make ``model`` the arm's contact model for the block, and ``bulk``
@@ -645,21 +628,20 @@ class MissionContext:
             runtime.contact_model = runtime.bulk = None
 
     def ensure_tool(self, arm: str, tool: ToolId):
-        """Bring the arm to its tool stand and swap to ``tool`` if needed."""
-        state = self.arm(arm)
+        """Swap the arm to ``tool`` at its tool stand, unless it holds it
+        already. ``return_tool`` empties the flange and leaves the arm on the
+        stand point, so after it the move to the stand is no motion."""
+        state = self.world.arm(arm)
         if state.attached_tool == tool:
             return
+        yield from self.return_tool(arm)
         stand = self.station(arm, "tool")
-        speed = self.scenario.robot.gross_speed
-        yield from self.move(arm, stand, speed)
-        if state.attached_tool is not None:
-            yield from self.wait(arm, self.scenario.robot.tool_change_time)
-            detach_tool(state, stand)
+        yield from self.move(arm, stand, self.scenario.robot.gross_speed)
         yield from self.wait(arm, self.scenario.robot.tool_change_time)
         attach_tool(state, tool, stand)
 
     def return_tool(self, arm: str):
-        state = self.arm(arm)
+        state = self.world.arm(arm)
         if state.attached_tool is None:
             return
         stand = self.station(arm, "tool")
@@ -669,7 +651,8 @@ class MissionContext:
 
     def detect(self, arm: str, kind: DetectionKind, expected: Point3, true_pos: Point3):
         """Move the camera over ``expected`` and run one detection of the
-        target at ``true_pos``."""
+        target at ``true_pos``. Records the detection's error and confidence
+        in the open step's diagnostics and returns the detection."""
         view = expected + self.out_normal.scaled(0.25)
         yield from self.move(arm, view, self.scenario.robot.gross_speed)
         yield from self.wait(arm, self.scenario.sensors.detect_time)
@@ -679,6 +662,9 @@ class MissionContext:
         )
         if det is None:
             raise DetectionMissing(f"{kind.value} not found near {expected}")
+        self._open[arm].diagnostics.update(
+            detection_error=det.position.distance_to(true_pos), confidence=det.confidence
+        )
         return det
 
     # -- step 1: orientation -------------------------------------------------------
@@ -691,7 +677,7 @@ class MissionContext:
             yield from self.move(arm, point, robot.gross_speed)
             yield from self.wait(arm, 0.5)
             distance = self.world.laser_distance(arm, ray)
-            points.append(self.arm(arm).position + ray.scaled(distance))
+            points.append(self.world.arm(arm).position + ray.scaled(distance))
         est = estimate_wall_frame(points[0], points[1], points[2])
         self.est_frame = est
         true_frame = self.world.site.wall.frame
@@ -740,7 +726,7 @@ class MissionContext:
 
     def release_part(self, arm: str):
         yield from self.wait(arm, self.scenario.tools.magnet_switch_time)
-        back = self.arm(arm).position + self.out_normal.scaled(0.10)
+        back = self.world.arm(arm).position + self.out_normal.scaled(0.10)
         yield from self.move(arm, back, self.scenario.robot.retract_speed)
         yield from self.move(arm, self.station(arm, "home"), self.scenario.robot.gross_speed)
 
@@ -755,19 +741,14 @@ class MissionContext:
             + frame.y_axis.scaled(self.scenario.part.target_y + local.y)
         )
         true_pos = self.world.site.part.hole_world(point)
-        det = yield from self.detect(arm, DetectionKind.PART_HOLE, expected, true_pos)
-        self._open[arm].diagnostics.update(
-            detection_error=det.position.distance_to(true_pos),
-            confidence=det.confidence,
-        )
-        return det
+        return (yield from self.detect(arm, DetectionKind.PART_HOLE, expected, true_pos))
 
     def drill_hole(self, arm: str, target: Point3):
         """Steps 3-4 core: approach through the part hole, drill to depth."""
         world = self.world
         robot = self.scenario.robot
         cfg = self.scenario.tools
-        state = self.arm(arm)
+        state = world.arm(arm)
 
         yield from self.ensure_tool(arm, ToolId.DRILL)
         standoff = target + self.out_normal.scaled(robot.approach_standoff + 0.02)
@@ -822,12 +803,7 @@ class MissionContext:
         return hole
 
     def detect_wall_hole(self, arm: str, hole: DrilledHole):
-        det = yield from self.detect(arm, DetectionKind.WALL_HOLE, hole.position, hole.position)
-        self._open[arm].diagnostics.update(
-            detection_error=det.position.distance_to(hole.position),
-            confidence=det.confidence,
-        )
-        return det
+        return (yield from self.detect(arm, DetectionKind.WALL_HOLE, hole.position, hole.position))
 
     def pick_anchor(self, arm: str):
         robot = self.scenario.robot
@@ -840,7 +816,7 @@ class MissionContext:
         return anchor
 
     def insert_anchor(self, arm: str, target: Point3, anchor: AnchorBolt, hole: DrilledHole):
-        """Steps 5-7 core: approach ``target``, the detected position of
+        """Step 7: approach ``target``, the detected position of
         ``hole``, search if the anchor does not drop in, and push until the
         wedge reaches the insertion end moment. Engagement is judged against
         ``hole`` however far off the detection is, so a bad detection ends in
@@ -849,7 +825,7 @@ class MissionContext:
         world = self.world
         robot = self.scenario.robot
         p = self.scenario.procedure
-        state = self.arm(arm)
+        state = world.arm(arm)
         clearance = p.engagement_clearance
 
         standoff = target + self.out_normal.scaled(robot.approach_standoff)
@@ -876,7 +852,7 @@ class MissionContext:
             if pen >= 0.0005 and engagement_now() is Engagement.ENGAGED:
                 entered = True
                 return True
-            r = self.reading(arm)
+            r = world.runtime(arm).reading
             return r is not None and r.fz >= 15.0
 
         with self.contact(arm, wedge_model):
@@ -911,7 +887,7 @@ class MissionContext:
                 search_time = world.t - t0
 
         def wedged():
-            r = self.reading(arm)
+            r = world.runtime(arm).reading
             pen = max(0.0, -world.surface_distance(arm))
             commanded = pen + world.slip(arm)
             # The laser reads the signed distance to the surface plane,
@@ -950,7 +926,7 @@ class MissionContext:
             yield from self.until(arm, hammer.bottomed)
 
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
-        state = self.arm(arm)
+        state = self.world.arm(arm)
         self._open[arm].diagnostics.update(
             blows=hammer.blows.count,
             displacement=hammer.commanded(state.x, state.y, state.z),
@@ -967,6 +943,7 @@ class MissionContext:
         p = self.scenario.procedure
         hole = anchor.hole
         wall = world.site.wall
+        runtime = world.runtime(arm)
 
         yield from self.ensure_tool(arm, ToolId.NUTRUNNER)
         protrusion = anchor.length - anchor.depth
@@ -990,7 +967,7 @@ class MissionContext:
 
             yield from self.press_until(arm, socket_spring_law, p.approach_force, max_travel=protrusion + 0.03)
             approach_triggers.append(
-                {"reading_fz": self.reading(arm).fz, "true_fz": self.true_wrench(arm).fz}
+                {"reading_fz": runtime.reading.fz, "true_fz": runtime.true_wrench.fz}
             )
             substeps.append((name, t0, world.t))
 
@@ -1003,7 +980,7 @@ class MissionContext:
         # (2) alternate rotation until the socket slots onto the nut.
         t0 = world.t
         fit_elapsed = 0.0
-        hold_fz = self.true_wrench(arm).fz
+        hold_fz = runtime.true_wrench.fz
         socket_extension = 0.0  # m, the socket spring's extension signal
         anchor_present = anchor.state in (AnchorState.STUCK, AnchorState.SEATED)
 
@@ -1017,7 +994,7 @@ class MissionContext:
             return Wrench(fz=hold_fz, mx=wiggle)
 
         def fitted():
-            r = self.reading(arm)
+            r = runtime.reading
             if r is not None and r.fz < 10.0 and socket_extension > 0.001:
                 return True
             # The fit model's clock has counted every tick of this wait.
@@ -1095,6 +1072,22 @@ class MissionContext:
 
     # -- point pipeline ----------------------------------------------------------
 
+    def anchor_hole(self, arm: str, point: int, hole: DrilledHole):
+        """Steps 5-7 at ``hole``: detect it with the camera, pick an anchor
+        and insert it at the detected position. Returns the anchor and the
+        stuck depth the laser measured, which hammering starts from."""
+        det = yield from self.guarded(
+            FixationStep.DETECT_WALL_HOLE, point, arm, self.detect_wall_hole(arm, hole)
+        )
+        anchor = yield from self.guarded(
+            FixationStep.PICK_ANCHOR, point, arm, self.pick_anchor(arm)
+        )
+        stuck_measured = yield from self.guarded(
+            FixationStep.INSERT_ANCHOR, point, arm,
+            self.insert_anchor(arm, det.position, anchor, hole),
+        )
+        return anchor, stuck_measured
+
     def fix_point(self, arm: str, point: int):
         """Steps 3 through 9 for one fixation point."""
         det_part = yield from self.guarded(
@@ -1103,16 +1096,7 @@ class MissionContext:
         hole = yield from self.guarded(
             FixationStep.DRILL_HOLE, point, arm, self.drill_hole(arm, det_part.position)
         )
-        det_hole = yield from self.guarded(
-            FixationStep.DETECT_WALL_HOLE, point, arm, self.detect_wall_hole(arm, hole)
-        )
-        anchor = yield from self.guarded(
-            FixationStep.PICK_ANCHOR, point, arm, self.pick_anchor(arm)
-        )
-        stuck_measured = yield from self.guarded(
-            FixationStep.INSERT_ANCHOR, point, arm,
-            self.insert_anchor(arm, det_hole.position, anchor, hole),
-        )
+        anchor, stuck_measured = yield from self.anchor_hole(arm, point, hole)
         yield from self.guarded(
             FixationStep.HAMMER_ANCHOR, point, arm,
             self.hammer_anchor(arm, anchor, stuck_measured),
@@ -1182,30 +1166,14 @@ def _preset_hole(ctx: MissionContext) -> DrilledHole:
     )
 
 
-def _mission_insert_core(ctx: MissionContext, hole: DrilledHole):
-    det = yield from ctx.guarded(
-        FixationStep.DETECT_WALL_HOLE, 0, "robot1", ctx.detect_wall_hole("robot1", hole)
-    )
-    anchor = yield from ctx.guarded(
-        FixationStep.PICK_ANCHOR, 0, "robot1", ctx.pick_anchor("robot1")
-    )
-    stuck_measured = yield from ctx.guarded(
-        FixationStep.INSERT_ANCHOR, 0, "robot1",
-        ctx.insert_anchor("robot1", det.position, anchor, hole),
-    )
-    return anchor, stuck_measured
-
-
 def mission_insert(ctx: MissionContext):
     """Insertion only: detect the pre-drilled hole, pick, insert (with search)."""
-    hole = _preset_hole(ctx)
-    yield from _mission_insert_core(ctx, hole)
+    yield from ctx.anchor_hole("robot1", 0, _preset_hole(ctx))
 
 
 def mission_hammer(ctx: MissionContext):
     """Anchor protocol: insert into a pre-drilled hole, then hammer it home."""
-    hole = _preset_hole(ctx)
-    anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
+    anchor, stuck_measured = yield from ctx.anchor_hole("robot1", 0, _preset_hole(ctx))
     yield from ctx.guarded(
         FixationStep.HAMMER_ANCHOR, 0, "robot1",
         ctx.hammer_anchor("robot1", anchor, stuck_measured),

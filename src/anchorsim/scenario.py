@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from .errors import ScenarioInvalid
-from .geometry import MIN_TRIANGLE_AREA, Point3
+from .geometry import MIN_TRIANGLE_AREA, Frame, Point3
 from .tools import BOTTOM_CONTACT_BAND, DrillVariant
 from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_from_angles
 
@@ -138,7 +138,7 @@ class SensorsSection:
     p_detect: float = checked(0.98, PROBABILITY)  # camera detection probability
     camera_sigma_wall: float = checked(0.0015, NON_NEGATIVE)  # m, wall hole / anchor detections (assumed)
     camera_sigma_part: float = checked(0.0010, NON_NEGATIVE)  # m, part hole detections (assumed)
-    camera_fov: float = 0.2  # m lateral field of view
+    camera_fov: float = checked(0.2, POSITIVE)  # m lateral field of view
     detect_time: float = checked(2.0, NON_NEGATIVE)  # s per camera detection
 
 
@@ -156,7 +156,7 @@ class RobotSection:
     approach_speed: float = checked(0.002, POSITIVE)  # m/s guarded approach
     retract_speed: float = checked(0.05, POSITIVE)  # m/s
     approach_standoff: float = 0.010  # m standoff before guarded approaches
-    contact_stiffness: float = 200000.0  # N/m wall contact for touch detection
+    contact_stiffness: float = checked(200000.0, POSITIVE)  # N/m wall contact for touch detection
     base1: str = "0.0,-0.30,0.75"  # robot 1 base, base-frame metres
     base2: str = "0.0,0.50,0.75"
     home1: str = "0.35,-0.40,1.00"
@@ -184,7 +184,7 @@ class ProcedureSection:
     orientation_offset: float = 0.10  # m between the three laser points
     laser_standoff: float = 0.15  # m wall standoff while measuring
     depth_source: str = checked("laser", one_of("laser", "commanded"))  # drill depth feedback
-    engagement_clearance: float = 0.0002  # m insertion clearance radius
+    engagement_clearance: float = checked(0.0002, POSITIVE)  # m insertion clearance radius
     wedge_moment_rate: float = checked(3571.4, POSITIVE)  # Nm/m wedge resistance (25 Nm at ~7 mm)
     timestep: float = checked(0.01, STAMP_RESOLUTION)  # s engine tick
 
@@ -211,15 +211,20 @@ class Scenario:
     def station(self, key: str) -> Point3:
         return _parse_point(f"robot.{key}", getattr(self.robot, key))
 
+    def nominal_frame(self) -> Frame:
+        """The design wall frame, untilted at ``wall.distance``, ``center_y``
+        and ``center_z``: what the executive believes before it measures. It
+        ignores the true ``yaw_deg`` and ``pitch_deg``."""
+        w = self.wall
+        return wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), 0.0, 0.0)
+
     def laser_points(self) -> list[Point3]:
         """The three tool points robot 1 reads the laser from to estimate the
         wall's orientation: an L of ``orientation_offset`` legs,
-        ``laser_standoff`` off the nominal wall (``wall.distance`` with no
-        tilt), centred so all three rays stay on the wall even at full offset
-        on the small test block."""
+        ``laser_standoff`` off the nominal wall, centred so all three rays
+        stay on the wall even at full offset on the small test block."""
         p = self.procedure
-        w = self.wall
-        prior = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), 0.0, 0.0)
+        prior = self.nominal_frame()
         first = (
             prior.origin
             + prior.z_axis.scaled(p.laser_standoff)

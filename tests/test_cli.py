@@ -108,6 +108,9 @@ INVALID_VALUES = [
     ("[tools]\nhammer_contact_ramp = 0\n", "tools.hammer_contact_ramp"),
     ("[tools]\nhammer_contact_cap = 26\n", "tools.hammer_contact_cap"),
     ("[procedure]\norientation_offset = 0.0\n", "procedure.orientation_offset"),
+    ("[sensors]\ncamera_fov = 0\n", "sensors.camera_fov"),
+    ("[procedure]\nengagement_clearance = 0\n", "procedure.engagement_clearance"),
+    ("[robot]\ncontact_stiffness = 0\n", "robot.contact_stiffness"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that

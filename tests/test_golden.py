@@ -30,7 +30,7 @@ import anchorsim
 from anchorsim.cli import main, render_machine_report
 from anchorsim.engine import World
 from anchorsim.errors import StepFailed
-from anchorsim.procedure import FixationReport, FixationStep, MissionContext, _mission_insert_core
+from anchorsim.procedure import FixationReport, FixationStep, MissionContext
 from anchorsim.scenario import parse_scenario
 
 GOLDEN = [
@@ -125,7 +125,7 @@ def test_seed_2_short_hole_bottom_contact_unchanged():
     hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
 
     def mission():
-        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
+        anchor, stuck_measured = yield from ctx.anchor_hole("robot1", 0, hole)
         yield from ctx.guarded(
             FixationStep.HAMMER_ANCHOR, 0, "robot1", ctx.hammer_anchor("robot1", anchor, stuck_measured)
         )

@@ -204,12 +204,10 @@ def test_hammer_short_hole_fails_with_diagnostic():
     world = World(sc, seed=2)
     ctx = MissionContext(world)
     site = world.site
-    from anchorsim.procedure import _mission_insert_core
-
     hole = site.register_drilled_hole(site.wall.frame.origin, -site.wall.normal, 0.040)
 
     def mission(ctx):
-        anchor, stuck_measured = yield from _mission_insert_core(ctx, hole)
+        anchor, stuck_measured = yield from ctx.anchor_hole("robot1", 0, hole)
         yield from ctx.guarded(
             FixationStep.HAMMER_ANCHOR, 0, "robot1",
             ctx.hammer_anchor("robot1", anchor, stuck_measured),
