@@ -18,8 +18,8 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-          tokenize.ENCODING, tokenize.ENDMARKER}
+#: Tokens that make no line code: comments, line ends and indentation.
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -27,7 +27,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+            value = first.value if isinstance(first, ast.Expr) else None
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
 
