@@ -9,7 +9,7 @@ run that raises before it returns hashes the error's class and text, and a
 
     python3 scripts/census.py                    # every case, this checkout's src
     python3 scripts/census.py --src OTHER/src    # the same cases on another tree
-    python3 scripts/census.py --slice ci         # about 40 cases
+    python3 scripts/census.py --slice ci         # about 60 cases
 
 Two trees give the same bytes when the two outputs are the same; ``diff``
 or ``--against`` lists the cases that differ.
@@ -83,6 +83,26 @@ TWO_FEED_CASES = {
     "full_4pt-commanded": (FULL_4PT + "[procedure]\ndepth_source = commanded\n", "full", range(5)),
     "full_4pt-fine-tick": (FULL_4PT + "[procedure]\ntimestep = 0.005\n", "full", range(5)),
 }
+#: Nut-runner and drill spin-up edges: a socket that slots on at once and
+#: one that slots on only at the fit timeout, pulse rates off the tick, a fast
+#: and a slow run-down, a target torque of one pulse, no spin-up and a long
+#: one, noise-free FT sensors on the nut, the four-point scenario with fit and
+#: pulse settings off the tick, and a missing anchor whose fit times out off
+#: the tick.
+NUT_CASES = {
+    "nut-fit-time-0": ("[tools]\nsocket_fit_time = 0\n", "nut"),
+    "nut-fit-time-10": ("[tools]\nsocket_fit_time = 10\n", "nut"),
+    "nut-pulse-rate-7": ("[tools]\npulse_rate = 7.0\n", "nut"),
+    "nut-pulse-rate-30": ("[tools]\npulse_rate = 30.0\n", "nut"),
+    "nut-run-speed-0.05": ("[tools]\nnut_run_speed = 0.05\n", "nut"),
+    "nut-run-speed-0.001": ("[tools]\nnut_run_speed = 0.001\n", "nut"),
+    "nut-target-torque-1": ("[tools]\ntarget_torque = 1\n", "nut"),
+    "drill-spinup-0": ("[tools]\ndrill_spinup_time = 0\n", "drill"),
+    "drill-spinup-2.5": ("[tools]\ndrill_spinup_time = 2.5\n", "drill"),
+    "nut-ft-noise-free": ("[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\n", "nut"),
+    "full_4pt-nut": (FULL_4PT + "socket_fit_time = 0.37\npulse_rate = 7.0\n", "full"),
+    "nut-missing-timeout": ("[procedure]\nsocket_fit_timeout = 3.005\n", "nut-missing"),
+}
 #: Holes 14 mm apart and 5 mm wall-hole detections: at seed 22 a detection
 #: lands nearer another point's hole than its own.
 CROWDED_HOLES = "[part]\nholes = 4\nhole_spacing = 0.014\n[sensors]\ncamera_sigma_wall = 0.005\n"
@@ -119,6 +139,9 @@ def cases(slice_: str):
         for seed in range(10):
             if slice_ == "all" or (name, seed) == ("full_4pt-noise-free", 7):
                 yield f"{name}/{seed}", text, "full", seed
+    for name, (text, mission) in NUT_CASES.items():
+        for seed in (0, 1, 2, 3, 7) if slice_ == "all" else (0,):
+            yield f"{name}/{seed}", text, mission, seed
     for name, (text, mission, seeds) in {**SHORT_STRETCH_CASES, **TWO_FEED_CASES}.items():
         for seed in seeds if slice_ == "all" else seeds[:1]:
             yield f"{name}/{seed}", text, mission, seed
