@@ -7,22 +7,24 @@ watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
 
 A stretch of ticks is computed in bulk when each arm is idle, on a
-targeted move (a ``Move``), or holds a contact model and watcher with a
-``bulk`` form: the hammer, or a guarded feed whose contact law reads only
-the true surface distance (the drill's touch and drilling feed, the nut
-runner's approaches). Both arms may hold one. Its ticks then depend only on
-the arms' own state and noise. ``World.run`` computes such a stretch with
-numpy, and a feed's slip, surface distance, law and press force in one float
-loop, with the same operations in the same order, and applies it as soon as
-it is planned, so the arms hold the bytes the per-tick pass would leave;
-``World.step`` then only ticks the clock through it. A stretch ends at the
+targeted move (a ``Move``), or holds a contact model with a ``bulk`` form:
+a guarded feed whose contact law reads only the true surface distance (the
+drill's touch and drilling feed, the nut runner's approaches), the drill's
+spin-up (the touch law held where the feed stopped), or a phase whose
+wrench is a function of its own elapsed time (the hammer, and the nut
+runner's fitting, run-down and pulse phases). Both arms may hold one. Its
+ticks then depend only on the arms' own state and noise. ``World.run``
+computes such a stretch with numpy, and a feed's slip, surface distance,
+law and press force in one float loop, with the same operations in the
+same order, and applies it as soon as it is planned, so the arms hold the
+bytes the per-tick pass would leave; ``World.step`` then only ticks the
+clock through it. A stretch ends at the
 horizon, after ``NOISE_BLOCK`` ticks, or before the first tick that may be
 an event on either arm (an arrival, a reach trim, a guard trip, a watcher
 ending its wait or raising, a non-finite distance, the tick past
-``MAX_SIM_TIME``), and the per-tick pass takes that tick. Contact models
-with no bulk form (insertion, whose model reads the engagement, and the nut
-runner's fitting and pulse phases) and the waits with no watcher (the
-drill's spin-up, the nut run-down) stay per tick.
+``MAX_SIM_TIME``), and the per-tick pass takes that tick. The insertion's
+contact models have no bulk form and stay per tick: the wedge reads the
+engagement, and the slide's spiral probes wait a few ticks each.
 """
 
 from __future__ import annotations
@@ -271,9 +273,13 @@ class ArmRuntime:
     one that may be an event, and their true-wrench rows (None: zero); the
     pure ``stops(slips, readings)`` returns how many come before the first
     on which the arm's watcher may end its wait or raise, from the slip and
-    FT reading after each; ``apply(n)`` applies the first ``n`` as the
-    per-tick pass would. ``procedure.Hammering`` holds the arm still;
-    ``procedure.Feed``, a ``Move``, moves it on its open-ended motion.
+    FT reading after each, so a form held through a wait with no watcher
+    stops for none and the horizon ends its stretch; ``apply(n)`` applies
+    the first ``n`` as the per-tick pass would. ``procedure.Feed``, a
+    ``Move``, moves the arm on its open-ended motion, and
+    ``procedure.Hammering`` pushes it in with the anchor; the drill's
+    spin-up (``procedure.Holding``) and the nut runner's timed phases hold
+    it still.
     """
 
     state: ArmState
@@ -524,14 +530,15 @@ class World:
         and noise, and the executive, suspended until ``run`` returns, can
         neither change that nor read the world before the stretch ends. In a
         stretch each arm is idle, on a targeted move, or holds a contact
-        model and watcher with a ``bulk`` form (the hammer, or a guarded
-        feed), and only an arm that holds one has a press force. A stretch
-        ends only at the horizon, after ``NOISE_BLOCK`` ticks, or before the
-        first tick that may be an event on either arm: an arrival, a reach
-        trim, a guard trip, a watcher ending its wait or raising (a laser
-        read that fails and a feed past its travel limit included), a
-        non-finite surface distance, or the tick past ``MAX_SIM_TIME``. The
-        per-tick pass takes that tick.
+        model with a ``bulk`` form (a guarded feed, the drill's spin-up, the
+        hammer, or the nut runner's fitting, run-down or pulse phase), and
+        only an arm that holds one has a press force. A stretch ends only at
+        the horizon, after ``NOISE_BLOCK`` ticks, or before the first tick
+        that may be an event on either arm: an arrival, a reach trim, a guard
+        trip, a watcher ending its wait or raising (a laser read that fails
+        and a feed past its travel limit included), a non-finite surface
+        distance, or the tick past ``MAX_SIM_TIME``. The per-tick pass takes
+        that tick.
 
         ``step`` is still called once per tick; in a stretch it only ticks
         the clock. Every other tick runs the per-tick pass.
@@ -565,7 +572,7 @@ class World:
         for runtime in runtimes:
             motion = runtime.state.motion
             if runtime.contact_model is not None or runtime.watcher is not None:
-                if runtime.bulk is None or runtime.watcher is None:
+                if runtime.bulk is None:
                     return math.inf
                 if motion is not None and motion.target is not None:
                     return math.inf

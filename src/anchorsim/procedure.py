@@ -219,7 +219,91 @@ def inward(start, normal, x, y, z):
     return (sx - x) * ox + (sy - y) * oy + (sz - z) * oz
 
 
-# --- hammering ---------------------------------------------------------------------
+# --- timed contact phases ------------------------------------------------------------
+
+
+class Timed:
+    """A contact phase whose true wrench is a function of its own elapsed
+    time, which its contact model adds one tick to at a time, and of
+    constants.
+
+    As a form (see ``ArmRuntime.bulk``), ``times`` gives that time after each
+    tick of a stretch with ``np.add.accumulate``, which adds as the ticks
+    do, so every double is the same. ``stops`` and ``apply`` here suit a
+    wait with no watcher, which the horizon ends; a subclass with a watcher
+    stops before the first tick on which it may end the wait or raise.
+    """
+
+    def __init__(self, ctx: MissionContext, arm: str):
+        self.world = ctx.world
+        self.arm, self.runtime = arm, self.world.runtime(arm)
+        self.elapsed = 0.0  # seconds of the phase, one tick added at a time
+        self._elapsed = None  # what ``times`` computed, for ``apply``
+
+    def times(self, m: int) -> np.ndarray:
+        """The elapsed time after each of the next ``m`` ticks."""
+        elapsed = np.empty(m + 1)
+        elapsed[0] = self.elapsed
+        elapsed[1:] = self.world.dt
+        np.add.accumulate(elapsed, out=elapsed)  # sequential, as the ticks add
+        self._elapsed = elapsed
+        return elapsed[1:]
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        return len(slips)
+
+    def apply(self, n: int):
+        self.elapsed = float(self._elapsed[n])
+
+
+class Impulses(Timed):
+    """A tool that strikes an impulse every ``interval`` seconds of its
+    elapsed time: the cup hammer's blows and the nut runner's pulses.
+
+    ``struck`` holds the impulses so far and ``next_due``, the elapsed time
+    at which the next is due: it strikes on the first tick on which
+    ``elapsed + 1e-12`` reaches that, one at most a tick. ``strike(struck)``
+    gives ``struck`` after the next impulse, and ``final(struck)`` is true
+    after one on which the watcher may end the wait; a stretch stops before
+    that one.
+    """
+
+    def __init__(self, ctx: MissionContext, arm: str, interval: float, struck):
+        super().__init__(ctx, arm)
+        self.interval, self.struck = interval, struck
+        self._struck = None  # what ``schedule`` computed, for ``apply``
+
+    def tick(self) -> bool:
+        """Add one tick, and strike the impulse due on it if one is; return
+        whether one was."""
+        self.elapsed += self.world.dt
+        if self.elapsed + 1e-12 >= self.struck.next_due:
+            self.struck = self.strike(self.struck)
+            return True
+        return False
+
+    def schedule(self, m: int):
+        """What ``tick`` does on each of the next ``m`` ticks, or on fewer:
+        those before the first final impulse. Returns how many, and
+        ``(struck, start, stop)`` for ``struck`` now and after each impulse
+        in turn: it holds after ticks ``start`` to ``stop - 1``, the first of
+        which strikes the impulse."""
+        due = self.times(m) + 1e-12
+        struck = [(0, self.struck)]
+        k = int(np.searchsorted(due, self.struck.next_due))
+        while k < m:
+            after = self.strike(struck[-1][1])
+            if self.final(after):
+                m = k
+                break
+            struck.append((k, after))
+            k = max(k + 1, int(np.searchsorted(due, after.next_due)))
+        self._struck = struck
+        return m, [(s, start, stop) for (start, s), (stop, _) in zip(struck, struck[1:] + [(m, None)])]
+
+    def apply(self, n: int):
+        super().apply(n)
+        self.struck = [s for k, s in self._struck if k < n][-1]
 
 
 class Blows(NamedTuple):
@@ -234,20 +318,21 @@ class Blows(NamedTuple):
     bottom: int = 0
 
 
-class Hammering:
+class Hammering(Impulses):
     """The cup hammer driving one anchor home from the commanded point at
-    which hammering starts.
+    which hammering starts, a blow every ``1 / blow_rate`` s.
 
     ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
     watcher) take one tick. ``ahead``, ``stops`` and ``apply`` take a
     stretch of ticks at once (see ``ArmRuntime.bulk``), with the same
-    arithmetic in the same order, so they leave the same bytes. Both
-    strike each blow through ``strike`` and place the arm through ``point``.
+    arithmetic in the same order, so they leave the same bytes. Both place
+    the arm through ``point``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
-        world = self.world = ctx.world
-        self.arm, self.runtime = arm, world.runtime(arm)
+        interval = 1.0 / ctx.scenario.tools.blow_rate
+        super().__init__(ctx, arm, interval, Blows(next_due=interval, depth=anchor.depth))
+        world = self.world
         self.state = state = self.runtime.state
         self.tools, self.procedure = ctx.scenario.tools, ctx.scenario.procedure
         self.anchor, self.hole = anchor, anchor.hole
@@ -258,15 +343,14 @@ class Hammering:
         self.depth0, self.slip0 = anchor.depth, world.slip(arm)
         self.stuck_measured = stuck_measured
         self.laser_zero = world.laser_distance(arm)
-        self.interval = 1.0 / self.tools.blow_rate
-        self.elapsed = 0.0  # seconds of hammering, one tick added at a time
-        self.blows = Blows(next_due=self.interval, depth=anchor.depth)
-        self._stretch = self._watched = None  # what ``ahead`` and ``stops`` computed for ``apply``
+        self._depths = self._watched = None  # what ``ahead`` and ``stops`` computed for ``apply``
 
     def strike(self, blows: Blows) -> Blows:
-        """The blows after the one that is due."""
         depth, peak, bottom = hammer_blow(self.tools, blows.depth, self.hole, blows.bottom)
         return Blows(blows.next_due + self.interval, depth, peak, blows.count + 1, bottom)
+
+    def final(self, blows: Blows) -> bool:
+        return abs(blows.peak) >= self.procedure.hammering_end_moment
 
     def point(self, depth, slip):
         """The commanded point with the anchor at ``depth`` and the platform
@@ -284,15 +368,13 @@ class Hammering:
         return self.stuck_measured + (self.laser_zero - distance)
 
     def hammer_model(self) -> Wrench:
-        self.elapsed += self.world.dt
         moment = 1.5
-        if self.elapsed + 1e-12 >= self.blows.next_due:
-            self.blows = self.strike(self.blows)
-            self.anchor.depth = self.blows.depth
-            moment = self.blows.peak
+        if self.tick():
+            self.anchor.depth = self.struck.depth
+            moment = self.struck.peak
         state = self.state
         if not state.halted:
-            state.x, state.y, state.z = self.point(self.blows.depth, self.world.slip(self.arm))
+            state.x, state.y, state.z = self.point(self.struck.depth, self.world.slip(self.arm))
         return Wrench(fz=self.tools.hammer_press_force, mx=moment)
 
     def bottomed(self):
@@ -312,55 +394,157 @@ class Hammering:
         """The true wrench ``hammer_model`` returns on each of the next ``m``
         ticks, or on fewer: up to the first blow whose peak reaches the
         hammering end moment, on which ``bottomed`` may end the wait. The
-        blows those ticks strike are kept for ``apply``."""
-        elapsed = np.empty(m + 1)
-        elapsed[0] = self.elapsed
-        elapsed[1:] = self.world.dt
-        np.add.accumulate(elapsed, out=elapsed)  # sequential, as the ticks add
-        due = elapsed[1:] + 1e-12
+        anchor depths after those ticks are kept for ``stops``."""
+        m, spans = self.schedule(m)
         wrench = np.zeros((m, 6))
         wrench[:, 2] = self.tools.hammer_press_force
         wrench[:, 3] = 1.5
-        depths = np.empty(m)
-        blows, struck, start = self.blows, [], 0
-        # The first tick on which ``elapsed + 1e-12 >= next_due``; a tick
-        # strikes one blow at most.
-        k = int(np.searchsorted(due, blows.next_due))
-        while k < m:
-            after = self.strike(blows)
-            if abs(after.peak) >= self.procedure.hammering_end_moment:
-                m = k
-                break
-            depths[start:k] = blows.depth
-            blows = after
-            struck.append((k, blows))
-            wrench[k, 3] = blows.peak
-            start = k
-            k = max(k + 1, int(np.searchsorted(due, blows.next_due)))
-        depths[start:m] = blows.depth
-        self._stretch = elapsed, depths, struck
-        return m, wrench[:m]
+        self._depths = depths = np.empty(m)
+        for blows, start, stop in spans:
+            depths[start:stop] = blows.depth
+        for blows, start, _ in spans[1:]:
+            wrench[start, 3] = blows.peak
+        return m, wrench
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks come before the first on which ``bottomed`` may
         end the wait or raise: the moment reading reaches the hammering end
         moment, or the laser read fails."""
         m = len(slips)
-        x, y, z = self.point(self._stretch[1][:m], slips)
+        x, y, z = self.point(self._depths[:m], slips)
         distances = self.world.laser_distances(self.arm, (x, y, z), slips)
         self._watched = slips, (x, y, z), distances
         ends = np.flatnonzero(np.abs(readings[:, 3]) >= self.procedure.hammering_end_moment)
         return min(len(distances), int(ends[0]) if ends.size else m)
 
     def apply(self, n: int):
-        (elapsed, _, struck), (slips, (x, y, z), distances) = self._stretch, self._watched
+        super().apply(n)
+        slips, (x, y, z), distances = self._watched
         self.world.record_depths(self.arm, self.measured(distances[:n]), self.commanded(x[:n], y[:n], z[:n]), slips[:n])
-        self.elapsed = float(elapsed[n])
-        struck = [blows for k, blows in struck if k < n]
-        if struck:
-            self.blows = struck[-1]
-            self.anchor.depth = self.blows.depth
+        self.anchor.depth = self.struck.depth
         self.state.x, self.state.y, self.state.z = float(x[n - 1]), float(y[n - 1]), float(z[n - 1])
+
+
+# --- the nut runner's timed phases -----------------------------------------------------
+
+
+class Fitting(Timed):
+    """The nut runner's socket fit. The socket's rotation alternates every
+    0.2 s, pressing with the fz the approach ended on, until
+    ``socket_fit_time`` has passed with an anchor to slot onto; then the
+    socket slots on, its spring extends and the press drops to 5 N.
+    ``fitted``, the watcher, ends the wait on the first FT reading under
+    10 N once the socket has slotted on, and raises once the wait passes
+    ``socket_fit_timeout``."""
+
+    def __init__(self, ctx: MissionContext, arm: str, anchor_present: bool):
+        super().__init__(ctx, arm)
+        self.hold_fz = self.runtime.true_wrench.fz
+        # With no anchor to slot onto, the socket never slots on.
+        self.fit_time = ctx.scenario.tools.socket_fit_time if anchor_present else math.inf
+        self.timeout = ctx.scenario.procedure.socket_fit_timeout
+
+    def fit_model(self) -> Wrench:
+        self.elapsed += self.world.dt
+        if self.elapsed >= self.fit_time:
+            return Wrench(fz=5.0, mx=0.0)
+        wiggle = 1.2 if int(self.elapsed / 0.2) % 2 == 0 else -1.2
+        return Wrench(fz=self.hold_fz, mx=wiggle)
+
+    def fitted(self):
+        r = self.runtime.reading
+        if r is not None and r.fz < 10.0 and self.elapsed >= self.fit_time:
+            return True
+        if self.elapsed > self.timeout:
+            raise SocketFitTimeout(f"socket never slotted on within {self.timeout} s")
+
+    def ahead(self, m: int):
+        elapsed = self.times(m)
+        slotted = elapsed >= self.fit_time
+        wiggle = np.where(np.floor(elapsed / 0.2) % 2 == 0, 1.2, -1.2)
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = np.where(slotted, 5.0, self.hold_fz)
+        wrench[:, 3] = np.where(slotted, 0.0, wiggle)
+        return m, wrench
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first on which ``fitted`` ends the
+        wait or raises."""
+        elapsed = self._elapsed[1 : len(slips) + 1]
+        ends = np.flatnonzero((readings[:, 2] < 10.0) & (elapsed >= self.fit_time) | (elapsed > self.timeout))
+        return int(ends[0]) if ends.size else len(slips)
+
+
+class RunDown(Timed):
+    """The nut runner running the nut down the anchor for ``duration`` s: the
+    press eases from 50 N to 20 N over the run, and the flange takes the
+    attenuated free-run torque. A wait with no watcher."""
+
+    def __init__(self, ctx: MissionContext, arm: str, duration: float):
+        super().__init__(ctx, arm)
+        tools = ctx.scenario.tools
+        self.duration, self.moment = duration, tools.pulse_attenuation * tools.free_run_torque
+
+    def run_model(self) -> Wrench:
+        self.elapsed += self.world.dt
+        frac = min(1.0, self.elapsed / self.duration)
+        return Wrench(fz=50.0 - 30.0 * frac, mx=self.moment)
+
+    def ahead(self, m: int):
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = 50.0 - 30.0 * np.minimum(1.0, self.times(m) / self.duration)
+        wrench[:, 3] = self.moment
+        return m, wrench
+
+
+class Pulses(NamedTuple):
+    """The nut runner's pulses so far: when the next is due (in seconds of
+    pulsing), the fastener torque they reached and the flange moment it
+    passes on."""
+
+    next_due: float
+    torque: float = 0.0
+    moment: float = 0.0
+
+
+class Pulsing(Impulses):
+    """The nut runner's pulse tightening, pressing 50 N: ``pulse_rate``
+    pulses a second, each adding ``pulse_torque_step`` to the fastener
+    torque up to ``target_torque``. ``tightened``, the watcher, ends the
+    wait on the tick of the pulse that reaches the target, the final one."""
+
+    def __init__(self, ctx: MissionContext, arm: str):
+        self.tools = ctx.scenario.tools
+        interval = 1.0 / self.tools.pulse_rate
+        super().__init__(ctx, arm, interval, Pulses(next_due=interval))
+
+    def strike(self, pulses: Pulses) -> Pulses:
+        torque, moment = nutrunner_pulse(self.tools, pulses.torque)
+        return Pulses(pulses.next_due + self.interval, torque, moment)
+
+    def final(self, pulses: Pulses) -> bool:
+        return pulses.torque >= self.tools.target_torque
+
+    def pulse_model(self) -> Wrench:
+        self.tick()
+        return Wrench(fz=50.0, mx=self.struck.moment)
+
+    def tightened(self) -> bool:
+        return self.final(self.struck)
+
+    def ahead(self, m: int):
+        """The true wrench ``pulse_model`` returns on each of the next ``m``
+        ticks, or on fewer: up to the pulse that reaches the target torque; none
+        once it is reached, as ``tightened`` then ends the wait on every
+        tick."""
+        if self.tightened():
+            return 0, None
+        m, spans = self.schedule(m)
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = 50.0
+        for pulses, start, stop in spans:
+            wrench[start:stop, 3] = pulses.moment
+        return m, wrench
 
 
 # --- guarded feeds -------------------------------------------------------------------
@@ -425,6 +609,28 @@ class Pressing(Feed):
         m = super().stops(slips, readings)
         hits = np.flatnonzero(readings[:m, 2] >= self.threshold)
         return int(hits[0]) if hits.size else m
+
+
+class Holding:
+    """A feed's contact law held at the commanded point where the feed
+    stopped, through a wait with no watcher: the drill spinning up against
+    the wall while the slip moves the surface distance. As a form (see
+    ``ArmRuntime.bulk``) it computes its ticks with ``World.feed_wrenches``
+    at that point repeated."""
+
+    def __init__(self, feed: Feed):
+        self.feed = feed
+
+    def ahead(self, m: int):
+        feed, state = self.feed, self.feed.state
+        wrench = feed.world.feed_wrenches(feed.arm, ([state.x] * m, [state.y] * m, [state.z] * m), feed.law)
+        return len(wrench), wrench
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        return len(slips)
+
+    def apply(self, n: int):
+        pass
 
 
 class Drilling(Feed):
@@ -764,7 +970,7 @@ class MissionContext:
         touch = yield from self.press_until(arm, press_law, self.scenario.procedure.contact_force, max_travel=0.2)
         drilling = Drilling(self, arm, (state.x, state.y, state.z), world.laser_distance(arm))
         slip_zero = world.slip(arm)
-        with self.contact(arm, touch.model):
+        with self.contact(arm, touch.model, bulk=Holding(touch)):
             yield from self.wait(arm, cfg.drill_spinup_time)
 
         with self.contact(arm, drilling.model, bulk=drilling):
@@ -928,11 +1134,11 @@ class MissionContext:
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
         state = self.world.arm(arm)
         self._open[arm].diagnostics.update(
-            blows=hammer.blows.count,
+            blows=hammer.struck.count,
             displacement=hammer.commanded(state.x, state.y, state.z),
             final_depth=anchor.depth,
             measured_depth=hammer.measured(self.world.laser_distance(arm)),
-            stop_moment=hammer.blows.peak,
+            stop_moment=hammer.struck.peak,
         )
 
     def tighten_nut(self, arm: str, anchor: AnchorBolt):
@@ -954,7 +1160,6 @@ class MissionContext:
         substeps: list[tuple[str, float, float]] = []
         approach_triggers: list[dict] = []
         spring = tools_cfg.socket_spring_rate
-        dt = world.dt
         # The peak flange moment is read from the trace of every tick's mx.
         moments = self.moments(arm)
 
@@ -979,30 +1184,9 @@ class MissionContext:
 
         # (2) alternate rotation until the socket slots onto the nut.
         t0 = world.t
-        fit_elapsed = 0.0
-        hold_fz = runtime.true_wrench.fz
-        socket_extension = 0.0  # m, the socket spring's extension signal
-        anchor_present = anchor.state in (AnchorState.STUCK, AnchorState.SEATED)
-
-        def fit_model() -> Wrench:
-            nonlocal fit_elapsed, socket_extension
-            fit_elapsed += dt
-            if anchor_present and fit_elapsed >= tools_cfg.socket_fit_time:
-                socket_extension = 0.003
-                return Wrench(fz=5.0, mx=0.0)
-            wiggle = 1.2 if int(fit_elapsed / 0.2) % 2 == 0 else -1.2
-            return Wrench(fz=hold_fz, mx=wiggle)
-
-        def fitted():
-            r = runtime.reading
-            if r is not None and r.fz < 10.0 and socket_extension > 0.001:
-                return True
-            # The fit model's clock has counted every tick of this wait.
-            if fit_elapsed > p.socket_fit_timeout:
-                raise SocketFitTimeout(f"socket never slotted on within {p.socket_fit_timeout} s")
-
-        with self.contact(arm, fit_model):
-            yield from self.until(arm, fitted)
+        fitting = Fitting(self, arm, anchor.state in (AnchorState.STUCK, AnchorState.SEATED))
+        with self.contact(arm, fitting.fit_model, bulk=fitting):
+            yield from self.until(arm, fitting.fitted)
         substeps.append(("socket_fit", t0, world.t))
 
         # (3) advance again to the force threshold.
@@ -1011,26 +1195,15 @@ class MissionContext:
         # (4) run the nut down to the part surface.
         t0 = world.t
         run_distance = protrusion - self.scenario.part.thickness - tools_cfg.nut_height
-        if run_distance < 0:
+        if run_distance <= 0:
             raise SimulationError("anchor does not protrude enough to run the nut")
         if run_distance > tools_cfg.socket_spring_travel:
             raise SimulationError(
                 f"nut run {run_distance * 1e3:.0f} mm exceeds the socket spring travel"
             )
-        run_duration = run_distance / tools_cfg.nut_run_speed
-        run_elapsed = 0.0
-
-        def run_model() -> Wrench:
-            nonlocal run_elapsed
-            run_elapsed += dt
-            frac = min(1.0, run_elapsed / run_duration)
-            return Wrench(
-                fz=50.0 - 30.0 * frac,
-                mx=tools_cfg.pulse_attenuation * tools_cfg.free_run_torque,
-            )
-
-        with self.contact(arm, run_model):
-            yield from self.wait(arm, run_duration)
+        run = RunDown(self, arm, run_distance / tools_cfg.nut_run_speed)
+        with self.contact(arm, run.run_model, bulk=run):
+            yield from self.wait(arm, run.duration)
         substeps.append(("run_nut", t0, world.t))
 
         # (5) advance once more.
@@ -1038,25 +1211,9 @@ class MissionContext:
 
         # (6) pulse-tighten to the target torque.
         t0 = world.t
-        pulse_interval = 1.0 / tools_cfg.pulse_rate
-        pulse_elapsed = 0.0
-        next_pulse = pulse_interval
-        torque = 0.0
-
-        def pulse_model() -> Wrench:
-            nonlocal pulse_elapsed, next_pulse, torque
-            pulse_elapsed += dt
-            flange = tools_cfg.pulse_attenuation * torque
-            if pulse_elapsed + 1e-12 >= next_pulse:
-                next_pulse += pulse_interval
-                torque, flange = nutrunner_pulse(tools_cfg, torque)
-            return Wrench(fz=50.0, mx=flange)
-
-        def tightened():
-            return torque >= tools_cfg.target_torque
-
-        with self.contact(arm, pulse_model):
-            yield from self.until(arm, tightened)
+        pulsing = Pulsing(self, arm)
+        with self.contact(arm, pulsing.pulse_model, bulk=pulsing):
+            yield from self.until(arm, pulsing.tightened)
         substeps.append(("pulse_tighten", t0, world.t))
         max_moment = max(map(abs, moments()))
 

@@ -41,8 +41,9 @@ def checked(default, check: Check):
 #: or the spiral partway through a mission.
 POSITIVE = Check(lambda v: v > 0, "must be positive")
 #: A negative noise level flips the sign of the noise or turns it off, a
-#: negative dwell runs as a one-tick dwell, and a negative mass hides other
-#: mass from the payload check.
+#: negative dwell runs as a one-tick dwell and a negative socket fit time as
+#: a zero one, a negative free-run torque runs the nut the wrong way, and a
+#: negative mass hides other mass from the payload check.
 NON_NEGATIVE = Check(lambda v: v >= 0, "must not be negative")
 
 
@@ -118,12 +119,12 @@ class ToolsSection:
     socket_spring_travel: float = checked(0.035, POSITIVE)  # m
     socket_spring_rate: float = 10000.0  # N/m, approach contact stiffness
     runner_offset: float = 0.05  # m, nut runner offset from flange
-    pulse_torque_step: float = 1.0  # Nm added per pulse
+    pulse_torque_step: float = checked(1.0, POSITIVE)  # Nm added per pulse
     pulse_rate: float = checked(10.0, POSITIVE)  # Hz tightening pulses
     nut_run_speed: float = checked(0.0035, POSITIVE)  # m/s nut advance while running free
     nut_height: float = 0.010  # m
-    free_run_torque: float = 3.0  # Nm while running the nut down
-    socket_fit_time: float = 3.0  # s of alternation before the socket slots on
+    free_run_torque: float = checked(3.0, NON_NEGATIVE)  # Nm while running the nut down
+    socket_fit_time: float = checked(3.0, NON_NEGATIVE)  # s of alternation before the socket slots on
     magnet_switch_time: float = checked(1.0, NON_NEGATIVE)  # s to switch the part magnet
 
 

@@ -68,6 +68,9 @@ INVALID_VALUES = [
     ("[tools]\nsocket_spring_travel = 0\n", "tools.socket_spring_travel"),
     ("[tools]\nblow_rate = 0\n", "tools.blow_rate"),
     ("[tools]\npulse_rate = 0\n", "tools.pulse_rate"),
+    ("[tools]\npulse_torque_step = 0\n", "tools.pulse_torque_step"),
+    ("[tools]\nfree_run_torque = -100\n", "tools.free_run_torque"),
+    ("[tools]\nsocket_fit_time = -1\n", "tools.socket_fit_time"),
     ("[wall]\nthickness = 0.05\n", "wall.thickness"),
     ("[wall]\ncompressive_strength = 0\n", "wall.compressive_strength"),
     ("[part]\nhole_diameter = 0\n", "part.hole_diameter"),
@@ -279,7 +282,9 @@ SHALLOW_HOLE = "[procedure]\ndrill_depth_target = 0.00701\nhammer_success_depth 
     (SHALLOW_HOLE, ("nut-test",), "tighten_nut"),
     # The platform slips back as fast as the bit feeds, so no hole is drilled.
     ("[procedure]\ndepth_source = commanded\n[robot]\nslip_coefficient = 1e-5\n", ("drill-test",), "drill_hole"),
-], ids=["insert-past-bottom", "run-past-bottom", "nut-shallow-seat", "drill-slips-back"])
+    # The nut already sits on the part: a run of zero length, no run-down.
+    ("[tools]\nnut_height = 0.041\n", ("nut-test",), "tighten_nut"),
+], ids=["insert-past-bottom", "run-past-bottom", "nut-shallow-seat", "drill-slips-back", "nut-no-run"])
 def test_model_limit_fails_the_step(capsys, tmp_path, text, argv, step):
     path = tmp_path / "s.ini"
     path.write_text(text)

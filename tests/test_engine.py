@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 from anchorsim.engine import MAX_SIM_TIME, TRACE_CHUNK, RandomStreams, SimClock, TraceRecorder, World, run
 from anchorsim.errors import NonMonotonicTime, WrongPose
 from anchorsim.geometry import Point3
-from anchorsim.procedure import Drilling, FixationStep, Hammering, MissionContext, Pressing
+from anchorsim.procedure import (
+    Drilling,
+    Fitting,
+    FixationStep,
+    Hammering,
+    Holding,
+    MissionContext,
+    Pressing,
+    Pulsing,
+    RunDown,
+    Timed,
+)
 from anchorsim.robot import Motion
 from anchorsim.scenario import Scenario
 from anchorsim.sensors import NOISE_BLOCK, ZERO_WRENCH, Wrench
@@ -495,10 +506,13 @@ OTHER_SPOT = 0.05
 #: own at ``OTHER_SPOT``, ``(kind, gap, max_travel)``: ``"press"`` and
 #: ``"drill"`` feed into the wall from ``gap`` metres before its surface
 #: (``max_travel`` is the feed's limit), ``"hammer"`` hammers an anchor
-#: ``gap`` metres short of the bottom of an 80 mm hole.
+#: ``gap`` metres short of the bottom of an 80 mm hole, and the nut
+#: runner's ``"fit"``, ``"run"`` and ``"pulse"`` and the drill's
+#: ``"spinup"`` hold their phase (see ``start_phase``) with the point
+#: ``gap`` metres inside the wall.
 OTHER = MOVE | st.tuples(
-    st.sampled_from(["press", "drill", "hammer"]), st.sampled_from([0.0012, 0.002, 0.005]),
-    st.sampled_from([0.2, 0.003]),
+    st.sampled_from(["press", "drill", "hammer", "fit", "run", "pulse", "spinup"]),
+    st.sampled_from([0.0012, 0.002, 0.005]), st.sampled_from([0.2, 0.003]),
 )
 
 
@@ -537,13 +551,7 @@ def start_feed(ctx, arm, law, max_travel):
         feed = Drilling(ctx, arm, (state.x, state.y, state.z), laser_zero)
         speed = world.scenario.tools.feed_speed
     else:
-        stiffness, reach = (200000.0, 0.0) if law == "press" else (10000.0, 0.002)
-
-        def contact_law(distance):
-            pen = reach - distance
-            return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
-
-        feed = Pressing(ctx, arm, contact_law, 50.0 if law == "spring" else 20.0, max_travel)
+        feed = Pressing(ctx, arm, contact_law(law), 50.0 if law == "spring" else 20.0, max_travel)
         speed = world.scenario.robot.approach_speed
     feed.max_travel = max_travel
     # Start the feed and install its watcher; no tick yet. The suspended
@@ -552,6 +560,44 @@ def start_feed(ctx, arm, law, max_travel):
     next(feed.feeding)
     runtime.contact_model, runtime.bulk = feed.model, feed
     return feed
+
+
+def contact_law(kind):
+    """The contact law of a ``"press"`` (the drill's touch) or a ``"spring"``
+    (the nut runner's approach) feed."""
+    stiffness, reach = (200000.0, 0.0) if kind == "press" else (10000.0, 0.002)
+
+    def law(distance):
+        pen = reach - distance
+        return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
+
+    return law
+
+
+def start_phase(ctx, arm, phase, hold, anchor_present=True, duration=3.0):
+    """Install ``arm``'s form for ``phase`` with its model and its watcher,
+    if it has one, as ``tighten_nut`` and ``drill_hole`` do: the nut
+    runner's ``"fit"`` (``anchor_present`` or not), ``"run"`` (for
+    ``duration`` s) or ``"pulse"``, or the drill's ``"spinup"``, the touch
+    law held at the arm's point. The approach before it ended on a true fz
+    of ``hold``."""
+    runtime = ctx.world.runtime(arm)
+    runtime.true_wrench = Wrench(fz=hold)
+    watcher = None
+    if phase == "fit":
+        form = Fitting(ctx, arm, anchor_present)
+        model, watcher = form.fit_model, form.fitted
+    elif phase == "run":
+        form = RunDown(ctx, arm, duration)
+        model = form.run_model
+    elif phase == "pulse":
+        form = Pulsing(ctx, arm)
+        model, watcher = form.pulse_model, form.tightened
+    else:
+        feed = Pressing(ctx, arm, contact_law("press"), 20.0, 0.2)
+        form, model = Holding(feed), feed.model
+    runtime.contact_model, runtime.bulk, runtime.watcher = model, form, watcher
+    return form
 
 
 def start_other(ctx, arm, other, filled):
@@ -564,6 +610,9 @@ def start_other(ctx, arm, other, filled):
         form = None
     elif other[0] == "hammer":
         form = start_hammer(ctx, arm, 0.08, other[1], OTHER_SPOT)
+    elif other[0] in ("fit", "run", "pulse", "spinup"):
+        ctx.world.arm(arm).position = wall_point(ctx, OTHER_SPOT, -other[1])
+        form = start_phase(ctx, arm, other[0], 0.0)
     else:
         ctx.world.arm(arm).position = wall_point(ctx, OTHER_SPOT, other[1])
         form = start_feed(ctx, arm, other[0], other[2])
@@ -575,14 +624,17 @@ def start_other(ctx, arm, other, filled):
 
 def held_state(world, forms) -> list[str]:
     """``world_state`` plus what held forms change besides: slips, the
-    watchers' outcomes, laser noise cursors and depth rows, a hammer's blows
-    and a drill's measured depth. The moments the drill reports come from
-    the wrench rows. Each item is ``repr``'d, so a failure names the first
-    that differs."""
+    watchers' outcomes, laser noise cursors and depth rows, a timed phase's
+    elapsed time, the impulses a hammer or a nut runner struck, the anchor's
+    depth and a drill's measured depth. The moments the drill reports come
+    from the wrench rows. Each item is ``repr``'d, so a failure names the
+    first that differs."""
     state = []
     for form in forms:
+        if isinstance(form, Timed):
+            state += [form.elapsed, getattr(form, "struck", None)]
         if isinstance(form, Hammering):
-            state += [form.elapsed, form.blows, form.anchor.depth]
+            state.append(form.anchor.depth)
         elif isinstance(form, Drilling):
             state.append(form.measured)
     for runtime in world.arms.values():
@@ -711,18 +763,19 @@ def four_point() -> Scenario:
 
 @pytest.mark.parametrize("scenario, mission, blows, bound", [
     (Scenario(), "hammer", 300, 40),
-    (four_point(), "full", 4 * 80, 800),
+    (four_point(), "full", 4 * 80, 40),
 ], ids=["hammer", "full_4pt"])
 def test_hammer_phase_runs_in_bulk(monkeypatch, scenario, mission, blows, bound):
     # Per tick, ``bottomed`` reads the laser once. In bulk, a hammer phase
     # reads it per tick only for the start and stop depths and the ticks
-    # that may end the wait, also while the other arm moves. At seed 7, the
-    # ``hammer`` mission read it 11,502 times tick by tick. The four-point
-    # ``full`` mission read it 1,260 times when a hammer beside a free move
-    # ran tick by tick (527 of them at point 1), 737 times when a hammer
-    # beside the other arm's contact model did, and reads it 607 times now:
-    # 597 of them at point 2, beside the nut runner's fitting and pulse
-    # phases, whose contact models have no bulk form.
+    # that may end the wait, also while the other arm moves or holds a form
+    # of its own. At seed 7, the ``hammer`` mission read it 11,502 times
+    # tick by tick. The four-point ``full`` mission read it 1,260 times when
+    # a hammer beside a free move ran tick by tick (527 of them at point 1),
+    # 737 times when a hammer beside the other arm's contact model did, 607
+    # times when one beside the nut runner's fitting and pulse phases did
+    # (597 of them at point 2), and reads it 13 times now that those phases
+    # run in bulk too. Each bound is the count now plus 27 reads.
     reads, marks = {"robot1": 0, "robot2": 0}, {}
     laser_distance, begin, end = World.laser_distance, MissionContext.begin, MissionContext.end
 
@@ -879,21 +932,146 @@ def test_feed_stretch_in_bulk_matches_tick_by_tick(
     assert bool(errors) == math.isnan(slip)
 
 
+# --- the nut runner's timed phases and the drill spin-up ---------------------------------
+
+
+def phase_world(seed, arm, phase, sigmas, rate_dt, hold, fit, anchor_present, duration, torque, gap, slip,
+                force_limit, skipped, other, filled, start_tick):
+    """A world in which ``arm`` holds ``phase`` (see ``start_phase``) with the
+    point ``gap`` metres inside the wall, pressed with ``hold`` on the tick
+    before, and the other arm takes the ``OTHER`` setup ``other``. ``fit``
+    is the socket fit time and timeout, ``torque`` the target torque and
+    pulse step; ``slip`` is the slip coefficient, or NaN for a NaN slip.
+    Returns the world and both arms' forms."""
+    scenario = Scenario()
+    sensors, tools, procedure = scenario.sensors, scenario.tools, scenario.procedure
+    sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
+    sensors.force_limit = force_limit
+    tools.pulse_rate, procedure.timestep = rate_dt
+    tools.socket_fit_time, procedure.socket_fit_timeout = fit
+    tools.target_torque, tools.pulse_torque_step = torque
+    if not math.isnan(slip):
+        scenario.robot.slip_coefficient = slip
+    world = World(scenario, seed)
+    world.clock.ticks = start_tick
+    ctx = MissionContext(world)
+    runtime = world.runtime(arm)
+    runtime.state.position = wall_point(ctx, 0.0, -gap)
+    runtime.press_force = hold
+    runtime.platform.slip_offset = math.nan if math.isnan(slip) else 0.0
+    for _ in range(skipped[0]):
+        next(runtime.ft_noise)
+    form = start_phase(ctx, arm, phase, hold, anchor_present, duration)
+    other_arm = next(name for name in world.arms if name != arm)
+    return world, [form, start_other(ctx, other_arm, other, filled)]
+
+
+PHASE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["robot1", "robot2"]),
+    phase=st.sampled_from(["fit", "run", "pulse", "spinup"]),
+    sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (0.0, 0.2), (100.0, 3.0)]),
+    rate_dt=st.sampled_from([(10.0, 0.01), (7.0, 0.01), (30.0, 0.01), (4.0, 0.01), (12.0, 0.005), (50.0, 0.025)]),
+    hold=st.sampled_from([55.0, 0.0, 1200.0]),
+    fit=st.sampled_from([(3.0, 10.0), (0.0, 10.0), (10.0, 10.0), (0.37, 0.5), (3.0, 3.005)]),
+    anchor_present=st.booleans(),
+    duration=st.sampled_from([3.0, 0.5, 40.0]),
+    torque=st.sampled_from([(50.0, 1.0), (1.0, 1.0), (3.5, 0.3)]),
+    gap=st.sampled_from([0.0001, 0.0, 0.003]),
+    slip=st.sampled_from([2e-7, 1e-5, math.nan]),
+    force_limit=st.sampled_from([1000.0, 160.0, 1.0]),
+    skipped=st.tuples(st.integers(0, 1100)),
+    other=OTHER,
+    filled=st.booleans(),
+    before_max=st.none() | st.integers(0, 1500),
+    horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
+)
+
+
+def _phase_example(**changes):
+    case = dict(seed=7, arm="robot1", phase="pulse", sigmas=(2.0, 0.2), rate_dt=(10.0, 0.01), hold=55.0,
+                fit=(3.0, 10.0), anchor_present=True, duration=3.0, torque=(50.0, 1.0), gap=0.0001, slip=2e-7,
+                force_limit=1000.0, skipped=(0,), other=None, filled=False, before_max=None, horizons=[1500])
+    case.update(changes)
+    return example(**case)
+
+
+@_phase_example()  # the target torque reached inside the first stretch
+@_phase_example(torque=(1.0, 1.0))  # on the first pulse
+@_phase_example(torque=(3.5, 0.3), rate_dt=(4.0, 0.01))  # pulses due on a whole tick, within 1e-12
+@_phase_example(rate_dt=(50.0, 0.025), sigmas=(0.0, 0.0))  # a pulse on every tick, no noise drawn
+@_phase_example(rate_dt=(7.0, 0.01), horizons=[40, 7, 300, 1100])  # off the tick, cut by horizons
+@_phase_example(phase="fit")  # the socket slots on inside the first stretch
+@_phase_example(phase="fit", fit=(0.0, 10.0), arm="robot2")  # on the first tick
+@_phase_example(phase="fit", fit=(10.0, 10.0), horizons=[1200, 40])  # at the timeout
+@_phase_example(phase="fit", anchor_present=False, fit=(3.0, 3.005))  # the timeout raises inside a stretch
+@_phase_example(phase="fit", anchor_present=False, sigmas=(0.0, 0.0), fit=(0.37, 0.5))  # and with no noise
+@_phase_example(phase="fit", sigmas=(100.0, 3.0), fit=(0.37, 0.5))  # noise keeps the reading over 10 N
+@_phase_example(phase="fit", hold=1200.0, filled=True)  # the guard trips as the press fills its window
+@_phase_example(phase="run", horizons=[300, 1500])  # the run down ends at a horizon
+@_phase_example(phase="run", duration=0.5, sigmas=(0.0, 0.0), slip=1e-5)  # run past its duration
+@_phase_example(phase="run", before_max=100)  # the time ceiling
+@_phase_example(phase="spinup", horizons=[100])  # the drill spins up against the wall
+@_phase_example(phase="spinup", gap=0.003, slip=1e-5)  # slip moves the surface distance
+@_phase_example(phase="spinup", gap=0.0, sigmas=(0.0, 0.0))  # no contact, no noise drawn
+@_phase_example(phase="spinup", slip=math.nan)  # a NaN slip raises ValueError on the first tick
+@_phase_example(skipped=(1000,))  # the noise block ends within the first stretch
+@_phase_example(other=ARRIVING)  # the other arm's move arrives inside the stretch
+@_phase_example(phase="fit", other=("press", 0.002, 0.2))  # beside a feed that touches
+@_phase_example(phase="run", other=("hammer", 0.005, 0.2), horizons=[40, 7, 300, 1100])  # beside a hammer
+@_phase_example(phase="spinup", other=("pulse", 0.0012, 0.2))  # beside the pulse phase
+@_phase_example(other=("fit", 0.0012, 0.2), force_limit=1.0)  # both trip at once
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(**PHASE_CASES)
+def test_timed_phase_in_bulk_matches_tick_by_tick(
+    seed, arm, phase, sigmas, rate_dt, hold, fit, anchor_present, duration, torque, gap, slip, force_limit,
+    skipped, other, filled, before_max, horizons,
+):
+    # ``run`` computes the nut runner's fit, run-down and pulse phases and
+    # the drill's spin-up, beside an idle or a moving arm or the other arm's
+    # held form, in bulk up to the tick before an event; ``step`` alone takes
+    # each tick through the models and watchers. Both must leave every byte
+    # the same, and raise the same error.
+    start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
+    case = (seed, arm, phase, sigmas, rate_dt, hold, fit, anchor_present, duration, torque, gap, slip,
+            force_limit, skipped, other, filled, start)
+    (bulk, bulk_forms), (ticked, ticked_forms) = phase_world(*case), phase_world(*case)
+    errors = []
+    for horizon in horizons:
+        try:
+            bulk.run(horizon)
+        except ValueError as exc:
+            errors.append(repr(exc))
+        try:
+            for _ in range(horizon):
+                ticked.step()
+                if ticked.event:
+                    break
+        except ValueError as exc:
+            errors.append(repr(exc))
+        assert held_state(bulk, bulk_forms) == held_state(ticked, ticked_forms)
+        if errors:
+            break
+    assert errors[::2] == errors[1::2]
+    assert bool(errors) == (math.isnan(slip) and phase == "spinup")
+
+
 @pytest.mark.parametrize("scenario, mission, bound", [
-    (Scenario(), "drill", 150),
-    (Scenario(), "full", 2000),
-    (four_point(), "full", 15000),
+    (Scenario(), "drill", 30),
+    (Scenario(), "full", 50),
+    (four_point(), "full", 4700),
 ], ids=["drill", "full", "full_4pt"])
 def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
     # Count the ``World.step`` calls that run the per-tick pass while a
     # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
     # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
     # ``full``) while the feeds ran tick by tick, 107, 1,805 and 22,363 with
-    # one held arm in bulk at most, and are 107, 1,805 and 13,255 now that
-    # both may be. The drill's spin-up and the nut runner's run-down, whose
-    # waits have no watcher, stay per tick; so do the nut runner's fitting
-    # and pulse phases, whose contact models have no bulk form, and a feed
-    # only beside such a contact model.
+    # one held arm in bulk at most, and 107, 1,805 and 13,255 once both
+    # could be. They are 7, 17 and 4,241 now that the drill's spin-up and
+    # the nut runner's fitting, run-down and pulse phases run in bulk too.
+    # What stays per tick is the event ticks, and a form only beside the
+    # insertion's contact models, which have no bulk form. Each bound is
+    # the count now plus about 10%, and at least 23 ticks.
     per_tick, marks = [0], {}
     step, begin, end = World.step, MissionContext.begin, MissionContext.end
 
