@@ -18,13 +18,13 @@ computes such a stretch with numpy, and a feed's slip, surface distance,
 law and press force in one float loop, with the same operations in the
 same order, and applies it as soon as it is planned, so the arms hold the
 bytes the per-tick pass would leave; ``World.step`` then only ticks the
-clock through it. A stretch ends at the
-horizon, after ``NOISE_BLOCK`` ticks, or before the first tick that may be
-an event on either arm (an arrival, a reach trim, a guard trip, a watcher
-ending its wait or raising, a non-finite distance, the tick past
-``MAX_SIM_TIME``), and the per-tick pass takes that tick. The insertion's
-contact models have no bulk form and stay per tick: the wedge reads the
-engagement, and the slide's spiral probes wait a few ticks each.
+clock through it. A stretch ends at the horizon, after ``NOISE_BLOCK``
+ticks, or before the first tick that may be an event on either arm (an
+arrival, a reach trim, a guard trip, a watcher ending its wait or raising,
+a non-finite distance, the tick past ``MAX_SIM_TIME``), and the per-tick
+pass takes that tick. The insertion's contact models have no bulk form and
+stay per tick: the wedge reads the engagement, and the slide's spiral
+probes wait a few ticks each.
 """
 
 from __future__ import annotations

@@ -455,6 +455,7 @@ class Fitting(Timed):
         r = self.runtime.reading
         if r is not None and r.fz < 10.0 and self.elapsed >= self.fit_time:
             return True
+        # The model's clock has counted every tick of this wait.
         if self.elapsed > self.timeout:
             raise SocketFitTimeout(f"socket never slotted on within {self.timeout} s")
 

@@ -997,7 +997,7 @@ def _phase_example(**changes):
 
 
 @_phase_example()  # the target torque reached inside the first stretch
-@_phase_example(torque=(1.0, 1.0))  # on the first pulse
+@_phase_example(torque=(1.0, 1.0), horizons=[1500, 40])  # on the first pulse, then on every tick
 @_phase_example(torque=(3.5, 0.3), rate_dt=(4.0, 0.01))  # pulses due on a whole tick, within 1e-12
 @_phase_example(rate_dt=(50.0, 0.025), sigmas=(0.0, 0.0))  # a pulse on every tick, no noise drawn
 @_phase_example(rate_dt=(7.0, 0.01), horizons=[40, 7, 300, 1100])  # off the tick, cut by horizons
