@@ -6,25 +6,28 @@ in blocks, and the per-tick order is fixed (one pass over the arms, then the
 watchers; see ``World.step``), so identical inputs give identical outputs.
 The tick works on floats; a ``Point3`` is built where the executive reads one.
 
-A stretch of ticks is computed in bulk when each arm is idle, on a
-targeted move (a ``Move``), or holds a contact model with a ``bulk`` form:
-a guarded feed whose contact law reads only the true surface distance (the
-drill's touch and drilling feed, the nut runner's approaches), the drill's
-spin-up (the touch law held where the feed stopped), or a phase whose
-wrench is a function of its own elapsed time (the hammer, and the nut
-runner's fitting, run-down and pulse phases). Both arms may hold one. Its
-ticks then depend only on the arms' own state and noise. ``World.run``
-computes such a stretch with numpy, and a feed's slip, surface distance,
-law and press force in one float loop, with the same operations in the
-same order, and applies it as soon as it is planned, so the arms hold the
-bytes the per-tick pass would leave; ``World.step`` then only ticks the
-clock through it. A stretch ends at the horizon, after ``NOISE_BLOCK``
-ticks, or before the first tick that may be an event on either arm (an
-arrival, a reach trim, a guard trip, a watcher ending its wait or raising,
-a non-finite distance, the tick past ``MAX_SIM_TIME``), and the per-tick
-pass takes that tick. The insertion's contact models have no bulk form and
-stay per tick: the wedge reads the engagement, and the slide's spiral
-probes wait a few ticks each.
+Each contact phase of an arm is one ``Form``, held in ``ArmRuntime.contact``
+for the wait it belongs to: its ``model`` gives the true wrench of a tick,
+its ``watch`` (or None) may end the wait, and ``ahead``, ``stops`` and
+``apply`` compute a stretch of ticks at once. A stretch of ticks is computed
+in bulk when each arm is idle, on a targeted move (a ``Move``), or holds a
+form with an ``ahead``: a guarded feed whose contact law reads only the true
+surface distance (the drill's touch and drilling feed, the nut runner's
+approaches), the drill's spin-up (the touch law held where the feed
+stopped), or a phase whose wrench is a function of its own elapsed time
+(the hammer, and the nut runner's fitting, run-down and pulse phases). Both
+arms may hold one. Its ticks then depend only on the arms' own state and
+noise. ``World.run`` computes such a stretch with numpy, and a feed's slip,
+surface distance, law and press force in one float loop, with the same
+operations in the same order, and applies it as soon as it is planned, so
+the arms hold the bytes the per-tick pass would leave; ``World.step`` then
+only ticks the clock through it. A stretch ends at the horizon, after
+``NOISE_BLOCK`` ticks, or before the first tick that may be an event on
+either arm (an arrival, a reach trim, a guard trip, a watch ending its wait
+or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
+per-tick pass takes that tick. The insertion's forms, ``procedure.Pushing``
+and ``procedure.Sliding``, have no ``ahead`` and run per tick: the push
+reads the engagement, and the slide's spiral probes wait a few ticks each.
 """
 
 from __future__ import annotations
@@ -261,25 +264,12 @@ class ArmRuntime:
     drawn in blocks from the arm's own stream), and its trace rows (the six
     wrench channels and the three depth channels).
 
-    ``contact_model`` is called once per tick, with no arguments, for the
-    true wrench at the tool; ``MissionContext.contact`` installs it. So does
-    ``MissionContext.until`` with ``watcher``, called at the end of the tick;
-    ``watched`` is true once it returned true, or the error it raised.
-
-    ``bulk``, which ``MissionContext.contact`` installs with the model, is
-    the arm's form in a stretch (see ``World._stretch``); a ``Move`` is a
-    targeted move's. A form has three methods: ``ahead(m)`` returns
-    ``(ticks, rows)``, how many of the next ``m`` ticks it computed, up to
-    one that may be an event, and their true-wrench rows (None: zero); the
-    pure ``stops(slips, readings)`` returns how many come before the first
-    on which the arm's watcher may end its wait or raise, from the slip and
-    FT reading after each, so a form held through a wait with no watcher
-    stops for none and the horizon ends its stretch; ``apply(n)`` applies
-    the first ``n`` as the per-tick pass would. ``procedure.Feed``, a
-    ``Move``, moves the arm on its open-ended motion, and
-    ``procedure.Hammering`` pushes it in with the anchor; the drill's
-    spin-up (``procedure.Holding``) and the nut runner's timed phases hold
-    it still.
+    ``contact`` is the arm's contact phase, a ``Form``, or None for no
+    contact: ``MissionContext.until`` installs it for one wait and clears it
+    when the wait ends, normally or by an exception. ``watched`` is true
+    once its ``watch`` returned true, or the error it raised. Every form
+    but the insertion's ``procedure.Pushing`` and ``procedure.Sliding``,
+    which run only per tick, also computes its ticks in a stretch.
     """
 
     state: ArmState
@@ -292,17 +282,43 @@ class ArmRuntime:
     true_wrench: Wrench = ZERO_WRENCH
     reading: Wrench | None = None
     guard_fired_t: float | None = None
-    contact_model: Callable[[], Wrench] | None = None
-    watcher: Callable[[], bool | None] | None = None
+    contact: Form | None = None
     watched: bool | SimulationError = False
-    bulk: object | None = None
     active: bool = False
     press_force: float = 0.0  # wall-normal force driving platform slip
 
 
-class Move:
-    """The form of a targeted move in a stretch (see ``ArmRuntime.bulk``):
-    a zero wrench, no watcher, and its arrival or a reach trim as events."""
+class Form:
+    """One phase of an arm, per tick and in a stretch (see ``World._stretch``).
+
+    A contact phase, held in ``ArmRuntime.contact``, gives ``model()``,
+    called once per tick for the true wrench at the tool, and ``watch``:
+    None, or called at the end of the tick to end the wait by returning
+    true, or to raise.
+
+    In a stretch, ``ahead(m)`` returns ``(ticks, rows)``, how many of the
+    next ``m`` ticks it computed, up to one that may be an event, and their
+    true-wrench rows (None: zero); the pure ``stops(slips, readings)``
+    returns how many come before the first on which ``watch`` may end the
+    wait or raise, from the slip and FT reading after each; ``apply(n)``
+    applies the first ``n`` as the per-tick pass would. A form whose
+    ``ahead`` is None runs only per tick. The defaults suit a form with no
+    watch, whose stretch the horizon ends, and no state to apply.
+    """
+
+    watch = None
+    ahead = None
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        return len(slips)
+
+    def apply(self, n: int):
+        pass
+
+
+class Move(Form):
+    """The form of a targeted move in a stretch: a zero wrench, no watch,
+    and its arrival or a reach trim as events."""
 
     def __init__(self, state: ArmState, dt: float):
         self.state, self.dt = state, dt
@@ -311,9 +327,6 @@ class Move:
     def ahead(self, m: int):
         self.path = self.state.free_path(m, self.dt)
         return self.path.shape[1] - 1, None
-
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        return len(slips)
 
     def apply(self, n: int):
         state = self.state
@@ -324,7 +337,7 @@ class World:
     """All mutable simulation state for one run.
 
     ``event`` is true after a tick on which a motion ended, the guard halted
-    an arm, a watcher returned true or raised, or simulated time passed
+    an arm, a watch returned true or raised, or simulated time passed
     ``MAX_SIM_TIME``. ``run`` stops after such a tick, because the executive
     has to act on it, and on no other tick but the end of a wait.
     """
@@ -450,20 +463,20 @@ class World:
     # -- tick -------------------------------------------------------------------
 
     def step(self):
-        """One tick: one pass over the arms, then the watchers.
+        """One tick: one pass over the arms, then the watches.
 
         For each arm in turn the pass does slip, motion advance, contact
-        model (none: ``ZERO_WRENCH`` and no press force), FT sample, guard and
-        wrench record; no arm's work reads the other arm, because each contact
-        model is a closure over its own arm.
+        model (no contact: ``ZERO_WRENCH`` and no press force), FT sample,
+        guard and wrench record; no arm's work reads the other arm, because
+        each contact form holds its own arm.
 
         Slip integrates at the start of the arm's turn from the previous
         tick's press force, so the slip an executive reads after the step is
         exactly the slip the contact model saw; a zero press force adds no
-        slip, so the platform is not stepped. Watchers run in arm order, the
-        order the executive resumes the arms in: none past ``MAX_SIM_TIME``,
-        and none from the first arm that is halted, or whose watcher raised,
-        on. Sets ``event`` for this tick.
+        slip, so the platform is not stepped. The contact forms' watches run
+        in arm order, the order the executive resumes the arms in: none past
+        ``MAX_SIM_TIME``, and none from the first arm that is halted, or whose
+        watch raised, on. Sets ``event`` for this tick.
 
         Inside a stretch, which ``run`` applied when it planned it, the tick
         only advances the clock, and the ``active`` flags hold for it. A
@@ -486,14 +499,14 @@ class World:
             if arm.motion is not None:
                 arm.advance(dt)
                 event = event or arm.motion is None
-            model = runtime.contact_model
-            if model is None:
+            contact = runtime.contact
+            if contact is None:
                 wrench, runtime.press_force = ZERO_WRENCH, 0.0
             else:
-                wrench = model()
+                wrench = contact.model()
                 runtime.press_force = max(wrench.fz, 0.0)
             runtime.true_wrench = wrench
-            runtime.active = model is not None or arm.motion is not None
+            runtime.active = contact is not None or arm.motion is not None
             if not runtime.active:
                 runtime.reading = None
                 continue
@@ -509,11 +522,12 @@ class World:
             for runtime in self.arms.values():
                 if runtime.state.halted:
                     break
-                watcher = runtime.watcher
-                if watcher is None:
+                contact = runtime.contact
+                watch = None if contact is None else contact.watch
+                if watch is None:
                     continue
                 try:
-                    if watcher():
+                    if watch():
                         runtime.watched = event = True
                 except SimulationError as exc:
                     runtime.watched = exc
@@ -529,13 +543,13 @@ class World:
         planned, because in it a tick has no input but the arms' own state
         and noise, and the executive, suspended until ``run`` returns, can
         neither change that nor read the world before the stretch ends. In a
-        stretch each arm is idle, on a targeted move, or holds a contact
-        model with a ``bulk`` form (a guarded feed, the drill's spin-up, the
-        hammer, or the nut runner's fitting, run-down or pulse phase), and
-        only an arm that holds one has a press force. A stretch ends only at
-        the horizon, after ``NOISE_BLOCK`` ticks, or before the first tick
-        that may be an event on either arm: an arrival, a reach trim, a guard
-        trip, a watcher ending its wait or raising (a laser read that fails
+        stretch each arm is idle, on a targeted move, or holds a contact form
+        with an ``ahead`` (a guarded feed, the drill's spin-up, the hammer,
+        or the nut runner's fitting, run-down or pulse phase), and only an
+        arm that holds one has a press force. A stretch ends only at the
+        horizon, after ``NOISE_BLOCK`` ticks, or before the first tick that
+        may be an event on either arm: an arrival, a reach trim, a guard
+        trip, a watch ending its wait or raising (a laser read that fails
         and a feed past its travel limit included), a non-finite surface
         distance, or the tick past ``MAX_SIM_TIME``. The per-tick pass takes
         that tick.
@@ -559,8 +573,8 @@ class World:
         return the tick count at which to plan again.
 
         Each active arm takes part through its form: a ``Move`` for a
-        targeted move, or the ``bulk`` form of its contact model, which may
-        advance a feed, a motion with no target. The moves come first, so
+        targeted move, or its contact form, which may advance a feed, a
+        motion with no target. The moves come first, so
         that an arrival bounds what the other forms compute. A stretch stops
         before the first tick that may be an event, and the per-tick pass
         takes that tick without planning again.
@@ -570,21 +584,21 @@ class World:
         runtimes = tuple(self.arms.values())
         forms = []  # ``(runtime, form)`` for each active arm
         for runtime in runtimes:
-            motion = runtime.state.motion
-            if runtime.contact_model is not None or runtime.watcher is not None:
-                if runtime.bulk is None:
+            motion, contact = runtime.state.motion, runtime.contact
+            if contact is not None:
+                if contact.ahead is None:
                     return math.inf
                 if motion is not None and motion.target is not None:
                     return math.inf
-                forms.append((runtime, runtime.bulk))
+                forms.append((runtime, contact))
             elif motion is not None:
                 if motion.target is None or runtime.state.halted:
                     return math.inf
                 forms.insert(0, (runtime, Move(runtime.state, clock.dt)))
-        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime.contact_model is None):
+        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime.contact is None):
             return now + 1  # the next tick still integrates slip
-        if any(runtime.state.halted for runtime in runtimes) and any(r.watcher is not None for r in runtimes):
-            return math.inf  # the watchers stop at a halted arm
+        if any(r.state.halted for r in runtimes) and any(r.contact and r.contact.watch for r in runtimes):
+            return math.inf  # the watches stop at a halted arm
         sensors = self.scenario.sensors
         noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
         planned = n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
@@ -600,7 +614,7 @@ class World:
         event on any arm. The arithmetic is the per-tick pass's, in the same
         order: the motion and model in each form's ``ahead``, the slip in
         ``PlatformState.slips``, the FT readings and the guard in ``_sense``,
-        the watcher in ``stops``. Every form then applies the shared count,
+        the watch in ``stops``. Every form then applies the shared count,
         which leaves the arms as the per-tick pass would after the last
         tick, with the wrench rows recorded; ``step`` then only ticks the
         clock through them. Return how many.

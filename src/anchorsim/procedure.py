@@ -1,9 +1,10 @@
 """Mission executive: the ten-step fixation procedure and its sub-protocols.
 
 Steps are generators that tick through ``MissionContext.until``, which yields
-the ticks left of a wait, or ``math.inf``. A step's per-tick check is a watcher
-that ``World.step`` runs, and ``World.run`` stops after an event tick (a motion
-ended, the guard halted an arm, a watcher returned true or raised, or simulated
+the ticks left of a wait, or ``math.inf``, and holds the wait's contact phase,
+an ``engine.Form``. A step's per-tick check is the form's ``watch``, which
+``World.step`` runs, and ``World.run`` stops after an event tick (a motion
+ended, the guard halted an arm, a watch returned true or raised, or simulated
 time ran out), so a step resumes only on an event or at the end of a wait. The
 dual-arm scheduler in ``mission_full`` resumes the per-arm pipelines in fixed
 arm order. A failed step ends the run with a partial report.
@@ -12,7 +13,6 @@ arm order. A failed step ends the run with a partial report.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import MAX_SIM_TIME, Move, World
+from .engine import MAX_SIM_TIME, Form, Move, World
 from .errors import (
     DetectionMissing,
     HaltedByGuard,
@@ -222,16 +222,14 @@ def inward(start, normal, x, y, z):
 # --- timed contact phases ------------------------------------------------------------
 
 
-class Timed:
+class Timed(Form):
     """A contact phase whose true wrench is a function of its own elapsed
-    time, which its contact model adds one tick to at a time, and of
-    constants.
+    time, which its ``model`` adds one tick to at a time, and of constants.
 
-    As a form (see ``ArmRuntime.bulk``), ``times`` gives that time after each
-    tick of a stretch with ``np.add.accumulate``, which adds as the ticks
-    do, so every double is the same. ``stops`` and ``apply`` here suit a
-    wait with no watcher, which the horizon ends; a subclass with a watcher
-    stops before the first tick on which it may end the wait or raise.
+    In a stretch, ``times`` gives that time after each tick with
+    ``np.add.accumulate``, which adds as the ticks do, so every double is
+    the same. A subclass with a ``watch`` stops before the first tick on
+    which it may end the wait or raise.
     """
 
     def __init__(self, ctx: MissionContext, arm: str):
@@ -249,9 +247,6 @@ class Timed:
         self._elapsed = elapsed
         return elapsed[1:]
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        return len(slips)
-
     def apply(self, n: int):
         self.elapsed = float(self._elapsed[n])
 
@@ -264,7 +259,7 @@ class Impulses(Timed):
     at which the next is due: it strikes on the first tick on which
     ``elapsed + 1e-12`` reaches that, one at most a tick. ``strike(struck)``
     gives ``struck`` after the next impulse, and ``final(struck)`` is true
-    after one on which the watcher may end the wait; a stretch stops before
+    after one on which ``watch`` may end the wait; a stretch stops before
     that one.
     """
 
@@ -322,11 +317,11 @@ class Hammering(Impulses):
     """The cup hammer driving one anchor home from the commanded point at
     which hammering starts, a blow every ``1 / blow_rate`` s.
 
-    ``hammer_model`` (the arm's contact model) and ``bottomed`` (its
-    watcher) take one tick. ``ahead``, ``stops`` and ``apply`` take a
-    stretch of ticks at once (see ``ArmRuntime.bulk``), with the same
-    arithmetic in the same order, so they leave the same bytes. Both place
-    the arm through ``point``.
+    ``model`` and ``watch`` take one tick; ``watch`` ends the wait once the
+    anchor bottoms. ``ahead``, ``stops`` and ``apply`` take a stretch of
+    ticks at once (see ``engine.Form``), with the same arithmetic in the
+    same order, so they leave the same bytes. Both place the arm through
+    ``point``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -367,7 +362,7 @@ class Hammering(Impulses):
         """The anchor depth the laser reads at ``distance``."""
         return self.stuck_measured + (self.laser_zero - distance)
 
-    def hammer_model(self) -> Wrench:
+    def model(self) -> Wrench:
         moment = 1.5
         if self.tick():
             self.anchor.depth = self.struck.depth
@@ -377,7 +372,7 @@ class Hammering(Impulses):
             state.x, state.y, state.z = self.point(self.struck.depth, self.world.slip(self.arm))
         return Wrench(fz=self.tools.hammer_press_force, mx=moment)
 
-    def bottomed(self):
+    def watch(self):
         measured_depth = self.measured(self.world.laser_distance(self.arm))
         state, p = self.state, self.procedure
         self.world.record_depthset(self.arm, measured_depth, self.commanded(state.x, state.y, state.z))
@@ -391,9 +386,9 @@ class Hammering(Impulses):
             return True
 
     def ahead(self, m: int):
-        """The true wrench ``hammer_model`` returns on each of the next ``m``
-        ticks, or on fewer: up to the first blow whose peak reaches the
-        hammering end moment, on which ``bottomed`` may end the wait. The
+        """The true wrench ``model`` returns on each of the next ``m`` ticks,
+        or on fewer: up to the first blow whose peak reaches the hammering
+        end moment, on which ``watch`` may end the wait. The
         anchor depths after those ticks are kept for ``stops``."""
         m, spans = self.schedule(m)
         wrench = np.zeros((m, 6))
@@ -407,7 +402,7 @@ class Hammering(Impulses):
         return m, wrench
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first on which ``bottomed`` may
+        """How many ticks come before the first on which ``watch`` may
         end the wait or raise: the moment reading reaches the hammering end
         moment, or the laser read fails."""
         m = len(slips)
@@ -433,7 +428,7 @@ class Fitting(Timed):
     0.2 s, pressing with the fz the approach ended on, until
     ``socket_fit_time`` has passed with an anchor to slot onto; then the
     socket slots on, its spring extends and the press drops to 5 N.
-    ``fitted``, the watcher, ends the wait on the first FT reading under
+    ``watch`` ends the wait on the first FT reading under
     10 N once the socket has slotted on, and raises once the wait passes
     ``socket_fit_timeout``."""
 
@@ -444,14 +439,14 @@ class Fitting(Timed):
         self.fit_time = ctx.scenario.tools.socket_fit_time if anchor_present else math.inf
         self.timeout = ctx.scenario.procedure.socket_fit_timeout
 
-    def fit_model(self) -> Wrench:
+    def model(self) -> Wrench:
         self.elapsed += self.world.dt
         if self.elapsed >= self.fit_time:
             return Wrench(fz=5.0, mx=0.0)
         wiggle = 1.2 if int(self.elapsed / 0.2) % 2 == 0 else -1.2
         return Wrench(fz=self.hold_fz, mx=wiggle)
 
-    def fitted(self):
+    def watch(self):
         r = self.runtime.reading
         if r is not None and r.fz < 10.0 and self.elapsed >= self.fit_time:
             return True
@@ -469,7 +464,7 @@ class Fitting(Timed):
         return m, wrench
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first on which ``fitted`` ends the
+        """How many ticks come before the first on which ``watch`` ends the
         wait or raises."""
         elapsed = self._elapsed[1 : len(slips) + 1]
         ends = np.flatnonzero((readings[:, 2] < 10.0) & (elapsed >= self.fit_time) | (elapsed > self.timeout))
@@ -479,14 +474,14 @@ class Fitting(Timed):
 class RunDown(Timed):
     """The nut runner running the nut down the anchor for ``duration`` s: the
     press eases from 50 N to 20 N over the run, and the flange takes the
-    attenuated free-run torque. A wait with no watcher."""
+    attenuated free-run torque. A wait with no watch."""
 
     def __init__(self, ctx: MissionContext, arm: str, duration: float):
         super().__init__(ctx, arm)
         tools = ctx.scenario.tools
         self.duration, self.moment = duration, tools.pulse_attenuation * tools.free_run_torque
 
-    def run_model(self) -> Wrench:
+    def model(self) -> Wrench:
         self.elapsed += self.world.dt
         frac = min(1.0, self.elapsed / self.duration)
         return Wrench(fz=50.0 - 30.0 * frac, mx=self.moment)
@@ -511,8 +506,8 @@ class Pulses(NamedTuple):
 class Pulsing(Impulses):
     """The nut runner's pulse tightening, pressing 50 N: ``pulse_rate``
     pulses a second, each adding ``pulse_torque_step`` to the fastener
-    torque up to ``target_torque``. ``tightened``, the watcher, ends the
-    wait on the tick of the pulse that reaches the target, the final one."""
+    torque up to ``target_torque``. ``watch`` ends the wait on the tick of
+    the pulse that reaches the target, the final one."""
 
     def __init__(self, ctx: MissionContext, arm: str):
         self.tools = ctx.scenario.tools
@@ -526,19 +521,18 @@ class Pulsing(Impulses):
     def final(self, pulses: Pulses) -> bool:
         return pulses.torque >= self.tools.target_torque
 
-    def pulse_model(self) -> Wrench:
+    def model(self) -> Wrench:
         self.tick()
         return Wrench(fz=50.0, mx=self.struck.moment)
 
-    def tightened(self) -> bool:
+    def watch(self) -> bool:
         return self.final(self.struck)
 
     def ahead(self, m: int):
-        """The true wrench ``pulse_model`` returns on each of the next ``m``
-        ticks, or on fewer: up to the pulse that reaches the target torque; none
-        once it is reached, as ``tightened`` then ends the wait on every
-        tick."""
-        if self.tightened():
+        """The true wrench ``model`` returns on each of the next ``m`` ticks,
+        or on fewer: up to the pulse that reaches the target torque; none once
+        it is reached, as ``watch`` then ends the wait on every tick."""
+        if self.watch():
             return 0, None
         m, spans = self.schedule(m)
         wrench = np.zeros((m, 6))
@@ -552,17 +546,19 @@ class Pulsing(Impulses):
 
 
 class Feed(Move):
-    """A guarded feed (``MissionContext.feed_until``) under a contact law of
-    the true surface distance alone: ``law(distance)`` gives the ``(fz, mx)``
-    of the true wrench. A subclass gives the stop condition: ``stop`` per
-    tick and ``stops`` in bulk.
+    """A guarded feed (``MissionContext.feed``) under a contact law of the
+    true surface distance alone: ``law(distance)`` gives the ``(fz, mx)`` of
+    the true wrench. A subclass gives the stop condition: ``stop`` per tick
+    and ``stops`` in bulk.
 
-    ``model`` (the arm's contact model) and ``stop`` take one tick.
-    ``ahead``, ``stops`` and ``apply``, extending ``engine.Move``'s, take a
-    stretch of ticks at once (see ``ArmRuntime.bulk``), with the same
-    arithmetic in the same order: the path from ``ArmState.free_path``, the
-    one sequential part (slip, surface distance, law, press force) from
-    ``World.feed_wrenches``, and the rest with numpy.
+    ``model`` and ``watch`` take one tick: ``watch`` ends the wait once
+    ``stop()`` is true, and raises once the feed has stopped or travelled
+    more than ``max_travel``. ``ahead``, ``stops`` and ``apply``, extending
+    ``engine.Move``'s, take a stretch of ticks at once (see
+    ``engine.Form``), with the same arithmetic in the same order: the path
+    from ``ArmState.free_path``, the one sequential part (slip, surface
+    distance, law, press force) from ``World.feed_wrenches``, and the rest
+    with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, law, max_travel: float):
@@ -575,11 +571,19 @@ class Feed(Move):
         fz, mx = self.law(self.world.surface_distance(self.arm))
         return Wrench(fz=fz, mx=mx)
 
+    def watch(self):
+        if self.stop():
+            return True
+        state = self.state
+        if state.motion is None or state.motion.travelled > self.max_travel:
+            state.stop()
+            raise WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
+
     def ahead(self, m: int):
         """The true wrench ``model`` returns on each of the next ``m`` ticks
         of the feed, or on fewer: up to a reach trim or a non-finite surface
-        distance; none once the feed has stopped, as its watcher then raises
-        on the next tick."""
+        distance; none once the feed has stopped, as ``watch`` then raises on
+        the next tick."""
         if self.state.motion is None:
             return 0, None
         super().ahead(m)
@@ -588,7 +592,7 @@ class Feed(Move):
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks come before the first on which the feed has
-        travelled more than ``max_travel``, on which its watcher raises; a
+        travelled more than ``max_travel``, on which ``watch`` raises; a
         subclass ends them sooner where ``stop`` may be true or raise."""
         over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
         return int(over[0]) if over.size else len(slips)
@@ -612,26 +616,20 @@ class Pressing(Feed):
         return int(hits[0]) if hits.size else m
 
 
-class Holding:
+class Holding(Form):
     """A feed's contact law held at the commanded point where the feed
-    stopped, through a wait with no watcher: the drill spinning up against
-    the wall while the slip moves the surface distance. As a form (see
-    ``ArmRuntime.bulk``) it computes its ticks with ``World.feed_wrenches``
-    at that point repeated."""
+    stopped, through a wait with no watch: the drill spinning up against
+    the wall while the slip moves the surface distance. In a stretch it
+    computes its ticks with ``World.feed_wrenches`` at that point
+    repeated."""
 
     def __init__(self, feed: Feed):
-        self.feed = feed
+        self.feed, self.model = feed, feed.model
 
     def ahead(self, m: int):
         feed, state = self.feed, self.feed.state
         wrench = feed.world.feed_wrenches(feed.arm, ([state.x] * m, [state.y] * m, [state.z] * m), feed.law)
         return len(wrench), wrench
-
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        return len(slips)
-
-    def apply(self, n: int):
-        pass
 
 
 class Drilling(Feed):
@@ -676,6 +674,25 @@ class Drilling(Feed):
         measured, commanded, slips = self._depths
         self.measured = float(measured[n - 1])
         self.world.record_depths(self.arm, measured[:n], commanded[:n], slips[:n], lasered=self.use_laser)
+
+
+class Pushing(Feed):
+    """The insertion's push: a feed under the contact model ``model``, which
+    reads the engagement, until ``stop()``. It runs only per tick."""
+
+    ahead = None
+
+    def __init__(self, ctx: MissionContext, arm: str, model, stop, max_travel: float):
+        super().__init__(ctx, arm, None, max_travel)
+        self.model, self.stop = model, stop
+
+
+class Sliding(Form):
+    """The anchor tip sliding on the wall under a light 20 N press through
+    the spiral search. It runs only per tick: each probe waits a few."""
+
+    def model(self) -> Wrench:
+        return Wrench(fz=20.0)
 
 
 # --- the executive ---------------------------------------------------------------
@@ -747,24 +764,27 @@ class MissionContext:
                "home": f"home{suffix}", "part": "part_stand"}[kind]
         return self.scenario.station(key)
 
-    def until(self, arm: str, done=None, ticks: float = math.inf):
-        """Tick until ``done()`` is true or ``ticks`` ticks passed, or, given
-        neither, until the arm's motion ends; raise on the tick the guard
-        halts ``arm`` or simulated time passes ``MAX_SIM_TIME``, and re-raise a
-        ``SimulationError`` that ``done()`` raised.
+    def until(self, arm: str, contact: Form | None = None, ticks: float = math.inf):
+        """Tick until ``ticks`` ticks passed or the watch of ``contact`` ends
+        the wait, or, given neither, until the arm's motion ends; raise on
+        the tick the guard halts ``arm`` or simulated time passes
+        ``MAX_SIM_TIME``, and re-raise a ``SimulationError`` that the watch
+        raised.
 
-        ``done`` is the arm's watcher for the wait: ``World.step`` calls it at
-        the end of every tick, so it may record or keep per-tick values. A
-        motion's end is an event tick of its own, so waiting for it needs no
-        watcher. Each yield is the ticks left of the wait, which may be
-        ``math.inf``.
+        ``contact`` is the arm's contact phase for the wait (see
+        ``ArmRuntime``), and the only way one is installed; the arm has none
+        once the wait ends, normally or by an exception. ``World.step`` calls
+        its ``watch`` at the end of every tick, so it may record or keep
+        per-tick values. A motion's end is an event tick of its own, so
+        waiting for it needs no watch. Each yield is the ticks left of the
+        wait, which may be ``math.inf``.
         """
         runtime = self.world.runtime(arm)
         state = runtime.state
         clock = self.world.clock
         end = clock.ticks + ticks
-        motion_wait = done is None and ticks == math.inf
-        runtime.watcher, runtime.watched = done, False
+        motion_wait = ticks == math.inf and (contact is None or contact.watch is None)
+        runtime.contact, runtime.watched = contact, False
         try:
             while not runtime.watched and clock.ticks < end:
                 yield end - clock.ticks
@@ -777,32 +797,23 @@ class MissionContext:
                 if motion_wait and state.motion is None:
                     break
         finally:
-            runtime.watcher = None
+            runtime.contact = None
 
-    def wait(self, arm: str, seconds: float):
-        yield from self.until(arm, ticks=max(1, round(seconds / self.world.dt)))
+    def wait(self, arm: str, seconds: float, contact: Form | None = None):
+        yield from self.until(arm, contact, max(1, round(seconds / self.world.dt)))
 
-    def move(self, arm: str, target: Point3, speed: float):
+    def move(self, arm: str, target: Point3, speed: float, contact: Form | None = None):
         state = self.world.arm(arm)
         state.start_move(target, speed)
         if state.motion is not None:
-            yield from self.until(arm)
+            yield from self.until(arm, contact)
 
-    def feed_until(self, arm: str, speed: float, stop, max_travel: float):
-        """Open-ended guarded feed into the wall along the working normal;
-        ``stop()`` is evaluated after each tick, and the feed fails once it
-        has travelled more than ``max_travel``."""
+    def feed(self, arm: str, feed: Feed, speed: float):
+        """Open-ended guarded feed into the wall along the working normal at
+        ``speed``, until ``feed.watch`` ends it (see ``Feed``)."""
         state = self.world.arm(arm)
         state.start_feed(-self.out_normal, speed)
-
-        def done():
-            if stop():
-                return True
-            if state.motion is None or state.motion.travelled > max_travel:
-                state.stop()
-                raise WrongPose(f"{arm}: feed exceeded {max_travel} m without its stop condition")
-
-        yield from self.until(arm, done)
+        yield from self.until(arm, feed)
         state.stop()
 
     def press_until(self, arm: str, law, threshold: float, max_travel: float):
@@ -810,8 +821,7 @@ class MissionContext:
         ``Feed``) until a raw FT reading's fz reaches ``threshold``; return
         the feed, whose ``model`` may press on."""
         feed = Pressing(self, arm, law, threshold, max_travel)
-        with self.contact(arm, feed.model, bulk=feed):
-            yield from self.feed_until(arm, self.scenario.robot.approach_speed, feed.stop, max_travel)
+        yield from self.feed(arm, feed, self.scenario.robot.approach_speed)
         return feed
 
     def moments(self, arm: str):
@@ -820,19 +830,6 @@ class MissionContext:
         trace = self.world.recorder.traces[f"{arm}/mx"]
         first = len(trace)
         return lambda: trace.row.column(trace.index, first)
-
-    @contextmanager
-    def contact(self, arm: str, model, bulk=None):
-        """Make ``model`` the arm's contact model for the block, and ``bulk``
-        the object that computes it and the block's watcher in bulk (see
-        ``ArmRuntime``); it has neither once the block ends, normally or by
-        an exception."""
-        runtime = self.world.runtime(arm)
-        runtime.contact_model, runtime.bulk = model, bulk
-        try:
-            yield
-        finally:
-            runtime.contact_model = runtime.bulk = None
 
     def ensure_tool(self, arm: str, tool: ToolId):
         """Swap the arm to ``tool`` at its tool stand, unless it holds it
@@ -971,33 +968,31 @@ class MissionContext:
         touch = yield from self.press_until(arm, press_law, self.scenario.procedure.contact_force, max_travel=0.2)
         drilling = Drilling(self, arm, (state.x, state.y, state.z), world.laser_distance(arm))
         slip_zero = world.slip(arm)
-        with self.contact(arm, touch.model, bulk=Holding(touch)):
-            yield from self.wait(arm, cfg.drill_spinup_time)
+        yield from self.wait(arm, cfg.drill_spinup_time, Holding(touch))
 
-        with self.contact(arm, drilling.model, bulk=drilling):
-            world.runtime(arm).guard_filter.reset()
-            moments = self.moments(arm)
+        world.runtime(arm).guard_filter.reset()
+        moments = self.moments(arm)
 
-            def moment_range():  # the drilling ticks' true mx, widened to take in 0
-                seen = moments()
-                return {"max_mx": max(0.0, max(seen)), "min_mx": min(0.0, min(seen)), "variant": cfg.variant}
+        def moment_range():  # the drilling ticks' true mx, widened to take in 0
+            seen = moments()
+            return {"max_mx": max(0.0, max(seen)), "min_mx": min(0.0, min(seen)), "variant": cfg.variant}
 
-            try:
-                yield from self.feed_until(arm, cfg.feed_speed, drilling.stop, drilling.max_travel)
-            except HaltedByGuard as exc:
-                depth_at_halt = max(0.0, -world.surface_distance(arm))
-                self._open[arm].diagnostics.update(halt_axis=exc.axis, halt_depth=depth_at_halt, **moment_range())
-                raise HaltedByGuard(exc.axis, depth_at_halt) from None
-            drilled = moment_range()
+        try:
+            yield from self.feed(arm, drilling, cfg.feed_speed)
+        except HaltedByGuard as exc:
+            depth_at_halt = max(0.0, -world.surface_distance(arm))
+            self._open[arm].diagnostics.update(halt_axis=exc.axis, halt_depth=depth_at_halt, **moment_range())
+            raise HaltedByGuard(exc.axis, depth_at_halt) from None
+        drilled = moment_range()
 
-            true_depth = max(0.0, -world.surface_distance(arm))
-            if true_depth == 0.0:
-                # With commanded depth feedback, slip can carry the platform
-                # back as fast as the bit feeds.
-                raise SimulationError("the bit reached its depth target without entering the wall")
-            hole_depth = min(true_depth, MAX_HOLE_DEPTH)
-            entry = world.site.wall.project(world.true_position(arm))
-            hole = world.site.register_drilled_hole(entry, -self.out_normal, hole_depth)
+        true_depth = max(0.0, -world.surface_distance(arm))
+        if true_depth == 0.0:
+            # With commanded depth feedback, slip can carry the platform
+            # back as fast as the bit feeds.
+            raise SimulationError("the bit reached its depth target without entering the wall")
+        hole_depth = min(true_depth, MAX_HOLE_DEPTH)
+        entry = world.site.wall.project(world.true_position(arm))
+        hole = world.site.register_drilled_hole(entry, -self.out_normal, hole_depth)
 
         yield from self.move(arm, standoff, robot.retract_speed)
         yield from self.return_tool(arm)
@@ -1048,9 +1043,6 @@ class MissionContext:
                 return Wrench(fz=6.0 * moment, mx=moment)
             return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
 
-        def slide_model() -> Wrench:
-            return Wrench(fz=20.0)
-
         entered = False
 
         def touch_or_enter():
@@ -1062,9 +1054,7 @@ class MissionContext:
             r = world.runtime(arm).reading
             return r is not None and r.fz >= 15.0
 
-        with self.contact(arm, wedge_model):
-            yield from self.feed_until(arm, robot.approach_speed,
-                                       stop=touch_or_enter, max_travel=0.05)
+        yield from self.feed(arm, Pushing(self, arm, wedge_model, touch_or_enter, 0.05), robot.approach_speed)
         first_offset = world.radial_offset(arm, hole)
         first = anchor_engagement(first_offset, clearance)
         search_time = 0.0
@@ -1074,24 +1064,24 @@ class MissionContext:
             surface_cmd = state.position + self.out_normal.scaled(
                 -world.surface_distance(arm) + 0.0003
             )
-            with self.contact(arm, slide_model):
-                yield from self.move(arm, surface_cmd, robot.retract_speed)
-                center = state.position
-                max_probes = int(p.search_timeout / p.spiral_probe_period)
-                t0 = world.t
-                frame = self.work_frame
-                for dx, dy in spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes):
-                    state.position = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
-                    probes += 1
-                    yield from self.wait(arm, p.spiral_probe_period)
-                    if engagement_now() is Engagement.ENGAGED:
-                        break
-                else:
-                    raise SearchTimeout(
-                        f"spiral search exhausted {p.search_timeout} s "
-                        f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"
-                    )
-                search_time = world.t - t0
+            slide = Sliding()
+            yield from self.move(arm, surface_cmd, robot.retract_speed, slide)
+            center = state.position
+            max_probes = int(p.search_timeout / p.spiral_probe_period)
+            t0 = world.t
+            frame = self.work_frame
+            for dx, dy in spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes):
+                state.position = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
+                probes += 1
+                yield from self.wait(arm, p.spiral_probe_period, slide)
+                if engagement_now() is Engagement.ENGAGED:
+                    break
+            else:
+                raise SearchTimeout(
+                    f"spiral search exhausted {p.search_timeout} s "
+                    f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"
+                )
+            search_time = world.t - t0
 
         def wedged():
             r = world.runtime(arm).reading
@@ -1102,9 +1092,7 @@ class MissionContext:
             world.record_depthset(arm, -world.laser_distance(arm), commanded)
             return r is not None and abs(r.mx) >= p.insertion_end_moment
 
-        with self.contact(arm, wedge_model):
-            yield from self.feed_until(arm, robot.approach_speed,
-                                       stop=wedged, max_travel=0.03)
+        yield from self.feed(arm, Pushing(self, arm, wedge_model, wedged, 0.03), robot.approach_speed)
         stuck_depth = max(0.0, -world.surface_distance(arm))
         if stuck_depth > hole.depth:
             raise SimulationError(
@@ -1129,8 +1117,7 @@ class MissionContext:
         anchor hit the bottom."""
         yield from self.wait(arm, self.scenario.tools.grip_time)
         hammer = Hammering(self, arm, anchor, stuck_measured)
-        with self.contact(arm, hammer.hammer_model, bulk=hammer):
-            yield from self.until(arm, hammer.bottomed)
+        yield from self.until(arm, hammer)
 
         anchor.set_state(AnchorState.SEATED, depth=anchor.depth)
         state = self.world.arm(arm)
@@ -1186,8 +1173,7 @@ class MissionContext:
         # (2) alternate rotation until the socket slots onto the nut.
         t0 = world.t
         fitting = Fitting(self, arm, anchor.state in (AnchorState.STUCK, AnchorState.SEATED))
-        with self.contact(arm, fitting.fit_model, bulk=fitting):
-            yield from self.until(arm, fitting.fitted)
+        yield from self.until(arm, fitting)
         substeps.append(("socket_fit", t0, world.t))
 
         # (3) advance again to the force threshold.
@@ -1203,8 +1189,7 @@ class MissionContext:
                 f"nut run {run_distance * 1e3:.0f} mm exceeds the socket spring travel"
             )
         run = RunDown(self, arm, run_distance / tools_cfg.nut_run_speed)
-        with self.contact(arm, run.run_model, bulk=run):
-            yield from self.wait(arm, run.duration)
+        yield from self.wait(arm, run.duration, run)
         substeps.append(("run_nut", t0, world.t))
 
         # (5) advance once more.
@@ -1213,8 +1198,7 @@ class MissionContext:
         # (6) pulse-tighten to the target torque.
         t0 = world.t
         pulsing = Pulsing(self, arm)
-        with self.contact(arm, pulsing.pulse_model, bulk=pulsing):
-            yield from self.until(arm, pulsing.tightened)
+        yield from self.until(arm, pulsing)
         substeps.append(("pulse_tighten", t0, world.t))
         max_moment = max(map(abs, moments()))
 

@@ -291,6 +291,12 @@ class Scenario:
         if tools.socket_fit_time > p.socket_fit_timeout:
             reason = f"must not exceed procedure.socket_fit_timeout = {p.socket_fit_timeout!r} s"
             raise ScenarioInvalid("tools.socket_fit_time", reason)
+        # The hammer and the nut runner strike at most one impulse a tick,
+        # so a shorter interval between impulses would be capped unseen.
+        for key in ("blow_rate", "pulse_rate"):
+            if 1 / getattr(tools, key) < p.timestep:
+                reason = f"must strike at most once per procedure.timestep = {p.timestep!r} s tick"
+                raise ScenarioInvalid(f"tools.{key}", reason)
         # Each tool, with what it holds, must be within the payload: the
         # hammer holds the anchor on robot 1, the gripper the part on robot 2.
         robot = self.robot

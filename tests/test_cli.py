@@ -15,7 +15,7 @@ import anchorsim
 from anchorsim.cli import export_traces, main
 from anchorsim.engine import TRACE_CHUNK, TraceRecorder, run
 from anchorsim.errors import IoFailure
-from anchorsim.scenario import _SECTION_TYPES, ProcedureSection, Scenario, render_scenario
+from anchorsim.scenario import _SECTION_TYPES, ProcedureSection, Scenario, ToolsSection, render_scenario
 from anchorsim.sensors import Wrench
 
 
@@ -122,10 +122,11 @@ INVALID_VALUES = [
 #: its timeout), a socket that slots on only after its fit timeout, a wall
 #: that puts an orientation laser point out of reach, tools or loads the
 #: payload cannot carry, blows that drive the anchor back out,
-#: noise-free orientation laser points too close to span a triangle, and a
+#: noise-free orientation laser points too close to span a triangle, a
 #: socket spring shorter than the nut run in the deepest hole (each failed a
-#: step partway through the run). Their fields may repeat cases above, so
-#: their ids are their text.
+#: step partway through the run), and impulses due more often than once a
+#: tick (the tools struck one a tick, whatever the rate). Their fields may
+#: repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -146,6 +147,8 @@ INVALID_REPEATS = [
     ("[tools]\nsocket_spring_travel = 0.001\n", "tools.socket_spring_travel"),
     ("[tools]\nnut_height = 0.001\n", "tools.socket_spring_travel"),
     ("[tools]\nnut_height = 0.005\n", "tools.socket_spring_travel"),
+    ("[tools]\npulse_rate = 1000\n", "tools.pulse_rate"),
+    ("[tools]\nblow_rate = 1000\n", "tools.blow_rate"),
 ]
 
 
@@ -238,13 +241,15 @@ def test_scaled_scenario_exits_0_1_or_2(changes, command):
     command=st.sampled_from(["frame-test", "drill-test", "insert-test", "nut-test", "run"]),
 )
 def test_coarse_tick_exits_0_1_or_2(factor, command):
-    # Scaling the timestep and the probe period together keeps each probe a
-    # whole number of ticks, so the example reaches the mission at a coarse
-    # tick instead of failing validation.
-    p = ProcedureSection()
+    # Scaling the timestep, the probe period and the pulse interval together
+    # keeps each probe a whole number of ticks and each pulse at least one,
+    # so the example reaches the mission at a coarse tick instead of failing
+    # validation.
+    p, tools = ProcedureSection(), ToolsSection()
     text = (
         f"[procedure]\ntimestep = {p.timestep * factor!r}\n"
         f"spiral_probe_period = {p.spiral_probe_period * factor!r}\n"
+        f"[tools]\npulse_rate = {tools.pulse_rate / factor!r}\n"
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s.ini")

@@ -17,7 +17,7 @@ from anchorsim.procedure import (
     schedule_dual_arm,
     spiral_offsets,
 )
-from anchorsim.scenario import ProcedureSection, Scenario, ToolsSection
+from anchorsim.scenario import ProcedureSection, Scenario, SensorsSection, ToolsSection
 from anchorsim.worksite import AnchorState, PartState
 
 NOMINAL_SEED = 7
@@ -464,7 +464,7 @@ def test_timestep_refinement_keeps_every_step_outcome(mission):
     assert outcomes[0]
 
 
-# --- contact model lifetime -------------------------------------------------------
+# --- contact form lifetime --------------------------------------------------------
 
 
 #: name -> (scenario, mission, seed, failure type or None for success)
@@ -476,36 +476,40 @@ LIFETIME_CASES = {
                    "HaltedByGuard"),
     "insert-timeout": (Scenario(procedure=ProcedureSection(search_timeout=0.5)), "insert", NOMINAL_SEED,
                        "SearchTimeout"),
+    "insert-guard-halt": (Scenario(sensors=SensorsSection(force_limit=100.0)), "insert", NOMINAL_SEED,
+                          "HaltedByGuard"),
     "nut-missing": (Scenario(), "nut-missing", NOMINAL_SEED, "SocketFitTimeout"),
     "full-insert-halt": (Scenario(), "full", 2009, "HaltedByGuard"),
     "hammer": (Scenario(), "hammer", NOMINAL_SEED, None),
 }
 
+#: The procedure's contact phases, each named by the class of its form.
+CONTACT_FORMS = {"Pressing", "Holding", "Drilling", "Pushing", "Sliding", "Hammering", "Fitting", "RunDown", "Pulsing"}
+
 
 @pytest.mark.parametrize("case", LIFETIME_CASES)
 def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
+    # ``until`` is the only code that installs an arm's contact form, and
+    # the arm holds none when a step ends, normally or by a failure.
     sc, mission, seed, failure = LIFETIME_CASES[case]
-    contact, end, fail = MissionContext.contact, MissionContext.end, MissionContext.fail
-    installed = []
-    ended = []  # the ending arm's contact model, its bulk form and watcher at each step end
+    until, end, fail = MissionContext.until, MissionContext.end, MissionContext.fail
+    installed = set()  # the class name of each contact form a wait held
+    ended = []  # the ending arm's contact form at each step end
 
-    def recording_contact(ctx, arm, model, bulk=None):
-        installed.append(model)
-        return contact(ctx, arm, model, bulk)
-
-    def left(ctx, arm):
-        runtime = ctx.world.runtime(arm)
-        return runtime.contact_model, runtime.bulk, runtime.watcher
+    def recording_until(ctx, arm, contact=None, ticks=math.inf):
+        if contact is not None:
+            installed.add(type(contact).__name__)
+        return until(ctx, arm, contact, ticks)
 
     def checked_end(ctx, arm, **diag):
-        ended.append(left(ctx, arm))
+        ended.append(ctx.world.runtime(arm).contact)
         return end(ctx, arm, **diag)
 
     def checked_fail(ctx, arm, exc):
-        ended.append(left(ctx, arm))
+        ended.append(ctx.world.runtime(arm).contact)
         return fail(ctx, arm, exc)
 
-    monkeypatch.setattr(MissionContext, "contact", recording_contact)
+    monkeypatch.setattr(MissionContext, "until", recording_until)
     monkeypatch.setattr(MissionContext, "end", checked_end)
     monkeypatch.setattr(MissionContext, "fail", checked_fail)
     report, _ = run(sc, seed=seed, mission=mission)
@@ -515,8 +519,5 @@ def test_contact_model_is_gone_whenever_a_step_ends(monkeypatch, case):
     else:
         assert f": {failure}: " in report.failure
     assert installed and ended
-    assert ended == [(None, None, None)] * len(ended)
-    # Each model is a named function, and no two models share a name.
-    names = {model.__name__ for model in installed}
-    assert "<lambda>" not in names
-    assert len(names) == len({model.__code__ for model in installed})
+    assert ended == [None] * len(ended)
+    assert installed <= CONTACT_FORMS
