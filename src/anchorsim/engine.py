@@ -15,13 +15,14 @@ form with an ``ahead``: a guarded feed whose contact law reads only the true
 surface distance (the drill's touch and drilling feed, the nut runner's
 approaches), the drill's spin-up (the touch law held where the feed
 stopped), or a phase whose wrench is a function of its own elapsed time
-(the hammer, and the nut runner's fitting, run-down and pulse phases). Both
-arms may hold one. Its ticks then depend only on the arms' own state and
-noise. ``World.run`` computes such a stretch with numpy, and a feed's slip,
-surface distance, law and press force in one float loop, with the same
-operations in the same order, and applies it as soon as it is planned, so
-the arms hold the bytes the per-tick pass would leave; ``World.step`` then
-only ticks the clock through it. A stretch ends at the horizon, after
+(the hammer, and the nut runner's fitting, run-down and pulse phases), whose
+per-tick ``model`` is its ``ahead`` on one tick. Both arms may hold one.
+Its ticks then depend only on the arms' own state and noise. ``World.run``
+computes such a stretch with numpy, and a feed's slip, surface distance,
+law and press force in one float loop, with the same operations in the
+same order, and applies it as soon as it is planned, so the arms hold the
+bytes the per-tick pass would leave; ``World.step`` then only ticks the
+clock through it. A stretch ends at the horizon, after
 ``NOISE_BLOCK`` ticks, or before the first tick that may be an event on
 either arm (an arrival, a reach trim, a guard trip, a watch ending its wait
 or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import NonMonotonicTime, SimulationError
 from .geometry import Point3
 from .robot import ArmState, PlatformState
-from .scenario import Scenario, scenario_hash
+from .scenario import MAX_SIM_TIME, Scenario, scenario_hash
 from .sensors import (
     NOISE_BLOCK,
     ZERO_WRENCH,
@@ -61,10 +62,6 @@ from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_
 
 DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
 TRACE_CHANNELS = Wrench._fields + DEPTH_CHANNELS
-
-#: Ceiling on simulated time; the executive's tick loop fails the open step
-#: with ``SimTimeExceeded`` once it is passed.
-MAX_SIM_TIME = 7200.0
 
 
 @dataclass
@@ -302,8 +299,10 @@ class Form:
     returns how many come before the first on which ``watch`` may end the
     wait or raise, from the slip and FT reading after each; ``apply(n)``
     applies the first ``n`` as the per-tick pass would. A form whose
-    ``ahead`` is None runs only per tick. The defaults suit a form with no
-    watch, whose stretch the horizon ends, and no state to apply.
+    ``ahead`` is None runs only per tick. A timed phase
+    (``procedure.Timed``) states its law once, in ``ahead``: its ``model``
+    is a stretch of one tick. The defaults suit a form with no watch, whose
+    stretch the horizon ends, and no state to apply.
     """
 
     watch = None
@@ -317,8 +316,8 @@ class Form:
 
 
 class Move(Form):
-    """The form of a targeted move in a stretch: a zero wrench, no watch,
-    and its arrival or a reach trim as events."""
+    """The form in a stretch of a motion with no contact form: a zero
+    wrench, no watch, and its arrival or a reach trim as events."""
 
     def __init__(self, state: ArmState, dt: float):
         self.state, self.dt = state, dt
@@ -573,8 +572,8 @@ class World:
         return the tick count at which to plan again.
 
         Each active arm takes part through its form: a ``Move`` for a
-        targeted move, or its contact form, which may advance a feed, a
-        motion with no target. The moves come first, so
+        motion with no contact form, or its contact form, which may advance
+        a feed, a motion with no target. The moves come first, so
         that an arrival bounds what the other forms compute. A stretch stops
         before the first tick that may be an event, and the per-tick pass
         takes that tick without planning again.
@@ -592,8 +591,6 @@ class World:
                     return math.inf
                 forms.append((runtime, contact))
             elif motion is not None:
-                if motion.target is None or runtime.state.halted:
-                    return math.inf
                 forms.insert(0, (runtime, Move(runtime.state, clock.dt)))
         if any(runtime.press_force != 0.0 for runtime in runtimes if runtime.contact is None):
             return now + 1  # the next tick still integrates slip

@@ -95,8 +95,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, Point3):
         return [value.x, value.y, value.z]
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, float):
         return round(value, 9)
     return value
@@ -224,12 +222,13 @@ def inward(start, normal, x, y, z):
 
 class Timed(Form):
     """A contact phase whose true wrench is a function of its own elapsed
-    time, which its ``model`` adds one tick to at a time, and of constants.
+    time and of constants, stated once, in ``ahead``.
 
-    In a stretch, ``times`` gives that time after each tick with
-    ``np.add.accumulate``, which adds as the ticks do, so every double is
-    the same. A subclass with a ``watch`` stops before the first tick on
-    which it may end the wait or raise.
+    ``times`` gives that time after each tick of a stretch with
+    ``np.add.accumulate``, which adds one tick at a time. ``model`` takes
+    the per-tick pass's tick as a stretch of one, so both passes run the
+    same law. A subclass with a ``watch`` stops a stretch before the first
+    tick on which it may end the wait or raise.
     """
 
     def __init__(self, ctx: MissionContext, arm: str):
@@ -250,6 +249,12 @@ class Timed(Form):
     def apply(self, n: int):
         self.elapsed = float(self._elapsed[n])
 
+    def model(self) -> Wrench:
+        """The next tick's true wrench, as a stretch of one tick."""
+        _, wrench = self.ahead(1)
+        self.apply(1)
+        return Wrench._make(wrench[0].tolist())
+
 
 class Impulses(Timed):
     """A tool that strikes an impulse every ``interval`` seconds of its
@@ -259,42 +264,36 @@ class Impulses(Timed):
     at which the next is due: it strikes on the first tick on which
     ``elapsed + 1e-12`` reaches that, one at most a tick. ``strike(struck)``
     gives ``struck`` after the next impulse, and ``final(struck)`` is true
-    after one on which ``watch`` may end the wait; a stretch stops before
-    that one.
+    after one on which ``watch`` may end the wait; ``stops`` cuts a stretch
+    before that one.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, interval: float, struck):
         super().__init__(ctx, arm)
         self.interval, self.struck = interval, struck
         self._struck = None  # what ``schedule`` computed, for ``apply``
-
-    def tick(self) -> bool:
-        """Add one tick, and strike the impulse due on it if one is; return
-        whether one was."""
-        self.elapsed += self.world.dt
-        if self.elapsed + 1e-12 >= self.struck.next_due:
-            self.struck = self.strike(self.struck)
-            return True
-        return False
+        self._final = None  # the tick of the first final impulse, for ``stops``
 
     def schedule(self, m: int):
-        """What ``tick`` does on each of the next ``m`` ticks, or on fewer:
-        those before the first final impulse. Returns how many, and
+        """The impulses of the next ``m`` ticks, up to the first final one:
         ``(struck, start, stop)`` for ``struck`` now and after each impulse
-        in turn: it holds after ticks ``start`` to ``stop - 1``, the first of
-        which strikes the impulse."""
+        in turn, which holds after ticks ``start`` to ``stop - 1``, the
+        first of which strikes the impulse."""
         due = self.times(m) + 1e-12
         struck = [(0, self.struck)]
         k = int(np.searchsorted(due, self.struck.next_due))
         while k < m:
             after = self.strike(struck[-1][1])
-            if self.final(after):
-                m = k
-                break
             struck.append((k, after))
+            if self.final(after):
+                break
             k = max(k + 1, int(np.searchsorted(due, after.next_due)))
-        self._struck = struck
-        return m, [(s, start, stop) for (start, s), (stop, _) in zip(struck, struck[1:] + [(m, None)])]
+        self._struck, self._final = struck, k
+        return [(s, start, stop) for (start, s), (stop, _) in zip(struck, struck[1:] + [(m, None)])]
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first final impulse."""
+        return min(len(slips), self._final)
 
     def apply(self, n: int):
         super().apply(n)
@@ -317,11 +316,13 @@ class Hammering(Impulses):
     """The cup hammer driving one anchor home from the commanded point at
     which hammering starts, a blow every ``1 / blow_rate`` s.
 
-    ``model`` and ``watch`` take one tick; ``watch`` ends the wait once the
-    anchor bottoms. ``ahead``, ``stops`` and ``apply`` take a stretch of
-    ticks at once (see ``engine.Form``), with the same arithmetic in the
-    same order, so they leave the same bytes. Both place the arm through
-    ``point``.
+    ``watch`` takes one tick: it reads the laser, records the depth row and
+    ends the wait once the anchor bottoms. ``ahead``, ``stops`` and
+    ``apply`` take a stretch of ticks at once (see ``engine.Form``), with
+    the same arithmetic in the same order, so they leave the same bytes;
+    ``stops`` reads the laser and ``apply`` records the depth rows.
+    ``model`` is a stretch of one tick without them, as ``watch`` does
+    both. Both place the arm through ``point``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -363,14 +364,13 @@ class Hammering(Impulses):
         return self.stuck_measured + (self.laser_zero - distance)
 
     def model(self) -> Wrench:
-        moment = 1.5
-        if self.tick():
-            self.anchor.depth = self.struck.depth
-            moment = self.struck.peak
+        _, wrench = self.ahead(1)
+        super().apply(1)
+        self.anchor.depth = self.struck.depth
         state = self.state
         if not state.halted:
             state.x, state.y, state.z = self.point(self.struck.depth, self.world.slip(self.arm))
-        return Wrench(fz=self.tools.hammer_press_force, mx=moment)
+        return Wrench._make(wrench[0].tolist())
 
     def watch(self):
         measured_depth = self.measured(self.world.laser_distance(self.arm))
@@ -386,11 +386,11 @@ class Hammering(Impulses):
             return True
 
     def ahead(self, m: int):
-        """The true wrench ``model`` returns on each of the next ``m`` ticks,
-        or on fewer: up to the first blow whose peak reaches the hammering
-        end moment, on which ``watch`` may end the wait. The
-        anchor depths after those ticks are kept for ``stops``."""
-        m, spans = self.schedule(m)
+        """The true wrench on each of the next ``m`` ticks: the press force,
+        and a moment of 1.5 N m between blows and the blow's peak on a
+        blow's tick. The anchor depths after those ticks are kept for
+        ``stops``."""
+        spans = self.schedule(m)
         wrench = np.zeros((m, 6))
         wrench[:, 2] = self.tools.hammer_press_force
         wrench[:, 3] = 1.5
@@ -403,13 +403,14 @@ class Hammering(Impulses):
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks come before the first on which ``watch`` may
-        end the wait or raise: the moment reading reaches the hammering end
-        moment, or the laser read fails."""
-        m = len(slips)
+        end the wait or raise: the first final blow, the moment reading
+        reaching the hammering end moment, or a laser read that fails."""
+        m = super().stops(slips, readings)
+        slips = slips[:m]
         x, y, z = self.point(self._depths[:m], slips)
         distances = self.world.laser_distances(self.arm, (x, y, z), slips)
         self._watched = slips, (x, y, z), distances
-        ends = np.flatnonzero(np.abs(readings[:, 3]) >= self.procedure.hammering_end_moment)
+        ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
         return min(len(distances), int(ends[0]) if ends.size else m)
 
     def apply(self, n: int):
@@ -439,18 +440,11 @@ class Fitting(Timed):
         self.fit_time = ctx.scenario.tools.socket_fit_time if anchor_present else math.inf
         self.timeout = ctx.scenario.procedure.socket_fit_timeout
 
-    def model(self) -> Wrench:
-        self.elapsed += self.world.dt
-        if self.elapsed >= self.fit_time:
-            return Wrench(fz=5.0, mx=0.0)
-        wiggle = 1.2 if int(self.elapsed / 0.2) % 2 == 0 else -1.2
-        return Wrench(fz=self.hold_fz, mx=wiggle)
-
     def watch(self):
         r = self.runtime.reading
         if r is not None and r.fz < 10.0 and self.elapsed >= self.fit_time:
             return True
-        # The model's clock has counted every tick of this wait.
+        # The phase's clock has counted every tick of this wait.
         if self.elapsed > self.timeout:
             raise SocketFitTimeout(f"socket never slotted on within {self.timeout} s")
 
@@ -480,11 +474,6 @@ class RunDown(Timed):
         super().__init__(ctx, arm)
         tools = ctx.scenario.tools
         self.duration, self.moment = duration, tools.pulse_attenuation * tools.free_run_torque
-
-    def model(self) -> Wrench:
-        self.elapsed += self.world.dt
-        frac = min(1.0, self.elapsed / self.duration)
-        return Wrench(fz=50.0 - 30.0 * frac, mx=self.moment)
 
     def ahead(self, m: int):
         wrench = np.zeros((m, 6))
@@ -521,25 +510,22 @@ class Pulsing(Impulses):
     def final(self, pulses: Pulses) -> bool:
         return pulses.torque >= self.tools.target_torque
 
-    def model(self) -> Wrench:
-        self.tick()
-        return Wrench(fz=50.0, mx=self.struck.moment)
-
     def watch(self) -> bool:
         return self.final(self.struck)
 
     def ahead(self, m: int):
-        """The true wrench ``model`` returns on each of the next ``m`` ticks,
-        or on fewer: up to the pulse that reaches the target torque; none once
-        it is reached, as ``watch`` then ends the wait on every tick."""
-        if self.watch():
-            return 0, None
-        m, spans = self.schedule(m)
+        """The true wrench on each of the next ``m`` ticks: a 50 N press and
+        the flange moment of the last pulse struck."""
         wrench = np.zeros((m, 6))
         wrench[:, 2] = 50.0
-        for pulses, start, stop in spans:
+        for pulses, start, stop in self.schedule(m):
             wrench[start:stop, 3] = pulses.moment
         return m, wrench
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first final pulse; none once the
+        target is reached, as ``watch`` then ends the wait on every tick."""
+        return 0 if self.watch() else super().stops(slips, readings)
 
 
 # --- guarded feeds -------------------------------------------------------------------
@@ -800,7 +786,10 @@ class MissionContext:
             runtime.contact = None
 
     def wait(self, arm: str, seconds: float, contact: Form | None = None):
-        yield from self.until(arm, contact, max(1, round(seconds / self.world.dt)))
+        # A wait that outlasts the ceiling ends in ``SimTimeExceeded`` however
+        # long it is, so its ticks are capped past the ceiling.
+        dt = self.world.dt
+        yield from self.until(arm, contact, max(1, round(min(seconds / dt, MAX_SIM_TIME / dt + 2))))
 
     def move(self, arm: str, target: Point3, speed: float, contact: Form | None = None):
         state = self.world.arm(arm)
@@ -1067,7 +1056,10 @@ class MissionContext:
             slide = Sliding()
             yield from self.move(arm, surface_cmd, robot.retract_speed, slide)
             center = state.position
-            max_probes = int(p.search_timeout / p.spiral_probe_period)
+            # A search that outlasts the ceiling ends in ``SimTimeExceeded``,
+            # so its probes are capped past the ceiling, as ``wait`` does.
+            period = p.spiral_probe_period
+            max_probes = int(min(p.search_timeout / period, MAX_SIM_TIME / period + 2))
             t0 = world.t
             frame = self.work_frame
             for dx, dy in spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes):

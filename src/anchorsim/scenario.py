@@ -24,6 +24,10 @@ from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_
 STAMP_DECIMALS = 4
 MIN_TIMESTEP = 10.0**-STAMP_DECIMALS
 
+#: Ceiling on simulated time; the executive's tick loop fails the open step
+#: with ``SimTimeExceeded`` once it is passed.
+MAX_SIM_TIME = 7200.0
+
 
 class Check(NamedTuple):
     """A rule one scenario value must pass, and the reason an error gives."""
@@ -59,6 +63,11 @@ HOLDS_A_FULL_HOLE = Check(
 )
 DRILLABLE = Check(
     lambda d: 0 < d <= MAX_HOLE_DEPTH, f"must be positive and not exceed the {MAX_HOLE_DEPTH} m the drill bit can drill"
+)
+#: A window of zero or less runs as one sample, and one longer than a run can
+#: last never fills; the guard keeps a sample per tick of it.
+GUARD_WINDOW = Check(
+    lambda w: 0 < w <= MAX_SIM_TIME, f"must be positive and not exceed the {MAX_SIM_TIME} s a run can last"
 )
 STAMP_RESOLUTION = Check(
     lambda t: t >= MIN_TIMESTEP, f"must be at least {MIN_TIMESTEP} s, the resolution of exported time stamps"
@@ -134,7 +143,7 @@ class SensorsSection:
     moment_limit: float = checked(30.0, POSITIVE)  # Nm, overload guard
     ft_sigma_force: float = checked(2.0, NON_NEGATIVE)  # N, FT noise
     ft_sigma_moment: float = checked(0.2, NON_NEGATIVE)  # Nm, FT noise
-    guard_filter_window: float = 0.25  # s of moving average behind the guard
+    guard_filter_window: float = checked(0.25, GUARD_WINDOW)  # s of moving average behind the guard
     laser_sigma: float = checked(0.0001, NON_NEGATIVE)  # m, laser distance noise
     p_detect: float = checked(0.98, PROBABILITY)  # camera detection probability
     camera_sigma_wall: float = checked(0.0015, NON_NEGATIVE)  # m, wall hole / anchor detections (assumed)
@@ -277,7 +286,7 @@ class Scenario:
             )
         # The three orientation laser points span an L whose triangle the
         # frame estimate needs; a smaller one is degenerate however they read.
-        if 0.5 * p.orientation_offset**2 <= MIN_TRIANGLE_AREA:
+        if 0.5 * p.orientation_offset * p.orientation_offset <= MIN_TRIANGLE_AREA:
             reason = f"must span a laser triangle of more than {MIN_TRIANGLE_AREA!r} m^2"
             raise ScenarioInvalid("procedure.orientation_offset", reason)
         # Hammering stops only inside BOTTOM_CONTACT_BAND of the bottom, and
@@ -312,7 +321,7 @@ class Scenario:
         # Each probe dwells a whole number of ticks, but the search counts
         # its budget in probe periods, so any other period overruns it.
         probe_ticks = p.spiral_probe_period / p.timestep
-        if not math.isclose(probe_ticks, round(probe_ticks), rel_tol=1e-9):
+        if not (math.isfinite(probe_ticks) and math.isclose(probe_ticks, round(probe_ticks), rel_tol=1e-9)):
             reason = f"must be a whole number of procedure.timestep = {p.timestep!r} s ticks"
             raise ScenarioInvalid("procedure.spiral_probe_period", reason)
         # Whole holes, not just their centres, must lie on the wall, and

@@ -114,6 +114,7 @@ INVALID_VALUES = [
     ("[sensors]\ncamera_fov = 0\n", "sensors.camera_fov"),
     ("[procedure]\nengagement_clearance = 0\n", "procedure.engagement_clearance"),
     ("[robot]\ncontact_stiffness = 0\n", "robot.contact_stiffness"),
+    ("[sensors]\nguard_filter_window = -1\n", "sensors.guard_filter_window"),
 ]
 
 #: Holes whose centres are on the wall but whose rims are not, holes that
@@ -125,8 +126,10 @@ INVALID_VALUES = [
 #: noise-free orientation laser points too close to span a triangle, a
 #: socket spring shorter than the nut run in the deepest hole (each failed a
 #: step partway through the run), and impulses due more often than once a
-#: tick (the tools struck one a tick, whatever the rate). Their fields may
-#: repeat cases above, so their ids are their text.
+#: tick (the tools struck one a tick, whatever the rate); and a probe
+#: period, an orientation L and guard windows so long that validation or
+#: the world's set-up overflowed on them. Their fields may repeat cases
+#: above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -149,6 +152,10 @@ INVALID_REPEATS = [
     ("[tools]\nnut_height = 0.005\n", "tools.socket_spring_travel"),
     ("[tools]\npulse_rate = 1000\n", "tools.pulse_rate"),
     ("[tools]\nblow_rate = 1000\n", "tools.blow_rate"),
+    ("[procedure]\nspiral_probe_period = 1e308\n", "procedure.spiral_probe_period"),
+    ("[procedure]\norientation_offset = 1e308\n", "wall.distance"),
+    ("[sensors]\nguard_filter_window = 1e308\n", "sensors.guard_filter_window"),
+    ("[sensors]\nguard_filter_window = 1e20\n", "sensors.guard_filter_window"),
 ]
 
 
@@ -330,6 +337,29 @@ def test_sim_time_ceiling_fails_the_step(capsys, tmp_path):
     steps = json.loads(out)["steps"]
     assert [(s["step"], s["status"]) for s in steps] == [("drill_hole", "failed")]
     assert steps[0]["error"] == "SimTimeExceeded: simulated time passed the 7200 s ceiling"
+
+
+@pytest.mark.parametrize("text, step", [
+    ("[tools]\ngrip_time = 1e308\n", "pick_anchor"),
+    ("[tools]\ndrill_spinup_time = 1e308\n", "drill_hole"),
+    ("[tools]\nmagnet_switch_time = 1e308\n", "pick_place_part"),
+    ("[sensors]\ndetect_time = 1e308\n", "detect_part_hole"),
+    ("[robot]\ntool_change_time = 1e308\n", "pick_place_part"),
+    ("[tools]\nnut_run_speed = 5e-324\n", "tighten_nut"),
+    # A spiral that outgrows the hole, so the search never ends.
+    ("[procedure]\nsearch_timeout = 1e308\nspiral_probe_spacing = 0.0008\nspiral_pitch = 0.035\n", "insert_anchor"),
+], ids=lambda v: v.split("\n")[1] if "\n" in v else v)
+def test_wait_past_the_ceiling_fails_the_step(capsys, tmp_path, text, step):
+    # A wait or a spiral search too long to end before the ceiling fails
+    # its step there, however long it is.
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--report", "machine-readable")
+    assert code == 1
+    failed = [s for s in json.loads(out)["steps"] if s["status"] == "failed"]
+    assert [(s["step"], s["error"]) for s in failed] == [
+        (step, "SimTimeExceeded: simulated time passed the 7200 s ceiling")
+    ]
 
 
 def test_error_between_steps_fails_the_run(capsys, tmp_path):

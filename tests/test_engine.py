@@ -1045,6 +1045,83 @@ def test_timed_phase_in_bulk_matches_tick_by_tick(
     assert bool(errors) == (math.isnan(slip) and phase == "spinup")
 
 
+# --- the timed laws, tick by tick ---------------------------------------------------------
+#
+# The bulk tests above compare a stretch with the same ticks one at a time,
+# and a timed phase's per-tick ``model`` is its ``ahead`` on one tick, so
+# these pin each law to the values it states.
+
+
+def timed_context(**tools) -> MissionContext:
+    """A seed-7 world at 0.01 s ticks with the given ``[tools]`` values."""
+    scenario = Scenario()
+    for key, value in tools.items():
+        setattr(scenario.tools, key, value)
+    return MissionContext(World(scenario, 7))
+
+
+def ticked(form, ticks):
+    """``(elapsed, true wrench, impulses struck or None)`` after each of
+    ``ticks`` ticks of the per-tick pass, which runs ``form``'s ``model``."""
+    world, rows = form.world, []
+    for _ in range(ticks):
+        world.step()
+        rows.append((form.elapsed, form.runtime.true_wrench, getattr(form, "struck", None)))
+    return rows
+
+
+def test_fitting_alternates_then_slots_on():
+    ctx = timed_context(socket_fit_time=0.5)
+    rows = ticked(start_phase(ctx, "robot1", "fit", 55.0), 60)
+    bands = {}  # the wrenches of the ticks whose elapsed time is under each bound
+    for elapsed, wrench, _ in rows:
+        band = 0.2 if elapsed < 0.2 else 0.4 if elapsed < 0.4 else 0.5 if elapsed < 0.5 else math.inf
+        bands.setdefault(band, set()).add(wrench)
+    assert bands == {
+        0.2: {Wrench(fz=55.0, mx=1.2)},
+        0.4: {Wrench(fz=55.0, mx=-1.2)},
+        0.5: {Wrench(fz=55.0, mx=1.2)},
+        math.inf: {Wrench(fz=5.0)},
+    }
+    assert rows[-1][0] == pytest.approx(0.6)
+
+
+def test_run_down_eases_the_press():
+    ctx = timed_context(pulse_attenuation=0.5, free_run_torque=2.0)
+    rows = ticked(start_phase(ctx, "robot1", "run", 0.0, duration=0.5), 60)
+    assert {wrench.mx for _, wrench, _ in rows} == {1.0}
+    fz = [wrench.fz for _, wrench, _ in rows]
+    assert fz[0] == pytest.approx(49.4) and fz[24] == pytest.approx(35.0)
+    assert fz[49] == pytest.approx(20.0) and fz[50:] == [20.0] * 10
+    for elapsed, wrench, _ in rows[:49]:
+        assert wrench.fz == pytest.approx(50.0 - 60.0 * elapsed)
+
+
+def test_pulses_add_the_torque_step_up_to_the_target():
+    ctx = timed_context(pulse_rate=10.0, pulse_torque_step=1.0, target_torque=3.5, pulse_attenuation=0.4)
+    rows = ticked(start_phase(ctx, "robot1", "pulse", 0.0), 45)
+    assert {wrench.fz for _, wrench, _ in rows} == {50.0}
+    torques = [pulses.torque for _, _, pulses in rows]
+    moments = [wrench.mx for _, wrench, _ in rows]
+    # A pulse every 0.1 s: on ticks 10, 20, 30 and 40.
+    assert torques == [0.0] * 9 + [1.0] * 10 + [2.0] * 10 + [3.0] * 10 + [3.5] * 6
+    assert moments == pytest.approx([0.0] * 9 + [0.4] * 10 + [0.8] * 10 + [1.2] * 10 + [1.4] * 6)
+
+
+def test_hammer_moment_is_the_blow_peak_on_a_blow_tick():
+    # An anchor 0.8 mm short of the bottom rings from its first blow: the
+    # peaks ramp 8 + 7, + 14, + 21 to the 29 N m cap, 10 blows a second.
+    ctx = timed_context(blow_rate=10.0)
+    hammer = start_hammer(ctx, "robot1", 0.08, 0.0008, 0.0)
+    rows = ticked(hammer, 35)
+    assert {wrench.fz for _, wrench, _ in rows} == {150.0}
+    assert [wrench.mx for _, wrench, _ in rows] == (
+        [1.5] * 9 + [15.0] + [1.5] * 9 + [22.0] + [1.5] * 9 + [29.0] + [1.5] * 5
+    )
+    assert [blows.count for _, _, blows in rows] == [0] * 9 + [1] * 10 + [2] * 10 + [3] * 6
+    assert hammer.anchor.depth == hammer.struck.depth
+
+
 @pytest.mark.parametrize("scenario, mission, bound", [
     (Scenario(), "drill", 30),
     (Scenario(), "full", 50),
