@@ -9,7 +9,7 @@ run that raises before it returns hashes the error's class and text, and a
 
     python3 scripts/census.py                    # every case, this checkout's src
     python3 scripts/census.py --src OTHER/src    # the same cases on another tree
-    python3 scripts/census.py --slice ci         # about 60 cases
+    python3 scripts/census.py --slice ci         # about 65 cases
 
 Two trees give the same bytes when the two outputs are the same; ``diff``
 or ``--against`` lists the cases that differ.
@@ -110,6 +110,28 @@ CROWDED_HOLES = "[part]\nholes = 4\nhole_spacing = 0.014\n[sensors]\ncamera_sigm
 SHORT_HOLE = "[robot]\ntool_change_time = 2.0\n[sensors]\ndetect_time = 0.5\n" \
              "[tools]\ngrip_time = 0.5\nmagnet_switch_time = 0.2\nblow_rate = 12.0\n"
 
+#: Spiral search edges, on the insert sweep's set-up but for the last: one-tick
+#: and 20-tick probes, a finer tick, a search that times out, a coarse spiral,
+#: a wide and a narrow engagement clearance, noise-free FT and laser, a guard
+#: trip during the slide (at seeds 0-2, some probes in), and the four-point
+#: scenario with 3 mm wall-hole detections, where long searches run beside
+#: the other arm. ``SEARCH_CI`` names the cases of the ci slice.
+SEARCH = INSERT_SWEEP + "[procedure]\n"
+SEARCH_CASES = {
+    "search-probe-1-tick": (SEARCH + "spiral_probe_period = 0.01\n", "insert"),
+    "search-probe-20-ticks": (SEARCH + "spiral_probe_period = 0.2\n", "insert"),
+    "search-fine-tick": (SEARCH + "timestep = 0.005\n", "insert"),
+    "search-timeout": (SEARCH + "search_timeout = 0.5\n", "insert"),
+    "search-coarse-spiral": (SEARCH + "spiral_probe_spacing = 0.0008\nspiral_pitch = 0.035\n", "insert"),
+    "search-wide-clearance": (SEARCH + "engagement_clearance = 0.0008\n", "insert"),
+    "search-narrow-clearance": (SEARCH + "engagement_clearance = 0.0001\n", "insert"),
+    "search-noise-free": (INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nft_sigma_force = 0\n"
+                                               "ft_sigma_moment = 0\nlaser_sigma = 0\n"), "insert"),
+    "search-guard-trip": (INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 21\n"), "insert"),
+    "full_4pt-search": (FULL_4PT + "[sensors]\ncamera_sigma_wall = 0.003\n", "full"),
+}
+SEARCH_CI = ("search-probe-1-tick", "search-guard-trip", "full_4pt-search")
+
 
 def cases(slice_: str):
     """``(name, scenario text, mission, seed)`` per case; text None is the default."""
@@ -148,6 +170,10 @@ def cases(slice_: str):
     for name, (text, mission, seeds) in {**SHORT_STRETCH_CASES, **TWO_FEED_CASES}.items():
         for seed in seeds if slice_ == "all" else seeds[:1]:
             yield f"{name}/{seed}", text, mission, seed
+    for name, (text, mission) in SEARCH_CASES.items():
+        for seed in range(5) if slice_ == "all" else (0,):
+            if slice_ == "all" or name in SEARCH_CI:
+                yield f"{name}/{seed}", text, mission, seed
 
 
 def short_hole(scenario, seed):
