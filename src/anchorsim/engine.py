@@ -16,7 +16,9 @@ surface distance (the drill's touch and drilling feed, the nut runner's
 approaches), the drill's spin-up (the touch law held where the feed
 stopped), or a phase whose wrench is a function of its own elapsed time
 (the hammer, and the nut runner's fitting, run-down and pulse phases), whose
-per-tick ``model`` is its ``ahead`` on one tick. Both arms may hold one.
+per-tick ``model`` is its ``ahead`` on one tick, or the spiral search, a
+constant press whose watch reads the radial offset at probe ends only.
+Both arms may hold one.
 Its ticks then depend only on the arms' own state and noise. ``World.run``
 computes such a stretch with numpy, and a feed's slip, surface distance,
 law and press force in one float loop, with the same operations in the
@@ -26,9 +28,10 @@ clock through it. A stretch ends at the horizon, after
 ``NOISE_BLOCK`` ticks, or before the first tick that may be an event on
 either arm (an arrival, a reach trim, a guard trip, a watch ending its wait
 or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
-per-tick pass takes that tick. The insertion's forms, ``procedure.Pushing``
-and ``procedure.Sliding``, have no ``ahead`` and run per tick: the push
-reads the engagement, and the slide's spiral probes wait a few ticks each.
+per-tick pass takes that tick. The insertion's push, ``procedure.Pushing``,
+which reads the engagement every tick, and ``procedure.Sliding``, the
+targeted move back to the surface before the search, have no ``ahead`` and
+run per tick.
 """
 
 from __future__ import annotations
@@ -265,8 +268,9 @@ class ArmRuntime:
     contact: ``MissionContext.until`` installs it for one wait and clears it
     when the wait ends, normally or by an exception. ``watched`` is true
     once its ``watch`` returned true, or the error it raised. Every form
-    but the insertion's ``procedure.Pushing`` and ``procedure.Sliding``,
-    which run only per tick, also computes its ticks in a stretch.
+    but the insertion's push, ``procedure.Pushing``, and the move back to
+    the surface before the search, ``procedure.Sliding``, which run only
+    per tick, also computes its ticks in a stretch.
     """
 
     state: ArmState
@@ -299,7 +303,8 @@ class Form:
     returns how many come before the first on which ``watch`` may end the
     wait or raise, from the slip and FT reading after each; ``apply(n)``
     applies the first ``n`` as the per-tick pass would. A form whose
-    ``ahead`` is None runs only per tick. A timed phase
+    ``ahead`` is None runs only per tick: the insertion's push and the
+    move back to the surface before the spiral search. A timed phase
     (``procedure.Timed``) states its law once, in ``ahead``: its ``model``
     is a stretch of one tick. The defaults suit a form with no watch, whose
     stretch the horizon ends, and no state to apply.
@@ -449,15 +454,29 @@ class World:
         .cross(hole.axis).norm()`` on floats, in the same order."""
         runtime = self.arms[arm_name]
         p = runtime.state
-        slip = runtime.platform.slip_offset
+        return math.sqrt(self._radial_squared(hole, p.x, p.y, p.z, runtime.platform.slip_offset))
+
+    def radial_offsets(self, hole: DrilledHole, points, slips: np.ndarray) -> np.ndarray:
+        """``radial_offset`` on ticks of a stretch, from the commanded points
+        ``points`` (three arrays of x, y and z) at the platform slips
+        ``slips`` of those ticks. Like the float form, it overflows to
+        ``inf`` without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sqrt(self._radial_squared(hole, *points, slips))
+
+    def _radial_squared(self, hole: DrilledHole, x, y, z, slip):
+        """The square of the radial offset from the axis of ``hole`` of the
+        commanded point ``(x, y, z)`` pushed back by ``slip``: floats, or
+        arrays of them. Both square roots are correctly rounded, so the float
+        and the array forms give the same bits."""
         nx, ny, nz = self._normal
         ox, oy, oz = self._origin
-        tx, ty, tz = p.x + nx * slip, p.y + ny * slip, p.z + nz * slip
+        tx, ty, tz = x + nx * slip, y + ny * slip, z + nz * slip
         d = (tx - ox) * nx + (ty - oy) * ny + (tz - oz) * nz
         h, a = hole.position, hole.axis
         ex, ey, ez = tx - nx * d - h.x, ty - ny * d - h.y, tz - nz * d - h.z
         cx, cy, cz = ey * a.z - ez * a.y, ez * a.x - ex * a.z, ex * a.y - ey * a.x
-        return math.sqrt(cx * cx + cy * cy + cz * cz)
+        return cx * cx + cy * cy + cz * cz
 
     # -- tick -------------------------------------------------------------------
 
@@ -544,14 +563,15 @@ class World:
         neither change that nor read the world before the stretch ends. In a
         stretch each arm is idle, on a targeted move, or holds a contact form
         with an ``ahead`` (a guarded feed, the drill's spin-up, the hammer,
-        or the nut runner's fitting, run-down or pulse phase), and only an
-        arm that holds one has a press force. A stretch ends only at the
-        horizon, after ``NOISE_BLOCK`` ticks, or before the first tick that
-        may be an event on either arm: an arrival, a reach trim, a guard
-        trip, a watch ending its wait or raising (a laser read that fails
-        and a feed past its travel limit included), a non-finite surface
-        distance, or the tick past ``MAX_SIM_TIME``. The per-tick pass takes
-        that tick.
+        the nut runner's fitting, run-down or pulse phase, or the spiral
+        search), and only an arm that holds one has a press force. A
+        stretch ends only at the horizon, after ``NOISE_BLOCK`` ticks, or
+        before the first tick that may be an event on either arm: an
+        arrival, a reach trim, a guard trip, a watch ending its wait or
+        raising (a laser read that fails, a feed past its travel limit and
+        a probe end that engages or ends the spiral included), a non-finite
+        surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
+        pass takes that tick.
 
         ``step`` is still called once per tick; in a stretch it only ticks
         the clock. Every other tick runs the per-tick pass.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -674,11 +674,103 @@ class Pushing(Feed):
 
 
 class Sliding(Form):
-    """The anchor tip sliding on the wall under a light 20 N press through
-    the spiral search. It runs only per tick: each probe waits a few."""
+    """The anchor tip sliding on the wall under a light 20 N press: the
+    targeted move back to the surface before the spiral search, which runs
+    per tick, and, as ``Probing``, the search itself."""
+
+    press = 20.0  # N
 
     def model(self) -> Wrench:
-        return Wrench(fz=20.0)
+        return Wrench(fz=self.press)
+
+
+class Probing(Sliding):
+    """The spiral search for ``hole``: the commanded point steps through the
+    probe points of ``spiral_offsets`` about the point it starts from,
+    ``ticks`` ticks at each, drawn as the probes need them.
+
+    ``watch`` counts a probe's ticks down. At its last it ends the wait if
+    the anchor engages (``engaged``), and otherwise starts the next probe,
+    or ends the wait if the spiral is exhausted. In a stretch (see
+    ``engine.Form``) every tick presses with the constant 20 N; ``stops``
+    reads the radial offset at the probe ends only, each at its tick's slip,
+    and cuts before the first that engages or is the spiral's last;
+    ``apply`` commands the probe the per-tick pass would have reached.
+    """
+
+    def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, ticks: int, max_probes: int):
+        p, frame = ctx.scenario.procedure, ctx.work_frame
+        self.world, self.arm, self.hole, self.ticks = ctx.world, arm, hole, ticks
+        self.state = self.world.arm(arm)
+        self.clearance = p.engagement_clearance
+        center = self.state.position
+        offsets = spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes)
+        self.points = (center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy) for dx, dy in offsets)
+        self.drawn: list[Point3] = []  # the points of the probes after the one that runs, drawn so far
+        self.probes, self.left, self.engaged = 0, 0, False  # ``left``: the probe's ticks left, 0 once ended
+        self.draw(1)
+        self.start(1)
+
+    def draw(self, count: int) -> list[Point3]:
+        """The points of the next ``count`` probes after the one that runs,
+        or of as many as the spiral has left."""
+        self.drawn.extend(islice(self.points, max(0, count - len(self.drawn))))
+        return self.drawn[:count]
+
+    def start(self, passed: int):
+        """Start the ``passed``-th probe after the one that runs; the ones
+        between are passed over."""
+        self.state.position = self.drawn[passed - 1]
+        del self.drawn[:passed]
+        self.probes += passed
+        self.left = self.ticks
+
+    def watch(self):
+        if not self.left:
+            return True  # the wait has ended, and ends again on every tick
+        self.left -= 1
+        if self.left:
+            return False
+        if anchor_engagement(self.world.radial_offset(self.arm, self.hole), self.clearance) is Engagement.ENGAGED:
+            self.engaged = True
+            return True
+        if not self.draw(1):
+            return True  # the spiral is exhausted
+        self.start(1)
+        return False
+
+    def ahead(self, m: int):
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = self.press
+        return m, wrench
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        """How many ticks come before the first probe end on which ``watch``
+        ends the wait: the anchor engages, or the spiral is exhausted; none
+        once the wait has ended."""
+        if not self.left:
+            return 0
+        ends = np.arange(self.left - 1, len(slips), self.ticks)
+        if not ends.size:
+            return len(slips)
+        drawn = self.draw(len(ends))
+        exhausted = len(drawn) < len(ends)
+        ends = ends[: len(drawn) + 1]  # no probe runs after the spiral's last
+        state = self.state
+        points = np.array([(state.x, state.y, state.z)] + [p.as_tuple() for p in drawn[: len(ends) - 1]])
+        # Engaged as ``anchor_engagement`` classifies it.
+        final = self.world.radial_offsets(self.hole, points.T, slips[ends]) < self.clearance
+        final[-1] |= exhausted
+        hits = np.flatnonzero(final)
+        return int(ends[hits[0]]) if hits.size else len(slips)
+
+    def apply(self, n: int):
+        if n < self.left:
+            self.left -= n
+            return
+        after = n - self.left  # the ticks after the end of the probe that runs
+        self.start(after // self.ticks + 1)
+        self.left -= after % self.ticks
 
 
 # --- the executive ---------------------------------------------------------------
@@ -785,11 +877,15 @@ class MissionContext:
         finally:
             runtime.contact = None
 
-    def wait(self, arm: str, seconds: float, contact: Form | None = None):
-        # A wait that outlasts the ceiling ends in ``SimTimeExceeded`` however
-        # long it is, so its ticks are capped past the ceiling.
+    def ticks(self, seconds: float) -> int:
+        """The ticks of a wait of ``seconds``, one at least. A wait that
+        outlasts the ceiling ends in ``SimTimeExceeded`` however long it is,
+        so its ticks are capped past the ceiling."""
         dt = self.world.dt
-        yield from self.until(arm, contact, max(1, round(min(seconds / dt, MAX_SIM_TIME / dt + 2))))
+        return max(1, round(min(seconds / dt, MAX_SIM_TIME / dt + 2)))
+
+    def wait(self, arm: str, seconds: float, contact: Form | None = None):
+        yield from self.until(arm, contact, self.ticks(seconds))
 
     def move(self, arm: str, target: Point3, speed: float, contact: Form | None = None):
         state = self.world.arm(arm)
@@ -1053,22 +1149,16 @@ class MissionContext:
             surface_cmd = state.position + self.out_normal.scaled(
                 -world.surface_distance(arm) + 0.0003
             )
-            slide = Sliding()
-            yield from self.move(arm, surface_cmd, robot.retract_speed, slide)
-            center = state.position
+            yield from self.move(arm, surface_cmd, robot.retract_speed, Sliding())
             # A search that outlasts the ceiling ends in ``SimTimeExceeded``,
             # so its probes are capped past the ceiling, as ``wait`` does.
             period = p.spiral_probe_period
             max_probes = int(min(p.search_timeout / period, MAX_SIM_TIME / period + 2))
             t0 = world.t
-            frame = self.work_frame
-            for dx, dy in spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes):
-                state.position = center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy)
-                probes += 1
-                yield from self.wait(arm, p.spiral_probe_period, slide)
-                if engagement_now() is Engagement.ENGAGED:
-                    break
-            else:
+            search = Probing(self, arm, hole, self.ticks(period), max_probes)
+            yield from self.until(arm, search)
+            probes = search.probes
+            if not search.engaged:
                 raise SearchTimeout(
                     f"spiral search exhausted {p.search_timeout} s "
                     f"({probes} probes, first offset {first_offset * 1e3:.2f} mm)"

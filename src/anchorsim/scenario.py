@@ -324,6 +324,11 @@ class Scenario:
         if not (math.isfinite(probe_ticks) and math.isclose(probe_ticks, round(probe_ticks), rel_tol=1e-9)):
             reason = f"must be a whole number of procedure.timestep = {p.timestep!r} s ticks"
             raise ScenarioInvalid("procedure.spiral_probe_period", reason)
+        # The search runs whole probes within its budget, so a longer probe
+        # would overrun it before the first ends.
+        if p.spiral_probe_period > p.search_timeout:
+            reason = f"must not exceed procedure.search_timeout = {p.search_timeout!r} s"
+            raise ScenarioInvalid("procedure.spiral_probe_period", reason)
         # Whole holes, not just their centres, must lie on the wall, and
         # adjacent holes must not overlap.
         part = self.part

@@ -82,6 +82,7 @@ INVALID_VALUES = [
     ("[robot]\napproach_speed = -1\n", "robot.approach_speed"),
     ("[robot]\nretract_speed = 0\n", "robot.retract_speed"),
     ("[procedure]\nspiral_probe_period = 0\n", "procedure.spiral_probe_period"),
+    ("[procedure]\nspiral_probe_period = 90\n", "procedure.spiral_probe_period"),
     ("[procedure]\nspiral_pitch = 0\n", "procedure.spiral_pitch"),
     ("[procedure]\nspiral_probe_spacing = 0\n", "procedure.spiral_probe_spacing"),
     ("[wall]\nyaw_deg = inf\n", "wall.yaw_deg"),
@@ -318,6 +319,21 @@ def test_non_utf8_scenario_exits_2(tmp_path):
     assert proc.returncode == 2
     assert f"invalid scenario: {path}: not UTF-8 text" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_spiral_fails_the_search_without_a_warning(tmp_path):
+    # Probe offsets near 1e306 m square to inf, which engages nothing. The
+    # search reads them in bulk as it does per tick: quietly, in a process
+    # with the default warning filters.
+    path = tmp_path / "s.ini"
+    path.write_text("[procedure]\nspiral_pitch = 1e308\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorsim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchorsim.cli", "insert-test", "--seed", "7", "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "insert_anchor: SearchTimeout" in proc.stdout
 
 
 def test_payload_overrun_exits_2_before_the_run(capsys, tmp_path):

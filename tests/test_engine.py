@@ -19,6 +19,7 @@ from anchorsim.procedure import (
     Holding,
     MissionContext,
     Pressing,
+    Probing,
     Pulsing,
     RunDown,
     Timed,
@@ -186,23 +187,32 @@ def test_world_true_position_includes_slip():
     wall=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
     axis_tilt=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     hole=st.tuples(st.floats(-0.09, 0.09), st.floats(-0.14, 0.14)),
-    tip=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
-    slip=st.floats(0.0, 0.02),
+    tips=st.lists(
+        st.tuples(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), st.floats(0.0, 0.02)),
+        min_size=1, max_size=4,
+    ),
 )
-def test_radial_offset_matches_the_point3_expression(wall, axis_tilt, hole, tip, slip):
-    # The engine's float copy gives the Point3 expression's value bit for bit,
-    # also for a hole drilled along an estimated normal off the true one.
+def test_radial_offset_matches_the_point3_expression(wall, axis_tilt, hole, tips):
+    # The engine's float copy and its array form give the Point3
+    # expression's value bit for bit, at each tip point and slip, also for a
+    # hole drilled along an estimated normal off the true one.
     scenario = Scenario()
     scenario.wall.yaw_deg, scenario.wall.pitch_deg = wall
     world = World(scenario, seed=0)
     frame = world.site.wall.frame
     axis = -wall_frame_from_angles(frame.origin, wall[0] + axis_tilt[0], wall[1] + axis_tilt[1]).z_axis
     drilled = DrilledHole(frame.to_world(Point3(hole[0], hole[1], 0.0)), axis, 0.05)
-    world.arm("robot1").position = frame.origin + Point3(*tip)
-    world.runtime("robot1").platform.slip_offset = slip
-    tip_on_wall = world.site.wall.project(world.true_position("robot1"))
-    expected = (tip_on_wall - drilled.position).cross(drilled.axis).norm()
-    assert world.radial_offset("robot1", drilled) == expected
+    arm = world.arm("robot1")
+    points, expected = [], []
+    for tip, slip in tips:
+        arm.position = frame.origin + Point3(*tip)
+        world.runtime("robot1").platform.slip_offset = slip
+        tip_on_wall = world.site.wall.project(world.true_position("robot1"))
+        expected.append((tip_on_wall - drilled.position).cross(drilled.axis).norm())
+        assert world.radial_offset("robot1", drilled) == expected[-1]
+        points.append(arm.position.as_tuple())
+    slips = np.array([slip for _, slip in tips])
+    assert world.radial_offsets(drilled, np.array(points).T, slips).tolist() == expected
 
 
 def test_identical_runs_identical_traces():
@@ -626,7 +636,8 @@ def held_state(world, forms) -> list[str]:
     """``world_state`` plus what held forms change besides: slips, the
     watches' outcomes, laser noise cursors and depth rows, a timed phase's
     elapsed time, the impulses a hammer or a nut runner struck, the anchor's
-    depth and a drill's measured depth. The moments the drill reports come
+    depth, a drill's measured depth, and a search's probes, the ticks left
+    of its probe and whether it engaged. The moments the drill reports come
     from the wrench rows. Each item is ``repr``'d, so a failure names the
     first that differs."""
     state = []
@@ -637,6 +648,8 @@ def held_state(world, forms) -> list[str]:
             state.append(form.anchor.depth)
         elif isinstance(form, Drilling):
             state.append(form.measured)
+        elif isinstance(form, Probing):
+            state += [form.probes, form.left, form.engaged]
     for runtime in world.arms.values():
         state += [
             runtime.platform.slip_offset, runtime.watched, next(runtime.laser_noise),
@@ -1045,6 +1058,103 @@ def test_timed_phase_in_bulk_matches_tick_by_tick(
     assert bool(errors) == (math.isnan(slip) and phase == "spinup")
 
 
+# --- the spiral search -------------------------------------------------------------------
+
+
+def probe_world(seed, arm, sigmas, dt_ticks, hole, clearance, max_probes, force_limit, pressed, skipped, other,
+                filled, start_tick):
+    """A world in which ``arm`` runs the spiral search, from 0.3 mm out of the
+    wall at its origin, for the hole whose mouth lies ``hole`` metres from it
+    along the wall's x and y axes; the other arm takes the ``OTHER`` setup
+    ``other``. ``dt_ticks`` is the tick and the ticks of a probe, and
+    ``pressed`` the press force of the tick before. Returns the world and
+    both arms' forms."""
+    scenario = Scenario()
+    sensors = scenario.sensors
+    sensors.ft_sigma_force, sensors.ft_sigma_moment = sigmas
+    sensors.force_limit = force_limit
+    scenario.procedure.timestep, ticks = dt_ticks
+    scenario.procedure.engagement_clearance = clearance
+    world = World(scenario, seed)
+    world.clock.ticks = start_tick
+    ctx = MissionContext(world)
+    runtime = world.runtime(arm)
+    runtime.state.position = wall_point(ctx, 0.0, 0.0003)
+    runtime.press_force = pressed
+    for _ in range(skipped[0]):
+        next(runtime.ft_noise)
+    frame = world.site.wall.frame
+    mouth = frame.origin + frame.x_axis.scaled(hole[0]) + frame.y_axis.scaled(hole[1])
+    search = Probing(ctx, arm, DrilledHole(mouth, -frame.z_axis, 0.08), ticks, max_probes)
+    runtime.contact = search
+    other_arm = next(name for name in world.arms if name != arm)
+    return world, [search, start_other(ctx, other_arm, other, filled)]
+
+
+PROBE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["robot1", "robot2"]),
+    sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (100.0, 3.0)]),
+    dt_ticks=st.sampled_from([(0.01, 5), (0.01, 1), (0.01, 20), (0.005, 10), (0.025, 2)]),
+    # Engaged on the first probe, on the 31st and on the 121st at 5 ticks a
+    # probe, and never.
+    hole=st.sampled_from([(0.0, 0.0), (0.0004, -0.0003), (0.0012, 0.0009), (0.05, 0.0)]),
+    clearance=st.sampled_from([0.0002, 0.00005]),
+    max_probes=st.sampled_from([1200, 40, 1]),
+    force_limit=st.sampled_from([1000.0, 21.0, 1.0]),
+    pressed=st.sampled_from([20.0, 0.0]),
+    skipped=st.tuples(st.integers(0, 1100)),
+    other=OTHER,
+    filled=st.booleans(),
+    before_max=st.none() | st.integers(0, 1500),
+    horizons=st.lists(st.integers(1, 1500), min_size=1, max_size=3),
+)
+
+
+def _probe_example(**changes):
+    case = dict(seed=7, arm="robot1", sigmas=(2.0, 0.2), dt_ticks=(0.01, 5), hole=(0.0012, 0.0009), clearance=0.0002,
+                max_probes=1200, force_limit=1000.0, pressed=20.0, skipped=(0,), other=None, filled=False,
+                before_max=None, horizons=[1500])
+    case.update(changes)
+    return example(**case)
+
+
+@_probe_example()  # engaged at a probe end inside the first stretch
+@_probe_example(horizons=[40, 7, 300, 1100])  # a probe end at the horizon of 40 ticks, the others cut probes
+@_probe_example(hole=(0.0, 0.0), arm="robot2", pressed=0.0)  # engaged on the first probe
+@_probe_example(max_probes=40, hole=(0.05, 0.0))  # the exhausting probe ends the wait
+@_probe_example(max_probes=1, hole=(0.05, 0.0), dt_ticks=(0.01, 1))  # a spiral of one one-tick probe
+@_probe_example(dt_ticks=(0.01, 1), hole=(0.0004, -0.0003))  # a probe end on every tick
+@_probe_example(dt_ticks=(0.005, 10), clearance=0.00005, hole=(0.05, 0.0))  # a long search over many stretches
+@_probe_example(sigmas=(0.0, 0.0))  # no noise drawn
+@_probe_example(force_limit=21.0, filled=True, hole=(0.05, 0.0))  # the guard trips during the slide
+@_probe_example(before_max=100, hole=(0.05, 0.0))  # the time ceiling
+@_probe_example(skipped=(1000,))  # the noise block ends within the first stretch
+@_probe_example(other=ARRIVING)  # the other arm's move arrives inside the stretch
+@_probe_example(other={"offset": (0.0, 0.0, 0.0), "speed": 0.3, "overreach": True})  # reach trims it
+@_probe_example(other=("press", 0.002, 0.2))  # beside a feed that touches
+@_probe_example(other=("drill", 0.0012, 0.2), horizons=[40, 7, 300, 1100])  # beside the drill, cut by horizons
+@_probe_example(other=("hammer", 0.005, 0.2), arm="robot2")  # beside a hammer
+@_probe_example(other=("fit", 0.0012, 0.2))  # beside the nut runner's fitting
+@_probe_example(other=("run", 0.0012, 0.2))  # its run-down
+@_probe_example(other=("pulse", 0.0012, 0.2))  # its pulses
+@_probe_example(other=("spinup", 0.0012, 0.2), hole=(0.05, 0.0))  # beside the drill's spin-up
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(**PROBE_CASES)
+def test_probe_search_in_bulk_matches_tick_by_tick(
+    seed, arm, sigmas, dt_ticks, hole, clearance, max_probes, force_limit, pressed, skipped, other, filled,
+    before_max, horizons,
+):
+    # ``run`` computes the spiral search, beside an idle or a moving arm or
+    # the other arm's held form, in bulk up to the tick before an event;
+    # ``step`` alone takes each tick through the models and watches. Both
+    # must leave every byte the same.
+    start = 0 if before_max is None else round(MAX_SIM_TIME / dt_ticks[0]) - before_max
+    case = (seed, arm, sigmas, dt_ticks, hole, clearance, max_probes, force_limit, pressed, skipped, other,
+            filled, start)
+    assert not bulk_matches_ticked((probe_world(*case), probe_world(*case)), horizons)
+
+
 # --- the timed laws, tick by tick ---------------------------------------------------------
 #
 # The bulk tests above compare a stretch with the same ticks one at a time,
@@ -1122,22 +1232,10 @@ def test_hammer_moment_is_the_blow_peak_on_a_blow_tick():
     assert hammer.anchor.depth == hammer.struck.depth
 
 
-@pytest.mark.parametrize("scenario, mission, bound", [
-    (Scenario(), "drill", 30),
-    (Scenario(), "full", 50),
-    (four_point(), "full", 4700),
-], ids=["drill", "full", "full_4pt"])
-def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
-    # Count the ``World.step`` calls that run the per-tick pass while a
-    # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
-    # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
-    # ``full``) while the feeds ran tick by tick, 107, 1,805 and 22,363 with
-    # one held arm in bulk at most, and 107, 1,805 and 13,255 once both
-    # could be. They are 7, 17 and 4,241 now that the drill's spin-up and
-    # the nut runner's fitting, run-down and pulse phases run in bulk too.
-    # What stays per tick is the event ticks, and a form only beside the
-    # insertion's forms, which run only per tick. Each bound is
-    # the count now plus about 10%, and at least 23 ticks.
+def per_tick_while_open(monkeypatch, scenario, mission, steps) -> int:
+    """Run ``mission`` at seed 7, which must succeed, and count the
+    ``World.step`` calls that run the per-tick pass while a step of
+    ``steps`` is open."""
     per_tick, marks = [0], {}
     step, begin, end = World.step, MissionContext.begin, MissionContext.end
 
@@ -1159,6 +1257,42 @@ def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
     monkeypatch.setattr(MissionContext, "end", marked_end)
     report, _ = run(scenario, 7, mission)
     assert report.success
-    fed = [r for r in report.steps if r.step in (FixationStep.DRILL_HOLE, FixationStep.TIGHTEN_NUT)]
-    assert fed
-    assert sum(marks[record.step, record.point_index] for record in fed) <= bound
+    records = [r for r in report.steps if r.step in steps]
+    assert records
+    return sum(marks[record.step, record.point_index] for record in records)
+
+
+@pytest.mark.parametrize("scenario, mission, bound", [
+    (Scenario(), "drill", 30),
+    (Scenario(), "full", 50),
+    (four_point(), "full", 1220),
+], ids=["drill", "full", "full_4pt"])
+def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
+    # Count the ``World.step`` calls that run the per-tick pass while a
+    # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
+    # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
+    # ``full``) while the feeds ran tick by tick, 107, 1,805 and 22,363 with
+    # one held arm in bulk at most, and 107, 1,805 and 13,255 once both
+    # could be; 7, 17 and 4,241 once the drill's spin-up and the nut
+    # runner's fitting, run-down and pulse phases ran in bulk too. They are
+    # 7, 17 and 1,109 now that the spiral search runs in bulk as well. What
+    # stays per tick is the event ticks, and a form only beside the
+    # insertion's push, which runs only per tick. Each bound is the count
+    # now plus about 10%, and at least 23 ticks.
+    steps = (FixationStep.DRILL_HOLE, FixationStep.TIGHTEN_NUT)
+    assert per_tick_while_open(monkeypatch, scenario, mission, steps) <= bound
+
+
+@pytest.mark.parametrize("scenario, mission, bound", [
+    (Scenario(), "insert", 960),
+    (Scenario(), "full", 1110),
+    (four_point(), "full", 4960),
+], ids=["insert", "full", "full_4pt"])
+def test_spiral_search_runs_in_bulk(monkeypatch, scenario, mission, bound):
+    # Count the ``World.step`` calls that run the per-tick pass while an
+    # ``insert_anchor`` step is open. At seed 7 they were 1,192 (``insert``),
+    # 1,797 (``full``) and 9,470 (the four-point ``full``) while the spiral
+    # search ran tick by tick, and are 873, 1,008 and 4,511 now that it runs
+    # in bulk. What stays per tick is the insertion's push and the search's
+    # event ticks. Each bound is the count now plus about 10%.
+    assert per_tick_while_open(monkeypatch, scenario, mission, (FixationStep.INSERT_ANCHOR,)) <= bound

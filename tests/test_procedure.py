@@ -484,7 +484,9 @@ LIFETIME_CASES = {
 }
 
 #: The procedure's contact phases, each named by the class of its form.
-CONTACT_FORMS = {"Pressing", "Holding", "Drilling", "Pushing", "Sliding", "Hammering", "Fitting", "RunDown", "Pulsing"}
+CONTACT_FORMS = {
+    "Pressing", "Holding", "Drilling", "Pushing", "Sliding", "Probing", "Hammering", "Fitting", "RunDown", "Pulsing",
+}
 
 
 @pytest.mark.parametrize("case", LIFETIME_CASES)
