@@ -82,7 +82,6 @@ INVALID_VALUES = [
     ("[robot]\napproach_speed = -1\n", "robot.approach_speed"),
     ("[robot]\nretract_speed = 0\n", "robot.retract_speed"),
     ("[procedure]\nspiral_probe_period = 0\n", "procedure.spiral_probe_period"),
-    ("[procedure]\nspiral_probe_period = 90\n", "procedure.spiral_probe_period"),
     ("[procedure]\nspiral_pitch = 0\n", "procedure.spiral_pitch"),
     ("[procedure]\nspiral_probe_spacing = 0\n", "procedure.spiral_probe_spacing"),
     ("[wall]\nyaw_deg = inf\n", "wall.yaw_deg"),
@@ -121,7 +120,8 @@ INVALID_VALUES = [
 #: Holes whose centres are on the wall but whose rims are not, holes that
 #: overlap, a hole no deeper than the insertion push, spiral probe periods
 #: that are not whole ticks (probes dwell whole ticks, so the search overran
-#: its timeout), a socket that slots on only after its fit timeout, a wall
+#: its timeout) or longer than the search timeout (its first probe overran
+#: it), a socket that slots on only after its fit timeout, a wall
 #: that puts an orientation laser point out of reach, tools or loads the
 #: payload cannot carry, blows that drive the anchor back out,
 #: noise-free orientation laser points too close to span a triangle, a
@@ -141,6 +141,7 @@ INVALID_REPEATS = [
      "procedure.spiral_probe_period"),
     ("[procedure]\nspiral_probe_period = 0.015\n[sensors]\ncamera_sigma_wall = 0.012\n",
      "procedure.spiral_probe_period"),
+    ("[procedure]\nspiral_probe_period = 90\n", "procedure.spiral_probe_period"),
     ("[tools]\nsocket_fit_time = 11\n", "tools.socket_fit_time"),
     ("[wall]\ndistance = 1.6\n", "wall.distance"),
     ("[robot]\npayload = 5\n", "robot.payload"),
