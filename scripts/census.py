@@ -131,6 +131,28 @@ SEARCH_CASES = {
     "full_4pt-search": (FULL_4PT + "[sensors]\ncamera_sigma_wall = 0.003\n", "full"),
 }
 SEARCH_CI = ("search-probe-1-tick", "search-guard-trip", "full_4pt-search")
+#: Insertion push edges, on the insert sweep's set-up: a steep and a shallow
+#: wedge (the shallow one pushes past the push's 30 mm travel limit), a low
+#: and a high insertion end moment, a soft surface contact, a slow and a
+#: fast approach, a finer tick, noise-free FT and laser, a slip that moves
+#: the tip back as it pushes, and a force limit that the wedge's fz trips
+#: partway into the hole. ``PUSH_CI`` names the cases of the ci slice.
+PUSH = INSERT_SWEEP + "[procedure]\n"
+PUSH_CASES = {
+    "push-wedge-rate-high": PUSH + "wedge_moment_rate = 20000\n",
+    "push-wedge-rate-low": PUSH + "wedge_moment_rate = 700\n",
+    "push-end-moment-10": PUSH + "insertion_end_moment = 10\n",
+    "push-end-moment-29": PUSH + "insertion_end_moment = 29\n",
+    "push-soft-contact": INSERT_SWEEP.replace("[robot]\n", "[robot]\ncontact_stiffness = 5e4\n"),
+    "push-approach-slow": INSERT_SWEEP.replace("[robot]\n", "[robot]\napproach_speed = 0.0005\n"),
+    "push-approach-fast": INSERT_SWEEP.replace("[robot]\n", "[robot]\napproach_speed = 0.01\n"),
+    "push-fine-tick": PUSH + "timestep = 0.005\n",
+    "push-noise-free": INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nft_sigma_force = 0\n"
+                                            "ft_sigma_moment = 0\nlaser_sigma = 0\n"),
+    "push-slip": INSERT_SWEEP.replace("[robot]\n", "[robot]\nslip_coefficient = 1e-6\n"),
+    "push-guard-trip": INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 100\n"),
+}
+PUSH_CI = ("push-slip", "push-guard-trip")
 
 
 def cases(slice_: str):
@@ -174,6 +196,10 @@ def cases(slice_: str):
         for seed in range(5) if slice_ == "all" else (0,):
             if slice_ == "all" or name in SEARCH_CI:
                 yield f"{name}/{seed}", text, mission, seed
+    for name, text in PUSH_CASES.items():
+        for seed in range(5) if slice_ == "all" else (0,):
+            if slice_ == "all" or name in PUSH_CI:
+                yield f"{name}/{seed}", text, "insert", seed
 
 
 def short_hole(scenario, seed):
