@@ -11,14 +11,14 @@ for the wait it belongs to: its ``model`` gives the true wrench of a tick,
 its ``watch`` (or None) may end the wait, and ``ahead``, ``stops`` and
 ``apply`` compute a stretch of ticks at once. A stretch of ticks is computed
 in bulk when each arm is idle, on a targeted move (a ``Move``), or holds a
-form with an ``ahead``: a guarded feed whose contact law reads only the true
-surface distance (the drill's touch and drilling feed, the nut runner's
-approaches), the drill's spin-up (the touch law held where the feed
-stopped), or a phase whose wrench is a function of its own elapsed time
-(the hammer, and the nut runner's fitting, run-down and pulse phases), whose
-per-tick ``model`` is its ``ahead`` on one tick, or the spiral search, a
-constant press whose watch reads the radial offset at probe ends only.
-Both arms may hold one.
+form with an ``ahead``: a guarded feed whose contact law reads the true
+surface distance, the commanded point and the slip (the drill's touch and
+drilling feed, the nut runner's approaches, the insertion's push), the
+drill's spin-up (the touch law held where the feed stopped), a phase whose
+wrench is a function of its own elapsed time (the hammer, and the nut
+runner's fitting, run-down and pulse phases), whose per-tick ``model`` is
+its ``ahead`` on one tick, or the spiral search, a constant press whose
+watch reads the radial offset at probe ends only. Both arms may hold one.
 Its ticks then depend only on the arms' own state and noise. ``World.run``
 computes such a stretch with numpy, and a feed's slip, surface distance,
 law and press force in one float loop, with the same operations in the
@@ -28,10 +28,9 @@ clock through it. A stretch ends at the horizon, after
 ``NOISE_BLOCK`` ticks, or before the first tick that may be an event on
 either arm (an arrival, a reach trim, a guard trip, a watch ending its wait
 or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
-per-tick pass takes that tick. The insertion's push, ``procedure.Pushing``,
-which reads the engagement every tick, and ``procedure.Sliding``, the
-targeted move back to the surface before the search, have no ``ahead`` and
-run per tick.
+per-tick pass takes that tick. Only ``procedure.Sliding``, the targeted
+move back to the surface before the spiral search, has no ``ahead`` and
+runs per tick.
 """
 
 from __future__ import annotations
@@ -268,9 +267,9 @@ class ArmRuntime:
     contact: ``MissionContext.until`` installs it for one wait and clears it
     when the wait ends, normally or by an exception. ``watched`` is true
     once its ``watch`` returned true, or the error it raised. Every form
-    but the insertion's push, ``procedure.Pushing``, and the move back to
-    the surface before the search, ``procedure.Sliding``, which run only
-    per tick, also computes its ticks in a stretch.
+    but the move back to the surface before the search,
+    ``procedure.Sliding``, which runs only per tick, also computes its ticks
+    in a stretch.
     """
 
     state: ArmState
@@ -303,11 +302,11 @@ class Form:
     returns how many come before the first on which ``watch`` may end the
     wait or raise, from the slip and FT reading after each; ``apply(n)``
     applies the first ``n`` as the per-tick pass would. A form whose
-    ``ahead`` is None runs only per tick: the insertion's push and the
-    move back to the surface before the spiral search. A timed phase
-    (``procedure.Timed``) states its law once, in ``ahead``: its ``model``
-    is a stretch of one tick. The defaults suit a form with no watch, whose
-    stretch the horizon ends, and no state to apply.
+    ``ahead`` is None runs only per tick: the move back to the surface
+    before the spiral search. A timed phase (``procedure.Timed``) states its
+    law once, in ``ahead``: its ``model`` is a stretch of one tick. The
+    defaults suit a form with no watch, whose stretch the horizon ends, and
+    no state to apply.
     """
 
     watch = None
@@ -421,7 +420,8 @@ class World:
         """Signed distance from the wall surface of the commanded point
         ``(x, y, z)`` pushed back by ``slip``. Contact models read it every
         tick, so it works on the floats of
-        ``Wall.signed_distance(true_position(...))`` in the same order."""
+        ``Wall.signed_distance(true_position(...))`` in the same order; given
+        arrays of them, it gives an array of distances."""
         nx, ny, nz = self._normal
         ox, oy, oz = self._origin
         return (x + nx * slip - ox) * nx + (y + ny * slip - oy) * ny + (z + nz * slip - oz) * nz
@@ -454,7 +454,12 @@ class World:
         .cross(hole.axis).norm()`` on floats, in the same order."""
         runtime = self.arms[arm_name]
         p = runtime.state
-        return math.sqrt(self._radial_squared(hole, p.x, p.y, p.z, runtime.platform.slip_offset))
+        return self.radial_at(hole, p.x, p.y, p.z, runtime.platform.slip_offset)
+
+    def radial_at(self, hole: DrilledHole, x: float, y: float, z: float, slip: float) -> float:
+        """``radial_offset`` of the commanded point ``(x, y, z)`` pushed back
+        by ``slip``."""
+        return math.sqrt(self._radial_squared(hole, x, y, z, slip))
 
     def radial_offsets(self, hole: DrilledHole, points, slips: np.ndarray) -> np.ndarray:
         """``radial_offset`` on ticks of a stretch, from the commanded points
@@ -562,14 +567,15 @@ class World:
         and noise, and the executive, suspended until ``run`` returns, can
         neither change that nor read the world before the stretch ends. In a
         stretch each arm is idle, on a targeted move, or holds a contact form
-        with an ``ahead`` (a guarded feed, the drill's spin-up, the hammer,
-        the nut runner's fitting, run-down or pulse phase, or the spiral
-        search), and only an arm that holds one has a press force. A
-        stretch ends only at the horizon, after ``NOISE_BLOCK`` ticks, or
-        before the first tick that may be an event on either arm: an
-        arrival, a reach trim, a guard trip, a watch ending its wait or
-        raising (a laser read that fails, a feed past its travel limit and
-        a probe end that engages or ends the spiral included), a non-finite
+        with an ``ahead`` (a guarded feed, the insertion's push among them,
+        the drill's spin-up, the hammer, the nut runner's fitting, run-down
+        or pulse phase, or the spiral search), and only an arm that holds one
+        has a press force. A stretch ends only at the horizon, after
+        ``NOISE_BLOCK`` ticks, or before the first tick that may be an event
+        on either arm: an arrival, a reach trim, a guard trip, a watch ending
+        its wait or raising (a laser read that fails, a feed past its travel
+        limit, a push tip that enters the hole and a probe end that engages
+        or ends the spiral included), a non-finite
         surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
         pass takes that tick.
 
@@ -699,15 +705,15 @@ class World:
         filtered, sums = runtime.guard_filter.averages(readings)
         return readings, sums, first_overload(filtered, sensors)
 
-    def feed_wrenches(self, arm_name: str, points, law: Callable[[float], tuple[float, float]]) -> np.ndarray:
+    def feed_wrenches(self, arm_name: str, points, law: Callable[..., tuple[float, float]]) -> np.ndarray:
         """The true wrench of each tick of a stretch in which the arm's
         commanded points are ``points`` (three lists of x, y and z) and its
-        contact model is ``law`` of the surface distance, which gives the
-        wrench's ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what the
-        per-tick pass does in turn, slip from the previous press force,
-        surface distance, law and press force; it stops before the first
-        tick whose distance is not finite, on which ``surface_distance``
-        raises."""
+        contact model is ``law(distance, x, y, z, slip)`` of the surface
+        distance, the commanded point and the slip, which gives the wrench's
+        ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what the per-tick
+        pass does in turn, slip from the previous press force, surface
+        distance, law and press force; it stops before the first tick whose
+        distance is not finite, on which ``surface_distance`` raises."""
         runtime = self.arms[arm_name]
         platform = replace(runtime.platform)  # a copy to step
         press, dt, surface = runtime.press_force, self.clock.dt, self.surface_at
@@ -715,10 +721,11 @@ class World:
         for x, y, z in zip(*points):
             if press != 0.0:
                 platform.step(press, dt)
-            d = surface(x, y, z, platform.slip_offset)
+            slip = platform.slip_offset
+            d = surface(x, y, z, slip)
             if not math.isfinite(d):
                 break
-            fz, mx = law(d)
+            fz, mx = law(d, x, y, z, slip)
             rows.append((fz, mx))
             press = max(fz, 0.0)
         wrench = np.zeros((len(rows), 6))

@@ -40,9 +40,9 @@ from .worksite import (
     AnchorBolt,
     AnchorState,
     DrilledHole,
-    Engagement,
     PartState,
     anchor_engagement,
+    engaged,
 )
 
 
@@ -533,9 +533,10 @@ class Pulsing(Impulses):
 
 class Feed(Move):
     """A guarded feed (``MissionContext.feed``) under a contact law of the
-    true surface distance alone: ``law(distance)`` gives the ``(fz, mx)`` of
-    the true wrench. A subclass gives the stop condition: ``stop`` per tick
-    and ``stops`` in bulk.
+    true surface distance, the commanded point and the slip. A subclass
+    gives the law, ``law(distance, x, y, z, slip)``, which gives the ``(fz,
+    mx)`` of the true wrench, and the stop condition: ``stop`` per tick and
+    ``stops`` in bulk.
 
     ``model`` and ``watch`` take one tick: ``watch`` ends the wait once
     ``stop()`` is true, and raises once the feed has stopped or travelled
@@ -547,14 +548,16 @@ class Feed(Move):
     with numpy.
     """
 
-    def __init__(self, ctx: MissionContext, arm: str, law, max_travel: float):
+    def __init__(self, ctx: MissionContext, arm: str, max_travel: float):
         self.world = ctx.world
         self.arm, self.runtime = arm, self.world.runtime(arm)
         super().__init__(self.runtime.state, self.world.dt)
-        self.law, self.max_travel = law, max_travel
+        self.max_travel = max_travel
 
     def model(self) -> Wrench:
-        fz, mx = self.law(self.world.surface_distance(self.arm))
+        state = self.state
+        distance = self.world.surface_distance(self.arm)
+        fz, mx = self.law(distance, state.x, state.y, state.z, self.runtime.platform.slip_offset)
         return Wrench(fz=fz, mx=mx)
 
     def watch(self):
@@ -585,12 +588,13 @@ class Feed(Move):
 
 
 class Pressing(Feed):
-    """A feed that stops on the first raw FT reading whose fz reaches
-    ``threshold``: the drill's touch and the nut runner's approaches."""
+    """A feed under the contact law ``law`` that stops on the first raw FT
+    reading whose fz reaches ``threshold``: the drill's touch and the nut
+    runner's approaches."""
 
     def __init__(self, ctx: MissionContext, arm: str, law, threshold: float, max_travel: float):
-        super().__init__(ctx, arm, law, max_travel)
-        self.threshold = threshold
+        super().__init__(ctx, arm, max_travel)
+        self.law, self.threshold = law, threshold
 
     def stop(self) -> bool:
         r = self.runtime.reading
@@ -625,17 +629,17 @@ class Drilling(Feed):
     depth. Each tick records both depths."""
 
     def __init__(self, ctx: MissionContext, arm: str, contact: tuple[float, float, float], laser_zero: float):
-        cfg, p = ctx.scenario.tools, ctx.scenario.procedure
-
-        def drilling_law(distance):
-            depth = max(0.0, min(-distance, MAX_HOLE_DEPTH))
-            return drill_thrust(depth, cfg), drill_reaction_moment(cfg, depth)
-
-        super().__init__(ctx, arm, drilling_law, max_travel=0.12)
+        p = ctx.scenario.procedure
+        super().__init__(ctx, arm, max_travel=0.12)
+        self.tools = ctx.scenario.tools
         self.contact, self.normal = contact, ctx.out_normal.as_tuple()
         self.laser_zero, self.target = laser_zero, p.drill_depth_target
         self.use_laser = p.depth_source == "laser"
         self.measured = 0.0
+
+    def law(self, distance, *_):
+        depth = max(0.0, min(-distance, MAX_HOLE_DEPTH))
+        return drill_thrust(depth, self.tools), drill_reaction_moment(self.tools, depth)
 
     def stop(self) -> bool:
         state, world = self.state, self.world
@@ -663,20 +667,97 @@ class Drilling(Feed):
 
 
 class Pushing(Feed):
-    """The insertion's push: a feed under the contact model ``model``, which
-    reads the engagement, until ``stop()``. It runs only per tick."""
+    """The insertion's push into ``hole`` at the approach speed, under the
+    wedge law ``law``, which reads the engagement at the tip. A subclass
+    gives the stop: ``Entering`` or ``Wedging``. Per tick and in a stretch
+    it runs as any ``Feed``, and ``tips`` gives its ``stops`` the tip's
+    points and surface distances in a stretch."""
 
-    ahead = None
+    def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, max_travel: float):
+        super().__init__(ctx, arm, max_travel)
+        p = ctx.scenario.procedure
+        self.hole, self.clearance, self.rate = hole, p.engagement_clearance, p.wedge_moment_rate
+        self.stiffness = ctx.scenario.robot.contact_stiffness
 
-    def __init__(self, ctx: MissionContext, arm: str, model, stop, max_travel: float):
-        super().__init__(ctx, arm, None, max_travel)
-        self.model, self.stop = model, stop
+    def law(self, distance, x, y, z, slip):
+        """The wedge law: the tip presses ``pen``, its penetration, into the
+        wedge if it engages the hole, with an fz of six times the moment, and
+        otherwise into the surface."""
+        pen = max(0.0, -distance)
+        if engaged(self.world.radial_at(self.hole, x, y, z, slip), self.clearance):
+            moment = self.rate * pen
+            return 6.0 * moment, moment
+        return self.stiffness * pen, 0.0
+
+    def tips(self, slips: np.ndarray, m: int):
+        """The commanded points of the first ``m`` ticks of the stretch, and
+        the tip's true surface distances at ``slips``."""
+        points = self.path[:3, 1 : m + 1]
+        return points, self.world.surface_at(*points, slips[:m])
+
+
+class Entering(Pushing):
+    """The push until the tip enters the hole, 0.5 mm deep and engaged
+    (``entered``), or a raw FT reading's fz reaches 15 N, the tip on the
+    surface or the rim."""
+
+    def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole):
+        super().__init__(ctx, arm, hole, max_travel=0.05)
+        self.entered = False
+
+    def stop(self) -> bool:
+        if -self.world.surface_distance(self.arm) >= 0.0005:
+            if engaged(self.world.radial_offset(self.arm, self.hole), self.clearance):
+                self.entered = True
+                return True
+        r = self.runtime.reading
+        return r is not None and r.fz >= 15.0
+
+    def stops(self, slips, readings) -> int:
+        m = super().stops(slips, readings)
+        points, distances = self.tips(slips, m)
+        offsets = self.world.radial_offsets(self.hole, points, slips[:m])
+        ends = np.flatnonzero((-distances >= 0.0005) & engaged(offsets, self.clearance) | (readings[:m, 2] >= 15.0))
+        return int(ends[0]) if ends.size else m
+
+
+class Wedging(Pushing):
+    """The push until the wedge stops it: a raw FT reading's |mx| reaching
+    ``insertion_end_moment``. Each tick records the laser depth and the
+    commanded depth, the penetration plus the slip."""
+
+    def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole):
+        super().__init__(ctx, arm, hole, max_travel=0.03)
+        self.end_moment = ctx.scenario.procedure.insertion_end_moment
+
+    def stop(self) -> bool:
+        world = self.world
+        pen = max(0.0, -world.surface_distance(self.arm))
+        # The laser reads the signed distance to the surface plane, so tip
+        # penetration is simply its negation.
+        world.record_depthset(self.arm, -world.laser_distance(self.arm), pen + world.slip(self.arm))
+        r = self.runtime.reading
+        return r is not None and abs(r.mx) >= self.end_moment
+
+    def stops(self, slips, readings) -> int:
+        m = super().stops(slips, readings)
+        points, distances = self.tips(slips, m)
+        pens = np.where(-distances > 0.0, -distances, 0.0)  # ``max(0.0, -distance)``
+        laser = -self.world.laser_distances(self.arm, points, slips[:m])
+        self._depths = laser, pens + slips[:m], slips  # for ``apply`` to record
+        ends = np.flatnonzero(np.abs(readings[: len(laser), 3]) >= self.end_moment)
+        return int(ends[0]) if ends.size else len(laser)
+
+    def apply(self, n: int):
+        super().apply(n)
+        laser, commanded, slips = self._depths
+        self.world.record_depths(self.arm, laser[:n], commanded[:n], slips[:n])
 
 
 class Sliding(Form):
     """The anchor tip sliding on the wall under a light 20 N press: the
-    targeted move back to the surface before the spiral search, which runs
-    per tick, and, as ``Probing``, the search itself."""
+    targeted move back to the surface before the spiral search, the one
+    form that runs only per tick, and, as ``Probing``, the search itself."""
 
     press = 20.0  # N
 
@@ -703,15 +784,17 @@ class Probing(Sliding):
         self.world, self.arm, self.hole, self.ticks = ctx.world, arm, hole, ticks
         self.state = self.world.arm(arm)
         self.clearance = p.engagement_clearance
-        center = self.state.position
+        (cx, cy, cz), ax, ay = self.state.position.as_tuple(), frame.x_axis, frame.y_axis
         offsets = spiral_offsets(p.spiral_pitch, p.spiral_probe_spacing, max_probes)
-        self.points = (center + frame.x_axis.scaled(dx) + frame.y_axis.scaled(dy) for dx, dy in offsets)
-        self.drawn: list[Point3] = []  # the points of the probes after the one that runs, drawn so far
+        # ``center + x_axis.scaled(dx) + y_axis.scaled(dy)`` on floats, in the same order.
+        self.points = ((cx + ax.x * dx + ay.x * dy, cy + ax.y * dx + ay.y * dy, cz + ax.z * dx + ay.z * dy)
+                       for dx, dy in offsets)
+        self.drawn: list[tuple[float, float, float]] = []  # the points of the probes after the one that runs
         self.probes, self.left, self.engaged = 0, 0, False  # ``left``: the probe's ticks left, 0 once ended
         self.draw(1)
         self.start(1)
 
-    def draw(self, count: int) -> list[Point3]:
+    def draw(self, count: int) -> list[tuple[float, float, float]]:
         """The points of the next ``count`` probes after the one that runs,
         or of as many as the spiral has left."""
         self.drawn.extend(islice(self.points, max(0, count - len(self.drawn))))
@@ -720,7 +803,8 @@ class Probing(Sliding):
     def start(self, passed: int):
         """Start the ``passed``-th probe after the one that runs; the ones
         between are passed over."""
-        self.state.position = self.drawn[passed - 1]
+        state = self.state
+        state.x, state.y, state.z = self.drawn[passed - 1]
         del self.drawn[:passed]
         self.probes += passed
         self.left = self.ticks
@@ -731,7 +815,7 @@ class Probing(Sliding):
         self.left -= 1
         if self.left:
             return False
-        if anchor_engagement(self.world.radial_offset(self.arm, self.hole), self.clearance) is Engagement.ENGAGED:
+        if engaged(self.world.radial_offset(self.arm, self.hole), self.clearance):
             self.engaged = True
             return True
         if not self.draw(1):
@@ -757,9 +841,8 @@ class Probing(Sliding):
         exhausted = len(drawn) < len(ends)
         ends = ends[: len(drawn) + 1]  # no probe runs after the spiral's last
         state = self.state
-        points = np.array([(state.x, state.y, state.z)] + [p.as_tuple() for p in drawn[: len(ends) - 1]])
-        # Engaged as ``anchor_engagement`` classifies it.
-        final = self.world.radial_offsets(self.hole, points.T, slips[ends]) < self.clearance
+        points = np.array([(state.x, state.y, state.z)] + drawn[: len(ends) - 1])
+        final = engaged(self.world.radial_offsets(self.hole, points.T, slips[ends]), self.clearance)
         final[-1] |= exhausted
         hits = np.flatnonzero(final)
         return int(ends[hits[0]]) if hits.size else len(slips)
@@ -1043,7 +1126,7 @@ class MissionContext:
         standoff = target + self.out_normal.scaled(robot.approach_standoff + 0.02)
         yield from self.move(arm, standoff, robot.gross_speed)
 
-        def press_law(distance):
+        def press_law(distance, *_):
             # Rigid surface contact: force grows with commanded penetration.
             pen = -distance
             return (robot.contact_stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
@@ -1113,38 +1196,17 @@ class MissionContext:
         robot = self.scenario.robot
         p = self.scenario.procedure
         state = world.arm(arm)
-        clearance = p.engagement_clearance
 
         standoff = target + self.out_normal.scaled(robot.approach_standoff)
         yield from self.move(arm, standoff, robot.gross_speed)
 
-        def engagement_now() -> Engagement:
-            return anchor_engagement(world.radial_offset(arm, hole), clearance)
-
-        def wedge_model() -> Wrench:
-            pen = max(0.0, -world.surface_distance(arm))
-            if engagement_now() is Engagement.ENGAGED:
-                moment = p.wedge_moment_rate * pen
-                return Wrench(fz=6.0 * moment, mx=moment)
-            return Wrench(fz=robot.contact_stiffness * pen) if pen > 0 else Wrench()
-
-        entered = False
-
-        def touch_or_enter():
-            nonlocal entered
-            pen = -world.surface_distance(arm)
-            if pen >= 0.0005 and engagement_now() is Engagement.ENGAGED:
-                entered = True
-                return True
-            r = world.runtime(arm).reading
-            return r is not None and r.fz >= 15.0
-
-        yield from self.feed(arm, Pushing(self, arm, wedge_model, touch_or_enter, 0.05), robot.approach_speed)
+        entering = Entering(self, arm, hole)
+        yield from self.feed(arm, entering, robot.approach_speed)
         first_offset = world.radial_offset(arm, hole)
-        first = anchor_engagement(first_offset, clearance)
+        first = anchor_engagement(first_offset, p.engagement_clearance)
         search_time = 0.0
         probes = 0
-        if not entered:
+        if not entering.entered:
             # Back off to a light slide on the surface and spiral outward.
             surface_cmd = state.position + self.out_normal.scaled(
                 -world.surface_distance(arm) + 0.0003
@@ -1165,16 +1227,7 @@ class MissionContext:
                 )
             search_time = world.t - t0
 
-        def wedged():
-            r = world.runtime(arm).reading
-            pen = max(0.0, -world.surface_distance(arm))
-            commanded = pen + world.slip(arm)
-            # The laser reads the signed distance to the surface plane,
-            # so tip penetration is simply its negation.
-            world.record_depthset(arm, -world.laser_distance(arm), commanded)
-            return r is not None and abs(r.mx) >= p.insertion_end_moment
-
-        yield from self.feed(arm, Pushing(self, arm, wedge_model, wedged, 0.03), robot.approach_speed)
+        yield from self.feed(arm, Wedging(self, arm, hole), robot.approach_speed)
         stuck_depth = max(0.0, -world.surface_distance(arm))
         if stuck_depth > hole.depth:
             raise SimulationError(
@@ -1186,7 +1239,7 @@ class MissionContext:
         self._open[arm].diagnostics.update(
             first_attempt=first.value,
             first_offset=first_offset,
-            search_used=not entered,
+            search_used=not entering.entered,
             search_time=search_time,
             probes=probes,
             stuck_depth=stuck_depth,
@@ -1236,7 +1289,7 @@ class MissionContext:
         def approach(name: str, reference_pen: float):
             t0 = world.t
 
-            def socket_spring_law(distance):
+            def socket_spring_law(distance, *_):
                 compression = protrusion - distance - reference_pen
                 return (spring * compression, 0.0) if compression > 0 else (0.0, 0.0)
 

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .errors import ScenarioInvalid
 from .geometry import MIN_TRIANGLE_AREA, Frame, Point3
 from .tools import BOTTOM_CONTACT_BAND, DrillVariant
-from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, wall_frame_from_angles
+from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, default_hole_pattern, wall_frame_from_angles
 
 #: Decimal places of the time stamps in exported traces. ``procedure.timestep``
 #: may not be finer than one unit in the last place, or stamps would repeat.
@@ -358,6 +358,31 @@ class Scenario:
             if d > reach:
                 reason = f"puts an orientation laser point {d:.3f} m from robot.base1, beyond the {reach} m reach"
                 raise ScenarioInvalid("wall.distance", reason)
+        # On the nominal wall, robot 2 places the part at its target from
+        # 5 cm out, and the arm that works each hole views it from 0.25 m
+        # out and drills it to the drill target. A target_x that takes one
+        # of these points out of that arm's reach, where the same point at
+        # target_x = 0 is within it, would fail the step.
+        from .procedure import schedule_dual_arm  # the executive's plan; it imports this module
+
+        frame = self.nominal_frame()
+        work = [("base2", 0.0, 0.0, out) for out in (0.05, 0.0)]
+        holes = default_hole_pattern(part.holes, part.hole_spacing)
+        for phase in schedule_dual_arm(part.holes).phases:
+            for index, arm in phase.assignments:
+                base = "base1" if arm == "robot1" else "base2"
+                work += [(base, holes[index].x, holes[index].y, out) for out in (0.25, -p.drill_depth_target)]
+        for base, x, y, out in work:
+            distances = [
+                stations[base].distance_to(
+                    frame.origin + frame.x_axis.scaled(dx + x) + frame.y_axis.scaled(part.target_y + y)
+                    + frame.z_axis.scaled(out)
+                )
+                for dx in (part.target_x, 0.0)
+            ]
+            if distances[0] > reach >= distances[1]:
+                reason = f"puts a point it works {distances[0]:.3f} m from robot.{base}, beyond the {reach} m reach"
+                raise ScenarioInvalid("part.target_x", reason)
         return self
 
 

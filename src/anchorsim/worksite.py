@@ -183,11 +183,17 @@ def anchor_engagement(offset: float, clearance: float) -> Engagement:
     the anchor nearly the hole diameter, so only a fraction of a millimetre of
     lateral error still lets the tip drop in.
     """
-    if offset < clearance:
+    if engaged(offset, clearance):
         return Engagement.ENGAGED
     if offset < clearance + RIM_BAND:
         return Engagement.RIM_CONTACT
     return Engagement.SURFACE_CONTACT
+
+
+def engaged(offset, clearance: float):
+    """Whether the anchor tip drops into the hole at ``offset`` from its axis:
+    the one engagement test, on a float or an array of offsets."""
+    return offset < clearance
 
 
 def default_hole_pattern(count: int, spacing: float) -> list[Point3]:

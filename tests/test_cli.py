@@ -129,8 +129,10 @@ INVALID_VALUES = [
 #: step partway through the run), and impulses due more often than once a
 #: tick (the tools struck one a tick, whatever the rate); and a probe
 #: period, an orientation L and guard windows so long that validation or
-#: the world's set-up overflowed on them. Their fields may repeat cases
-#: above, so their ids are their text.
+#: the world's set-up overflowed on them; and part targets that put a
+#: point an arm works at a hole, or at which robot 2 places the part, out of
+#: that arm's reach (each failed that step with ``OutOfReach``). Their fields
+#: may repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -158,6 +160,8 @@ INVALID_REPEATS = [
     ("[procedure]\norientation_offset = 1e308\n", "wall.distance"),
     ("[sensors]\nguard_filter_window = 1e308\n", "sensors.guard_filter_window"),
     ("[sensors]\nguard_filter_window = 1e20\n", "sensors.guard_filter_window"),
+    ("[wall]\nwidth = 2.0\n[part]\ntarget_x = 0.9\n", "part.target_x"),
+    ("[wall]\nwidth = 2.0\n[part]\ntarget_x = -0.6\n", "part.target_x"),
 ]
 
 

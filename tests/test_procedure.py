@@ -485,7 +485,8 @@ LIFETIME_CASES = {
 
 #: The procedure's contact phases, each named by the class of its form.
 CONTACT_FORMS = {
-    "Pressing", "Holding", "Drilling", "Pushing", "Sliding", "Probing", "Hammering", "Fitting", "RunDown", "Pulsing",
+    "Pressing", "Holding", "Drilling", "Entering", "Wedging", "Sliding", "Probing", "Hammering", "Fitting", "RunDown",
+    "Pulsing",
 }
 
 
