@@ -640,9 +640,8 @@ def held_state(world, forms) -> list[str]:
     elapsed time, the impulses a hammer or a nut runner struck, the anchor's
     depth, a drill's measured depth, a search's probes, the ticks left of its
     probe and whether it engaged, and whether a push entered the hole. The
-    moments the drill reports come
-    from the wrench rows. Each item is ``repr``'d, so a failure names the
-    first that differs."""
+    moments the drill reports come from the wrench rows. Each item is
+    ``repr``'d, so a failure names the first that differs."""
     state = []
     for form in forms:
         if isinstance(form, Timed):
