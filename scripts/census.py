@@ -9,7 +9,7 @@ run that raises before it returns hashes the error's class and text, and a
 
     python3 scripts/census.py                    # every case, this checkout's src
     python3 scripts/census.py --src OTHER/src    # the same cases on another tree
-    python3 scripts/census.py --slice ci         # about 65 cases
+    python3 scripts/census.py --slice ci         # about 70 cases
 
 Two trees give the same bytes when the two outputs are the same; ``diff``
 or ``--against`` lists the cases that differ.
@@ -153,6 +153,20 @@ PUSH_CASES = {
     "push-guard-trip": INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 100\n"),
 }
 PUSH_CI = ("push-slip", "push-guard-trip")
+#: Event-tick edges: a coarse and a fine tick on each of the six missions of
+#: the subcommands (the default 0.05 s probe period is 1 and 25 ticks), the
+#: four-point scenario at the coarse tick, where a guard trip halts a push at
+#: seed 1, and a raised slip on the missions whose contact waits end with a
+#: press force left, which the next tick integrates. ``EVENT_CI`` names the
+#: cases of the ci slice.
+EVENT_CASES = {
+    **{f"dt-{dt}-{mission}": (f"[procedure]\ntimestep = {dt}\n", mission, (7,))
+       for dt in ("0.05", "0.002") for mission in ("full", "drill", "insert", "hammer", "nut", "frame")},
+    "full_4pt-dt-0.05": (FULL_4PT + "[procedure]\ntimestep = 0.05\n", "full", range(4)),
+    **{f"slip-leftover-{mission}": ("[robot]\nslip_coefficient = 1e-5\n", mission, (7,))
+       for mission in ("nut", "hammer", "insert")},
+}
+EVENT_CI = ("dt-0.05-full", "dt-0.002-insert", "slip-leftover-nut")
 
 
 def cases(slice_: str):
@@ -200,6 +214,10 @@ def cases(slice_: str):
         for seed in range(5) if slice_ == "all" else (0,):
             if slice_ == "all" or name in PUSH_CI:
                 yield f"{name}/{seed}", text, "insert", seed
+    for name, (text, mission, seeds) in EVENT_CASES.items():
+        for seed in seeds:
+            if slice_ == "all" or name in EVENT_CI:
+                yield f"{name}/{seed}", text, mission, seed
 
 
 def short_hole(scenario, seed):
