@@ -2,35 +2,31 @@
 
 Everything that happens in a run is a function of (scenario, seed, dt): the
 clock never reads wall time, every sensor draws from its own seeded stream
-in blocks, and the per-tick order is fixed (one pass over the arms, then the
-watchers; see ``World.step``), so identical inputs give identical outputs.
-The tick works on floats; a ``Point3`` is built where the executive reads one.
+in blocks, and the order within a tick is fixed (each arm's slip, motion,
+contact law, FT sample and guard, then the watches in arm order; see
+``World._stretch``), so identical inputs give identical outputs. The tick
+works on floats; a ``Point3`` is built where the executive reads one.
 
 Each contact phase of an arm is one ``Form``, held in ``ArmRuntime.contact``
-for the wait it belongs to: its ``model`` gives the true wrench of a tick,
-its ``watch`` (or None) may end the wait, and ``ahead``, ``stops`` and
-``apply`` compute a stretch of ticks at once. A stretch of ticks is computed
-in bulk when each arm is idle, on a targeted move (a ``Move``), or holds a
-form with an ``ahead``: a guarded feed whose contact law reads the true
-surface distance, the commanded point and the slip (the drill's touch and
-drilling feed, the nut runner's approaches, the insertion's push), the
-drill's spin-up (the touch law held where the feed stopped), a phase whose
-wrench is a function of its own elapsed time (the hammer, and the nut
-runner's fitting, run-down and pulse phases), whose per-tick ``model`` is
-its ``ahead`` on one tick, or the spiral search, a constant press whose
-watch reads the radial offset at probe ends only. Both arms may hold one.
-Its ticks then depend only on the arms' own state and noise. ``World.run``
-computes such a stretch with numpy, and a feed's slip, surface distance,
-law and press force in one float loop, with the same operations in the
-same order, and applies it as soon as it is planned, so the arms hold the
-bytes the per-tick pass would leave; ``World.step`` then only ticks the
-clock through it. A stretch ends at the horizon, after
-``NOISE_BLOCK`` ticks, or before the first tick that may be an event on
-either arm (an arrival, a reach trim, a guard trip, a watch ending its wait
-or raising, a non-finite distance, the tick past ``MAX_SIM_TIME``), and the
-per-tick pass takes that tick. Only ``procedure.Sliding``, the targeted
-move back to the surface before the spiral search, has no ``ahead`` and
-runs per tick.
+for the wait it belongs to: ``ahead``, ``stops`` and ``apply`` compute a
+stretch of ticks at once, and its ``watch`` (or None) may end the wait. A
+motion with no contact form is a ``Move``. The forms are the guarded feeds
+whose contact law reads the true surface distance, the commanded point and
+the slip (the drill's touch and drilling feed, the nut runner's approaches,
+the insertion's push), the drill's spin-up (the touch law held where the
+feed stopped), the phases whose wrench is a function of their own elapsed
+time (the hammer, and the nut runner's fitting, run-down and pulse phases),
+the slide back to the surface before the spiral search, and the search
+itself, a constant press whose watch reads the radial offset at probe ends
+only. A tick then depends only on the arms' own state and noise.
+
+``World.run`` computes every tick in such a stretch, with numpy, and a
+feed's slip, surface distance, law and press force in one float loop. A
+stretch ends at the horizon, after ``NOISE_BLOCK`` ticks, or on the first
+tick that may be an event on either arm (an arrival, a reach trim, a guard
+trip, a watch ending its wait or raising, the tick past ``MAX_SIM_TIME``).
+It is applied as soon as it is computed, the watches run once on the state
+it left, and ``World.step`` ticks the clock through it.
 """
 
 from __future__ import annotations
@@ -48,18 +44,12 @@ from .errors import NonMonotonicTime, SimulationError
 from .geometry import Point3
 from .robot import ArmState, PlatformState
 from .scenario import MAX_SIM_TIME, Scenario, scenario_hash
-from .sensors import (
-    NOISE_BLOCK,
-    ZERO_WRENCH,
-    GuardFilter,
-    NormalBlocks,
-    Wrench,
-    first_overload,
-    overload_guard,
-    read_ft,
-    read_laser,
-    read_lasers,
-)
+from .sensors import NOISE_BLOCK, ZERO_WRENCH, GuardFilter, NormalBlocks, Wrench, first_overload, read_laser, read_lasers
+
+# The one-sample forms of the FT sensor and the guard, the references the
+# tests compare ``World._sense`` with, are looked up here by name by
+# ``perfbench/tracing.py``.
+from .sensors import overload_guard, read_ft  # noqa: F401
 from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
 DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
@@ -266,10 +256,10 @@ class ArmRuntime:
     ``contact`` is the arm's contact phase, a ``Form``, or None for no
     contact: ``MissionContext.until`` installs it for one wait and clears it
     when the wait ends, normally or by an exception. ``watched`` is true
-    once its ``watch`` returned true, or the error it raised. Every form
-    but the move back to the surface before the search,
-    ``procedure.Sliding``, which runs only per tick, also computes its ticks
-    in a stretch.
+    once its ``watch`` returned true, or the error it raised. ``active`` is
+    true on a tick on which the arm holds a contact form or a motion; no
+    part of the simulation reads it, and perfbench counts idle and
+    dual-active ticks from it.
     """
 
     state: ArmState
@@ -289,28 +279,20 @@ class ArmRuntime:
 
 
 class Form:
-    """One phase of an arm, per tick and in a stretch (see ``World._stretch``).
+    """One phase of an arm in a stretch (see ``World._stretch``).
 
-    A contact phase, held in ``ArmRuntime.contact``, gives ``model()``,
-    called once per tick for the true wrench at the tool, and ``watch``:
-    None, or called at the end of the tick to end the wait by returning
-    true, or to raise.
-
-    In a stretch, ``ahead(m)`` returns ``(ticks, rows)``, how many of the
-    next ``m`` ticks it computed, up to one that may be an event, and their
-    true-wrench rows (None: zero); the pure ``stops(slips, readings)``
+    ``ahead(m)`` returns ``(ticks, rows)``: how many of the next ``m`` ticks
+    it computed, through the first on which its motion ends, and their
+    true-wrench rows (None: zero). The pure ``stops(slips, readings)``
     returns how many come before the first on which ``watch`` may end the
-    wait or raise, from the slip and FT reading after each; ``apply(n)``
-    applies the first ``n`` as the per-tick pass would. A form whose
-    ``ahead`` is None runs only per tick: the move back to the surface
-    before the spiral search. A timed phase (``procedure.Timed``) states its
-    law once, in ``ahead``: its ``model`` is a stretch of one tick. The
-    defaults suit a form with no watch, whose stretch the horizon ends, and
-    no state to apply.
+    wait or raise, from the slip and FT reading after each. ``apply(n)``
+    applies the first ``n``. A contact phase, held in ``ArmRuntime.contact``,
+    also gives ``watch``: None, or called on the state the last tick of a
+    stretch left, to end the wait by returning true, or to raise. The
+    defaults suit a form with no watch and no state to apply.
     """
 
     watch = None
-    ahead = None
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         return len(slips)
@@ -320,20 +302,28 @@ class Form:
 
 
 class Move(Form):
-    """The form in a stretch of a motion with no contact form: a zero
-    wrench, no watch, and its arrival or a reach trim as events."""
+    """The form of a motion with no contact form: a zero wrench, no watch,
+    and its arrival or a reach trim as events. ``procedure.Sliding`` and
+    ``procedure.Feed`` extend it for a motion under a contact law."""
 
     def __init__(self, state: ArmState, dt: float):
         self.state, self.dt = state, dt
         self.path = None  # what ``ahead`` computed, for ``apply``
+        self.ends = math.inf  # the tick of the stretch that ends the motion
 
     def ahead(self, m: int):
-        self.path = self.state.free_path(m, self.dt)
-        return self.path.shape[1] - 1, None
+        self.path, ended = self.state.free_path(m, self.dt)
+        k = self.path.shape[1] - 1
+        self.ends = k if ended else math.inf
+        return k, None
 
     def apply(self, n: int):
         state = self.state
-        state.x, state.y, state.z, state.motion.travelled = self.path[:, n].tolist()
+        state.x, state.y, state.z, travelled = self.path[:, n].tolist()
+        if state.motion is not None:
+            state.motion.travelled = travelled
+        if n == self.ends:
+            state.motion = None
 
 
 class World:
@@ -354,9 +344,10 @@ class World:
         self.recorder = TraceRecorder()
         self.streams = RandomStreams(seed)
         self.event = False
-        # The tick count at which the applied stretch ends: ``step`` only
-        # ticks the clock up to it (see ``run``).
-        self._stretch_end = 0
+        # The tick count at which the applied stretch ends, each arm's
+        # ``active`` flag on its last tick, and the depth rows of that tick
+        # held back for the watches (see ``run``).
+        self._stretch_end, self._last_active, self._due = 0, [], {}
 
         w = scenario.wall
         frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
@@ -486,216 +477,172 @@ class World:
     # -- tick -------------------------------------------------------------------
 
     def step(self):
-        """One tick: one pass over the arms, then the watches.
-
-        For each arm in turn the pass does slip, motion advance, contact
-        model (no contact: ``ZERO_WRENCH`` and no press force), FT sample,
-        guard and wrench record; no arm's work reads the other arm, because
-        each contact form holds its own arm.
-
-        Slip integrates at the start of the arm's turn from the previous
-        tick's press force, so the slip an executive reads after the step is
-        exactly the slip the contact model saw; a zero press force adds no
-        slip, so the platform is not stepped. The contact forms' watches run
-        in arm order, the order the executive resumes the arms in: none past
-        ``MAX_SIM_TIME``, and none from the first arm that is halted, or whose
-        watch raised, on. Sets ``event`` for this tick.
-
-        Inside a stretch, which ``run`` applied when it planned it, the tick
-        only advances the clock, and the ``active`` flags hold for it. A
-        stretch holds no event tick: the tick after it that may be one runs
-        the pass above.
-        """
+        """One tick of the clock through the stretch ``run`` applied. On the
+        stretch's last tick it sets each arm's ``active`` flag to whether the
+        arm still held a contact form or a motion after that tick's motion,
+        so an arm whose move arrives is idle on it."""
         clock = self.clock
-        if clock.ticks < self._stretch_end:
-            clock.tick()
-            return
-        t = clock.tick()
-        dt = clock.dt
-        sensors = self.scenario.sensors
-        record = self.recorder.record
-        event = t > MAX_SIM_TIME
-        for runtime in self.arms.values():
-            if runtime.press_force != 0.0:
-                runtime.platform.step(runtime.press_force, dt)
-            arm = runtime.state
-            if arm.motion is not None:
-                arm.advance(dt)
-                event = event or arm.motion is None
-            contact = runtime.contact
-            if contact is None:
-                wrench, runtime.press_force = ZERO_WRENCH, 0.0
-            else:
-                wrench = contact.model()
-                runtime.press_force = max(wrench.fz, 0.0)
-            runtime.true_wrench = wrench
-            runtime.active = contact is not None or arm.motion is not None
-            if not runtime.active:
-                runtime.reading = None
-                continue
-            reading = read_ft(wrench, sensors, runtime.ft_noise)
-            runtime.reading = reading
-            axis = overload_guard(runtime.guard_filter.push(reading), sensors)
-            if axis is not None and not arm.halted:
-                arm.halt(axis)
-                runtime.guard_fired_t = t
-                event = True
-            record(runtime.wrench_row, t, wrench)
-        if t <= MAX_SIM_TIME:
-            for runtime in self.arms.values():
-                if runtime.state.halted:
-                    break
-                contact = runtime.contact
-                watch = None if contact is None else contact.watch
-                if watch is None:
-                    continue
-                try:
-                    if watch():
-                        runtime.watched = event = True
-                except SimulationError as exc:
-                    runtime.watched = exc
-                    event = True
-                    break
-        self.event = event
+        clock.tick()
+        if clock.ticks == self._stretch_end:
+            for runtime, active in zip(self.arms.values(), self._last_active):
+                runtime.active = active
 
     def run(self, horizon: float):
-        """Step up to ``horizon`` ticks (``math.inf`` for no bound), stopping
+        """Tick up to ``horizon`` ticks (``math.inf`` for no bound), stopping
         after the first event tick.
 
-        A stretch of ticks is computed in bulk and applied when it is
-        planned, because in it a tick has no input but the arms' own state
-        and noise, and the executive, suspended until ``run`` returns, can
-        neither change that nor read the world before the stretch ends. In a
-        stretch each arm is idle, on a targeted move, or holds a contact form
-        with an ``ahead`` (a guarded feed, the insertion's push among them,
-        the drill's spin-up, the hammer, the nut runner's fitting, run-down
-        or pulse phase, or the spiral search), and only an arm that holds one
-        has a press force. A stretch ends only at the horizon, after
-        ``NOISE_BLOCK`` ticks, or before the first tick that may be an event
-        on either arm: an arrival, a reach trim, a guard trip, a watch ending
-        its wait or raising (a laser read that fails, a feed past its travel
-        limit, a push tip that enters the hole and a probe end that engages
-        or ends the spiral included), a non-finite
-        surface distance, or the tick past ``MAX_SIM_TIME``. The per-tick
-        pass takes that tick.
-
-        ``step`` is still called once per tick; in a stretch it only ticks
-        the clock. Every other tick runs the per-tick pass.
+        Every tick is computed in a stretch (see ``_stretch``), in bulk, and
+        applied when it is planned, because in it a tick has no input but
+        the arms' own state and noise, and the executive, suspended until
+        ``run`` returns, can neither change that nor read the world before
+        the stretch ends. ``step`` then ticks the clock once per tick of the
+        stretch, and the watches run once, on the state it left (see
+        ``_watch``).
         """
         clock = self.clock
         end = clock.ticks + horizon
-        replan = clock.ticks
         while clock.ticks < end:
-            if clock.ticks >= replan:
-                replan = self._plan(end)
-            self.step()
+            self._stretch(end)
+            while clock.ticks < self._stretch_end:
+                self.step()
+            self._watch()
             if self.event:
                 break
 
-    def _plan(self, end: float) -> float:
-        """Plan and apply the stretch that starts with the next tick, if one
-        does, up to tick count ``end`` and ``NOISE_BLOCK`` ticks at most;
-        return the tick count at which to plan again.
+    def _stretch(self, end: float):
+        """Compute and apply the stretch that starts with the next tick, up
+        to tick count ``end`` and ``NOISE_BLOCK`` ticks at most, and set
+        ``_stretch_end`` to the tick count at which it ends.
 
-        Each active arm takes part through its form: a ``Move`` for a
-        motion with no contact form, or its contact form, which may advance
-        a feed, a motion with no target. The moves come first, so
-        that an arrival bounds what the other forms compute. A stretch stops
-        before the first tick that may be an event, and the per-tick pass
-        takes that tick without planning again.
-        """
-        clock = self.clock
-        now = clock.ticks
-        runtimes = tuple(self.arms.values())
-        forms = []  # ``(runtime, form)`` for each active arm
-        for runtime in runtimes:
-            motion, contact = runtime.state.motion, runtime.contact
-            if contact is not None:
-                if contact.ahead is None:
-                    return math.inf
-                if motion is not None and motion.target is not None:
-                    return math.inf
-                forms.append((runtime, contact))
-            elif motion is not None:
-                forms.insert(0, (runtime, Move(runtime.state, clock.dt)))
-        if any(runtime.press_force != 0.0 for runtime in runtimes if runtime.contact is None):
-            return now + 1  # the next tick still integrates slip
-        if any(r.state.halted for r in runtimes) and any(r.contact and r.contact.watch for r in runtimes):
-            return math.inf  # the watches stop at a halted arm
-        sensors = self.scenario.sensors
-        noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
-        planned = n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
-        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * clock.dt > MAX_SIM_TIME)
-        if late.size:
-            n = int(late[0])
-        n = self._stretch(forms, n, noisy)
-        return now + n + (n < planned)  # a stretch cut short stops before a tick that may be an event
+        Each active arm takes part through its form: its contact form, or a
+        ``Move`` for a motion with no contact form. A targeted motion's form
+        computes first, so that its arrival bounds what the other forms
+        compute. Each tick of an arm takes, in this order, the slip from the
+        press force of the tick before (``PlatformState.slips``), the motion
+        and true wrench (the form's ``ahead``), the FT reading and the guard
+        (``_sense``). An arm with no contact form presses with no force, so
+        a press force left from the tick before slips it on the first tick
+        only; an arm whose motion ends on a tick and that holds no contact
+        form takes no FT reading on it. No arm's tick reads the other arm.
 
-    def _stretch(self, forms: list, n: int, noisy: bool) -> int:
-        """Compute the next ``n`` ticks of each ``(runtime, form)`` pair in
-        ``forms``, or fewer: those before the first tick that may be an
-        event on any arm. The arithmetic is the per-tick pass's, in the same
-        order: the motion and model in each form's ``ahead``, the slip in
-        ``PlatformState.slips``, the FT readings and the guard in ``_sense``,
-        the watch in ``stops``. Every form then applies the shared count,
-        which leaves the arms as the per-tick pass would after the last
-        tick, with the wrench rows recorded; ``step`` then only ticks the
-        clock through them. Return how many.
+        A stretch runs through the first tick that may be an event on either
+        arm, and every arm applies it: an arrival or a reach trim, a guard
+        trip, a tick on which a watch may end its wait or raise (the form's
+        ``stops``), or the tick past ``MAX_SIM_TIME``. A guard trip halts
+        its arm. ``event`` is set for an arrival, a trim, a halt or the tick
+        past the ceiling; ``_watch`` adds the watches' events.
         """
         clock = self.clock
         now, dt = clock.ticks, clock.dt
-        wrenches = []  # each form's true-wrench rows; None: all zero
-        for _, form in forms:
-            n, wrench = form.ahead(n)
-            wrenches.append(wrench)
-        if n == 0:
-            return 0
-        wrenches = [None if wrench is None else wrench[:n] for wrench in wrenches]
-        sensed, slips = [], []
-        for (runtime, _), wrench in zip(forms, wrenches):
-            sensed.append(self._sense(runtime, n, noisy, wrench))
+        runtimes = tuple(self.arms.values())
+        forms = [r.contact or (Move(r.state, dt) if r.state.motion else None) for r in runtimes]
+        n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
+        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * dt > MAX_SIM_TIME)
+        if late.size:
+            n = int(late[0]) + 1
+        wrenches = [None] * len(forms)  # each form's true-wrench rows; None: all zero
+        targeted = [r.state.motion is not None and r.state.motion.target is not None for r in runtimes]
+        for i in sorted(range(len(forms)), key=targeted.__getitem__, reverse=True):
+            if forms[i] is not None:
+                n, wrenches[i] = forms[i].ahead(n)
+        sensors = self.scenario.sensors
+        noisy = sensors.ft_sigma_force != 0.0 or sensors.ft_sigma_moment != 0.0
+        counts, sensed, slips = [], [], []  # per arm: ticks sensed, ``_sense``'s outcome, slips or None
+        for runtime, form, wrench in zip(runtimes, forms, wrenches):
+            count = 0 if form is None else n - (runtime.contact is None and form.ends == n)
+            counts.append(count)
+            sensed.append(self._sense(runtime, count, noisy, wrench) if count else (None, None, None))
+            if form is None and runtime.press_force == 0.0:
+                slips.append(None)
+                continue
             presses = np.zeros(n)  # the press force that drives each tick's slip
             presses[0] = runtime.press_force
             if wrench is not None:
-                presses[1:] = wrench[:-1, 2]
+                presses[1:] = wrench[: n - 1, 2]
             slips.append(runtime.platform.slips(presses, dt))
-        for _, _, trip in sensed:
-            if trip is not None:
-                n = min(n, trip[0])
-        for (_, form), (readings, _, _), slip in zip(forms, sensed, slips):
-            n = min(n, form.stops(slip[:n], readings[:n]))
-        if n == 0:
-            return 0
-        for runtime in self.arms.values():
-            runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, False
-        for (runtime, form), (readings, sums, _), slip, wrench in zip(forms, sensed, slips, wrenches):
-            form.apply(n)
-            guard = runtime.guard_filter
-            pushed = list(map(Wrench._make, readings[max(0, n - guard.window) : n].tolist()))
-            guard.extend(pushed, tuple(sums[n - 1].tolist()))
-            if noisy:
-                runtime.ft_noise.skip(n)
-            self.recorder.record_rows(runtime.wrench_row, range(now + 1, now + n + 1), dt, wrench)
-            runtime.reading, runtime.active = pushed[-1], True
-            runtime.platform.slip_offset = float(slip[n - 1])
-            if wrench is not None:
+        for runtime, (_, _, trip) in zip(runtimes, sensed):
+            if trip is not None and not runtime.state.halted:
+                n = min(n, trip[0] + 1)
+        for form, (readings, _, _), slip in zip(forms, sensed, slips):
+            if form is not None:
+                n = min(n, form.stops(slip[:n], None if readings is None else readings[:n]) + 1)
+        self._stretch_end, self._due, self._last_active = now + n, {}, []
+        t = (now + n) * dt
+        event = t > MAX_SIM_TIME
+        for runtime, form, count, (readings, sums, trip), slip, wrench in zip(
+            runtimes, forms, counts, sensed, slips, wrenches
+        ):
+            state = runtime.state
+            runtime.true_wrench, runtime.reading, runtime.active = ZERO_WRENCH, None, form is not None
+            if form is not None:
+                moving = state.motion is not None
+                form.apply(n)
+                event = event or (moving and state.motion is None)
+            count = min(n, count)
+            if count:
+                guard = runtime.guard_filter
+                pushed = list(map(Wrench._make, readings[max(0, count - guard.window) : count].tolist()))
+                guard.extend(pushed, tuple(sums[count - 1].tolist()))
+                if noisy:
+                    runtime.ft_noise.skip(count)
+                self.recorder.record_rows(runtime.wrench_row, range(now + 1, now + count + 1), dt, wrench)
+                if count == n:
+                    runtime.reading = pushed[-1]
+            if slip is not None:
+                runtime.platform.slip_offset = float(slip[n - 1])
+                runtime.press_force = 0.0
+            if runtime.contact is not None:
                 runtime.true_wrench = last = Wrench._make(wrench[n - 1].tolist())
                 runtime.press_force = max(last.fz, 0.0)
-        self.event = False
-        self._stretch_end = now + n
-        return n
+            self._last_active.append(runtime.contact is not None or state.motion is not None)
+        for runtime, (_, _, trip) in zip(runtimes, sensed):
+            if trip is not None and trip[0] == n - 1 and not runtime.state.halted:
+                runtime.state.halt(trip[1])
+                runtime.guard_fired_t = t
+                event = True
+        self.event = event
+
+    def _watch(self):
+        """Run the contact forms' watches on the state the stretch left, in
+        arm order, the order the executive resumes the arms in: none past
+        ``MAX_SIM_TIME``, and none from the first arm that is halted, or
+        whose watch raised, on. Before an arm's watch, the depth row of the
+        stretch's last tick that ``record_depths`` held back is recorded, or
+        the laser read that failed on that tick raises its error, as a watch
+        that read the laser would. A watch that returns true or raises sets
+        ``event``."""
+        if self.clock.t > MAX_SIM_TIME:
+            return
+        for name, runtime in self.arms.items():
+            if runtime.state.halted:
+                break
+            try:
+                if name in self._due:
+                    row = self._due[name]
+                    if row is None:
+                        self.laser_distance(name)  # raises the failed read's error
+                    ticks = self.clock.ticks
+                    self.recorder.record_rows(runtime.depth_row, range(ticks, ticks + 1), self.clock.dt, row)
+                watch = None if runtime.contact is None else runtime.contact.watch
+                if watch is not None and watch():
+                    runtime.watched = self.event = True
+            except SimulationError as exc:
+                runtime.watched = exc
+                self.event = True
+                break
 
     def _sense(self, runtime: ArmRuntime, count: int, noisy: bool, wrench: np.ndarray | None = None):
         """The FT readings of the arm's next ``count`` ticks, as ``read_ft``
-        gives them from the ``(count, 6)`` true-wrench rows ``wrench``
-        (None: ``ZERO_WRENCH`` on every tick), with the guard's sums after
-        each push and its first trip: ``(readings, sums, trip)``.
+        gives them from the true-wrench rows ``wrench`` (None:
+        ``ZERO_WRENCH`` on every tick), with the guard's sums after each
+        push and its first trip: ``(readings, sums, trip)``.
 
         The noise is ``ft_noise.ahead(count)``, which draws as many blocks
         as it needs, and the sums come from ``GuardFilter.averages``; nothing
         is pushed or handed out until ``_stretch`` applies the ticks it keeps.
         """
         sensors = self.scenario.sensors
+        wrench = None if wrench is None else wrench[:count]
         if noisy:
             sigmas = (sensors.ft_sigma_force,) * 3 + (sensors.ft_sigma_moment,) * 3
             readings = runtime.ft_noise.ahead(count) * sigmas
@@ -710,10 +657,11 @@ class World:
         commanded points are ``points`` (three lists of x, y and z) and its
         contact model is ``law(distance, x, y, z, slip)`` of the surface
         distance, the commanded point and the slip, which gives the wrench's
-        ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what the per-tick
-        pass does in turn, slip from the previous press force, surface
-        distance, law and press force; it stops before the first tick whose
-        distance is not finite, on which ``surface_distance`` raises."""
+        ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what each tick
+        does in turn, slip from the previous press force, surface distance,
+        law and press force; it stops before the first tick whose distance
+        is not finite, and raises ValueError, as ``surface_distance`` does,
+        if that is the first."""
         runtime = self.arms[arm_name]
         platform = replace(runtime.platform)  # a copy to step
         press, dt, surface = runtime.press_force, self.clock.dt, self.surface_at
@@ -724,6 +672,8 @@ class World:
             slip = platform.slip_offset
             d = surface(x, y, z, slip)
             if not math.isfinite(d):
+                if not rows:
+                    raise ValueError(f"{arm_name}: non-finite surface distance {d!r}")
                 break
             fz, mx = law(d, x, y, z, slip)
             rows.append((fz, mx))
@@ -747,23 +697,29 @@ class World:
         distances -= 0.5
         return distances
 
-    def record_depths(self, arm_name: str, laser_depths, commanded_depths, slips, lasered: bool = True):
-        """``record_depthset`` on each of the next ``len(slips)`` ticks, from
-        arrays of the laser depth, the commanded depth and the slip. If
+    def record_depths(self, arm_name: str, n: int, laser_depths, commanded_depths, slips, lasered: bool = True):
+        """Record the depth rows of the ``n`` ticks of the stretch being
+        applied, from arrays of the laser depth, the commanded depth and the
+        slip after each; the laser depths stop short of tick ``n`` if its
+        laser read failed. The row of the last tick is held back for
+        ``_watch``, which records it if the arm's watch runs on that tick. If
         ``lasered``, ``laser_distances`` read one laser range per tick, and
-        their laser noise is handed out."""
+        the noise of the reads kept is handed out. No watch runs from a
+        halted arm on, so no row is recorded there."""
         runtime = self.arms[arm_name]
-        n, ticks = len(slips), self.clock.ticks
+        for other in self.arms.values():
+            if other.state.halted:
+                return
+            if other is runtime:
+                break
+        kept = min(n, len(laser_depths))
         if lasered and self.scenario.sensors.laser_sigma > 0.0:
-            runtime.laser_noise.skip(n)
-        rows = np.column_stack((laser_depths, commanded_depths, slips))
-        self.recorder.record_rows(runtime.depth_row, range(ticks + 1, ticks + n + 1), self.clock.dt, rows)
-
-    def record_depthset(self, arm_name: str, laser_depth: float, commanded_depth: float):
-        runtime = self.arms[arm_name]
-        self.recorder.record(
-            runtime.depth_row, self.clock.t, (laser_depth, commanded_depth, runtime.platform.slip_offset)
-        )
+            runtime.laser_noise.skip(kept)
+        rows = np.column_stack((laser_depths[:kept], commanded_depths[:kept], slips[:kept]))
+        self._due[arm_name] = rows[n - 1 :] if kept == n else None
+        if n > 1:
+            ticks = self.clock.ticks
+            self.recorder.record_rows(runtime.depth_row, range(ticks + 1, ticks + n), self.clock.dt, rows[: n - 1])
 
 
 def run(scenario: Scenario, seed: int, mission: str):

@@ -2,10 +2,11 @@
 
 Steps are generators that tick through ``MissionContext.until``, which yields
 the ticks left of a wait, or ``math.inf``, and holds the wait's contact phase,
-an ``engine.Form``. A step's per-tick check is the form's ``watch``, which
-``World.step`` runs, and ``World.run`` stops after an event tick (a motion
-ended, the guard halted an arm, a watch returned true or raised, or simulated
-time ran out), so a step resumes only on an event or at the end of a wait. The
+an ``engine.Form``. A step's check is the form's ``watch``, which ``World.run``
+runs on the state each stretch of ticks leaves, and ``World.run`` stops after
+an event tick (a motion ended, the guard halted an arm, a watch returned true
+or raised, or simulated time ran out), so a step resumes only on an event or
+at the end of a wait. The
 dual-arm scheduler in ``mission_full`` resumes the per-arm pipelines in fixed
 arm order. A failed step ends the run with a partial report.
 """
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .geometry import Frame, Point3, angle_between, estimate_wall_frame
 from .robot import ToolId, attach_tool, detach_tool
-from .sensors import DetectionKind, Wrench, camera_detect
+from .sensors import DetectionKind, camera_detect
 from .tools import BOTTOM_CONTACT_BAND, drill_reaction_moment, drill_thrust, hammer_blow, nutrunner_pulse
 from .worksite import (
     MAX_HOLE_DEPTH,
@@ -225,10 +226,9 @@ class Timed(Form):
     time and of constants, stated once, in ``ahead``.
 
     ``times`` gives that time after each tick of a stretch with
-    ``np.add.accumulate``, which adds one tick at a time. ``model`` takes
-    the per-tick pass's tick as a stretch of one, so both passes run the
-    same law. A subclass with a ``watch`` stops a stretch before the first
-    tick on which it may end the wait or raise.
+    ``np.add.accumulate``, which adds one tick at a time. A subclass with a
+    ``watch`` ends a stretch on the first tick on which it may end the wait
+    or raise.
     """
 
     def __init__(self, ctx: MissionContext, arm: str):
@@ -249,12 +249,6 @@ class Timed(Form):
     def apply(self, n: int):
         self.elapsed = float(self._elapsed[n])
 
-    def model(self) -> Wrench:
-        """The next tick's true wrench, as a stretch of one tick."""
-        _, wrench = self.ahead(1)
-        self.apply(1)
-        return Wrench._make(wrench[0].tolist())
-
 
 class Impulses(Timed):
     """A tool that strikes an impulse every ``interval`` seconds of its
@@ -264,8 +258,8 @@ class Impulses(Timed):
     at which the next is due: it strikes on the first tick on which
     ``elapsed + 1e-12`` reaches that, one at most a tick. ``strike(struck)``
     gives ``struck`` after the next impulse, and ``final(struck)`` is true
-    after one on which ``watch`` may end the wait; ``stops`` cuts a stretch
-    before that one.
+    after one on which ``watch`` may end the wait; ``stops`` ends a stretch
+    on that one.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, interval: float, struck):
@@ -316,13 +310,11 @@ class Hammering(Impulses):
     """The cup hammer driving one anchor home from the commanded point at
     which hammering starts, a blow every ``1 / blow_rate`` s.
 
-    ``watch`` takes one tick: it reads the laser, records the depth row and
-    ends the wait once the anchor bottoms. ``ahead``, ``stops`` and
-    ``apply`` take a stretch of ticks at once (see ``engine.Form``), with
-    the same arithmetic in the same order, so they leave the same bytes;
-    ``stops`` reads the laser and ``apply`` records the depth rows.
-    ``model`` is a stretch of one tick without them, as ``watch`` does
-    both. Both place the arm through ``point``.
+    ``ahead``, ``stops`` and ``apply`` take a stretch of ticks (see
+    ``engine.Form``): ``stops`` reads the laser on each tick, and ``apply``
+    places the arm through ``point`` and records the depth rows. ``watch``
+    ends the wait once the anchor bottoms, from the last tick's moment
+    reading and laser depth.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -339,6 +331,7 @@ class Hammering(Impulses):
         self.depth0, self.slip0 = anchor.depth, world.slip(arm)
         self.stuck_measured = stuck_measured
         self.laser_zero = world.laser_distance(arm)
+        self.laser_depth = stuck_measured  # the anchor depth the laser read on the last tick
         self._depths = self._watched = None  # what ``ahead`` and ``stops`` computed for ``apply``
 
     def strike(self, blows: Blows) -> Blows:
@@ -363,24 +356,13 @@ class Hammering(Impulses):
         """The anchor depth the laser reads at ``distance``."""
         return self.stuck_measured + (self.laser_zero - distance)
 
-    def model(self) -> Wrench:
-        _, wrench = self.ahead(1)
-        super().apply(1)
-        self.anchor.depth = self.struck.depth
-        state = self.state
-        if not state.halted:
-            state.x, state.y, state.z = self.point(self.struck.depth, self.world.slip(self.arm))
-        return Wrench._make(wrench[0].tolist())
-
     def watch(self):
-        measured_depth = self.measured(self.world.laser_distance(self.arm))
-        state, p = self.state, self.procedure
-        self.world.record_depthset(self.arm, measured_depth, self.commanded(state.x, state.y, state.z))
+        p = self.procedure
         r = self.runtime.reading
         if r is not None and abs(r.mx) >= p.hammering_end_moment:
-            if measured_depth <= p.hammer_success_depth:
+            if self.laser_depth <= p.hammer_success_depth:
                 raise SimulationError(
-                    f"bottom contact at {measured_depth * 1e3:.1f} mm, "
+                    f"bottom contact at {self.laser_depth * 1e3:.1f} mm, "
                     f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
                 )
             return True
@@ -404,10 +386,11 @@ class Hammering(Impulses):
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks come before the first on which ``watch`` may
         end the wait or raise: the first final blow, the moment reading
-        reaching the hammering end moment, or a laser read that fails."""
+        reaching the hammering end moment, or a laser read that fails, on
+        which ``World._watch`` raises."""
         m = super().stops(slips, readings)
-        slips = slips[:m]
-        x, y, z = self.point(self._depths[:m], slips)
+        slips = slips[: m + 1]  # through the final blow, which ``apply`` records too
+        x, y, z = self.point(self._depths[: len(slips)], slips)
         distances = self.world.laser_distances(self.arm, (x, y, z), slips)
         self._watched = slips, (x, y, z), distances
         ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
@@ -416,7 +399,10 @@ class Hammering(Impulses):
     def apply(self, n: int):
         super().apply(n)
         slips, (x, y, z), distances = self._watched
-        self.world.record_depths(self.arm, self.measured(distances[:n]), self.commanded(x[:n], y[:n], z[:n]), slips[:n])
+        depths = self.measured(distances[:n])  # short of tick ``n`` if its laser read failed
+        if len(depths):
+            self.laser_depth = float(depths[-1])
+        self.world.record_depths(self.arm, n, depths, self.commanded(x[:n], y[:n], z[:n]), slips)
         self.anchor.depth = self.struck.depth
         self.state.x, self.state.y, self.state.z = float(x[n - 1]), float(y[n - 1]), float(z[n - 1])
 
@@ -535,17 +521,15 @@ class Feed(Move):
     """A guarded feed (``MissionContext.feed``) under a contact law of the
     true surface distance, the commanded point and the slip. A subclass
     gives the law, ``law(distance, x, y, z, slip)``, which gives the ``(fz,
-    mx)`` of the true wrench, and the stop condition: ``stop`` per tick and
-    ``stops`` in bulk.
+    mx)`` of the true wrench, and the stop condition: ``stop`` on the state a
+    stretch left, and ``stops`` over a stretch.
 
-    ``model`` and ``watch`` take one tick: ``watch`` ends the wait once
-    ``stop()`` is true, and raises once the feed has stopped or travelled
-    more than ``max_travel``. ``ahead``, ``stops`` and ``apply``, extending
-    ``engine.Move``'s, take a stretch of ticks at once (see
-    ``engine.Form``), with the same arithmetic in the same order: the path
-    from ``ArmState.free_path``, the one sequential part (slip, surface
-    distance, law, press force) from ``World.feed_wrenches``, and the rest
-    with numpy.
+    ``watch`` ends the wait once ``stop()`` is true, and raises once the feed
+    has stopped or travelled more than ``max_travel``. ``ahead``, ``stops``
+    and ``apply``, extending ``engine.Move``'s, take a stretch of ticks (see
+    ``engine.Form``): the path from ``ArmState.free_path``, the one
+    sequential part (slip, surface distance, law, press force) from
+    ``World.feed_wrenches``, and the rest with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, max_travel: float):
@@ -553,12 +537,6 @@ class Feed(Move):
         self.arm, self.runtime = arm, self.world.runtime(arm)
         super().__init__(self.runtime.state, self.world.dt)
         self.max_travel = max_travel
-
-    def model(self) -> Wrench:
-        state = self.state
-        distance = self.world.surface_distance(self.arm)
-        fz, mx = self.law(distance, state.x, state.y, state.z, self.runtime.platform.slip_offset)
-        return Wrench(fz=fz, mx=mx)
 
     def watch(self):
         if self.stop():
@@ -569,20 +547,25 @@ class Feed(Move):
             raise WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
 
     def ahead(self, m: int):
-        """The true wrench ``model`` returns on each of the next ``m`` ticks
-        of the feed, or on fewer: up to a reach trim or a non-finite surface
-        distance; none once the feed has stopped, as ``watch`` then raises on
-        the next tick."""
-        if self.state.motion is None:
-            return 0, None
-        super().ahead(m)
+        """The true wrench under the law on each of the next ``m`` ticks of
+        the feed, or on fewer: through a reach trim, or up to a non-finite
+        surface distance. Once the feed has stopped, the point holds."""
+        state = self.state
+        if state.motion is None:
+            self.path, self.ends = np.repeat([[state.x], [state.y], [state.z], [0.0]], m + 1, axis=1), math.inf
+        else:
+            super().ahead(m)
         wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:].tolist(), self.law)
         return len(wrench), wrench
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
         """How many ticks come before the first on which the feed has
         travelled more than ``max_travel``, on which ``watch`` raises; a
-        subclass ends them sooner where ``stop`` may be true or raise."""
+        subclass ends them sooner where ``stop`` may be true or raise; none
+        once the feed has stopped, as ``watch`` then raises unless ``stop()``
+        is true."""
+        if self.state.motion is None:
+            return 0
         over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
         return int(over[0]) if over.size else len(slips)
 
@@ -614,7 +597,7 @@ class Holding(Form):
     repeated."""
 
     def __init__(self, feed: Feed):
-        self.feed, self.model = feed, feed.model
+        self.feed = feed
 
     def ahead(self, m: int):
         feed, state = self.feed, self.feed.state
@@ -626,7 +609,7 @@ class Drilling(Feed):
     """The drilling feed from the commanded contact point ``contact`` until
     the measured depth reaches the drill target: the laser's (``laser_zero``
     less the range) or, with ``depth_source = commanded``, the commanded
-    depth. Each tick records both depths."""
+    depth. ``apply`` records both depths of each tick."""
 
     def __init__(self, ctx: MissionContext, arm: str, contact: tuple[float, float, float], laser_zero: float):
         p = ctx.scenario.procedure
@@ -642,36 +625,35 @@ class Drilling(Feed):
         return drill_thrust(depth, self.tools), drill_reaction_moment(self.tools, depth)
 
     def stop(self) -> bool:
-        state, world = self.state, self.world
-        commanded = inward(self.contact, self.normal, state.x, state.y, state.z)
-        self.measured = self.laser_zero - world.laser_distance(self.arm) if self.use_laser else commanded
-        world.record_depthset(self.arm, self.measured, commanded)
         return self.measured >= self.target
 
     def stops(self, slips, readings) -> int:
         m = super().stops(slips, readings)
-        x, y, z = self.path[:3, 1 : m + 1]
+        slips = slips[: m + 1]  # through the tick past the travel limit, which ``apply`` records too
+        x, y, z = self.path[:3, 1 : len(slips) + 1]
         commanded = inward(self.contact, self.normal, x, y, z)
         measured = commanded
         if self.use_laser:
-            measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips[:m])
+            measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips)
         self._depths = measured, commanded, slips  # for ``apply`` to record
-        ends = np.flatnonzero(measured >= self.target)
-        return int(ends[0]) if ends.size else len(measured)
+        ends = np.flatnonzero(measured[:m] >= self.target)
+        return int(ends[0]) if ends.size else min(m, len(measured))
 
     def apply(self, n: int):
         super().apply(n)
         measured, commanded, slips = self._depths
-        self.measured = float(measured[n - 1])
-        self.world.record_depths(self.arm, measured[:n], commanded[:n], slips[:n], lasered=self.use_laser)
+        kept = measured[:n]  # short of tick ``n`` if its laser read failed
+        if len(kept):
+            self.measured = float(kept[-1])
+        self.world.record_depths(self.arm, n, measured, commanded, slips, lasered=self.use_laser)
 
 
 class Pushing(Feed):
     """The insertion's push into ``hole`` at the approach speed, under the
     wedge law ``law``, which reads the engagement at the tip. A subclass
-    gives the stop: ``Entering`` or ``Wedging``. Per tick and in a stretch
-    it runs as any ``Feed``, and ``tips`` gives its ``stops`` the tip's
-    points and surface distances in a stretch."""
+    gives the stop: ``Entering`` or ``Wedging``. It runs as any ``Feed``,
+    and ``tips`` gives its ``stops`` the tip's points and surface distances
+    in a stretch."""
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, max_travel: float):
         super().__init__(ctx, arm, max_travel)
@@ -723,46 +705,51 @@ class Entering(Pushing):
 
 class Wedging(Pushing):
     """The push until the wedge stops it: a raw FT reading's |mx| reaching
-    ``insertion_end_moment``. Each tick records the laser depth and the
-    commanded depth, the penetration plus the slip."""
+    ``insertion_end_moment``. ``apply`` records the laser depth and the
+    commanded depth, the penetration plus the slip, of each tick."""
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole):
         super().__init__(ctx, arm, hole, max_travel=0.03)
         self.end_moment = ctx.scenario.procedure.insertion_end_moment
 
     def stop(self) -> bool:
-        world = self.world
-        pen = max(0.0, -world.surface_distance(self.arm))
-        # The laser reads the signed distance to the surface plane, so tip
-        # penetration is simply its negation.
-        world.record_depthset(self.arm, -world.laser_distance(self.arm), pen + world.slip(self.arm))
         r = self.runtime.reading
         return r is not None and abs(r.mx) >= self.end_moment
 
     def stops(self, slips, readings) -> int:
         m = super().stops(slips, readings)
-        points, distances = self.tips(slips, m)
+        slips = slips[: m + 1]  # through the tick past the travel limit, which ``apply`` records too
+        points, distances = self.tips(slips, len(slips))
         pens = np.where(-distances > 0.0, -distances, 0.0)  # ``max(0.0, -distance)``
-        laser = -self.world.laser_distances(self.arm, points, slips[:m])
-        self._depths = laser, pens + slips[:m], slips  # for ``apply`` to record
-        ends = np.flatnonzero(np.abs(readings[: len(laser), 3]) >= self.end_moment)
-        return int(ends[0]) if ends.size else len(laser)
+        # The laser reads the signed distance to the surface plane, so tip
+        # penetration is simply its negation.
+        laser = -self.world.laser_distances(self.arm, points, slips)
+        self._depths = laser, pens + slips, slips  # for ``apply`` to record
+        ends = np.flatnonzero(np.abs(readings[: min(m, len(laser)), 3]) >= self.end_moment)
+        return int(ends[0]) if ends.size else min(m, len(laser))
 
     def apply(self, n: int):
         super().apply(n)
         laser, commanded, slips = self._depths
-        self.world.record_depths(self.arm, laser[:n], commanded[:n], slips[:n])
+        self.world.record_depths(self.arm, n, laser, commanded, slips)
 
 
-class Sliding(Form):
+class Sliding(Move):
     """The anchor tip sliding on the wall under a light 20 N press: the
-    targeted move back to the surface before the spiral search, the one
-    form that runs only per tick, and, as ``Probing``, the search itself."""
+    targeted move back to the surface before the spiral search, and, as
+    ``Probing``, the search itself."""
 
     press = 20.0  # N
 
-    def model(self) -> Wrench:
-        return Wrench(fz=self.press)
+    def ahead(self, m: int):
+        k, _ = super().ahead(m)
+        return k, self.pressing(k)
+
+    def pressing(self, m: int) -> np.ndarray:
+        """The true wrench of ``m`` ticks of the press."""
+        wrench = np.zeros((m, 6))
+        wrench[:, 2] = self.press
+        return wrench
 
 
 class Probing(Sliding):
@@ -770,13 +757,12 @@ class Probing(Sliding):
     probe points of ``spiral_offsets`` about the point it starts from,
     ``ticks`` ticks at each, drawn as the probes need them.
 
-    ``watch`` counts a probe's ticks down. At its last it ends the wait if
-    the anchor engages (``engaged``), and otherwise starts the next probe,
-    or ends the wait if the spiral is exhausted. In a stretch (see
-    ``engine.Form``) every tick presses with the constant 20 N; ``stops``
-    reads the radial offset at the probe ends only, each at its tick's slip,
-    and cuts before the first that engages or is the spiral's last;
-    ``apply`` commands the probe the per-tick pass would have reached.
+    In a stretch (see ``engine.Form``) every tick presses with the constant
+    20 N. ``stops`` reads the radial offset at the probe ends only, each at
+    its tick's slip, and finds the first that ends the search: the anchor
+    engages (``engaged``) or the spiral is exhausted. ``apply`` counts a
+    probe's ticks down and at its last commands the next probe, or at the
+    end of the search stops. ``watch`` ends the wait once the search ended.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, ticks: int, max_probes: int):
@@ -791,6 +777,7 @@ class Probing(Sliding):
                        for dx, dy in offsets)
         self.drawn: list[tuple[float, float, float]] = []  # the points of the probes after the one that runs
         self.probes, self.left, self.engaged = 0, 0, False  # ``left``: the probe's ticks left, 0 once ended
+        self._end = self._engages = None  # the stretch's tick that ends the search and whether it engages
         self.draw(1)
         self.start(1)
 
@@ -809,29 +796,17 @@ class Probing(Sliding):
         self.probes += passed
         self.left = self.ticks
 
-    def watch(self):
-        if not self.left:
-            return True  # the wait has ended, and ends again on every tick
-        self.left -= 1
-        if self.left:
-            return False
-        if engaged(self.world.radial_offset(self.arm, self.hole), self.clearance):
-            self.engaged = True
-            return True
-        if not self.draw(1):
-            return True  # the spiral is exhausted
-        self.start(1)
-        return False
+    def watch(self) -> bool:
+        return not self.left
 
     def ahead(self, m: int):
-        wrench = np.zeros((m, 6))
-        wrench[:, 2] = self.press
-        return m, wrench
+        return m, self.pressing(m)
 
     def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first probe end on which ``watch``
-        ends the wait: the anchor engages, or the spiral is exhausted; none
-        once the wait has ended."""
+        """How many ticks come before the first probe end that ends the
+        search: the anchor engages, or the spiral is exhausted; none once
+        the search has ended."""
+        self._end = None
         if not self.left:
             return 0
         ends = np.arange(self.left - 1, len(slips), self.ticks)
@@ -842,18 +817,27 @@ class Probing(Sliding):
         ends = ends[: len(drawn) + 1]  # no probe runs after the spiral's last
         state = self.state
         points = np.array([(state.x, state.y, state.z)] + drawn[: len(ends) - 1])
-        final = engaged(self.world.radial_offsets(self.hole, points.T, slips[ends]), self.clearance)
+        engages = engaged(self.world.radial_offsets(self.hole, points.T, slips[ends]), self.clearance)
+        final = engages.copy()
         final[-1] |= exhausted
         hits = np.flatnonzero(final)
-        return int(ends[hits[0]]) if hits.size else len(slips)
+        if not hits.size:
+            return len(slips)
+        self._end, self._engages = int(ends[hits[0]]), bool(engages[hits[0]])
+        return self._end
 
     def apply(self, n: int):
-        if n < self.left:
-            self.left -= n
+        if n < self.left or not self.left:
+            self.left -= min(n, self.left)
             return
-        after = n - self.left  # the ticks after the end of the probe that runs
-        self.start(after // self.ticks + 1)
-        self.left -= after % self.ticks
+        passed, left = divmod(n - self.left, self.ticks)  # whole probes after the one that ran, and ticks
+        if self._end == n - 1:  # the search ends on the stretch's last tick
+            if passed:
+                self.start(passed)
+            self.left, self.engaged = 0, self._engages
+            return
+        self.start(passed + 1)
+        self.left -= left
 
 
 # --- the executive ---------------------------------------------------------------
@@ -934,10 +918,9 @@ class MissionContext:
 
         ``contact`` is the arm's contact phase for the wait (see
         ``ArmRuntime``), and the only way one is installed; the arm has none
-        once the wait ends, normally or by an exception. ``World.step`` calls
-        its ``watch`` at the end of every tick, so it may record or keep
-        per-tick values. A motion's end is an event tick of its own, so
-        waiting for it needs no watch. Each yield is the ticks left of the
+        once the wait ends, normally or by an exception. ``World.run`` calls
+        its ``watch`` on the state each stretch of ticks leaves. A motion's
+        end is an event tick of its own, so waiting for it needs no watch. Each yield is the ticks left of the
         wait, which may be ``math.inf``.
         """
         runtime = self.world.runtime(arm)
@@ -987,7 +970,7 @@ class MissionContext:
     def press_until(self, arm: str, law, threshold: float, max_travel: float):
         """Feed at the approach speed under the contact law ``law`` (see
         ``Feed``) until a raw FT reading's fz reaches ``threshold``; return
-        the feed, whose ``model`` may press on."""
+        the feed, whose law may press on (``Holding``)."""
         feed = Pressing(self, arm, law, threshold, max_travel)
         yield from self.feed(arm, feed, self.scenario.robot.approach_speed)
         return feed
@@ -1211,7 +1194,7 @@ class MissionContext:
             surface_cmd = state.position + self.out_normal.scaled(
                 -world.surface_distance(arm) + 0.0003
             )
-            yield from self.move(arm, surface_cmd, robot.retract_speed, Sliding())
+            yield from self.move(arm, surface_cmd, robot.retract_speed, Sliding(state, world.dt))
             # A search that outlasts the ceiling ends in ``SimTimeExceeded``,
             # so its probes are capped past the ceiling, as ``wait`` does.
             period = p.spiral_probe_period

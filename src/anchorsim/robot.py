@@ -130,15 +130,19 @@ class ArmState:
         if arrived:
             self.motion = None
 
-    def free_path(self, ticks: int, dt: float) -> np.ndarray:
+    def free_path(self, ticks: int, dt: float) -> tuple[np.ndarray, bool]:
         """The next ``ticks`` ticks of the motion, a targeted move or an
-        open-ended feed, taken in bulk with the arithmetic of ``advance``.
+        open-ended feed, taken in bulk with the arithmetic of ``advance``:
+        ``(path, ended)``.
 
-        Column ``j`` of the ``(4, k + 1)`` array is ``(x, y, z, travelled)``
-        after ``j`` ticks (column 0 is now). The columns stop before the
-        first tick that reaches the target or whose point would leave the
-        reach sphere or not be finite, which ``advance`` must take itself, so
-        ``k`` may be less than ``ticks``.
+        Column ``j`` of the ``(4, k + 1)`` array ``path`` is ``(x, y, z,
+        travelled)`` after ``j`` ticks (column 0 is now). If ``ended``, tick
+        ``k`` ends the motion: it reaches the target, so column ``k`` is the
+        target, or its point would leave the reach sphere, which trims the
+        motion and leaves the point where it was. The columns stop before a
+        tick whose point would not be finite, so ``k`` may be less than
+        ``ticks``; on the first tick, that raises ValueError, as ``advance``
+        does.
         """
         motion = self.motion
         step = motion.speed * dt
@@ -147,17 +151,29 @@ class ArmState:
         path[:, 0] = self.x, self.y, self.z, motion.travelled
         path[:, 1:] = [[ux * step], [uy * step], [uz * step], [step]]
         np.add.accumulate(path, axis=1, out=path)  # sequential, as the ticks add
+        ended = False
         if motion.target is not None:
             tx, ty, tz = motion.target
             # Tick j tests the point it starts from, column j - 1.
-            hits = np.flatnonzero(_norms(path[:3, :-1] - [[tx], [ty], [tz]]) <= step)
+            remaining = _norms(path[:3, :-1] - [[tx], [ty], [tz]])
+            hits = np.flatnonzero(remaining <= step)
             if hits.size:
-                path = path[:, : int(hits[0]) + 1]
+                k = int(hits[0]) + 1
+                path = path[:, : k + 1]
+                path[:, k] = tx, ty, tz, path[3, k - 1] + remaining[k - 1]
+                ended = True
         base = self.base
         inside = _norms([[base.x], [base.y], [base.z]] - path[:3, 1:]) <= self.cfg.reach
         if not inside.all():
-            path = path[:, : int(inside.argmin()) + 1]
-        return path
+            k = int(inside.argmin()) + 1
+            if not np.isfinite(path[:3, k]).all():
+                if k == 1:
+                    Point3(*path[:3, 1].tolist())  # raises on a non-finite point
+                return path[:, :k], False
+            path = path[:, : k + 1]
+            path[:3, k] = path[:3, k - 1]
+            ended = True
+        return path, ended
 
 
 def _norms(d: np.ndarray) -> np.ndarray:

@@ -296,20 +296,29 @@ def test_run_stops_after_the_tick_a_motion_ends():
     assert world.clock.ticks == 15 and not world.event
 
 
-def per_tick(model=lambda: ZERO_WRENCH, watch=None) -> Form:
-    """A contact form that runs only per tick, with ``model`` and ``watch``."""
-    form = Form()
-    form.model, form.watch = model, watch
-    return form
+class Scripted(Form):
+    """A contact form whose true wrench on the tick that makes the clock's
+    tick count ``ticks`` is ``wrench(ticks)``, and whose ``watch`` may end
+    the wait on any tick, so that each of its stretches is one tick long."""
+
+    def __init__(self, world, wrench=lambda ticks: ZERO_WRENCH, watch=None):
+        self.world, self.wrench, self.watch = world, wrench, watch
+
+    def ahead(self, m):
+        ticks = self.world.clock.ticks
+        return m, np.array([self.wrench(ticks + j) for j in range(1, m + 1)], dtype=float).reshape(m, 6)
+
+    def stops(self, slips, readings):
+        return 0
 
 
 def test_run_stops_after_the_tick_the_guard_halts():
     world = World(Scenario(), seed=0)
     arm = world.arm("robot1")
-    world.runtime("robot1").contact = per_tick(lambda: Wrench(mx=100.0 if world.t > 0.2 else 0.0))
+    world.runtime("robot1").contact = Scripted(world, lambda ticks: Wrench(mx=100.0 if ticks * world.dt > 0.2 else 0.0))
     # Robot 2's watch runs on every tick but the one robot 1 halts on.
     watched = []
-    world.runtime("robot2").contact = per_tick(watch=lambda: watched.append(world.clock.ticks))
+    world.runtime("robot2").contact = Scripted(world, watch=lambda: watched.append(world.clock.ticks))
     world.run(math.inf)
     assert world.event and arm.halted and arm.halt_axis == "mx"
     assert world.runtime("robot1").guard_fired_t == world.t
@@ -320,7 +329,7 @@ def test_run_stops_after_the_tick_the_guard_halts():
 def test_run_stops_after_the_tick_a_watcher_fires():
     world = World(Scenario(), seed=0)
     runtime = world.runtime("robot2")
-    runtime.contact = per_tick(watch=lambda: world.clock.ticks == 4)
+    runtime.contact = Scripted(world, watch=lambda: world.clock.ticks == 4)
     world.run(math.inf)
     assert world.clock.ticks == 4 and world.event and runtime.watched is True
 
@@ -333,9 +342,9 @@ def test_a_watcher_error_is_kept_and_no_later_watcher_runs():
         if world.clock.ticks == 3:
             raise error
 
-    world.runtime("robot1").contact = per_tick(watch=raising)
+    world.runtime("robot1").contact = Scripted(world, watch=raising)
     watched = []
-    world.runtime("robot2").contact = per_tick(watch=lambda: watched.append(world.clock.ticks))
+    world.runtime("robot2").contact = Scripted(world, watch=lambda: watched.append(world.clock.ticks))
     world.run(math.inf)
     assert world.clock.ticks == 3 and world.event and world.runtime("robot1").watched is error
     assert watched == [1, 2]
@@ -345,7 +354,7 @@ def test_run_stops_after_the_tick_time_passes_the_ceiling():
     world = World(Scenario(), seed=0)
     world.clock.ticks = round(MAX_SIM_TIME / world.dt) - 2
     watched = []
-    world.runtime("robot1").contact = per_tick(watch=lambda: watched.append(world.t))
+    world.runtime("robot1").contact = Scripted(world, watch=lambda: watched.append(world.t))
     world.run(math.inf)
     assert world.clock.ticks == round(MAX_SIM_TIME / world.dt) + 1
     assert world.event and world.t > MAX_SIM_TIME
@@ -459,8 +468,8 @@ def _example(**changes):
 def test_free_stretch_in_bulk_matches_tick_by_tick(
     seed, moves, same_move, sigmas, force_limit, filled, skipped, before_max, horizons
 ):
-    # ``run`` computes a free stretch in bulk; ``step`` alone takes each tick
-    # through the per-tick pass. Both must leave every byte the same.
+    # ``run`` computes a free stretch in bulk; ``run(1)`` takes each tick as
+    # a stretch of its own. Both must leave every byte the same.
     if same_move:
         moves = (moves[0], moves[0])
     start = 0 if before_max is None else round(MAX_SIM_TIME / 0.01) - before_max
@@ -468,7 +477,7 @@ def test_free_stretch_in_bulk_matches_tick_by_tick(
     for horizon in horizons:
         bulk.run(horizon)
         for _ in range(horizon):
-            ticked.step()
+            ticked.run(1)
             if ticked.event:
                 break
         assert world_state(bulk) == world_state(ticked)
@@ -479,8 +488,9 @@ def counted_stretches(monkeypatch) -> list[int]:
     lengths, stretch = [], World._stretch
 
     def counted(world, *args):
-        lengths.append(stretch(world, *args))
-        return lengths[-1]
+        start = world.clock.ticks
+        stretch(world, *args)
+        lengths.append(world._stretch_end - start)
 
     monkeypatch.setattr(World, "_stretch", counted)
     return lengths
@@ -489,7 +499,7 @@ def counted_stretches(monkeypatch) -> list[int]:
 def test_a_noisy_free_move_runs_in_one_stretch_per_noise_block(monkeypatch):
     # Both FT cursors start 1,000 rows into a block. The stretches read the
     # noise on across the ends of blocks, so only their ``NOISE_BLOCK`` ticks
-    # cut the move short of its arrival.
+    # cut the move before its arrival, which ends the last stretch.
     moves = ({"offset": (0.2, -0.1, 0.05), "speed": 0.01, "overreach": False},
              {"offset": (-0.1, 0.2, 0.0), "speed": 0.009, "overreach": False})
     world = free_world(7, moves, (2.0, 0.2), 1000.0, (0, 0), (1000, 1000), 0)
@@ -498,10 +508,10 @@ def test_a_noisy_free_move_runs_in_one_stretch_per_noise_block(monkeypatch):
     arrival = world.clock.ticks
     assert world.arm("robot1").motion is None and world.arm("robot2").motion is not None
     assert arrival > 2 * NOISE_BLOCK
-    assert len(lengths) == math.ceil((arrival - 1) / NOISE_BLOCK) and sum(lengths) == arrival - 1
+    assert len(lengths) == math.ceil(arrival / NOISE_BLOCK) and sum(lengths) == arrival
 
 
-def test_a_stretch_ends_at_the_horizon_or_before_an_event_however_short(monkeypatch):
+def test_a_stretch_ends_at_the_horizon_or_through_an_event_however_short(monkeypatch):
     lengths = counted_stretches(monkeypatch)
     far = {"offset": (0.2, -0.1, 0.05), "speed": 0.1, "overreach": False}
     world = free_world(7, (far, None), (2.0, 0.2), 1000.0, (0, 0), (0, 0), 0)
@@ -511,7 +521,7 @@ def test_a_stretch_ends_at_the_horizon_or_before_an_event_however_short(monkeypa
     near = {"offset": (0.0195, 0.0, 0.0), "speed": 0.1, "overreach": False}  # arrives on tick 20
     world = free_world(7, (near, None), (2.0, 0.2), 1000.0, (0, 0), (0, 0), 0)
     world.run(math.inf)
-    assert lengths == [19] and world.clock.ticks == 20 and world.arm("robot1").motion is None
+    assert lengths == [20] and world.clock.ticks == 20 and world.arm("robot1").motion is None
 
 
 # --- hammer stretches ----------------------------------------------------------------
@@ -665,8 +675,8 @@ def held_state(world, forms) -> list[str]:
 def bulk_matches_ticked(worlds, horizons) -> list[str]:
     """Take each of ``horizons`` in turn on two worlds built alike, given as
     ``(world, forms)``: with ``run`` on the first, which computes stretches
-    in bulk, and with ``step`` alone on the second, which takes each tick
-    through the models and watches and stops after an event. After each,
+    as long as they may be, and with ``run(1)`` on the second, which takes
+    each tick as a stretch of its own, stopping after an event. After each,
     both must hold every byte the same (``held_state``). A ``ValueError``
     ends the horizons, and both must raise the same; return the ``repr`` of
     each, in turn."""
@@ -679,7 +689,7 @@ def bulk_matches_ticked(worlds, horizons) -> list[str]:
             errors.append(repr(exc))
         try:
             for _ in range(horizon):
-                ticked.step()
+                ticked.run(1)
                 if ticked.event:
                     break
         except ValueError as exc:
@@ -778,8 +788,8 @@ def test_hammer_stretch_in_bulk_matches_tick_by_tick(
     skipped, other, filled, before_max, horizons,
 ):
     # ``run`` computes a hammer stretch, beside an idle or a moving arm or
-    # the other arm's held form, in bulk up to the tick before an event;
-    # ``step`` alone takes each tick through the models and watches. Both
+    # the other arm's held form, in bulk through the first tick that may be
+    # an event; ``run(1)`` takes each tick as a stretch of its own. Both
     # must leave every byte the same.
     start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
     worlds = [
@@ -945,9 +955,9 @@ def test_feed_stretch_in_bulk_matches_tick_by_tick(
     pressed, skipped, other, filled, before_max, horizons,
 ):
     # ``run`` computes a guarded feed, beside an idle or a moving arm or the
-    # other arm's held form, in bulk up to the tick before an event; ``step``
-    # alone takes each tick through the models and watches. Both must leave
-    # every byte the same, and raise the same error.
+    # other arm's held form, in bulk through the first tick that may be an
+    # event; ``run(1)`` takes each tick as a stretch of its own. Both must
+    # leave every byte the same, and raise the same error.
     start = 0 if before_max is None else round(MAX_SIM_TIME / dt) - before_max
     case = (seed, arm, law, variant, depth_source, sigmas, laser_sigma, dt, slip, tilt, gap, target, max_travel,
             trim, pressed, skipped, other, filled, start)
@@ -1052,9 +1062,9 @@ def test_timed_phase_in_bulk_matches_tick_by_tick(
 ):
     # ``run`` computes the nut runner's fit, run-down and pulse phases and
     # the drill's spin-up, beside an idle or a moving arm or the other arm's
-    # held form, in bulk up to the tick before an event; ``step`` alone takes
-    # each tick through the models and watches. Both must leave every byte
-    # the same, and raise the same error.
+    # held form, in bulk through the first tick that may be an event;
+    # ``run(1)`` takes each tick as a stretch of its own. Both must leave
+    # every byte the same, and raise the same error.
     start = 0 if before_max is None else round(MAX_SIM_TIME / rate_dt[1]) - before_max
     case = (seed, arm, phase, sigmas, rate_dt, hold, fit, anchor_present, duration, torque, gap, slip,
             force_limit, skipped, other, filled, start)
@@ -1150,8 +1160,8 @@ def test_probe_search_in_bulk_matches_tick_by_tick(
     before_max, horizons,
 ):
     # ``run`` computes the spiral search, beside an idle or a moving arm or
-    # the other arm's held form, in bulk up to the tick before an event;
-    # ``step`` alone takes each tick through the models and watches. Both
+    # the other arm's held form, in bulk through the first tick that may be
+    # an event; ``run(1)`` takes each tick as a stretch of its own. Both
     # must leave every byte the same.
     start = 0 if before_max is None else round(MAX_SIM_TIME / dt_ticks[0]) - before_max
     case = (seed, arm, sigmas, dt_ticks, hole, clearance, max_probes, force_limit, pressed, skipped, other,
@@ -1265,8 +1275,8 @@ def test_push_in_bulk_matches_tick_by_tick(
     filled, before_max, horizons,
 ):
     # ``run`` computes the insertion push, beside an idle or a moving arm or
-    # the other arm's held form, in bulk up to the tick before an event;
-    # ``step`` alone takes each tick through the models and watches. Both
+    # the other arm's held form, in bulk through the first tick that may be
+    # an event; ``run(1)`` takes each tick as a stretch of its own. Both
     # must leave every byte the same, and raise the same error.
     start = 0 if before_max is None else round(MAX_SIM_TIME / dt) - before_max
     case = (seed, arm, stop, sigmas, laser_sigma, dt, slip, tilt, hole, gap, wedge, force_limit, pressed, skipped,
@@ -1278,8 +1288,7 @@ def test_push_in_bulk_matches_tick_by_tick(
 # --- the timed laws, tick by tick ---------------------------------------------------------
 #
 # The bulk tests above compare a stretch with the same ticks one at a time,
-# and a timed phase's per-tick ``model`` is its ``ahead`` on one tick, so
-# these pin each law to the values it states.
+# so these pin each law to the values it states.
 
 
 def timed_context(**tools) -> MissionContext:
@@ -1292,10 +1301,10 @@ def timed_context(**tools) -> MissionContext:
 
 def ticked(form, ticks):
     """``(elapsed, true wrench, impulses struck or None)`` after each of
-    ``ticks`` ticks of the per-tick pass, which runs ``form``'s ``model``."""
+    ``ticks`` ticks, each run as a stretch of its own."""
     world, rows = form.world, []
     for _ in range(ticks):
-        world.step()
+        world.run(1)
         rows.append((form.elapsed, form.runtime.true_wrench, getattr(form, "struck", None)))
     return rows
 
@@ -1354,7 +1363,7 @@ def test_hammer_moment_is_the_blow_peak_on_a_blow_tick():
 
 def per_tick_while_open(monkeypatch, scenario, mission, steps) -> int:
     """Run ``mission`` at seed 7, which must succeed, and count the
-    ``World.step`` calls that run the per-tick pass while a step of
+    ``World.step`` calls that tick outside a stretch while a step of
     ``steps`` is open."""
     per_tick, marks = [0], {}
     step, begin, end = World.step, MissionContext.begin, MissionContext.end
@@ -1382,39 +1391,32 @@ def per_tick_while_open(monkeypatch, scenario, mission, steps) -> int:
     return sum(marks[record.step, record.point_index] for record in records)
 
 
-@pytest.mark.parametrize("scenario, mission, bound", [
-    (Scenario(), "drill", 30),
-    (Scenario(), "full", 50),
-    (four_point(), "full", 120),
+@pytest.mark.parametrize("scenario, mission", [
+    (Scenario(), "drill"),
+    (Scenario(), "full"),
+    (four_point(), "full"),
 ], ids=["drill", "full", "full_4pt"])
-def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission, bound):
-    # Count the ``World.step`` calls that run the per-tick pass while a
+def test_guarded_feeds_run_in_bulk(monkeypatch, scenario, mission):
+    # Count the ``World.step`` calls that tick outside a stretch while a
     # ``drill_hole`` or ``tighten_nut`` step is open. At seed 7 they were
     # 5,282 (``drill``), 8,514 (``full``) and 41,803 (the four-point
-    # ``full``) while the feeds ran tick by tick, 107, 1,805 and 22,363 with
-    # one held arm in bulk at most, and 107, 1,805 and 13,255 once both
-    # could be; 7, 17 and 4,241 once the drill's spin-up and the nut
-    # runner's fitting, run-down and pulse phases ran in bulk too, and 7, 17
-    # and 1,109 once the spiral search did as well. They are 7, 17 and 108
-    # now that the insertion's push runs in bulk too. What stays per tick is
-    # the event ticks. Each bound is the count now plus about 10%, and at
-    # least 23 ticks.
+    # ``full``) while the feeds ran tick by tick, and 7, 17 and 108, the
+    # event ticks, once every contact form ran in bulk. Every tick now runs
+    # in a stretch, the event ticks included.
     steps = (FixationStep.DRILL_HOLE, FixationStep.TIGHTEN_NUT)
-    assert per_tick_while_open(monkeypatch, scenario, mission, steps) <= bound
+    assert per_tick_while_open(monkeypatch, scenario, mission, steps) == 0
 
 
-@pytest.mark.parametrize("scenario, mission, bound", [
-    (Scenario(), "insert", 6),
-    (Scenario(), "full", 6),
-    (four_point(), "full", 32),
+@pytest.mark.parametrize("scenario, mission", [
+    (Scenario(), "insert"),
+    (Scenario(), "full"),
+    (four_point(), "full"),
 ], ids=["insert", "full", "full_4pt"])
-def test_spiral_search_runs_in_bulk(monkeypatch, scenario, mission, bound):
-    # Count the ``World.step`` calls that run the per-tick pass while an
+def test_spiral_search_runs_in_bulk(monkeypatch, scenario, mission):
+    # Count the ``World.step`` calls that tick outside a stretch while an
     # ``insert_anchor`` step is open. At seed 7 they were 1,192 (``insert``),
     # 1,797 (``full``) and 9,470 (the four-point ``full``) while the spiral
-    # search ran tick by tick, and 873, 1,008 and 4,511 while only the
-    # insertion's push did. They are 5, 5 and 29 now that the push runs in
-    # bulk too. What stays per tick is the event ticks and the one-tick move
-    # back to the surface before the search. Each bound is the count now
-    # plus about 10%, and at least one tick more.
-    assert per_tick_while_open(monkeypatch, scenario, mission, (FixationStep.INSERT_ANCHOR,)) <= bound
+    # search ran tick by tick, and 5, 5 and 29, the event ticks and the
+    # one-tick move back to the surface before the search, once the push ran
+    # in bulk too. Every tick now runs in a stretch.
+    assert per_tick_while_open(monkeypatch, scenario, mission, (FixationStep.INSERT_ANCHOR,)) == 0

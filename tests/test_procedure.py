@@ -215,7 +215,7 @@ def test_hammer_short_hole_fails_with_diagnostic():
 
     with pytest.raises(StepFailed):
         for _ in mission(ctx):
-            world.step()
+            world.run(1)
     rec = next(r for r in ctx.steps if r.step is FixationStep.HAMMER_ANCHOR)
     assert rec.status == "failed"
     assert "below the 70 mm success depth" in rec.error
@@ -342,7 +342,7 @@ def test_pick_place_rejects_placed_part():
     world.site.part.set_state(PartState.HELD_ON_WALL)
     with pytest.raises(WrongPose) as err:
         for _ in ctx.pick_place_part("robot2"):
-            world.step()
+            world.run(1)
     assert "already placed" in str(err.value)
 
 
@@ -434,8 +434,8 @@ def test_book_insertion_threshold_with_relaxed_guard():
 
 @pytest.mark.parametrize("mission, holes", [(m, 1) for m in MISSIONS] + [("full", 4)])
 def test_horizon_driving_matches_tick_by_tick(monkeypatch, mission, holes):
-    # drive_mission runs the world over each yielded horizon; stepping once
-    # per yield and sending None back, as ``for _ in gen: world.step()``
+    # drive_mission runs the world over each yielded horizon; running one
+    # tick per yield and sending None back, as ``for _ in gen: world.run(1)``
     # does, must give the same report and traces.
     sc = Scenario()
     if holes > 1:
@@ -447,7 +447,8 @@ def test_horizon_driving_matches_tick_by_tick(monkeypatch, mission, holes):
         return report.to_dict(), {k: (tr.times, tr.values) for k, tr in traces.items()}
 
     by_horizon = outputs()
-    monkeypatch.setattr(World, "run", lambda world, horizon: world.step())
+    run_ = World.run
+    monkeypatch.setattr(World, "run", lambda world, horizon: run_(world, 1))
     assert outputs() == by_horizon
 
 

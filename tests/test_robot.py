@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorsim.errors import OutOfReach, WrongPose
 from anchorsim.geometry import Point3
@@ -118,3 +120,38 @@ def test_advance_with_a_non_finite_direction_raises(bad):
     with pytest.raises(ValueError, match="non-finite components"):
         arm.advance(0.01)
     assert arm.position == start
+
+
+@example(offset=(0.2, -0.1, 0.05), speed=0.1, target=True, reach=1.298, ticks=300)  # arrives on tick 229
+@example(offset=(1.0, 0.0, 0.0), speed=1.0, target=False, reach=1.298, ticks=300)  # the reach trims the feed
+@example(offset=(0.0, 0.0, 0.0115), speed=0.1, target=True, reach=1.298, ticks=12)  # arrives on the last tick
+@example(offset=(0.0, 0.2, 0.0), speed=0.1, target=True, reach=0.42, ticks=300)  # trimmed short of the target
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    offset=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    speed=st.floats(0.001, 2.0),
+    target=st.booleans(),
+    reach=st.sampled_from([1.298, 0.42, 0.36]),
+    ticks=st.integers(1, 400),
+)
+def test_free_path_matches_advance_tick_by_tick(offset, speed, target, reach, ticks):
+    # ``free_path`` takes the ticks of a motion in bulk, through the one that
+    # ends it by an arrival or a reach trim; ``advance`` takes one tick.
+    bulk, ticked = make_arm(reach=reach), make_arm(reach=reach)
+    goal = bulk.position + Point3(*offset)
+    if goal.distance_to(bulk.position) < 1e-9:
+        return
+    for arm in (bulk, ticked):
+        if target:
+            arm.motion = Motion(goal.as_tuple(), (goal - arm.position).normalized().as_tuple(), speed)
+        else:
+            arm.start_feed(goal - arm.position, speed)
+    path, ended = bulk.free_path(ticks, 0.01)
+    for j in range(1, path.shape[1]):
+        assert ticked.motion is not None
+        ticked.advance(0.01)
+        assert [ticked.x, ticked.y, ticked.z] == path[:3, j].tolist()
+        if ticked.motion is not None:
+            assert ticked.motion.travelled == path[3, j]
+    assert (ticked.motion is None) == ended
+    assert ended or path.shape[1] == ticks + 1
