@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
-from .errors import ScenarioInvalid
+from .errors import NoReturn, ScenarioInvalid
 from .geometry import MIN_TRIANGLE_AREA, Frame, Point3
 from .tools import BOTTOM_CONTACT_BAND, DrillVariant
 from .worksite import BACK_COVER_MARGIN, MAX_HOLE_DEPTH, AnchorBolt, default_hole_pattern, wall_frame_from_angles
@@ -358,6 +358,21 @@ class Scenario:
             if d > reach:
                 reason = f"puts an orientation laser point {d:.3f} m from robot.base1, beyond the {reach} m reach"
                 raise ScenarioInvalid("wall.distance", reason)
+        # Robot 1 reads the laser from each point of the L along the nominal
+        # wall normal, backed off as ``World.laser_distance`` does; a ray
+        # that misses the true wall's face or extent fails the first step.
+        from .sensors import read_laser  # it imports this module
+        from .worksite import StructuralPart, Wall, Worksite
+
+        w = self.wall
+        true_frame = wall_frame_from_angles(Point3(w.distance, w.center_y, w.center_z), w.yaw_deg, w.pitch_deg)
+        site = Worksite(Wall(true_frame, w), StructuralPart(default_hole_pattern(part.holes, part.hole_spacing)))
+        ray = -self.nominal_frame().z_axis
+        for point in self.laser_points():
+            try:
+                read_laser((point - ray.scaled(0.5)).as_tuple(), ray, site, None, sigma=0.0)
+            except NoReturn as exc:
+                raise ScenarioInvalid("procedure.orientation_offset", f"puts an orientation laser ray off the wall: {exc}")
         # On the nominal wall, robot 2 places the part at its target from
         # 5 cm out, and the arm that works each hole views it from 0.25 m
         # out and drills it to the drill target. A target_x that takes one

@@ -129,10 +129,12 @@ INVALID_VALUES = [
 #: step partway through the run), and impulses due more often than once a
 #: tick (the tools struck one a tick, whatever the rate); and a probe
 #: period, an orientation L and guard windows so long that validation or
-#: the world's set-up overflowed on them; and part targets that put a
-#: point an arm works at a hole, or at which robot 2 places the part, out of
-#: that arm's reach (each failed that step with ``OutOfReach``). Their fields
-#: may repeat cases above, so their ids are their text.
+#: the world's set-up overflowed on them; part targets that put a point an
+#: arm works at a hole, or at which robot 2 places the part, out of that
+#: arm's reach (each failed that step with ``OutOfReach``); and orientation
+#: L's wider than the wall and a wall turned so far that an orientation
+#: laser ray misses it (each failed the first step with ``NoReturn``). Their
+#: fields may repeat cases above, so their ids are their text.
 INVALID_REPEATS = [
     ("[part]\ntarget_x = 0.1\n", "part.target_x"),
     ("[part]\ntarget_y = 0.15\n", "part.target_y"),
@@ -162,6 +164,11 @@ INVALID_REPEATS = [
     ("[sensors]\nguard_filter_window = 1e20\n", "sensors.guard_filter_window"),
     ("[wall]\nwidth = 2.0\n[part]\ntarget_x = 0.9\n", "part.target_x"),
     ("[wall]\nwidth = 2.0\n[part]\ntarget_x = -0.6\n", "part.target_x"),
+    ("[procedure]\norientation_offset = 0.21\n", "procedure.orientation_offset"),
+    ("[procedure]\norientation_offset = 0.25\n", "procedure.orientation_offset"),
+    ("[procedure]\norientation_offset = 0.35\n", "procedure.orientation_offset"),
+    ("[procedure]\norientation_offset = 0.5\n", "procedure.orientation_offset"),
+    ("[wall]\nyaw_deg = 89\n", "procedure.orientation_offset"),
 ]
 
 
