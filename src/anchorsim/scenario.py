@@ -375,9 +375,9 @@ class Scenario:
                 raise ScenarioInvalid("procedure.orientation_offset", f"puts an orientation laser ray off the wall: {exc}")
         # On the nominal wall, robot 2 places the part at its target from
         # 5 cm out, and the arm that works each hole views it from 0.25 m
-        # out and drills it to the drill target. A target_x that takes one
-        # of these points out of that arm's reach, where the same point at
-        # target_x = 0 is within it, would fail the step.
+        # out and drills it to the drill target. A target_x or target_y that
+        # takes one of these points out of that arm's reach, where the same
+        # point with that key at 0 is within it, would fail the step.
         from .procedure import schedule_dual_arm  # the executive's plan; it imports this module
 
         frame = self.nominal_frame()
@@ -390,14 +390,14 @@ class Scenario:
         for base, x, y, out in work:
             distances = [
                 stations[base].distance_to(
-                    frame.origin + frame.x_axis.scaled(dx + x) + frame.y_axis.scaled(part.target_y + y)
-                    + frame.z_axis.scaled(out)
+                    frame.origin + frame.x_axis.scaled(dx + x) + frame.y_axis.scaled(dy + y) + frame.z_axis.scaled(out)
                 )
-                for dx in (part.target_x, 0.0)
+                for dx, dy in ((part.target_x, part.target_y), (0.0, part.target_y), (part.target_x, 0.0))
             ]
-            if distances[0] > reach >= distances[1]:
-                reason = f"puts a point it works {distances[0]:.3f} m from robot.{base}, beyond the {reach} m reach"
-                raise ScenarioInvalid("part.target_x", reason)
+            for key, moved in (("part.target_x", distances[1]), ("part.target_y", distances[2])):
+                if distances[0] > reach >= moved:
+                    reason = f"puts a point it works {distances[0]:.3f} m from robot.{base}, beyond the {reach} m reach"
+                    raise ScenarioInvalid(key, reason)
         return self
 
 

@@ -164,6 +164,7 @@ INVALID_REPEATS = [
     ("[sensors]\nguard_filter_window = 1e20\n", "sensors.guard_filter_window"),
     ("[wall]\nwidth = 2.0\n[part]\ntarget_x = 0.9\n", "part.target_x"),
     ("[wall]\nwidth = 2.0\n[part]\ntarget_x = -0.6\n", "part.target_x"),
+    ("[wall]\nheight = 2.0\n[part]\ntarget_y = -0.8\n", "part.target_y"),
     ("[procedure]\norientation_offset = 0.21\n", "procedure.orientation_offset"),
     ("[procedure]\norientation_offset = 0.25\n", "procedure.orientation_offset"),
     ("[procedure]\norientation_offset = 0.35\n", "procedure.orientation_offset"),
