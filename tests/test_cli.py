@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorsim
-from anchorsim.cli import export_traces, main
+from anchorsim.cli import SUBCOMMAND_MISSIONS, export_traces, main
 from anchorsim.engine import TRACE_CHUNK, TraceRecorder, run
 from anchorsim.errors import IoFailure
 from anchorsim.scenario import _SECTION_TYPES, ProcedureSection, Scenario, ToolsSection, render_scenario
@@ -254,6 +254,25 @@ def test_scaled_scenario_exits_0_1_or_2(changes, command):
         with open(path, "w") as fh:
             fh.write(text)
         assert main([command, "--scenario", path]) in (0, 1, 2), text
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    key=st.sampled_from(NUMERIC_KEYS),
+    literal=st.sampled_from(["1e308", "-1e308", "inf", "nan", "1e20", "5e-324"]),
+    command=st.sampled_from(sorted(SUBCOMMAND_MISSIONS)),
+)
+def test_extreme_literal_exits_0_1_or_2(key, literal, command):
+    # One numeric key set to a literal at the edge of the float range, on
+    # any subcommand, ends in success, a failed step or invalid input; an
+    # escaping exception fails the test with its traceback.
+    section, name, _ = key
+    text = f"[{section}]\n{name} = {literal}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert main([command, "--scenario", path]) in (0, 1, 2), (command, text)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
