@@ -455,10 +455,8 @@ class World:
     def radial_offsets(self, hole: DrilledHole, points, slips: np.ndarray) -> np.ndarray:
         """``radial_offset`` on ticks of a stretch, from the commanded points
         ``points`` (three arrays of x, y and z) at the platform slips
-        ``slips`` of those ticks. Like the float form, it overflows to
-        ``inf`` without a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(self._radial_squared(hole, *points, slips))
+        ``slips`` of those ticks."""
+        return np.sqrt(self._radial_squared(hole, *points, slips))
 
     def _radial_squared(self, hole: DrilledHole, x, y, z, slip):
         """The square of the radial offset from the axis of ``hole`` of the
@@ -497,17 +495,19 @@ class World:
         ``run`` returns, can neither change that nor read the world before
         the stretch ends. ``step`` then ticks the clock once per tick of the
         stretch, and the watches run once, on the state it left (see
-        ``_watch``).
+        ``_watch``). Like the float arithmetic it follows, a stretch
+        overflows to ``inf`` and ``nan`` without a warning.
         """
         clock = self.clock
         end = clock.ticks + horizon
-        while clock.ticks < end:
-            self._stretch(end)
-            while clock.ticks < self._stretch_end:
-                self.step()
-            self._watch()
-            if self.event:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            while clock.ticks < end:
+                self._stretch(end)
+                while clock.ticks < self._stretch_end:
+                    self.step()
+                self._watch()
+                if self.event:
+                    break
 
     def _stretch(self, end: float):
         """Compute and apply the stretch that starts with the next tick, up
