@@ -44,12 +44,21 @@ from .errors import NonMonotonicTime, SimulationError
 from .geometry import Point3
 from .robot import ArmState, PlatformState
 from .scenario import MAX_SIM_TIME, Scenario, scenario_hash
-from .sensors import NOISE_BLOCK, ZERO_WRENCH, GuardFilter, NormalBlocks, Wrench, first_overload, read_laser, read_lasers
-
-# The one-sample forms of the FT sensor and the guard, the references the
-# tests compare ``World._sense`` with, are looked up here by name by
-# ``perfbench/tracing.py``.
-from .sensors import overload_guard, read_ft  # noqa: F401
+# No tick calls ``read_ft`` or ``overload_guard``: they are the one-sample
+# references the tests compare ``World._sense`` with, and
+# ``perfbench/tracing.py`` looks them up here by name.
+from .sensors import (
+    NOISE_BLOCK,
+    ZERO_WRENCH,
+    GuardFilter,
+    NormalBlocks,
+    Wrench,
+    first_overload,
+    overload_guard,
+    read_ft,
+    read_laser,
+    read_lasers,
+)
 from .worksite import DrilledHole, StructuralPart, Wall, Worksite, default_hole_pattern, wall_frame_from_angles
 
 DEPTH_CHANNELS = ("laser_depth", "commanded_depth", "slip")
@@ -282,11 +291,13 @@ class Form:
     """One phase of an arm in a stretch (see ``World._stretch``).
 
     ``ahead(m)`` returns ``(ticks, rows)``: how many of the next ``m`` ticks
-    it computed, through the first on which its motion ends, and their
-    true-wrench rows (None: zero). The pure ``stops(slips, readings)``
+    it computed, through the first on which its motion ends or up to one it
+    cannot compute (a point or surface distance that is not finite), and
+    their true-wrench rows (None: zero). The pure ``stops(slips, readings)``
     returns how many come before the first on which ``watch`` may end the
-    wait or raise, from the slip and FT reading after each. ``apply(n)``
-    applies the first ``n``. A contact phase, held in ``ArmRuntime.contact``,
+    wait or raise, from the slip and FT reading after each (``readings``
+    is None for a move that reads no sample). ``apply(n)`` applies the
+    first ``n``. A contact phase, held in ``ArmRuntime.contact``,
     also gives ``watch``: None, or called on the state the last tick of a
     stretch left, to end the wait by returning true, or to raise. The
     defaults suit a form with no watch and no state to apply.

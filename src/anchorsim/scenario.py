@@ -372,7 +372,8 @@ class Scenario:
             try:
                 read_laser((point - ray.scaled(0.5)).as_tuple(), ray, site, None, sigma=0.0)
             except NoReturn as exc:
-                raise ScenarioInvalid("procedure.orientation_offset", f"puts an orientation laser ray off the wall: {exc}")
+                reason = f"puts an orientation laser ray off the wall: {exc}"
+                raise ScenarioInvalid("procedure.orientation_offset", reason)
         # On the nominal wall, robot 2 places the part at its target from
         # 5 cm out, and the arm that works each hole views it from 0.25 m
         # out and drills it to the drill target. A target_x or target_y that

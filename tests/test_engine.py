@@ -315,7 +315,8 @@ class Scripted(Form):
 def test_run_stops_after_the_tick_the_guard_halts():
     world = World(Scenario(), seed=0)
     arm = world.arm("robot1")
-    world.runtime("robot1").contact = Scripted(world, lambda ticks: Wrench(mx=100.0 if ticks * world.dt > 0.2 else 0.0))
+    pressed = Scripted(world, lambda ticks: Wrench(mx=100.0 if ticks * world.dt > 0.2 else 0.0))
+    world.runtime("robot1").contact = pressed
     # Robot 2's watch runs on every tick but the one robot 1 halts on.
     watched = []
     world.runtime("robot2").contact = Scripted(world, watch=lambda: watched.append(world.clock.ticks))
