@@ -9,7 +9,7 @@ run that raises before it returns hashes the error's class and text, and a
 
     python3 scripts/census.py                    # every case, this checkout's src
     python3 scripts/census.py --src OTHER/src    # the same cases on another tree
-    python3 scripts/census.py --slice ci         # about 70 cases
+    python3 scripts/census.py --slice ci         # about 75 cases
 
 Two trees give the same bytes when the two outputs are the same; ``diff``
 or ``--against`` lists the cases that differ.
@@ -68,6 +68,12 @@ FEED_CASES = {
     "nut-default": (None, "nut"),
     "nut-noise-free": (NOISE_FREE, "nut"),
 }
+#: A wall so far that the drilling feed reaches the arm's reach before its
+#: depth target: the feed's reach trim. ``FEED_CI`` names the cases of the
+#: ci slice: a drill variant that halts on the guard, and each way the
+#: drilling feed fails, past its travel limit and at the reach.
+FAR_WALL = "[wall]\ndistance = 1.20\n"
+FEED_CI = ("drill-offset_uncompensated", "drill-slip-max-travel")
 #: Fast moves, many of whose free stretches last only a few ticks before an
 #: arrival, and hammering under a raised laser noise, whose stretches read
 #: the laser noise on across the ends of blocks.
@@ -130,7 +136,7 @@ SEARCH_CASES = {
     "search-guard-trip": (INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 21\n"), "insert"),
     "full_4pt-search": (FULL_4PT + "[sensors]\ncamera_sigma_wall = 0.003\n", "full"),
 }
-SEARCH_CI = ("search-probe-1-tick", "search-guard-trip", "full_4pt-search")
+SEARCH_CI = ("search-probe-1-tick", "search-timeout", "search-guard-trip", "full_4pt-search")
 #: Insertion push edges, on the insert sweep's set-up: a steep and a shallow
 #: wedge (the shallow one pushes past the push's 30 mm travel limit), a low
 #: and a high insertion end moment, a soft surface contact, a slow and a
@@ -152,7 +158,7 @@ PUSH_CASES = {
     "push-slip": INSERT_SWEEP.replace("[robot]\n", "[robot]\nslip_coefficient = 1e-6\n"),
     "push-guard-trip": INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 100\n"),
 }
-PUSH_CI = ("push-slip", "push-guard-trip")
+PUSH_CI = ("push-wedge-rate-low", "push-slip", "push-guard-trip")
 #: Event-tick edges: a coarse and a fine tick on each of the six missions of
 #: the subcommands (the default 0.05 s probe period is 1 and 25 ticks), the
 #: four-point scenario at the coarse tick, where a guard trip halts a push at
@@ -194,8 +200,9 @@ def cases(slice_: str):
     yield "hammer-short-hole/2", SHORT_HOLE, "hammer-short-hole", 2
     for name, (text, mission) in FEED_CASES.items():
         for seed in (7, 0, 1, 2, 3) if slice_ == "all" else (7,):
-            if slice_ == "all" or name == "drill-offset_uncompensated":
+            if slice_ == "all" or name in FEED_CI:
                 yield f"{name}/{seed}", text, mission, seed
+    yield "drill-far-wall/7", FAR_WALL, "drill", 7
     for name, text in FULL_4PT_CASES.items():
         for seed in range(10):
             if slice_ == "all" or (name, seed) == ("full_4pt-noise-free", 7):
