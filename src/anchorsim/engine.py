@@ -9,8 +9,9 @@ works on floats; a ``Point3`` is built where the executive reads one.
 
 Each contact phase of an arm is one ``Form``, held in ``ArmRuntime.contact``
 for the wait it belongs to: ``ahead``, ``stops`` and ``apply`` compute a
-stretch of ticks at once, and its ``watch`` (or None) may end the wait. A
-motion with no contact form is a ``Move``. The forms are the guarded feeds
+stretch of ticks at once, ``stops`` finds the tick on which the wait ends or
+fails, and its ``watch`` (or None) ends the wait there, or raises. A motion
+with no contact form is a ``Move``. The forms are the guarded feeds
 whose contact law reads the true surface distance, the commanded point and
 the slip (the drill's touch and drilling feed, the nut runner's approaches,
 the insertion's push), the drill's spin-up (the touch law held where the
@@ -24,7 +25,8 @@ only. A tick then depends only on the arms' own state and noise.
 feed's slip, surface distance, law and press force in one float loop. A
 stretch ends at the horizon, after ``NOISE_BLOCK`` ticks, or on the first
 tick that may be an event on either arm (an arrival, a reach trim, a guard
-trip, a watch ending its wait or raising, the tick past ``MAX_SIM_TIME``).
+trip, the tick on which a wait ends or fails, the tick past
+``MAX_SIM_TIME``).
 It is applied as soon as it is computed, the watches run once on the state
 it left, and ``World.step`` ticks the clock through it.
 """
@@ -294,13 +296,15 @@ class Form:
     it computed, through the first on which its motion ends or up to one it
     cannot compute (a point or surface distance that is not finite), and
     their true-wrench rows (None: zero). The pure ``stops(slips, readings)``
-    returns how many come before the first on which ``watch`` may end the
+    returns how many come before the first on which ``watch`` does end the
     wait or raise, from the slip and FT reading after each (``readings``
-    is None for a move that reads no sample). ``apply(n)`` applies the
-    first ``n``. A contact phase, held in ``ArmRuntime.contact``,
-    also gives ``watch``: None, or called on the state the last tick of a
-    stretch left, to end the wait by returning true, or to raise. The
-    defaults suit a form with no watch and no state to apply.
+    is None for a move that reads no sample); a form may return fewer, to
+    end a stretch on a tick on which its watch does neither. ``apply(n)``
+    applies the first ``n``. A contact phase, held in
+    ``ArmRuntime.contact``, also gives ``watch``: None, or called on the
+    state the last tick of a stretch left, to end the wait by returning
+    true, or to raise. The defaults suit a form with no watch and no state
+    to apply.
     """
 
     watch = None
@@ -538,7 +542,7 @@ class World:
 
         A stretch runs through the first tick that may be an event on either
         arm, and every arm applies it: an arrival or a reach trim, a guard
-        trip, a tick on which a watch may end its wait or raise (the form's
+        trip, a tick on which a watch ends its wait or raises (the form's
         ``stops``), or the tick past ``MAX_SIM_TIME``. A guard trip halts
         its arm. ``event`` is set for an arrival, a trim, a halt or the tick
         past the ceiling; ``_watch`` adds the watches' events.

@@ -2,13 +2,14 @@
 
 Steps are generators that tick through ``MissionContext.until``, which yields
 the ticks left of a wait, or ``math.inf``, and holds the wait's contact phase,
-an ``engine.Form``. A step's check is the form's ``watch``, which ``World.run``
-runs on the state each stretch of ticks leaves, and ``World.run`` stops after
-an event tick (a motion ended, the guard halted an arm, a watch returned true
-or raised, or simulated time ran out), so a step resumes only on an event or
-at the end of a wait. The
-dual-arm scheduler in ``mission_full`` resumes the per-arm pipelines in fixed
-arm order. A failed step ends the run with a partial report.
+an ``engine.Form``. A step's check is stated once, in the form's ``stops``
+(see ``Ending``); its ``watch``, which ``World.run`` runs on the state each
+stretch of ticks leaves, ends the wait on the outcome ``stops`` found.
+``World.run`` stops after an event tick (a motion ended, the guard halted an
+arm, a watch returned true or raised, or simulated time ran out), so a step
+resumes only on an event or at the end of a wait. The dual-arm scheduler in
+``mission_full`` resumes the per-arm pipelines in fixed arm order. A failed
+step ends the run with a partial report.
 """
 
 from __future__ import annotations
@@ -218,6 +219,47 @@ def inward(start, normal, x, y, z):
     return (sx - x) * ox + (sy - y) * oy + (sz - z) * oz
 
 
+# --- wait outcomes -------------------------------------------------------------------
+
+
+class Ending:
+    """A contact phase whose wait ends on a condition that only its ``stops``
+    states: a mixin for an ``engine.Form``.
+
+    A subclass gives ``ending(slips, readings)``, which returns ``(k,
+    outcome)``: the tick of the stretch on which the wait ends, and true, or
+    on which it fails, and the ``SimulationError`` to raise; or, if it does
+    neither, how many ticks the form computed (all it was given, or fewer,
+    up to a failed laser read), and false. ``stops`` returns that tick,
+    ``apply`` keeps the outcome if the stretch ends on it, and ``watch``
+    returns the outcome kept, or stops the arm's motion and raises it.
+    """
+
+    outcome = False
+
+    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
+        self._ending = self.ending(slips, readings)
+        return self._ending[0]
+
+    def apply(self, n: int):
+        super().apply(n)
+        tick, outcome = self._ending
+        self.outcome = outcome if tick == n - 1 else False
+
+    def watch(self):
+        if isinstance(self.outcome, SimulationError):
+            self.world.arm(self.arm).stop()
+            raise self.outcome
+        return self.outcome
+
+
+def pressing(m: int, force: float) -> np.ndarray:
+    """The true wrench of ``m`` ticks of a constant press of ``force``."""
+    wrench = np.zeros((m, 6))
+    wrench[:, 2] = force
+    return wrench
+
+
 # --- timed contact phases ------------------------------------------------------------
 
 
@@ -226,9 +268,7 @@ class Timed(Form):
     time and of constants, stated once, in ``ahead``.
 
     ``times`` gives that time after each tick of a stretch with
-    ``np.add.accumulate``, which adds one tick at a time. A subclass with a
-    ``watch`` ends a stretch on the first tick on which it may end the wait
-    or raise.
+    ``np.add.accumulate``, which adds one tick at a time.
     """
 
     def __init__(self, ctx: MissionContext, arm: str):
@@ -250,7 +290,7 @@ class Timed(Form):
         self.elapsed = float(self._elapsed[n])
 
 
-class Impulses(Timed):
+class Impulses(Ending, Timed):
     """A tool that strikes an impulse every ``interval`` seconds of its
     elapsed time: the cup hammer's blows and the nut runner's pulses.
 
@@ -258,21 +298,22 @@ class Impulses(Timed):
     at which the next is due: it strikes on the first tick on which
     ``elapsed + 1e-12`` reaches that, one at most a tick. ``strike(struck)``
     gives ``struck`` after the next impulse, and ``final(struck)`` is true
-    after one on which ``watch`` may end the wait; ``stops`` ends a stretch
-    on that one.
+    after one on which the wait may end: ``schedule``, and so ``ahead``,
+    computes through the first final impulse and no further.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, interval: float, struck):
         super().__init__(ctx, arm)
         self.interval, self.struck = interval, struck
         self._struck = None  # what ``schedule`` computed, for ``apply``
-        self._final = None  # the tick of the first final impulse, for ``stops``
+        self._final = None  # the tick of the first final impulse, or one past the schedule
 
     def schedule(self, m: int):
-        """The impulses of the next ``m`` ticks, up to the first final one:
-        ``(struck, start, stop)`` for ``struck`` now and after each impulse
-        in turn, which holds after ticks ``start`` to ``stop - 1``, the
-        first of which strikes the impulse."""
+        """The impulses of the next ``m`` ticks, through the first final
+        one: ``(struck, start, stop)`` for ``struck`` now and after each
+        impulse in turn, which holds after ticks ``start`` to ``stop - 1``,
+        the first of which strikes the impulse. The last ``stop`` is how
+        many ticks the schedule covers."""
         due = self.times(m) + 1e-12
         struck = [(0, self.struck)]
         k = int(np.searchsorted(due, self.struck.next_due))
@@ -280,14 +321,11 @@ class Impulses(Timed):
             after = self.strike(struck[-1][1])
             struck.append((k, after))
             if self.final(after):
+                m = k + 1
                 break
             k = max(k + 1, int(np.searchsorted(due, after.next_due)))
         self._struck, self._final = struck, k
         return [(s, start, stop) for (start, s), (stop, _) in zip(struck, struck[1:] + [(m, None)])]
-
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first final impulse."""
-        return min(len(slips), self._final)
 
     def apply(self, n: int):
         super().apply(n)
@@ -312,9 +350,10 @@ class Hammering(Impulses):
 
     ``ahead``, ``stops`` and ``apply`` take a stretch of ticks (see
     ``engine.Form``): ``stops`` reads the laser on each tick, and ``apply``
-    places the arm through ``point`` and records the depth rows. ``watch``
-    ends the wait once the anchor bottoms, from the last tick's moment
-    reading and laser depth.
+    places the arm through ``point`` and records the depth rows. The wait
+    ends on the first moment reading that reaches ``hammering_end_moment``,
+    the anchor bottoming out: it fails there if the laser depth of that tick
+    is at or below ``hammer_success_depth``.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, anchor: AnchorBolt, stuck_measured: float):
@@ -331,7 +370,6 @@ class Hammering(Impulses):
         self.depth0, self.slip0 = anchor.depth, world.slip(arm)
         self.stuck_measured = stuck_measured
         self.laser_zero = world.laser_distance(arm)
-        self.laser_depth = stuck_measured  # the anchor depth the laser read on the last tick
         self._depths = self._watched = None  # what ``ahead`` and ``stops`` computed for ``apply``
 
     def strike(self, blows: Blows) -> Blows:
@@ -356,25 +394,14 @@ class Hammering(Impulses):
         """The anchor depth the laser reads at ``distance``."""
         return self.stuck_measured + (self.laser_zero - distance)
 
-    def watch(self):
-        p = self.procedure
-        r = self.runtime.reading
-        if r is not None and abs(r.mx) >= p.hammering_end_moment:
-            if self.laser_depth <= p.hammer_success_depth:
-                raise SimulationError(
-                    f"bottom contact at {self.laser_depth * 1e3:.1f} mm, "
-                    f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
-                )
-            return True
-
     def ahead(self, m: int):
-        """The true wrench on each of the next ``m`` ticks: the press force,
-        and a moment of 1.5 N m between blows and the blow's peak on a
-        blow's tick. The anchor depths after those ticks are kept for
-        ``stops``."""
+        """The true wrench on each of the next ticks through the first final
+        blow, ``m`` at most: the press force, and a moment of 1.5 N m
+        between blows and the blow's peak on a blow's tick. The anchor
+        depths after those ticks are kept for ``stops``."""
         spans = self.schedule(m)
-        wrench = np.zeros((m, 6))
-        wrench[:, 2] = self.tools.hammer_press_force
+        m = spans[-1][2]
+        wrench = pressing(m, self.tools.hammer_press_force)
         wrench[:, 3] = 1.5
         self._depths = depths = np.empty(m)
         for blows, start, stop in spans:
@@ -383,25 +410,27 @@ class Hammering(Impulses):
             wrench[start, 3] = blows.peak
         return m, wrench
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first on which ``watch`` may
-        end the wait or raise: the first final blow, the moment reading
-        reaching the hammering end moment, or a laser read that fails, on
-        which ``World._watch`` raises."""
-        m = super().stops(slips, readings)
-        slips = slips[: m + 1]  # through the final blow, which ``apply`` records too
+    def ending(self, slips: np.ndarray, readings: np.ndarray):
+        p = self.procedure
         x, y, z = self.point(self._depths[: len(slips)], slips)
-        distances = self.world.laser_distances(self.arm, (x, y, z), slips)
-        self._watched = slips, (x, y, z), distances
-        ends = np.flatnonzero(np.abs(readings[:m, 3]) >= self.procedure.hammering_end_moment)
-        return min(len(distances), int(ends[0]) if ends.size else m)
+        depths = self.measured(self.world.laser_distances(self.arm, (x, y, z), slips))
+        self._watched = slips, (x, y, z), depths
+        ends = np.flatnonzero(np.abs(readings[: len(depths), 3]) >= p.hammering_end_moment)
+        if not ends.size:
+            return len(depths), False
+        k = int(ends[0])
+        depth = float(depths[k])
+        if depth <= p.hammer_success_depth:
+            return k, SimulationError(
+                f"bottom contact at {depth * 1e3:.1f} mm, "
+                f"below the {p.hammer_success_depth * 1e3:.0f} mm success depth"
+            )
+        return k, True
 
     def apply(self, n: int):
         super().apply(n)
-        slips, (x, y, z), distances = self._watched
-        depths = self.measured(distances[:n])  # short of tick ``n`` if its laser read failed
-        if len(depths):
-            self.laser_depth = float(depths[-1])
+        slips, (x, y, z), depths = self._watched
+        # ``depths`` stops short of tick ``n`` if its laser read failed.
         self.world.record_depths(self.arm, n, depths, self.commanded(x[:n], y[:n], z[:n]), slips)
         self.anchor.depth = self.struck.depth
         self.state.x, self.state.y, self.state.z = float(x[n - 1]), float(y[n - 1]), float(z[n - 1])
@@ -410,14 +439,14 @@ class Hammering(Impulses):
 # --- the nut runner's timed phases -----------------------------------------------------
 
 
-class Fitting(Timed):
+class Fitting(Ending, Timed):
     """The nut runner's socket fit. The socket's rotation alternates every
     0.2 s, pressing with the fz the approach ended on, until
     ``socket_fit_time`` has passed with an anchor to slot onto; then the
-    socket slots on, its spring extends and the press drops to 5 N.
-    ``watch`` ends the wait on the first FT reading under
-    10 N once the socket has slotted on, and raises once the wait passes
-    ``socket_fit_timeout``."""
+    socket slots on, its spring extends and the press drops to 5 N. The
+    wait ends on the first FT reading under 10 N once the socket has
+    slotted on, and otherwise fails with ``SocketFitTimeout`` once the wait
+    passes ``socket_fit_timeout``."""
 
     def __init__(self, ctx: MissionContext, arm: str, anchor_present: bool):
         super().__init__(ctx, arm)
@@ -425,14 +454,6 @@ class Fitting(Timed):
         # With no anchor to slot onto, the socket never slots on.
         self.fit_time = ctx.scenario.tools.socket_fit_time if anchor_present else math.inf
         self.timeout = ctx.scenario.procedure.socket_fit_timeout
-
-    def watch(self):
-        r = self.runtime.reading
-        if r is not None and r.fz < 10.0 and self.elapsed >= self.fit_time:
-            return True
-        # The phase's clock has counted every tick of this wait.
-        if self.elapsed > self.timeout:
-            raise SocketFitTimeout(f"socket never slotted on within {self.timeout} s")
 
     def ahead(self, m: int):
         elapsed = self.times(m)
@@ -443,12 +464,14 @@ class Fitting(Timed):
         wrench[:, 3] = np.where(slotted, 0.0, wiggle)
         return m, wrench
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first on which ``watch`` ends the
-        wait or raises."""
+    def ending(self, slips: np.ndarray, readings: np.ndarray):
         elapsed = self._elapsed[1 : len(slips) + 1]
-        ends = np.flatnonzero((readings[:, 2] < 10.0) & (elapsed >= self.fit_time) | (elapsed > self.timeout))
-        return int(ends[0]) if ends.size else len(slips)
+        slotted = (readings[:, 2] < 10.0) & (elapsed >= self.fit_time)
+        ends = np.flatnonzero(slotted | (elapsed > self.timeout))
+        if not ends.size:
+            return len(slips), False
+        k = int(ends[0])
+        return k, True if slotted[k] else SocketFitTimeout(f"socket never slotted on within {self.timeout} s")
 
 
 class RunDown(Timed):
@@ -481,8 +504,9 @@ class Pulses(NamedTuple):
 class Pulsing(Impulses):
     """The nut runner's pulse tightening, pressing 50 N: ``pulse_rate``
     pulses a second, each adding ``pulse_torque_step`` to the fastener
-    torque up to ``target_torque``. ``watch`` ends the wait on the tick of
-    the pulse that reaches the target, the final one."""
+    torque up to ``target_torque``. The wait ends on the tick of the pulse
+    that reaches the target, the final one, and on every tick once it has
+    been reached."""
 
     def __init__(self, ctx: MissionContext, arm: str):
         self.tools = ctx.scenario.tools
@@ -496,40 +520,43 @@ class Pulsing(Impulses):
     def final(self, pulses: Pulses) -> bool:
         return pulses.torque >= self.tools.target_torque
 
-    def watch(self) -> bool:
-        return self.final(self.struck)
-
     def ahead(self, m: int):
-        """The true wrench on each of the next ``m`` ticks: a 50 N press and
-        the flange moment of the last pulse struck."""
-        wrench = np.zeros((m, 6))
-        wrench[:, 2] = 50.0
-        for pulses, start, stop in self.schedule(m):
+        """The true wrench on each of the next ticks through the final
+        pulse, ``m`` at most: a 50 N press and the flange moment of the last
+        pulse struck."""
+        spans = self.schedule(m)
+        m = spans[-1][2]
+        wrench = pressing(m, 50.0)
+        for pulses, start, stop in spans:
             wrench[start:stop, 3] = pulses.moment
         return m, wrench
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first final pulse; none once the
-        target is reached, as ``watch`` then ends the wait on every tick."""
-        return 0 if self.watch() else super().stops(slips, readings)
+    def ending(self, slips: np.ndarray, readings: np.ndarray):
+        if self.final(self.struck):
+            return 0, True
+        k = min(len(slips), self._final)
+        return k, k < len(slips)
 
 
 # --- guarded feeds -------------------------------------------------------------------
 
 
-class Feed(Move):
+class Feed(Ending, Move):
     """A guarded feed (``MissionContext.feed``) under a contact law of the
     true surface distance, the commanded point and the slip. A subclass
     gives the law, ``law(distance, x, y, z, slip)``, which gives the ``(fz,
-    mx)`` of the true wrench, and the stop condition: ``stop`` on the state a
-    stretch left, and ``stops`` over a stretch.
+    mx)`` of the true wrench, and its stop condition over a stretch,
+    ``stopped(slips, readings)``: one boolean per tick, up to a tick it
+    cannot compute (a failed laser read).
 
-    ``watch`` ends the wait once ``stop()`` is true, and raises once the feed
-    has stopped or travelled more than ``max_travel``. ``ahead``, ``stops``
-    and ``apply``, extending ``engine.Move``'s, take a stretch of ticks (see
-    ``engine.Form``): the path from ``ArmState.free_path``, the one
-    sequential part (slip, surface distance, law, press force) from
-    ``World.feed_wrenches``, and the rest with numpy.
+    The wait ends on the first tick on which the feed has stopped. It fails
+    with ``WrongPose`` on the first on which the feed has travelled more
+    than ``max_travel`` or the reach trims it, unless the feed stopped on
+    that tick too. ``ahead``, ``stops`` and ``apply``, extending
+    ``engine.Move``'s, take a stretch of ticks (see ``engine.Form``): the
+    path from ``ArmState.free_path``, the one sequential part (slip, surface
+    distance, law, press force) from ``World.feed_wrenches``, and the rest
+    with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, max_travel: float):
@@ -537,14 +564,6 @@ class Feed(Move):
         self.arm, self.runtime = arm, self.world.runtime(arm)
         super().__init__(self.runtime.state, self.world.dt)
         self.max_travel = max_travel
-
-    def watch(self):
-        if self.stop():
-            return True
-        state = self.state
-        if state.motion is None or state.motion.travelled > self.max_travel:
-            state.stop()
-            raise WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
 
     def ahead(self, m: int):
         """The true wrench under the law on each of the next ``m`` ticks of
@@ -558,16 +577,19 @@ class Feed(Move):
         wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:].tolist(), self.law)
         return len(wrench), wrench
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first on which the feed has
-        travelled more than ``max_travel``, on which ``watch`` raises; a
-        subclass ends them sooner where ``stop`` may be true or raise; none
-        once the feed has stopped, as ``watch`` then raises unless ``stop()``
-        is true."""
+    def ending(self, slips: np.ndarray, readings: np.ndarray):
         if self.state.motion is None:
-            return 0
-        over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
-        return int(over[0]) if over.size else len(slips)
+            limit = 0  # a feed that has stopped ends the wait on its first tick
+        else:
+            over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
+            limit = min(int(over[0]) if over.size else len(slips), self.ends - 1)
+        stopped = self.stopped(slips[: limit + 1], readings[: limit + 1])
+        hits = np.flatnonzero(stopped)
+        if hits.size:
+            return int(hits[0]), True
+        if limit < len(stopped):
+            return limit, WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
+        return len(stopped), False
 
 
 class Pressing(Feed):
@@ -579,14 +601,8 @@ class Pressing(Feed):
         super().__init__(ctx, arm, max_travel)
         self.law, self.threshold = law, threshold
 
-    def stop(self) -> bool:
-        r = self.runtime.reading
-        return r is not None and r.fz >= self.threshold
-
-    def stops(self, slips, readings) -> int:
-        m = super().stops(slips, readings)
-        hits = np.flatnonzero(readings[:m, 2] >= self.threshold)
-        return int(hits[0]) if hits.size else m
+    def stopped(self, slips, readings):
+        return readings[:, 2] >= self.threshold
 
 
 class Holding(Form):
@@ -624,20 +640,14 @@ class Drilling(Feed):
         depth = max(0.0, min(-distance, MAX_HOLE_DEPTH))
         return drill_thrust(depth, self.tools), drill_reaction_moment(self.tools, depth)
 
-    def stop(self) -> bool:
-        return self.measured >= self.target
-
-    def stops(self, slips, readings) -> int:
-        m = super().stops(slips, readings)
-        slips = slips[: m + 1]  # through the tick past the travel limit, which ``apply`` records too
+    def stopped(self, slips, readings):
         x, y, z = self.path[:3, 1 : len(slips) + 1]
         commanded = inward(self.contact, self.normal, x, y, z)
         measured = commanded
         if self.use_laser:
             measured = self.laser_zero - self.world.laser_distances(self.arm, (x, y, z), slips)
         self._depths = measured, commanded, slips  # for ``apply`` to record
-        ends = np.flatnonzero(measured[:m] >= self.target)
-        return int(ends[0]) if ends.size else min(m, len(measured))
+        return measured >= self.target
 
     def apply(self, n: int):
         super().apply(n)
@@ -652,8 +662,8 @@ class Pushing(Feed):
     """The insertion's push into ``hole`` at the approach speed, under the
     wedge law ``law``, which reads the engagement at the tip. A subclass
     gives the stop: ``Entering`` or ``Wedging``. It runs as any ``Feed``,
-    and ``tips`` gives its ``stops`` the tip's points and surface distances
-    in a stretch."""
+    and ``tips`` gives its ``stopped`` the tip's points and surface
+    distances in a stretch."""
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, max_travel: float):
         super().__init__(ctx, arm, max_travel)
@@ -671,36 +681,32 @@ class Pushing(Feed):
             return 6.0 * moment, moment
         return self.stiffness * pen, 0.0
 
-    def tips(self, slips: np.ndarray, m: int):
-        """The commanded points of the first ``m`` ticks of the stretch, and
-        the tip's true surface distances at ``slips``."""
-        points = self.path[:3, 1 : m + 1]
-        return points, self.world.surface_at(*points, slips[:m])
+    def tips(self, slips: np.ndarray):
+        """The commanded points of the stretch's first ``len(slips)`` ticks,
+        and the tip's true surface distances at ``slips``."""
+        points = self.path[:3, 1 : len(slips) + 1]
+        return points, self.world.surface_at(*points, slips)
 
 
 class Entering(Pushing):
     """The push until the tip enters the hole, 0.5 mm deep and engaged
     (``entered``), or a raw FT reading's fz reaches 15 N, the tip on the
-    surface or the rim."""
+    surface or the rim. A tick on which both hold enters."""
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole):
         super().__init__(ctx, arm, hole, max_travel=0.05)
         self.entered = False
 
-    def stop(self) -> bool:
-        if -self.world.surface_distance(self.arm) >= 0.0005:
-            if engaged(self.world.radial_offset(self.arm, self.hole), self.clearance):
-                self.entered = True
-                return True
-        r = self.runtime.reading
-        return r is not None and r.fz >= 15.0
+    def stopped(self, slips, readings):
+        points, distances = self.tips(slips)
+        offsets = self.world.radial_offsets(self.hole, points, slips)
+        self._entries = (-distances >= 0.0005) & engaged(offsets, self.clearance)  # for ``apply``
+        return self._entries | (readings[:, 2] >= 15.0)
 
-    def stops(self, slips, readings) -> int:
-        m = super().stops(slips, readings)
-        points, distances = self.tips(slips, m)
-        offsets = self.world.radial_offsets(self.hole, points, slips[:m])
-        ends = np.flatnonzero((-distances >= 0.0005) & engaged(offsets, self.clearance) | (readings[:m, 2] >= 15.0))
-        return int(ends[0]) if ends.size else m
+    def apply(self, n: int):
+        super().apply(n)
+        if self.outcome is True and self._entries[n - 1]:
+            self.entered = True
 
 
 class Wedging(Pushing):
@@ -712,21 +718,14 @@ class Wedging(Pushing):
         super().__init__(ctx, arm, hole, max_travel=0.03)
         self.end_moment = ctx.scenario.procedure.insertion_end_moment
 
-    def stop(self) -> bool:
-        r = self.runtime.reading
-        return r is not None and abs(r.mx) >= self.end_moment
-
-    def stops(self, slips, readings) -> int:
-        m = super().stops(slips, readings)
-        slips = slips[: m + 1]  # through the tick past the travel limit, which ``apply`` records too
-        points, distances = self.tips(slips, len(slips))
+    def stopped(self, slips, readings):
+        points, distances = self.tips(slips)
         pens = np.where(-distances > 0.0, -distances, 0.0)  # ``max(0.0, -distance)``
         # The laser reads the signed distance to the surface plane, so tip
         # penetration is simply its negation.
         laser = -self.world.laser_distances(self.arm, points, slips)
         self._depths = laser, pens + slips, slips  # for ``apply`` to record
-        ends = np.flatnonzero(np.abs(readings[: min(m, len(laser)), 3]) >= self.end_moment)
-        return int(ends[0]) if ends.size else min(m, len(laser))
+        return np.abs(readings[: len(laser), 3]) >= self.end_moment
 
     def apply(self, n: int):
         super().apply(n)
@@ -734,35 +733,30 @@ class Wedging(Pushing):
         self.world.record_depths(self.arm, n, laser, commanded, slips)
 
 
-class Sliding(Move):
-    """The anchor tip sliding on the wall under a light 20 N press: the
-    targeted move back to the surface before the spiral search, and, as
-    ``Probing``, the search itself."""
+#: The light press (N) under which the anchor tip slides on the wall.
+SLIDE_PRESS = 20.0
 
-    press = 20.0  # N
+
+class Sliding(Move):
+    """The anchor tip sliding on the wall under the light ``SLIDE_PRESS``:
+    the targeted move back to the surface before the spiral search."""
 
     def ahead(self, m: int):
         k, _ = super().ahead(m)
-        return k, self.pressing(k)
-
-    def pressing(self, m: int) -> np.ndarray:
-        """The true wrench of ``m`` ticks of the press."""
-        wrench = np.zeros((m, 6))
-        wrench[:, 2] = self.press
-        return wrench
+        return k, pressing(k, SLIDE_PRESS)
 
 
-class Probing(Sliding):
+class Probing(Ending, Form):
     """The spiral search for ``hole``: the commanded point steps through the
     probe points of ``spiral_offsets`` about the point it starts from,
     ``ticks`` ticks at each, drawn as the probes need them.
 
     In a stretch (see ``engine.Form``) every tick presses with the constant
-    20 N. ``stops`` reads the radial offset at the probe ends only, each at
-    its tick's slip, and finds the first that ends the search: the anchor
-    engages (``engaged``) or the spiral is exhausted. ``apply`` counts a
-    probe's ticks down and at its last commands the next probe, or at the
-    end of the search stops. ``watch`` ends the wait once the search ended.
+    ``SLIDE_PRESS``. ``stops`` reads the radial offset at the probe ends
+    only, each at its tick's slip, and finds the first that ends the search
+    and the wait: the anchor engages (``engaged``) or the spiral is
+    exhausted. ``apply`` counts a probe's ticks down and at its last
+    commands the next probe, or at the end of the search stops.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, hole: DrilledHole, ticks: int, max_probes: int):
@@ -777,7 +771,7 @@ class Probing(Sliding):
                        for dx, dy in offsets)
         self.drawn: list[tuple[float, float, float]] = []  # the points of the probes after the one that runs
         self.probes, self.left, self.engaged = 0, 0, False  # ``left``: the probe's ticks left, 0 once ended
-        self._end = self._engages = None  # the stretch's tick that ends the search and whether it engages
+        self._engages = None  # whether the anchor engages at the end ``stops`` found
         self.draw(1)
         self.start(1)
 
@@ -796,22 +790,15 @@ class Probing(Sliding):
         self.probes += passed
         self.left = self.ticks
 
-    def watch(self) -> bool:
-        return not self.left
-
     def ahead(self, m: int):
-        return m, self.pressing(m)
+        return m, pressing(m, SLIDE_PRESS)
 
-    def stops(self, slips: np.ndarray, readings: np.ndarray) -> int:
-        """How many ticks come before the first probe end that ends the
-        search: the anchor engages, or the spiral is exhausted; none once
-        the search has ended."""
-        self._end = None
-        if not self.left:
-            return 0
+    def ending(self, slips: np.ndarray, readings: np.ndarray):
+        if not self.left:  # the search has ended: so has the wait, on every tick
+            return 0, True
         ends = np.arange(self.left - 1, len(slips), self.ticks)
         if not ends.size:
-            return len(slips)
+            return len(slips), False
         drawn = self.draw(len(ends))
         exhausted = len(drawn) < len(ends)
         ends = ends[: len(drawn) + 1]  # no probe runs after the spiral's last
@@ -822,16 +809,17 @@ class Probing(Sliding):
         final[-1] |= exhausted
         hits = np.flatnonzero(final)
         if not hits.size:
-            return len(slips)
-        self._end, self._engages = int(ends[hits[0]]), bool(engages[hits[0]])
-        return self._end
+            return len(slips), False
+        self._engages = bool(engages[hits[0]])
+        return int(ends[hits[0]]), True
 
     def apply(self, n: int):
+        super().apply(n)
         if n < self.left or not self.left:
             self.left -= min(n, self.left)
             return
         passed, left = divmod(n - self.left, self.ticks)  # whole probes after the one that ran, and ticks
-        if self._end == n - 1:  # the search ends on the stretch's last tick
+        if self.outcome:  # the search ends on the stretch's last tick
             if passed:
                 self.start(passed)
             self.left, self.engaged = 0, self._engages
