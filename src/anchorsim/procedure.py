@@ -551,8 +551,9 @@ class Feed(Ending, Move):
 
     The wait ends on the first tick on which the feed has stopped. It fails
     with ``WrongPose`` on the first on which the feed has travelled more
-    than ``max_travel`` or the reach trims it, unless the feed stopped on
-    that tick too. ``ahead``, ``stops`` and ``apply``, extending
+    than ``max_travel`` or the reach trims it (naming the reach if it does
+    both), unless the feed stopped on that tick too. ``ahead``, ``stops``
+    and ``apply``, extending
     ``engine.Move``'s, take a stretch of ticks (see ``engine.Form``): the
     path from ``ArmState.free_path``, the one sequential part (slip, surface
     distance, law, press force) from ``World.feed_wrenches``, and the rest
@@ -587,9 +588,12 @@ class Feed(Ending, Move):
         hits = np.flatnonzero(stopped)
         if hits.size:
             return int(hits[0]), True
-        if limit < len(stopped):
-            return limit, WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
-        return len(stopped), False
+        if limit >= len(stopped):
+            return len(stopped), False
+        if limit == self.ends - 1:
+            reach = self.state.cfg.reach
+            return limit, WrongPose(f"{self.arm}: feed reached the {reach} m reach of its base without its stop condition")
+        return limit, WrongPose(f"{self.arm}: feed exceeded {self.max_travel} m without its stop condition")
 
 
 class Pressing(Feed):

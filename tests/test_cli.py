@@ -193,6 +193,17 @@ def test_far_wall_with_the_laser_points_in_reach_runs(capsys, tmp_path, distance
     assert (code, err) == (0, "")
 
 
+def test_drill_feed_at_the_reach_names_the_reach(capsys, tmp_path):
+    # On a wall this far the drilling feed reaches the arm's reach about
+    # 38 mm into the wall, short of its 80 mm depth target and well short of
+    # its 0.12 m travel limit.
+    path = tmp_path / "s.ini"
+    path.write_text("[wall]\ndistance = 1.20\n")
+    code, out, err = run_cli(capsys, "drill-test", "--seed", "7", "--scenario", str(path))
+    assert (code, err) == (1, "")
+    assert "(drill_hole: WrongPose: robot1: feed reached the 1.298 m reach of its base without its stop condition)" in out
+
+
 @pytest.mark.parametrize("offset", [0.000045, -0.000045])
 def test_smallest_valid_orientation_offset_runs(capsys, tmp_path, offset):
     # Noise-free laser points an L this small apart still span the triangle
