@@ -332,6 +332,73 @@ def test_depth_from_commanded_stops_short_by_slip():
     assert slip > 0.001
 
 
+# --- a tick on which two outcomes of a wait hold ---------------------------------------
+
+
+def touch(max_travel):
+    """Feed robot1 from 1 mm off the wall at the approach speed, under a
+    stiff surface contact and noise-free FT, until fz reaches 20 N
+    (``press_until``) or the feed fails: ``(ticks, error or None)``."""
+    world = World(Scenario(sensors=SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0)), seed=NOMINAL_SEED)
+    ctx = MissionContext(world)
+    frame = world.site.wall.frame
+    world.arm("robot1").position = frame.origin + frame.z_axis.scaled(0.001)
+
+    def law(distance, *_):
+        return (200000.0 * -distance, 0.0) if distance < 0 else (0.0, 0.0)
+
+    try:
+        for horizon in ctx.press_until("robot1", law, 20.0, max_travel):
+            world.run(horizon)
+    except WrongPose as exc:
+        return world.clock.ticks, exc
+    return world.clock.ticks, None
+
+
+def test_a_feed_that_stops_on_the_tick_it_passes_its_travel_limit_stops():
+    # fz reaches 20 N on tick 56, on which the feed has fed 1.12 mm, past a
+    # 1.11 mm travel limit for the first time: the stop wins. A 1.09 mm limit
+    # fails the feed on tick 55, at 1.10 mm.
+    assert touch(0.00111) == (56, None)
+    ticks, error = touch(0.00109)
+    assert ticks == 55 and "feed exceeded 0.00109 m without its stop condition" in str(error)
+
+
+def test_an_engaged_tip_enters_on_the_tick_fz_reaches_15_n():
+    # The wedge's fz, 6 * 5000 * pen, reaches 15 N on the tick the engaged
+    # tip is 0.5 mm in, where the push both enters and stops on fz: it
+    # enters, so no search runs. An exact camera puts the tip in the hole.
+    sc = Scenario(
+        procedure=ProcedureSection(wedge_moment_rate=5000.0),
+        sensors=SensorsSection(ft_sigma_force=0.0, ft_sigma_moment=0.0, camera_sigma_wall=0.0),
+    )
+    report, _ = run(sc, seed=NOMINAL_SEED, mission="insert")
+    diagnostics = report.find(FixationStep.INSERT_ANCHOR).diagnostics
+    assert report.success and diagnostics["first_attempt"] == "engaged"
+    assert diagnostics["search_used"] is False
+
+
+def test_a_socket_that_slots_on_at_the_fit_timeout_fits():
+    # The socket slots on and the fit times out on the same tick, the first
+    # past 3.003 s of fitting: the slot-on wins.
+    sc = Scenario(tools=ToolsSection(socket_fit_time=3.003), procedure=ProcedureSection(socket_fit_timeout=3.003))
+    report, _ = run(sc, seed=NOMINAL_SEED, mission="nut")
+    assert report.success, report.failure
+
+
+@pytest.mark.parametrize("success_depth, failure", [
+    (0.07904, None),
+    (0.07905, "hammer_anchor: SimulationError: bottom contact at 79.0 mm, below the 79 mm success depth"),
+])
+def test_hammering_fails_on_the_laser_depth_of_its_end_tick(success_depth, failure):
+    # With an exact laser, the blow that ends hammering at seed 7 takes the
+    # laser depth from 79.035 mm to 79.047 mm on its tick, where the moment
+    # reading reaches the end moment: that tick's depth decides.
+    sc = Scenario(procedure=ProcedureSection(hammer_success_depth=success_depth), sensors=SensorsSection(laser_sigma=0.0))
+    report, _ = run(sc, seed=NOMINAL_SEED, mission="hammer")
+    assert report.failure == failure
+
+
 # --- part handling guards -------------------------------------------------------------
 
 
