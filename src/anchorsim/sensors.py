@@ -44,28 +44,18 @@ class NormalBlocks:
     A block takes the same bits from the stream as the same number of single
     draws, so a stream with no other reader yields exactly the values that
     ``standard_normal(row)`` calls would. Nothing is drawn before the first
-    read. ``ahead`` and ``skip`` read the same rows as an array, at the same
-    cursor, for a caller that takes many rows at once. ``next`` lists the
-    held rows from its cursor on when it first reads them, so rows taken in
-    bulk are not listed.
+    read. ``ahead`` and ``skip`` read the rows as an array, for a caller
+    that takes many rows at once; ``next`` reads one through them.
     """
 
     def __init__(self, rng, shape):
         self._draw = partial(rng.standard_normal, shape)
         self._rows = np.empty((0, *np.atleast_1d(shape)[1:]))  # the held rows
         self._cursor = 0  # the next held row to hand out
-        self._listed = []  # the held rows as a list, once ``next`` lists them
 
     def __next__(self):
-        cursor = self._cursor
-        try:
-            row = self._listed[cursor]
-        except IndexError:  # the held rows are all handed out, or not listed
-            self.ahead(1)
-            self._rows, self._cursor = self._rows[self._cursor :], 0  # list from the cursor on
-            self._listed = self._rows.tolist()
-            row, cursor = self._listed[0], 0
-        self._cursor = cursor + 1
+        row = self.ahead(1)[0].tolist()
+        self.skip(1)
         return row
 
     def ahead(self, count: int) -> np.ndarray:
@@ -73,10 +63,10 @@ class NormalBlocks:
         nothing is handed out."""
         if len(self._rows) - self._cursor < count:
             rows = [self._rows[self._cursor :].copy()]
-            self._rows = self._listed = None  # free the spent rows before drawing
+            self._rows = None  # free the spent rows before drawing
             while sum(map(len, rows)) < count:
                 rows.append(self._draw())
-            self._rows, self._cursor, self._listed = np.concatenate(rows), 0, []
+            self._rows, self._cursor = np.concatenate(rows), 0
         return self._rows[self._cursor : self._cursor + count]
 
     def skip(self, count: int):

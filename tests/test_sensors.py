@@ -98,20 +98,6 @@ def test_rows_taken_in_bulk_continue_the_stream():
     assert len(ahead) == 3 and taken == reference[:11]
 
 
-def test_rows_taken_in_bulk_are_not_listed():
-    # A block drawn for a bulk read is listed only when ``next`` reads it,
-    # and only from its cursor on.
-    rows = NormalBlocks(np.random.default_rng(12), (4, 6))
-    reference = np.random.default_rng(12).standard_normal((12, 6)).tolist()
-    taken = []
-    for count in (4, 4, 1):
-        taken += rows.ahead(count).tolist()
-        rows.skip(count)
-    assert rows._listed == []
-    taken.append(next(rows))
-    assert rows._listed == reference[9:] and taken == reference[:10]
-
-
 #: One read of a ``NormalBlocks`` of blocks of 4 rows: ``("next", 0, 0)``,
 #: or ``("ahead", count, k)``, which reads ``ahead(count)`` and hands out
 #: its first ``k % (count + 1)`` rows with ``skip``.
@@ -126,16 +112,14 @@ READ = st.tuples(st.just("next"), st.just(0), st.just(0)) | st.tuples(
 def test_any_mix_of_reads_hands_out_the_single_draws(shape, reads):
     # ``next``, ``ahead`` and ``skip`` read one cursor, across blocks, so any
     # mix of them hands out the rows of one ``standard_normal(row)`` call
-    # each. A row is listed only once ``next`` reads it, and only with the
-    # rows after it: one taken only through ``ahead`` and ``skip`` never is.
+    # each.
     row = (6,) if shape == (4, 6) else ()
     single = np.random.default_rng(12)
     expected = [single.standard_normal(row) for _ in range(150)]
-    rows, handed, by_next = NormalBlocks(np.random.default_rng(12), shape), 0, set()
+    rows, handed = NormalBlocks(np.random.default_rng(12), shape), 0
     for kind, count, k in reads:
         if kind == "next":
             assert next(rows) == expected[handed].tolist()
-            by_next.add(handed)
             handed += 1
         else:
             ahead = rows.ahead(count)
@@ -143,8 +127,6 @@ def test_any_mix_of_reads_hands_out_the_single_draws(shape, reads):
             assert ahead.tobytes() == np.array(expected[handed : handed + count]).tobytes()
             rows.skip(k % (count + 1))
             handed += k % (count + 1)
-        # The first listed row, counted from the start of the stream.
-        assert not rows._listed or handed - rows._cursor in by_next
 
 
 def test_zero_sigmas_draw_nothing():
