@@ -553,11 +553,10 @@ class Feed(Ending, Move):
     with ``WrongPose`` on the first on which the feed has travelled more
     than ``max_travel`` or the reach trims it (naming the reach if it does
     both), unless the feed stopped on that tick too. ``ahead``, ``stops``
-    and ``apply``, extending
-    ``engine.Move``'s, take a stretch of ticks (see ``engine.Form``): the
-    path from ``ArmState.free_path``, the one sequential part (slip, surface
-    distance, law, press force) from ``World.feed_wrenches``, and the rest
-    with numpy.
+    and ``apply``, extending ``engine.Move``'s, take a stretch of ticks (see
+    ``engine.Form``): the path from ``ArmState.free_path``, the one
+    sequential part (slip, surface distance, law, press force) from
+    ``World.feed_wrenches``, and the rest with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, max_travel: float):
