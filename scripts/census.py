@@ -49,8 +49,11 @@ FULL_4PT_CASES = {
 }
 #: Guarded-feed edges: each drill variant (three halt on the guard), the
 #: commanded depth feedback, noise-free sensors, slip raised until it moves
-#: the penetration (and, at 3e-6, past the feed's travel limit), and an
-#: orientation L so small that the drill feed ends in ``WrongPose``.
+#: the penetration (and, at 3e-6, past the feed's travel limit), an
+#: orientation L so small that the drill feed ends in ``WrongPose``, a soft
+#: surface contact under the drill's touch, and slips of 1e-5 and 3e-6 on
+#: the drill, nut and insertion feeds, whose press forces feed back into
+#: the surface distance over many ticks of a stretch.
 NOISE_FREE = "[sensors]\nft_sigma_force = 0\nft_sigma_moment = 0\nlaser_sigma = 0\n" \
              "camera_sigma_wall = 0\ncamera_sigma_part = 0\n"
 FEED_CASES = {
@@ -67,6 +70,10 @@ FEED_CASES = {
     "full-orientation-offset": ("[procedure]\norientation_offset = 0.0001\n", "full"),
     "nut-default": (None, "nut"),
     "nut-noise-free": (NOISE_FREE, "nut"),
+    "drill-soft-contact": ("[robot]\ncontact_stiffness = 5e4\n", "drill"),
+    "drill-slip-1e-5": ("[robot]\nslip_coefficient = 1e-5\n", "drill"),
+    "nut-slip-3e-6": ("[robot]\nslip_coefficient = 3e-6\n", "nut"),
+    "insert-slip-3e-6": (INSERT_SWEEP.replace("[robot]\n", "[robot]\nslip_coefficient = 3e-6\n"), "insert"),
 }
 #: A wall so far that the drilling feed reaches the arm's reach before its
 #: depth target: the feed's reach trim. ``FEED_CI`` names the cases of the
@@ -141,8 +148,11 @@ SEARCH_CI = ("search-probe-1-tick", "search-timeout", "search-guard-trip", "full
 #: wedge (the shallow one pushes past the push's 30 mm travel limit), a low
 #: and a high insertion end moment, a soft surface contact, a slow and a
 #: fast approach, a finer tick, noise-free FT and laser, a slip that moves
-#: the tip back as it pushes, and a force limit that the wedge's fz trips
-#: partway into the hole. ``PUSH_CI`` names the cases of the ci slice.
+#: the tip back as it pushes, a force limit that the wedge's fz trips
+#: partway into the hole, and a wall yawed 1 degree off the nominal frame,
+#: so that the push drifts across the engagement edge inside a stretch (at
+#: seeds 0 and 4 the wedge leaves the clearance and the guard trips).
+#: ``PUSH_CI`` names the cases of the ci slice.
 PUSH = INSERT_SWEEP + "[procedure]\n"
 PUSH_CASES = {
     "push-wedge-rate-high": PUSH + "wedge_moment_rate = 20000\n",
@@ -157,8 +167,9 @@ PUSH_CASES = {
                                             "ft_sigma_moment = 0\nlaser_sigma = 0\n"),
     "push-slip": INSERT_SWEEP.replace("[robot]\n", "[robot]\nslip_coefficient = 1e-6\n"),
     "push-guard-trip": INSERT_SWEEP.replace("[sensors]\n", "[sensors]\nforce_limit = 100\n"),
+    "push-wall-yaw-1": INSERT_SWEEP + "[wall]\nyaw_deg = 1\n",
 }
-PUSH_CI = ("push-wedge-rate-low", "push-slip", "push-guard-trip")
+PUSH_CI = ("push-wedge-rate-low", "push-slip", "push-guard-trip", "push-wall-yaw-1")
 #: Event-tick edges: a coarse and a fine tick on each of the six missions of
 #: the subcommands (the default 0.05 s probe period is 1 and 25 ticks), the
 #: four-point scenario at the coarse tick, where a guard trip halts a push at
