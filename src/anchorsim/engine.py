@@ -21,13 +21,12 @@ the slide back to the surface before the spiral search, and the search
 itself, a constant press whose watch reads the radial offset at probe ends
 only. A tick then depends only on the arms' own state and noise.
 
-``World.run`` computes every tick in such a stretch, with numpy, and a
-feed's slip, surface distance, law and press force in one float loop. A
-stretch ends at the horizon, after ``NOISE_BLOCK`` ticks, or on the first
-tick that may be an event on either arm (an arrival, a reach trim, a guard
-trip, the tick on which a wait ends or fails, the tick past
-``MAX_SIM_TIME``).
-It is applied as soon as it is computed, the watches run once on the state
+``World.run`` computes every tick in such a stretch with numpy, a feed's
+presses as the fixed point of its slip recurrence (see
+``World.feed_wrenches``). A stretch ends at the horizon, after
+``NOISE_BLOCK`` ticks, or on the first tick that may be an event on either
+arm (an arrival, a reach trim, a guard trip, the tick on which a wait ends
+or fails, the tick past ``MAX_SIM_TIME``). It is applied as soon as it is computed, the watches run once on the state
 it left, and ``World.step`` ticks the clock through it.
 """
 
@@ -36,9 +35,8 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
@@ -460,12 +458,7 @@ class World:
         .cross(hole.axis).norm()`` on floats, in the same order."""
         runtime = self.arms[arm_name]
         p = runtime.state
-        return self.radial_at(hole, p.x, p.y, p.z, runtime.platform.slip_offset)
-
-    def radial_at(self, hole: DrilledHole, x: float, y: float, z: float, slip: float) -> float:
-        """``radial_offset`` of the commanded point ``(x, y, z)`` pushed back
-        by ``slip``."""
-        return math.sqrt(self._radial_squared(hole, x, y, z, slip))
+        return math.sqrt(self._radial_squared(hole, p.x, p.y, p.z, runtime.platform.slip_offset))
 
     def radial_offsets(self, hole: DrilledHole, points, slips: np.ndarray) -> np.ndarray:
         """``radial_offset`` on ticks of a stretch, from the commanded points
@@ -667,35 +660,41 @@ class World:
         filtered, sums = runtime.guard_filter.averages(readings)
         return readings, sums, first_overload(filtered, sensors)
 
-    def feed_wrenches(self, arm_name: str, points, law: Callable[..., tuple[float, float]]) -> np.ndarray:
+    def feed_wrenches(self, arm_name: str, points: np.ndarray, law) -> np.ndarray:
         """The true wrench of each tick of a stretch in which the arm's
-        commanded points are ``points`` (three lists of x, y and z) and its
-        contact model is ``law(distance, x, y, z, slip)`` of the surface
-        distance, the commanded point and the slip, which gives the wrench's
-        ``(fz, mx)``: ``(k, 6)`` rows. One float loop does what each tick
-        does in turn, slip from the previous press force, surface distance,
-        law and press force; it stops before the first tick whose distance
-        is not finite, and raises ValueError, as ``surface_distance`` does,
-        if that is the first."""
+        commanded points are ``points`` (a ``(3, m)`` array of x, y and z)
+        and its contact model is ``law(distances, x, y, z, slips)`` of the
+        surface distances, the commanded points and the slips, which gives
+        arrays of the wrench's fz and mx: ``(k, 6)`` rows. The rows stop
+        before the first tick whose distance is not finite, and if that is
+        the first, it raises ValueError, as ``surface_distance`` does.
+
+        A tick's slip comes from the press force of the tick before
+        (``max(fz, 0)``), so the presses solve a recurrence. They are found
+        as its fixed point: guess them (the arm's ``press_force``, then
+        zeros), take the slips (``PlatformState.slips``), distances and law
+        on arrays, press with the law's fz, and repeat until the presses
+        repeat bit for bit. Tick ``j`` is exact after ``j + 1`` passes
+        whatever the guess, so the solve ends, and the fixed point is the
+        one the ticks in turn give."""
         runtime = self.arms[arm_name]
-        platform = replace(runtime.platform)  # a copy to step
-        press, dt, surface = runtime.press_force, self.clock.dt, self.surface_at
-        rows = []
-        for x, y, z in zip(*points):
-            if press != 0.0:
-                platform.step(press, dt)
-            slip = platform.slip_offset
-            d = surface(x, y, z, slip)
-            if not math.isfinite(d):
-                if not rows:
-                    raise ValueError(f"{arm_name}: non-finite surface distance {d!r}")
+        presses = np.zeros(points.shape[1])  # the press force that drives each tick's slip
+        presses[0] = runtime.press_force
+        while True:
+            slips = runtime.platform.slips(presses, self.clock.dt)
+            distances = self.surface_at(*points, slips)
+            finite = np.isfinite(distances)
+            k = len(finite) if finite.all() else int(finite.argmin())
+            if k == 0:
+                raise ValueError(f"{arm_name}: non-finite surface distance {float(distances[0])!r}")
+            fz, mx = law(distances[:k], *points[:, :k], slips[:k])
+            pressed = presses.copy()
+            pressed[1 : k + 1] = np.where(fz > 0.0, fz, 0.0)[: len(presses) - 1]
+            if pressed.tobytes() == presses.tobytes():
                 break
-            fz, mx = law(d, x, y, z, slip)
-            rows.append((fz, mx))
-            press = max(fz, 0.0)
-        wrench = np.zeros((len(rows), 6))
-        if rows:
-            wrench[:, 2:4] = rows
+            presses = pressed
+        wrench = np.zeros((k, 6))
+        wrench[:, 2], wrench[:, 3] = fz, mx
         return wrench
 
     def laser_distances(self, arm_name: str, points, slips: np.ndarray) -> np.ndarray:

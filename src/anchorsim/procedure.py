@@ -544,19 +544,19 @@ class Pulsing(Impulses):
 class Feed(Ending, Move):
     """A guarded feed (``MissionContext.feed``) under a contact law of the
     true surface distance, the commanded point and the slip. A subclass
-    gives the law, ``law(distance, x, y, z, slip)``, which gives the ``(fz,
-    mx)`` of the true wrench, and its stop condition over a stretch,
-    ``stopped(slips, readings)``: one boolean per tick, up to a tick it
-    cannot compute (a failed laser read).
+    gives the law, ``law(distances, x, y, z, slips)``, which gives arrays of
+    the fz and mx of the true wrench on the ticks of a stretch, and its stop
+    condition over a stretch, ``stopped(slips, readings)``: one boolean per
+    tick, up to a tick it cannot compute (a failed laser read).
 
     The wait ends on the first tick on which the feed has stopped. It fails
     with ``WrongPose`` on the first on which the feed has travelled more
     than ``max_travel`` or the reach trims it (naming the reach if it does
     both), unless the feed stopped on that tick too. ``ahead``, ``stops``
     and ``apply``, extending ``engine.Move``'s, take a stretch of ticks (see
-    ``engine.Form``): the path from ``ArmState.free_path``, the one
-    sequential part (slip, surface distance, law, press force) from
-    ``World.feed_wrenches``, and the rest with numpy.
+    ``engine.Form``): the path from ``ArmState.free_path``, the wrench from
+    ``World.feed_wrenches``, which solves the slip's feedback through the
+    law, and the rest with numpy.
     """
 
     def __init__(self, ctx: MissionContext, arm: str, max_travel: float):
@@ -574,7 +574,7 @@ class Feed(Ending, Move):
             self.path, self.ends = np.repeat([[state.x], [state.y], [state.z], [0.0]], m + 1, axis=1), math.inf
         else:
             super().ahead(m)
-        wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:].tolist(), self.law)
+        wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:], self.law)
         return len(wrench), wrench
 
     def ending(self, slips: np.ndarray, readings: np.ndarray):
@@ -620,7 +620,8 @@ class Holding(Form):
 
     def ahead(self, m: int):
         feed, state = self.feed, self.feed.state
-        wrench = feed.world.feed_wrenches(feed.arm, ([state.x] * m, [state.y] * m, [state.z] * m), feed.law)
+        points = np.repeat([[state.x], [state.y], [state.z]], m, axis=1)
+        wrench = feed.world.feed_wrenches(feed.arm, points, feed.law)
         return len(wrench), wrench
 
 
@@ -639,9 +640,10 @@ class Drilling(Feed):
         self.use_laser = p.depth_source == "laser"
         self.measured = 0.0
 
-    def law(self, distance, *_):
-        depth = max(0.0, min(-distance, MAX_HOLE_DEPTH))
-        return drill_thrust(depth, self.tools), drill_reaction_moment(self.tools, depth)
+    def law(self, distances, *_):
+        depths = np.where(-distances > MAX_HOLE_DEPTH, MAX_HOLE_DEPTH, -distances)
+        depths = np.where(depths > 0.0, depths, 0.0)  # ``max(0.0, min(-distance, MAX_HOLE_DEPTH))``
+        return drill_thrust(depths, self.tools), drill_reaction_moment(self.tools, depths)
 
     def stopped(self, slips, readings):
         x, y, z = self.path[:3, 1 : len(slips) + 1]
@@ -674,15 +676,14 @@ class Pushing(Feed):
         self.hole, self.clearance, self.rate = hole, p.engagement_clearance, p.wedge_moment_rate
         self.stiffness = ctx.scenario.robot.contact_stiffness
 
-    def law(self, distance, x, y, z, slip):
-        """The wedge law: the tip presses ``pen``, its penetration, into the
+    def law(self, distances, x, y, z, slips):
+        """The wedge law: the tip presses ``pens``, its penetration, into the
         wedge if it engages the hole, with an fz of six times the moment, and
         otherwise into the surface."""
-        pen = max(0.0, -distance)
-        if engaged(self.world.radial_at(self.hole, x, y, z, slip), self.clearance):
-            moment = self.rate * pen
-            return 6.0 * moment, moment
-        return self.stiffness * pen, 0.0
+        pens = np.where(-distances > 0.0, -distances, 0.0)  # ``max(0.0, -distance)``
+        wedged = engaged(self.world.radial_offsets(self.hole, (x, y, z), slips), self.clearance)
+        moments = np.where(wedged, self.rate * pens, 0.0)
+        return np.where(wedged, 6.0 * moments, self.stiffness * pens), moments
 
     def tips(self, slips: np.ndarray):
         """The commanded points of the stretch's first ``len(slips)`` ticks,
@@ -1100,10 +1101,10 @@ class MissionContext:
         standoff = target + self.out_normal.scaled(robot.approach_standoff + 0.02)
         yield from self.move(arm, standoff, robot.gross_speed)
 
-        def press_law(distance, *_):
+        def press_law(distances, *_):
             # Rigid surface contact: force grows with commanded penetration.
-            pen = -distance
-            return (robot.contact_stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
+            pens = -distances
+            return np.where(pens > 0, robot.contact_stiffness * pens, 0.0), np.zeros(len(pens))
 
         # Guarded approach until the bit touches the wall; the bit spins up
         # while it presses.
@@ -1263,9 +1264,9 @@ class MissionContext:
         def approach(name: str, reference_pen: float):
             t0 = world.t
 
-            def socket_spring_law(distance, *_):
-                compression = protrusion - distance - reference_pen
-                return (spring * compression, 0.0) if compression > 0 else (0.0, 0.0)
+            def socket_spring_law(distances, *_):
+                compression = protrusion - distances - reference_pen
+                return np.where(compression > 0, spring * compression, 0.0), np.zeros(len(compression))
 
             yield from self.press_until(arm, socket_spring_law, p.approach_force, max_travel=protrusion + 0.03)
             approach_triggers.append(

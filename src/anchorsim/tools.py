@@ -16,6 +16,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .worksite import DrilledHole, MAX_HOLE_DEPTH
 
 if TYPE_CHECKING:
@@ -39,9 +41,15 @@ def drill_thrust(depth: float, cfg: ToolsSection) -> float:
     puts the uncompensated flange moment at -30 Nm when the bit is 10 mm
     deep, lets the regular spring overcompensate past +30 Nm before 80 mm,
     and keeps the constant-load variant inside +/-30 Nm for the whole feed.
+
+    ``depth`` is a float or an array of them, and each must lie in ``[0,
+    MAX_HOLE_DEPTH]``: ``Drilling.law`` clamps the feed's depths into that
+    range, so the check catches only another caller.
     """
-    if depth < 0 or depth > MAX_HOLE_DEPTH + 1e-9:
-        raise ValueError(f"depth {depth} m outside [0, {MAX_HOLE_DEPTH}]")
+    depths = np.asarray(depth)
+    outside = (depths < 0) | (depths > MAX_HOLE_DEPTH + 1e-9)
+    if outside.any():
+        raise ValueError(f"depth {depths[outside][0]} m outside [0, {MAX_HOLE_DEPTH}]")
     return cfg.thrust_at_contact + cfg.thrust_per_meter * depth
 
 

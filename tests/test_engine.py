@@ -596,9 +596,9 @@ def contact_law(kind):
     (the nut runner's approach) feed."""
     stiffness, reach = (200000.0, 0.0) if kind == "press" else (10000.0, 0.002)
 
-    def law(distance, *_):
-        pen = reach - distance
-        return (stiffness * pen, 0.0) if pen > 0 else (0.0, 0.0)
+    def law(distances, *_):
+        pens = reach - distances
+        return np.where(pens > 0, stiffness * pens, 0.0), np.zeros(len(pens))
 
     return law
 
@@ -901,7 +901,7 @@ FEED_CASES = dict(
     sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (100.0, 3.0)]),
     laser_sigma=st.sampled_from([0.0001, 0.0, 0.002]),
     dt=st.sampled_from([0.01, 0.005, 0.025]),
-    slip=st.sampled_from([2e-7, 1e-5, 0.0]),
+    slip=st.sampled_from([2e-7, 1e-5, 0.0, 1e-4]),
     tilt=st.sampled_from([(0.0, 0.0), (3.0, -2.0)]),
     gap=st.sampled_from([0.002, 0.0005, 0.0, -0.005, -0.05]),
     target=st.sampled_from([0.08, 0.003]),
@@ -938,6 +938,7 @@ def _feed_example(**changes):
 @_feed_example(sigmas=(0.0, 0.0), laser_sigma=0.0)  # no noise drawn
 @_feed_example(slip=math.nan)  # a NaN slip raises ValueError on the first tick
 @_feed_example(slip=1e-5, gap=-0.01)  # slip feeds back into the penetration
+@_feed_example(slip=1e-4, law="press", gap=-0.001, pressed=150.0)  # and takes many passes of the solve
 @_feed_example(before_max=100)  # the time ceiling
 @_feed_example(other=ARRIVING)  # the other arm's move arrives inside the stretch
 @_feed_example(law="press", gap=0.006, other=ARRIVING, filled=True)  # and then the feed touches
@@ -1220,7 +1221,7 @@ PUSH_CASES = dict(
     sigmas=st.sampled_from([(2.0, 0.2), (0.0, 0.0), (100.0, 3.0)]),
     laser_sigma=st.sampled_from([0.0001, 0.0, 0.002]),
     dt=st.sampled_from([0.01, 0.005, 0.025]),
-    slip=st.sampled_from([2e-7, 1e-5, 0.0]),
+    slip=st.sampled_from([2e-7, 1e-5, 0.0, 1e-4]),
     tilt=st.sampled_from([(0.0, 0.0), (3.0, -2.0)]),
     # Engaged at the axis and off it, on the rim just outside the 0.2 mm
     # clearance, and on the surface.
@@ -1259,6 +1260,7 @@ def _push_example(**changes):
 @_push_example(stop="wedge", wedge=(20000.0, 10.0), dt=0.005)  # a steep wedge, a finer tick
 @_push_example(stop="wedge", sigmas=(0.0, 0.0), laser_sigma=0.0)  # no noise drawn
 @_push_example(stop="wedge", slip=1e-5, pressed=150.0)  # the slip moves the tip back as it pushes
+@_push_example(stop="wedge", slip=1e-4, gap=-0.0005, pressed=150.0)  # over many passes of the solve
 @_push_example(slip=math.nan)  # a NaN slip raises ValueError on the first tick
 @_push_example(stop="wedge", force_limit=100.0, filled=True)  # the wedge's fz trips the guard
 @_push_example(stop="wedge", before_max=100)  # the time ceiling

@@ -344,8 +344,8 @@ def touch(max_travel):
     frame = world.site.wall.frame
     world.arm("robot1").position = frame.origin + frame.z_axis.scaled(0.001)
 
-    def law(distance, *_):
-        return (200000.0 * -distance, 0.0) if distance < 0 else (0.0, 0.0)
+    def law(distances, *_):
+        return np.where(distances < 0, 200000.0 * -distances, 0.0), np.zeros(len(distances))
 
     try:
         for horizon in ctx.press_until("robot1", law, 20.0, max_travel):

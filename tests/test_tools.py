@@ -45,6 +45,8 @@ def test_thrust_rejects_negative_depth():
         drill_thrust(-0.001, ToolsSection())
     with pytest.raises(ValueError):
         drill_thrust(0.2, ToolsSection())
+    with pytest.raises(ValueError, match="depth 0.2 m outside"):
+        drill_thrust(np.array([0.0, 0.03, 0.2, 0.08]), ToolsSection())
 
 
 def test_thrust_monotone():
