@@ -505,8 +505,7 @@ class Pulsing(Impulses):
     """The nut runner's pulse tightening, pressing 50 N: ``pulse_rate``
     pulses a second, each adding ``pulse_torque_step`` to the fastener
     torque up to ``target_torque``. The wait ends on the tick of the pulse
-    that reaches the target, the final one, and on every tick once it has
-    been reached."""
+    that reaches the target, the final one."""
 
     def __init__(self, ctx: MissionContext, arm: str):
         self.tools = ctx.scenario.tools
@@ -532,8 +531,6 @@ class Pulsing(Impulses):
         return m, wrench
 
     def ending(self, slips: np.ndarray, readings: np.ndarray):
-        if self.final(self.struck):
-            return 0, True
         k = min(len(slips), self._final)
         return k, k < len(slips)
 
@@ -568,21 +565,14 @@ class Feed(Ending, Move):
     def ahead(self, m: int):
         """The true wrench under the law on each of the next ``m`` ticks of
         the feed, or on fewer: through a reach trim, or up to a non-finite
-        surface distance. Once the feed has stopped, the point holds."""
-        state = self.state
-        if state.motion is None:
-            self.path, self.ends = np.repeat([[state.x], [state.y], [state.z], [0.0]], m + 1, axis=1), math.inf
-        else:
-            super().ahead(m)
+        surface distance."""
+        super().ahead(m)
         wrench = self.world.feed_wrenches(self.arm, self.path[:3, 1:], self.law)
         return len(wrench), wrench
 
     def ending(self, slips: np.ndarray, readings: np.ndarray):
-        if self.state.motion is None:
-            limit = 0  # a feed that has stopped ends the wait on its first tick
-        else:
-            over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
-            limit = min(int(over[0]) if over.size else len(slips), self.ends - 1)
+        over = np.flatnonzero(self.path[3, 1 : len(slips) + 1] > self.max_travel)
+        limit = min(int(over[0]) if over.size else len(slips), self.ends - 1)
         stopped = self.stopped(slips[: limit + 1], readings[: limit + 1])
         hits = np.flatnonzero(stopped)
         if hits.size:
@@ -798,8 +788,6 @@ class Probing(Ending, Form):
         return m, pressing(m, SLIDE_PRESS)
 
     def ending(self, slips: np.ndarray, readings: np.ndarray):
-        if not self.left:  # the search has ended: so has the wait, on every tick
-            return 0, True
         ends = np.arange(self.left - 1, len(slips), self.ticks)
         if not ends.size:
             return len(slips), False
@@ -819,8 +807,8 @@ class Probing(Ending, Form):
 
     def apply(self, n: int):
         super().apply(n)
-        if n < self.left or not self.left:
-            self.left -= min(n, self.left)
+        if n < self.left:
+            self.left -= n
             return
         passed, left = divmod(n - self.left, self.ticks)  # whole probes after the one that ran, and ticks
         if self.outcome:  # the search ends on the stretch's last tick
