@@ -26,8 +26,9 @@ presses as the fixed point of its slip recurrence (see
 ``World.feed_wrenches``). A stretch ends at the horizon, after
 ``NOISE_BLOCK`` ticks, or on the first tick that may be an event on either
 arm (an arrival, a reach trim, a guard trip, the tick on which a wait ends
-or fails, the tick past ``MAX_SIM_TIME``). It is applied as soon as it is computed, the watches run once on the state
-it left, and ``World.step`` ticks the clock through it.
+or fails, the tick past ``MAX_SIM_TIME``). It is applied as soon as it is
+computed, the watches run once on the state it left, and ``World.step``
+ticks the clock through it.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class DrillVariant(str, Enum):
     CONSTANT_LOAD_SPRING = "constant_load_spring"
 
 
-def drill_thrust(depth: float, cfg: ToolsSection) -> float:
+def drill_thrust(depth: float | np.ndarray, cfg: ToolsSection) -> float | np.ndarray:
     """Axial thrust (N) the concrete exerts on the spinning bit at ``depth``.
 
     The line F(d) = thrust_at_contact + thrust_per_meter * d is a calibration
@@ -42,9 +42,9 @@ def drill_thrust(depth: float, cfg: ToolsSection) -> float:
     deep, lets the regular spring overcompensate past +30 Nm before 80 mm,
     and keeps the constant-load variant inside +/-30 Nm for the whole feed.
 
-    ``depth`` is a float or an array of them, and each must lie in ``[0,
-    MAX_HOLE_DEPTH]``: ``Drilling.law`` clamps the feed's depths into that
-    range, so the check catches only another caller.
+    ``depth`` is a float or an array of them, each in ``[0,
+    MAX_HOLE_DEPTH]``; ``Drilling.law``'s clamp keeps the feed's depths in
+    that range.
     """
     depths = np.asarray(depth)
     outside = (depths < 0) | (depths > MAX_HOLE_DEPTH + 1e-9)
