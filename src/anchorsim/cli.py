@@ -71,11 +71,13 @@ def _write_chunk(files, times):
     """Write one chunk of a row's ``(file, values)`` pairs at ``times``;
     ``None`` values are all ``+0.0``.
 
-    Each time stamp is formatted once for all the files. The all-``+0.0``
+    Each time stamp is formatted once for all the files, all of them by one
+    ``%`` template whose stamps end in NUL, to split on. The all-``+0.0``
     values have the same text in every file; it is built once, after the
     other files are written, and freed on return.
     """
-    stamps = [f"\n{t:{STAMP_SPEC}}," for t in times]
+    stamps = (f"\n%{STAMP_SPEC},\0" * len(times) % tuple(times)).split("\0")
+    del stamps[-1]  # the empty text after the last NUL
     zero_files = []
     for fh, values in files:
         if values is None:

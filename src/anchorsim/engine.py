@@ -104,8 +104,8 @@ class TraceRow:
         self.prefix = prefix
         self.channels = channels
         self.sealed: list[tuple[array, tuple[array | None, ...]]] = []
-        self.times = array("d", bytes(8 * TRACE_CHUNK))
-        self.data = array("d", bytes(packer.size * TRACE_CHUNK))
+        self.times = array("d", [0.0]) * TRACE_CHUNK
+        self.data = array("d", [0.0]) * (len(channels) * TRACE_CHUNK)
         self.count = 0
         self.last = -math.inf
         self.pack, self.stride = packer.pack_into, packer.size
@@ -211,16 +211,13 @@ class TraceRecorder:
         first = ticks[0] * dt
         if first <= row.last:
             raise NonMonotonicTime(f"{row.prefix}/{row.channels[0]}: {first} after {row.last}")
-        width = len(row.channels)
+        times, data = np.frombuffer(row.times), np.frombuffer(row.data).reshape(TRACE_CHUNK, -1)
         k, stop = ticks.start, ticks.stop
         while k < stop:
             count = row.count
             n = min(TRACE_CHUNK - count, stop - k)
-            times = array("d", (np.arange(k, k + n) * dt).tobytes())
-            block = None if values is None else values[k - ticks.start : k - ticks.start + n]
-            row.times[count : count + n] = times
-            data = bytes(8 * width * n) if block is None else block.tobytes()
-            row.data[count * width : (count + n) * width] = array("d", data)
+            np.multiply(np.arange(k, k + n), dt, out=times[count : count + n])
+            data[count : count + n] = 0.0 if values is None else values[k - ticks.start : k - ticks.start + n]
             row.count = count + n
             if row.count == TRACE_CHUNK:
                 row.seal()
@@ -546,9 +543,8 @@ class World:
         runtimes = tuple(self.arms.values())
         forms = [r.contact or (Move(r.state, dt) if r.state.motion else None) for r in runtimes]
         n = NOISE_BLOCK if end - now >= NOISE_BLOCK else math.ceil(end - now)
-        late = np.flatnonzero(np.arange(now + 1, now + n + 1) * dt > MAX_SIM_TIME)
-        if late.size:
-            n = int(late[0]) + 1
+        if (now + n) * dt > MAX_SIM_TIME:  # ``k * dt`` grows with ``k``, so no tick before is late
+            n = int(np.flatnonzero(np.arange(now + 1, now + n + 1) * dt > MAX_SIM_TIME)[0]) + 1
         wrenches = [None] * len(forms)  # each form's true-wrench rows; None: all zero
         targeted = [r.state.motion is not None and r.state.motion.target is not None for r in runtimes]
         for i in sorted(range(len(forms)), key=targeted.__getitem__, reverse=True):

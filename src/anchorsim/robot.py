@@ -148,24 +148,26 @@ class ArmState:
         step = motion.speed * dt
         ux, uy, uz = motion.direction
         path = np.empty((4, ticks + 1))
-        path[:, 0] = self.x, self.y, self.z, motion.travelled
-        path[:, 1:] = [[ux * step], [uy * step], [uz * step], [step]]
+        columns = path.T  # one ``(x, y, z, travelled)`` row per column of ``path``
+        columns[0] = self.x, self.y, self.z, motion.travelled
+        columns[1:] = ux * step, uy * step, uz * step, step
         np.add.accumulate(path, axis=1, out=path)  # sequential, as the ticks add
         ended = False
         if motion.target is not None:
-            tx, ty, tz = motion.target
             # Tick j tests the point it starts from, column j - 1.
-            remaining = _norms(path[:3, :-1] - [[tx], [ty], [tz]])
-            hits = np.flatnonzero(remaining <= step)
-            if hits.size:
-                k = int(hits[0]) + 1
+            remaining = _norms((columns[:-1, :3] - motion.target).T)
+            arrives = remaining <= step
+            k = int(arrives.argmax())
+            if arrives[k]:
+                k += 1
                 path = path[:, : k + 1]
-                path[:, k] = tx, ty, tz, path[3, k - 1] + remaining[k - 1]
+                path[:, k] = *motion.target, path[3, k - 1] + remaining[k - 1]
                 ended = True
         base = self.base
-        inside = _norms([[base.x], [base.y], [base.z]] - path[:3, 1:]) <= self.cfg.reach
-        if not inside.all():
-            k = int(inside.argmin()) + 1
+        inside = _norms(((base.x, base.y, base.z) - path.T[1:, :3]).T) <= self.cfg.reach
+        k = int(inside.argmin())
+        if not inside[k]:
+            k += 1
             if not np.isfinite(path[:3, k]).all():
                 if k == 1:
                     Point3(*path[:3, 1].tolist())  # raises on a non-finite point

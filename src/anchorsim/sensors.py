@@ -6,8 +6,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from itertools import islice
+from functools import lru_cache, partial
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -111,15 +111,22 @@ def overload_guard(reading: tuple[float, ...], limits: SensorsSection) -> str | 
 def first_overload(filtered: np.ndarray, limits: SensorsSection) -> tuple[int, str] | None:
     """The first row of the ``(m, 6)`` array ``filtered`` that
     ``overload_guard`` trips on, with the axis it names, or None."""
-    fl, ml = limits.force_limit, limits.moment_limit
-    over = filtered > (fl, fl, fl, ml, ml, ml)  # |value| > limit, without an abs copy
-    over |= filtered < (-fl, -fl, -fl, -ml, -ml, -ml)
+    upper, lower = _limit_rows(limits.force_limit, limits.moment_limit)
+    over = filtered > upper  # |value| > limit, without an abs copy
+    over |= filtered < lower
     over = over.ravel()
     first = int(over.argmax())  # row-major: the first row over, then its first axis
     if not over[first]:
         return None
     row, axis = divmod(first, 6)
     return row, Wrench._fields[axis]
+
+
+@lru_cache(maxsize=8)
+def _limit_rows(fl: float, ml: float) -> tuple[np.ndarray, np.ndarray]:
+    """``first_overload``'s upper and lower limit of each ``Wrench`` axis."""
+    upper = np.array((fl, fl, fl, ml, ml, ml))
+    return upper, -upper
 
 
 class GuardFilter:
@@ -161,27 +168,30 @@ class GuardFilter:
 
         The sums take the same additions in the same order as ``push``: each
         push subtracts the sample it drops (``-0.0`` while the window fills,
-        which leaves every sum as it is) and adds the new one.
+        which leaves every sum as it is) and adds the new one, and the
+        average divides by the samples held.
         """
         window, held = self.window, len(self._buf)
         m = len(samples)
+        filling = min(m, max(0, window - held))  # the pushes that drop no sample
         steps = np.empty((2 * m + 1, 6))
         steps[0] = self._sums
-        steps[1::2] = -0.0
+        steps[1 : 2 * filling : 2] = -0.0
         steps[2::2] = samples
-        full = max(0, window - held)  # the first push that drops a sample
-        if full < m:
-            # The dropped samples: the held ones from the oldest on, then the new ones.
-            drops = steps[2 * full + 1 :: 2]
-            old = list(islice(self._buf, len(drops)))
-            if old:
-                drops[: len(old)] = old
-            drops[len(old) :] = samples[: len(drops) - len(old)]
-            np.negative(drops, out=drops)
+        if filling < m:
+            # The dropped samples, negated: the held ones from the oldest on, then the new ones.
+            drops = steps[2 * filling + 1 :: 2]
+            k = min(held, len(drops))
+            if k:
+                old = np.fromiter(chain.from_iterable(islice(self._buf, k)), float, 6 * k)
+                np.negative(old.reshape(k, 6), out=drops[:k])
+            np.negative(samples[: len(drops) - k], out=drops[k:])
         np.add.accumulate(steps, axis=0, out=steps)
         sums = steps[2::2]
-        counts = np.minimum(np.arange(held + 1, held + m + 1), window)
-        return sums / counts[:, None], sums
+        averages = sums / window
+        if filling:
+            averages[:filling] = sums[:filling] / np.arange(held + 1, held + filling + 1)[:, None]
+        return averages, sums
 
     def extend(self, samples: list[Wrench], sums: tuple[float, ...]):
         """Push ``samples`` at once (the last ``window`` of them will do),

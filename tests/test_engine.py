@@ -363,6 +363,27 @@ def test_run_stops_after_the_tick_time_passes_the_ceiling():
     assert len(watched) == 2 and max(watched) <= MAX_SIM_TIME
 
 
+def test_a_stretch_that_ends_on_the_ceiling_is_whole_and_the_next_tick_passes_it():
+    # A tick exactly at ``MAX_SIM_TIME`` is not past it: a stretch whose last
+    # tick lands there is not cut short, and the tick after it is the one
+    # that passes the ceiling.
+    class Whole(Scripted):
+        stops = Form.stops  # stretches run to the horizon
+
+    world = World(Scenario(), seed=0)
+    last = round(MAX_SIM_TIME / world.dt)
+    assert last * world.dt == MAX_SIM_TIME
+    world.clock.ticks = last - 5
+    watched = []
+    world.runtime("robot1").contact = Whole(world, watch=lambda: watched.append(world.clock.ticks))
+    world.run(5)
+    assert world.clock.ticks == last and world.t == MAX_SIM_TIME and not world.event
+    assert watched == [last]  # one stretch of five ticks
+    world.run(math.inf)
+    assert world.clock.ticks == last + 1 and world.event
+    assert watched == [last]
+
+
 def test_nan_slip_raises_in_distance_reads():
     world = World(Scenario(), seed=0)
     world.runtime("robot1").platform.slip_offset = float("nan")

@@ -338,12 +338,16 @@ def test_guard_filter_matches_sequential_sums_bit_for_bit():
 def test_guard_filter_in_bulk_matches_push_bit_for_bit():
     # ``averages`` returns what ``push`` would, while the window fills and
     # once it wraps, and ``extend`` leaves the state that the pushes leave.
+    # The stretches: one row into an empty window, two that fill it to one
+    # short of full (24 of 25 rows), one that starts there and wraps, one
+    # row into a full window, and rows into a full window.
     rng = np.random.default_rng(6)
     pushed, bulk = GuardFilter(window=25), GuardFilter(window=25)
-    for count in (10, 300, 7):
+    for count in (1, 9, 14, 300, 1, 7):
         samples = rng.standard_normal((count, 6)) * [900, 900, 900, 25, 25, 25]
         averages, sums = bulk.averages(samples)
-        assert averages.tolist() == [list(pushed.push(Wrench(*row))) for row in samples.tolist()]
+        expected = np.array([pushed.push(Wrench(*row)) for row in samples.tolist()])
+        assert averages.tobytes() == expected.tobytes()
         bulk.extend(list(map(Wrench._make, samples.tolist())), tuple(sums[-1].tolist()))
         assert list(bulk._buf) == list(pushed._buf) and bulk._sums == pushed._sums
 
