@@ -124,9 +124,12 @@ def first_overload(filtered: np.ndarray, limits: SensorsSection) -> tuple[int, s
 
 @lru_cache(maxsize=8)
 def _limit_rows(fl: float, ml: float) -> tuple[np.ndarray, np.ndarray]:
-    """``first_overload``'s upper and lower limit of each ``Wrench`` axis."""
+    """``first_overload``'s upper and lower limit of each ``Wrench`` axis,
+    read-only, as every call shares them."""
     upper = np.array((fl, fl, fl, ml, ml, ml))
-    return upper, -upper
+    lower = -upper
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 class GuardFilter:
